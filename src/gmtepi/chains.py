@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .groups import GroupSpec, NormedCoefficient, group_add, group_neg, group_norm
-from .quadrature import simplex_ball_mass, simplex_volume
+from .quadrature import batch_ball_masses, simplex_volume
 
 __all__ = [
     "Simplex",
@@ -85,14 +85,6 @@ class Simplex:
 
     def barycenter(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
-
-    def diameter(self) -> float:
-        v = self.vertices
-        return max(
-            float(np.linalg.norm(v[i] - v[j]))
-            for i in range(len(v))
-            for j in range(i + 1, len(v))
-        )
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Simplex(m={self.m}, n={self.n})"
@@ -182,6 +174,13 @@ class PolyChain:
                     d = np.maximum(d, np.linalg.norm(va[:, i] - va[:, j], axis=1))
             self._cache["diam"] = d
         return self._cache["diam"]
+
+    def near_ball(self, center: np.ndarray, radius: float) -> np.ndarray:
+        """Indices of the terms whose simplex may meet ``B(center, radius)``:
+        those with a vertex within ``radius`` plus the simplex diameter."""
+        va = self.vertex_array()
+        dist = np.min(np.linalg.norm(va - center, axis=2), axis=1)
+        return np.nonzero(dist - self.diameters() <= radius)[0]
 
     def with_terms(self, terms) -> "PolyChain":
         return PolyChain(self.n, self.m, self.group, terms)
@@ -435,10 +434,9 @@ def restrict(
 def ball_mass(chain: PolyChain, center: np.ndarray, radius: float) -> float:
     """Exact ``||T||(B(center, radius))`` for m <= 2 chains."""
     center = np.asarray(center, dtype=float)
-    total = 0.0
-    for simplex, coeff in chain.terms:
-        total += group_norm(coeff) * simplex_ball_mass(simplex.vertices, center, radius)
-    return total
+    near = chain.near_ball(center, radius)
+    masses = batch_ball_masses(chain.vertex_array()[near], center, radius)
+    return float(chain.coeff_norms()[near] @ masses)
 
 
 def cone(vertex: np.ndarray, chain: PolyChain) -> PolyChain:

@@ -13,8 +13,7 @@ verify    the full inequality suite, one row per check
 
 Reports land in ``--out`` as a CSV table plus a JSON summary echoing the
 command, configuration and seed.  Exit code 0 on success, 2 when a
-hypothesis gate fails, 1 on errors.  ``GMT_EPI_THREADS`` caps internal
-parallelism.
+hypothesis gate fails, 1 on errors.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ def _config(args) -> dict:
         with open(args.config) as fh:
             cfg = json.load(fh)
     cfg.setdefault("seed", args.seed)
-    cfg.setdefault("threads", int(os.environ.get("GMT_EPI_THREADS", "1") or "1"))
     return cfg
 
 

@@ -43,13 +43,14 @@ from .layers import (
     LayerDecomposition,
     align_base_to_chain as _align_to_chain,
     cylindrical_excess,
+    cylindrical_excess_polygon,
     decompose_layers,
     height_sup,
 )
 from .mono import lambda_epi
 from .moments import quad_form, select_plane
 from .planes import OrientedPlane, align_in_plane_orientation, plane_distance
-from .quadrature import gauss_segment, simplex_volume
+from .quadrature import disk_polygon_areas, gauss_segment, simplex_volume
 
 __all__ = [
     "EpiConfig",
@@ -762,12 +763,15 @@ def build_comparison(P: PolyChain, cfg: EpiConfig | None = None, base: OrientedP
         raise StageError("assemble", f"boundary defect {defect:.3g} exceeds {cfg.boundary_defect_tol} * mass(P)")
 
     # -- measurements
-    exc_S = _excess_over(S_chain, V, decomp.g0, radius=1.0)
     zone_poly = 0.25 * np.stack(
         [np.cos(trace.angles), np.sin(trace.angles)], axis=1
     )
-    exc_P_zone = _excess_over_polygon(P, W, decomp.g0, zone_poly)
-    exc_S_zone = _excess_over_polygon(S_chain, W, decomp.g0, zone_poly)
+    try:
+        exc_S = _excess_over(S_chain, V, decomp.g0, radius=1.0)
+        exc_P_zone = _excess_over_polygon(P, W, decomp.g0, zone_poly)
+        exc_S_zone = _excess_over_polygon(S_chain, W, decomp.g0, zone_poly)
+    except GeneralPositionError as exc:
+        raise StageError("measure", str(exc)) from exc
     ratio_zone = None if degenerate else exc_S_zone / exc_P_zone
     ratio_full = None if degenerate else exc_S / exc_P
     energy_ratio = None
@@ -1060,24 +1064,17 @@ def _excess_over(chain: PolyChain, base: OrientedPlane, g0, radius: float) -> fl
         d.g0 = g0
         d.g0_norm = group_norm(g0)
         return cylindrical_excess(d, radius=radius)
-    from .quadrature import disk_polygon_area
-
-    total = 0.0
-    center = np.zeros(2)
     rmin = np.min(np.linalg.norm(dom, axis=2), axis=1)
     rmax = np.max(np.linalg.norm(dom, axis=2), axis=1)
     areas = 0.5 * np.abs(
         (dom[:, 1, 0] - dom[:, 0, 0]) * (dom[:, 2, 1] - dom[:, 0, 1])
         - (dom[:, 1, 1] - dom[:, 0, 1]) * (dom[:, 2, 0] - dom[:, 0, 0])
     )
-    for t in range(len(dom)):
-        if rmin[t] >= radius:
-            continue
-        if rmax[t] <= radius:
-            area = areas[t]
-        else:
-            area = abs(disk_polygon_area(dom[t], center, radius))
-        total += w[t] * jac[t] * area
+    # triangles the circle cuts, clipped in one batched pass
+    cut = (rmin < radius) & (rmax > radius)
+    areas[cut] = np.abs(disk_polygon_areas(dom[cut], np.zeros(2), radius))
+    inside = rmin < radius
+    total = float(np.sum(w[inside] * jac[inside] * areas[inside]))
     return total - group_norm(g0) * math.pi * radius * radius
 
 
@@ -1088,7 +1085,13 @@ def _excess_over_polygon(chain: PolyChain, base: OrientedPlane, g0, poly: np.nda
     angular window it straddles (the other half-planes contain it).
     """
     base = _align_to_chain(base, chain)
-    dom, jac, w = _graph_stats(chain, base)
+    try:
+        dom, jac, w = _graph_stats(chain, base)
+    except GeneralPositionError:
+        d = decompose_layers(chain, base, check_constancy=False)
+        d.g0 = g0
+        d.g0_norm = group_norm(g0)
+        return cylindrical_excess_polygon(d, poly)
     k = len(poly)
     poly_ang = np.mod(np.arctan2(poly[:, 1], poly[:, 0]), 2 * math.pi)
     rad_out = float(np.max(np.linalg.norm(poly, axis=1)))

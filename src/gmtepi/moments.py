@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import PolyChain
-from .groups import group_norm
 from .mono import DensityProfile, Gauge, alpha_m, spherical_excess
 from .planes import OrientedPlane
-from .quadrature import BallMoments, simplex_ball_moments
+from .quadrature import BallMoments, batch_ball_moments
 
 __all__ = [
     "AmbiguousPlaneError",
@@ -51,23 +50,8 @@ class AmbiguousPlaneError(ValueError):
 def chain_ball_moments(chain: PolyChain, center, radius: float) -> BallMoments:
     """Coefficient-norm-weighted exact moments of ``||T||`` on a ball."""
     center = np.asarray(center, dtype=float)
-    total = BallMoments.zero(chain.n)
-    va = chain.vertex_array()
-    if len(va) == 0:
-        return total
-    dists = np.linalg.norm(va - center, axis=2)
-    diams = np.zeros(len(va))
-    k = va.shape[1]
-    for i in range(k):
-        for j in range(i + 1, k):
-            diams = np.maximum(diams, np.linalg.norm(va[:, i] - va[:, j], axis=1))
-    near = np.min(dists, axis=1) - diams <= radius
-    for t in np.nonzero(near)[0]:
-        simplex, coeff = chain.terms[t]
-        bm = simplex_ball_moments(simplex.vertices, center, radius)
-        if bm.s0 != 0.0 or bm.t2 != 0.0:
-            total += bm.scaled(group_norm(coeff))
-    return total
+    near = chain.near_ball(center, radius)
+    return batch_ball_moments(chain.vertex_array()[near], center, radius, chain.coeff_norms()[near])
 
 
 @dataclass
@@ -98,6 +82,11 @@ class SymForm:
         return w[order], v[:, order].T
 
 
+def _form_from_moments(bm: BallMoments, m: int, center: np.ndarray, radius: float) -> SymForm:
+    norm = (m + 2) / (alpha_m(m) * radius ** (m + 2))
+    return SymForm(norm * 0.5 * (bm.s2 + bm.s2.T), m, center, radius)
+
+
 def quad_form(chain: PolyChain, center, radius: float) -> SymForm:
     """The normalized second-moment form of ``||T||`` in ``B(center, radius)``.
 
@@ -106,10 +95,7 @@ def quad_form(chain: PolyChain, center, radius: float) -> SymForm:
     if radius <= 0:
         raise ValueError("radius must be positive")
     center = np.asarray(center, dtype=float)
-    bm = chain_ball_moments(chain, center, radius)
-    norm = (chain.m + 2) / (alpha_m(chain.m) * radius ** (chain.m + 2))
-    mat = norm * 0.5 * (bm.s2 + bm.s2.T)
-    return SymForm(mat, chain.m, center, radius)
+    return _form_from_moments(chain_ball_moments(chain, center, radius), chain.m, center, radius)
 
 
 def select_plane(
@@ -267,7 +253,12 @@ def beta_numbers(chain: PolyChain, x, r: float, plane: OrientedPlane) -> BetaRec
     the angular floor is reported.
     """
     x = np.asarray(x, dtype=float)
-    bm = chain_ball_moments(chain, x, r)
+    return _beta_from_moments(chain, chain_ball_moments(chain, x, r), x, r, plane)
+
+
+def _beta_from_moments(
+    chain: PolyChain, bm: BallMoments, x: np.ndarray, r: float, plane: OrientedPlane
+) -> BetaRecord:
     perpf = plane.perp_frame()
     # perp-block contraction avoids the trace-difference cancellation
     beta2_sq = float(np.einsum("ki,ij,kj->", perpf, bm.s2, perpf)) / r ** (chain.m + 2)
@@ -276,81 +267,81 @@ def beta_numbers(chain: PolyChain, x, r: float, plane: OrientedPlane) -> BetaRec
     return BetaRecord(beta2, sup / r, plane, floor / r)
 
 
+# unit directions of the sampled in-plane circle for codimension >= 2
+_CIRCLE_SAMPLES = 64
+_CIRCLE = np.array(
+    [[math.cos(a), math.sin(a)] for a in 2 * math.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES]
+)
+
+
 def _sup_perp_in_ball(
     chain: PolyChain, x: np.ndarray, r: float, plane: OrientedPlane
 ) -> tuple[float, float]:
+    """Largest distance from the plane through ``x`` over ``spt(T) ∩ B(x, r)``
+    and the sampling floor of that sup.
+
+    The candidates of all simplices near the ball are evaluated at once:
+    vertices inside the ball, edge-sphere crossings, and for triangles the
+    extreme points of the height on the circle where the ball cuts the
+    triangle's plane (exact in codimension one, 64 samples otherwise).
+    """
     perp = plane.perp_frame()  # (n-m, n)
     codim = perp.shape[0]
-    best = 0.0
+    va = chain.vertex_array()[chain.near_ball(x, r)]
+    if not len(va):
+        return 0.0, 0.0
+    v = va - x
+    dist = np.linalg.norm(v, axis=2)
+    heights = [np.linalg.norm(v[dist <= r + 1e-12] @ perp.T, axis=1)]
+    # edge / sphere crossings
+    i, j = np.triu_indices(va.shape[1], 1)
+    p = v[:, i]
+    dd = v[:, j] - p
+    aa = np.einsum("ten,ten->te", dd, dd)
+    bb = 2.0 * np.einsum("ten,ten->te", p, dd)
+    cc = np.einsum("ten,ten->te", p, p) - r * r
+    disc = bb * bb - 4 * aa * cc
+    cut = (aa >= 1e-30) & (disc > 0)
+    sq = np.sqrt(np.where(cut, disc, 0.0))
+    den = 2 * np.where(cut, aa, 1.0)
+    t = np.stack([(-bb - sq) / den, (-bb + sq) / den], axis=-1)
+    hit = cut[..., None] & (t >= -1e-12) & (t <= 1 + 1e-12)
+    crossings = p[:, :, None] + t[..., None] * dd[:, :, None]
+    heights.append(np.linalg.norm(crossings[hit] @ perp.T, axis=1))
     floor = 0.0
-    for simplex, _ in chain.terms:
-        v = simplex.vertices
-        d = np.linalg.norm(v - x, axis=1)
-        m = simplex.m
-        if np.min(d) - simplex.diameter() > r:
-            continue
-        # vertices inside the ball
-        for i in range(len(v)):
-            if d[i] <= r + 1e-12:
-                best = max(best, float(np.linalg.norm(perp @ (v[i] - x))))
-        # edge / sphere crossings
-        for i in range(len(v)):
-            for j in range(i + 1, len(v)):
-                p, q = v[i] - x, v[j] - x
-                dd = q - p
-                aa = float(dd @ dd)
-                if aa < 1e-30:
-                    continue
-                bb = 2.0 * float(p @ dd)
-                cc = float(p @ p) - r * r
-                disc = bb * bb - 4 * aa * cc
-                if disc <= 0:
-                    continue
-                for sgn in (-1.0, 1.0):
-                    t = (-bb + sgn * math.sqrt(disc)) / (2 * aa)
-                    if -1e-12 <= t <= 1 + 1e-12:
-                        best = max(best, float(np.linalg.norm(perp @ (p + t * dd))))
-        if m == 2:
-            # extreme points on the in-plane circle
-            edges = (v[1:] - v[0]).T
-            q_, _ = np.linalg.qr(edges)
-            E = q_.T  # (2, n)
-            rel = x - v[0]
-            a_in = E @ rel
-            h2 = float(rel @ rel - a_in @ a_in)
-            r2 = r * r - max(h2, 0.0)
-            if r2 <= 0:
-                continue
-            rho = math.sqrt(r2)
-            foot2 = a_in
-            dom = (v - v[0]) @ E.T
-            if codim == 1:
-                g = E @ perp[0]  # in-plane gradient of the height functional
-                gn = float(np.linalg.norm(g))
-                cands = [foot2 + rho * g / gn, foot2 - rho * g / gn] if gn > 1e-14 else []
-                exact = True
-            else:
-                ang = 2 * math.pi * np.arange(64) / 64
-                cands = [foot2 + rho * np.array([math.cos(a), math.sin(a)]) for a in ang]
-                exact = False
-            base_perp = perp @ (v[0] - x)
-            for c2 in cands:
-                if _inside_triangle(dom, c2):
-                    y_rel = base_perp + (perp @ E.T) @ c2
-                    val = float(np.linalg.norm(y_rel))
-                    best = max(best, val)
-            if not exact and rho > 0:
-                floor = max(floor, rho * (math.pi / 64) ** 2)
-    return best, floor
-
-
-def _inside_triangle(dom: np.ndarray, p: np.ndarray, tol: float = 1e-12) -> bool:
-    T = np.column_stack([dom[1] - dom[0], dom[2] - dom[0]])
-    det = float(np.linalg.det(T))
-    if abs(det) < 1e-30:
-        return False
-    lam = np.linalg.solve(T, p - dom[0])
-    return bool(lam[0] >= -tol and lam[1] >= -tol and 1 - lam.sum() >= -tol)
+    if chain.m == 2:
+        # extreme points on the in-plane circle
+        E = np.swapaxes(np.linalg.qr(np.swapaxes(va[:, 1:] - va[:, :1], 1, 2))[0], 1, 2)
+        rel = x - va[:, 0]
+        a_in = np.einsum("tin,tn->ti", E, rel)
+        h2 = np.einsum("tn,tn->t", rel, rel) - np.einsum("ti,ti->t", a_in, a_in)
+        r2 = r * r - np.maximum(h2, 0.0)
+        met = r2 > 0
+        E, a_in, tri = E[met], a_in[met], va[met]
+        rho = np.sqrt(r2[met])
+        if codim == 1:
+            g = E @ perp[0]  # in-plane gradient of the height functional
+            gn = np.linalg.norm(g, axis=1)
+            keep = gn > 1e-14
+            step = rho[keep, None] * g[keep] / gn[keep, None]
+            E, a_in, tri = E[keep], a_in[keep], tri[keep]
+            cands = np.stack([a_in + step, a_in - step], axis=1)
+        else:
+            cands = a_in[:, None, :] + rho[:, None, None] * _CIRCLE
+            if len(rho):
+                floor = float(np.max(rho)) * (math.pi / _CIRCLE_SAMPLES) ** 2
+        dom = np.einsum("tkn,tin->tki", tri - tri[:, :1], E)
+        T = np.stack([dom[:, 1] - dom[:, 0], dom[:, 2] - dom[:, 0]], axis=-1)
+        ok = np.abs(np.linalg.det(T)) >= 1e-30
+        if np.any(ok):
+            lam = np.linalg.solve(T[ok], np.swapaxes(cands[ok] - dom[ok, :1], 1, 2))
+            tol = 1e-12
+            inside = (lam[:, 0] >= -tol) & (lam[:, 1] >= -tol) & (1 - (lam[:, 0] + lam[:, 1]) >= -tol)
+            base_perp = (tri[ok, 0] - x) @ perp.T
+            perp_e = np.einsum("cn,tin->tci", perp, E[ok])
+            y_rel = base_perp[:, None, :] + np.einsum("tci,tki->tkc", perp_e, cands[ok])
+            heights.append(np.linalg.norm(y_rel[inside], axis=1))
+    return max((float(np.max(h)) for h in heights if h.size), default=0.0), floor
 
 
 @dataclass

@@ -12,6 +12,11 @@ cuts a disk: the intersection region is split per edge into signed chord
 triangles plus signed circular sectors (a Green's-theorem decomposition,
 so no explicit region assembly is needed), and monomials are integrated
 exactly on both kinds of pieces.  No sampling noise enters anywhere.
+
+The ball integrals run on stacks of simplices (and of polygons) in array
+passes: one kernel, ``_disk_clip``, clips every edge of every polygon at
+once, and sector integrals come from a fixed table of Fourier
+coefficients.  The per-simplex functions are one-element calls into it.
 """
 
 from __future__ import annotations
@@ -29,7 +34,10 @@ __all__ = [
     "trig_monomial_integral",
     "disk_polygon_monomials",
     "disk_polygon_area",
+    "disk_polygon_areas",
     "BallMoments",
+    "batch_ball_moments",
+    "batch_ball_masses",
     "simplex_ball_moments",
     "simplex_ball_mass",
 ]
@@ -111,144 +119,170 @@ def integrate_over_simplex(f, vertices: np.ndarray, volume: float | None = None)
     raise NotImplementedError(f"no quadrature rule for m={m}")
 
 
+# -- sector integrals ---------------------------------------------------------
+#
+# cos^a(t) sin^b(t) is a trigonometric polynomial of frequency at most a + b,
+# so its integral over [phi0, phi0 + dphi] is a fixed linear combination of
+# the features dphi, (sin f phi1 - sin f phi0) / f and (cos f phi0 - cos f phi1) / f.
+# The coefficients are small dyadic rationals, tabulated once here; rows are
+# ordered by total degree, so the rows with a + b <= 4 come first.
+
+_TRIG_MAX = 8
+_TRIG_PAIRS = [(a, d - a) for d in range(_TRIG_MAX + 1) for a in range(d, -1, -1)]
+_TRIG_ROW = {ab: i for i, ab in enumerate(_TRIG_PAIRS)}
+
+
+def _fourier_table() -> np.ndarray:
+    # cos^a sin^b = 2^-(a+b) (i)^-b sum_{j,k} C(a,j)C(b,k)(-1)^(b-k) e^{i(2j+2k-a-b)t},
+    # and Re(c e^{ift}) = Re(c) cos(|f| t) - sign(f) Im(c) sin(|f| t)
+    table = np.zeros((len(_TRIG_PAIRS), 2 * _TRIG_MAX + 1))
+    for row, (a, b) in enumerate(_TRIG_PAIRS):
+        pref = (0.5 ** (a + b)) * (1j ** (-b))
+        for j in range(a + 1):
+            for k in range(b + 1):
+                c = pref * math.comb(a, j) * math.comb(b, k) * ((-1) ** (b - k))
+                f = 2 * j + 2 * k - a - b
+                table[row, abs(f)] += c.real
+                if f:
+                    table[row, _TRIG_MAX + abs(f)] -= math.copysign(1.0, f) * c.imag
+    return table
+
+
+_TRIG_TABLE = _fourier_table()
+# the moments use the degree <= 4 block: 15 (a, b) rows against
+# frequencies 0..4; the rows up to degree 8 serve trig_monomial_integral
+_DEG4 = 15
+_TRIG4 = _TRIG_TABLE[:_DEG4][:, [0, 1, 2, 3, 4, 9, 10, 11, 12]]
+_DEG4_A = np.array([a for a, _ in _TRIG_PAIRS[:_DEG4]])
+_DEG4_B = np.array([b for _, b in _TRIG_PAIRS[:_DEG4]])
+_DEG4_ORDER = _DEG4_A + _DEG4_B + 2.0
+_POW4 = np.arange(5)
+_LOW4 = np.add.outer(_POW4, _POW4) <= 4
+
+
+def _sector_features(phi0: np.ndarray, dphi: np.ndarray, fmax: int) -> np.ndarray:
+    """The features of :data:`_TRIG_TABLE` up to frequency ``fmax``, shape (..., 2 fmax + 1).
+
+    Differences of sines and cosines are taken in product form, which keeps
+    their accuracy for short arcs.
+    """
+    f = np.arange(1, fmax + 1)
+    half = np.sin((0.5 * dphi)[..., None] * f) * (2.0 / f)
+    mid = (phi0 + 0.5 * dphi)[..., None] * f
+    return np.concatenate([dphi[..., None], np.cos(mid) * half, np.sin(mid) * half], axis=-1)
+
+
 def trig_monomial_integral(a: int, b: int, phi0: float, dphi: float) -> float:
-    """Exact ``int_{phi0}^{phi0+dphi} cos^a(t) sin^b(t) dt``.
+    """Exact ``int_{phi0}^{phi0+dphi} cos^a(t) sin^b(t) dt`` for ``a + b <= 8``."""
+    row = _TRIG_ROW.get((int(a), int(b)))
+    if row is None:
+        raise ValueError(f"trig monomials need 0 <= a, b and a + b <= {_TRIG_MAX}")
+    feats = _sector_features(np.array([phi0], dtype=float), np.array([dphi], dtype=float), _TRIG_MAX)
+    return float(feats[0] @ _TRIG_TABLE[row])
 
-    Expands the integrand in complex exponentials; coefficients are small
-    rationals so the evaluation is exact to rounding.
+
+# -- disk clips ---------------------------------------------------------------
+
+
+def _turn(angle: np.ndarray) -> np.ndarray:
+    """An angle difference reduced to [-pi, pi]; exact when already there."""
+    return angle - (2.0 * math.pi) * np.rint(angle / (2.0 * math.pi))
+
+
+def _disk_clip(rel: np.ndarray, rho: np.ndarray, moments: bool) -> np.ndarray:
+    """Signed integrals over ``polygon ∩ disk(0, rho)`` for stacked polygons.
+
+    ``rel`` is (B, k, 2): polygon vertices relative to each disk's centre;
+    ``rho`` is (B,).  Green's theorem splits each directed edge ``p -> q``
+    at the circle, at the clamped roots ``lo <= hi`` of ``|p + t d| = rho``:
+    the chord from ``a = p + lo d`` to ``b = p + hi d`` spans a signed
+    triangle with the centre, and the runs ``p -> a`` and ``b -> q`` outside
+    the circle span signed circular sectors.  An edge the circle misses has
+    ``lo = hi`` and sweeps one sector.  All edges are evaluated at once.
+
+    Returns the areas (B,), or with ``moments`` the monomial integrals
+    (B, 5, 5), ``M[:, a, b] = ∫ x^a y^b`` for ``a + b <= 4`` and zero above.
+    Positive for counter-clockwise polygons.
     """
-    # cos^a sin^b = 2^-(a+b) (i)^-b sum_{j,k} C(a,j)C(b,k)(-1)^(b-k) e^{i(2j+2k-a-b)t}
-    coeffs: dict[int, complex] = {}
-    pref = (0.5 ** (a + b)) * (1j ** (-b))
-    for j in range(a + 1):
-        cj = math.comb(a, j)
-        for k in range(b + 1):
-            ck = math.comb(b, k) * ((-1) ** (b - k))
-            freq = 2 * j + 2 * k - a - b
-            coeffs[freq] = coeffs.get(freq, 0.0) + pref * cj * ck
-    total = 0.0 + 0.0j
-    phi1 = phi0 + dphi
-    for freq, c in coeffs.items():
-        if freq == 0:
-            total += c * dphi
-        else:
-            total += c * (np.exp(1j * freq * phi1) - np.exp(1j * freq * phi0)) / (1j * freq)
-    return float(total.real)
+    d = np.concatenate([rel[:, 1:], rel[:, :1]], axis=1) - rel
+    px, py, dx, dy = rel[:, :, 0], rel[:, :, 1], d[:, :, 0], d[:, :, 1]
+    aa = dx * dx + dy * dy
+    edge = aa > 1e-30  # a degenerate edge contributes nothing
+    den = np.where(edge, aa, 1.0)
+    mid = -(px * dx + py * dy) / den
+    r2 = (rho * rho)[:, None]
+    half = np.sqrt(np.maximum(mid * mid - (px * px + py * py - r2) / den, 0.0))
+    lo = np.minimum(np.maximum(mid - half, 0.0), 1.0)
+    hi = np.minimum(np.maximum(mid + half, 0.0), 1.0)
+    ax, ay = px + lo * dx, py + lo * dy
+    bx, by = px + hi * dx, py + hi * dy
+    chord = np.where(edge, ax * by - ay * bx, 0.0)  # a x b: twice the chord triangle
+    tp = np.arctan2(py, px)
+    tb = np.arctan2(by, bx)
+    tq = np.concatenate([tp[:, 1:], tp[:, :1]], axis=1)
+    # a run exists when it is longer than 1e-15 of its edge (so its far
+    # end lies outside the circle) and turns by more than 1e-15 rad; the
+    # thresholds drop the rounding noise of collinear points and keep the
+    # area of a degenerate polygon exactly zero
+    dphi = np.stack([_turn(np.arctan2(ay, ax) - tp), _turn(tq - tb)], axis=-1)
+    run = np.stack([lo > 1e-15, 1.0 - hi > 1e-15], axis=-1)
+    dphi = np.where(run & edge[..., None] & (np.abs(dphi) > 1e-15), dphi, 0.0)
+    if not moments:
+        return 0.5 * (chord + r2 * dphi.sum(axis=-1)).sum(axis=1)
+    # chord triangles: degree-5 rule at b1 a + b2 b (vertex 0 is the centre)
+    qx7 = ax[..., None] * _TRI_BARY[:, 1] + bx[..., None] * _TRI_BARY[:, 2]  # (B, k, 7)
+    qy7 = ay[..., None] * _TRI_BARY[:, 1] + by[..., None] * _TRI_BARY[:, 2]
+    wq = (0.5 * chord)[..., None] * _TRI_WEIGHTS
+    flat = (rel.shape[0], rel.shape[1] * len(_TRI_WEIGHTS), 5)
+    powx = (wq[..., None] * qx7[..., None] ** _POW4).reshape(flat)
+    powy = (qy7[..., None] ** _POW4).reshape(flat)
+    M = np.matmul(np.swapaxes(powx, 1, 2), powy) * _LOW4
+    # sectors start at p and at b: summed frequency features against the
+    # Fourier table
+    feats = _sector_features(np.stack([tp, tb], axis=-1), dphi, 4)
+    ang = feats.sum(axis=(1, 2)) @ _TRIG4.T  # (B, 15)
+    M[:, _DEG4_A, _DEG4_B] += rho[:, None] ** _DEG4_ORDER / _DEG4_ORDER * ang
+    return M
 
 
-def _edge_pieces(p: np.ndarray, q: np.ndarray, radius: float):
-    """Split one directed edge (coords relative to the disk center) into
-    parameter intervals inside / outside the disk."""
-    d = q - p
-    aa = float(d @ d)
-    if aa <= 1e-30:
-        return []
-    bb = 2.0 * float(p @ d)
-    cc = float(p @ p) - radius * radius
-    disc = bb * bb - 4.0 * aa * cc
-    if disc <= 0.0:
-        return [(0.0, 1.0, cc <= 0.0)]
-    sq = math.sqrt(disc)
-    t1 = (-bb - sq) / (2.0 * aa)
-    t2 = (-bb + sq) / (2.0 * aa)
-    lo = max(0.0, min(1.0, t1))
-    hi = max(0.0, min(1.0, t2))
-    pieces = []
-    if lo > 1e-15:
-        pieces.append((0.0, lo, False))
-    if hi - lo > 1e-15:
-        pieces.append((lo, hi, True))
-    if 1.0 - hi > 1e-15:
-        pieces.append((hi, 1.0, False))
-    if not pieces:
-        pieces.append((0.0, 1.0, cc <= 0.0))
-    return pieces
+def _binomial_shift(c: float) -> np.ndarray:
+    """``S[a, i] = C(a, i) c^(a-i)``: ``x^a = sum_i S[a, i] (x - c)^i``."""
+    return np.array(
+        [[math.comb(a, i) * c ** (a - i) if i <= a else 0.0 for i in range(5)] for a in range(5)]
+    )
 
 
-def disk_clip_pieces(poly: np.ndarray, center: np.ndarray, radius: float):
-    """Green's-theorem decomposition of ``poly ∩ disk(center, radius)``.
-
-    Returns ``(triangles, sectors)`` where each triangle is a signed
-    (3, 2) vertex array (vertex 0 at the disk center) and each sector is a
-    signed angular interval ``(phi0, dphi)``.  The signed integral of any
-    function over the pieces equals its integral over the intersection
-    region, with the sign of the polygon's orientation.
-    """
-    center = np.asarray(center, dtype=float)
-    k = poly.shape[0]
-    triangles = []
-    sectors = []
-    for i in range(k):
-        p = poly[i] - center
-        q = poly[(i + 1) % k] - center
-        for ta, tb, inside in _edge_pieces(p, q, radius):
-            xa = p + ta * (q - p)
-            xb = p + tb * (q - p)
-            if inside:
-                if abs(xa[0] * xb[1] - xa[1] * xb[0]) > 1e-30:
-                    triangles.append(np.array([center, center + xa, center + xb]))
-            else:
-                dot = float(xa @ xb)
-                crs = float(xa[0] * xb[1] - xa[1] * xb[0])
-                dphi = math.atan2(crs, dot)
-                if abs(dphi) > 1e-15:
-                    sectors.append((math.atan2(xa[1], xa[0]), dphi))
-    return triangles, sectors
-
-
-def _signed_area2(tri: np.ndarray) -> float:
-    u = tri[1] - tri[0]
-    v = tri[2] - tri[0]
-    return 0.5 * (u[0] * v[1] - u[1] * v[0])
+def disk_polygon_areas(polys: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
+    """Exact (signed) areas of stacked polygons (B, k, 2) ∩ one disk."""
+    rel = np.asarray(polys, dtype=float) - np.asarray(center, dtype=float)
+    return _disk_clip(rel, np.full(len(rel), float(radius)), moments=False)
 
 
 def disk_polygon_area(poly: np.ndarray, center: np.ndarray, radius: float) -> float:
     """Exact (signed) area of polygon ∩ disk; positive for a CCW polygon."""
-    triangles, sectors = disk_clip_pieces(poly, center, radius)
-    area = sum(_signed_area2(t) for t in triangles)
-    area += sum(0.5 * radius * radius * dphi for _, dphi in sectors)
-    return float(area)
+    return float(disk_polygon_areas(np.asarray(poly, dtype=float)[None], center, radius)[0])
 
 
 def disk_polygon_monomials(
     poly: np.ndarray, center: np.ndarray, radius: float, degree: int = 4
 ) -> np.ndarray:
-    """Exact integrals ``M[a, b] = ∫_{poly∩disk} x^a y^b`` for a+b <= degree.
+    """Exact integrals ``M[a, b] = ∫_{poly∩disk} x^a y^b`` for a+b <= degree <= 4.
 
     Coordinates are the global 2D coordinates that ``poly`` and ``center``
     are expressed in.  Signed like :func:`disk_polygon_area`.
     """
-    triangles, sectors = disk_clip_pieces(poly, center, radius)
-    M = np.zeros((degree + 1, degree + 1))
-    for tri in triangles:
-        sa = _signed_area2(tri)
-        if sa == 0.0:
-            continue
-        pts = _TRI_BARY @ tri
-        for a in range(degree + 1):
-            for b in range(degree + 1 - a):
-                vals = pts[:, 0] ** a * pts[:, 1] ** b
-                M[a, b] += sa * float(np.dot(_TRI_WEIGHTS, vals))
-    if sectors:
-        cx, cy = float(center[0]), float(center[1])
-        ang = np.zeros((degree + 1, degree + 1))
-        for i in range(degree + 1):
-            for j in range(degree + 1 - i):
-                ang[i, j] = sum(
-                    trig_monomial_integral(i, j, phi0, dphi) for phi0, dphi in sectors
-                )
-        # Central sector moments, then binomial shift to global coordinates.
-        for a in range(degree + 1):
-            for b in range(degree + 1 - a):
-                acc = 0.0
-                for i in range(a + 1):
-                    ci = math.comb(a, i) * cx ** (a - i)
-                    for j in range(b + 1):
-                        cj = math.comb(b, j) * cy ** (b - j)
-                        radial = radius ** (i + j + 2) / (i + j + 2)
-                        acc += ci * cj * radial * ang[i, j]
-                M[a, b] += acc
-    return M
+    if not 0 <= degree <= 4:
+        raise ValueError("disk monomials need 0 <= degree <= 4")
+    center = np.asarray(center, dtype=float)
+    rel = np.asarray(poly, dtype=float)[None] - center
+    M = _disk_clip(rel, np.array([float(radius)]), moments=True)[0]
+    if np.any(center != 0.0):
+        M = (_binomial_shift(float(center[0])) @ M @ _binomial_shift(float(center[1])).T) * _LOW4
+    M = M[: degree + 1, : degree + 1]
+    return np.where(np.add.outer(_POW4[: degree + 1], _POW4[: degree + 1]) <= degree, M, 0.0)
+
+
+# -- simplex-ball moments -----------------------------------------------------
 
 
 @dataclass
@@ -277,131 +311,142 @@ class BallMoments:
     def zero(n: int) -> "BallMoments":
         return BallMoments(0.0, np.zeros(n), np.zeros((n, n)), 0.0, np.zeros(n), 0.0)
 
-    def __iadd__(self, other: "BallMoments") -> "BallMoments":
-        self.s0 += other.s0
-        self.s1 += other.s1
-        self.s2 += other.s2
-        self.t2 += other.t2
-        self.u3 += other.u3
-        self.t4 += other.t4
-        return self
 
-    def scaled(self, w: float) -> "BallMoments":
-        return BallMoments(
-            w * self.s0, w * self.s1, w * self.s2, w * self.t2, w * self.u3, w * self.t4
-        )
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, summed in the order of ``a[i] @ b[i]``.
+
+    The discriminant of a nearly tangent segment is ill-conditioned; this
+    keeps it bit-identical to the per-simplex reference the tests use.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _plane_frame(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis of the simplex's affine hull (rows), anchored at v0."""
-    edges = (vertices[1:] - vertices[0]).T  # (n, m)
-    q, r = np.linalg.qr(edges)
-    # Fix signs so the frame is deterministic.
-    signs = np.sign(np.diag(r))
+def _check_m(vertices: np.ndarray) -> int:
+    m = vertices.shape[1] - 1
+    if m not in (1, 2):
+        raise NotImplementedError(f"exact ball integrals need m in (1, 2), got m={m}")
+    return m
+
+
+def _segment_windows(v: np.ndarray, center: np.ndarray, radius: float):
+    """Parameter windows ``[t1, t2]`` of stacked segments inside the ball,
+    with the offsets ``p = v0 - center`` and directions ``d = v1 - v0``."""
+    p = v[:, 0] - center
+    d = v[:, 1] - v[:, 0]
+    aa = _rowdot(d, d)
+    bb = 2.0 * _rowdot(p, d)
+    cc = _rowdot(p, p) - radius * radius
+    disc = bb * bb - 4.0 * aa * cc
+    cut = disc > 0.0
+    sq = np.sqrt(np.where(cut, disc, 0.0))
+    den = 2.0 * np.where(aa > 1e-30, aa, 1.0)
+    t1 = np.where(cut, np.maximum(0.0, (-bb - sq) / den), 0.0)
+    t2 = np.where(cut, np.minimum(1.0, (-bb + sq) / den), 1.0)
+    hit = (aa > 1e-30) & np.where(cut, t2 > t1, cc <= 0.0)
+    return p[hit], d[hit], t1[hit], t2[hit], np.sqrt(aa[hit]), hit
+
+
+def _triangle_disks(v: np.ndarray, center: np.ndarray, radius: float):
+    """Each triangle's plane against the ball, for the triangles it meets.
+
+    Returns the orthonormal in-plane frames (T', 2, n) with the sign rule
+    ``diag(R) > 0`` of the QR factorisation, the in-plane vertices relative
+    to the disk centre (T', 3, 2), the disk radii, the squared distances
+    from the centre to the planes, the offsets foot - centre (T', n), and
+    the mask of the triangles met.
+    """
+    q, r = np.linalg.qr(np.swapaxes(v[:, 1:] - v[:, :1], 1, 2))
+    signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
     signs[signs == 0] = 1.0
-    return (q * signs).T, vertices[0]
+    frame = np.swapaxes(q * signs[:, None, :], 1, 2)  # (T, 2, n)
+    rel = center - v[:, 0]
+    a_in = np.matmul(frame, rel[:, :, None])[:, :, 0]
+    h2 = np.maximum(_rowdot(rel, rel) - _rowdot(a_in, a_in), 0.0)
+    r2 = radius * radius - h2
+    hit = r2 > 0.0
+    frame, rel, a_in, h2 = frame[hit], rel[hit], a_in[hit], h2[hit]
+    poly = np.matmul(v[hit] - v[hit, :1], np.swapaxes(frame, 1, 2)) - a_in[:, None, :]
+    hvec = -(rel - np.matmul(a_in[:, None, :], frame)[:, 0])
+    return frame, poly, np.sqrt(r2[hit]), h2, hvec, hit
+
+
+def batch_ball_masses(vertices: np.ndarray, center, radius: float) -> np.ndarray:
+    """Exact m-volumes of ``simplex ∩ B(center, radius)`` for stacked
+    simplices ``(T, m+1, n)`` with m in (1, 2), in array passes."""
+    vertices = np.asarray(vertices, dtype=float)
+    center = np.asarray(center, dtype=float)
+    out = np.zeros(len(vertices))
+    if not len(vertices):
+        return out
+    if _check_m(vertices) == 1:
+        _p, _d, t1, t2, length, hit = _segment_windows(vertices, center, radius)
+        out[hit] = (_GAUSS3_WEIGHTS * (length * (t2 - t1))[:, None]).sum(axis=1)
+        return out
+    _frame, poly, rho, _h2, _hvec, hit = _triangle_disks(vertices, center, radius)
+    out[hit] = np.abs(_disk_clip(poly, rho, moments=False))
+    return out
+
+
+def batch_ball_moments(
+    vertices: np.ndarray, center, radius: float, weights: np.ndarray
+) -> BallMoments:
+    """``sum_t weights[t]`` times the exact :class:`BallMoments` of simplex
+    ``t`` of the stack ``(T, m+1, n)``, m in (1, 2), in array passes."""
+    vertices = np.asarray(vertices, dtype=float)
+    center = np.asarray(center, dtype=float)
+    n = vertices.shape[2]
+    weights = np.asarray(weights, dtype=float)
+    if not len(vertices):
+        return BallMoments.zero(n)
+    if _check_m(vertices) == 1:
+        p, d, t1, t2, length, hit = _segment_windows(vertices, center, radius)
+        ts = t1[:, None] + (t2 - t1)[:, None] * _GAUSS3_NODES  # (S, 3)
+        pts = p[:, None, :] + ts[..., None] * d[:, None, :]  # (S, 3, n)
+        w = _GAUSS3_WEIGHTS * (length * (t2 - t1))[:, None]
+        norms2 = np.einsum("sqi,sqi->sq", pts, pts)
+        s0 = w.sum(axis=1)
+        s1 = np.einsum("sq,sqi->si", w, pts)
+        s2 = np.einsum("sq,sqi,sqj->sij", w, pts, pts)
+        t2_ = np.einsum("sq,sq->s", w, norms2)
+        u3 = np.einsum("sq,sqi->si", w * norms2, pts)
+        t4 = np.einsum("sq,sq->s", w, norms2 * norms2)
+    else:
+        frame, poly, rho, h2, hvec, hit = _triangle_disks(vertices, center, radius)
+        M = _disk_clip(poly, rho, moments=True)
+        # unsigned moments: flip clockwise in-plane polygons
+        M = M * np.where(M[:, 0, 0] < 0, -1.0, 1.0)[:, None, None]
+        s0 = M[:, 0, 0]
+        m1 = np.stack([M[:, 1, 0], M[:, 0, 1]], axis=1)
+        M2 = np.stack([M[:, 2, 0], M[:, 1, 1], M[:, 1, 1], M[:, 0, 2]], axis=1).reshape(-1, 2, 2)
+        tr2 = M[:, 2, 0] + M[:, 0, 2]
+        m3 = np.stack([M[:, 3, 0] + M[:, 1, 2], M[:, 2, 1] + M[:, 0, 3]], axis=1)
+        tr4 = M[:, 4, 0] + 2.0 * M[:, 2, 2] + M[:, 0, 4]
+        em1 = np.einsum("tin,ti->tn", frame, m1)
+        s1 = hvec * s0[:, None] + em1
+        s2 = (
+            hvec[:, :, None] * (hvec * s0[:, None])[:, None, :]
+            + hvec[:, :, None] * em1[:, None, :]
+            + em1[:, :, None] * hvec[:, None, :]
+            + np.einsum("tin,tij,tjm->tnm", frame, M2, frame)
+        )
+        t2_ = h2 * s0 + tr2
+        u3 = hvec * t2_[:, None] + np.einsum("tin,ti->tn", frame, h2[:, None] * m1 + m3)
+        t4 = h2 * h2 * s0 + 2.0 * h2 * tr2 + tr4
+    w = weights[hit]
+    if not len(w):
+        return BallMoments.zero(n)
+    return BallMoments(
+        float(w @ s0), w @ s1, np.einsum("t,tij->ij", w, s2), float(w @ t2_), w @ u3, float(w @ t4)
+    )
 
 
 def simplex_ball_moments(
     vertices: np.ndarray, center: np.ndarray, radius: float
 ) -> BallMoments:
     """Exact :class:`BallMoments` of an m-simplex (m <= 2) against a ball."""
-    m = vertices.shape[0] - 1
-    n = vertices.shape[1]
-    center = np.asarray(center, dtype=float)
-    if m == 1:
-        return _segment_ball_moments(vertices, center, radius)
-    if m != 2:
-        raise NotImplementedError(f"exact ball moments need m<=2, got m={m}")
-    frame, base = _plane_frame(vertices)
-    rel = center - base
-    a_in = frame @ rel  # in-plane coordinates of the center's foot
-    h2 = float(rel @ rel - a_in @ a_in)  # squared distance center-to-plane
-    if h2 < 0.0:
-        h2 = 0.0
-    r2 = radius * radius - h2
-    if r2 <= 0.0:
-        return BallMoments.zero(n)
-    rho = math.sqrt(r2)
-    poly = (vertices - base) @ frame.T  # (3, 2) in-plane vertices
-    # Work in in-plane coordinates centered at the foot point; flip a
-    # clockwise polygon so the moments come out unsigned.
-    M = disk_polygon_monomials(poly - a_in, np.zeros(2), rho, degree=4)
-    if M[0, 0] < 0:
-        M = -M
-    # Out-of-plane offset from the center to its foot, orthogonal to the plane.
-    hvec = -(rel - frame.T @ a_in)  # foot - center, ambient
-    E = frame.T  # (n, 2)
-    s0 = M[0, 0]
-    m1 = np.array([M[1, 0], M[0, 1]])
-    M2 = np.array([[M[2, 0], M[1, 1]], [M[1, 1], M[0, 2]]])
-    tr2 = M[2, 0] + M[0, 2]
-    m3 = np.array([M[3, 0] + M[1, 2], M[2, 1] + M[0, 3]])
-    tr4 = M[4, 0] + 2.0 * M[2, 2] + M[0, 4]
-    s1 = hvec * s0 + E @ m1
-    s2 = (
-        np.outer(hvec, hvec) * s0
-        + np.outer(hvec, E @ m1)
-        + np.outer(E @ m1, hvec)
-        + E @ M2 @ E.T
-    )
-    t2 = h2 * s0 + tr2
-    u3 = hvec * (h2 * s0 + tr2) + E @ (h2 * m1 + m3)
-    t4 = h2 * h2 * s0 + 2.0 * h2 * tr2 + tr4
-    return BallMoments(s0, s1, s2, t2, u3, t4)
-
-
-def _segment_ball_moments(
-    vertices: np.ndarray, center: np.ndarray, radius: float
-) -> BallMoments:
-    n = vertices.shape[1]
-    p = vertices[0] - center
-    d = vertices[1] - vertices[0]
-    aa = float(d @ d)
-    if aa <= 1e-30:
-        return BallMoments.zero(n)
-    bb = 2.0 * float(p @ d)
-    cc = float(p @ p) - radius * radius
-    disc = bb * bb - 4.0 * aa * cc
-    if disc <= 0.0:
-        if cc > 0.0:
-            return BallMoments.zero(n)
-        t1, t2_ = 0.0, 1.0
-    else:
-        sq = math.sqrt(disc)
-        t1 = max(0.0, (-bb - sq) / (2.0 * aa))
-        t2_ = min(1.0, (-bb + sq) / (2.0 * aa))
-        if t2_ <= t1:
-            return BallMoments.zero(n)
-    length = math.sqrt(aa) * (t2_ - t1)
-    ts = t1 + (t2_ - t1) * _GAUSS3_NODES
-    pts = p[None, :] + ts[:, None] * d[None, :]
-    w = _GAUSS3_WEIGHTS * length
-    norms2 = np.einsum("ij,ij->i", pts, pts)
-    return BallMoments(
-        float(np.sum(w)),
-        pts.T @ w,
-        np.einsum("i,ij,ik->jk", w, pts, pts),
-        float(np.dot(w, norms2)),
-        pts.T @ (w * norms2),
-        float(np.dot(w, norms2 * norms2)),
-    )
+    return batch_ball_moments(np.asarray(vertices, dtype=float)[None], center, radius, np.ones(1))
 
 
 def simplex_ball_mass(vertices: np.ndarray, center: np.ndarray, radius: float) -> float:
     """Exact m-volume of ``simplex ∩ B(center, radius)`` for m <= 2."""
-    m = vertices.shape[0] - 1
-    center = np.asarray(center, dtype=float)
-    if m == 1:
-        return _segment_ball_moments(vertices, center, radius).s0
-    if m == 2:
-        frame, base = _plane_frame(vertices)
-        rel = center - base
-        a_in = frame @ rel
-        h2 = float(rel @ rel - a_in @ a_in)
-        r2 = radius * radius - max(h2, 0.0)
-        if r2 <= 0.0:
-            return 0.0
-        poly = (vertices - base) @ frame.T
-        return abs(disk_polygon_area(poly - a_in, np.zeros(2), math.sqrt(r2)))
-    raise NotImplementedError(f"exact ball mass needs m<=2, got m={m}")
+    return float(batch_ball_masses(np.asarray(vertices, dtype=float)[None], center, radius)[0])

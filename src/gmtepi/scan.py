@@ -14,15 +14,21 @@ measured quantities those conclusions consume, cell by cell.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chains import PolyChain
 from .mono import alpha_m, alpha0_exponent, lambda_epi
-from .moments import AmbiguousPlaneError, beta_numbers, chain_ball_moments, quad_form, select_plane
+from .moments import (
+    AmbiguousPlaneError,
+    _beta_from_moments,
+    _form_from_moments,
+    chain_ball_moments,
+    select_plane,
+)
 from .planes import OrientedPlane, plane_distance
+from .quadrature import BallMoments
 
 __all__ = [
     "Frame",
@@ -48,44 +54,57 @@ class Frame:
     support_distance: float
 
 
-def _dist_to_support(chain: PolyChain, p: np.ndarray) -> float:
-    """Exact distance from a point to the support (m = 1), vertex-based
-    upper bound otherwise."""
+#: Largest (points x simplices x n) temporary of the batched distance pass.
+_DIST_CHUNK = 1 << 14
+
+
+def _dist_to_support(chain: PolyChain, points: np.ndarray) -> np.ndarray:
+    """Exact distances from points (P, n) to the support, for m in (1, 2).
+
+    Points go through in chunks, so the temporaries stay below
+    :data:`_DIST_CHUNK` elements however many points are asked for.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
     va = chain.vertex_array()
     if len(va) == 0:
-        return float("inf")
-    if chain.m == 1:
-        a = va[:, 0]
-        d = va[:, 1] - va[:, 0]
-        den = np.maximum(np.einsum("ij,ij->i", d, d), 1e-300)
-        t = np.clip(np.einsum("ij,ij->i", p - a, d) / den, 0.0, 1.0)
-        proj = a + t[:, None] * d
-        return float(np.min(np.linalg.norm(proj - p, axis=1)))
-    # vectorized point-triangle distance: interior foot where the clamped
-    # barycentric solve is valid, else the three edge segments
+        return np.full(len(points), np.inf)
+    step = max(1, _DIST_CHUNK // va[:, 0].size)
+    return np.concatenate(
+        [_dist_chunk(va, points[lo : lo + step]) for lo in range(0, len(points), step)]
+    )
+
+
+def _segment_dists(q0: np.ndarray, q1: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Distances (P, T) from points p (P, 1, n) to the segments [q0, q1] (T, n)."""
+    dd = q1 - q0
+    den = np.maximum(np.einsum("ij,ij->i", dd, dd), 1e-300)
+    u = np.clip(np.einsum("ptj,tj->pt", p - q0, dd) / den, 0.0, 1.0)
+    return np.linalg.norm(q0 + u[..., None] * dd - p, axis=2)
+
+
+def _dist_chunk(va: np.ndarray, points: np.ndarray) -> np.ndarray:
+    p = points[:, None, :]
+    if va.shape[1] == 2:
+        return np.min(_segment_dists(va[:, 0], va[:, 1], p), axis=1)
+    # point-triangle distance: the interior foot where the barycentric
+    # solve lands inside, else the nearest of the three edges
     e1 = va[:, 1] - va[:, 0]
     e2 = va[:, 2] - va[:, 0]
-    w = p[None, :] - va[:, 0]
+    w = p - va[:, 0]
     a = np.einsum("ij,ij->i", e1, e1)
     b = np.einsum("ij,ij->i", e1, e2)
     c = np.einsum("ij,ij->i", e2, e2)
-    d1 = np.einsum("ij,ij->i", e1, w)
-    d2 = np.einsum("ij,ij->i", e2, w)
+    d1 = np.einsum("ptj,tj->pt", w, e1)
+    d2 = np.einsum("ptj,tj->pt", w, e2)
     det = np.maximum(a * c - b * b, 1e-300)
     sbar = (c * d1 - b * d2) / det
     tbar = (a * d2 - b * d1) / det
     inside = (sbar >= 0) & (tbar >= 0) & (sbar + tbar <= 1)
-    best = float("inf")
-    if np.any(inside):
-        foot = va[inside, 0] + sbar[inside, None] * e1[inside] + tbar[inside, None] * e2[inside]
-        best = float(np.min(np.linalg.norm(foot - p, axis=1)))
-    for q0, q1 in ((va[:, 0], va[:, 1]), (va[:, 0], va[:, 2]), (va[:, 1], va[:, 2])):
-        dd = q1 - q0
-        den = np.maximum(np.einsum("ij,ij->i", dd, dd), 1e-300)
-        u = np.clip(np.einsum("ij,ij->i", p[None, :] - q0, dd) / den, 0.0, 1.0)
-        proj = q0 + u[:, None] * dd
-        best = min(best, float(np.min(np.linalg.norm(proj - p, axis=1))))
-    return best
+    foot = va[:, 0] + sbar[..., None] * e1 + tbar[..., None] * e2
+    best = np.where(inside, np.linalg.norm(foot - p, axis=2), np.inf)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        best = np.minimum(best, _segment_dists(va[:, i], va[:, j], p))
+    return np.min(best, axis=1)
 
 
 def _segment_window(v: np.ndarray, x: np.ndarray, r: float) -> tuple[float, float]:
@@ -177,9 +196,7 @@ def find_frame(
     rho_p = m**0.25 * math.sqrt(rho)
     if not 2 * rho_p * scale < s <= scale:
         raise ValueError(f"need s in (2 rho' scale, scale] = ({2 * rho_p * scale:.3g}, {scale:.3g}]")
-    va = chain.vertex_array()
-    near = np.min(np.linalg.norm(va - x, axis=2), axis=1) - chain.diameters() <= scale
-    terms = [chain.terms[i] for i in np.nonzero(near)[0]]
+    terms = [chain.terms[i] for i in chain.near_ball(x, scale)]
     if beta_inf is None:
         sup = support_sample(chain, x, scale, spacing=scale / 64)
         beta_inf = float(np.max(plane.perp_norms(sup - x))) / scale if len(sup) else 0.0
@@ -212,7 +229,7 @@ def find_frame(
     dirs = np.array(found)
     gram = dirs @ dirs.T
     defect = float(np.max(np.abs(gram - np.eye(m))))
-    sup_d = max(_dist_to_support(chain, x + s * e) for e in dirs)
+    sup_d = float(np.max(_dist_to_support(chain, x + s * dirs)))
     return Frame(dirs, s, x, defect, sup_d)
 
 
@@ -220,12 +237,10 @@ def support_sample(chain: PolyChain, x, r: float, spacing: float) -> np.ndarray:
     """Deterministic point sample of ``spt(T) ∩ B(x, r)`` at ~``spacing``."""
     x = np.asarray(x, dtype=float)
     pts = []
-    va = chain.vertex_array()
-    if len(va) == 0:
+    if chain.is_zero:
         return np.zeros((0, chain.n))
     diams = chain.diameters()
-    near = np.min(np.linalg.norm(va - x, axis=2), axis=1) <= r + diams
-    for idx in np.nonzero(near)[0]:
+    for idx in chain.near_ball(x, r):
         simplex = chain.terms[idx][0]
         v = simplex.vertices
         diam = diams[idx]
@@ -302,9 +317,7 @@ def _hausdorff_chain_plane(
             ang = 2 * math.pi * np.arange(cnt) / cnt
             rows.append(rad * np.stack([np.cos(ang), np.sin(ang)], axis=1))
         coords = np.vstack(rows)
-    d2 = 0.0
-    for c in coords:
-        d2 = max(d2, _dist_to_support(chain, x + plane.embed(c)))
+    d2 = float(np.max(_dist_to_support(chain, x + plane.embed(coords))))
     return max(d1, d2)
 
 
@@ -353,8 +366,8 @@ class ScanReport:
         return math.log(2.0) * float(sum(c.eta for c in cells))
 
 
-def _centered_form(chain: PolyChain, x: np.ndarray, r: float):
-    bm = chain_ball_moments(chain, x, r)
+def _centered_form(bm: BallMoments, x: np.ndarray):
+    """Centroid and centred second-moment form of the ball's measure."""
     if bm.s0 <= 0:
         return None, None
     centroid = x + bm.s1 / bm.s0
@@ -376,8 +389,8 @@ def multiscale_scan(
     query point and at the local centroid), the two-sided Hausdorff
     distance, the density ratio, the frame-found flag, and cross-scale
     plane coherence against the two-scale bound with the measured eta.
-    The number of worker threads for the cell loop is capped by the
-    ``GMT_EPI_THREADS`` environment variable (default serial).
+    Each cell takes its density, plane, ``beta_2`` and centred form from
+    one exact moment pass over its ball.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     m = chain.m
@@ -393,13 +406,11 @@ def multiscale_scan(
         bm = chain_ball_moments(chain, x, r)
         dens = bm.s0 / (am * r**m)
         try:
-            form = quad_form(chain, x, r)
-            plane, _ = select_plane(form, m)
-            ambiguous = False
+            plane, _ = select_plane(_form_from_moments(bm, m, x, r), m)
         except AmbiguousPlaneError:
             return ScanCell(pi, k, r, None, 0.0, 0.0, 0.0, 0.0, dens, 1.0, False, True)
-        br = beta_numbers(chain, x, r, plane)
-        centroid, cov = _centered_form(chain, x, r)
+        br = _beta_from_moments(chain, bm, x, r, plane)
+        centroid, cov = _centered_form(bm, x)
         binf_c = br.beta_inf
         if centroid is not None:
             w, vecs = np.linalg.eigh(cov)
@@ -421,16 +432,8 @@ def multiscale_scan(
             pi, k, r, plane, br.beta2, br.beta_inf, binf_c, dh, dens, dh / r, frame_ok
         )
 
-    jobs = [(pi, k) for pi in range(len(points)) for k in range(depth + 1)]
-    workers = int(os.environ.get("GMT_EPI_THREADS", "1") or "1")
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            for (pi, k), cell in zip(jobs, ex.map(lambda jk: do_cell(*jk), jobs)):
-                report.cells[(pi, k)] = cell
-    else:
-        for pi, k in jobs:
+    for pi in range(len(points)):
+        for k in range(depth + 1):
             report.cells[(pi, k)] = do_cell(pi, k)
 
     # cross-scale coherence with the measured eta

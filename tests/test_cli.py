@@ -50,6 +50,18 @@ def test_epi_command(tmp_path):
     assert summary["summary"]["ratio_zone"] <= summary["summary"]["lambda_theory"]
 
 
+def test_epi_command_cone_in_r4(tmp_path):
+    cone = tmp_path / "cone4.json"
+    assert run([
+        "generate", "--kind", "cone_harmonic",
+        "--params", '{"k": 2, "amplitude": 0.04, "N": 32, "n": 4}', "--chain", str(cone),
+    ]) == 0
+    out = str(tmp_path / "rpt")
+    assert run(["epi", "--chain", str(cone), "--out", out]) == 0
+    summary = json.load(open(os.path.join(out, "epi.json")))
+    assert summary["summary"]["ratio_zone"] <= summary["summary"]["lambda_theory"]
+
+
 def test_scan_and_probe(disk_file, tmp_path):
     out = str(tmp_path / "rpt")
     cfg = tmp_path / "cfg.json"

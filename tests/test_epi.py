@@ -252,6 +252,17 @@ def test_build_comparison_amplitude_doubling_fixes_ratio():
     assert abs(r1.ratio_zone - r2.ratio_zone) <= 0.02
 
 
+def test_build_comparison_cone_in_r4_matches_r3():
+    # the same cone with a zero fourth coordinate: codimension two, so the
+    # zone excess goes through the layer decomposition, not the graph path
+    P3 = cone_harmonic(2, 0.04, 64)[0]
+    P4 = cone_harmonic(2, 0.04, 64, n=4)[0]
+    r3 = build_comparison(P3)[1]
+    r4 = build_comparison(P4)[1]
+    for name in ("ratio_zone", "ratio_full", "exc_P_zone", "exc_S_zone"):
+        assert getattr(r4, name) == pytest.approx(getattr(r3, name), rel=1e-9)
+
+
 def test_build_comparison_stage_gates():
     moved = make_graph_disk(16, lambda p: 0.0, R=2.05)
     from gmtepi.chains import pushforward_linear

@@ -163,19 +163,3 @@ def test_support_sample_hits_window():
     pts = support_sample(D, np.array([0.2, 0.1, 0.0]), 0.2, spacing=0.02)
     assert len(pts) > 50
     assert np.max(np.linalg.norm(pts - np.array([0.2, 0.1, 0.0]), axis=1)) <= 0.2 + 1e-12
-
-
-def test_scan_thread_env_matches_serial(monkeypatch):
-    import os
-    from gmtepi.generators import flat_disk as _fd
-
-    D, _ = _fd(64)
-    pts = [np.zeros(3), np.array([0.2, 0.1, 0.0])]
-    serial = multiscale_scan(D, pts, r0=0.2, depth=2)
-    monkeypatch.setenv("GMT_EPI_THREADS", "2")
-    threaded = multiscale_scan(D, pts, r0=0.2, depth=2)
-    for key in serial.cells:
-        a, b = serial.cells[key], threaded.cells[key]
-        assert a.beta_inf == b.beta_inf
-        assert a.density_ratio == b.density_ratio
-        assert a.eta == b.eta
