@@ -38,7 +38,6 @@ __all__ = [
     "is_cone",
     "slice_mass_profile",
     "ball_mass",
-    "support_vertices",
 ]
 
 #: Simplices with squared Gram determinant below this are treated as
@@ -88,10 +87,6 @@ class Simplex:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Simplex(m={self.m}, n={self.n})"
-
-
-def _snap_key(vertices: np.ndarray) -> bytes:
-    return np.round(vertices / SNAP).astype(np.int64).tobytes()
 
 
 def _sorted_key_and_parity(vertices: np.ndarray) -> tuple[bytes, int]:
@@ -492,13 +487,6 @@ def is_cone(chain: PolyChain, tol: float = 1e-9) -> bool:
         if float(np.min(np.linalg.norm(simplex.vertices, axis=1))) > tol:
             return False
     return True
-
-
-def support_vertices(chain: PolyChain) -> np.ndarray:
-    """All simplex vertices, shape (k, n); a cheap support sample."""
-    if chain.is_zero:
-        return np.zeros((0, chain.n))
-    return chain.vertex_array().reshape(-1, chain.n)
 
 
 def slice_mass_profile(

@@ -12,7 +12,8 @@ pipeline builds the competitor ``S`` in stages:
 4. blend the layers into the mollified graph across the annulus
    ``1/2 <= |x| <= 3/4``,
 5. re-select the plane ``W`` spectrally from the mollified cone, so the
-   boundary trace loses its linear part,
+   boundary trace loses its linear part (its in-plane frame is the
+   projection of the base plane's),
 6. trace the mollified cone over ``W``, split into circle harmonics,
 7. extend the trace from the boundary by the degree-2 homogeneous map
    ``h(t x) = w0 + t^2 (w(x) - w0)``,
@@ -41,6 +42,7 @@ from .layers import (
     ConstancyError,
     GeneralPositionError,
     LayerDecomposition,
+    _clip_halfplane,
     align_base_to_chain as _align_to_chain,
     cylindrical_excess,
     cylindrical_excess_polygon,
@@ -143,23 +145,30 @@ class AveragedGraph:
             self._lo = np.array([ly.domain[:, 0].min() for ly in decomp.layers])
             self._hi = np.array([ly.domain[:, 0].max() for ly in decomp.layers])
 
-    def _mask(self, x: np.ndarray) -> np.ndarray:
+    def _masks(self, xs: np.ndarray) -> np.ndarray:
+        """(k, L): the layers whose domains hold each point, within ``tol``."""
         if self.decomp.m == 1:
-            return (self._lo - self.tol <= x[0]) & (x[0] <= self._hi + self.tol)
-        vals = self._normals @ x - self._offsets  # (L, k)
-        return np.all(vals >= -self.tol, axis=1)
+            x = xs[:, :1]
+            return (self._lo - self.tol <= x) & (x <= self._hi + self.tol)
+        x, y = xs[:, None, None, 0], xs[:, None, None, 1]
+        ok = self._normals[..., 0] * x + self._normals[..., 1] * y - self._offsets >= -self.tol
+        return ok[..., 0] & ok[..., 1] & ok[..., 2]
+
+    def _mask(self, x: np.ndarray) -> np.ndarray:
+        return self._masks(np.asarray(x, dtype=float)[None])[0]
 
     def eval(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        mask = self._mask(x)
-        if not np.any(mask):
-            raise ConstancyError(f"no layer covers base point {x}")
-        w = self._w[mask]
-        vals = self._A[mask] @ x + self._b[mask]
-        return (w[:, None] * vals).sum(axis=0) / w.sum()
+        return self.eval_many(np.asarray(x, dtype=float)[None])[0]
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        return np.array([self.eval(x) for x in xs])
+        xs = np.asarray(xs, dtype=float)
+        mask = self._masks(xs)
+        holes = ~mask.any(axis=1)
+        if holes.any():
+            raise ConstancyError(f"no layer covers base point {xs[np.argmax(holes)]}")
+        w = mask * self._w  # (k, L)
+        heights = self._b + sum(self._A[..., i] * xs[:, None, None, i] for i in range(xs.shape[1]))
+        return (w[..., None] * heights).sum(axis=1) / w.sum(axis=1)[:, None]
 
 
 def averaged_graph(decomp: LayerDecomposition) -> AveragedGraph:
@@ -213,11 +222,8 @@ def _disk_mean_nodes(center: np.ndarray, radius: float, count: int) -> np.ndarra
     # substitute s = (r/R)^2 so uniform s-weights integrate the area measure
     rads = radius * np.sqrt(s_nodes)
     angs = 2 * math.pi * (np.arange(n_ang) + 0.5) / n_ang
-    pts = []
-    for r in rads:
-        for a in angs:
-            pts.append(center + r * np.array([math.cos(a), math.sin(a)]))
-    return np.array(pts)
+    dirs = np.array([[math.cos(a), math.sin(a)] for a in angs])
+    return (center + rads[:, None, None] * dirs).reshape(-1, 2)
 
 
 def _disk_mean_weights(count: int) -> np.ndarray:
@@ -745,14 +751,15 @@ def build_comparison(P: PolyChain, cfg: EpiConfig | None = None, base: OrientedP
         W, _eigs = select_plane(quad_form(Tv, np.zeros(P.n), 1.0), m)
     except Exception as exc:  # noqa: BLE001
         raise StageError("spectral", str(exc)) from exc
-    W = align_in_plane_orientation(W, V)
+    # the top eigenvalues of an isotropic form agree to rounding, so eigh
+    # fixes no in-plane basis: pin W's frame to V's projection onto it
+    W = OrientedPlane.from_span(V.frame @ W.projector())
     drift = plane_distance(W, V)
 
-    # -- stage: trace + split + extension
+    # -- stage: trace + split
     trace = trace_and_split(
         curve, W, cutoff=cfg.harmonic_cutoff, n_samples=n_ang, tail_tol=cfg.tail_tol
     )
-    ext = degree2_extension(trace)
 
     # -- stage: assemble S
     S_chain, P_inside, s_parts = _assemble(P, decomp, v, trace, cfg)
@@ -829,10 +836,6 @@ def _layer_ray_angles(decomp: LayerDecomposition) -> np.ndarray:
     return np.array(kept)
 
 
-def _layer_ray_count(decomp: LayerDecomposition) -> int:
-    return len(_layer_ray_angles(decomp))
-
-
 def _unit_curve(decomp: LayerDecomposition, v: MollifiedGraph) -> np.ndarray:
     """Points of the mollified graph at unit base radius, one per ray angle."""
     base = decomp.base
@@ -874,17 +877,13 @@ def _split_by_polygon_cylinder(
         nrm2 = nrm2 / np.linalg.norm(nrm2)
         normals.append(base.embed(nrm2))
         offsets.append(float(nrm2 @ p))
-    poly_ang = np.mod(np.arctan2(poly[:, 1], poly[:, 0]), 2 * math.pi)
+    poly_ang, arcs = _polygon_arcs(poly)
+    lo, hi = _angular_windows(chain.vertex_array() @ base.frame.T)
     inside = []
     outside = []
-    # only the facets in a term's angular window can cut it; every other
-    # inward half-plane contains the window entirely
-    for s_, c in chain.terms:
-        dom = s_.vertices @ base.frame.T
-        ang = np.arctan2(dom[:, 1], dom[:, 0])
-        lo, hi = _angular_window(ang)
+    for j, (s_, c) in enumerate(chain.terms):
         stack = [s_.vertices]
-        for e in _edges_in_window(poly_ang, lo, hi):
+        for e in _edges_in_window(poly_ang, arcs, lo[j], hi[j]):
             nxt = []
             for verts in stack:
                 for piece in _clip_simplex_halfspace(verts, normals[e], offsets[e]):
@@ -1081,8 +1080,8 @@ def _excess_over(chain: PolyChain, base: OrientedPlane, g0, radius: float) -> fl
 def _excess_over_polygon(chain: PolyChain, base: OrientedPlane, g0, poly: np.ndarray) -> float:
     """Excess over the cylinder of a convex polygon region in base coords.
 
-    Clips each projected domain only against the polygon edges whose
-    angular window it straddles (the other half-planes contain it).
+    Clips each projected domain only against the polygon edges whose arcs
+    meet its angular window (see :func:`_edges_in_window`).
     """
     base = _align_to_chain(base, chain)
     try:
@@ -1093,7 +1092,12 @@ def _excess_over_polygon(chain: PolyChain, base: OrientedPlane, g0, poly: np.nda
         d.g0_norm = group_norm(g0)
         return cylindrical_excess_polygon(d, poly)
     k = len(poly)
-    poly_ang = np.mod(np.arctan2(poly[:, 1], poly[:, 0]), 2 * math.pi)
+    poly_ang, arcs = _polygon_arcs(poly)
+    # inward edge normals, oriented towards the origin
+    tangent = np.roll(poly, -1, axis=0) - poly
+    inward = np.stack([-tangent[:, 1], tangent[:, 0]], axis=1)
+    flip = (0.0 - poly[:, 0]) * inward[:, 0] + (0.0 - poly[:, 1]) * inward[:, 1] < 0
+    inward[flip] = -inward[flip]
     rad_out = float(np.max(np.linalg.norm(poly, axis=1)))
     rad_in = rad_out * math.cos(math.pi / k)
     rmin = np.min(np.linalg.norm(dom, axis=2), axis=1)
@@ -1102,6 +1106,7 @@ def _excess_over_polygon(chain: PolyChain, base: OrientedPlane, g0, poly: np.nda
         (dom[:, 1, 0] - dom[:, 0, 0]) * (dom[:, 2, 1] - dom[:, 0, 1])
         - (dom[:, 1, 1] - dom[:, 0, 1]) * (dom[:, 2, 0] - dom[:, 0, 0])
     )
+    lo, hi = _angular_windows(dom)
     total = 0.0
     for t in range(len(dom)):
         if rmin[t] >= rad_out - 1e-15:
@@ -1109,17 +1114,12 @@ def _excess_over_polygon(chain: PolyChain, base: OrientedPlane, g0, poly: np.nda
         if rmax[t] <= rad_in + 1e-15:
             total += w[t] * jac[t] * areas[t]
             continue
-        ang = np.arctan2(dom[t, :, 1], dom[t, :, 0])
-        lo, hi = _angular_window(ang)
-        sel = _edges_in_window(poly_ang, lo, hi)
         clipped = [np.array(v, dtype=float) for v in dom[t]]
-        dead = False
-        for e in sel:
-            clipped = _clip_poly_halfplane(clipped, poly[e], poly[(e + 1) % k])
+        for e in _edges_in_window(poly_ang, arcs, lo[t], hi[t]):
+            clipped = _clip_halfplane(clipped, poly[e], inward[e])
             if len(clipped) < 3:
-                dead = True
                 break
-        if dead:
+        if len(clipped) < 3:
             continue
         arr = np.array(clipped)
         area = 0.0
@@ -1134,44 +1134,51 @@ def _excess_over_polygon(chain: PolyChain, base: OrientedPlane, g0, poly: np.nda
     return total - group_norm(g0) * poly_area
 
 
-def _angular_window(ang: np.ndarray) -> tuple[float, float]:
-    a = np.sort(np.mod(ang, 2 * math.pi))
-    gaps = np.diff(np.concatenate([a, [a[0] + 2 * math.pi]]))
-    j = int(np.argmax(gaps))
-    lo = a[(j + 1) % len(a)]
-    hi = lo + (2 * math.pi - gaps[j])
-    return float(lo), float(hi)
+def _polygon_arcs(poly: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start angles in [0, 2 pi) and counterclockwise angular lengths of
+    the arcs that a polygon's edges subtend at the origin."""
+    ang = np.mod(np.arctan2(poly[:, 1], poly[:, 0]), 2 * math.pi)
+    return ang, np.mod(np.roll(ang, -1) - ang, 2 * math.pi)
 
 
-def _edges_in_window(poly_ang: np.ndarray, lo: float, hi: float, margin: float = 0.6):
-    out = []
-    k = len(poly_ang)
-    for e in range(k):
-        a = poly_ang[e]
-        rel = (a - lo) % (2 * math.pi)
-        if rel <= (hi - lo) + margin or rel >= 2 * math.pi - margin:
-            out.append(e)
-    return out
+def _angular_windows(dom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Angular intervals ``[lo, hi]`` holding the directions of every point
+    of each projected triangle ``dom`` (T, 3, 2).
+
+    Vertices within ``1e-12 max|dom|`` of the origin have no direction and
+    are dropped (the points near them deviate from the window by about
+    1e-12 rad at the radii where a polygon edge can cut).  A triangle
+    whose projection contains the origin gets the full circle."""
+    x, y = dom[..., 0], dom[..., 1]
+    r = np.sqrt(x * x + y * y)
+    keep = r > 1e-12 * r.max(axis=1, keepdims=True)
+    cross = x * np.roll(y, -1, axis=1) - y * np.roll(x, -1, axis=1)
+    full = ~keep.any(axis=1) | (
+        keep.all(axis=1) & (np.all(cross >= 0, axis=1) | np.all(cross <= 0, axis=1))
+    )
+    rows = np.arange(len(dom))
+    ang = np.mod(np.arctan2(y, x), 2 * math.pi)
+    # a dropped vertex repeats the farthest vertex's angle: a zero gap
+    ang = np.where(keep, ang, ang[rows, np.argmax(r, axis=1)][:, None])
+    a = np.sort(ang, axis=1)
+    gaps = np.diff(np.concatenate([a, a[:, :1] + 2 * math.pi], axis=1), axis=1)
+    j = np.argmax(gaps, axis=1)
+    lo = a[rows, (j + 1) % 3]
+    hi = lo + (2 * math.pi - gaps[rows, j])
+    return np.where(full, 0.0, lo), np.where(full, 2 * math.pi, hi)
 
 
-def _clip_poly_halfplane(poly_pts, a: np.ndarray, b: np.ndarray):
-    t = b - a
-    nrm = np.array([-t[1], t[0]])
-    if (0.0 - a[0]) * nrm[0] + (0.0 - a[1]) * nrm[1] < 0:
-        nrm = -nrm
-    out = []
-    kk = len(poly_pts)
-    for j in range(kk):
-        p, q = poly_pts[j], poly_pts[(j + 1) % kk]
-        dp = (p - a) @ nrm
-        dq = (q - a) @ nrm
-        if dp >= -1e-14:
-            out.append(p)
-            if dq < -1e-14:
-                out.append(p + (q - p) * (dp / (dp - dq)))
-        elif dq >= -1e-14:
-            out.append(p + (q - p) * (dp / (dp - dq)))
-    return out
+def _edges_in_window(poly_ang: np.ndarray, arcs: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Indices of the polygon edges whose arcs meet ``[lo, hi]``, with
+    1e-9 rad of slack.
+
+    For a convex polygon star-shaped about the origin, a point lies inside
+    exactly when it lies in the half-plane of the edge whose arc holds its
+    direction; clipping by these edges alone is therefore exact."""
+    slack = 1e-9
+    starts_in = np.mod(poly_ang - lo, 2 * math.pi) <= (hi - lo) + slack
+    covers_lo = np.mod(lo - poly_ang, 2 * math.pi) <= arcs + slack
+    return np.flatnonzero(starts_in | covers_lo)
 
 
 _UNIT_G0 = None  # set lazily: any fixed coefficient makes the polish cost differ by a constant

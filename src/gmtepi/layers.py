@@ -92,26 +92,6 @@ class Layer:
         m = self.A.shape[1]
         return float(np.linalg.det(np.eye(m) + self.A.T @ self.A) - 1.0)
 
-    def grad_hs_norm(self) -> float:
-        return float(np.linalg.norm(self.A, "fro"))
-
-    def contains(self, x: np.ndarray, tol: float = 1e-12) -> bool:
-        return _bary_inside(self.domain, x, tol)
-
-
-def _bary_inside(domain: np.ndarray, x: np.ndarray, tol: float) -> bool:
-    m = domain.shape[1]
-    if m == 1:
-        lo, hi = sorted((float(domain[0, 0]), float(domain[1, 0])))
-        return lo - tol <= float(x[0]) <= hi + tol
-    T = np.column_stack([domain[1] - domain[0], domain[2] - domain[0]])
-    try:
-        lam = np.linalg.solve(T, np.asarray(x) - domain[0])
-    except np.linalg.LinAlgError:
-        return False
-    l0 = 1.0 - lam.sum()
-    return bool(lam[0] >= -tol and lam[1] >= -tol and l0 >= -tol)
-
 
 @dataclass
 class LayerDecomposition:
@@ -127,20 +107,11 @@ class LayerDecomposition:
     def m(self) -> int:
         return self.base.m
 
-    def layers_at(self, x: np.ndarray, tol: float = 1e-12) -> list[Layer]:
-        return [ly for ly in self.layers if ly.contains(x, tol)]
 
-    def stalk_sum(self, x: np.ndarray, tol: float = 1e-12) -> NormedCoefficient:
-        acc = zero(self.g0.spec)
-        for ly in self.layers_at(x, tol):
-            acc = group_add(acc, ly.coeff)
-        return acc
-
-
-def _constancy_nodes(layers: list[Layer], m: int, radius: float) -> list[np.ndarray]:
-    """Deterministic query points: a polar grid, domain barycenters, and
-    points adjacent to pairwise edge crossings of the projected domains
-    (the arrangement-cell samples for m <= 2)."""
+def _constancy_nodes(layers: list[Layer], m: int, radius: float) -> np.ndarray:
+    """Deterministic query points, shape (N, m): a polar grid, domain
+    barycenters, and points adjacent to pairwise edge crossings of the
+    projected domains (the arrangement-cell samples for m <= 2)."""
     nodes: list[np.ndarray] = []
     if m == 1:
         for t in np.linspace(-radius, radius, 41):
@@ -149,7 +120,7 @@ def _constancy_nodes(layers: list[Layer], m: int, radius: float) -> list[np.ndar
         for a, b in zip(cuts[:-1], cuts[1:]):
             if b - a > 1e-12:
                 nodes.append(np.array([0.5 * (a + b)]))
-        return [p for p in nodes if abs(p[0]) <= radius]
+        return np.array([p for p in nodes if abs(p[0]) <= radius]).reshape(-1, 1)
     for k in range(1, 7):
         rad = radius * (k - 0.5) / 6.5
         count = 6 * k
@@ -175,15 +146,77 @@ def _constancy_nodes(layers: list[Layer], m: int, radius: float) -> list[np.ndar
     crossings = p0[iu[hit]] + s[hit, None] * e[iu[hit]]
     if len(crossings):
         # crossings repeat heavily (every ray pair of a cone meets at 0)
-        crossings = np.unique(np.round(crossings / 1e-9) * 1e-9, axis=0)
+        # (sorted rows, as np.unique(axis=0) gives, without its slow row sort)
+        snapped = np.round(crossings / 1e-9) * 1e-9
+        snapped = snapped[np.lexsort((snapped[:, 1], snapped[:, 0]))]
+        crossings = snapped[np.r_[True, np.any(snapped[1:] != snapped[:-1], axis=1)]]
         if len(crossings) > 400:
             step = len(crossings) // 400 + 1
             crossings = crossings[::step]
     offsets = 1e-6 * np.array([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)], dtype=float)
-    for cross in crossings:
-        for off in offsets:
-            nodes.append(cross + off)
-    return [p for p in nodes if np.linalg.norm(p) <= radius]
+    pts = np.vstack([np.array(nodes), (crossings[:, None, :] + offsets).reshape(-1, 2)])
+    return pts[np.linalg.norm(pts, axis=1) <= radius]
+
+
+def _constancy_masks(
+    domains: np.ndarray, nodes: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(near, inside)``, each (N, L): whether a node lies within ``tol``
+    of a domain's boundary, and whether the closed domain contains it.
+
+    The containment test solves each node's barycentric 2x2 system with
+    ``np.linalg.solve`` and applies no tolerance."""
+    if domains.shape[2] == 1:
+        x = nodes[:, :1]
+        d0, d1 = domains[:, 0, 0], domains[:, 1, 0]
+        near = np.minimum(np.abs(x - d0), np.abs(x - d1)) < tol
+        inside = (np.minimum(d0, d1) <= x) & (x <= np.maximum(d0, d1))
+        return near, inside
+    p = domains  # (L, 3, 2); edge i runs from vertex i to vertex i + 1
+    e = np.roll(p, -1, axis=1) - p
+    ln2 = e[..., 0] * e[..., 0] + e[..., 1] * e[..., 1]
+    x = nodes[:, None, None, :]
+    rel = x - p  # (N, L, 3, 2)
+    along = (rel[..., 0] * e[..., 0] + rel[..., 1] * e[..., 1]) / np.where(ln2 < 1e-30, 1.0, ln2)
+    t = np.clip(along, 0.0, 1.0)
+    gap = x - (p + t[..., None] * e)
+    dist = np.sqrt(gap[..., 0] * gap[..., 0] + gap[..., 1] * gap[..., 1])
+    near = np.any((dist < tol) & (ln2 >= 1e-30), axis=2)
+    T = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)  # (L, 2, 2)
+    rhs = nodes[:, None, :] - p[:, 0]  # (N, L, 2)
+    lam = np.linalg.solve(np.broadcast_to(T, rhs.shape + (2,)), rhs[..., None])[..., 0]
+    l0 = 1.0 - lam.sum(axis=-1)
+    inside = (lam[..., 0] >= 0.0) & (lam[..., 1] >= 0.0) & (l0 >= 0.0)
+    return near, inside
+
+
+def _stalk_sum(
+    layers: list[Layer], m: int, radius: float, group, tol: float
+) -> NormedCoefficient:
+    """The stalk sum shared by every constancy node away from the domain
+    boundaries; raises :class:`ConstancyError` at the first node, in node
+    order, that no layer covers or whose sum differs."""
+    domains = np.stack([ly.domain for ly in layers])
+    nodes = _constancy_nodes(layers, m, radius)
+    step = max(1, 2**16 // len(layers))  # node-layer pairs per batch
+    g0_seen: NormedCoefficient | None = None
+    for start in range(0, len(nodes), step):
+        chunk = nodes[start : start + step]
+        near, inside = _constancy_masks(domains, chunk, tol)
+        for i in np.flatnonzero(~near.any(axis=1)):
+            hits = np.flatnonzero(inside[i])
+            if len(hits) == 0:
+                raise ConstancyError(f"no layer covers base point {chunk[i]} (hole)")
+            acc = zero(group)
+            for j in hits:
+                acc = group_add(acc, layers[j].coeff)
+            if g0_seen is None:
+                g0_seen = acc
+            elif acc != g0_seen:
+                raise ConstancyError(
+                    f"stalk sum differs across base points: {g0_seen} vs {acc}"
+                )
+    return zero(group) if g0_seen is None else g0_seen
 
 
 def decompose_layers(
@@ -225,48 +258,8 @@ def decompose_layers(
 
     g0 = zero(chain.group)
     if check_constancy and layers:
-        g0_seen: NormedCoefficient | None = None
-        for node in _constancy_nodes(layers, m, radius):
-            if _near_any_boundary(layers, node, boundary_tol):
-                continue
-            acc = zero(chain.group)
-            hit = False
-            for ly in layers:
-                if ly.contains(node, 0.0):
-                    acc = group_add(acc, ly.coeff)
-                    hit = True
-            if not hit:
-                raise ConstancyError(f"no layer covers base point {node} (hole)")
-            if g0_seen is None:
-                g0_seen = acc
-            elif acc != g0_seen:
-                raise ConstancyError(
-                    f"stalk sum differs across base points: {g0_seen} vs {acc}"
-                )
-        if g0_seen is not None:
-            g0 = g0_seen
+        g0 = _stalk_sum(layers, m, radius, chain.group, boundary_tol)
     return LayerDecomposition(base, perp, layers, g0, group_norm(g0))
-
-
-def _near_any_boundary(layers: list[Layer], x: np.ndarray, tol: float) -> bool:
-    for ly in layers:
-        d = ly.domain
-        k = d.shape[0]
-        if d.shape[1] == 1:
-            # 1-dim domains: the boundary is the endpoint pair
-            if min(abs(float(x[0]) - float(d[0, 0])), abs(float(x[0]) - float(d[1, 0]))) < tol:
-                return True
-            continue
-        for i in range(k):
-            p, q = d[i], d[(i + 1) % k]
-            e = q - p
-            ln2 = float(e @ e)
-            if ln2 < 1e-30:
-                continue
-            t = float(np.clip((x - p) @ e / ln2, 0.0, 1.0))
-            if np.linalg.norm(x - (p + t * e)) < tol:
-                return True
-    return False
 
 
 def _domain_disk_area(domain: np.ndarray, center: np.ndarray, radius: float, m: int) -> float:
@@ -385,6 +378,24 @@ def _pair_area(d1: np.ndarray, d2: np.ndarray, center: np.ndarray, radius: float
     return abs(disk_polygon_area(np.array(poly), center, radius))
 
 
+def _clip_halfplane(poly: list[np.ndarray], a: np.ndarray, normal: np.ndarray) -> list[np.ndarray]:
+    """One Sutherland-Hodgman step: the part of a convex polygon where
+    ``(p - a) . normal >= 0``, with a -1e-14 tolerance; ``normal`` points
+    inward."""
+    out: list[np.ndarray] = []
+    for j in range(len(poly)):
+        p, q = poly[j], poly[(j + 1) % len(poly)]
+        dp = (p - a) @ normal
+        dq = (q - a) @ normal
+        if dp >= -1e-14:
+            out.append(p)
+            if dq < -1e-14:
+                out.append(p + (q - p) * (dp / (dp - dq)))
+        elif dq >= -1e-14:
+            out.append(p + (q - p) * (dp / (dp - dq)))
+    return out
+
+
 def _convex_clip(subject: np.ndarray, clipper: np.ndarray) -> list[np.ndarray] | None:
     """Sutherland-Hodgman clip of one convex polygon by another."""
     poly = [np.array(p, dtype=float) for p in subject]
@@ -396,18 +407,7 @@ def _convex_clip(subject: np.ndarray, clipper: np.ndarray) -> list[np.ndarray] |
         normal = np.array([-e[1], e[0]])
         if (cc - a) @ normal < 0:
             normal = -normal
-        out: list[np.ndarray] = []
-        for j in range(len(poly)):
-            p, q = poly[j], poly[(j + 1) % len(poly)]
-            dp = (p - a) @ normal
-            dq = (q - a) @ normal
-            if dp >= -1e-14:
-                out.append(p)
-                if dq < -1e-14:
-                    out.append(p + (q - p) * (dp / (dp - dq)))
-            elif dq >= -1e-14:
-                out.append(p + (q - p) * (dp / (dp - dq)))
-        poly = out
+        poly = _clip_halfplane(poly, a, normal)
         if len(poly) < 3:
             return None
     return poly

@@ -28,7 +28,6 @@ import numpy as np
 
 __all__ = [
     "gauss_segment",
-    "triangle_rule",
     "integrate_over_simplex",
     "simplex_volume",
     "trig_monomial_integral",
@@ -72,11 +71,6 @@ _TRI_WEIGHTS = np.array([9.0 / 40.0, _W1, _W1, _W1, _W2, _W2, _W2])
 def gauss_segment() -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the 3-point Gauss rule on [0, 1]."""
     return _GAUSS3_NODES.copy(), _GAUSS3_WEIGHTS.copy()
-
-
-def triangle_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Barycentric nodes and unit-sum weights of the degree-5 triangle rule."""
-    return _TRI_BARY.copy(), _TRI_WEIGHTS.copy()
 
 
 def simplex_volume(vertices: np.ndarray) -> float:

@@ -1,9 +1,12 @@
 """Per-simplex, per-point reference implementations of the exact ball
-integrals, the beta_inf sup scan and the point-to-support distance.
+integrals, the beta_inf sup scan, the point-to-support distance, the
+layer-constancy check, the polygon-cylinder clipping of the comparison
+pipeline and the averaged graph.
 
 These are the loop-based routines the batched kernels in
-``gmtepi.quadrature``, ``gmtepi.moments`` and ``gmtepi.scan`` replaced.
-They are kept here, unchanged apart from their names, as the oracle the
+``gmtepi.quadrature``, ``gmtepi.moments``, ``gmtepi.scan``,
+``gmtepi.layers`` and ``gmtepi.epi`` replaced.
+They are kept here, with the arithmetic unchanged, as the oracle the
 equivalence tests compare the batched code against.
 """
 
@@ -417,3 +420,194 @@ def hausdorff_chain_plane(chain, sup, x, r, plane, grid: int = 24) -> float:
     for c in coords:
         d2 = max(d2, dist_to_support(chain, x + plane.embed(c)))
     return max(d1, d2)
+
+
+# -- comparison-surface pipeline: the loop constancy check and the clipping
+# against every polygon edge within a 0.6 rad margin of a term's window
+
+
+def bary_inside(domain: np.ndarray, x: np.ndarray, tol: float) -> bool:
+    m = domain.shape[1]
+    if m == 1:
+        lo, hi = sorted((float(domain[0, 0]), float(domain[1, 0])))
+        return lo - tol <= float(x[0]) <= hi + tol
+    T = np.column_stack([domain[1] - domain[0], domain[2] - domain[0]])
+    try:
+        lam = np.linalg.solve(T, np.asarray(x) - domain[0])
+    except np.linalg.LinAlgError:
+        return False
+    l0 = 1.0 - lam.sum()
+    return bool(lam[0] >= -tol and lam[1] >= -tol and l0 >= -tol)
+
+
+def near_any_boundary(domains, x: np.ndarray, tol: float) -> bool:
+    for d in domains:
+        k = d.shape[0]
+        if d.shape[1] == 1:
+            if min(abs(float(x[0]) - float(d[0, 0])), abs(float(x[0]) - float(d[1, 0]))) < tol:
+                return True
+            continue
+        for i in range(k):
+            p, q = d[i], d[(i + 1) % k]
+            e = q - p
+            ln2 = float(e @ e)
+            if ln2 < 1e-30:
+                continue
+            t = float(np.clip((x - p) @ e / ln2, 0.0, 1.0))
+            if np.linalg.norm(x - (p + t * e)) < tol:
+                return True
+    return False
+
+
+def constancy_g0(layers, nodes, group, boundary_tol: float = 1e-9):
+    """The stalk sum ``g0`` by the node-by-node, layer-by-layer loop."""
+    from gmtepi.groups import group_add, zero
+    from gmtepi.layers import ConstancyError
+
+    domains = [ly.domain for ly in layers]
+    g0_seen = None
+    for node in nodes:
+        if near_any_boundary(domains, node, boundary_tol):
+            continue
+        acc = zero(group)
+        hit = False
+        for ly in layers:
+            if bary_inside(ly.domain, node, 0.0):
+                acc = group_add(acc, ly.coeff)
+                hit = True
+        if not hit:
+            raise ConstancyError(f"no layer covers base point {node} (hole)")
+        if g0_seen is None:
+            g0_seen = acc
+        elif acc != g0_seen:
+            raise ConstancyError(f"stalk sum differs across base points: {g0_seen} vs {acc}")
+    return zero(group) if g0_seen is None else g0_seen
+
+
+def angular_window(ang: np.ndarray) -> tuple[float, float]:
+    a = np.sort(np.mod(ang, 2 * math.pi))
+    gaps = np.diff(np.concatenate([a, [a[0] + 2 * math.pi]]))
+    j = int(np.argmax(gaps))
+    lo = a[(j + 1) % len(a)]
+    hi = lo + (2 * math.pi - gaps[j])
+    return float(lo), float(hi)
+
+
+def edges_in_window(poly_ang: np.ndarray, lo: float, hi: float, margin: float = 0.6):
+    out = []
+    for e in range(len(poly_ang)):
+        rel = (poly_ang[e] - lo) % (2 * math.pi)
+        if rel <= (hi - lo) + margin or rel >= 2 * math.pi - margin:
+            out.append(e)
+    return out
+
+
+def clip_poly_halfplane(poly_pts, a: np.ndarray, b: np.ndarray):
+    t = b - a
+    nrm = np.array([-t[1], t[0]])
+    if (0.0 - a[0]) * nrm[0] + (0.0 - a[1]) * nrm[1] < 0:
+        nrm = -nrm
+    out = []
+    kk = len(poly_pts)
+    for j in range(kk):
+        p, q = poly_pts[j], poly_pts[(j + 1) % kk]
+        dp = (p - a) @ nrm
+        dq = (q - a) @ nrm
+        if dp >= -1e-14:
+            out.append(p)
+            if dq < -1e-14:
+                out.append(p + (q - p) * (dp / (dp - dq)))
+        elif dq >= -1e-14:
+            out.append(p + (q - p) * (dp / (dp - dq)))
+    return out
+
+
+def split_by_polygon_cylinder(chain, base, poly: np.ndarray):
+    """(inside, outside) pieces of every term against the polygon cylinder."""
+    from gmtepi.chains import _clip_simplex_halfspace
+
+    k = len(poly)
+    centroid = poly.mean(axis=0)
+    normals, offsets = [], []
+    for i in range(k):
+        p, q = poly[i], poly[(i + 1) % k]
+        t = q - p
+        nrm2 = np.array([-t[1], t[0]])
+        if (centroid - p) @ nrm2 < 0:
+            nrm2 = -nrm2
+        nrm2 = nrm2 / np.linalg.norm(nrm2)
+        normals.append(base.embed(nrm2))
+        offsets.append(float(nrm2 @ p))
+    poly_ang = np.mod(np.arctan2(poly[:, 1], poly[:, 0]), 2 * math.pi)
+    inside, outside = [], []
+    for s_, c in chain.terms:
+        dom = s_.vertices @ base.frame.T
+        lo, hi = angular_window(np.arctan2(dom[:, 1], dom[:, 0]))
+        stack = [s_.vertices]
+        for e in edges_in_window(poly_ang, lo, hi):
+            nxt = []
+            for verts in stack:
+                nxt.extend(_clip_simplex_halfspace(verts, normals[e], offsets[e]))
+                for piece in _clip_simplex_halfspace(verts, -normals[e], -offsets[e]):
+                    outside.append((piece, c))
+            stack = nxt
+        inside.extend((verts, c) for verts in stack)
+    return inside, outside
+
+
+def excess_over_polygon(chain, base, g0, poly: np.ndarray) -> float:
+    """Excess over a convex polygon cylinder, one codim-1 term at a time."""
+    from gmtepi.epi import _graph_stats
+    from gmtepi.groups import group_norm
+    from gmtepi.layers import align_base_to_chain
+
+    base = align_base_to_chain(base, chain)
+    dom, jac, w = _graph_stats(chain, base)
+    k = len(poly)
+    poly_ang = np.mod(np.arctan2(poly[:, 1], poly[:, 0]), 2 * math.pi)
+    rad_out = float(np.max(np.linalg.norm(poly, axis=1)))
+    rad_in = rad_out * math.cos(math.pi / k)
+    rmin = np.min(np.linalg.norm(dom, axis=2), axis=1)
+    rmax = np.max(np.linalg.norm(dom, axis=2), axis=1)
+    areas = 0.5 * np.abs(
+        (dom[:, 1, 0] - dom[:, 0, 0]) * (dom[:, 2, 1] - dom[:, 0, 1])
+        - (dom[:, 1, 1] - dom[:, 0, 1]) * (dom[:, 2, 0] - dom[:, 0, 0])
+    )
+    total = 0.0
+    for t in range(len(dom)):
+        if rmin[t] >= rad_out - 1e-15:
+            continue
+        if rmax[t] <= rad_in + 1e-15:
+            total += w[t] * jac[t] * areas[t]
+            continue
+        lo, hi = angular_window(np.arctan2(dom[t, :, 1], dom[t, :, 0]))
+        clipped = [np.array(v, dtype=float) for v in dom[t]]
+        for e in edges_in_window(poly_ang, lo, hi):
+            clipped = clip_poly_halfplane(clipped, poly[e], poly[(e + 1) % k])
+            if len(clipped) < 3:
+                break
+        if len(clipped) < 3:
+            continue
+        arr = np.array(clipped)
+        area = 0.0
+        for i in range(1, len(arr) - 1):
+            ua, ub = arr[i] - arr[0], arr[i + 1] - arr[0]
+            area += 0.5 * abs(float(ua[0] * ub[1] - ua[1] * ub[0]))
+        total += w[t] * jac[t] * area
+    poly_area = 0.0
+    for i in range(1, k - 1):
+        ua, ub = poly[i] - poly[0], poly[i + 1] - poly[0]
+        poly_area += 0.5 * abs(float(ua[0] * ub[1] - ua[1] * ub[0]))
+    return total - group_norm(g0) * poly_area
+
+
+def averaged_eval(avg, x: np.ndarray) -> np.ndarray:
+    """The averaged graph at one base point, layer mask by layer mask."""
+    x = np.asarray(x, dtype=float)
+    if avg.decomp.m == 1:
+        mask = (avg._lo - avg.tol <= x[0]) & (x[0] <= avg._hi + avg.tol)
+    else:
+        mask = np.all(avg._normals @ x - avg._offsets >= -avg.tol, axis=1)
+    w = avg._w[mask]
+    vals = avg._A[mask] @ x + avg._b[mask]
+    return (w[:, None] * vals).sum(axis=0) / w.sum()

@@ -1,0 +1,184 @@
+"""The batched constancy check, the exact angular windows and the batched
+averaged graph against the loop code kept in ``scalar_oracle``."""
+
+import math
+
+import numpy as np
+import pytest
+
+import scalar_oracle as oracle
+from gmtepi.chains import PolyChain, Simplex
+from gmtepi.epi import (
+    _angular_windows,
+    _edges_in_window,
+    _excess_over_polygon,
+    _layer_ray_angles,
+    _polygon_arcs,
+    _split_by_polygon_cylinder,
+    averaged_graph,
+    build_comparison,
+)
+from gmtepi.generators import cone_harmonic, tilted_cone
+from gmtepi.groups import NormedCoefficient, group_norm, integers
+from gmtepi.layers import (
+    ConstancyError,
+    _constancy_masks,
+    _constancy_nodes,
+    align_base_to_chain,
+    decompose_layers,
+)
+from gmtepi.planes import OrientedPlane
+from gmtepi.quadrature import simplex_volume
+
+from conftest import make_graph_disk
+
+G = integers()
+V = OrientedPlane(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+LINE = OrientedPlane(np.array([[1.0, 0.0]]))
+
+
+def kinked_line() -> PolyChain:
+    one = NormedCoefficient(G, 1)
+    return PolyChain(2, 1, G, [
+        (Simplex(np.array([[0.0, 0.0], [2.05, 2.05 * 0.05]])), one),
+        (Simplex(np.array([[-2.05, 2.05 * 0.03], [0.0, 0.0]])), one),
+    ])
+
+
+def tilted_base() -> OrientedPlane:
+    c, s = math.cos(0.1), math.sin(0.1)
+    return OrientedPlane(np.array([[c, 0.0, s], [0.0, 1.0, 0.0]]))
+
+
+CHAINS = {
+    "harmonic k=2": lambda: (cone_harmonic(2, 0.08, 64)[0], V),
+    "harmonic k=3": lambda: (cone_harmonic(3, 0.04, 64)[0], V),
+    "tilted cone": lambda: (tilted_cone(0.1, 64)[0], tilted_base()),
+    "two-layer stack": lambda: (
+        make_graph_disk(24, lambda p: 0.0, R=1.3) + make_graph_disk(24, lambda p: 0.4, R=1.3),
+        V,
+    ),
+    "m = 1 chain": lambda: (kinked_line(), LINE),
+}
+
+
+@pytest.mark.parametrize("name", list(CHAINS))
+def test_constancy_masks_match_the_loop(name):
+    chain, base = CHAINS[name]()
+    decomp = decompose_layers(chain, base, check_constancy=False)
+    layers = decomp.layers
+    domains = np.stack([ly.domain for ly in layers])
+    nodes = _constancy_nodes(layers, chain.m, 1.0)
+    near, inside = _constancy_masks(domains, nodes, 1e-9)
+    assert near.shape == inside.shape == (len(nodes), len(layers))
+    for i, x in enumerate(nodes):
+        assert bool(near[i].any()) == oracle.near_any_boundary(domains, x, 1e-9)
+        want = [oracle.bary_inside(ly.domain, x, 0.0) for ly in layers]
+        assert inside[i].tolist() == want
+    g0 = decompose_layers(chain, base).g0
+    assert g0 == oracle.constancy_g0(layers, nodes, chain.group)
+    assert not g0.is_zero
+
+
+def _message(fn):
+    with pytest.raises(ConstancyError) as info:
+        fn()
+    return str(info.value)
+
+
+def test_hole_and_constancy_errors_match_the_loop():
+    hole = make_graph_disk(16, lambda p: 0.0, R=0.4)
+    patch = make_graph_disk(32, lambda p: 0.0, R=1.3) + make_graph_disk(8, lambda p: 0.2, R=0.3)
+    for chain, word in ((hole, "hole"), (patch, "differs")):
+        layers = decompose_layers(chain, V, check_constancy=False).layers
+        nodes = _constancy_nodes(layers, 2, 1.0)
+        got = _message(lambda: decompose_layers(chain, V))
+        assert word in got
+        assert got == _message(lambda: oracle.constancy_g0(layers, nodes, chain.group))
+
+
+def test_angular_windows():
+    a, b = 1.0, 1.1
+    apex = np.array([[0.0, 0.0], [math.cos(a), math.sin(a)], [2 * math.cos(b), 2 * math.sin(b)]])
+    around = np.array([[-1.0, -1.0], [1.0, -1.0], [0.0, 1.0]])
+    away = np.array([[1.0, 1.0], [2.0, 1.0], [1.0, 2.0]])
+    lo, hi = _angular_windows(np.stack([apex, around, away]))
+    np.testing.assert_allclose(lo, [a, 0.0, math.atan2(1.0, 2.0)], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(hi, [b, 2 * math.pi, math.atan2(2.0, 1.0)], rtol=0, atol=1e-15)
+    # the apex's atan2(0, 0) = 0 stretched the old window down to angle 0
+    assert oracle.angular_window(np.arctan2(apex[:, 1], apex[:, 0])) == pytest.approx((0.0, b))
+    # an apex off the origin by rounding carries no direction either
+    nudged = apex.copy()
+    nudged[0] = [1e-17, -1e-17]
+    assert tuple(x[0] for x in _angular_windows(nudged[None])) == pytest.approx((a, b), abs=1e-15)
+    # on a 16-gon the apex wedge meets the arc of edge 2 only, a window of
+    # two whole arcs touches their neighbours, and the full window meets all
+    ang = 2 * math.pi * np.arange(16) / 16
+    poly_ang, arcs = _polygon_arcs(np.stack([np.cos(ang), np.sin(ang)], axis=1))
+    assert _edges_in_window(poly_ang, arcs, lo[0], hi[0]).tolist() == [2]
+    assert _edges_in_window(poly_ang, arcs, 2 * math.pi / 16, 3 * 2 * math.pi / 16).tolist() == [0, 1, 2, 3]
+    assert len(_edges_in_window(poly_ang, arcs, lo[1], hi[1])) == 16
+
+
+def _pieces_mass(pieces) -> float:
+    return sum(group_norm(c) * simplex_volume(v) for v, c in pieces)
+
+
+def _polygons(P: PolyChain, base: OrientedPlane):
+    rays = _layer_ray_angles(decompose_layers(P, base))
+    skew = 2 * math.pi * (np.arange(40) + 0.3) / 40
+    return [
+        0.75 * np.stack([np.cos(rays), np.sin(rays)], axis=1),
+        0.6 * np.stack([np.cos(skew), np.sin(skew)], axis=1),
+    ]
+
+
+def test_split_by_polygon_cylinder_partitions_mass():
+    P = cone_harmonic(2, 0.05, 48)[0]
+    whole = _pieces_mass([(s.vertices, c) for s, c in P.terms])
+    for poly in _polygons(P, V):
+        inside, outside = _split_by_polygon_cylinder(P, V, poly)
+        assert _pieces_mass(inside) + _pieces_mass(outside) == pytest.approx(whole, rel=1e-14)
+        old_inside, old_outside = oracle.split_by_polygon_cylinder(P, V, poly)
+        assert _pieces_mass(inside) == pytest.approx(_pieces_mass(old_inside), rel=1e-14)
+        assert len(outside) < len(old_outside)
+
+
+@pytest.fixture(scope="module")
+def cone48():
+    P = cone_harmonic(2, 0.05, 48)[0]
+    return P, build_comparison(P)[0]
+
+
+def test_excess_over_polygon_matches_the_margin_window(cone48):
+    P, S = cone48
+    g0 = NormedCoefficient(G, 1)
+    ang = 2 * math.pi * np.arange(48) / 48
+    zone = 0.25 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    for chain in (P, S):
+        for poly in [zone] + _polygons(P, V):
+            got = _excess_over_polygon(chain, V, g0, poly)
+            assert got == pytest.approx(oracle.excess_over_polygon(chain, V, g0, poly), rel=0, abs=1e-14)
+
+
+def test_comparison_surface_term_count(cone48):
+    # the margin window cut each term against the polygon edges within
+    # 0.6 rad: 2,552 terms
+    assert len(cone48[1].terms) == 2112
+
+
+@pytest.mark.parametrize("name", list(CHAINS))
+def test_averaged_graph_eval_many_matches_per_point(name):
+    chain, base = CHAINS[name]()
+    base = align_base_to_chain(base, chain)
+    avg = averaged_graph(decompose_layers(chain, base))
+    rng = np.random.default_rng(4)
+    m = chain.m
+    xs = rng.uniform(-0.7, 0.7, size=(200, m))
+    # points on shared domain edges, where two layers are averaged
+    xs = np.vstack([xs, np.stack([0.5 * ly.domain[1] for ly in avg.decomp.layers])])
+    got = avg.eval_many(xs)
+    want = np.array([oracle.averaged_eval(avg, x) for x in xs])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    with pytest.raises(ConstancyError):
+        avg.eval_many(np.full((1, m), 5.0))
