@@ -19,8 +19,8 @@ import os
 
 import numpy as np
 
-from .chains import PolyChain, Simplex
-from .groups import GroupSpec, NormedCoefficient
+from .chains import PolyChain
+from .groups import GroupSpec
 
 __all__ = [
     "chain_to_dict",
@@ -45,12 +45,11 @@ def _group_from_dict(d: dict) -> GroupSpec:
 
 
 def chain_to_dict(chain: PolyChain, metadata: dict | None = None) -> dict:
-    simplices = []
-    for simplex, coeff in chain.terms:
-        payload = list(coeff.value) if chain.group.tag == "cantor" else coeff.value
-        simplices.append(
-            {"vertices": [[float(v) for v in row] for row in simplex.vertices], "coeff": payload}
-        )
+    cantor = chain.group.tag == "cantor"
+    simplices = [
+        {"vertices": verts, "coeff": row if cantor else row[0]}
+        for verts, row in zip(chain.verts.tolist(), chain.payload.tolist())
+    ]
     out = {
         "version": FORMAT_VERSION,
         "ambient": chain.n,
@@ -67,13 +66,14 @@ def dict_to_chain(data: dict) -> tuple[PolyChain, dict]:
     if data.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported chain file version {data.get('version')!r}")
     spec = _group_from_dict(data["group"])
-    terms = []
-    for item in data["simplices"]:
-        coeff = NormedCoefficient(
-            spec, tuple(item["coeff"]) if spec.tag == "cantor" else item["coeff"]
-        )
-        terms.append((Simplex(np.array(item["vertices"], dtype=float)), coeff))
-    chain = PolyChain(data["ambient"], data["dim"], spec, terms)
+    items = data["simplices"]
+    chain = PolyChain(
+        data["ambient"],
+        data["dim"],
+        spec,
+        verts=np.array([item["vertices"] for item in items], dtype=float),
+        payload=np.array([item["coeff"] for item in items]),
+    )
     return chain, data.get("metadata", {})
 
 

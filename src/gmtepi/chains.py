@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from collections.abc import Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .groups import GroupSpec, NormedCoefficient, group_add, group_neg, group_norm
+from .groups import GroupSpec, NormedCoefficient
 from .quadrature import batch_ball_masses, simplex_volume
 
 __all__ = [
@@ -47,6 +48,10 @@ DEGENERATE_GRAM = 1e-20
 #: Vertex snapping grid used when merging coincident faces.
 SNAP = 1e-12
 
+#: Coordinates must stay below this in absolute value: beyond it the
+#: snapped integer keys would overflow int64 and distinct faces collide.
+SNAP_LIMIT = 2.0**62 * SNAP
+
 
 class Simplex:
     """An oriented m-simplex: an ordered tuple of m+1 points in R^n."""
@@ -60,6 +65,14 @@ class Simplex:
         v.flags.writeable = False
         self.vertices = v
         self._volume: float | None = None
+
+    @classmethod
+    def _view(cls, vertices: np.ndarray, volume: float) -> "Simplex":
+        """A simplex over a row of a chain's (read-only) vertex stack."""
+        s = cls.__new__(cls)
+        s.vertices = vertices
+        s._volume = volume
+        return s
 
     @property
     def m(self) -> int:
@@ -75,41 +88,174 @@ class Simplex:
             self._volume = simplex_volume(self.vertices)
         return self._volume
 
-    def gram_det(self) -> float:
-        e = self.vertices[1:] - self.vertices[0]
-        return float(np.linalg.det(e @ e.T))
-
-    def is_degenerate(self) -> bool:
-        return self.gram_det() < DEGENERATE_GRAM
-
-    def barycenter(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Simplex(m={self.m}, n={self.n})"
 
 
-def _sorted_key_and_parity(vertices: np.ndarray) -> tuple[bytes, int]:
-    """Canonical key for the unordered vertex set plus orientation parity."""
-    snapped = np.round(vertices / SNAP).astype(np.int64)
+# -- payloads and keys ---------------------------------------------------------
+
+
+def coeff_payload(coeff: NormedCoefficient) -> np.ndarray:
+    """The payload row of one coefficient, shape (width,), int64."""
+    return np.atleast_1d(np.array(coeff.value, dtype=np.int64))
+
+
+def _checked_payload(group: GroupSpec, payload, count: int) -> np.ndarray:
+    """``payload`` as a (count, width) int64 array; non-integral values and
+    Cantor bits outside {0, 1} raise ``ValueError``."""
+    width = group.depth if group.tag == "cantor" else 1
+    p = np.asarray(payload)
+    if p.size == 0:
+        p = p.reshape(0, width)
+    if p.ndim == 1 and width == 1:
+        p = p[:, None]
+    if p.shape != (count, width):
+        raise ValueError(f"payload shape {p.shape} does not match ({count}, {width})")
+    if p.dtype.kind == "f":
+        if not np.all(np.isfinite(p) & (p == np.trunc(p)) & (np.abs(p) < 2.0**63)):
+            raise ValueError("group payloads must be integers")
+    elif p.dtype.kind not in "iub":
+        raise ValueError(f"group payloads must be integers, got dtype {p.dtype}")
+    p = p.astype(np.int64)
+    if group.tag == "cantor" and np.any((p != 0) & (p != 1)):
+        raise ValueError("cantor payload bits must be 0 or 1")
+    return p
+
+
+def _check_vertices(verts: np.ndarray) -> None:
+    """Reject vertices the snap grid cannot key: one pass over the stack."""
+    if verts.size == 0:
+        return
+    top = float(np.max(np.abs(verts)))
+    if not top < SNAP_LIMIT:
+        if not np.all(np.isfinite(verts)):
+            raise ValueError("chain vertices must be finite")
+        raise ValueError(
+            f"vertex coordinate {top:.3g} is beyond the snap grid's range {SNAP_LIMIT:.3g}"
+        )
+
+
+def _gram_dets(verts: np.ndarray) -> np.ndarray:
+    """Gram determinants of the edge vectors of a (T, m+1, n) stack (1 for
+    m = 0); per term the same arithmetic as ``simplex_volume``."""
+    if verts.shape[1] == 1:
+        return np.ones(len(verts))
+    e = verts[:, 1:] - verts[:, :1]
+    return np.linalg.det(e @ e.transpose(0, 2, 1))
+
+
+def simplex_volumes(verts: np.ndarray) -> np.ndarray:
+    """Unsigned volumes of a (T, m+1, n) stack, as ``simplex_volume``
+    gives them one by one."""
+    return np.sqrt(np.maximum(_gram_dets(verts), 0.0)) / math.factorial(verts.shape[1] - 1)
+
+
+def _vertex_ids(verts: np.ndarray) -> np.ndarray:
+    """(T, k) ids of the snapped vertex rows, numbered in lexicographic
+    order of the rows, so comparing ids compares the snapped points."""
+    T, k, n = verts.shape
+    snapped = np.round(verts.reshape(-1, n) / SNAP).astype(np.int64)
     order = np.lexsort(snapped.T[::-1])
-    inversions = 0
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            if order[i] > order[j]:
-                inversions += 1
-    return snapped[order].tobytes(), (-1) ** inversions
+    rows = snapped[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids.reshape(T, k)
+
+
+def _canonical(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted vertex ids of each simplex (its key as a point set) and the
+    parity +-1 of the sorting permutation (ties keep their order)."""
+    k = ids.shape[1]
+    inversions = np.zeros(len(ids), dtype=np.int64)
+    for i in range(k):
+        for j in range(i + 1, k):
+            inversions += ids[:, i] > ids[:, j]
+    return np.sort(ids, axis=1), 1 - 2 * (inversions % 2)
+
+
+def _classes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal key rows: the class of each row, classes numbered by
+    first occurrence, and the row where each class first occurs."""
+    order = np.lexsort(keys.T[::-1])
+    rows = keys[order]
+    start = np.ones(len(rows), dtype=bool)
+    start[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    first = order[start]  # the sort is stable: the earliest row of each class
+    by_first = np.argsort(first)
+    relabel = np.empty_like(by_first)
+    relabel[by_first] = np.arange(len(by_first))
+    cls = np.empty(len(keys), dtype=np.int64)
+    cls[order] = relabel[np.cumsum(start) - 1]
+    return cls, first[by_first]
+
+
+def _accumulate(
+    group: GroupSpec, payload: np.ndarray, sign: np.ndarray, cls: np.ndarray, count: int
+) -> np.ndarray:
+    """Group sums of ``sign * payload`` per class: integer addition, or XOR
+    for the Cantor group, where every element is its own inverse."""
+    acc = np.zeros((count, payload.shape[1]), dtype=np.int64)
+    if group.tag == "cantor":
+        np.bitwise_xor.at(acc, cls, payload)
+    else:
+        np.add.at(acc, cls, sign[:, None] * payload)
+    return acc
+
+
+def _payload_norms(group: GroupSpec, payload: np.ndarray) -> np.ndarray:
+    """Float norms, equal to ``group_norm`` bit for bit."""
+    if group.tag == "integers":
+        return np.abs(payload[:, 0]).astype(float)
+    if group.tag == "unit":
+        return (payload[:, 0] != 0).astype(float)
+    d = payload.shape[1]
+    if d <= 33:
+        # numerator and 3^d are exact floats: the quotient is correctly
+        # rounded, as float(Fraction) is
+        return (payload @ 3 ** np.arange(d - 1, -1, -1, dtype=np.int64)) / float(3**d)
+    return np.array([int("".join(map(str, row)), 3) / 3**d for row in payload.tolist()])
+
+
+# -- chains --------------------------------------------------------------------
+
+
+class ChainTerms(Sequence):
+    """The terms of a chain as ``(Simplex, NormedCoefficient)`` pairs, built
+    on access from the chain's arrays."""
+
+    __slots__ = ("chain",)
+
+    def __init__(self, chain: "PolyChain"):
+        self.chain = chain
+
+    def __len__(self) -> int:
+        return len(self.chain.verts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        c = self.chain
+        i = range(len(self))[i]
+        return Simplex._view(c.verts[i], float(c.volumes()[i])), c.coefficient(i)
 
 
 class PolyChain:
     """Finite weighted sum of oriented m-simplices in R^n.
 
-    ``terms`` is a sequence of ``(Simplex, NormedCoefficient)`` pairs.
-    Construction drops zero coefficients and degenerate simplices, so the
-    canonical form invariant holds by construction.
+    Stored as ``verts`` (T, m+1, n) float64 and ``payload`` (T, width)
+    int64, one row per term (width is the depth for the Cantor group and 1
+    otherwise).  Build from ``terms``, a sequence of ``(Simplex,
+    NormedCoefficient)`` pairs, or from the arrays via the ``verts`` and
+    ``payload`` keywords.  Construction drops zero coefficients and
+    degenerate simplices, so the canonical form invariant holds by
+    construction; it rejects non-finite vertices, coordinates beyond
+    ``SNAP_LIMIT`` and non-integral payloads with ``ValueError``.
+    ``terms`` is a lazy view of the same data.
     """
 
-    __slots__ = ("n", "m", "group", "terms", "_cache")
+    __slots__ = ("n", "m", "group", "verts", "payload", "_cache")
 
     def __init__(
         self,
@@ -117,51 +263,66 @@ class PolyChain:
         m: int,
         group: GroupSpec,
         terms: Iterable[tuple[Simplex, NormedCoefficient]] = (),
+        *,
+        verts: np.ndarray | None = None,
+        payload: np.ndarray | None = None,
     ):
-        kept = []
-        for simplex, coeff in terms:
-            if coeff.spec != group:
-                raise ValueError("coefficient group mismatch")
-            if simplex.m != m or simplex.n != n:
-                raise ValueError("simplex dimension mismatch")
-            if coeff.is_zero or simplex.is_degenerate():
-                continue
-            kept.append((simplex, coeff))
+        if verts is None:
+            verts, payload = _term_arrays(n, m, group, terms)
+        verts = np.asarray(verts, dtype=float)
+        if verts.size == 0:
+            verts = verts.reshape(0, m + 1, n)
+        if verts.ndim != 3 or verts.shape[1:] != (m + 1, n):
+            raise ValueError("simplex dimension mismatch")
+        payload = _checked_payload(group, payload, len(verts))
+        _check_vertices(verts)
+        gram = _gram_dets(verts)
+        keep = (gram >= DEGENERATE_GRAM) & np.any(payload != 0, axis=1)
         self.n = n
         self.m = m
         self.group = group
-        self.terms = tuple(kept)
-        self._cache: dict = {}
+        self.verts = verts[keep]
+        self.payload = payload[keep]
+        self.verts.flags.writeable = False
+        self.payload.flags.writeable = False
+        self._cache: dict = {"gram": gram[keep]}
+
+    @property
+    def terms(self) -> ChainTerms:
+        return ChainTerms(self)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.verts)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return len(self.verts) == 0
+
+    def coefficient(self, i: int) -> NormedCoefficient:
+        row = self.payload[i]
+        if self.group.tag == "cantor":
+            return NormedCoefficient(self.group, tuple(row.tolist()))
+        return NormedCoefficient(self.group, int(row[0]))
 
     def vertex_array(self) -> np.ndarray:
         """Stacked vertices, shape (terms, m+1, n)."""
-        if "va" not in self._cache:
-            if self.terms:
-                self._cache["va"] = np.stack([s.vertices for s, _ in self.terms])
-            else:
-                self._cache["va"] = np.zeros((0, self.m + 1, self.n))
-        return self._cache["va"]
+        return self.verts
 
     def coeff_norms(self) -> np.ndarray:
         if "cn" not in self._cache:
-            self._cache["cn"] = np.array([group_norm(g) for _, g in self.terms])
+            self._cache["cn"] = _payload_norms(self.group, self.payload)
         return self._cache["cn"]
 
     def volumes(self) -> np.ndarray:
         if "vol" not in self._cache:
-            self._cache["vol"] = np.array([s.volume for s, _ in self.terms])
+            # the Gram determinants of the kept terms are at least
+            # DEGENERATE_GRAM > 0; as simplex_volume computes it
+            self._cache["vol"] = np.sqrt(self._cache["gram"]) / math.factorial(self.m)
         return self._cache["vol"]
 
     def diameters(self) -> np.ndarray:
         if "diam" not in self._cache:
-            va = self.vertex_array()
+            va = self.verts
             d = np.zeros(len(va))
             k = va.shape[1]
             for i in range(k):
@@ -173,26 +334,57 @@ class PolyChain:
     def near_ball(self, center: np.ndarray, radius: float) -> np.ndarray:
         """Indices of the terms whose simplex may meet ``B(center, radius)``:
         those with a vertex within ``radius`` plus the simplex diameter."""
-        va = self.vertex_array()
+        va = self.verts
         dist = np.min(np.linalg.norm(va - center, axis=2), axis=1)
         return np.nonzero(dist - self.diameters() <= radius)[0]
 
     def with_terms(self, terms) -> "PolyChain":
         return PolyChain(self.n, self.m, self.group, terms)
 
+    def with_arrays(self, verts: np.ndarray, payload: np.ndarray) -> "PolyChain":
+        """A chain of the same shape and group over new arrays."""
+        return PolyChain(self.n, self.m, self.group, verts=verts, payload=payload)
+
     def __add__(self, other: "PolyChain") -> "PolyChain":
         if (self.n, self.m, self.group) != (other.n, other.m, other.group):
             raise ValueError("chain shape mismatch")
-        return merge_terms(self.with_terms(list(self.terms) + list(other.terms)))
+        return merge_terms(
+            self.with_arrays(
+                np.concatenate([self.verts, other.verts]),
+                np.concatenate([self.payload, other.payload]),
+            )
+        )
 
     def __neg__(self) -> "PolyChain":
-        return self.with_terms([(s, group_neg(g)) for s, g in self.terms])
+        neg = self.payload if self.group.tag == "cantor" else -self.payload
+        return self.with_arrays(self.verts, neg)
 
     def __sub__(self, other: "PolyChain") -> "PolyChain":
         return self + (-other)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"PolyChain(n={self.n}, m={self.m}, terms={len(self.terms)})"
+        return f"PolyChain(n={self.n}, m={self.m}, terms={len(self)})"
+
+
+def _term_arrays(n: int, m: int, group: GroupSpec, terms) -> tuple[np.ndarray, np.ndarray]:
+    """The vertex stack and payload of a sequence of term pairs."""
+    if isinstance(terms, ChainTerms):
+        c = terms.chain
+        if c.group != group:
+            raise ValueError("coefficient group mismatch")
+        return c.verts, c.payload
+    pairs = list(terms)
+    if not pairs:
+        return np.zeros(0), np.zeros(0, dtype=np.int64)
+    simplices, coeffs = zip(*pairs)
+    if any(c.spec != group for c in coeffs):
+        raise ValueError("coefficient group mismatch")
+    shapes = {s.vertices.shape for s in simplices}
+    if shapes != {(m + 1, n)}:
+        raise ValueError("simplex dimension mismatch")
+    verts = np.stack([s.vertices for s in simplices])
+    payload = np.array([c.value for c in coeffs], dtype=np.int64).reshape(len(coeffs), -1)
+    return verts, payload
 
 
 @dataclass(frozen=True)
@@ -225,58 +417,38 @@ def merge_terms(chain: PolyChain) -> PolyChain:
     """Merge terms whose simplices coincide as (snapped) point sets.
 
     The first-seen simplex of each coincidence class keeps its orientation
-    and later coefficients are accumulated relative to it, so a chain of
-    positively-projecting simplices stays positively projecting.
+    and its place in the term order, and later coefficients are
+    accumulated relative to it, so a chain of positively-projecting
+    simplices stays positively projecting.
     """
-    buckets: dict[bytes, tuple[Simplex, int, NormedCoefficient]] = {}
-    for simplex, coeff in chain.terms:
-        key, parity = _sorted_key_and_parity(simplex.vertices)
-        if key in buckets:
-            ref, ref_parity, acc = buckets[key]
-            signed = coeff if parity == ref_parity else group_neg(coeff)
-            buckets[key] = (ref, ref_parity, group_add(acc, signed))
-        else:
-            buckets[key] = (simplex, parity, coeff)
-    return chain.with_terms([(s, g) for s, _p, g in buckets.values() if not g.is_zero])
-
-
-def _flip(simplex: Simplex) -> Simplex:
-    v = simplex.vertices.copy()
-    v[[0, 1]] = v[[1, 0]]
-    return Simplex(v)
+    keys, parity = _canonical(_vertex_ids(chain.verts))
+    cls, first = _classes(keys)
+    sign = parity * parity[first][cls]
+    acc = _accumulate(chain.group, chain.payload, sign, cls, len(first))
+    return chain.with_arrays(chain.verts[first], acc)
 
 
 def boundary(chain: PolyChain) -> PolyChain:
     """Alternating-sign face sum; coincident faces cancel by group addition.
 
+    Each face class keeps its first-seen face, in first-seen order,
+    reoriented (first two vertices swapped) to the sorted vertex order.
     Satisfies ``boundary(boundary(T))`` having zero mass.
     """
     if chain.m < 1:
         raise ValueError("boundary needs m >= 1")
-    buckets: dict[bytes, tuple[Simplex, NormedCoefficient]] = {}
-    for simplex, coeff in chain.terms:
-        v = simplex.vertices
-        for j in range(v.shape[0]):
-            face = np.delete(v, j, axis=0)
-            signed = coeff if j % 2 == 0 else group_neg(coeff)
-            key, parity = _sorted_key_and_parity(face)
-            if parity < 0:
-                signed = group_neg(signed)
-            if key in buckets:
-                ref, acc = buckets[key]
-                buckets[key] = (ref, group_add(acc, signed))
-            else:
-                canon = face if parity > 0 else _face_flipped(face)
-                buckets[key] = (Simplex(canon), signed)
-    terms = [(s, g) for s, g in buckets.values() if not g.is_zero]
-    return PolyChain(chain.n, chain.m - 1, chain.group, terms)
-
-
-def _face_flipped(face: np.ndarray) -> np.ndarray:
-    out = face.copy()
-    if out.shape[0] >= 2:
-        out[[0, 1]] = out[[1, 0]]
-    return out
+    T, k, n = chain.verts.shape
+    drop = np.array([[c for c in range(k) if c != j] for j in range(k)])  # (k, k-1)
+    faces = chain.verts[:, drop].reshape(T * k, k - 1, n)
+    keys, parity = _canonical(_vertex_ids(chain.verts)[:, drop].reshape(T * k, k - 1))
+    sign = np.tile(1 - 2 * (np.arange(k) % 2), T) * parity
+    cls, first = _classes(keys)
+    acc = _accumulate(chain.group, np.repeat(chain.payload, k, axis=0), sign, cls, len(first))
+    canon = faces[first]
+    if k - 1 >= 2:
+        flip = parity[first] < 0
+        canon[flip] = canon[flip][:, [1, 0] + list(range(2, k - 1))]
+    return PolyChain(n, chain.m - 1, chain.group, verts=canon, payload=acc)
 
 
 def mass(chain: PolyChain) -> float:
@@ -288,12 +460,8 @@ def mass(chain: PolyChain) -> float:
 
 def size(chain: PolyChain) -> float:
     """Hausdorff volume of the carrier: identical simplices counted once."""
-    merged = merge_terms(chain)
-    seen: dict[bytes, float] = {}
-    for simplex, _ in merged.terms:
-        key, _p = _sorted_key_and_parity(simplex.vertices)
-        seen[key] = simplex.volume
-    return float(sum(seen.values()))
+    # summed in term order, one term per coincidence class
+    return float(sum(merge_terms(chain).volumes().tolist()))
 
 
 def pushforward_linear(
@@ -307,14 +475,10 @@ def pushforward_linear(
     map such as an orthogonal projection the mass never increases.
     """
     matrix = np.asarray(matrix, dtype=float)
-    k = matrix.shape[0]
-    terms = []
-    for simplex, coeff in chain.terms:
-        v = simplex.vertices @ matrix.T
-        if shift is not None:
-            v = v + shift
-        terms.append((Simplex(v), coeff))
-    return PolyChain(k, chain.m, chain.group, terms)
+    v = chain.verts @ matrix.T
+    if shift is not None:
+        v = v + shift
+    return PolyChain(matrix.shape[0], chain.m, chain.group, verts=v, payload=chain.payload)
 
 
 def _clip_simplex_halfspace(
@@ -374,24 +538,31 @@ def restrict(
     """Restrict a chain to a region; see :class:`RestrictResult`."""
     if refine_h <= 0:
         raise ValueError("refine_h must be positive")
+    pieces: list[np.ndarray] = []
+    src: list[int] = []
+
+    def kept_chain() -> PolyChain:
+        verts = np.array(pieces).reshape(len(pieces), chain.m + 1, chain.n)
+        return chain.with_arrays(verts, chain.payload[np.array(src, dtype=np.int64)])
+
     if isinstance(region, HalfSpaceRegion):
-        terms = []
-        for simplex, coeff in chain.terms:
-            for piece in _clip_simplex_halfspace(simplex.vertices, region.normal, region.offset):
-                terms.append((Simplex(piece), coeff))
-        return RestrictResult(chain.with_terms(terms), 0.0)
+        for t, v in enumerate(chain.verts):
+            for piece in _clip_simplex_halfspace(v, region.normal, region.offset):
+                pieces.append(piece)
+                src.append(t)
+        return RestrictResult(kept_chain(), 0.0)
     if not isinstance(region, BallRegion):
         raise TypeError(f"unsupported region {type(region)!r}")
 
     center, radius = region.center, region.radius
-    kept: list[tuple[Simplex, NormedCoefficient]] = []
     error = 0.0
 
-    def visit(v: np.ndarray, coeff, norm_g: float):
+    def visit(v: np.ndarray, t: int, norm_g: float):
         nonlocal error
         dist = np.linalg.norm(v - center, axis=1)
         if np.all(dist <= radius + 1e-12):
-            kept.append((Simplex(v), coeff))
+            pieces.append(v)
+            src.append(t)
             return
         diam = max(
             float(np.linalg.norm(v[i] - v[j]))
@@ -404,7 +575,8 @@ def restrict(
             vol = simplex_volume(v)
             error += norm_g * vol
             if np.linalg.norm(v.mean(axis=0) - center) <= radius:
-                kept.append((Simplex(v), coeff))
+                pieces.append(v)
+                src.append(t)
             return
         # bisect the longest edge
         besti, bestj, bestlen = 0, 1, -1.0
@@ -418,12 +590,12 @@ def restrict(
         child_a[bestj] = mid
         child_b = v.copy()
         child_b[besti] = mid
-        visit(child_a, coeff, norm_g)
-        visit(child_b, coeff, norm_g)
+        visit(child_a, t, norm_g)
+        visit(child_b, t, norm_g)
 
-    for simplex, coeff in chain.terms:
-        visit(np.array(simplex.vertices), coeff, group_norm(coeff))
-    return RestrictResult(chain.with_terms(kept), error)
+    for t, (v, norm_g) in enumerate(zip(chain.verts, chain.coeff_norms())):
+        visit(np.array(v), t, float(norm_g))
+    return RestrictResult(kept_chain(), error)
 
 
 def ball_mass(chain: PolyChain, center: np.ndarray, radius: float) -> float:
@@ -442,11 +614,9 @@ def cone(vertex: np.ndarray, chain: PolyChain) -> PolyChain:
     hull contains the apex degenerate and are dropped.
     """
     vertex = np.asarray(vertex, dtype=float)
-    terms = []
-    for simplex, coeff in chain.terms:
-        v = np.vstack([vertex[None, :], simplex.vertices])
-        terms.append((Simplex(v), coeff))
-    return PolyChain(chain.n, chain.m + 1, chain.group, terms)
+    apex = np.broadcast_to(vertex, (len(chain), 1, chain.n))
+    v = np.concatenate([apex, chain.verts], axis=1)
+    return PolyChain(chain.n, chain.m + 1, chain.group, verts=v, payload=chain.payload)
 
 
 def cone_mass_formula(vertex: np.ndarray, chain: PolyChain) -> float:
@@ -458,8 +628,7 @@ def cone_mass_formula(vertex: np.ndarray, chain: PolyChain) -> float:
     vertex = np.asarray(vertex, dtype=float)
     m = chain.m + 1
     total = 0.0
-    for simplex, coeff in chain.terms:
-        v = simplex.vertices
+    for v, w, vol in zip(chain.verts, chain.coeff_norms(), chain.volumes()):
         rel = vertex - v[0]
         if chain.m == 0:
             dist = float(np.linalg.norm(rel))
@@ -467,7 +636,7 @@ def cone_mass_formula(vertex: np.ndarray, chain: PolyChain) -> float:
             edges = (v[1:] - v[0]).T  # (n, m-1)
             q, _ = np.linalg.qr(edges)
             dist = float(np.linalg.norm(rel - q @ (q.T @ rel)))
-        total += group_norm(coeff) * dist * simplex.volume / m
+        total += float(w) * dist * float(vol) / m
     return total
 
 
@@ -476,17 +645,12 @@ def homogeneous_extend(chain: PolyChain, scale: float) -> PolyChain:
 
     For an m-chain the mass scales exactly by ``scale**m``.
     """
-    return chain.with_terms(
-        [(Simplex(s.vertices * scale), g) for s, g in chain.terms]
-    )
+    return chain.with_arrays(chain.verts * scale, chain.payload)
 
 
 def is_cone(chain: PolyChain, tol: float = 1e-9) -> bool:
     """True if every simplex has a vertex within ``tol`` of the origin."""
-    for simplex, _ in chain.terms:
-        if float(np.min(np.linalg.norm(simplex.vertices, axis=1))) > tol:
-            return False
-    return True
+    return bool(np.all(np.min(np.linalg.norm(chain.verts, axis=2), axis=1) <= tol))
 
 
 def slice_mass_profile(
@@ -510,9 +674,9 @@ def slice_mass_profile(
     out = []
     for t in levels:
         total = 0.0
-        for simplex, coeff in chain.terms:
-            d = simplex.vertices @ a + b - t
-            scale = max(1.0, float(np.max(np.abs(simplex.vertices))))
+        for verts, w in zip(chain.verts, chain.coeff_norms()):
+            d = verts @ a + b - t
+            scale = max(1.0, float(np.max(np.abs(verts))))
             if np.all(np.abs(d) <= tol * scale):
                 raise ValueError("functional is constant on a simplex at a queried level")
             if np.all(d >= -tol) or np.all(d <= tol):
@@ -523,11 +687,11 @@ def slice_mass_profile(
                 for j in range(i + 1, k):
                     if (d[i] < -tol and d[j] > tol) or (d[j] < -tol and d[i] > tol):
                         s = d[i] / (d[i] - d[j])
-                        crossings.append(simplex.vertices[i] + s * (simplex.vertices[j] - simplex.vertices[i]))
+                        crossings.append(verts[i] + s * (verts[j] - verts[i]))
             for i in range(k):
                 if abs(d[i]) <= tol:
-                    crossings.append(np.array(simplex.vertices[i]))
-            w = group_norm(coeff)
+                    crossings.append(np.array(verts[i]))
+            w = float(w)
             if chain.m == 1:
                 total += w * (1.0 if crossings else 0.0)
             elif chain.m == 2:

@@ -36,7 +36,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import PolyChain, Simplex, boundary, is_cone, mass, merge_terms
+from .chains import (
+    PolyChain,
+    Simplex,
+    boundary,
+    coeff_payload,
+    is_cone,
+    mass,
+    merge_terms,
+    simplex_volumes,
+)
 from .groups import NormedCoefficient, group_norm
 from .layers import (
     ConstancyError,
@@ -45,14 +54,13 @@ from .layers import (
     _clip_halfplane,
     align_base_to_chain as _align_to_chain,
     cylindrical_excess,
-    cylindrical_excess_polygon,
     decompose_layers,
     height_sup,
 )
 from .mono import lambda_epi
 from .moments import quad_form, select_plane
 from .planes import OrientedPlane, align_in_plane_orientation, plane_distance
-from .quadrature import disk_polygon_areas, gauss_segment, simplex_volume
+from .quadrature import disk_polygon_areas, gauss_segment
 
 __all__ = [
     "EpiConfig",
@@ -565,25 +573,27 @@ class EpiReport:
     notes: list[str] = field(default_factory=list)
 
 
-def _oriented(tri: np.ndarray, base: OrientedPlane) -> np.ndarray:
-    dom = tri @ base.frame.T
-    det = float(np.linalg.det(np.column_stack([dom[1] - dom[0], dom[2] - dom[0]])))
-    if det * base.orientation < 0:
-        out = tri.copy()
-        out[[1, 2]] = out[[2, 1]]
-        return out
-    return tri
+def _oriented(tris: np.ndarray, base: OrientedPlane) -> np.ndarray:
+    """The triangles (T, 3, n), with the last two vertices swapped where a
+    triangle projects onto ``base`` against its orientation."""
+    dom = tris @ base.frame.T
+    edges = np.stack([dom[:, 1] - dom[:, 0], dom[:, 2] - dom[:, 0]], axis=2)
+    flip = np.linalg.det(edges) * base.orientation < 0
+    out = tris.copy()
+    out[flip] = out[flip][:, [0, 2, 1]]
+    return out
 
 
-def _strip(inner: np.ndarray, outer: np.ndarray, base: OrientedPlane) -> list[np.ndarray]:
-    """Triangulated strip between two closed polylines with equal counts."""
-    N = len(inner)
-    tris = []
-    for j in range(N):
-        j1 = (j + 1) % N
-        tris.append(_oriented(np.array([inner[j], outer[j], outer[j1]]), base))
-        tris.append(_oriented(np.array([inner[j], outer[j1], inner[j1]]), base))
-    return tris
+def _strip(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """Triangulated strip between two closed polylines with equal counts,
+    shape (2N, 3, n): two triangles per step, unoriented."""
+    inner1 = np.roll(inner, -1, axis=0)
+    outer1 = np.roll(outer, -1, axis=0)
+    pairs = np.stack(
+        [np.stack([inner, outer, outer1], axis=1), np.stack([inner, outer1, inner1], axis=1)],
+        axis=1,
+    )
+    return pairs.reshape(-1, 3, inner.shape[1])
 
 
 def _clip_to_wedge_annulus(
@@ -597,8 +607,9 @@ def _clip_to_wedge_annulus(
     r_in: float,
     r_out: float,
     divisions: int,
-) -> list[np.ndarray]:
-    """Blend triangles of one cone layer over its wedge, radii [r_in, r_out]."""
+) -> np.ndarray:
+    """Blend triangles of one cone layer over its wedge, radii [r_in, r_out],
+    shape (2 divisions, 3, n), unoriented."""
     radii = np.linspace(r_in, r_out, divisions + 1)
     rows = []
     for r in radii:
@@ -613,13 +624,10 @@ def _clip_to_wedge_annulus(
             z = wy * y + wv * vv
             row.append(base.embed(x) + perp_embed(z))
         rows.append(row)
-    tris = []
-    for q in range(divisions):
-        a0, a1 = rows[q]
-        b0, b1 = rows[q + 1]
-        tris.append(_oriented(np.array([a0, b0, b1]), base))
-        tris.append(_oriented(np.array([a0, b1, a1]), base))
-    return tris
+    rows = np.array(rows)  # (divisions + 1, 2, n)
+    a0, a1, b0, b1 = rows[:-1, 0], rows[:-1, 1], rows[1:, 0], rows[1:, 1]
+    pairs = np.stack([np.stack([a0, b0, b1], axis=1), np.stack([a0, b1, a1], axis=1)], axis=1)
+    return pairs.reshape(-1, 3, rows.shape[2])
 
 
 @dataclass
@@ -635,7 +643,8 @@ class AnnulusBlend:
 
     decomp: LayerDecomposition
     v: MollifiedGraph
-    terms: list
+    verts: np.ndarray  # (T, 3, n) oriented triangles
+    payload: np.ndarray  # (T, width) coefficient payloads
     mass_blend: float
     mass_original: float
 
@@ -647,7 +656,7 @@ class AnnulusBlend:
         ) * self.v.eval(x)
 
     def chain(self, n: int, group) -> PolyChain:
-        return PolyChain(n, 2, group, [(Simplex(t), c) for t, c in self.terms])
+        return PolyChain(n, 2, group, verts=self.verts, payload=self.payload)
 
 
 def annulus_interpolate(
@@ -661,8 +670,9 @@ def annulus_interpolate(
     base = decomp.base
     perp = decomp.perp
     perp_embed = lambda y: y @ perp  # noqa: E731
-    terms = []
-    mass_blend = 0.0
+    tris = []
+    rows = []
+    weights = []
     mass_orig = 0.0
     for ly in decomp.layers:
         d = ly.domain
@@ -672,15 +682,19 @@ def annulus_interpolate(
         a1 = math.atan2(d[others[1], 1], d[others[1], 0])
         u0 = np.array([math.cos(a0), math.sin(a0)])
         u1 = np.array([math.cos(a1), math.sin(a1)])
-        tris = _clip_to_wedge_annulus(ly.A, ly.b, u0, u1, v, base, perp_embed, r_in, r_out, divisions)
+        tris.append(_clip_to_wedge_annulus(ly.A, ly.b, u0, u1, v, base, perp_embed, r_in, r_out, divisions))
+        rows.append(coeff_payload(ly.coeff))
         w = group_norm(ly.coeff)
-        for t in tris:
-            terms.append((t, ly.coeff))
-            mass_blend += w * simplex_volume(t)
+        weights.append(w)
         span = abs((a1 - a0 + math.pi) % (2 * math.pi) - math.pi)
         wedge = 0.5 * (r_out**2 - r_in**2) * math.sin(span)
         mass_orig += w * math.sqrt(1.0 + ly.jacobian_sq()) * wedge
-    return AnnulusBlend(decomp, v, terms, mass_blend, mass_orig)
+    per_layer = 2 * divisions
+    verts = _oriented(np.concatenate(tris), base)
+    payload = np.repeat(np.array(rows), per_layer, axis=0)
+    # summed term by term, in order
+    mass_blend = sum((np.repeat(weights, per_layer) * simplex_volumes(verts)).tolist())
+    return AnnulusBlend(decomp, v, verts, payload, mass_blend, mass_orig)
 
 
 def build_comparison(P: PolyChain, cfg: EpiConfig | None = None, base: OrientedPlane | None = None):
@@ -849,19 +863,18 @@ def _unit_curve(decomp: LayerDecomposition, v: MollifiedGraph) -> np.ndarray:
 
 def _cone_chain(curve: np.ndarray, g0: NormedCoefficient, n: int, span: float) -> PolyChain:
     N = len(curve)
-    terms = []
-    for j in range(N):
-        vtx = np.zeros((3, n))
-        vtx[1] = span * curve[j]
-        vtx[2] = span * curve[(j + 1) % N]
-        terms.append((Simplex(vtx), g0))
-    return PolyChain(n, 2, g0.spec, terms)
+    vtx = np.zeros((N, 3, n))
+    vtx[:, 1] = span * curve
+    vtx[:, 2] = span * np.roll(curve, -1, axis=0)
+    return PolyChain(n, 2, g0.spec, verts=vtx, payload=np.tile(coeff_payload(g0), (N, 1)))
 
 
 def _split_by_polygon_cylinder(
     chain: PolyChain, base: OrientedPlane, poly: np.ndarray
-) -> tuple[list, list]:
-    """Split terms into (inside, outside) of the polygon cylinder; exact."""
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Split terms into (inside, outside) pieces of the polygon cylinder;
+    exact.  Each side is ``(verts (K, m+1, n), src (K,))``: the pieces and
+    the index of the term each comes from."""
     from .chains import _clip_simplex_halfspace  # internal, orientation-safe
 
     k = len(poly)
@@ -879,21 +892,25 @@ def _split_by_polygon_cylinder(
         offsets.append(float(nrm2 @ p))
     poly_ang, arcs = _polygon_arcs(poly)
     lo, hi = _angular_windows(chain.vertex_array() @ base.frame.T)
-    inside = []
-    outside = []
-    for j, (s_, c) in enumerate(chain.terms):
-        stack = [s_.vertices]
+    inside, in_src = [], []
+    outside, out_src = [], []
+    for j, tri in enumerate(chain.verts):
+        stack = [tri]
         for e in _edges_in_window(poly_ang, arcs, lo[j], hi[j]):
             nxt = []
             for verts in stack:
-                for piece in _clip_simplex_halfspace(verts, normals[e], offsets[e]):
-                    nxt.append(piece)
-                for piece in _clip_simplex_halfspace(verts, -normals[e], -offsets[e]):
-                    outside.append((piece, c))
+                nxt.extend(_clip_simplex_halfspace(verts, normals[e], offsets[e]))
+                pieces = _clip_simplex_halfspace(verts, -normals[e], -offsets[e])
+                outside.extend(pieces)
+                out_src.extend([j] * len(pieces))
             stack = nxt
-        for verts in stack:
-            inside.append((verts, c))
-    return inside, outside
+        inside.extend(stack)
+        in_src.extend([j] * len(stack))
+    shape = (-1,) + chain.verts.shape[1:]
+    return (
+        (np.array(inside).reshape(shape), np.array(in_src, dtype=np.int64)),
+        (np.array(outside).reshape(shape), np.array(out_src, dtype=np.int64)),
+    )
 
 
 def _assemble(
@@ -906,9 +923,7 @@ def _assemble(
     """Assemble the comparison surface and the matching inner part of P."""
     base = decomp.base
     perp = decomp.perp
-    n = P.n
     W = trace.plane
-    perp_embed = lambda y: y @ perp  # noqa: E731
 
     # inner interface: quarter-scaled traced points (exactly on the cone of v)
     Wperp = trace.perp
@@ -921,10 +936,8 @@ def _assemble(
 
     # (a) degree-2 graph over the quarter polygon of W
     Q = cfg.radial_divisions
-    N = len(trace.angles)
-    h_tris = []
     rings = []
-    for q in range(1, Q + 1):
+    for q in range(1, Q):
         t = 0.25 * q / Q
         ring = []
         for l, a in enumerate(trace.angles):
@@ -933,29 +946,14 @@ def _assemble(
             hval = trace.w0 / 4.0 + 4.0 * t * t * (trace.samples[l] - trace.w0)
             ring.append(W.embed(x2) + hval @ Wperp)
         rings.append(np.array(ring))
+    # the outermost ring is the quarter-trace interface itself (h4 = w/4 at
+    # t = 1/4), so the interface faces cancel bit for bit
+    rings.append(inner_poly)
     center = W.embed(np.zeros(2)) + (trace.w0 / 4.0) @ Wperp
     first = rings[0]
-    for l in range(N):
-        h_tris.append(_oriented(np.array([center, first[l], first[(l + 1) % N]]), base))
-    for q in range(len(rings) - 1):
-        h_tris.extend(_strip(rings[q], rings[q + 1], base))
-    # snap the outermost ring to the exact quarter-trace interface
-    h_tris_final = []
-    outer_ring = rings[-1]
-    for tri in h_tris:
-        h_tris_final.append(tri)
-    # replace outer ring points by inner_poly (they agree mathematically)
-    # guaranteed by h4 = w/4 at t = 1/4; enforce bitwise equality:
-    swap = {tuple(np.round(p, 12)): inner_poly[l] for l, p in enumerate(outer_ring)}
-    fixed = []
-    for tri in h_tris_final:
-        t2 = tri.copy()
-        for r in range(3):
-            key = tuple(np.round(tri[r], 12))
-            if key in swap:
-                t2[r] = swap[key]
-        fixed.append(t2)
-    h_tris = fixed
+    fan = np.stack([np.broadcast_to(center, first.shape), first, np.roll(first, -1, axis=0)], axis=1)
+    strips = [_strip(rings[q], rings[q + 1]) for q in range(Q - 1)]
+    h_tris = _oriented(np.concatenate([fan] + strips), base)
 
     # (b) ring between the quarter interface and the half circle of the blend;
     # pair the polylines by their angles in the common base frame, otherwise
@@ -971,27 +969,20 @@ def _assemble(
     ring_tris = _zip_strip(inner_poly, inner_angles, half_nodes, ray_angles, base)
 
     # (c) blended annulus per layer over its own wedge
-    z_tris = annulus_interpolate(decomp, v, divisions=cfg.blend_divisions).terms
+    blend = annulus_interpolate(decomp, v, divisions=cfg.blend_divisions)
 
     # (d) P outside the 3/4 polygon cylinder
     poly34 = 0.75 * np.stack([np.cos(ray_angles), np.sin(ray_angles)], axis=1)
-    inside_terms, outside_terms = _split_by_polygon_cylinder(P, base, poly34)
+    (in_verts, in_src), (out_verts, out_src) = _split_by_polygon_cylinder(P, base, poly34)
 
-    g0 = decomp.g0
-    terms = [(Simplex(t), g0) for t in h_tris]
-    terms += [(Simplex(t), g0) for t in ring_tris]
-    terms += [(Simplex(t), c) for t, c in z_tris]
-    terms += [(Simplex(t), c) for t, c in outside_terms]
-    S_chain = PolyChain(n, 2, P.group, terms)
-    P_inside = PolyChain(n, 2, P.group, [(Simplex(t), c) for t, c in inside_terms])
-    s_parts = PolyChain(
-        n,
-        2,
-        P.group,
-        [(Simplex(t), g0) for t in h_tris]
-        + [(Simplex(t), g0) for t in ring_tris]
-        + [(Simplex(t), c) for t, c in z_tris],
+    g0_rows = np.tile(coeff_payload(decomp.g0), (len(h_tris) + len(ring_tris), 1))
+    parts_verts = np.concatenate([h_tris, ring_tris, blend.verts])
+    parts_payload = np.concatenate([g0_rows, blend.payload])
+    S_chain = P.with_arrays(
+        np.concatenate([parts_verts, out_verts]), np.concatenate([parts_payload, P.payload[out_src]])
     )
+    P_inside = P.with_arrays(in_verts, P.payload[in_src])
+    s_parts = P.with_arrays(parts_verts, parts_payload)
     return S_chain, P_inside, s_parts
 
 
@@ -1001,7 +992,7 @@ def _zip_strip(
     outer: np.ndarray,
     outer_angles: np.ndarray,
     base: OrientedPlane,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Strip triangulation between two closed polylines, advancing by angle."""
     ia = np.mod(np.asarray(inner_angles, dtype=float), 2 * math.pi)
     oa = np.mod(np.asarray(outer_angles, dtype=float), 2 * math.pi)
@@ -1012,27 +1003,25 @@ def _zip_strip(
     Ia = np.concatenate([ia[io], [ia[io][0] + 2 * math.pi]])
     Oa = np.concatenate([oa[oo], [oa[oo][0] + 2 * math.pi]])
     Ni, No = len(inner), len(outer)
-    tris = []
+    pts = np.concatenate([inner, outer])
+    idx = []
     i = o = 0
     while i < Ni or o < No:
         if i < Ni and (o >= No or Ia[i + 1] <= Oa[o + 1]):
-            tris.append(
-                _oriented(np.array([inner[i % Ni], outer[o % No], inner[(i + 1) % Ni]]), base)
-            )
+            idx.append((i % Ni, Ni + o % No, (i + 1) % Ni))
             i += 1
         else:
-            tris.append(
-                _oriented(np.array([inner[i % Ni], outer[o % No], outer[(o + 1) % No]]), base)
-            )
+            idx.append((i % Ni, Ni + o % No, Ni + (o + 1) % No))
             o += 1
-    return tris
+    return _oriented(pts[np.array(idx)], base)
 
 
 def _graph_stats(chain: PolyChain, base: OrientedPlane):
-    """Vectorized projected domains and Jacobians of a codim-1 graph chain.
+    """Projected domains and Jacobians of a graph chain over ``base``.
 
-    Returns (domains (T,3,2), jac_factor (T,) = sqrt(1+|grad|^2), weights).
-    Falls back to the generic layer decomposition for codimension >= 2.
+    Returns (domains (T,3,2), jac_factor (T,) = sqrt(1+|grad|^2), weights),
+    vectorized in codimension one and read off the generic layer
+    decomposition in codimension >= 2.
     """
     tris = chain.vertex_array()  # (T, 3, n)
     dom = tris @ base.frame.T  # (T, 3, 2)
@@ -1043,7 +1032,9 @@ def _graph_stats(chain: PolyChain, base: OrientedPlane):
         raise GeneralPositionError("a simplex projects degenerately or reversed")
     perp = base.perp_frame()
     if perp.shape[0] != 1:
-        raise GeneralPositionError("fast path needs codimension one")
+        layers = decompose_layers(chain, base, check_constancy=False).layers
+        jac = np.sqrt(1.0 + np.array([ly.jacobian_sq() for ly in layers]))
+        return dom, jac, chain.coeff_norms()
     h = tris @ perp[0]  # (T, 3)
     h1 = h[:, 1] - h[:, 0]
     h2 = h[:, 2] - h[:, 0]
@@ -1056,13 +1047,7 @@ def _graph_stats(chain: PolyChain, base: OrientedPlane):
 
 def _excess_over(chain: PolyChain, base: OrientedPlane, g0, radius: float) -> float:
     base = _align_to_chain(base, chain)
-    try:
-        dom, jac, w = _graph_stats(chain, base)
-    except GeneralPositionError:
-        d = decompose_layers(chain, base, radius=radius, check_constancy=False)
-        d.g0 = g0
-        d.g0_norm = group_norm(g0)
-        return cylindrical_excess(d, radius=radius)
+    dom, jac, w = _graph_stats(chain, base)
     rmin = np.min(np.linalg.norm(dom, axis=2), axis=1)
     rmax = np.max(np.linalg.norm(dom, axis=2), axis=1)
     areas = 0.5 * np.abs(
@@ -1084,13 +1069,7 @@ def _excess_over_polygon(chain: PolyChain, base: OrientedPlane, g0, poly: np.nda
     meet its angular window (see :func:`_edges_in_window`).
     """
     base = _align_to_chain(base, chain)
-    try:
-        dom, jac, w = _graph_stats(chain, base)
-    except GeneralPositionError:
-        d = decompose_layers(chain, base, check_constancy=False)
-        d.g0 = g0
-        d.g0_norm = group_norm(g0)
-        return cylindrical_excess_polygon(d, poly)
+    dom, jac, w = _graph_stats(chain, base)
     k = len(poly)
     poly_ang, arcs = _polygon_arcs(poly)
     # inward edge normals, oriented towards the origin
@@ -1282,8 +1261,8 @@ def _interval_excess(chain: PolyChain, base: OrientedPlane, g0, half_width: floa
     base = _align_to_chain_m1(base, chain)
     total = 0.0
     perp = base.perp_frame()
-    for simplex, coeff in chain.terms:
-        dom = (simplex.vertices @ base.frame.T)[:, 0]
+    for verts, w in zip(chain.verts, chain.coeff_norms()):
+        dom = (verts @ base.frame.T)[:, 0]
         lo, hi = min(dom), max(dom)
         overlap = max(0.0, min(hi, half_width) - max(lo, -half_width))
         if overlap <= 0.0:
@@ -1291,15 +1270,15 @@ def _interval_excess(chain: PolyChain, base: OrientedPlane, g0, half_width: floa
         span = hi - lo
         if span < 1e-30:
             raise GeneralPositionError("a segment projects degenerately")
-        heights = simplex.vertices @ perp.T
+        heights = verts @ perp.T
         slope = np.linalg.norm(heights[1] - heights[0]) / span
-        total += group_norm(coeff) * math.sqrt(1.0 + slope * slope) * overlap
+        total += float(w) * math.sqrt(1.0 + slope * slope) * overlap
     return total - group_norm(g0) * 2.0 * half_width
 
 
 def _align_to_chain_m1(base: OrientedPlane, chain: PolyChain) -> OrientedPlane:
-    for simplex, _ in chain.terms:
-        dom = (simplex.vertices @ base.frame.T)[:, 0]
+    for verts in chain.verts:
+        dom = (verts @ base.frame.T)[:, 0]
         det = dom[1] - dom[0]
         if abs(det) < 1e-14:
             continue

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chains import PolyChain, Simplex
+from .chains import PolyChain
 from .groups import NormedCoefficient, cantor, group_norm, integers
 
 __all__ = [
@@ -82,16 +82,11 @@ def flat_disk(N: int = 64, n: int = 3, coeff: int = 1) -> tuple[PolyChain, dict]
     """Fan triangulation of the inscribed N-gon in the e1e2-plane."""
     if N < 3:
         raise ValueError("need N >= 3")
-    G = integers()
-    g = NormedCoefficient(G, coeff)
     pts = _mirrored_circle(N)
-    terms = []
-    for i in range(N):
-        v = np.zeros((3, n))
-        v[1, :2] = pts[i]
-        v[2, :2] = pts[i + 1]
-        terms.append((Simplex(v), g))
-    chain = PolyChain(n, 2, G, terms)
+    v = np.zeros((N, 3, n))
+    v[:, 1, :2] = pts[:-1]
+    v[:, 2, :2] = pts[1:]
+    chain = PolyChain(n, 2, integers(), verts=v, payload=np.full(N, coeff))
     area = (N / 2.0) * math.sin(2 * math.pi / N)
     meta = {
         "area": area,
@@ -107,21 +102,16 @@ def _cone_over_heights(
 ) -> PolyChain:
     """Polyhedral cone with apex 0 over the closed curve
     ``theta_j -> (cos, sin, h_j)`` scaled out to projected radius span."""
-    G = integers()
-    one = NormedCoefficient(G, 1)
     ang = 2 * math.pi * np.arange(N) / N
     pts = np.zeros((N, n))
     pts[:, 0] = np.cos(ang)
     pts[:, 1] = np.sin(ang)
     pts[:, 2] = heights
     pts *= span
-    terms = []
-    for i in range(N):
-        v = np.zeros((3, n))
-        v[1] = pts[i]
-        v[2] = pts[(i + 1) % N]
-        terms.append((Simplex(v), one))
-    return PolyChain(n, 2, G, terms)
+    v = np.zeros((N, 3, n))
+    v[:, 1] = pts
+    v[:, 2] = np.roll(pts, -1, axis=0)
+    return PolyChain(n, 2, integers(), verts=v, payload=np.ones(N, dtype=np.int64))
 
 
 def tilted_cone(
@@ -254,15 +244,15 @@ def cantor_graph(
     f = cantor_bump_profile(meta)
     nodes = _cantor_sheet_nodes(gaps, samples_per_gap)
     vals = f(nodes)
-    G = integers()
-    one = NormedCoefficient(G, 1)
-    terms = []
-    for i in range(len(nodes) - 1):
-        v = np.zeros((2, n))
-        v[0, 0], v[0, 1] = nodes[i], vals[i]
-        v[1, 0], v[1, 1] = nodes[i + 1], vals[i + 1]
-        terms.append((Simplex(v), one))
-    return PolyChain(n, 1, G, terms), meta
+    return _segments(np.stack([nodes, vals], axis=1), n), meta
+
+
+def _segments(points: np.ndarray, n: int) -> PolyChain:
+    """The polyline through planar ``points`` in R^n, coefficient 1."""
+    v = np.zeros((len(points) - 1, 2, n))
+    v[:, 0, :2] = points[:-1]
+    v[:, 1, :2] = points[1:]
+    return PolyChain(n, 1, integers(), verts=v, payload=np.ones(len(v), dtype=np.int64))
 
 
 def two_sheet_cantor(
@@ -279,18 +269,14 @@ def two_sheet_cantor(
     """
     upper, meta = cantor_graph(levels, samples_per_gap, amplitude, n)
     nodes = _cantor_sheet_nodes(meta["gaps"], samples_per_gap)
-    G = integers()
-    one = NormedCoefficient(G, 1)
-    terms = list(upper.terms)
-    for i in range(len(nodes) - 1):
-        v = np.zeros((2, n))
-        v[0, 0] = nodes[i]
-        v[1, 0] = nodes[i + 1]
-        terms.append((Simplex(v), one))
+    lower = _segments(np.stack([nodes, np.zeros(len(nodes))], axis=1), n)
     meta = dict(meta)
     meta["branch_length"] = (2.0 / 3.0) ** levels
     meta["sheets"] = 2
-    return PolyChain(n, 1, G, terms), meta
+    chain = upper.with_arrays(
+        np.concatenate([upper.verts, lower.verts]), np.concatenate([upper.payload, lower.payload])
+    )
+    return chain, meta
 
 
 def cantor_group_chain(depth: int = 3) -> tuple[PolyChain, dict]:
@@ -302,23 +288,22 @@ def cantor_group_chain(depth: int = 3) -> tuple[PolyChain, dict]:
     at an interior point of that segment is exactly ``||g||``.
     """
     spec = cantor(depth)
-    G_int = spec
-    terms = []
     segs = []
     for code in range(1, 2**depth):
         bits = tuple((code >> i) & 1 for i in range(depth))
         height = sum(2.0 / 3.0 ** (i + 1) for i in range(depth) if bits[i])
-        g = NormedCoefficient(spec, bits)
-        v = np.array([[0.0, height], [1.0, height]])
-        terms.append((Simplex(v), g))
         segs.append(
             {
                 "height": height,
                 "bits": list(bits),
-                "weight_sum": group_norm(g),
+                "weight_sum": group_norm(NormedCoefficient(spec, bits)),
             }
         )
-    chain = PolyChain(2, 1, spec, terms)
+    heights = np.array([sg["height"] for sg in segs])
+    v = np.zeros((len(segs), 2, 2))
+    v[:, 1, 0] = 1.0
+    v[:, :, 1] = heights[:, None]
+    chain = PolyChain(2, 1, spec, verts=v, payload=np.array([sg["bits"] for sg in segs]))
     meta = {
         "depth": depth,
         "segments": segs,
@@ -338,20 +323,14 @@ def stacked_disks(
     """Parallel flat disks over the e1e2-plane with integer coefficients."""
     if len(heights) != len(coeffs):
         raise ValueError("heights and coeffs must pair up")
-    G = integers()
     pts = _mirrored_circle(N)
-    terms = []
-    for h, c in zip(heights, coeffs):
-        g = NormedCoefficient(G, c)
-        for i in range(N):
-            v = np.zeros((3, n))
-            v[0, 2] = h
-            v[1, :2] = pts[i]
-            v[1, 2] = h
-            v[2, :2] = pts[i + 1]
-            v[2, 2] = h
-            terms.append((Simplex(v), g))
-    chain = PolyChain(n, 2, G, terms)
+    L = len(heights)
+    v = np.zeros((L, N, 3, n))
+    v[:, :, 1, :2] = pts[:-1]
+    v[:, :, 2, :2] = pts[1:]
+    v[..., 2] = np.asarray(heights, dtype=float)[:, None, None]
+    payload = np.repeat(np.asarray(coeffs), N)
+    chain = PolyChain(n, 2, integers(), verts=v.reshape(L * N, 3, n), payload=payload)
     area = (N / 2.0) * math.sin(2 * math.pi / N)
     meta = {
         "heights": list(heights),

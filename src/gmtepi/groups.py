@@ -18,6 +18,7 @@ rationals and only converted to float at the API boundary.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,6 +74,7 @@ class NormedCoefficient:
 
     ``value`` is an ``int`` for the integer-based groups and a tuple of
     bits (0/1) of length ``spec.depth`` for the truncated Cantor group.
+    A non-integral value or a bit outside {0, 1} raises ``ValueError``.
     Instances are immutable and hashable.
     """
 
@@ -81,12 +83,14 @@ class NormedCoefficient:
 
     def __post_init__(self) -> None:
         if self.spec.tag == "cantor":
-            bits = tuple(int(b) % 2 for b in self.value)  # type: ignore[arg-type]
+            bits = tuple(_integral(b) for b in self.value)  # type: ignore[union-attr]
             if len(bits) != self.spec.depth:
                 raise ValueError("cantor payload length must equal depth")
+            if any(b not in (0, 1) for b in bits):
+                raise ValueError(f"cantor payload bits must be 0 or 1, got {bits}")
             object.__setattr__(self, "value", bits)
         else:
-            object.__setattr__(self, "value", int(self.value))  # type: ignore[arg-type]
+            object.__setattr__(self, "value", _integral(self.value))
 
     @property
     def is_zero(self) -> bool:
@@ -102,6 +106,19 @@ class NormedCoefficient:
 
     def norm(self) -> float:
         return group_norm(self)
+
+
+def _integral(x) -> int:
+    """``x`` as an ``int``; a value with a fractional part is rejected
+    rather than truncated."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        pass
+    f = float(x)
+    if not f.is_integer():
+        raise ValueError(f"group payload {x!r} is not an integer")
+    return int(f)
 
 
 def zero(spec: GroupSpec) -> NormedCoefficient:

@@ -53,8 +53,8 @@ def align_base_to_chain(base: OrientedPlane, chain: PolyChain) -> OrientedPlane:
 
     Plane selection from a quadratic form fixes no in-plane handedness, so
     graph decompositions align the base to the chain first."""
-    for simplex, _ in chain.terms:
-        dom = simplex.vertices @ base.frame.T
+    for verts in chain.verts:
+        dom = verts @ base.frame.T
         if dom.shape[1] != 2:
             return base
         det = float(
@@ -239,22 +239,22 @@ def decompose_layers(
     m = chain.m
     perp = base.perp_frame()
     layers = []
-    for simplex, coeff in chain.terms:
-        dom = base.project_coords(simplex.vertices)
+    for t, (verts, volume) in enumerate(zip(chain.verts, chain.volumes())):
+        dom = base.project_coords(verts)
         edges = (dom[1:] - dom[0]).T  # (m, m)
         det = float(np.linalg.det(edges))
         vol_dom = abs(det) / math.factorial(m)
-        if vol_dom < 1e-14 * max(simplex.volume, 1e-30):
+        if vol_dom < 1e-14 * max(float(volume), 1e-30):
             raise GeneralPositionError("projected simplex is degenerate")
         if det * base.orientation <= 0:
             raise GeneralPositionError("projection is orientation reversing")
-        heights = simplex.vertices @ perp.T  # (m+1, n-m)
+        heights = verts @ perp.T  # (m+1, n-m)
         # affine solve from the m+1 vertex correspondences
         X = np.column_stack([dom, np.ones(m + 1)])
         sol = np.linalg.solve(X, heights)  # (m+1, n-m)
         A = sol[:m].T
         b = sol[m]
-        layers.append(Layer(dom, A, b, coeff))
+        layers.append(Layer(dom, A, b, chain.coefficient(t)))
 
     g0 = zero(chain.group)
     if check_constancy and layers:
@@ -528,8 +528,7 @@ def height_sup(
 def _cone_height_sup(chain: PolyChain, base: OrientedPlane, radius: float) -> float:
     perp = base.perp_frame()[0]
     best = 0.0
-    for simplex, _ in chain.terms:
-        v = simplex.vertices
+    for v in chain.verts:
         order = np.argsort(np.linalg.norm(v, axis=1))
         A, B = v[order[1]], v[order[2]]
         pA = base.project_coords(A)

@@ -118,13 +118,14 @@ def _segment_window(v: np.ndarray, x: np.ndarray, r: float) -> tuple[float, floa
 
 
 def _support_points_on_fiber(
-    terms, x: np.ndarray, direction: np.ndarray, constraints: np.ndarray, s: float
+    simplices: np.ndarray, x: np.ndarray, direction: np.ndarray, constraints: np.ndarray, s: float
 ) -> list[np.ndarray]:
     """Support points ``p`` with ``|p - x| = s``, the in-plane projection
-    along ``direction`` positive, and zero components along ``constraints``."""
+    along ``direction`` positive, and zero components along ``constraints``;
+    ``simplices`` is a (T, m+1, n) vertex stack."""
     out = []
-    for simplex, _ in terms:
-        v = simplex.vertices - x
+    for verts in simplices:
+        v = verts - x
         pieces = [v]
         for c in constraints:
             nxt = []
@@ -196,7 +197,7 @@ def find_frame(
     rho_p = m**0.25 * math.sqrt(rho)
     if not 2 * rho_p * scale < s <= scale:
         raise ValueError(f"need s in (2 rho' scale, scale] = ({2 * rho_p * scale:.3g}, {scale:.3g}]")
-    terms = [chain.terms[i] for i in chain.near_ball(x, scale)]
+    near = chain.verts[chain.near_ball(x, scale)]
     if beta_inf is None:
         sup = support_sample(chain, x, scale, spacing=scale / 64)
         beta_inf = float(np.max(plane.perp_norms(sup - x))) / scale if len(sup) else 0.0
@@ -207,7 +208,7 @@ def find_frame(
     for k in range(m):
         w_dir = basis[0]
         constraints = np.array(basis[1:] + found) if (len(basis) > 1 or found) else np.zeros((0, chain.n))
-        cands = _support_points_on_fiber(terms, x, w_dir, constraints, s)
+        cands = _support_points_on_fiber(near, x, w_dir, constraints, s)
         if not cands:
             raise ValueError("no support point on the fiber; projection not surjective")
         rels = [(p - x) / s for p in cands]
@@ -240,11 +241,11 @@ def support_sample(chain: PolyChain, x, r: float, spacing: float) -> np.ndarray:
     if chain.is_zero:
         return np.zeros((0, chain.n))
     diams = chain.diameters()
+    volumes = chain.volumes()
     for idx in chain.near_ball(x, r):
-        simplex = chain.terms[idx][0]
-        v = simplex.vertices
+        v = chain.verts[idx]
         diam = diams[idx]
-        if simplex.m == 1:
+        if chain.m == 1:
             lo, hi = _segment_window(v, x, r + spacing)
             if hi <= lo:
                 continue
@@ -256,7 +257,7 @@ def support_sample(chain: PolyChain, x, r: float, spacing: float) -> np.ndarray:
             # (half-widths from the triangle altitudes), else big triangles
             # explode the node count
             e1, e2 = v[1] - v[0], v[2] - v[0]
-            area2 = max(2.0 * simplex.volume, 1e-30)
+            area2 = max(2.0 * float(volumes[idx]), 1e-30)
             try:
                 lam = np.linalg.lstsq(np.stack([e1, e2], axis=1), x - v[0], rcond=None)[0]
             except np.linalg.LinAlgError:

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import PolyChain, Simplex, cone, cone_mass_formula, mass
+from .chains import PolyChain, cone, cone_mass_formula, mass
 from .epi import build_comparison, circle_gradient_energy_ratio
 from .generators import cone_harmonic, flat_disk
-from .groups import NormedCoefficient, integers
+from .groups import integers
 from .mono import DensityProfile, Gauge, decay_bound, lambda_epi, spherical_excess
 from .moments import chain_ball_moments, moments_all, quad_form, trace_bound_check
 from .planes import OrientedPlane, hausdorff_unit_ball_distance, plane_distance
@@ -86,11 +86,10 @@ def two_terms_violations(n: int = 10_000, seed: int = 1, tol: float = 1e-12) -> 
 
 
 def _ngon_loop(N: int) -> PolyChain:
-    G = integers()
-    one = NormedCoefficient(G, 1)
     ang = 2 * math.pi * np.arange(N + 1) / N
     pts = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    return PolyChain(2, 1, G, [(Simplex(pts[i : i + 2]), one) for i in range(N)])
+    segs = np.stack([pts[:-1], pts[1:]], axis=1)
+    return PolyChain(2, 1, integers(), verts=segs, payload=np.ones(N, dtype=np.int64))
 
 
 def run_verify(seed: int = 0, quick: bool = False) -> list[CheckRow]:
@@ -164,11 +163,9 @@ def run_verify(seed: int = 0, quick: bool = False) -> list[CheckRow]:
     G = integers()
     worst = 0.0
     for _ in range(20 if quick else 100):
-        terms = [
-            (Simplex(rng.normal(size=(3, 3))), NormedCoefficient(G, int(rng.integers(1, 4))))
-            for _ in range(6)
-        ]
-        T = PolyChain(3, 2, G, terms)
+        draws = [(rng.normal(size=(3, 3)), rng.integers(1, 4)) for _ in range(6)]
+        T = PolyChain(3, 2, G, verts=np.stack([v for v, _ in draws]),
+                      payload=np.array([c for _, c in draws]))
         rec = moments_all(T, rng.normal(size=3) * 0.3, 0.5 + rng.random())
         worst = max(worst, rec.identity_gap)
     rows.append(CheckRow("moment_identity", worst, 1e-9, worst <= 1e-9))

@@ -1,11 +1,12 @@
 """Per-simplex, per-point reference implementations of the exact ball
 integrals, the beta_inf sup scan, the point-to-support distance, the
 layer-constancy check, the polygon-cylinder clipping of the comparison
-pipeline and the averaged graph.
+pipeline, the averaged graph, and the chain construction filter,
+``boundary``, ``merge_terms`` and ``size``.
 
 These are the loop-based routines the batched kernels in
-``gmtepi.quadrature``, ``gmtepi.moments``, ``gmtepi.scan``,
-``gmtepi.layers`` and ``gmtepi.epi`` replaced.
+``gmtepi.chains``, ``gmtepi.quadrature``, ``gmtepi.moments``,
+``gmtepi.scan``, ``gmtepi.layers`` and ``gmtepi.epi`` replaced.
 They are kept here, with the arithmetic unchanged, as the oracle the
 equivalence tests compare the batched code against.
 """
@@ -16,6 +17,8 @@ import math
 
 import numpy as np
 
+from gmtepi.chains import DEGENERATE_GRAM, SNAP, Simplex
+from gmtepi.groups import group_add, group_neg
 from gmtepi.quadrature import BallMoments
 
 _GAUSS3_NODES = np.array(
@@ -611,3 +614,81 @@ def averaged_eval(avg, x: np.ndarray) -> np.ndarray:
     w = avg._w[mask]
     vals = avg._A[mask] @ x + avg._b[mask]
     return (w[:, None] * vals).sum(axis=0) / w.sum()
+
+
+# -- chains: one term at a time ------------------------------------------------
+# Terms are lists of (Simplex, NormedCoefficient) pairs.
+
+
+def _is_degenerate(simplex) -> bool:
+    e = simplex.vertices[1:] - simplex.vertices[0]
+    return float(np.linalg.det(e @ e.T)) < DEGENERATE_GRAM
+
+
+def chain_filter(terms) -> list:
+    """``PolyChain`` construction: drop zero coefficients and degenerate
+    simplices."""
+    return [(s, c) for s, c in terms if not (c.is_zero or _is_degenerate(s))]
+
+
+def _sorted_key_and_parity(vertices: np.ndarray) -> tuple[bytes, int]:
+    """Canonical key for the unordered vertex set plus orientation parity."""
+    snapped = np.round(vertices / SNAP).astype(np.int64)
+    order = np.lexsort(snapped.T[::-1])
+    inversions = 0
+    for i in range(len(order)):
+        for j in range(i + 1, len(order)):
+            if order[i] > order[j]:
+                inversions += 1
+    return snapped[order].tobytes(), (-1) ** inversions
+
+
+def merge_terms(terms) -> list:
+    buckets: dict = {}
+    for simplex, coeff in terms:
+        key, parity = _sorted_key_and_parity(simplex.vertices)
+        if key in buckets:
+            ref, ref_parity, acc = buckets[key]
+            signed = coeff if parity == ref_parity else group_neg(coeff)
+            buckets[key] = (ref, ref_parity, group_add(acc, signed))
+        else:
+            buckets[key] = (simplex, parity, coeff)
+    return chain_filter([(s, g) for s, _p, g in buckets.values() if not g.is_zero])
+
+
+def _face_flipped(face: np.ndarray) -> np.ndarray:
+    out = face.copy()
+    if out.shape[0] >= 2:
+        out[[0, 1]] = out[[1, 0]]
+    return out
+
+
+def boundary(terms) -> list:
+    buckets: dict = {}
+    for simplex, coeff in terms:
+        v = simplex.vertices
+        for j in range(v.shape[0]):
+            face = np.delete(v, j, axis=0)
+            signed = coeff if j % 2 == 0 else group_neg(coeff)
+            key, parity = _sorted_key_and_parity(face)
+            if parity < 0:
+                signed = group_neg(signed)
+            if key in buckets:
+                ref, acc = buckets[key]
+                buckets[key] = (ref, group_add(acc, signed))
+            else:
+                canon = face if parity > 0 else _face_flipped(face)
+                buckets[key] = (Simplex(canon), signed)
+    return chain_filter([(s, g) for s, g in buckets.values() if not g.is_zero])
+
+
+def negate(terms) -> list:
+    return [(s, group_neg(c)) for s, c in terms]
+
+
+def size(terms) -> float:
+    seen: dict = {}
+    for simplex, _ in merge_terms(terms):
+        key, _p = _sorted_key_and_parity(simplex.vertices)
+        seen[key] = simplex.volume
+    return float(sum(seen.values()))

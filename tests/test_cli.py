@@ -83,6 +83,21 @@ def test_gate_exit_code(tmp_path):
     assert code in (0, 2)  # two coincident sheets: constancy may gate
 
 
+@pytest.mark.parametrize("vertex,coeff,reason", [
+    ([3e7, 0.0], 1, "snap grid"),
+    ([float("nan"), 0.0], 1, "finite"),
+    ([1.0, 0.0], 1.5, "integers"),
+])
+def test_bad_chain_file_exits_with_one_line_reason(tmp_path, capsys, vertex, coeff, reason):
+    path = tmp_path / "bad.json"
+    data = {"version": 1, "ambient": 2, "dim": 1, "group": {"tag": "integers"},
+            "simplices": [{"vertices": [[0.0, 0.0], vertex], "coeff": coeff}]}
+    path.write_text(json.dumps(data))
+    assert run(["analyze", "--chain", str(path), "--out", str(tmp_path / "rpt")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and reason in err
+
+
 def test_reports_byte_identical(tmp_path, disk_file):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     for out in (out1, out2):

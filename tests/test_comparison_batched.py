@@ -124,6 +124,12 @@ def _pieces_mass(pieces) -> float:
     return sum(group_norm(c) * simplex_volume(v) for v, c in pieces)
 
 
+def _as_pieces(P: PolyChain, side) -> list:
+    """``(vertices, coefficient)`` pairs of one side of the split."""
+    verts, src = side
+    return [(v, P.coefficient(j)) for v, j in zip(verts, src)]
+
+
 def _polygons(P: PolyChain, base: OrientedPlane):
     rays = _layer_ray_angles(decompose_layers(P, base))
     skew = 2 * math.pi * (np.arange(40) + 0.3) / 40
@@ -137,7 +143,7 @@ def test_split_by_polygon_cylinder_partitions_mass():
     P = cone_harmonic(2, 0.05, 48)[0]
     whole = _pieces_mass([(s.vertices, c) for s, c in P.terms])
     for poly in _polygons(P, V):
-        inside, outside = _split_by_polygon_cylinder(P, V, poly)
+        inside, outside = (_as_pieces(P, side) for side in _split_by_polygon_cylinder(P, V, poly))
         assert _pieces_mass(inside) + _pieces_mass(outside) == pytest.approx(whole, rel=1e-14)
         old_inside, old_outside = oracle.split_by_polygon_cylinder(P, V, poly)
         assert _pieces_mass(inside) == pytest.approx(_pieces_mass(old_inside), rel=1e-14)
