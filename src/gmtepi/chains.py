@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .groups import GroupSpec, NormedCoefficient
-from .quadrature import batch_ball_masses, simplex_volume
+from .quadrature import batch_ball_masses, gram_volumes, simplex_volume
 
 __all__ = [
     "Simplex",
@@ -147,7 +147,7 @@ def _gram_dets(verts: np.ndarray) -> np.ndarray:
 def simplex_volumes(verts: np.ndarray) -> np.ndarray:
     """Unsigned volumes of a (T, m+1, n) stack, as ``simplex_volume``
     gives them one by one."""
-    return np.sqrt(np.maximum(_gram_dets(verts), 0.0)) / math.factorial(verts.shape[1] - 1)
+    return gram_volumes(_gram_dets(verts), verts.shape[1] - 1)
 
 
 def _vertex_ids(verts: np.ndarray) -> np.ndarray:
@@ -210,12 +210,10 @@ def _payload_norms(group: GroupSpec, payload: np.ndarray) -> np.ndarray:
         return np.abs(payload[:, 0]).astype(float)
     if group.tag == "unit":
         return (payload[:, 0] != 0).astype(float)
-    d = payload.shape[1]
-    if d <= 33:
-        # numerator and 3^d are exact floats: the quotient is correctly
-        # rounded, as float(Fraction) is
-        return (payload @ 3 ** np.arange(d - 1, -1, -1, dtype=np.int64)) / float(3**d)
-    return np.array([int("".join(map(str, row)), 3) / 3**d for row in payload.tolist()])
+    # Python-int true division is correctly rounded at every depth, as
+    # float(Fraction) is
+    denom = 3 ** payload.shape[1]
+    return np.array([int("".join(map(str, row)), 3) / denom for row in payload.tolist()], dtype=float)
 
 
 # -- chains --------------------------------------------------------------------
@@ -315,9 +313,7 @@ class PolyChain:
 
     def volumes(self) -> np.ndarray:
         if "vol" not in self._cache:
-            # the Gram determinants of the kept terms are at least
-            # DEGENERATE_GRAM > 0; as simplex_volume computes it
-            self._cache["vol"] = np.sqrt(self._cache["gram"]) / math.factorial(self.m)
+            self._cache["vol"] = gram_volumes(self._cache["gram"], self.m)
         return self._cache["vol"]
 
     def diameters(self) -> np.ndarray:

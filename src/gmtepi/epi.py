@@ -1110,7 +1110,7 @@ def _excess_over_polygon(chain: PolyChain, base: OrientedPlane, g0, poly: np.nda
     for i in range(1, k - 1):
         ua, ub = poly[i] - poly[0], poly[i + 1] - poly[0]
         poly_area += 0.5 * abs(float(ua[0] * ub[1] - ua[1] * ub[0]))
-    return total - group_norm(g0) * poly_area
+    return float(total - group_norm(g0) * poly_area)
 
 
 def _polygon_arcs(poly: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -31,7 +31,6 @@ from .quadrature import disk_polygon_area
 __all__ = [
     "GeneralPositionError",
     "align_base_to_chain",
-    "cylindrical_excess_polygon",
     "ConstancyError",
     "Layer",
     "LayerDecomposition",
@@ -298,32 +297,6 @@ def cylindrical_excess(
         if area > 0.0:
             total += group_norm(ly.coeff) * math.sqrt(1.0 + ly.jacobian_sq()) * area
     return total - decomp.g0_norm * _ball_volume(m, radius)
-
-
-def cylindrical_excess_polygon(decomp: LayerDecomposition, poly: np.ndarray) -> float:
-    """Exact mass excess over the cylinder of a convex polygon region.
-
-    Used for exact additivity checks (polygon regions partition exactly
-    under half-plane cuts) and for zone measurements that must share one
-    region between two chains."""
-    if decomp.g0.is_zero:
-        raise ConstancyError("stalk coefficient g0 is zero; excess undefined")
-    total = 0.0
-    for ly in decomp.layers:
-        clipped = _convex_clip(ly.domain, poly)
-        if clipped is None or len(clipped) < 3:
-            continue
-        arr = np.array(clipped)
-        area = 0.0
-        for i in range(1, len(arr) - 1):
-            ua, ub = arr[i] - arr[0], arr[i + 1] - arr[0]
-            area += 0.5 * abs(float(ua[0] * ub[1] - ua[1] * ub[0]))
-        total += group_norm(ly.coeff) * math.sqrt(1.0 + ly.jacobian_sq()) * area
-    poly_area = 0.0
-    for i in range(1, len(poly) - 1):
-        ua, ub = poly[i] - poly[0], poly[i + 1] - poly[0]
-        poly_area += 0.5 * abs(float(ua[0] * ub[1] - ua[1] * ub[0]))
-    return total - decomp.g0_norm * poly_area
 
 
 def size_excess(

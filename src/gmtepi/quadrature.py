@@ -29,6 +29,7 @@ import numpy as np
 __all__ = [
     "gauss_segment",
     "integrate_over_simplex",
+    "gram_volumes",
     "simplex_volume",
     "trig_monomial_integral",
     "disk_polygon_monomials",
@@ -79,11 +80,13 @@ def simplex_volume(vertices: np.ndarray) -> float:
     m = edges.shape[0]
     if m == 0:
         return 1.0
-    gram = edges @ edges.T
-    det = np.linalg.det(gram)
-    if det <= 0.0:
-        return 0.0
-    return math.sqrt(det) / math.factorial(m)
+    return float(gram_volumes(np.linalg.det(edges @ edges.T), m))
+
+
+def gram_volumes(gram, m: int):
+    """Unsigned m-volumes ``sqrt(gram) / m!`` of simplices with the given
+    Gram determinants of their edge vectors; 0 where ``gram <= 0``."""
+    return np.sqrt(np.maximum(gram, 0.0)) / math.factorial(m)
 
 
 def integrate_over_simplex(f, vertices: np.ndarray, volume: float | None = None) -> float:

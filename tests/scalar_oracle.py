@@ -1,8 +1,8 @@
 """Per-simplex, per-point reference implementations of the exact ball
 integrals, the beta_inf sup scan, the point-to-support distance, the
-layer-constancy check, the polygon-cylinder clipping of the comparison
-pipeline, the averaged graph, and the chain construction filter,
-``boundary``, ``merge_terms`` and ``size``.
+layer-constancy check, the polygon-cylinder clipping and the full-clip
+zone excess of the comparison pipeline, the averaged graph, and the chain
+construction filter, ``boundary``, ``merge_terms`` and ``size``.
 
 These are the loop-based routines the batched kernels in
 ``gmtepi.chains``, ``gmtepi.quadrature``, ``gmtepi.moments``,
@@ -602,6 +602,33 @@ def excess_over_polygon(chain, base, g0, poly: np.ndarray) -> float:
         ua, ub = poly[i] - poly[0], poly[i + 1] - poly[0]
         poly_area += 0.5 * abs(float(ua[0] * ub[1] - ua[1] * ub[0]))
     return total - group_norm(g0) * poly_area
+
+
+def cylindrical_excess_polygon(decomp, poly: np.ndarray) -> float:
+    """Excess over the cylinder of a convex polygon region: every layer of
+    a decomposition clipped against every polygon edge.  Additive over
+    half-plane cuts; the reference for the windowed zone excess."""
+    from gmtepi.groups import group_norm
+    from gmtepi.layers import ConstancyError, _convex_clip
+
+    if decomp.g0.is_zero:
+        raise ConstancyError("stalk coefficient g0 is zero; excess undefined")
+    total = 0.0
+    for ly in decomp.layers:
+        clipped = _convex_clip(ly.domain, poly)
+        if clipped is None or len(clipped) < 3:
+            continue
+        arr = np.array(clipped)
+        area = 0.0
+        for i in range(1, len(arr) - 1):
+            ua, ub = arr[i] - arr[0], arr[i + 1] - arr[0]
+            area += 0.5 * abs(float(ua[0] * ub[1] - ua[1] * ub[0]))
+        total += group_norm(ly.coeff) * math.sqrt(1.0 + ly.jacobian_sq()) * area
+    poly_area = 0.0
+    for i in range(1, len(poly) - 1):
+        ua, ub = poly[i] - poly[0], poly[i + 1] - poly[0]
+        poly_area += 0.5 * abs(float(ua[0] * ub[1] - ua[1] * ub[0]))
+    return total - decomp.g0_norm * poly_area
 
 
 def averaged_eval(avg, x: np.ndarray) -> np.ndarray:

@@ -174,3 +174,15 @@ def test_cantor_bits_outside_zero_one_are_rejected():
     v = np.array([[[0.0, 0.0], [1.0, 0.0]]])
     with pytest.raises(ValueError, match="0 or 1"):
         PolyChain(2, 1, cantor(3), verts=v, payload=[[2, 3, 0]])
+
+
+@pytest.mark.parametrize("depth", [5, 33, 34, 60])
+def test_cantor_norms_match_group_norm_at_every_depth(depth):
+    rng = np.random.default_rng(depth)
+    bits = rng.integers(0, 2, size=(16, depth))
+    bits[0] = 1  # all ones: the largest numerator
+    bits[1] = 0
+    bits[1, -1] = 1  # the group gap 3^-depth
+    v = np.array([[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]] * 8) + np.arange(16.0)[:, None, None]
+    chain = PolyChain(2, 1, cantor(depth), verts=v, payload=bits)
+    assert chain.coeff_norms().tolist() == [group_norm(c) for _, c in chain.terms]

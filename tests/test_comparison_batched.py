@@ -167,6 +167,19 @@ def test_excess_over_polygon_matches_the_margin_window(cone48):
             assert got == pytest.approx(oracle.excess_over_polygon(chain, V, g0, poly), rel=0, abs=1e-14)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_excess_over_polygon_matches_the_full_clip(n):
+    # n = 4 is codimension two: domains and Jacobians come from the layer
+    # decomposition, and the zone excess runs the same windowed loop
+    P = cone_harmonic(2, 0.05, 48, n=n)[0]
+    base = OrientedPlane(np.eye(n)[:2])
+    ang = 2 * math.pi * np.arange(48) / 48
+    zone = 0.25 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    decomp = decompose_layers(P, base)
+    got = _excess_over_polygon(P, base, decomp.g0, zone)
+    assert got == pytest.approx(oracle.cylindrical_excess_polygon(decomp, zone), rel=0, abs=1e-14)
+
+
 def test_comparison_surface_term_count(cone48):
     # the margin window cut each term against the polygon edges within
     # 0.6 rad: 2,552 terms

