@@ -90,8 +90,11 @@ def _form_from_moments(bm: BallMoments, m: int, center: np.ndarray, radius: floa
 def quad_form(chain: PolyChain, center, radius: float) -> SymForm:
     """The normalized second-moment form of ``||T||`` in ``B(center, radius)``.
 
-    Positive semidefinite by construction; exact for m <= 2 chains.
+    Positive semidefinite by construction; exact for m <= 2 chains.  An
+    empty chain raises ``ValueError``.
     """
+    if chain.is_zero:
+        raise ValueError("empty chain")
     if radius <= 0:
         raise ValueError("radius must be positive")
     center = np.asarray(center, dtype=float)

@@ -56,21 +56,63 @@ class Frame:
 
 #: Largest (points x simplices x n) temporary of the batched distance pass.
 _DIST_CHUNK = 1 << 14
+#: Most query points in one spatial chunk of the pruned distance pass.
+_PRUNE_POINTS = 32
+#: Candidate nodes ``support_sample`` builds at once (plus one grid row's).
+_SAMPLE_CHUNK = 1 << 14
+
+
+def _point_chunks(points: np.ndarray) -> list[np.ndarray]:
+    """Index sets of at most :data:`_PRUNE_POINTS` points each, made by
+    recursive median splits on the widest axis."""
+    chunks, todo = [], [np.arange(len(points))]
+    while todo:
+        idx = todo.pop()
+        if len(idx) <= _PRUNE_POINTS:
+            chunks.append(idx)
+            continue
+        coords = points[idx]
+        axis = int(np.argmax(np.ptp(coords, axis=0)))
+        half = len(idx) // 2
+        order = np.argpartition(coords[:, axis], half)
+        todo += [idx[order[half:]], idx[order[:half]]]
+    return chunks
 
 
 def _dist_to_support(chain: PolyChain, points: np.ndarray) -> np.ndarray:
     """Exact distances from points (P, n) to the support, for m in (1, 2).
 
-    Points go through in chunks, so the temporaries stay below
-    :data:`_DIST_CHUNK` elements however many points are asked for.
+    Each compact chunk of points (centre c, radius rho) measures only the
+    simplices with d(c, t) <= min_t d(c, t) + 2 rho, plus a rounding
+    slack; this is exact, since for q in the chunk a dropped t has
+    d(q, t) >= d(c, t) - rho > d_min + rho >= d(q, t*), so the minimum
+    over the kept simplices is the float the unpruned pass returns.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     va = chain.vertex_array()
     if len(va) == 0:
         return np.full(len(points), np.inf)
+    chunks = _point_chunks(points)
+    centres = np.array([0.5 * (points[i].min(axis=0) + points[i].max(axis=0)) for i in chunks])
+    rho = np.array([np.max(np.linalg.norm(points[i] - c, axis=1)) for i, c in zip(chunks, centres)])
+    # far above the rounding of a computed distance, which scales with the
+    # coordinates
+    slack = 1e-9 * max(float(np.max(np.abs(va))), float(np.max(np.abs(points))))
+    out = np.empty(len(points))
+    step = max(1, _DIST_CHUNK // va[:, 0].size)
+    for lo in range(0, len(chunks), step):
+        dc = _pair_dists(va, centres[lo : lo + step])
+        for idx, row, rh in zip(chunks[lo : lo + step], dc, rho[lo : lo + step]):
+            out[idx] = _min_dists(va[row <= row.min() + 2 * rh + slack], points[idx])
+    return out
+
+
+def _min_dists(va: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Distances from points to the union of the simplices ``va``, with the
+    temporaries below :data:`_DIST_CHUNK` elements."""
     step = max(1, _DIST_CHUNK // va[:, 0].size)
     return np.concatenate(
-        [_dist_chunk(va, points[lo : lo + step]) for lo in range(0, len(points), step)]
+        [np.min(_pair_dists(va, points[lo : lo + step]), axis=1) for lo in range(0, len(points), step)]
     )
 
 
@@ -82,10 +124,11 @@ def _segment_dists(q0: np.ndarray, q1: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.linalg.norm(q0 + u[..., None] * dd - p, axis=2)
 
 
-def _dist_chunk(va: np.ndarray, points: np.ndarray) -> np.ndarray:
+def _pair_dists(va: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Distances (P, T) from points (P, n) to the simplices ``va`` (T, m+1, n)."""
     p = points[:, None, :]
     if va.shape[1] == 2:
-        return np.min(_segment_dists(va[:, 0], va[:, 1], p), axis=1)
+        return _segment_dists(va[:, 0], va[:, 1], p)
     # point-triangle distance: the interior foot where the barycentric
     # solve lands inside, else the nearest of the three edges
     e1 = va[:, 1] - va[:, 0]
@@ -104,17 +147,7 @@ def _dist_chunk(va: np.ndarray, points: np.ndarray) -> np.ndarray:
     best = np.where(inside, np.linalg.norm(foot - p, axis=2), np.inf)
     for i, j in ((0, 1), (0, 2), (1, 2)):
         best = np.minimum(best, _segment_dists(va[:, i], va[:, j], p))
-    return np.min(best, axis=1)
-
-
-def _segment_window(v: np.ndarray, x: np.ndarray, r: float) -> tuple[float, float]:
-    d = v[1] - v[0]
-    den = max(float(d @ d), 1e-300)
-    t0 = float((x - v[0]) @ d) / den
-    half = r / math.sqrt(den)
-    return max(0.0, t0 - half), min(1.0, t0 + half)
-
-
+    return best
 
 
 def _support_points_on_fiber(
@@ -235,64 +268,117 @@ def find_frame(
 
 
 def support_sample(chain: PolyChain, x, r: float, spacing: float) -> np.ndarray:
-    """Deterministic point sample of ``spt(T) ∩ B(x, r)`` at ~``spacing``."""
+    """Deterministic point sample of ``spt(T) ∩ B(x, r)`` at ~``spacing``.
+
+    Segments get evenly spaced nodes over their window around the ball;
+    triangles get a barycentric grid over a box around the ball window
+    (half-widths from the altitudes), its node count capped by the
+    window's area at the target spacing so that thin triangles do not
+    oversample.  Nodes come simplex by simplex in term order, grid rows
+    in order.  Only the nodes of each row near its chord through the ball
+    are built and measured.
+    """
     x = np.asarray(x, dtype=float)
-    pts = []
-    if chain.is_zero:
+    near = chain.near_ball(x, r)
+    if not len(near):
         return np.zeros((0, chain.n))
-    diams = chain.diameters()
-    volumes = chain.volumes()
-    for idx in chain.near_ball(x, r):
-        v = chain.verts[idx]
-        diam = diams[idx]
-        if chain.m == 1:
-            lo, hi = _segment_window(v, x, r + spacing)
-            if hi <= lo:
-                continue
-            k = max(2, int(math.ceil((hi - lo) * diam / spacing)) + 1)
-            ts = lo + (hi - lo) * np.linspace(0.0, 1.0, k)
-            p = v[0][None, :] + ts[:, None] * (v[1] - v[0])[None, :]
-        else:
-            # restrict the barycentric grid to a box around the ball window
-            # (half-widths from the triangle altitudes), else big triangles
-            # explode the node count
-            e1, e2 = v[1] - v[0], v[2] - v[0]
-            area2 = max(2.0 * float(volumes[idx]), 1e-30)
-            try:
-                lam = np.linalg.lstsq(np.stack([e1, e2], axis=1), x - v[0], rcond=None)[0]
-            except np.linalg.LinAlgError:
-                continue
-            pad = r + 2 * spacing
-            wa = pad * np.linalg.norm(e2) / area2
-            wb = pad * np.linalg.norm(e1) / area2
-            a_lo, a_hi = max(0.0, lam[0] - wa), min(1.0, lam[0] + wa)
-            b_lo, b_hi = max(0.0, lam[1] - wb), min(1.0, lam[1] + wb)
-            if a_hi <= a_lo or b_hi <= b_lo:
-                continue
-            ka = max(2, int(math.ceil((a_hi - a_lo) * diam / spacing)) + 1)
-            kb = max(2, int(math.ceil((b_hi - b_lo) * diam / spacing)) + 1)
-            # thin triangles oversample under skew barycentric axes: cap the
-            # node count by the window's actual area at the target spacing
-            window_area = (a_hi - a_lo) * (b_hi - b_lo) * area2
-            target = max(16.0, 4.0 * window_area / (spacing * spacing))
-            blow = math.sqrt(max(1.0, ka * kb / target))
-            ka = max(2, int(ka / blow))
-            kb = max(2, int(kb / blow))
-            aa, bb = np.meshgrid(
-                a_lo + (a_hi - a_lo) * np.linspace(0, 1, min(ka, 160)),
-                b_lo + (b_hi - b_lo) * np.linspace(0, 1, min(kb, 160)),
-            )
-            keep = aa + bb <= 1.0 + 1e-12
-            a, b = aa[keep], bb[keep]
-            p = v[0][None, :] + a[:, None] * e1[None, :] + b[:, None] * e2[None, :]
-        inside = np.linalg.norm(p - x, axis=1) <= r
-        if np.any(inside):
-            pts.append(p[inside])
+    v = chain.verts[near]
+    diam = chain.diameters()[near]
+    v0 = v[:, 0]
+    e1 = v[:, 1] - v0
+    e1_sq = _rowdot(e1, e1)
+    # the coordinate size that the rounding of a node and its distance
+    # scales with
+    scale = r + np.linalg.norm(v0, axis=1) + np.linalg.norm(x) + np.sqrt(e1_sq)
+    if chain.m == 1:
+        den = np.maximum(e1_sq, 1e-300)
+        t0 = _rowdot(x - v0, e1) / den
+        half = (r + spacing) / np.sqrt(den)
+        a_lo, a_hi = np.maximum(0.0, t0 - half), np.minimum(1.0, t0 + half)
+        ka = np.maximum(2, np.ceil((a_hi - a_lo) * diam / spacing).astype(np.int64) + 1)
+        # one row per segment
+        row = np.flatnonzero(a_hi > a_lo)
+        base = v0[row] - x
+    else:
+        e2 = v[:, 2] - v0
+        area2 = np.maximum(2.0 * chain.volumes()[near], 1e-30)
+        # LAPACK's least-squares solve, one triangle at a time: its rounding
+        # places the window, and with it every node
+        lam = np.array([_window_centre(np.stack([a, b], axis=1), w) for a, b, w in zip(e1, e2, x - v0)])
+        e2_len = np.sqrt(_rowdot(e2, e2))
+        scale = scale + e2_len
+        pad = r + 2 * spacing
+        wa = pad * e2_len / area2
+        wb = pad * np.sqrt(e1_sq) / area2
+        a_lo, a_hi = np.maximum(0.0, lam[:, 0] - wa), np.minimum(1.0, lam[:, 0] + wa)
+        b_lo, b_hi = np.maximum(0.0, lam[:, 1] - wb), np.minimum(1.0, lam[:, 1] + wb)
+        ok = (a_hi > a_lo) & (b_hi > b_lo)
+        ka = np.maximum(2, np.ceil((a_hi - a_lo) * diam / spacing).astype(np.int64) + 1)
+        kb = np.maximum(2, np.ceil((b_hi - b_lo) * diam / spacing).astype(np.int64) + 1)
+        # thin triangles oversample under skew barycentric axes: cap the
+        # node count by the window's actual area at the target spacing
+        window_area = (a_hi - a_lo) * (b_hi - b_lo) * area2
+        target = np.maximum(16.0, 4.0 * window_area / (spacing * spacing))
+        blow = np.sqrt(np.maximum(1.0, ka * kb / target))
+        ka = np.minimum(np.maximum(2, (ka / blow).astype(np.int64)), 160)
+        kb = np.where(ok, np.minimum(np.maximum(2, (kb / blow).astype(np.int64)), 160), 0)
+        # one row per node of the b axis: meshgrid's row-major order
+        row = np.repeat(np.arange(len(near)), kb)
+        i = np.arange(len(row)) - np.repeat(np.cumsum(kb) - kb, kb)
+        b_row = b_lo[row] + (b_hi - b_lo)[row] * _unit_nodes(i, kb[row])
+        base = v0[row] - x + b_row[:, None] * e2[row]
+    # the row's nodes a_j = a_lo + (a_hi - a_lo) j / (ka - 1) that can lie in
+    # the ball: its chord, widened far beyond the rounding of the nodes
+    ee = e1_sq[row]
+    foot = -_rowdot(base, e1[row]) / ee
+    chord2 = r * r - (_rowdot(base, base) - foot * foot * ee) + 1e-9 * scale[row] ** 2
+    chord = np.sqrt(np.maximum(chord2, 0.0) / ee)
+    hi_a = foot + chord
+    if chain.m == 2:
+        hi_a = np.minimum(hi_a, 1.0 + 1e-12 - b_row)
+    span, steps = (a_hi - a_lo)[row], (ka - 1)[row]
+    j_lo = np.clip(np.floor((foot - chord - a_lo[row]) / span * steps) - 1, 0, steps).astype(np.int64)
+    j_hi = np.clip(np.ceil((hi_a - a_lo[row]) / span * steps) + 1, -1, steps).astype(np.int64)
+    count = np.where(chord2 >= 0, np.maximum(j_hi - j_lo + 1, 0), 0)
+    start = np.cumsum(count) - count
+    pts = []
+    for rows in np.split(np.arange(len(row)), np.flatnonzero(np.diff(start // _SAMPLE_CHUNK)) + 1):
+        rows = rows[count[rows] > 0]
+        if not len(rows):
+            continue
+        node_row = np.repeat(rows, count[rows])
+        j = j_lo[node_row] + np.arange(len(node_row)) - np.repeat(start[rows] - start[rows[0]], count[rows])
+        t = row[node_row]
+        a = a_lo[t] + (a_hi - a_lo)[t] * _unit_nodes(j, ka[t])
+        p = v0[t] + a[:, None] * e1[t]
+        if chain.m == 2:
+            b = b_row[node_row]
+            keep = a + b <= 1.0 + 1e-12
+            p = p[keep] + b[keep, None] * e2[t[keep]]
+        pts.append(p[np.linalg.norm(p - x, axis=1) <= r])
     if not pts:
         return np.zeros((0, chain.n))
     return np.vstack(pts)
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products that round as ``a[i] @ b[i]`` does."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _window_centre(e: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Barycentric coordinates of the ball centre's foot on a triangle's
+    plane (least squares on its edge matrix), NaN where the solve fails."""
+    try:
+        return np.linalg.lstsq(e, w, rcond=None)[0]
+    except np.linalg.LinAlgError:
+        return np.full(2, np.nan)
+
+
+def _unit_nodes(i: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``np.linspace(0, 1, k)[i]`` elementwise: ``i * (1 / (k - 1))``, and 1
+    at the last node."""
+    return np.where(i == k - 1, 1.0, i * (1.0 / (k - 1)))
 
 
 def _hausdorff_chain_plane(
@@ -340,6 +426,7 @@ class ScanCell:
     ambiguous_plane: bool = False
     coherence_bound: float | None = None
     coherence_measured: float | None = None
+    sup_floor: float = 0.0  # beta_inf's sampling floor over r, 0 when exact
 
 
 @dataclass
@@ -391,8 +478,11 @@ def multiscale_scan(
     distance, the density ratio, the frame-found flag, and cross-scale
     plane coherence against the two-scale bound with the measured eta.
     Each cell takes its density, plane, ``beta_2`` and centred form from
-    one exact moment pass over its ball.
+    one exact moment pass over its ball.  An empty chain raises
+    ``ValueError``.
     """
+    if chain.is_zero:
+        raise ValueError("empty chain")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     m = chain.m
     am = alpha_m(m)
@@ -430,7 +520,8 @@ def multiscale_scan(
         except ValueError:
             frame_ok = False
         return ScanCell(
-            pi, k, r, plane, br.beta2, br.beta_inf, binf_c, dh, dens, dh / r, frame_ok
+            pi, k, r, plane, br.beta2, br.beta_inf, binf_c, dh, dens, dh / r, frame_ok,
+            sup_floor=br.sup_floor,
         )
 
     for pi in range(len(points)):
@@ -528,21 +619,12 @@ def extract_graph(
     top = cells[0]
     W = top.plane
     r = top.radius
-    sup = support_sample(chain, x, r, spacing=r / 128)
-    if len(sup) == 0:
+    window = _graph_window(chain, x, r, W)
+    if window is None:
         return GraphCertificate(False, "empty support window", eta_hat, dini_budget, 0.0, dscales, drifts, exponent)
-    rel = sup - x
-    base_coords = W.project_coords(rel)
-    perpf = W.perp_frame()
-    hcoords = rel @ perpf.T
+    bc, hh = window
     # fiber injectivity: bucket the base coordinates, look for split heights
     lim = r / 2
-    keep = np.max(np.abs(base_coords), axis=1) <= lim
-    bc = base_coords[keep]
-    if hcoords.shape[1] == 1:
-        hh = hcoords[keep, 0]
-    else:
-        hh = np.linalg.norm(hcoords[keep], axis=1)
     if W.m == 1:
         bins = np.clip(((bc[:, 0] + lim) / (2 * lim) * fiber_grid).astype(int), 0, fiber_grid - 1)
     else:
@@ -550,30 +632,45 @@ def extract_graph(
         by = np.clip(((bc[:, 1] + lim) / (2 * lim) * fiber_grid).astype(int), 0, fiber_grid - 1)
         bins = bx * fiber_grid + by
     fiber_width = 2 * lim / fiber_grid
-    for bin_id in np.unique(bins):
-        vals = np.sort(hh[bins == bin_id])
-        if len(vals) < 2:
-            continue
-        gaps = np.diff(vals)
-        if np.max(gaps) > max(fiber_tol, 4 * fiber_width):
-            return GraphCertificate(
-                False, "fiber meets the support in two clusters", eta_hat, dini_budget, 0.0, dscales, drifts, exponent
-            )
-    # Lipschitz bound of the graph from the sampled points
+    if _fiber_split(bins, hh, max(fiber_tol, 4 * fiber_width)):
+        return GraphCertificate(
+            False, "fiber meets the support in two clusters", eta_hat, dini_budget, 0.0, dscales, drifts, exponent
+        )
+    # Lipschitz bound of the graph from about 400 sampled points, over the
+    # pairs farther apart than a fiber
     lips = 0.0
     if len(bc) >= 2:
-        step = max(1, len(bc) // 400)
-        sel = np.arange(0, len(bc), step)
-        P2 = bc[sel]
-        H2 = hh[sel]
-        for i in range(len(P2)):
-            d = np.linalg.norm(P2 - P2[i], axis=1)
-            ok = d > fiber_width
-            if np.any(ok):
-                lips = max(lips, float(np.max(np.abs(H2[ok] - H2[i]) / d[ok])))
+        sel = np.arange(0, len(bc), max(1, len(bc) // 400))
+        P2, H2 = bc[sel], hh[sel]
+        dist = np.linalg.norm(P2[None, :, :] - P2[:, None, :], axis=2)
+        far = dist > fiber_width
+        if np.any(far):
+            lips = float(np.max(np.abs(H2[None, :] - H2[:, None])[far] / dist[far]))
     if lips > 1.0 + 1e-9:
         return GraphCertificate(False, f"Lipschitz bound {lips:.3g} exceeds 1", eta_hat, dini_budget, lips, dscales, drifts, exponent)
     return GraphCertificate(True, "ok", eta_hat, dini_budget, lips, dscales, drifts, exponent)
+
+
+def _graph_window(chain: PolyChain, x: np.ndarray, r: float, W: OrientedPlane):
+    """Base coordinates over ``W`` and heights off it of the support sample
+    points at spacing ``r/128`` whose base lies in the box ``|.|_inf <= r/2``;
+    None for an empty sample.  The full sample dies on return."""
+    rel = support_sample(chain, x, r, spacing=r / 128) - x
+    if len(rel) == 0:
+        return None
+    base_coords = W.project_coords(rel)
+    hcoords = rel @ W.perp_frame().T
+    keep = np.max(np.abs(base_coords), axis=1) <= r / 2
+    if hcoords.shape[1] == 1:
+        return base_coords[keep], hcoords[keep, 0]
+    return base_coords[keep], np.linalg.norm(hcoords[keep], axis=1)
+
+
+def _fiber_split(bins: np.ndarray, heights: np.ndarray, gap: float) -> bool:
+    """Whether some bin's sorted heights jump by more than ``gap``."""
+    order = np.lexsort((heights, bins))
+    same = bins[order][1:] == bins[order][:-1]
+    return bool(np.any(np.diff(heights[order])[same] > gap))
 
 
 def theoretical_exponent(m: int, alpha: float, lam: float | None = None) -> float:

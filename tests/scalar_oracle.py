@@ -1,5 +1,6 @@
 """Per-simplex, per-point reference implementations of the exact ball
 integrals, the beta_inf sup scan, the point-to-support distance, the
+support sample and the per-bin fiber check of the scanner, the
 layer-constancy check, the polygon-cylinder clipping and the full-clip
 zone excess of the comparison pipeline, the averaged graph, and the chain
 construction filter, ``boundary``, ``merge_terms`` and ``size``.
@@ -398,6 +399,76 @@ def dist_to_support(chain, p: np.ndarray) -> float:
         proj = q0 + u[:, None] * dd
         best = min(best, float(np.min(np.linalg.norm(proj - p, axis=1))))
     return best
+
+
+def support_sample(chain, x, r: float, spacing: float) -> np.ndarray:
+    """The support sample, one simplex at a time."""
+    x = np.asarray(x, dtype=float)
+    pts = []
+    if chain.is_zero:
+        return np.zeros((0, chain.n))
+    diams = chain.diameters()
+    volumes = chain.volumes()
+    for idx in chain.near_ball(x, r):
+        v = chain.verts[idx]
+        diam = diams[idx]
+        if chain.m == 1:
+            d = v[1] - v[0]
+            den = max(float(d @ d), 1e-300)
+            t0 = float((x - v[0]) @ d) / den
+            half = (r + spacing) / math.sqrt(den)
+            lo, hi = max(0.0, t0 - half), min(1.0, t0 + half)
+            if hi <= lo:
+                continue
+            k = max(2, int(math.ceil((hi - lo) * diam / spacing)) + 1)
+            ts = lo + (hi - lo) * np.linspace(0.0, 1.0, k)
+            p = v[0][None, :] + ts[:, None] * (v[1] - v[0])[None, :]
+        else:
+            e1, e2 = v[1] - v[0], v[2] - v[0]
+            area2 = max(2.0 * float(volumes[idx]), 1e-30)
+            try:
+                lam = np.linalg.lstsq(np.stack([e1, e2], axis=1), x - v[0], rcond=None)[0]
+            except np.linalg.LinAlgError:
+                continue
+            pad = r + 2 * spacing
+            wa = pad * np.linalg.norm(e2) / area2
+            wb = pad * np.linalg.norm(e1) / area2
+            a_lo, a_hi = max(0.0, lam[0] - wa), min(1.0, lam[0] + wa)
+            b_lo, b_hi = max(0.0, lam[1] - wb), min(1.0, lam[1] + wb)
+            if a_hi <= a_lo or b_hi <= b_lo:
+                continue
+            ka = max(2, int(math.ceil((a_hi - a_lo) * diam / spacing)) + 1)
+            kb = max(2, int(math.ceil((b_hi - b_lo) * diam / spacing)) + 1)
+            window_area = (a_hi - a_lo) * (b_hi - b_lo) * area2
+            target = max(16.0, 4.0 * window_area / (spacing * spacing))
+            blow = math.sqrt(max(1.0, ka * kb / target))
+            ka = max(2, int(ka / blow))
+            kb = max(2, int(kb / blow))
+            aa, bb = np.meshgrid(
+                a_lo + (a_hi - a_lo) * np.linspace(0, 1, min(ka, 160)),
+                b_lo + (b_hi - b_lo) * np.linspace(0, 1, min(kb, 160)),
+            )
+            keep = aa + bb <= 1.0 + 1e-12
+            a, b = aa[keep], bb[keep]
+            p = v[0][None, :] + a[:, None] * e1[None, :] + b[:, None] * e2[None, :]
+        inside = np.linalg.norm(p - x, axis=1) <= r
+        if np.any(inside):
+            pts.append(p[inside])
+    if not pts:
+        return np.zeros((0, chain.n))
+    return np.vstack(pts)
+
+
+def fiber_split(bins: np.ndarray, heights: np.ndarray, gap: float) -> bool:
+    """Whether some bin's sorted heights jump by more than ``gap``, one bin
+    at a time."""
+    for bin_id in np.unique(bins):
+        vals = np.sort(heights[bins == bin_id])
+        if len(vals) < 2:
+            continue
+        if np.max(np.diff(vals)) > gap:
+            return True
+    return False
 
 
 def hausdorff_chain_plane(chain, sup, x, r, plane, grid: int = 24) -> float:

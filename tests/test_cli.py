@@ -67,6 +67,9 @@ def test_scan_and_probe(disk_file, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"points": [[0.0, 0.0, 0.0]], "r0": 0.3, "depth": 2}))
     assert run(["scan", "--chain", disk_file, "--config", str(cfg), "--out", out]) == 0
+    header = open(os.path.join(out, "scan.csv")).readline().strip().split(",")
+    assert header == ["point", "scale", "radius", "beta2", "beta_inf", "beta_inf_centered",
+                      "hausdorff", "density", "eta", "frame", "ambiguous"]
     summary = json.load(open(os.path.join(out, "scan.json")))
     assert summary["summary"]["certificates"]["0"]["ok"]
     assert run(["probe", "--chain", disk_file, "--out", out]) == 0
@@ -96,6 +99,14 @@ def test_bad_chain_file_exits_with_one_line_reason(tmp_path, capsys, vertex, coe
     assert run(["analyze", "--chain", str(path), "--out", str(tmp_path / "rpt")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and reason in err
+
+
+def test_scan_of_an_empty_chain_exits_with_one_line_reason(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"version": 1, "ambient": 3, "dim": 2, "group": {"tag": "integers"},
+                                "simplices": []}))
+    assert run(["scan", "--chain", str(path), "--out", str(tmp_path / "rpt")]) == 1
+    assert capsys.readouterr().err == "error: empty chain\n"
 
 
 def test_reports_byte_identical(tmp_path, disk_file):

@@ -212,3 +212,8 @@ def test_quadform_pinch_perturbed_disk():
     x = np.array([x0, 0.0, 0.05 * x0 * x0])
     rep = quadform_pinch_check(T, x, r, xi)
     assert rep.slack > 0
+
+
+def test_quad_form_rejects_an_empty_chain():
+    with pytest.raises(ValueError, match="empty chain"):
+        quad_form(PolyChain(3, 2, integers(), []), np.zeros(3), 1.0)

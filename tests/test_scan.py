@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gmtepi.chains import pushforward_linear
+from gmtepi.chains import PolyChain, pushforward_linear
 from gmtepi.generators import (
     cantor_bump_profile,
     cantor_graph,
@@ -163,3 +163,22 @@ def test_support_sample_hits_window():
     pts = support_sample(D, np.array([0.2, 0.1, 0.0]), 0.2, spacing=0.02)
     assert len(pts) > 50
     assert np.max(np.linalg.norm(pts - np.array([0.2, 0.1, 0.0]), axis=1)) <= 0.2 + 1e-12
+
+
+def test_scan_cells_carry_the_sup_floor():
+    chain = cone_harmonic(2, 0.05, 16)[0]
+    x = chain.vertex_array()[2].mean(axis=0)
+    cell3 = multiscale_scan(chain, [x], r0=0.3, depth=0).cell(0, 0)
+    assert cell3.sup_floor == 0.0  # codimension one: the sup is exact
+    rng = np.random.default_rng(3)
+    q = np.linalg.qr(rng.normal(size=(5, 5)))[0][:, :3]
+    shift = rng.normal(size=5)
+    cell5 = multiscale_scan(pushforward_linear(chain, q, shift), [q @ x + shift], r0=0.3, depth=0).cell(0, 0)
+    assert 0.0 < cell5.sup_floor <= (math.pi / 64) ** 2
+    assert cell5.beta_inf + cell5.sup_floor >= cell3.beta_inf
+
+
+def test_scan_rejects_an_empty_chain():
+    empty = PolyChain(3, 2, integers(), [])
+    with pytest.raises(ValueError, match="empty chain"):
+        multiscale_scan(empty, [np.zeros(3)], r0=0.5, depth=1)
