@@ -30,7 +30,6 @@ from .epi import (
     annulus_interpolate,
     averaged_graph,
     build_comparison,
-    degree2_extension,
     mollified_graph,
     trace_and_split,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "annulus_interpolate",
     "averaged_graph",
     "build_comparison",
-    "degree2_extension",
     "mollified_graph",
     "trace_and_split",
     "generate",

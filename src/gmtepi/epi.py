@@ -1,10 +1,10 @@
 """Comparison-surface pipeline for near-flat polyhedral cones.
 
-From a 1-homogeneous cone ``P`` in general position over a base plane the
-pipeline builds the competitor ``S`` in stages:
+From a 1-homogeneous m-cone ``P`` (m = 1 or 2) in general position over a
+base plane the pipeline builds the competitor ``S`` in the same stages in
+both dimensions:
 
-1. pick the base plane (spectral plane of the second-moment form plus a
-   local excess-minimizing polish),
+1. pick the base plane ``V`` spectrally, from the second-moment form,
 2. decompose into affine graph layers and average them by coefficient
    norm,
 3. mollify the average by ball means (radius proportional to the height
@@ -12,25 +12,33 @@ pipeline builds the competitor ``S`` in stages:
 4. blend the layers into the mollified graph across the annulus
    ``1/2 <= |x| <= 3/4``,
 5. re-select the plane ``W`` spectrally from the mollified cone, so the
-   boundary trace loses its linear part (its in-plane frame is the
-   projection of the base plane's),
-6. trace the mollified cone over ``W``, split into circle harmonics,
+   boundary trace loses its linear part (its frame is the projection of
+   the base plane's),
+6. trace the mollified cone over ``W`` and split the trace into circle
+   harmonics (m = 2) or its even and odd parts (m = 1),
 7. extend the trace from the boundary by the degree-2 homogeneous map
    ``h(t x) = w0 + t^2 (w(x) - w0)``,
 8. replace the cone inside the ``W``-cylinder of radius 1/4 by the graph
    of the rescaled extension and reuse the blended chain outside.
+
+The unit sphere of the base is a closed polygon of ray directions for
+m = 2 and the two sides ``-1, 1`` of the base line for m = 1.  Only the
+ray directions, the assembly of the pieces and the zone region depend on
+m.
 
 The emitted report carries the measured excess-reduction ratio on the
 replacement zone (whose small-amplitude limit is the per-mode energy
 factor ``2m/(2m+1)``), the assembled full-cylinder ratio, both compared
 against the theoretical contraction ``lambda = (2m+1-4^{-m-1})/(2m+1)``,
 plus Dirichlet energies, the linear-mode residual, plane drift, and the
-boundary-preservation defect.  Pipelines abort with a stage-tagged error
-when a stage's preconditions fail.
+boundary-preservation defect.  Every excess comes from one layer
+decomposition per (chain, plane) pair.  Pipelines abort with a
+stage-tagged error when a stage's preconditions fail.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -38,7 +46,6 @@ import numpy as np
 
 from .chains import (
     PolyChain,
-    Simplex,
     boundary,
     coeff_payload,
     is_cone,
@@ -52,15 +59,15 @@ from .layers import (
     GeneralPositionError,
     LayerDecomposition,
     _clip_halfplane,
-    align_base_to_chain as _align_to_chain,
+    align_base_to_chain,
     cylindrical_excess,
     decompose_layers,
     height_sup,
 )
 from .mono import lambda_epi
 from .moments import quad_form, select_plane
-from .planes import OrientedPlane, align_in_plane_orientation, plane_distance
-from .quadrature import disk_polygon_areas, gauss_segment
+from .planes import OrientedPlane, plane_distance
+from .quadrature import gauss_segment
 
 __all__ = [
     "EpiConfig",
@@ -74,8 +81,6 @@ __all__ = [
     "mollified_graph",
     "BoundaryTrace",
     "trace_and_split",
-    "Degree2Extension",
-    "degree2_extension",
     "EpiReport",
     "build_comparison",
     "circle_gradient_energy_ratio",
@@ -103,8 +108,6 @@ class EpiConfig:
     radial_divisions: int = 12  # rings of the degree-2 graph
     blend_divisions: int = 8  # rings of the annulus blend
     refine_h: float = 1e-2
-    polish: bool = True  # excess-minimizing plane polish
-    polish_tol: float = 1e-12
     boundary_defect_tol: float = 1e-3  # relative to mass(P)
 
 
@@ -125,15 +128,14 @@ class AveragedGraph:
         self.decomp = decomp
         self.tol = tol
         m = decomp.m
-        L = len(decomp.layers)
-        self._A = np.stack([ly.A for ly in decomp.layers])  # (L, n-m, m)
-        self._b = np.stack([ly.b for ly in decomp.layers])  # (L, n-m)
-        self._w = np.array([group_norm(ly.coeff) for ly in decomp.layers])
+        domains = decomp.domains
+        self._A = decomp.A  # (L, n-m, m)
+        self._b = decomp.b  # (L, n-m)
+        self._w = decomp.weights
         k = m + 1
-        self._normals = np.zeros((L, k, m))
-        self._offsets = np.zeros((L, k))
-        for li, ly in enumerate(decomp.layers):
-            d = ly.domain
+        self._normals = np.zeros((len(domains), k, m))
+        self._offsets = np.zeros((len(domains), k))
+        for li, d in enumerate(domains):
             centroid = d.mean(axis=0)
             for e in range(k):
                 p, q = d[e], d[(e + 1) % k]
@@ -150,8 +152,8 @@ class AveragedGraph:
                 self._normals[li, e] = nrm / ln
                 self._offsets[li, e] = (nrm / ln) @ p
         if m == 1:
-            self._lo = np.array([ly.domain[:, 0].min() for ly in decomp.layers])
-            self._hi = np.array([ly.domain[:, 0].max() for ly in decomp.layers])
+            self._lo = domains[:, :, 0].min(axis=1)
+            self._hi = domains[:, :, 0].max(axis=1)
 
     def _masks(self, xs: np.ndarray) -> np.ndarray:
         """(k, L): the layers whose domains hold each point, within ``tol``."""
@@ -161,9 +163,6 @@ class AveragedGraph:
         x, y = xs[:, None, None, 0], xs[:, None, None, 1]
         ok = self._normals[..., 0] * x + self._normals[..., 1] * y - self._offsets >= -self.tol
         return ok[..., 0] & ok[..., 1] & ok[..., 2]
-
-    def _mask(self, x: np.ndarray) -> np.ndarray:
-        return self._masks(np.asarray(x, dtype=float)[None])[0]
 
     def eval(self, x: np.ndarray) -> np.ndarray:
         return self.eval_many(np.asarray(x, dtype=float)[None])[0]
@@ -198,25 +197,38 @@ class MollifiedGraph:
         self.values = values  # (k, n-m)
         self.rho = rho
 
-    def eval_unit(self, angle_or_side: float) -> np.ndarray:
+    def unit_values(self, angles_or_sides: np.ndarray) -> np.ndarray:
+        """Values (k, n-m) at unit base radius: linear in angle between the
+        samples for m = 2, the sample of the side for m = 1."""
+        a = np.asarray(angles_or_sides, dtype=float)
         if self.base.m == 1:
-            return self.values[0] if angle_or_side < 0 else self.values[1]
-        a = angle_or_side % (2 * math.pi)
+            return self.values[(a >= 0).astype(np.int64)]
+        a = np.mod(a, 2 * math.pi)
         idx = np.searchsorted(self.angles, a) % len(self.angles)
         a0 = self.angles[idx - 1]
-        a1 = self.angles[idx]
-        span = (a1 - a0) % (2 * math.pi)
-        t = ((a - a0) % (2 * math.pi)) / span if span > 1e-15 else 0.0
-        return (1 - t) * self.values[idx - 1] + t * self.values[idx]
+        span = np.mod(self.angles[idx] - a0, 2 * math.pi)
+        wide = span > 1e-15
+        t = np.where(wide, np.mod(a - a0, 2 * math.pi) / np.where(wide, span, 1.0), 0.0)
+        return (1 - t)[:, None] * self.values[idx - 1] + t[:, None] * self.values[idx]
+
+    def eval_unit(self, angle_or_side: float) -> np.ndarray:
+        return self.unit_values(np.array([angle_or_side]))[0]
+
+    def eval_many(self, xs: np.ndarray) -> np.ndarray:
+        """Values at base points (k, m) -> (k, n-m), by homogeneity."""
+        xs = np.asarray(xs, dtype=float)
+        # np.linalg.norm of each point, bit for bit (one dot product per row)
+        r = np.sqrt((xs[:, None, :] @ xs[:, :, None])[:, 0, 0])
+        if self.base.m == 1:
+            unit = self.unit_values(xs[:, 0])
+        else:
+            # math.atan2 like the sample angles: numpy's vectorised arctan2
+            # rounds differently
+            unit = self.unit_values(np.array([math.atan2(y, x) for x, y in xs.tolist()]))
+        return np.where(r[:, None] < 1e-300, 0.0, r[:, None] * unit)
 
     def eval(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        r = float(np.linalg.norm(x))
-        if r < 1e-300:
-            return np.zeros(self.values.shape[1])
-        if self.base.m == 1:
-            return r * self.eval_unit(float(np.sign(x[0])))
-        return r * self.eval_unit(math.atan2(x[1], x[0]))
+        return self.eval_many(np.asarray(x, dtype=float)[None])[0]
 
     def sup_unit(self) -> float:
         return float(np.max(np.linalg.norm(self.values, axis=1)))
@@ -470,42 +482,6 @@ def trace_and_split(
     )
 
 
-@dataclass
-class Degree2Extension:
-    """The degree-2 homogeneous extension ``h(t x) = w0 + t^2 (w(x) - w0)``.
-
-    Energies come from the closed forms in harmonic coordinates: each
-    mode of frequency k carries spherical gradient energy
-    ``k (m + k - 2)`` per unit of boundary L2 mass.
-    """
-
-    trace: BoundaryTrace
-    h_energy: float
-    cone_energy: float
-
-    def eval(self, coords: np.ndarray) -> np.ndarray:
-        """Evaluate at in-plane coordinates of the unit ball of W."""
-        tr = self.trace
-        x = np.asarray(coords, dtype=float)
-        t = float(np.linalg.norm(x))
-        if t < 1e-300:
-            return tr.w0.copy()
-        if tr.plane.m == 1:
-            wb = tr.samples[1] if x[0] > 0 else tr.samples[0]
-        else:
-            a = math.atan2(x[1], x[0]) % (2 * math.pi)
-            N = len(tr.samples)
-            pos = a / (2 * math.pi) * N
-            j = int(math.floor(pos)) % N
-            frac = pos - math.floor(pos)
-            wb = (1 - frac) * tr.samples[j] + frac * tr.samples[(j + 1) % N]
-        return tr.w0 + t * t * (wb - tr.w0)
-
-
-def degree2_extension(trace: BoundaryTrace) -> Degree2Extension:
-    return Degree2Extension(trace, trace.h_energy(), trace.cone_energy())
-
-
 def circle_gradient_energy_ratio(samples: np.ndarray) -> float:
     """``int |D_S w|^2 / int w^2`` on the circle from uniform samples.
 
@@ -534,7 +510,7 @@ def mollified_unit_curve(P: PolyChain, base: OrientedPlane, rho: float | None = 
     """Decompose, average and mollify a cone over ``base``; return the
     generating curve of the mollified cone at unit base radius together
     with the decomposition and the mollified graph."""
-    base = _align_to_chain(base, P)
+    base = align_base_to_chain(base, P)
     decomp = decompose_layers(P, base, radius=1.0)
     angles = _layer_ray_angles(decomp)
     avg = averaged_graph(decomp)
@@ -573,61 +549,44 @@ class EpiReport:
     notes: list[str] = field(default_factory=list)
 
 
-def _oriented(tris: np.ndarray, base: OrientedPlane) -> np.ndarray:
-    """The triangles (T, 3, n), with the last two vertices swapped where a
-    triangle projects onto ``base`` against its orientation."""
-    dom = tris @ base.frame.T
-    edges = np.stack([dom[:, 1] - dom[:, 0], dom[:, 2] - dom[:, 0]], axis=2)
-    flip = np.linalg.det(edges) * base.orientation < 0
-    out = tris.copy()
-    out[flip] = out[flip][:, [0, 2, 1]]
+def _oriented(simplices: np.ndarray, base: OrientedPlane) -> np.ndarray:
+    """The simplices (T, m+1, n), with the last two vertices swapped where a
+    simplex projects onto ``base`` against its orientation."""
+    dom = simplices @ base.frame.T
+    m = base.m
+    flip = np.linalg.det(np.swapaxes(dom[:, 1:] - dom[:, :1], 1, 2)) * base.orientation < 0
+    out = simplices.copy()
+    out[flip] = out[flip][:, list(range(m - 1)) + [m, m - 1]]
     return out
 
 
-def _strip(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
-    """Triangulated strip between two closed polylines with equal counts,
-    shape (2N, 3, n): two triangles per step, unoriented."""
-    inner1 = np.roll(inner, -1, axis=0)
-    outer1 = np.roll(outer, -1, axis=0)
-    pairs = np.stack(
-        [np.stack([inner, outer, outer1], axis=1), np.stack([inner, outer1, inner1], axis=1)],
-        axis=1,
-    )
-    return pairs.reshape(-1, 3, inner.shape[1])
+def _faces(ring: np.ndarray, m: int) -> np.ndarray:
+    """The faces (N, m, n) of a ring of N points on the unit sphere of the
+    base: consecutive pairs of the closed polygon for m = 2, the points
+    themselves for m = 1."""
+    if m == 1:
+        return ring[:, None]
+    return np.stack([ring, np.roll(ring, -1, axis=0)], axis=1)
 
 
-def _clip_to_wedge_annulus(
-    layer_A: np.ndarray,
-    layer_b: np.ndarray,
-    ray_lo: np.ndarray,
-    ray_hi: np.ndarray,
-    v: MollifiedGraph,
-    base: OrientedPlane,
-    perp_embed,
-    r_in: float,
-    r_out: float,
-    divisions: int,
-) -> np.ndarray:
-    """Blend triangles of one cone layer over its wedge, radii [r_in, r_out],
-    shape (2 divisions, 3, n), unoriented."""
-    radii = np.linspace(r_in, r_out, divisions + 1)
-    rows = []
-    for r in radii:
-        row = []
-        for u in (ray_lo, ray_hi):
-            x = r * u
-            y = layer_A @ x + layer_b
-            vv = v.eval(x)
-            # blend coefficients 4r-2 and 3-4r on the standard annulus
-            wy = 4.0 * r - 2.0
-            wv = 3.0 - 4.0 * r
-            z = wy * y + wv * vv
-            row.append(base.embed(x) + perp_embed(z))
-        rows.append(row)
-    rows = np.array(rows)  # (divisions + 1, 2, n)
-    a0, a1, b0, b1 = rows[:-1, 0], rows[:-1, 1], rows[1:, 0], rows[1:, 1]
-    pairs = np.stack([np.stack([a0, b0, b1], axis=1), np.stack([a0, b1, a1], axis=1)], axis=1)
-    return pairs.reshape(-1, 3, rows.shape[2])
+def _cone(apex: np.ndarray, ring: np.ndarray, m: int) -> np.ndarray:
+    """The simplices (N, m+1, n) joining ``apex`` to each face of ``ring``."""
+    faces = _faces(ring, m)
+    return np.concatenate([np.broadcast_to(apex, faces[:, :1].shape), faces], axis=1)
+
+
+def _prisms(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """Staircase triangulation of the prisms between matching faces
+    (..., m, n) of two rings: m simplices per face, in face order,
+    unoriented, shape (K m, m+1, n)."""
+    m, n = inner.shape[-2:]
+    pieces = [np.concatenate([inner[..., : j + 1, :], outer[..., j:, :]], axis=-2) for j in range(m)]
+    return np.stack(pieces, axis=-3).reshape(-1, m + 1, n)
+
+
+def _strip(inner: np.ndarray, outer: np.ndarray, m: int) -> np.ndarray:
+    """The simplices between two rings with equal counts, unoriented."""
+    return _prisms(_faces(inner, m), _faces(outer, m))
 
 
 @dataclass
@@ -643,7 +602,7 @@ class AnnulusBlend:
 
     decomp: LayerDecomposition
     v: MollifiedGraph
-    verts: np.ndarray  # (T, 3, n) oriented triangles
+    verts: np.ndarray  # (T, m+1, n) oriented simplices
     payload: np.ndarray  # (T, width) coefficient payloads
     mass_blend: float
     mass_original: float
@@ -656,7 +615,7 @@ class AnnulusBlend:
         ) * self.v.eval(x)
 
     def chain(self, n: int, group) -> PolyChain:
-        return PolyChain(n, 2, group, verts=self.verts, payload=self.payload)
+        return PolyChain(n, self.decomp.m, group, verts=self.verts, payload=self.payload)
 
 
 def annulus_interpolate(
@@ -666,61 +625,52 @@ def annulus_interpolate(
     r_in: float = 0.5,
     r_out: float = 0.75,
 ) -> AnnulusBlend:
-    """Blend every layer into the mollified graph across the annulus."""
-    base = decomp.base
-    perp = decomp.perp
-    perp_embed = lambda y: y @ perp  # noqa: E731
-    tris = []
-    rows = []
-    weights = []
-    mass_orig = 0.0
-    for ly in decomp.layers:
-        d = ly.domain
-        origin_idx = int(np.argmin(np.linalg.norm(d, axis=1)))
-        others = [i for i in range(3) if i != origin_idx]
-        a0 = math.atan2(d[others[0], 1], d[others[0], 0])
-        a1 = math.atan2(d[others[1], 1], d[others[1], 0])
-        u0 = np.array([math.cos(a0), math.sin(a0)])
-        u1 = np.array([math.cos(a1), math.sin(a1)])
-        tris.append(_clip_to_wedge_annulus(ly.A, ly.b, u0, u1, v, base, perp_embed, r_in, r_out, divisions))
-        rows.append(coeff_payload(ly.coeff))
-        w = group_norm(ly.coeff)
-        weights.append(w)
-        span = abs((a1 - a0 + math.pi) % (2 * math.pi) - math.pi)
-        wedge = 0.5 * (r_out**2 - r_in**2) * math.sin(span)
-        mass_orig += w * math.sqrt(1.0 + ly.jacobian_sq()) * wedge
-    per_layer = 2 * divisions
-    verts = _oriented(np.concatenate(tris), base)
-    payload = np.repeat(np.array(rows), per_layer, axis=0)
+    """Blend every layer into the mollified graph across the annulus, over
+    the wedge (m = 2) or the ray (m = 1) its domain spans from the apex."""
+    base, perp, m = decomp.base, decomp.perp, decomp.m
+    u = _directions(_layer_rays(decomp), m)  # (L, m, m): each layer's ray directions
+    radii = np.linspace(r_in, r_out, divisions + 1)[:, None, None]
+    x = radii * u[:, None]  # (L, divisions + 1, m, m)
+    y = (decomp.A[:, None, None] @ x[..., None])[..., 0] + decomp.b[:, None, None]
+    vv = v.eval_many(x.reshape(-1, m)).reshape(y.shape)
+    # blend coefficients 4r-2 and 3-4r on the standard annulus
+    z = (4.0 * radii - 2.0) * y + (3.0 - 4.0 * radii) * vv
+    rows = _lift(x, base.frame) + _lift(z, perp)  # (L, divisions + 1, m, n)
+    verts = _oriented(_prisms(rows[:, :-1], rows[:, 1:]), base)
+    per_layer = m * divisions
+    payload = np.repeat(decomp.chain.payload, per_layer, axis=0)
     # summed term by term, in order
-    mass_blend = sum((np.repeat(weights, per_layer) * simplex_volumes(verts)).tolist())
+    mass_blend = sum((np.repeat(decomp.weights, per_layer) * simplex_volumes(verts)).tolist())
+    # each layer's chord wedge between the radii has volume |det u| (r_out^m - r_in^m) / m!
+    wedges = np.abs(np.linalg.det(u)) * (r_out**m - r_in**m) / math.factorial(m)
+    mass_orig = float(np.sum(decomp.weights * decomp.jac * wedges))
     return AnnulusBlend(decomp, v, verts, payload, mass_blend, mass_orig)
 
 
-def build_comparison(P: PolyChain, cfg: EpiConfig | None = None, base: OrientedPlane | None = None):
-    """Run the full pipeline on a polyhedral cone; returns ``(S, report)``.
+def build_comparison(P: PolyChain, cfg: EpiConfig | None = None):
+    """Run the full pipeline on a polyhedral m-cone, m in {1, 2}; returns
+    ``(S, report)``.
 
-    ``base`` overrides the plane selection stage (used by tests that need
-    the trace over a prescribed plane).
+    Both dimensions run the same stages, gates and measurements.  An empty
+    chain raises ``ValueError``; a failed stage precondition raises
+    :class:`StageError` tagged with its stage.
     """
+    if P.is_zero:
+        raise ValueError("empty chain")
     cfg = cfg or EpiConfig()
     m = P.m
     if m not in (1, 2):
         raise StageError("select_plane", f"pipeline supports m in {{1, 2}}, got m={m}")
-    if m == 1:
-        return _build_comparison_m1(P, cfg, base)
     lam = lambda_epi(m)
 
     # -- stage: plane selection
     if not is_cone(P, tol=1e-9):
         raise StageError("assumptions", "input chain is not a cone through the origin")
     try:
-        form = quad_form(P, np.zeros(P.n), 1.0)
-        V0, _ = select_plane(form, m)
+        V, _ = select_plane(quad_form(P, np.zeros(P.n), 1.0), m)
     except Exception as exc:  # noqa: BLE001
         raise StageError("select_plane", str(exc)) from exc
-    V = _polish_plane(P, V0, cfg) if cfg.polish else V0
-    V = _align_to_chain(V, P)
+    V = align_base_to_chain(V, P)
 
     # -- stage: assumptions
     try:
@@ -745,8 +695,7 @@ def build_comparison(P: PolyChain, cfg: EpiConfig | None = None, base: OrientedP
         raise StageError("assumptions", f"excess {eps_meas:.3g} >= bound {cfg.eps_max}")
     if cfg.strict_flatness and eps_meas > rho_meas ** (6 * m):
         raise StageError("assumptions", "strict flatness eps <= rho^(6m) violated")
-    low_coeff = [ly for ly in decomp.layers if group_norm(ly.coeff) < 0.75 * g0n - 1e-12]
-    if low_coeff:
+    if np.any(decomp.weights < 0.75 * g0n - 1e-12):
         notes.append("a layer coefficient is below (3/4)||g0||; averaged bounds not asserted")
 
     degenerate = exc_P <= 1e-12 * max(g0n, 1.0)
@@ -755,7 +704,6 @@ def build_comparison(P: PolyChain, cfg: EpiConfig | None = None, base: OrientedP
     avg = averaged_graph(decomp)
     rho_moll = min(max(rho_meas, 1e-3), 0.45)
     angles = _layer_ray_angles(decomp)
-    n_ang = len(angles)
     v = mollified_graph(avg, rho_moll, angles=angles, nodes=cfg.moll_nodes)
 
     # -- stage: spectral plane off the mollified cone
@@ -772,7 +720,7 @@ def build_comparison(P: PolyChain, cfg: EpiConfig | None = None, base: OrientedP
 
     # -- stage: trace + split
     trace = trace_and_split(
-        curve, W, cutoff=cfg.harmonic_cutoff, n_samples=n_ang, tail_tol=cfg.tail_tol
+        curve, W, cutoff=cfg.harmonic_cutoff, n_samples=len(angles), tail_tol=cfg.tail_tol
     )
 
     # -- stage: assemble S
@@ -783,14 +731,12 @@ def build_comparison(P: PolyChain, cfg: EpiConfig | None = None, base: OrientedP
     if defect > cfg.boundary_defect_tol * mP:
         raise StageError("assemble", f"boundary defect {defect:.3g} exceeds {cfg.boundary_defect_tol} * mass(P)")
 
-    # -- measurements
-    zone_poly = 0.25 * np.stack(
-        [np.cos(trace.angles), np.sin(trace.angles)], axis=1
-    )
+    # -- measurements: one layer decomposition per (chain, plane) pair
+    W_P = align_base_to_chain(W, P)
     try:
-        exc_S = _excess_over(S_chain, V, decomp.g0, radius=1.0)
-        exc_P_zone = _excess_over_polygon(P, W, decomp.g0, zone_poly)
-        exc_S_zone = _excess_over_polygon(S_chain, W, decomp.g0, zone_poly)
+        exc_S = cylindrical_excess(_decompose(S_chain, V, decomp.g0), radius=1.0)
+        exc_P_zone = _zone_excess(_decompose(P, W_P, decomp.g0), trace)
+        exc_S_zone = _zone_excess(_decompose(S_chain, W_P, decomp.g0), trace)
     except GeneralPositionError as exc:
         raise StageError("measure", str(exc)) from exc
     ratio_zone = None if degenerate else exc_S_zone / exc_P_zone
@@ -826,18 +772,49 @@ def build_comparison(P: PolyChain, cfg: EpiConfig | None = None, base: OrientedP
 # -- helpers -----------------------------------------------------------------
 
 
+def _decompose(chain: PolyChain, plane: OrientedPlane, g0: NormedCoefficient) -> LayerDecomposition:
+    """The layers of a chain whose stalk coefficient is known to be ``g0``
+    (the constancy check costs quadratically in the number of edges)."""
+    decomp = decompose_layers(chain, plane, check_constancy=False)
+    return dataclasses.replace(decomp, g0=g0, g0_norm=group_norm(g0))
+
+
+def _lift(coords: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """``coords @ frame`` row by row: the same floats as one point at a
+    time (a batched product may sum in another order)."""
+    return (coords[..., None, :] @ frame)[..., 0, :]
+
+
+def _directions(angles_or_sides: np.ndarray, m: int) -> np.ndarray:
+    """Unit vectors (..., m) of base directions: ``(cos a, sin a)`` for
+    m = 2, the side itself for m = 1."""
+    if m == 1:
+        return angles_or_sides[..., None]
+    return np.stack([np.cos(angles_or_sides), np.sin(angles_or_sides)], axis=-1)
+
+
+def _layer_rays(decomp: LayerDecomposition) -> np.ndarray:
+    """(L, m): the raw ``atan2`` angles (m = 2) or the sides (m = 1) of the
+    domain vertices of each layer other than its apex, in vertex order."""
+    d = decomp.domains
+    apex = np.argmin(np.linalg.norm(d, axis=2), axis=1)
+    far = d[np.arange(d.shape[1]) != apex[:, None]].reshape(len(d), decomp.m, decomp.m)
+    if decomp.m == 1:
+        return np.sign(far[..., 0])
+    return np.array([[math.atan2(y, x) for x, y in ends] for ends in far.tolist()])
+
+
 def _layer_ray_angles(decomp: LayerDecomposition) -> np.ndarray:
+    """The distinct ray angles of the layers, sorted in [0, 2 pi), for
+    m = 2; the sides ``-1, 1`` of the base line for m = 1."""
+    if decomp.m == 1:
+        return np.array([-1.0, 1.0])
     # dedup by a rounded key but keep the raw atan2 floats: the assembly
     # recomputes the same atan2 from the same vertices, so raw values make
     # interface nodes bitwise reproducible
     angles: dict[float, float] = {}
-    for ly in decomp.layers:
-        d = ly.domain
-        origin_idx = int(np.argmin(np.linalg.norm(d, axis=1)))
-        for i in range(3):
-            if i != origin_idx:
-                raw = math.atan2(d[i, 1], d[i, 0]) % (2 * math.pi)
-                angles.setdefault(round(raw, 12), raw)
+    for raw in np.mod(_layer_rays(decomp), 2 * math.pi).ravel().tolist():
+        angles.setdefault(round(raw, 12), raw)
     out = sorted(angles.values())
     # merge rays closer than 1e-9 (closing vertices of a fan may duplicate
     # the first ray at rounding distance), including the wraparound pair
@@ -851,30 +828,28 @@ def _layer_ray_angles(decomp: LayerDecomposition) -> np.ndarray:
 
 
 def _unit_curve(decomp: LayerDecomposition, v: MollifiedGraph) -> np.ndarray:
-    """Points of the mollified graph at unit base radius, one per ray angle."""
-    base = decomp.base
-    perp = decomp.perp
-    pts = []
-    for a in v.angles:
-        u = np.array([math.cos(a), math.sin(a)])
-        pts.append(base.embed(u) + v.eval_unit(a) @ perp)
-    return np.array(pts)
+    """Points of the mollified graph at unit base radius, one per ray angle
+    (m = 2) or side (m = 1)."""
+    return _lift(_directions(v.angles, decomp.m), decomp.base.frame) + _lift(v.values, decomp.perp)
 
 
 def _cone_chain(curve: np.ndarray, g0: NormedCoefficient, n: int, span: float) -> PolyChain:
-    N = len(curve)
-    vtx = np.zeros((N, 3, n))
-    vtx[:, 1] = span * curve
-    vtx[:, 2] = span * np.roll(curve, -1, axis=0)
-    return PolyChain(n, 2, g0.spec, verts=vtx, payload=np.tile(coeff_payload(g0), (N, 1)))
+    """The cone from the origin over ``span`` times the unit curve, with
+    coefficient ``g0``: over the two sides of a line (m = 1) when the curve
+    has two points, else over a closed polygon (m = 2)."""
+    m = 1 if len(curve) == 2 else 2
+    verts = _cone(np.zeros(n), span * curve, m)
+    return PolyChain(n, m, g0.spec, verts=verts, payload=np.tile(coeff_payload(g0), (len(verts), 1)))
 
 
 def _split_by_polygon_cylinder(
     chain: PolyChain, base: OrientedPlane, poly: np.ndarray
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Split terms into (inside, outside) pieces of the polygon cylinder;
-    exact.  Each side is ``(verts (K, m+1, n), src (K,))``: the pieces and
-    the index of the term each comes from."""
+    """Split terms into (inside, outside) pieces of the cylinder over a
+    convex base region with vertices ``poly`` (k, m): a polygon for m = 2,
+    the two ends of an interval for m = 1; exact.  Each side is
+    ``(verts (K, m+1, n), src (K,))``: the pieces and the index of the term
+    each comes from."""
     from .chains import _clip_simplex_halfspace  # internal, orientation-safe
 
     k = len(poly)
@@ -883,20 +858,27 @@ def _split_by_polygon_cylinder(
     offsets = []
     for i in range(k):
         p, q = poly[i], poly[(i + 1) % k]
-        t = q - p
-        nrm2 = np.array([-t[1], t[0]])
-        if (centroid - p) @ nrm2 < 0:
-            nrm2 = -nrm2
-        nrm2 = nrm2 / np.linalg.norm(nrm2)
-        normals.append(base.embed(nrm2))
-        offsets.append(float(nrm2 @ p))
-    poly_ang, arcs = _polygon_arcs(poly)
-    lo, hi = _angular_windows(chain.vertex_array() @ base.frame.T)
+        if base.m == 1:
+            nrm = np.sign(centroid - p)  # an interval's facets are its ends
+        else:
+            t = q - p
+            nrm = np.array([-t[1], t[0]])
+            if (centroid - p) @ nrm < 0:
+                nrm = -nrm
+            nrm = nrm / np.linalg.norm(nrm)
+        normals.append(base.embed(nrm))
+        offsets.append(float(nrm @ p))
+    if base.m == 1:
+        cuts = [np.arange(k)] * len(chain)
+    else:
+        poly_ang, arcs = _polygon_arcs(poly)
+        lo, hi = _angular_windows(chain.vertex_array() @ base.frame.T)
+        cuts = [_edges_in_window(poly_ang, arcs, a, b) for a, b in zip(lo, hi)]
     inside, in_src = [], []
     outside, out_src = [], []
-    for j, tri in enumerate(chain.verts):
-        stack = [tri]
-        for e in _edges_in_window(poly_ang, arcs, lo[j], hi[j]):
+    for j, (simplex, edges) in enumerate(zip(chain.verts, cuts)):
+        stack = [simplex]
+        for e in edges:
             nxt = []
             for verts in stack:
                 nxt.extend(_clip_simplex_halfspace(verts, normals[e], offsets[e]))
@@ -924,59 +906,47 @@ def _assemble(
     base = decomp.base
     perp = decomp.perp
     W = trace.plane
+    Wperp = trace.perp
+    m = base.m
 
     # inner interface: quarter-scaled traced points (exactly on the cone of v)
-    Wperp = trace.perp
-    curve_pts = []
-    for l, a in enumerate(trace.angles):
-        uW = W.embed(np.array([math.cos(a), math.sin(a)]))
-        curve_pts.append(uW + trace.samples[l] @ Wperp)
-    curve_pts = np.array(curve_pts)
-    inner_poly = 0.25 * curve_pts
+    uW = _directions(trace.angles, m)
+    inner_poly = 0.25 * (_lift(uW, W.frame) + _lift(trace.samples, Wperp))
 
-    # (a) degree-2 graph over the quarter polygon of W
+    # (a) degree-2 graph h4(x) = w0/4 + 4 |x|^2 (w - w0) over the quarter
+    # ball of W, ring by ring; the outermost ring is the quarter-trace
+    # interface itself (h4 = w/4 at |x| = 1/4), so the interface faces
+    # cancel bit for bit
     Q = cfg.radial_divisions
-    rings = []
-    for q in range(1, Q):
-        t = 0.25 * q / Q
-        ring = []
-        for l, a in enumerate(trace.angles):
-            x2 = t * np.array([math.cos(a), math.sin(a)])
-            # h4(x) = w0/4 + 4 t^2 (w - w0) at |x|_W = t
-            hval = trace.w0 / 4.0 + 4.0 * t * t * (trace.samples[l] - trace.w0)
-            ring.append(W.embed(x2) + hval @ Wperp)
-        rings.append(np.array(ring))
-    # the outermost ring is the quarter-trace interface itself (h4 = w/4 at
-    # t = 1/4), so the interface faces cancel bit for bit
-    rings.append(inner_poly)
-    center = W.embed(np.zeros(2)) + (trace.w0 / 4.0) @ Wperp
-    first = rings[0]
-    fan = np.stack([np.broadcast_to(center, first.shape), first, np.roll(first, -1, axis=0)], axis=1)
-    strips = [_strip(rings[q], rings[q + 1]) for q in range(Q - 1)]
-    h_tris = _oriented(np.concatenate([fan] + strips), base)
+    rings = [
+        _lift(t * uW, W.frame) + _lift(trace.w0 / 4.0 + 4.0 * t * t * (trace.samples - trace.w0), Wperp)
+        for t in 0.25 * np.arange(1, Q) / Q
+    ] + [inner_poly]
+    center = W.embed(np.zeros(m)) + (trace.w0 / 4.0) @ Wperp
+    pieces = [_cone(center, rings[0], m)] + [_strip(a, b, m) for a, b in zip(rings[:-1], rings[1:])]
 
-    # (b) ring between the quarter interface and the half circle of the blend;
-    # pair the polylines by their angles in the common base frame, otherwise
-    # the strip twists by the in-plane rotation between the W and V frames
-    ray_angles = v.angles
-    half_nodes = []
-    for a in ray_angles:
-        u = 0.5 * np.array([math.cos(a), math.sin(a)])
-        half_nodes.append(base.embed(u) + v.eval(u) @ perp)
-    half_nodes = np.array(half_nodes)
-    inner_base = base.project_coords(inner_poly)
-    inner_angles = np.mod(np.arctan2(inner_base[:, 1], inner_base[:, 0]), 2 * math.pi)
-    ring_tris = _zip_strip(inner_poly, inner_angles, half_nodes, ray_angles, base)
+    # (b) ring between the quarter interface and the half sphere of v;
+    # for m = 2 pair the polylines by their angles in the common base
+    # frame, otherwise the strip twists by the in-plane rotation between
+    # the W and V frames
+    uV = _directions(v.angles, m)
+    half_nodes = _lift(0.5 * uV, base.frame) + _lift(v.eval_many(0.5 * uV), perp)
+    if m == 1:
+        pieces.append(_strip(inner_poly, half_nodes, m))  # both ordered by side
+    else:
+        inner_base = base.project_coords(inner_poly)
+        inner_angles = np.mod(np.arctan2(inner_base[:, 1], inner_base[:, 0]), 2 * math.pi)
+        pieces.append(_zip_strip(inner_poly, inner_angles, half_nodes, v.angles))
+    g0_parts = _oriented(np.concatenate(pieces), base)
 
     # (c) blended annulus per layer over its own wedge
     blend = annulus_interpolate(decomp, v, divisions=cfg.blend_divisions)
 
-    # (d) P outside the 3/4 polygon cylinder
-    poly34 = 0.75 * np.stack([np.cos(ray_angles), np.sin(ray_angles)], axis=1)
-    (in_verts, in_src), (out_verts, out_src) = _split_by_polygon_cylinder(P, base, poly34)
+    # (d) P outside the 3/4 cylinder
+    (in_verts, in_src), (out_verts, out_src) = _split_by_polygon_cylinder(P, base, 0.75 * uV)
 
-    g0_rows = np.tile(coeff_payload(decomp.g0), (len(h_tris) + len(ring_tris), 1))
-    parts_verts = np.concatenate([h_tris, ring_tris, blend.verts])
+    g0_rows = np.tile(coeff_payload(decomp.g0), (len(g0_parts), 1))
+    parts_verts = np.concatenate([g0_parts, blend.verts])
     parts_payload = np.concatenate([g0_rows, blend.payload])
     S_chain = P.with_arrays(
         np.concatenate([parts_verts, out_verts]), np.concatenate([parts_payload, P.payload[out_src]])
@@ -991,9 +961,9 @@ def _zip_strip(
     inner_angles: np.ndarray,
     outer: np.ndarray,
     outer_angles: np.ndarray,
-    base: OrientedPlane,
 ) -> np.ndarray:
-    """Strip triangulation between two closed polylines, advancing by angle."""
+    """Strip triangulation between two closed polylines, advancing by
+    angle; unoriented."""
     ia = np.mod(np.asarray(inner_angles, dtype=float), 2 * math.pi)
     oa = np.mod(np.asarray(outer_angles, dtype=float), 2 * math.pi)
     io = np.argsort(ia)
@@ -1013,63 +983,25 @@ def _zip_strip(
         else:
             idx.append((i % Ni, Ni + o % No, Ni + (o + 1) % No))
             o += 1
-    return _oriented(pts[np.array(idx)], base)
+    return pts[np.array(idx)]
 
 
-def _graph_stats(chain: PolyChain, base: OrientedPlane):
-    """Projected domains and Jacobians of a graph chain over ``base``.
-
-    Returns (domains (T,3,2), jac_factor (T,) = sqrt(1+|grad|^2), weights),
-    vectorized in codimension one and read off the generic layer
-    decomposition in codimension >= 2.
-    """
-    tris = chain.vertex_array()  # (T, 3, n)
-    dom = tris @ base.frame.T  # (T, 3, 2)
-    e1 = dom[:, 1] - dom[:, 0]
-    e2 = dom[:, 2] - dom[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    if np.any(det * base.orientation <= 0):
-        raise GeneralPositionError("a simplex projects degenerately or reversed")
-    perp = base.perp_frame()
-    if perp.shape[0] != 1:
-        layers = decompose_layers(chain, base, check_constancy=False).layers
-        jac = np.sqrt(1.0 + np.array([ly.jacobian_sq() for ly in layers]))
-        return dom, jac, chain.coeff_norms()
-    h = tris @ perp[0]  # (T, 3)
-    h1 = h[:, 1] - h[:, 0]
-    h2 = h[:, 2] - h[:, 0]
-    # gradient of the affine height over the domain via the 2x2 inverse
-    gx = (h1 * e2[:, 1] - h2 * e1[:, 1]) / det
-    gy = (-h1 * e2[:, 0] + h2 * e1[:, 0]) / det
-    jac = np.sqrt(1.0 + gx * gx + gy * gy)
-    return dom, jac, chain.coeff_norms()
+def _zone_excess(decomp: LayerDecomposition, trace: BoundaryTrace) -> float:
+    """Excess over the replacement zone of ``W``: the interval
+    [-1/4, 1/4] for m = 1, the polygon of the trace directions at radius
+    1/4 for m = 2."""
+    if decomp.m == 1:
+        return cylindrical_excess(decomp, radius=0.25)
+    return _excess_over_polygon(decomp, 0.25 * _directions(trace.angles, 2))
 
 
-def _excess_over(chain: PolyChain, base: OrientedPlane, g0, radius: float) -> float:
-    base = _align_to_chain(base, chain)
-    dom, jac, w = _graph_stats(chain, base)
-    rmin = np.min(np.linalg.norm(dom, axis=2), axis=1)
-    rmax = np.max(np.linalg.norm(dom, axis=2), axis=1)
-    areas = 0.5 * np.abs(
-        (dom[:, 1, 0] - dom[:, 0, 0]) * (dom[:, 2, 1] - dom[:, 0, 1])
-        - (dom[:, 1, 1] - dom[:, 0, 1]) * (dom[:, 2, 0] - dom[:, 0, 0])
-    )
-    # triangles the circle cuts, clipped in one batched pass
-    cut = (rmin < radius) & (rmax > radius)
-    areas[cut] = np.abs(disk_polygon_areas(dom[cut], np.zeros(2), radius))
-    inside = rmin < radius
-    total = float(np.sum(w[inside] * jac[inside] * areas[inside]))
-    return total - group_norm(g0) * math.pi * radius * radius
-
-
-def _excess_over_polygon(chain: PolyChain, base: OrientedPlane, g0, poly: np.ndarray) -> float:
+def _excess_over_polygon(decomp: LayerDecomposition, poly: np.ndarray) -> float:
     """Excess over the cylinder of a convex polygon region in base coords.
 
     Clips each projected domain only against the polygon edges whose arcs
     meet its angular window (see :func:`_edges_in_window`).
     """
-    base = _align_to_chain(base, chain)
-    dom, jac, w = _graph_stats(chain, base)
+    dom, jac, w = decomp.domains, decomp.jac, decomp.weights
     k = len(poly)
     poly_ang, arcs = _polygon_arcs(poly)
     # inward edge normals, oriented towards the origin
@@ -1110,7 +1042,7 @@ def _excess_over_polygon(chain: PolyChain, base: OrientedPlane, g0, poly: np.nda
     for i in range(1, k - 1):
         ua, ub = poly[i] - poly[0], poly[i + 1] - poly[0]
         poly_area += 0.5 * abs(float(ua[0] * ub[1] - ua[1] * ub[0]))
-    return float(total - group_norm(g0) * poly_area)
+    return float(total - decomp.g0_norm * poly_area)
 
 
 def _polygon_arcs(poly: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1160,66 +1092,6 @@ def _edges_in_window(poly_ang: np.ndarray, arcs: np.ndarray, lo: float, hi: floa
     return np.flatnonzero(starts_in | covers_lo)
 
 
-_UNIT_G0 = None  # set lazily: any fixed coefficient makes the polish cost differ by a constant
-
-
-def _polish_plane(P: PolyChain, V0: OrientedPlane, cfg: EpiConfig) -> OrientedPlane:
-    """Nelder-Mead polish of the base plane over the graph chart at V0,
-    minimizing the cylindrical excess (a 2-approximate minimizer is all
-    the comparison argument needs)."""
-    global _UNIT_G0
-    if _UNIT_G0 is None or _UNIT_G0.spec != P.group:
-        from .groups import zero as _gzero
-
-        _UNIT_G0 = _gzero(P.group)
-    m, n = V0.m, V0.n
-    perp0 = V0.perp_frame()
-    dim = m * (n - m)
-
-    def plane_of(theta: np.ndarray) -> OrientedPlane:
-        M = theta.reshape(m, n - m)
-        rows = V0.frame + M @ perp0
-        return OrientedPlane.from_span(rows)
-
-    def cost(theta: np.ndarray) -> float:
-        try:
-            pl = plane_of(theta)
-            return _excess_over(P, pl, _UNIT_G0, 1.0)
-        except (GeneralPositionError, ConstancyError, ValueError):
-            return float("inf")
-
-    # tiny hand-rolled Nelder-Mead
-    x0 = np.zeros(dim)
-    step = 0.05
-    simplex = [x0] + [x0 + step * e for e in np.eye(dim)]
-    vals = [cost(x) for x in simplex]
-    for _ in range(120):
-        order = np.argsort(vals)
-        simplex = [simplex[i] for i in order]
-        vals = [vals[i] for i in order]
-        if vals[-1] - vals[0] < cfg.polish_tol:
-            break
-        centroid = np.mean(simplex[:-1], axis=0)
-        xr = centroid + (centroid - simplex[-1])
-        fr = cost(xr)
-        if fr < vals[0]:
-            xe = centroid + 2.0 * (centroid - simplex[-1])
-            fe = cost(xe)
-            simplex[-1], vals[-1] = (xe, fe) if fe < fr else (xr, fr)
-        elif fr < vals[-2]:
-            simplex[-1], vals[-1] = xr, fr
-        else:
-            xc = centroid + 0.5 * (simplex[-1] - centroid)
-            fc = cost(xc)
-            if fc < vals[-1]:
-                simplex[-1], vals[-1] = xc, fc
-            else:
-                simplex = [simplex[0] + 0.5 * (s - simplex[0]) for s in simplex]
-                vals = [cost(x) for x in simplex]
-    best = simplex[int(np.argmin(vals))]
-    return plane_of(best)
-
-
 def _residual_defect_mass(chain: PolyChain, tol: float = 1e-9) -> float:
     """Mass of a boundary-defect chain after tolerance-based cancellation.
 
@@ -1251,219 +1123,3 @@ def _residual_defect_mass(chain: PolyChain, tol: float = 1e-9) -> float:
         if not ci.is_zero:
             total += group_norm(ci) * li
     return total
-
-
-# -- the m = 1 pipeline -------------------------------------------------------
-
-
-def _interval_excess(chain: PolyChain, base: OrientedPlane, g0, half_width: float) -> float:
-    """Exact excess of a segment stack over the base interval [-w, w]."""
-    base = _align_to_chain_m1(base, chain)
-    total = 0.0
-    perp = base.perp_frame()
-    for verts, w in zip(chain.verts, chain.coeff_norms()):
-        dom = (verts @ base.frame.T)[:, 0]
-        lo, hi = min(dom), max(dom)
-        overlap = max(0.0, min(hi, half_width) - max(lo, -half_width))
-        if overlap <= 0.0:
-            continue
-        span = hi - lo
-        if span < 1e-30:
-            raise GeneralPositionError("a segment projects degenerately")
-        heights = verts @ perp.T
-        slope = np.linalg.norm(heights[1] - heights[0]) / span
-        total += float(w) * math.sqrt(1.0 + slope * slope) * overlap
-    return total - group_norm(g0) * 2.0 * half_width
-
-
-def _align_to_chain_m1(base: OrientedPlane, chain: PolyChain) -> OrientedPlane:
-    for verts in chain.verts:
-        dom = (verts @ base.frame.T)[:, 0]
-        det = dom[1] - dom[0]
-        if abs(det) < 1e-14:
-            continue
-        if det * base.orientation < 0:
-            return OrientedPlane(-base.frame, base.orientation)
-        return base
-    return base
-
-
-def _seg(a: np.ndarray, b: np.ndarray, base: OrientedPlane) -> np.ndarray:
-    if (b - a) @ base.frame[0] * base.orientation < 0:
-        return np.array([b, a])
-    return np.array([a, b])
-
-
-def _build_comparison_m1(P: PolyChain, cfg: EpiConfig, base: OrientedPlane | None):
-    """Two-sided analogue of the assembly: the sphere of the base line is
-    the point pair, harmonics reduce to the even/odd split, and every
-    piece is a polyline."""
-    m, n = 1, P.n
-    lam = lambda_epi(m)
-    if not is_cone(P, tol=1e-9):
-        raise StageError("assumptions", "input chain is not a cone through the origin")
-    if base is None:
-        try:
-            V0, _ = select_plane(quad_form(P, np.zeros(n), 1.0), 1)
-        except Exception as exc:  # noqa: BLE001
-            raise StageError("select_plane", str(exc)) from exc
-    else:
-        V0 = base
-    V = _align_to_chain_m1(V0, P)
-    try:
-        decomp = decompose_layers(P, V, radius=1.0)
-    except (GeneralPositionError, ConstancyError) as exc:
-        raise StageError("assumptions", str(exc)) from exc
-    if decomp.g0.is_zero:
-        raise StageError("assumptions", "projected coefficient g0 vanishes")
-    g0 = decomp.g0
-    g0n = decomp.g0_norm
-    bd = boundary(P)
-    if not bd.is_zero:
-        bv = bd.vertex_array().reshape(-1, n)
-        if float(np.min(np.abs(bv @ V.frame[0]))) <= 2.0:
-            raise StageError("assumptions", "boundary enters the doubled cylinder")
-    rho_meas = height_sup(P, V, radius=1.0)
-    exc_P = _interval_excess(P, V, g0, 1.0)
-    eps_meas = exc_P / g0n
-    notes: list[str] = []
-    if rho_meas >= cfg.rho_max:
-        raise StageError("assumptions", f"height {rho_meas:.3g} >= bound {cfg.rho_max}")
-    if eps_meas >= cfg.eps_max:
-        raise StageError("assumptions", f"excess {eps_meas:.3g} >= bound {cfg.eps_max}")
-    if cfg.strict_flatness and eps_meas > rho_meas ** (6 * m):
-        raise StageError("assumptions", "strict flatness eps <= rho^(6m) violated")
-    degenerate = exc_P <= 1e-12 * max(g0n, 1.0)
-
-    avg = averaged_graph(decomp)
-    rho_moll = min(max(rho_meas, 1e-3), 0.45)
-    v = mollified_graph(avg, rho_moll)
-    perp = decomp.perp
-    curve = np.array(
-        [
-            -V.frame[0] + v.eval_unit(-1.0) @ perp,
-            V.frame[0] + v.eval_unit(1.0) @ perp,
-        ]
-    )
-    Tv = PolyChain(
-        n,
-        1,
-        P.group,
-        [(Simplex(_seg(np.zeros(n), 1.6 * q, V)), g0) for q in curve],
-    )
-    try:
-        W, _ = select_plane(quad_form(Tv, np.zeros(n), 1.0), 1)
-    except Exception as exc:  # noqa: BLE001
-        raise StageError("spectral", str(exc)) from exc
-    W = _align_to_chain_m1(align_in_plane_orientation(W, V), P)
-    drift = plane_distance(W, V)
-    trace = trace_and_split(curve, W, cutoff=cfg.harmonic_cutoff)
-    Wperp = trace.perp
-
-    # traced unit points over W and the quarter-scale interface
-    proj = curve @ W.frame.T
-    pts_W = []
-    for q, pr in zip(curve, proj[:, 0]):
-        pts_W.append(q / abs(pr))
-    pts_W = sorted(pts_W, key=lambda q: float(q @ W.frame[0]))
-    inner = [0.25 * q for q in pts_W]
-
-    segs: list[tuple[np.ndarray, object]] = []
-    Q = max(cfg.radial_divisions, 2)
-    # (a) degree-2 graph over [-1/4, 1/4] of W
-    knots = np.linspace(-0.25, 0.25, 2 * Q + 1)
-    def h4(t: float) -> np.ndarray:
-        wb = trace.samples[1] if t > 0 else trace.samples[0]
-        if t == 0.0:
-            wb = trace.w0
-        return trace.w0 / 4.0 + 4.0 * t * t * (wb - trace.w0)
-
-    nodes_h = [W.embed(np.array([t])) + h4(float(t)) @ Wperp for t in knots]
-    nodes_h[0] = inner[0]
-    nodes_h[-1] = inner[1]
-    for a, b in zip(nodes_h[:-1], nodes_h[1:]):
-        segs.append((_seg(a, b, V), g0))
-    # (b) ring pieces from the quarter interface to the half points of v
-    half = [
-        -0.5 * V.frame[0] + v.eval(np.array([-0.5])) @ perp,
-        0.5 * V.frame[0] + v.eval(np.array([0.5])) @ perp,
-    ]
-    segs.append((_seg(half[0], inner[0], V), g0))
-    segs.append((_seg(inner[1], half[1], V), g0))
-    # (c) blended annulus per layer per side
-    div = max(cfg.blend_divisions, 2)
-    for ly in decomp.layers:
-        lo, hi = sorted((float(ly.domain[0, 0]), float(ly.domain[1, 0])))
-        side = 1.0 if hi > 0.75 else -1.0
-        rr = np.linspace(0.5, 0.75, div + 1)
-        pts = []
-        for r in rr:
-            x = np.array([side * r])
-            z = (4.0 * r - 2.0) * ly.height(x) + (3.0 - 4.0 * r) * v.eval(x)
-            pts.append(V.embed(x) + z @ perp)
-        for a, b in zip(pts[:-1], pts[1:]):
-            segs.append((_seg(a, b, V), ly.coeff))
-    # (d) P outside the 3/4 interval
-    inside_terms = []
-    outside = []
-    axis = V.frame[0]
-    for simplex, c in P.terms:
-        stack = [simplex.vertices]
-        for sgn in (1.0, -1.0):
-            nxt = []
-            for verts in stack:
-                for piece in _clip_one(verts, sgn * axis, -0.75):
-                    nxt.append(piece)
-                for piece in _clip_one(verts, -sgn * axis, 0.75):
-                    outside.append((piece, c))
-            stack = nxt
-        for verts in stack:
-            inside_terms.append((verts, c))
-    # the two-sided clip above assigns {|x_V| <= 3/4} to inside; rebuild
-    s_parts = PolyChain(n, 1, P.group, [(Simplex(t), c) for t, c in segs])
-    S_chain = PolyChain(
-        n, 1, P.group, [(Simplex(t), c) for t, c in segs] + [(Simplex(t), c) for t, c in outside]
-    )
-    P_inside = PolyChain(n, 1, P.group, [(Simplex(t), c) for t, c in inside_terms])
-    defect = _residual_defect_mass(merge_terms(boundary(s_parts - P_inside)))
-    mP = mass(P)
-    if defect > cfg.boundary_defect_tol * mP:
-        raise StageError("assemble", f"boundary defect {defect:.3g} exceeds {cfg.boundary_defect_tol} * mass(P)")
-
-    exc_S = _interval_excess(S_chain, V, g0, 1.0)
-    exc_P_zone = _interval_excess(P, W, g0, 0.25)
-    exc_S_zone = _interval_excess(S_chain, W, g0, 0.25)
-    ratio_zone = None if degenerate else exc_S_zone / exc_P_zone
-    ratio_full = None if degenerate else exc_S / exc_P
-    energy_ratio = None
-    if trace.cone_energy() > 1e-14:
-        energy_ratio = trace.h_energy() / trace.cone_energy()
-    report = EpiReport(
-        m=m,
-        g0_norm=g0n,
-        eps=eps_meas,
-        rho=rho_meas,
-        lambda_theory=lam,
-        exc_P=exc_P,
-        exc_S=exc_S,
-        exc_P_zone=exc_P_zone,
-        exc_S_zone=exc_S_zone,
-        ratio_zone=ratio_zone,
-        ratio_full=ratio_full,
-        cone_energy=trace.cone_energy(),
-        h_energy=trace.h_energy(),
-        energy_ratio=energy_ratio,
-        w1_sup=trace.w1_sup,
-        plane_drift=drift,
-        boundary_defect=defect,
-        degenerate=degenerate,
-        strict_flatness=cfg.strict_flatness,
-        notes=notes,
-    )
-    return S_chain, report
-
-
-def _clip_one(verts: np.ndarray, normal: np.ndarray, offset: float):
-    from .chains import _clip_simplex_halfspace
-
-    return _clip_simplex_halfspace(verts, normal, offset)

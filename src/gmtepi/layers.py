@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .chains import PolyChain
 from .groups import NormedCoefficient, group_add, group_norm, zero
 from .planes import OrientedPlane
-from .quadrature import disk_polygon_area
+from .quadrature import disk_polygon_area, disk_polygon_areas
 
 __all__ = [
     "GeneralPositionError",
@@ -51,22 +52,16 @@ def align_base_to_chain(base: OrientedPlane, chain: PolyChain) -> OrientedPlane:
     """Flip one frame row if the chain projects orientation-reversingly.
 
     Plane selection from a quadratic form fixes no in-plane handedness, so
-    graph decompositions align the base to the chain first."""
-    for verts in chain.verts:
-        dom = verts @ base.frame.T
-        if dom.shape[1] != 2:
-            return base
-        det = float(
-            (dom[1, 0] - dom[0, 0]) * (dom[2, 1] - dom[0, 1])
-            - (dom[1, 1] - dom[0, 1]) * (dom[2, 0] - dom[0, 0])
-        )
-        if abs(det) < 1e-14:
-            continue
-        if det * base.orientation < 0:
-            f = base.frame.copy()
-            f[-1] = -f[-1]
-            return OrientedPlane(f, base.orientation)
-        return base
+    graph decompositions align the base to the chain first.  The sign is
+    the first non-degenerate term's projected edge determinant, in every
+    dimension m."""
+    dom = chain.verts @ base.frame.T
+    det = np.linalg.det(dom[:, 1:] - dom[:, :1])
+    firm = np.flatnonzero(np.abs(det) >= 1e-14)
+    if len(firm) and det[firm[0]] * base.orientation < 0:
+        f = base.frame.copy()
+        f[-1] = -f[-1]
+        return OrientedPlane(f, base.orientation)
     return base
 
 
@@ -94,17 +89,30 @@ class Layer:
 
 @dataclass
 class LayerDecomposition:
-    """Stack of affine graph layers over a base plane."""
+    """Stack of affine graph layers over a base plane, one per term of
+    ``chain``, held as stacked arrays; ``layers`` lists them one by one."""
 
     base: OrientedPlane
     perp: np.ndarray  # (n-m, n) orthonormal complement frame
-    layers: list[Layer]
+    chain: PolyChain
+    domains: np.ndarray  # (T, m+1, m) projected simplices, base coordinates
+    A: np.ndarray  # (T, n-m, m)
+    b: np.ndarray  # (T, n-m)
+    jac: np.ndarray  # (T,) area factors sqrt(det(I + A^T A))
+    weights: np.ndarray  # (T,) coefficient norms
     g0: NormedCoefficient
     g0_norm: float
 
     @property
     def m(self) -> int:
         return self.base.m
+
+    @cached_property
+    def layers(self) -> list[Layer]:
+        return [
+            Layer(self.domains[t], self.A[t], self.b[t], self.chain.coefficient(t))
+            for t in range(len(self.domains))
+        ]
 
 
 def _constancy_nodes(layers: list[Layer], m: int, radius: float) -> np.ndarray:
@@ -228,45 +236,81 @@ def decompose_layers(
     """Express a general-position chain as a stack of affine graphs over
     ``base`` and determine the constant stalk coefficient ``g0``.
 
-    Raises :class:`GeneralPositionError` if some simplex projects
-    degenerately or orientation-reversingly, and :class:`ConstancyError`
-    if the stalk sum differs between interior query points within the
-    disk of the given radius.
+    Every term is decomposed in the same stacked array passes.  Raises
+    :class:`GeneralPositionError` if some simplex projects degenerately or
+    orientation-reversingly, and :class:`ConstancyError` if the stalk sum
+    differs between interior query points within the disk of the given
+    radius.
     """
     if base.n != chain.n or base.m != chain.m:
         raise ValueError("base plane shape mismatch")
     m = chain.m
     perp = base.perp_frame()
-    layers = []
-    for t, (verts, volume) in enumerate(zip(chain.verts, chain.volumes())):
-        dom = base.project_coords(verts)
-        edges = (dom[1:] - dom[0]).T  # (m, m)
-        det = float(np.linalg.det(edges))
-        vol_dom = abs(det) / math.factorial(m)
-        if vol_dom < 1e-14 * max(float(volume), 1e-30):
-            raise GeneralPositionError("projected simplex is degenerate")
-        if det * base.orientation <= 0:
-            raise GeneralPositionError("projection is orientation reversing")
-        heights = verts @ perp.T  # (m+1, n-m)
-        # affine solve from the m+1 vertex correspondences
-        X = np.column_stack([dom, np.ones(m + 1)])
-        sol = np.linalg.solve(X, heights)  # (m+1, n-m)
-        A = sol[:m].T
-        b = sol[m]
-        layers.append(Layer(dom, A, b, chain.coefficient(t)))
-
-    g0 = zero(chain.group)
-    if check_constancy and layers:
-        g0 = _stalk_sum(layers, m, radius, chain.group, boundary_tol)
-    return LayerDecomposition(base, perp, layers, g0, group_norm(g0))
-
-
-def _domain_disk_area(domain: np.ndarray, center: np.ndarray, radius: float, m: int) -> float:
+    verts = chain.verts
+    dom = verts @ base.frame.T  # (T, m+1, m)
+    edges = dom[:, 1:] - dom[:, :1]  # (T, m, m), one edge per row
     if m == 1:
-        lo, hi = sorted((float(domain[0, 0]), float(domain[1, 0])))
-        c = float(center[0])
-        return max(0.0, min(hi, c + radius) - max(lo, c - radius))
-    return abs(disk_polygon_area(domain, center, radius))
+        det = edges[:, 0, 0]
+    else:
+        e1, e2 = edges[:, 0], edges[:, 1]
+        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    degenerate = np.abs(det) / math.factorial(m) < 1e-14 * np.maximum(chain.volumes(), 1e-30)
+    bad = np.flatnonzero(degenerate | (det * base.orientation <= 0))
+    if len(bad):
+        if degenerate[bad[0]]:
+            raise GeneralPositionError("projected simplex is degenerate")
+        raise GeneralPositionError("projection is orientation reversing")
+    # the Jacobian factor from the gradient G of each affine height, taken
+    # by the adjugate of the edge matrix: det(I + G^T G) is Cauchy-Binet's
+    # sum of the squared m x m minors of [I; G]
+    heights = verts @ perp.T  # (T, m+1, n-m)
+    rise = heights[:, 1:] - heights[:, :1]
+    if m == 1:
+        grad = rise[:, 0] / det[:, None]
+        jac_sq = 1.0 + np.sum(grad * grad, axis=1)
+    else:
+        h1, h2 = rise[:, 0], rise[:, 1]
+        gx = (h1 * e2[:, 1:] - h2 * e1[:, 1:]) / det[:, None]
+        gy = (-h1 * e2[:, :1] + h2 * e1[:, :1]) / det[:, None]
+        minors = gx[:, :, None] * gy[:, None, :] - gx[:, None, :] * gy[:, :, None]
+        wedge = 0.5 * np.sum(minors * minors, axis=(1, 2))
+        jac_sq = 1.0 + np.sum(gx * gx, axis=1) + np.sum(gy * gy, axis=1) + wedge
+    # affine solve from the m+1 vertex correspondences
+    X = np.concatenate([dom, np.ones(dom.shape[:2] + (1,))], axis=2)
+    sol = np.linalg.solve(X, heights)  # (T, m+1, n-m)
+    decomp = LayerDecomposition(
+        base, perp, chain, dom, np.swapaxes(sol[:, :m], 1, 2), sol[:, m], np.sqrt(jac_sq),
+        chain.coeff_norms(), zero(chain.group), 0.0,
+    )
+    if check_constancy and len(chain):
+        decomp.g0 = _stalk_sum(decomp.layers, m, radius, chain.group, boundary_tol)
+        decomp.g0_norm = group_norm(decomp.g0)
+    return decomp
+
+
+def _covered_mass(
+    decomp: LayerDecomposition, center: np.ndarray | None, radius: float, weights: np.ndarray
+) -> float:
+    """``sum_i weights_i jac_i vol(D_i ∩ B)`` over the base ball ``B``.
+
+    For m = 2 a triangle with every vertex inside the disk contributes its
+    cross-product area and any other is clipped exactly by
+    :func:`disk_polygon_areas`; for m = 1 the domains are intervals.  The
+    terms are summed in one ``np.sum``."""
+    dom = decomp.domains if center is None else decomp.domains - center
+    if decomp.m == 1:
+        size = np.maximum(
+            np.minimum(dom.max(axis=(1, 2)), radius) - np.maximum(dom.min(axis=(1, 2)), -radius), 0.0
+        )
+    else:
+        size = 0.5 * np.abs(
+            (dom[:, 1, 0] - dom[:, 0, 0]) * (dom[:, 2, 1] - dom[:, 0, 1])
+            - (dom[:, 1, 1] - dom[:, 0, 1]) * (dom[:, 2, 0] - dom[:, 0, 0])
+        )
+        cut = np.max(np.linalg.norm(dom, axis=2), axis=1) > radius
+        size[cut] = np.abs(disk_polygon_areas(dom[cut], np.zeros(2), radius))
+    hit = size > 0.0
+    return float(np.sum(weights[hit] * decomp.jac[hit] * size[hit]))
 
 
 def _ball_volume(m: int, radius: float) -> float:
@@ -289,14 +333,8 @@ def cylindrical_excess(
     """
     if decomp.g0.is_zero:
         raise ConstancyError("stalk coefficient g0 is zero; excess undefined")
-    m = decomp.m
-    c = np.zeros(m) if center is None else np.asarray(center, dtype=float)
-    total = 0.0
-    for ly in decomp.layers:
-        area = _domain_disk_area(ly.domain, c, radius, m)
-        if area > 0.0:
-            total += group_norm(ly.coeff) * math.sqrt(1.0 + ly.jacobian_sq()) * area
-    return total - decomp.g0_norm * _ball_volume(m, radius)
+    mass = _covered_mass(decomp, center, radius, decomp.weights)
+    return mass - decomp.g0_norm * _ball_volume(decomp.m, radius)
 
 
 def size_excess(
@@ -305,14 +343,8 @@ def size_excess(
     radius: float = 1.0,
 ) -> float:
     """Excess of the carrier's Hausdorff volume over the base ball volume."""
-    m = decomp.m
-    c = np.zeros(m) if center is None else np.asarray(center, dtype=float)
-    total = 0.0
-    for ly in decomp.layers:
-        area = _domain_disk_area(ly.domain, c, radius, m)
-        if area > 0.0:
-            total += math.sqrt(1.0 + ly.jacobian_sq()) * area
-    return total - _ball_volume(m, radius)
+    ones = np.ones(len(decomp.domains))
+    return _covered_mass(decomp, center, radius, ones) - _ball_volume(decomp.m, radius)
 
 
 @dataclass

@@ -629,14 +629,39 @@ def split_by_polygon_cylinder(chain, base, poly: np.ndarray):
     return inside, outside
 
 
-def excess_over_polygon(chain, base, g0, poly: np.ndarray) -> float:
-    """Excess over a convex polygon cylinder, one codim-1 term at a time."""
-    from gmtepi.epi import _graph_stats
-    from gmtepi.groups import group_norm
-    from gmtepi.layers import align_base_to_chain
+def graph_domains(chain, base):
+    """Projected domains (T, 3, 2) and Jacobian factors (T,) of a graph
+    chain over ``base``, one term at a time: the frame is flipped if the
+    first non-degenerate term projects against the orientation, and each
+    term's affine map comes from its own vertex solve."""
+    frame = np.array(base.frame)
+    perp = base.perp_frame()
+    for verts in chain.verts:
+        e = verts[1:] @ frame.T - verts[0] @ frame.T
+        det = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
+        if abs(det) >= 1e-14:
+            if det * base.orientation < 0:
+                frame[-1] = -frame[-1]
+            break
+    doms, jacs = [], []
+    for verts in chain.verts:
+        dom = verts @ frame.T
+        e = dom[1:] - dom[0]
+        if (e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]) * base.orientation <= 0:
+            raise ValueError("a simplex projects degenerately or reversed")
+        sol = np.linalg.solve(np.column_stack([dom, np.ones(3)]), verts @ perp.T)
+        A = sol[:2].T
+        doms.append(dom)
+        jacs.append(math.sqrt(np.linalg.det(np.eye(2) + A.T @ A)))
+    return np.array(doms), np.array(jacs)
 
-    base = align_base_to_chain(base, chain)
-    dom, jac, w = _graph_stats(chain, base)
+
+def excess_over_polygon(chain, base, g0, poly: np.ndarray) -> float:
+    """Excess over a convex polygon cylinder, one term at a time."""
+    from gmtepi.groups import group_norm
+
+    dom, jac = graph_domains(chain, base)
+    w = chain.coeff_norms()
     k = len(poly)
     poly_ang = np.mod(np.arctan2(poly[:, 1], poly[:, 0]), 2 * math.pi)
     rad_out = float(np.max(np.linalg.norm(poly, axis=1)))
@@ -700,6 +725,55 @@ def cylindrical_excess_polygon(decomp, poly: np.ndarray) -> float:
         ua, ub = poly[i] - poly[0], poly[i + 1] - poly[0]
         poly_area += 0.5 * abs(float(ua[0] * ub[1] - ua[1] * ub[0]))
     return total - decomp.g0_norm * poly_area
+
+
+def decompose_terms(chain, base):
+    """``(domain, A, b)`` of every term from its own vertex solve: the loop
+    that ``decompose_layers`` batches."""
+    perp = base.perp_frame()
+    m = chain.m
+    out = []
+    for verts in chain.verts:
+        dom = base.project_coords(verts)
+        sol = np.linalg.solve(np.column_stack([dom, np.ones(m + 1)]), verts @ perp.T)
+        out.append((dom, sol[:m].T, sol[m]))
+    return out
+
+
+def cylindrical_excess_loop(decomp, radius: float = 1.0) -> float:
+    """The excess over the centred ball, one layer at a time: exact
+    disk-polygon areas (m = 2) or interval overlaps (m = 1)."""
+    from gmtepi.groups import group_norm
+    from gmtepi.quadrature import disk_polygon_area
+
+    total = 0.0
+    for ly in decomp.layers:
+        if decomp.m == 1:
+            lo, hi = sorted(float(x) for x in ly.domain[:, 0])
+            area = max(0.0, min(hi, radius) - max(lo, -radius))
+        else:
+            area = abs(disk_polygon_area(ly.domain, np.zeros(2), radius))
+        if area > 0.0:
+            total += group_norm(ly.coeff) * math.sqrt(1.0 + ly.jacobian_sq()) * area
+    ball = 2.0 * radius if decomp.m == 1 else math.pi * radius * radius
+    return total - decomp.g0_norm * ball
+
+
+def mollified_eval(v, x: np.ndarray) -> np.ndarray:
+    """The mollified graph at one base point, by the scalar code that the
+    batched evaluation replaced."""
+    x = np.asarray(x, dtype=float)
+    r = float(np.linalg.norm(x))
+    if r < 1e-300:
+        return np.zeros(v.values.shape[1])
+    if v.base.m == 1:
+        return r * (v.values[0] if x[0] < 0 else v.values[1])
+    a = math.atan2(x[1], x[0]) % (2 * math.pi)
+    idx = int(np.searchsorted(v.angles, a)) % len(v.angles)
+    a0, a1 = v.angles[idx - 1], v.angles[idx]
+    span = (a1 - a0) % (2 * math.pi)
+    t = ((a - a0) % (2 * math.pi)) / span if span > 1e-15 else 0.0
+    return r * ((1 - t) * v.values[idx - 1] + t * v.values[idx])
 
 
 def averaged_eval(avg, x: np.ndarray) -> np.ndarray:

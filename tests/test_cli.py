@@ -139,3 +139,30 @@ def test_verify_quick(tmp_path):
     assert run(["verify", "--config", str(cfg), "--out", out]) == 0
     summary = json.load(open(os.path.join(out, "verify.json")))
     assert summary["summary"]["passed"] == summary["summary"]["total"]
+
+
+def test_epi_of_an_empty_chain_exits_with_one_line_reason(tmp_path, capsys):
+    # an empty chain is bad input (exit 1), not a failed stage gate (exit 2)
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"version": 1, "ambient": 3, "dim": 2, "group": {"tag": "integers"},
+                                "simplices": []}))
+    assert run(["epi", "--chain", str(path), "--out", str(tmp_path / "rpt")]) == 1
+    assert capsys.readouterr().err == "error: empty chain\n"
+
+
+def test_excess_over_a_reversed_base_line(tmp_path):
+    # a kinked line over the base line [-1, 0]: the frame is aligned to
+    # the chain, so both orientations report the same excess
+    path = tmp_path / "kinked.json"
+    path.write_text(json.dumps({"version": 1, "ambient": 2, "dim": 1, "group": {"tag": "integers"},
+                                "simplices": [
+                                    {"vertices": [[0.0, 0.0], [2.05, 0.1025]], "coeff": 1},
+                                    {"vertices": [[-2.05, 0.0615], [0.0, 0.0]], "coeff": 1}]}))
+    values = []
+    for plane in ([[1.0, 0.0]], [[-1.0, 0.0]]):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"plane": plane}))
+        out = str(tmp_path / "rpt")
+        assert run(["excess", "--chain", str(path), "--config", str(cfg), "--out", out]) == 0
+        values.append(json.load(open(os.path.join(out, "excess.json")))["summary"]["cylindrical_excess"])
+    assert values[0] == values[1] > 0

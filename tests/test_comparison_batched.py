@@ -10,6 +10,7 @@ import scalar_oracle as oracle
 from gmtepi.chains import PolyChain, Simplex
 from gmtepi.epi import (
     _angular_windows,
+    _decompose,
     _edges_in_window,
     _excess_over_polygon,
     _layer_ray_angles,
@@ -163,7 +164,7 @@ def test_excess_over_polygon_matches_the_margin_window(cone48):
     zone = 0.25 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
     for chain in (P, S):
         for poly in [zone] + _polygons(P, V):
-            got = _excess_over_polygon(chain, V, g0, poly)
+            got = _excess_over_polygon(_decompose(chain, V, g0), poly)
             assert got == pytest.approx(oracle.excess_over_polygon(chain, V, g0, poly), rel=0, abs=1e-14)
 
 
@@ -176,7 +177,7 @@ def test_excess_over_polygon_matches_the_full_clip(n):
     ang = 2 * math.pi * np.arange(48) / 48
     zone = 0.25 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
     decomp = decompose_layers(P, base)
-    got = _excess_over_polygon(P, base, decomp.g0, zone)
+    got = _excess_over_polygon(decomp, zone)
     assert got == pytest.approx(oracle.cylindrical_excess_polygon(decomp, zone), rel=0, abs=1e-14)
 
 

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gmtepi.chains import PolyChain, Simplex, mass
-from gmtepi.groups import NormedCoefficient, cantor, integers
+from gmtepi.chains import PolyChain, Simplex, mass, pushforward_linear
+from gmtepi.generators import cone_harmonic
+from gmtepi.groups import NormedCoefficient, cantor, group_norm, integers
 from gmtepi.layers import (
     ConstancyError,
     GeneralPositionError,
+    align_base_to_chain,
     cylindrical_excess,
     decompose_layers,
     height_sup,
@@ -169,3 +171,94 @@ def test_height_sup_harmonic_cone():
     P, _ = cone_harmonic(2, 0.1, 64)
     h = height_sup(P, V, radius=1.0)
     assert 0.095 <= h <= 0.105
+
+
+LINE = OrientedPlane(np.array([[1.0, 0.0]]))
+
+
+def kinked_line() -> PolyChain:
+    one = NormedCoefficient(G, 1)
+    return PolyChain(2, 1, G, [
+        (Simplex(np.array([[0.0, 0.0], [2.05, 2.05 * 0.05]])), one),
+        (Simplex(np.array([[-2.05, 2.05 * 0.03], [0.0, 0.0]])), one),
+    ])
+
+
+def _embedded_cone(n: int, seed: int):
+    """A harmonic cone under a random isometry R^3 -> R^n, with the image
+    of the coordinate plane."""
+    Q = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))[0][:, :3]
+    P = pushforward_linear(cone_harmonic(2, 0.06, 48)[0], Q, np.zeros(n))
+    return P, OrientedPlane.from_span(V.frame @ Q.T)
+
+
+def _two_height_graph() -> PolyChain:
+    """The fan over a 24-gon of x -> (0.2 x_1, 0.3 x_2) in R^4: its
+    gradient has a nonzero 2 x 2 minor."""
+    ang = 2 * np.pi * np.arange(25) / 24
+    ring = 1.3 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    terms = []
+    for i in range(24):
+        base2 = np.array([[0.0, 0.0], ring[i], ring[i + 1]])
+        terms.append((Simplex(np.column_stack([base2, 0.2 * base2[:, 0], 0.3 * base2[:, 1]])),
+                      NormedCoefficient(G, 1)))
+    return PolyChain(4, 2, G, terms)
+
+
+DECOMPOSITIONS = {
+    "harmonic cone": lambda: (cone_harmonic(3, 0.05, 64)[0], V),
+    "cone in R^4": lambda: (cone_harmonic(2, 0.04, 32, n=4)[0], OrientedPlane(np.eye(4)[:2])),
+    "cone in R^5": lambda: _embedded_cone(5, 7),
+    "two heights in R^4": lambda: (_two_height_graph(), OrientedPlane(np.eye(4)[:2])),
+    "two-layer stack": lambda: (
+        make_graph_disk(24, lambda p: 0.1 * p[0], R=1.3) + make_graph_disk(24, lambda p: 0.4, R=1.3),
+        V,
+    ),
+    "kinked line": lambda: (kinked_line(), LINE),
+}
+
+
+@pytest.mark.parametrize("name", list(DECOMPOSITIONS))
+def test_decompose_layers_matches_the_per_term_loop(name):
+    chain, base = DECOMPOSITIONS[name]()
+    base = align_base_to_chain(base, chain)
+    d = decompose_layers(chain, base)
+    for t, (dom, A, b) in enumerate(oracle.decompose_terms(chain, base)):
+        assert np.array_equal(d.domains[t], dom) and np.array_equal(d.A[t], A)
+        assert np.array_equal(d.b[t], b)
+        m = chain.m
+        assert d.jac[t] == pytest.approx(math.sqrt(np.linalg.det(np.eye(m) + A.T @ A)), rel=1e-14)
+        assert d.weights[t] == group_norm(chain.coefficient(t))
+    assert cylindrical_excess(d) == pytest.approx(oracle.cylindrical_excess_loop(d), rel=1e-12, abs=1e-14)
+
+
+def test_cylindrical_excess_clips_a_triangle_whose_vertices_all_miss_the_disk():
+    # the edge y = 1/2 crosses the unit disk, no vertex lies inside: the
+    # covered part is the circular segment above the chord
+    slope = 0.1
+    tri = np.array([[-2.0, 0.5, 0.0], [2.0, 0.5, 0.0], [0.0, 3.0, 0.0]])
+    tri[:, 2] = slope * tri[:, 0]
+    d = decompose_layers(PolyChain(3, 2, G, [(Simplex(tri), NormedCoefficient(G, 1))]), V,
+                         check_constancy=False)
+    d.g0, d.g0_norm = NormedCoefficient(G, 1), 1.0
+    segment = math.acos(0.5) - 0.5 * math.sqrt(0.75)
+    want = math.sqrt(1 + slope**2) * segment - math.pi
+    assert cylindrical_excess(d) == pytest.approx(want, rel=1e-13)
+    assert cylindrical_excess(d) == pytest.approx(oracle.cylindrical_excess_loop(d), rel=1e-13)
+
+
+def test_align_base_to_chain_either_orientation():
+    # a line and its reverse give the same frame after alignment, so the
+    # decomposition and its excess agree; before, m = 1 skipped the check
+    chain = kinked_line()
+    ref = cylindrical_excess(decompose_layers(chain, align_base_to_chain(LINE, chain)))
+    flipped = OrientedPlane(np.array([[-1.0, 0.0]]))
+    with pytest.raises(GeneralPositionError):
+        decompose_layers(chain, flipped)
+    aligned = align_base_to_chain(flipped, chain)
+    assert np.array_equal(aligned.frame, LINE.frame)
+    assert cylindrical_excess(decompose_layers(chain, aligned)) == ref > 0
+    # m = 2: a swapped frame row is flipped back
+    P = make_graph_disk(16, lambda p: 0.1 * p[0], R=1.3)
+    swapped = OrientedPlane(V.frame[::-1])
+    assert np.linalg.det(align_base_to_chain(swapped, P).frame[:, :2]) > 0
