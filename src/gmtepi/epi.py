@@ -60,6 +60,7 @@ from .layers import (
     LayerDecomposition,
     _clip_halfplane,
     align_base_to_chain,
+    boundary_clearance,
     cylindrical_excess,
     decompose_layers,
     height_sup,
@@ -107,7 +108,6 @@ class EpiConfig:
     moll_nodes: int = 64  # quadrature nodes of the mollifying ball mean
     radial_divisions: int = 12  # rings of the degree-2 graph
     blend_divisions: int = 8  # rings of the annulus blend
-    refine_h: float = 1e-2
     boundary_defect_tol: float = 1e-3  # relative to mass(P)
 
 
@@ -680,11 +680,9 @@ def build_comparison(P: PolyChain, cfg: EpiConfig | None = None):
     if decomp.g0.is_zero:
         raise StageError("assumptions", "projected coefficient g0 vanishes")
     g0n = decomp.g0_norm
-    bverts = boundary(P)
-    if not bverts.is_zero:
-        bv = bverts.vertex_array().reshape(-1, P.n)
-        if float(np.min(np.linalg.norm(V.project_coords(bv), axis=1))) <= 2.0:
-            raise StageError("assumptions", "boundary enters the doubled cylinder")
+    clearance = boundary_clearance(P, V)
+    if clearance <= 2.0:
+        raise StageError("assumptions", f"boundary clearance {clearance:.3g} <= bound 2 (doubled cylinder)")
     rho_meas = height_sup(P, V, radius=1.0)
     exc_P = cylindrical_excess(decomp, radius=1.0)
     eps_meas = exc_P / g0n
@@ -773,8 +771,9 @@ def build_comparison(P: PolyChain, cfg: EpiConfig | None = None):
 
 
 def _decompose(chain: PolyChain, plane: OrientedPlane, g0: NormedCoefficient) -> LayerDecomposition:
-    """The layers of a chain whose stalk coefficient is known to be ``g0``
-    (the constancy check costs quadratically in the number of edges)."""
+    """The layers of a chain whose stalk coefficient is known to be ``g0``:
+    P over another plane, or S, which keeps P's boundary (the defect gate
+    checks it)."""
     decomp = decompose_layers(chain, plane, check_constancy=False)
     return dataclasses.replace(decomp, g0=g0, g0_norm=group_norm(g0))
 

@@ -4,9 +4,9 @@ A chain in general position with respect to a base plane ``V`` is a
 finite stack of affine graphs: every simplex projects injectively and
 orientation-preservingly onto ``V`` and is therefore the graph of an
 affine map from its projected domain into ``V^perp``.  This module
-recovers those maps, checks that the stalk sum of coefficients is a
-constant ``g0`` (the constancy property of the projection), and measures
-the cylindrical excess
+recovers those maps, checks that the projected boundary misses the disk,
+so that by the constancy theorem the stalk sum of coefficients is a
+constant ``g0`` there, and measures the cylindrical excess
 
     Exc(T, V, B) = M(T over the cylinder of B) - ||g0|| vol(B),
 
@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chains import PolyChain
+from .chains import PolyChain, boundary, merge_terms
 from .groups import NormedCoefficient, group_add, group_norm, zero
 from .planes import OrientedPlane
 from .quadrature import disk_polygon_area, disk_polygon_areas
@@ -33,6 +33,7 @@ __all__ = [
     "GeneralPositionError",
     "align_base_to_chain",
     "ConstancyError",
+    "boundary_clearance",
     "Layer",
     "LayerDecomposition",
     "decompose_layers",
@@ -66,7 +67,7 @@ def align_base_to_chain(base: OrientedPlane, chain: PolyChain) -> OrientedPlane:
 
 
 class ConstancyError(ValueError):
-    """The stalk coefficient sum is inconsistent across base points."""
+    """The stalk coefficient sum is not known to be constant on the disk."""
 
 
 @dataclass
@@ -115,115 +116,60 @@ class LayerDecomposition:
         ]
 
 
-def _constancy_nodes(layers: list[Layer], m: int, radius: float) -> np.ndarray:
-    """Deterministic query points, shape (N, m): a polar grid, domain
-    barycenters, and points adjacent to pairwise edge crossings of the
-    projected domains (the arrangement-cell samples for m <= 2)."""
-    nodes: list[np.ndarray] = []
+# probe points for the stalk sum, in units of the disk radius: radius 1/2
+# at angles 1 + 2.4 j rad, so none lies on an axis or on the rays of a
+# regular fan; m = 1 uses the first coordinate
+_PROBES = 0.5 * np.stack([np.cos(1.0 + 2.4 * np.arange(8)), np.sin(1.0 + 2.4 * np.arange(8))], axis=1)
+
+#: A probe point this close to a domain edge is skipped.
+EDGE_TOL = 1e-9
+
+
+def boundary_clearance(chain: PolyChain, base: OrientedPlane) -> float:
+    """Distance from the origin to the projected boundary ``pi_# bd chain``
+    of an m-chain, m in {1, 2}.
+
+    The faces of ``boundary(chain)`` (already merged on the snap grid) are
+    projected into base coordinates and merged again, so faces whose
+    projections cancel drop out.  The distance is exact: point to segment
+    for m = 2, ``|x|`` for m = 1, and ``inf`` when no boundary is left."""
+    bd = boundary(chain)
+    m = chain.m
+    faces = merge_terms(PolyChain(m, m - 1, chain.group, verts=bd.verts @ base.frame.T, payload=bd.payload))
+    if faces.is_zero:
+        return math.inf
     if m == 1:
-        for t in np.linspace(-radius, radius, 41):
-            nodes.append(np.array([t]))
-        cuts = sorted({float(v[0]) for ly in layers for v in ly.domain})
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            if b - a > 1e-12:
-                nodes.append(np.array([0.5 * (a + b)]))
-        return np.array([p for p in nodes if abs(p[0]) <= radius]).reshape(-1, 1)
-    for k in range(1, 7):
-        rad = radius * (k - 0.5) / 6.5
-        count = 6 * k
-        ang = 2 * math.pi * (np.arange(count) + 0.5) / count
-        for a in ang:
-            nodes.append(rad * np.array([math.cos(a), math.sin(a)]))
-    nodes.append(np.zeros(2) + 1e-7)
-    for ly in layers:
-        nodes.append(ly.domain.mean(axis=0))
-    p0 = np.array([ly.domain[i] for ly in layers for i in range(3)])
-    p1 = np.array([ly.domain[(i + 1) % 3] for ly in layers for i in range(3)])
-    # sample the cells around every pairwise edge crossing (vectorized Cramer)
-    e = p1 - p0
-    ne = len(p0)
-    iu, ju = np.triu_indices(ne, k=1)
-    d1, d2 = e[iu], -e[ju]
-    rhs = p0[ju] - p0[iu]
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    ok = np.abs(det) > 1e-14
-    s = np.where(ok, (rhs[:, 0] * d2[:, 1] - rhs[:, 1] * d2[:, 0]) / np.where(ok, det, 1.0), -1)
-    t = np.where(ok, (d1[:, 0] * rhs[:, 1] - d1[:, 1] * rhs[:, 0]) / np.where(ok, det, 1.0), -1)
-    hit = ok & (s >= -1e-9) & (s <= 1 + 1e-9) & (t >= -1e-9) & (t <= 1 + 1e-9)
-    crossings = p0[iu[hit]] + s[hit, None] * e[iu[hit]]
-    if len(crossings):
-        # crossings repeat heavily (every ray pair of a cone meets at 0)
-        # (sorted rows, as np.unique(axis=0) gives, without its slow row sort)
-        snapped = np.round(crossings / 1e-9) * 1e-9
-        snapped = snapped[np.lexsort((snapped[:, 1], snapped[:, 0]))]
-        crossings = snapped[np.r_[True, np.any(snapped[1:] != snapped[:-1], axis=1)]]
-        if len(crossings) > 400:
-            step = len(crossings) // 400 + 1
-            crossings = crossings[::step]
-    offsets = 1e-6 * np.array([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)], dtype=float)
-    pts = np.vstack([np.array(nodes), (crossings[:, None, :] + offsets).reshape(-1, 2)])
-    return pts[np.linalg.norm(pts, axis=1) <= radius]
+        return float(np.min(np.abs(faces.verts[:, 0, 0])))
+    p = faces.verts[:, 0]
+    e = faces.verts[:, 1] - p
+    t = np.clip(-np.sum(p * e, axis=1) / np.sum(e * e, axis=1), 0.0, 1.0)
+    return float(np.min(np.linalg.norm(p + t[:, None] * e, axis=1)))
 
 
-def _constancy_masks(
-    domains: np.ndarray, nodes: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(near, inside)``, each (N, L): whether a node lies within ``tol``
-    of a domain's boundary, and whether the closed domain contains it.
-
-    The containment test solves each node's barycentric 2x2 system with
-    ``np.linalg.solve`` and applies no tolerance."""
-    if domains.shape[2] == 1:
-        x = nodes[:, :1]
-        d0, d1 = domains[:, 0, 0], domains[:, 1, 0]
-        near = np.minimum(np.abs(x - d0), np.abs(x - d1)) < tol
-        inside = (np.minimum(d0, d1) <= x) & (x <= np.maximum(d0, d1))
-        return near, inside
-    p = domains  # (L, 3, 2); edge i runs from vertex i to vertex i + 1
-    e = np.roll(p, -1, axis=1) - p
-    ln2 = e[..., 0] * e[..., 0] + e[..., 1] * e[..., 1]
-    x = nodes[:, None, None, :]
-    rel = x - p  # (N, L, 3, 2)
-    along = (rel[..., 0] * e[..., 0] + rel[..., 1] * e[..., 1]) / np.where(ln2 < 1e-30, 1.0, ln2)
-    t = np.clip(along, 0.0, 1.0)
-    gap = x - (p + t[..., None] * e)
-    dist = np.sqrt(gap[..., 0] * gap[..., 0] + gap[..., 1] * gap[..., 1])
-    near = np.any((dist < tol) & (ln2 >= 1e-30), axis=2)
-    T = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)  # (L, 2, 2)
-    rhs = nodes[:, None, :] - p[:, 0]  # (N, L, 2)
-    lam = np.linalg.solve(np.broadcast_to(T, rhs.shape + (2,)), rhs[..., None])[..., 0]
-    l0 = 1.0 - lam.sum(axis=-1)
-    inside = (lam[..., 0] >= 0.0) & (lam[..., 1] >= 0.0) & (l0 >= 0.0)
-    return near, inside
-
-
-def _stalk_sum(
-    layers: list[Layer], m: int, radius: float, group, tol: float
-) -> NormedCoefficient:
-    """The stalk sum shared by every constancy node away from the domain
-    boundaries; raises :class:`ConstancyError` at the first node, in node
-    order, that no layer covers or whose sum differs."""
-    domains = np.stack([ly.domain for ly in layers])
-    nodes = _constancy_nodes(layers, m, radius)
-    step = max(1, 2**16 // len(layers))  # node-layer pairs per batch
-    g0_seen: NormedCoefficient | None = None
-    for start in range(0, len(nodes), step):
-        chunk = nodes[start : start + step]
-        near, inside = _constancy_masks(domains, chunk, tol)
-        for i in np.flatnonzero(~near.any(axis=1)):
-            hits = np.flatnonzero(inside[i])
-            if len(hits) == 0:
-                raise ConstancyError(f"no layer covers base point {chunk[i]} (hole)")
-            acc = zero(group)
-            for j in hits:
-                acc = group_add(acc, layers[j].coeff)
-            if g0_seen is None:
-                g0_seen = acc
-            elif acc != g0_seen:
-                raise ConstancyError(
-                    f"stalk sum differs across base points: {g0_seen} vs {acc}"
-                )
-    return zero(group) if g0_seen is None else g0_seen
+def _stalk_coefficient(decomp: LayerDecomposition, radius: float) -> NormedCoefficient:
+    """Sum of the coefficients of the domains covering the first probe
+    point of the disk that lies off every domain edge."""
+    dom = decomp.domains
+    m = decomp.m
+    for x in radius * _PROBES[:, :m]:
+        if m == 1:
+            ends = dom[:, :, 0]
+            if np.min(np.abs(ends - x[0])) <= EDGE_TOL:
+                continue
+            hits = np.flatnonzero((ends.min(axis=1) < x[0]) & (x[0] < ends.max(axis=1)))
+        else:
+            e = np.roll(dom, -1, axis=1) - dom  # edge i runs from vertex i to vertex i + 1
+            rel = x - dom
+            t = np.clip(np.sum(rel * e, axis=2) / np.sum(e * e, axis=2), 0.0, 1.0)
+            if np.min(np.linalg.norm(rel - t[..., None] * e, axis=2)) <= EDGE_TOL:
+                continue
+            cross = e[..., 0] * rel[..., 1] - e[..., 1] * rel[..., 0]
+            hits = np.flatnonzero(np.all(cross > 0, axis=1) | np.all(cross < 0, axis=1))
+        acc = zero(decomp.chain.group)
+        for j in hits:
+            acc = group_add(acc, decomp.chain.coefficient(j))
+        return acc
+    raise ConstancyError(f"every probe point lies within {EDGE_TOL} of a domain edge")
 
 
 def decompose_layers(
@@ -231,16 +177,17 @@ def decompose_layers(
     base: OrientedPlane,
     radius: float = 1.0,
     check_constancy: bool = True,
-    boundary_tol: float = 1e-9,
 ) -> LayerDecomposition:
     """Express a general-position chain as a stack of affine graphs over
     ``base`` and determine the constant stalk coefficient ``g0``.
 
     Every term is decomposed in the same stacked array passes.  Raises
     :class:`GeneralPositionError` if some simplex projects degenerately or
-    orientation-reversingly, and :class:`ConstancyError` if the stalk sum
-    differs between interior query points within the disk of the given
-    radius.
+    orientation-reversingly.  By the constancy theorem the projection is
+    ``g0`` times the disk of the given radius when the projected boundary
+    misses the disk, so :class:`ConstancyError` is raised when
+    :func:`boundary_clearance` is at most ``radius``; otherwise ``g0`` is
+    the stalk sum at one probe point of the disk.
     """
     if base.n != chain.n or base.m != chain.m:
         raise ValueError("base plane shape mismatch")
@@ -283,7 +230,13 @@ def decompose_layers(
         chain.coeff_norms(), zero(chain.group), 0.0,
     )
     if check_constancy and len(chain):
-        decomp.g0 = _stalk_sum(decomp.layers, m, radius, chain.group, boundary_tol)
+        clearance = boundary_clearance(chain, base)
+        if clearance <= radius:
+            raise ConstancyError(
+                f"projected boundary comes within {clearance:.6g} of the origin, "
+                f"inside the disk of radius {radius:.6g}"
+            )
+        decomp.g0 = _stalk_coefficient(decomp, radius)
         decomp.g0_norm = group_norm(decomp.g0)
     return decomp
 

@@ -45,7 +45,11 @@ def test_epi_command(tmp_path):
         "--params", '{"k": 2, "amplitude": 0.05, "N": 64}', "--chain", str(cone),
     ]) == 0
     out = str(tmp_path / "rpt")
-    assert run(["epi", "--chain", str(cone), "--out", out]) == 0
+    # keys that name no pipeline knob, such as the removed polish and
+    # refine_h, are ignored
+    cfg = tmp_path / "epi.json"
+    cfg.write_text(json.dumps({"harmonic_cutoff": 16, "refine_h": 0.01, "polish": True}))
+    assert run(["epi", "--chain", str(cone), "--config", str(cfg), "--out", out]) == 0
     summary = json.load(open(os.path.join(out, "epi.json")))
     assert summary["summary"]["ratio_zone"] <= summary["summary"]["lambda_theory"]
 

@@ -1,4 +1,4 @@
-"""The batched constancy check, the exact angular windows and the batched
+"""The stalk coefficient, the exact angular windows and the batched
 averaged graph against the loop code kept in ``scalar_oracle``."""
 
 import math
@@ -23,8 +23,6 @@ from gmtepi.generators import cone_harmonic, tilted_cone
 from gmtepi.groups import NormedCoefficient, group_norm, integers
 from gmtepi.layers import (
     ConstancyError,
-    _constancy_masks,
-    _constancy_nodes,
     align_base_to_chain,
     decompose_layers,
 )
@@ -63,39 +61,47 @@ CHAINS = {
 }
 
 
+def _probe_nodes(layers, m: int, radius: float = 1.0) -> np.ndarray:
+    """Loop-oracle query points: a polar grid of the disk (an even grid of
+    the interval for m = 1) and the domain barycentres inside it."""
+    if m == 1:
+        grid = np.linspace(-radius, radius, 41)[:, None]
+    else:
+        grid = np.array([
+            radius * (k - 0.5) / 6.5 * np.array([math.cos(a), math.sin(a)])
+            for k in range(1, 7)
+            for a in 2 * math.pi * (np.arange(6 * k) + 0.5) / (6 * k)
+        ])
+    nodes = np.vstack([grid, np.stack([ly.domain.mean(axis=0) for ly in layers])])
+    return nodes[np.linalg.norm(nodes, axis=1) <= radius]
+
+
 @pytest.mark.parametrize("name", list(CHAINS))
 def test_constancy_masks_match_the_loop(name):
+    # g0 read off one probe point equals the stalk sum the loop finds,
+    # the same at every node, on a polar grid and the domain barycentres
     chain, base = CHAINS[name]()
-    decomp = decompose_layers(chain, base, check_constancy=False)
-    layers = decomp.layers
-    domains = np.stack([ly.domain for ly in layers])
-    nodes = _constancy_nodes(layers, chain.m, 1.0)
-    near, inside = _constancy_masks(domains, nodes, 1e-9)
-    assert near.shape == inside.shape == (len(nodes), len(layers))
-    for i, x in enumerate(nodes):
-        assert bool(near[i].any()) == oracle.near_any_boundary(domains, x, 1e-9)
-        want = [oracle.bary_inside(ly.domain, x, 0.0) for ly in layers]
-        assert inside[i].tolist() == want
+    layers = decompose_layers(chain, base, check_constancy=False).layers
     g0 = decompose_layers(chain, base).g0
-    assert g0 == oracle.constancy_g0(layers, nodes, chain.group)
+    assert g0 == oracle.constancy_g0(layers, _probe_nodes(layers, chain.m), chain.group)
     assert not g0.is_zero
 
 
-def _message(fn):
-    with pytest.raises(ConstancyError) as info:
-        fn()
-    return str(info.value)
-
-
 def test_hole_and_constancy_errors_match_the_loop():
+    # a disk too small for the unit disk (a hole) and a patch on top of a
+    # sheet (a stalk sum of 2 over the patch, 1 elsewhere): the projected
+    # boundary enters the disk, and the loop finds the hole or the jump
     hole = make_graph_disk(16, lambda p: 0.0, R=0.4)
     patch = make_graph_disk(32, lambda p: 0.0, R=1.3) + make_graph_disk(8, lambda p: 0.2, R=0.3)
-    for chain, word in ((hole, "hole"), (patch, "differs")):
+    # the inradius of each disk's polygon is where its boundary comes closest
+    cases = ((hole, "hole", 0.4 * math.cos(math.pi / 16)), (patch, "differs", 0.3 * math.cos(math.pi / 8)))
+    for chain, word, near in cases:
         layers = decompose_layers(chain, V, check_constancy=False).layers
-        nodes = _constancy_nodes(layers, 2, 1.0)
-        got = _message(lambda: decompose_layers(chain, V))
-        assert word in got
-        assert got == _message(lambda: oracle.constancy_g0(layers, nodes, chain.group))
+        with pytest.raises(ConstancyError, match="^projected boundary comes within ") as info:
+            decompose_layers(chain, V)
+        assert f"within {near:.6g} of the origin, inside the disk of radius 1" in str(info.value)
+        with pytest.raises(ConstancyError, match=word):
+            oracle.constancy_g0(layers, _probe_nodes(layers, 2), chain.group)
 
 
 def test_angular_windows():

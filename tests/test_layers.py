@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gmtepi.chains import PolyChain, Simplex, mass, pushforward_linear
+from gmtepi.chains import PolyChain, Simplex, boundary, mass, pushforward_linear
 from gmtepi.generators import cone_harmonic
 from gmtepi.groups import NormedCoefficient, cantor, group_norm, integers
 from gmtepi.layers import (
     ConstancyError,
     GeneralPositionError,
     align_base_to_chain,
+    boundary_clearance,
     cylindrical_excess,
     decompose_layers,
     height_sup,
@@ -69,6 +70,51 @@ def test_hole_raises_constancy_error():
     T = make_graph_disk(16, lambda p: 0.0, R=0.4)  # covers only a small disk
     with pytest.raises(ConstancyError):
         decompose_layers(T, V, radius=1.0)
+
+
+@pytest.mark.parametrize("gap", range(0, 256, 16))
+def test_a_missing_wedge_raises_constancy_error(gap):
+    # the two rays of the removed wedge are boundary through the origin
+    P = cone_harmonic(2, 0.04, 256)[0]
+    keep = np.arange(len(P)) != gap
+    with pytest.raises(ConstancyError, match="within 0 of the origin"):
+        decompose_layers(P.with_arrays(P.verts[keep], P.payload[keep]), V)
+    assert decompose_layers(P, V).g0.value == 1
+
+
+def test_a_missing_segment_of_a_kinked_line_raises_constancy_error():
+    one = NormedCoefficient(G, 1)
+    right = (Simplex(np.array([[0.0, 0.0], [2.05, 2.05 * 0.05]])), one)
+    left = (Simplex(np.array([[-2.05, 2.05 * 0.03], [0.0, 0.0]])), one)
+    line = OrientedPlane(np.array([[1.0, 0.0]]))
+    assert boundary_clearance(PolyChain(2, 1, G, [right, left]), line) == 2.05
+    assert decompose_layers(PolyChain(2, 1, G, [right, left]), line).g0.value == 1
+    for half in (right, left):
+        with pytest.raises(ConstancyError, match="within 0 of the origin"):
+            decompose_layers(PolyChain(2, 1, G, [half]), line)
+
+
+def test_boundary_clearance_is_exact_on_segments():
+    # the far edges of an N-ray fan come within its inradius 2.05 cos(pi/N),
+    # between the vertices
+    for N in (6, 8, 12):
+        P = cone_harmonic(2, 0.0, N)[0]
+        assert boundary_clearance(P, V) == pytest.approx(2.05 * math.cos(math.pi / N), rel=1e-14)
+
+
+def test_boundary_clearance_drops_faces_that_cancel_in_projection():
+    # a disk whose lower half is lifted by 0.3: the two diameters and the
+    # two apexes are boundary in R^3, but their projections cancel
+    disk = make_graph_disk(16, lambda p: 0.0, R=1.3)
+    verts = disk.verts.copy()
+    verts[8:, :, 2] += 0.3
+    step = disk.with_arrays(verts, disk.payload)
+    assert boundary_clearance(step, V) == pytest.approx(1.3 * math.cos(math.pi / 16), rel=1e-14)
+    assert decompose_layers(step, V).g0.value == 1
+    # a closed surface has no boundary at all
+    tet = PolyChain(3, 3, G, verts=np.array([[[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]], dtype=float),
+                    payload=np.ones((1, 1), dtype=np.int64))
+    assert boundary_clearance(boundary(tet), V) == math.inf
 
 
 def test_excess_flat_disk_zero():
