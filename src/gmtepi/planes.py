@@ -78,21 +78,10 @@ class OrientedPlane:
         return np.asarray(coords) @ self.frame
 
     def perp_frame(self) -> np.ndarray:
-        """Orthonormal basis (rows) of the orthogonal complement."""
-        q, _ = np.linalg.qr(np.eye(self.n) - self.projector())
-        # keep the n-m columns spanning the complement
-        proj = self.projector()
-        basis = []
-        for col in q.T:
-            res = col - proj @ col
-            for b in basis:
-                res = res - (b @ res) * b
-            ln = np.linalg.norm(res)
-            if ln > 1e-8:
-                basis.append(res / ln)
-            if len(basis) == self.n - self.m:
-                break
-        return np.array(basis)
+        """Orthonormal basis (rows) of the orthogonal complement: the
+        right singular vectors of the frame beyond the first m, which
+        span its null space to rounding."""
+        return np.linalg.svd(self.frame)[2][self.m :]
 
     def perp_component(self, points: np.ndarray) -> np.ndarray:
         """``pi_{V^perp}(points)`` in ambient coordinates."""

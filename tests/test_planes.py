@@ -123,3 +123,29 @@ def test_two_centers_same_scale_bound():
     eps = max(epss)
     assert 1 - lam + eps + 1 / nu <= 1  # lemma hypothesis
     assert plane_distance(planes[0], planes[1]) <= 6 * eps * nu
+
+
+def test_perp_frame_of_a_plane_next_to_a_coordinate_plane():
+    # the spectral plane of this cone differs from the horizontal plane by
+    # one frame entry of about 4.4e-19: its normal keeps that entry and
+    # the exact height sup 0.05 keeps all but its last bits
+    from gmtepi.generators import cone_harmonic
+    from gmtepi.layers import height_sup
+    from gmtepi.moments import quad_form, select_plane
+
+    P = cone_harmonic(2, 0.05, 64)[0]
+    V, _ = select_plane(quad_form(P, np.zeros(3), 1.0), 2)
+    normal = V.perp_frame()
+    assert normal.shape == (1, 3)
+    assert normal[0, 0] == 0.0 and normal[0, 2] == 1.0
+    assert abs(normal[0, 1]) < 1e-18
+    assert_allclose(V.frame @ normal.T, 0.0, rtol=0, atol=1e-18)
+    assert height_sup(P, V) == pytest.approx(0.05, rel=1e-15)
+
+
+@pytest.mark.parametrize("n, m", [(3, 2), (5, 2), (12, 2), (2, 1), (4, 1)])
+def test_perp_frame_completes_a_random_frame(n, m):
+    frame = OrientedPlane.from_span(np.random.default_rng(n + m).normal(size=(m, n)))
+    perp = frame.perp_frame()
+    full = np.vstack([frame.frame, perp])
+    assert_allclose(full @ full.T, np.eye(n), rtol=0, atol=1e-14)
