@@ -58,7 +58,9 @@ from .layers import (
     ConstancyError,
     GeneralPositionError,
     LayerDecomposition,
-    _clip_halfplane,
+    _clip_polygons,
+    _inward_normals,
+    _rowdot,
     align_base_to_chain,
     boundary_clearance,
     cylindrical_excess,
@@ -88,12 +90,22 @@ __all__ = [
 ]
 
 
-class StageError(RuntimeError):
-    """Pipeline failure carrying the stage where a precondition broke."""
+#: Rows times columns of one stacked temporary: larger inputs go in chunks.
+_CHUNK = 1 << 13
 
-    def __init__(self, stage: str, message: str):
+
+class StageError(RuntimeError):
+    """Pipeline failure carrying the stage where a precondition broke.
+
+    A gate that compares a measured value to a bound also carries both as
+    ``measured`` and ``bound`` (None for the other failures)."""
+
+    def __init__(self, stage: str, message: str, measured: float | None = None,
+                 bound: float | None = None):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+        self.measured = measured
+        self.bound = bound
 
 
 @dataclass
@@ -127,55 +139,52 @@ class AveragedGraph:
             raise ConstancyError("g0 = 0: averaged graph undefined")
         self.decomp = decomp
         self.tol = tol
-        m = decomp.m
         domains = decomp.domains
         self._A = decomp.A  # (L, n-m, m)
         self._b = decomp.b  # (L, n-m)
         self._w = decomp.weights
-        k = m + 1
-        self._normals = np.zeros((len(domains), k, m))
-        self._offsets = np.zeros((len(domains), k))
-        for li, d in enumerate(domains):
-            centroid = d.mean(axis=0)
-            for e in range(k):
-                p, q = d[e], d[(e + 1) % k]
-                if m == 1:
-                    nrm = np.array([1.0]) if centroid[0] > p[0] else np.array([-1.0])
-                    self._normals[li, e] = nrm
-                    self._offsets[li, e] = nrm @ p
-                    break
-                t = q - p
-                nrm = np.array([-t[1], t[0]])
-                if (centroid - p) @ nrm < 0:
-                    nrm = -nrm
-                ln = np.linalg.norm(nrm)
-                self._normals[li, e] = nrm / ln
-                self._offsets[li, e] = (nrm / ln) @ p
-        if m == 1:
+        if decomp.m == 1:
             self._lo = domains[:, :, 0].min(axis=1)
             self._hi = domains[:, :, 0].max(axis=1)
+            return
+        # unit inward normals and offsets of the three edges of each domain
+        nrm = _inward_normals(domains, domains.mean(axis=1))
+        self._normals = nrm / np.sqrt(_rowdot(nrm, nrm))[..., None]  # (L, 3, 2)
+        self._offsets = _rowdot(self._normals, domains)  # (L, 3)
 
-    def _masks(self, xs: np.ndarray) -> np.ndarray:
-        """(k, L): the layers whose domains hold each point, within ``tol``."""
+    def _masks(self, xs: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
+        """(..., k, C): which of the layers ``idx`` (..., C) (default: all)
+        hold each point of ``xs`` (..., k, m), within ``tol``."""
+        if idx is None:
+            idx = np.arange(len(self._w))
         if self.decomp.m == 1:
-            x = xs[:, :1]
-            return (self._lo - self.tol <= x) & (x <= self._hi + self.tol)
-        x, y = xs[:, None, None, 0], xs[:, None, None, 1]
-        ok = self._normals[..., 0] * x + self._normals[..., 1] * y - self._offsets >= -self.tol
+            x = xs[..., None, 0]
+            lo, hi = self._lo[idx][..., None, :], self._hi[idx][..., None, :]
+            return (lo - self.tol <= x) & (x <= hi + self.tol)
+        nrm = self._normals[idx][..., None, :, :, :]
+        x, y = xs[..., None, None, 0], xs[..., None, None, 1]
+        ok = nrm[..., 0] * x + nrm[..., 1] * y - self._offsets[idx][..., None, :, :] >= -self.tol
         return ok[..., 0] & ok[..., 1] & ok[..., 2]
+
+    def _means(self, xs: np.ndarray, idx: np.ndarray, valid: np.ndarray) -> np.ndarray:
+        """Averaged values (G, k, n-m) at point groups ``xs`` (G, k, m), each
+        group over its own layers ``idx`` (G, C) where ``valid`` (G, C)
+        holds; a point no such layer covers raises."""
+        mask = self._masks(xs, idx) & valid[:, None]
+        holes = ~mask.any(axis=2)
+        if holes.any():
+            raise ConstancyError(f"no layer covers base point {xs[holes][0]}")
+        w = mask * self._w[idx][:, None]  # (G, k, C)
+        A = self._A[idx][:, None]
+        heights = self._b[idx][:, None] + sum(A[..., i] * xs[:, :, None, None, i] for i in range(xs.shape[2]))
+        return (w[..., None] * heights).sum(axis=2) / w.sum(axis=2)[..., None]
 
     def eval(self, x: np.ndarray) -> np.ndarray:
         return self.eval_many(np.asarray(x, dtype=float)[None])[0]
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        mask = self._masks(xs)
-        holes = ~mask.any(axis=1)
-        if holes.any():
-            raise ConstancyError(f"no layer covers base point {xs[np.argmax(holes)]}")
-        w = mask * self._w  # (k, L)
-        heights = self._b + sum(self._A[..., i] * xs[:, None, None, i] for i in range(xs.shape[1]))
-        return (w[..., None] * heights).sum(axis=1) / w.sum(axis=1)[:, None]
+        every = np.arange(len(self._w))[None]
+        return self._means(np.asarray(xs, dtype=float)[None], every, np.ones(every.shape, bool))[0]
 
 
 def averaged_graph(decomp: LayerDecomposition) -> AveragedGraph:
@@ -234,23 +243,17 @@ class MollifiedGraph:
         return float(np.max(np.linalg.norm(self.values, axis=1)))
 
 
-def _disk_mean_nodes(center: np.ndarray, radius: float, count: int) -> np.ndarray:
-    """Quadrature nodes of the normalized mean over a disk (m = 2)."""
+def _disk_mean_rule(radius: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Node offsets (P, 2) and weights (P,) of the normalized mean over a
+    disk of the given radius (m = 2)."""
     n_rad = max(2, int(round(math.sqrt(count / 8))) * 2)
     n_ang = max(4, count // n_rad)
-    s_nodes, _ = gauss_segment()
+    s_nodes, s_w = gauss_segment()
     # substitute s = (r/R)^2 so uniform s-weights integrate the area measure
     rads = radius * np.sqrt(s_nodes)
     angs = 2 * math.pi * (np.arange(n_ang) + 0.5) / n_ang
     dirs = np.array([[math.cos(a), math.sin(a)] for a in angs])
-    return (center + rads[:, None, None] * dirs).reshape(-1, 2)
-
-
-def _disk_mean_weights(count: int) -> np.ndarray:
-    n_rad = max(2, int(round(math.sqrt(count / 8))) * 2)
-    n_ang = max(4, count // n_rad)
-    _, w = gauss_segment()
-    return np.repeat(w, n_ang) / n_ang
+    return (rads[:, None, None] * dirs).reshape(-1, 2), np.repeat(s_w, n_ang) / n_ang
 
 
 def mollified_graph(
@@ -263,31 +266,38 @@ def mollified_graph(
 
     Exact for affine inputs (the mean of an affine map over a centered
     ball is its center value); asserts the admissibility bound
-    ``|v| <= 2 rho`` on the sampled sphere.
+    ``|v| <= 2 rho`` on the sampled sphere.  For m = 2 the ball about the
+    unit point at angle a only meets the layers whose angular windows meet
+    ``a -+ asin(rho)``, so each mean runs over those alone.
     """
     if not 0 < rho < 0.5:
         raise ValueError("mollifying radius must lie in (0, 1/2)")
     base = avg.decomp.base
     if base.m == 1:
-        sides = np.array([-1.0, 1.0])
+        angles = np.array([-1.0, 1.0])  # the sides
+        centers = angles[:, None]
         s_nodes, s_w = gauss_segment()
-        vals = []
-        for s in sides:
-            xs = (s + rho * (2 * s_nodes - 1.0))[:, None]
-            vals.append((s_w / s_w.sum()) @ avg.eval_many(xs))
-        out = MollifiedGraph(base, sides, np.array(vals), rho)
+        offsets, w = (rho * (2 * s_nodes - 1.0))[:, None], s_w / s_w.sum()
+        near = np.ones((2, len(avg._w)), dtype=bool)
     else:
         if angles is None:
             angles = 2 * math.pi * np.arange(256) / 256
-        w = _disk_mean_weights(nodes)
-        vals = []
-        for a in np.asarray(angles, dtype=float):
-            c = np.array([math.cos(a), math.sin(a)])
-            pts = _disk_mean_nodes(c, rho, nodes)
-            vals.append(w @ avg.eval_many(pts))
-        out = MollifiedGraph(base, np.asarray(angles, dtype=float), np.array(vals), rho)
+        angles = np.asarray(angles, dtype=float)
+        centers = np.array([[math.cos(a), math.sin(a)] for a in angles.tolist()])
+        offsets, w = _disk_mean_rule(rho, nodes)
+        lo, hi = _angular_windows(avg.decomp.domains)
+        reach = math.asin(rho) + 1e-6  # beyond the windows' own 1e-9 rad of slack
+        near = _arcs_meet(lo, hi - lo, angles[:, None] - reach, angles[:, None] + reach)
+    idx, valid = _padded_columns(near)
+    vals = np.zeros((len(angles), avg.decomp.perp.shape[0]))
+    step = max(1, _CHUNK // (len(w) * idx.shape[1]))
+    for c in range(0, len(angles), step):
+        part = slice(c, c + step)
+        vals[part] = w @ avg._means(centers[part, None] + offsets, idx[part], valid[part])
+    out = MollifiedGraph(base, angles, vals, rho)
     if out.sup_unit() > 2.0 * rho + 1e-12:
-        raise StageError("mollify", f"|v| = {out.sup_unit():.3g} exceeds 2 rho = {2 * rho:.3g}")
+        raise StageError("mollify", f"|v| = {out.sup_unit():.3g} exceeds 2 rho = {2 * rho:.3g}",
+                         out.sup_unit(), 2.0 * rho)
     return out
 
 
@@ -343,15 +353,20 @@ class BoundaryTrace:
 
 
 def _trace_cone_over(
-    curve: np.ndarray, plane: OrientedPlane, perp: np.ndarray, n_samples: int, iters: int = 80
+    curve: np.ndarray, plane: OrientedPlane, perp: np.ndarray, n_samples: int
 ) -> np.ndarray:
-    """Trace of the cone over a closed PL curve as a graph over ``plane``.
+    """Trace of the cone over a closed PL curve as a graph over ``plane``,
+    at ``n_samples`` uniform directions of the plane.
 
-    For each target direction the crossing segment is bracketed by the
-    angles of the projected curve and the exact fiber point is found by
-    bisection; non-injective projections (non-monotone angles) abort.
+    The cone over the segment from curve point a to b is linear on its
+    wedge, so over the unit direction u it passes through ``alpha a +
+    beta b`` with ``[x_a x_b] (alpha, beta)^T = u`` (x the projections
+    onto ``plane``).  The segment of each direction is bracketed by the
+    unwrapped angles of the projected curve; a non-monotone winding (a
+    non-injective projection) aborts.
     """
-    proj = curve @ plane.frame.T  # (N, 2)
+    frame = plane.frame
+    proj = curve @ frame.T  # (N, 2)
     nxt = np.roll(proj, -1, axis=0)
     signed = np.arctan2(
         proj[:, 0] * nxt[:, 1] - proj[:, 1] * nxt[:, 0],
@@ -359,46 +374,25 @@ def _trace_cone_over(
     )
     if np.all(signed < 0) and abs(signed.sum() + 2 * math.pi) < 1e-9:
         # uniformly negative winding: the frame handedness is flipped
-        f = plane.frame.copy()
-        f[-1] = -f[-1]
-        return _trace_cone_over(curve, OrientedPlane(f, plane.orientation), perp, n_samples, iters)
+        frame = frame.copy()
+        frame[-1] = -frame[-1]
+        proj = curve @ frame.T
     ang = np.mod(np.arctan2(proj[:, 1], proj[:, 0]), 2 * math.pi)
     d = np.mod(np.diff(np.concatenate([ang, ang[:1]])), 2 * math.pi)
     if np.any(d <= 0) or abs(d.sum() - 2 * math.pi) > 1e-9:
         raise StageError("trace", "projected curve winds non-monotonically; re-graphing not injective")
     N = len(curve)
-    out = np.zeros((n_samples, perp.shape[0]))
     targets = 2 * math.pi * np.arange(n_samples) / n_samples
-    start = ang[0]
     cum = np.concatenate([[0.0], np.cumsum(d)])  # unwrapped angle along curve
-
-    def angle_at(j: int, t: float) -> float:
-        p = proj[j] + t * (proj[(j + 1) % N] - proj[j])
-        raw = math.atan2(p[1], p[0]) - start
-        raw = raw % (2 * math.pi)
-        # lift near the expected unwrapped value
-        base_lift = cum[j]
-        k = round((base_lift + t * d[j] - raw) / (2 * math.pi))
-        return raw + 2 * math.pi * k
-
-    for s, target in enumerate(targets):
-        rel = (target - start) % (2 * math.pi)
-        j = int(np.searchsorted(cum, rel, side="right") - 1)
-        j = min(max(j, 0), N - 1)
-        lo, hi = 0.0, 1.0
-        flo = cum[j] - rel
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            fmid = angle_at(j, mid) - rel
-            if (fmid > 0) == (flo > 0):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
-        t = 0.5 * (lo + hi)
-        p = curve[j] + t * (curve[(j + 1) % N] - curve[j])
-        scale = 1.0 / float(np.linalg.norm(plane.frame @ p))
-        out[s] = perp @ (scale * p)
-    return out
+    rel = np.mod(targets - ang[0], 2 * math.pi)
+    j = np.clip(np.searchsorted(cum, rel, side="right") - 1, 0, N - 1)
+    xa, xb = proj[j], proj[(j + 1) % N]
+    ux, uy = np.cos(targets), np.sin(targets)
+    det = xa[:, 0] * xb[:, 1] - xa[:, 1] * xb[:, 0]
+    alpha = (ux * xb[:, 1] - uy * xb[:, 0]) / det
+    beta = (xa[:, 0] * uy - xa[:, 1] * ux) / det
+    y = curve @ perp.T
+    return alpha[:, None] * y[j] + beta[:, None] * y[(j + 1) % N]
 
 
 def trace_and_split(
@@ -421,27 +415,14 @@ def trace_and_split(
             raise StageError("trace", "curve does not straddle the base line")
         order = np.argsort(proj[:, 0])
         pts = curve[order]
-        samples = np.array(
-            [perp @ (pts[0] / abs(proj[order[0], 0])), perp @ (pts[1] / abs(proj[order[1], 0]))]
-        )
+        samples = np.array([perp @ (pts[i] / abs(proj[order[i], 0])) for i in (0, 1)])
         w0 = samples.mean(axis=0)
         w1 = 0.5 * (samples[1] - samples[0])
         l2_total = float(np.sum(samples**2))
         l2_centered = float(np.sum((samples - w0) ** 2))
-        return BoundaryTrace(
-            plane,
-            perp,
-            np.array([-1.0, 1.0]),
-            samples,
-            w0,
-            np.zeros((2, perp.shape[0])),
-            np.zeros((2, perp.shape[0])),
-            l2_total,
-            l2_centered,
-            0.0,
-            0.0,
-            float(np.linalg.norm(w1)),
-        )
+        no_modes = np.zeros((2, perp.shape[0]))
+        return BoundaryTrace(plane, perp, np.array([-1.0, 1.0]), samples, w0, no_modes, no_modes.copy(),
+                             l2_total, l2_centered, 0.0, 0.0, float(np.linalg.norm(w1)))
     if n_samples is None:
         n_samples = max(len(curve), 4 * cutoff)
     samples = _trace_cone_over(curve, plane, perp, n_samples)
@@ -451,35 +432,22 @@ def trace_and_split(
     kmax = min(cutoff, X.shape[0] - 1)
     coeff_cos = np.zeros((cutoff + 1, perp.shape[0]))
     coeff_sin = np.zeros((cutoff + 1, perp.shape[0]))
-    for k in range(1, kmax + 1):
-        coeff_cos[k] = 2.0 * np.real(X[k]) / N
-        coeff_sin[k] = -2.0 * np.imag(X[k]) / N
+    coeff_cos[1 : kmax + 1] = 2.0 * np.real(X[1 : kmax + 1]) / N
+    coeff_sin[1 : kmax + 1] = -2.0 * np.imag(X[1 : kmax + 1]) / N
     l2_trapz = 2 * math.pi * float(np.mean(np.sum(samples**2, axis=1)))
     l2_centered = math.pi * float(np.sum(coeff_cos[1:] ** 2) + np.sum(coeff_sin[1:] ** 2))
     l2_total = 2 * math.pi * float(w0 @ w0) + l2_centered
     tail = max(0.0, l2_trapz - l2_total)
     ks = np.arange(cutoff + 1)[:, None]
     grad_sq = math.pi * float(np.sum(ks**2 * (coeff_cos**2 + coeff_sin**2)))
+    tail_share = tail / max(l2_trapz, 1e-300)
     if tail > tail_tol * l2_trapz + 1e-24:
-        raise StageError(
-            "trace", f"harmonic cutoff too small: tail share {tail / max(l2_trapz, 1e-300):.3g}"
-        )
+        raise StageError("trace", f"harmonic cutoff too small: tail share {tail_share:.3g}",
+                         tail_share, tail_tol)
     w1_mat = np.stack([coeff_cos[1], coeff_sin[1]])  # (2, n-m)
     w1_sup = float(np.linalg.svd(w1_mat, compute_uv=False)[0])
-    return BoundaryTrace(
-        plane,
-        perp,
-        2 * math.pi * np.arange(N) / N,
-        samples,
-        w0,
-        coeff_cos,
-        coeff_sin,
-        l2_total,
-        l2_centered,
-        grad_sq,
-        tail / max(l2_trapz, 1e-300),
-        w1_sup,
-    )
+    return BoundaryTrace(plane, perp, 2 * math.pi * np.arange(N) / N, samples, w0, coeff_cos, coeff_sin,
+                         l2_total, l2_centered, grad_sq, tail_share, w1_sup)
 
 
 def circle_gradient_energy_ratio(samples: np.ndarray) -> float:
@@ -682,17 +650,21 @@ def build_comparison(P: PolyChain, cfg: EpiConfig | None = None):
     g0n = decomp.g0_norm
     clearance = boundary_clearance(P, V)
     if clearance <= 2.0:
-        raise StageError("assumptions", f"boundary clearance {clearance:.3g} <= bound 2 (doubled cylinder)")
+        raise StageError("assumptions", f"boundary clearance {clearance:.3g} <= bound 2 (doubled cylinder)",
+                         clearance, 2.0)
     rho_meas = height_sup(P, V, radius=1.0)
     exc_P = cylindrical_excess(decomp, radius=1.0)
     eps_meas = exc_P / g0n
     notes: list[str] = []
     if rho_meas >= cfg.rho_max:
-        raise StageError("assumptions", f"height {rho_meas:.3g} >= bound {cfg.rho_max}")
+        raise StageError("assumptions", f"height {rho_meas:.3g} >= bound {cfg.rho_max}",
+                         rho_meas, cfg.rho_max)
     if eps_meas >= cfg.eps_max:
-        raise StageError("assumptions", f"excess {eps_meas:.3g} >= bound {cfg.eps_max}")
+        raise StageError("assumptions", f"excess {eps_meas:.3g} >= bound {cfg.eps_max}",
+                         eps_meas, cfg.eps_max)
     if cfg.strict_flatness and eps_meas > rho_meas ** (6 * m):
-        raise StageError("assumptions", "strict flatness eps <= rho^(6m) violated")
+        raise StageError("assumptions", "strict flatness eps <= rho^(6m) violated",
+                         eps_meas, rho_meas ** (6 * m))
     if np.any(decomp.weights < 0.75 * g0n - 1e-12):
         notes.append("a layer coefficient is below (3/4)||g0||; averaged bounds not asserted")
 
@@ -727,7 +699,8 @@ def build_comparison(P: PolyChain, cfg: EpiConfig | None = None):
     defect = _residual_defect_mass(defect_chain)
     mP = mass(P)
     if defect > cfg.boundary_defect_tol * mP:
-        raise StageError("assemble", f"boundary defect {defect:.3g} exceeds {cfg.boundary_defect_tol} * mass(P)")
+        raise StageError("assemble", f"boundary defect {defect:.3g} exceeds {cfg.boundary_defect_tol} * mass(P)",
+                         defect, cfg.boundary_defect_tol * mP)
 
     # -- measurements: one layer decomposition per (chain, plane) pair
     W_P = align_base_to_chain(W, P)
@@ -852,27 +825,21 @@ def _split_by_polygon_cylinder(
     from .chains import _clip_simplex_halfspace  # internal, orientation-safe
 
     k = len(poly)
-    centroid = poly.mean(axis=0)
-    normals = []
-    offsets = []
-    for i in range(k):
-        p, q = poly[i], poly[(i + 1) % k]
-        if base.m == 1:
-            nrm = np.sign(centroid - p)  # an interval's facets are its ends
-        else:
-            t = q - p
-            nrm = np.array([-t[1], t[0]])
-            if (centroid - p) @ nrm < 0:
-                nrm = -nrm
-            nrm = nrm / np.linalg.norm(nrm)
-        normals.append(base.embed(nrm))
-        offsets.append(float(nrm @ p))
+    if base.m == 1:
+        nrm = np.sign(poly.mean(axis=0) - poly)  # an interval's facets are its ends
+    else:
+        nrm = _inward_normals(poly, poly.mean(axis=0))
+        nrm = nrm / np.sqrt(_rowdot(nrm, nrm))[:, None]
+    normals = [base.embed(row) for row in nrm]
+    offsets = _rowdot(nrm, poly).tolist()
     if base.m == 1:
         cuts = [np.arange(k)] * len(chain)
     else:
         poly_ang, arcs = _polygon_arcs(poly)
         lo, hi = _angular_windows(chain.vertex_array() @ base.frame.T)
-        cuts = [_edges_in_window(poly_ang, arcs, a, b) for a, b in zip(lo, hi)]
+        step = max(1, _CHUNK // k)
+        cuts = [np.flatnonzero(row) for c in range(0, len(lo), step)
+                for row in _arcs_meet(poly_ang, arcs, lo[c : c + step, None], hi[c : c + step, None])]
     inside, in_src = [], []
     outside, out_src = [], []
     for j, (simplex, edges) in enumerate(zip(chain.verts, cuts)):
@@ -962,27 +929,33 @@ def _zip_strip(
     outer_angles: np.ndarray,
 ) -> np.ndarray:
     """Strip triangulation between two closed polylines, advancing by
-    angle; unoriented."""
+    angle; unoriented.
+
+    An inner angle within 1e-9 rad (cyclically) of an outer one is a tie:
+    it takes that outer angle, and the inner point of a ray goes before
+    the outer one, so last-bit shifts of either ring leave the
+    triangulation unchanged."""
     ia = np.mod(np.asarray(inner_angles, dtype=float), 2 * math.pi)
     oa = np.mod(np.asarray(outer_angles, dtype=float), 2 * math.pi)
-    io = np.argsort(ia)
     oo = np.argsort(oa)
-    inner = inner[io]
-    outer = outer[oo]
-    Ia = np.concatenate([ia[io], [ia[io][0] + 2 * math.pi]])
-    Oa = np.concatenate([oa[oo], [oa[oo][0] + 2 * math.pi]])
     Ni, No = len(inner), len(outer)
-    pts = np.concatenate([inner, outer])
-    idx = []
-    i = o = 0
-    while i < Ni or o < No:
-        if i < Ni and (o >= No or Ia[i + 1] <= Oa[o + 1]):
-            idx.append((i % Ni, Ni + o % No, (i + 1) % Ni))
-            i += 1
-        else:
-            idx.append((i % Ni, Ni + o % No, Ni + (o + 1) % No))
-            o += 1
-    return pts[np.array(idx)]
+    # the sorted outer angles, one more at each end across the wraparound
+    around = np.arange(-1, No + 1)
+    ring = oa[oo][around % No] + 2 * math.pi * (around // No)
+    pos = np.searchsorted(ring, ia)
+    near = np.where(ia - ring[pos - 1] <= ring[pos] - ia, pos - 1, pos)
+    ia = np.where(np.abs(ia - ring[near]) <= 1e-9, oa[oo][(near - 1) % No], ia)
+    io = np.argsort(ia, kind="stable")
+    Ia = np.append(ia[io], ia[io][0] + 2 * math.pi)
+    Oa = np.append(oa[oo], oa[oo][0] + 2 * math.pi)
+    # merge the two rings by angle, inner first on equal angles: each step
+    # advances one ring and emits the triangle over that ring's next edge
+    inward = np.argsort(np.concatenate([Ia[1:], Oa[1:]]), kind="stable") < Ni
+    i = np.cumsum(inward) - inward
+    o = np.cumsum(~inward) - ~inward
+    far = np.where(inward, (i + 1) % Ni, Ni + (o + 1) % No)
+    idx = np.stack([i % Ni, Ni + o % No, far], axis=1)
+    return np.concatenate([inner[io], outer[oo]])[idx]
 
 
 def _zone_excess(decomp: LayerDecomposition, trace: BoundaryTrace) -> float:
@@ -997,51 +970,49 @@ def _zone_excess(decomp: LayerDecomposition, trace: BoundaryTrace) -> float:
 def _excess_over_polygon(decomp: LayerDecomposition, poly: np.ndarray) -> float:
     """Excess over the cylinder of a convex polygon region in base coords.
 
-    Clips each projected domain only against the polygon edges whose arcs
-    meet its angular window (see :func:`_edges_in_window`).
+    Domains that straddle the polygon's ring are clipped as one stack, each
+    only against the polygon edges whose arcs meet its angular window (see
+    :func:`_arcs_meet`), in edge order.
     """
     dom, jac, w = decomp.domains, decomp.jac, decomp.weights
     k = len(poly)
-    poly_ang, arcs = _polygon_arcs(poly)
-    # inward edge normals, oriented towards the origin
-    tangent = np.roll(poly, -1, axis=0) - poly
-    inward = np.stack([-tangent[:, 1], tangent[:, 0]], axis=1)
-    flip = (0.0 - poly[:, 0]) * inward[:, 0] + (0.0 - poly[:, 1]) * inward[:, 1] < 0
-    inward[flip] = -inward[flip]
+    inward = _inward_normals(poly, np.zeros(2))
     rad_out = float(np.max(np.linalg.norm(poly, axis=1)))
     rad_in = rad_out * math.cos(math.pi / k)
     rmin = np.min(np.linalg.norm(dom, axis=2), axis=1)
     rmax = np.max(np.linalg.norm(dom, axis=2), axis=1)
-    areas = 0.5 * np.abs(
-        (dom[:, 1, 0] - dom[:, 0, 0]) * (dom[:, 2, 1] - dom[:, 0, 1])
-        - (dom[:, 1, 1] - dom[:, 0, 1]) * (dom[:, 2, 0] - dom[:, 0, 0])
-    )
-    lo, hi = _angular_windows(dom)
-    total = 0.0
-    for t in range(len(dom)):
-        if rmin[t] >= rad_out - 1e-15:
-            continue
-        if rmax[t] <= rad_in + 1e-15:
-            total += w[t] * jac[t] * areas[t]
-            continue
-        clipped = [np.array(v, dtype=float) for v in dom[t]]
-        for e in _edges_in_window(poly_ang, arcs, lo[t], hi[t]):
-            clipped = _clip_halfplane(clipped, poly[e], inward[e])
-            if len(clipped) < 3:
-                break
-        if len(clipped) < 3:
-            continue
-        arr = np.array(clipped)
-        area = 0.0
-        for i in range(1, len(arr) - 1):
-            ua, ub = arr[i] - arr[0], arr[i + 1] - arr[0]
-            area += 0.5 * abs(float(ua[0] * ub[1] - ua[1] * ub[0]))
-        total += w[t] * jac[t] * area
-    poly_area = 0.0
-    for i in range(1, k - 1):
-        ua, ub = poly[i] - poly[0], poly[i + 1] - poly[0]
-        poly_area += 0.5 * abs(float(ua[0] * ub[1] - ua[1] * ub[0]))
-    return float(total - decomp.g0_norm * poly_area)
+    area = _fan_areas(dom, np.full(len(dom), 3))
+    far = rmin >= rad_out - 1e-15
+    area[far] = 0.0
+    cut = np.flatnonzero(~far & (rmax > rad_in + 1e-15))
+    poly_ang, arcs = _polygon_arcs(poly)
+    # chunks of terms keep the (terms, edges) window table small
+    step = max(1, _CHUNK // k)
+    for c in range(0, len(cut), step):
+        rows = cut[c : c + step]
+        lo, hi = _angular_windows(dom[rows])
+        edges, on = _padded_columns(_arcs_meet(poly_ang, arcs, lo[:, None], hi[:, None]))
+        polys, counts = dom[rows], np.full(len(rows), 3)
+        for e, e_on in zip(edges.T, on.T):
+            act = np.flatnonzero(e_on & (counts >= 3))
+            clipped, counts[act] = _clip_polygons(polys[act], counts[act], poly[e[act]], inward[e[act]])
+            polys = np.pad(polys, ((0, 0), (0, max(clipped.shape[1] - polys.shape[1], 0)), (0, 0)))
+            polys[act, : clipped.shape[1]] = clipped
+        area[rows] = _fan_areas(polys, counts)
+    # summed term by term, in order
+    total = sum((w * jac * area).tolist())
+    return float(total - decomp.g0_norm * _fan_areas(poly[None], np.array([k]))[0])
+
+
+def _fan_areas(polys: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Areas of a stack of convex polygons (K, V, 2), polygon i being the
+    first ``counts[i]`` rows: the fan triangles from vertex 0 summed in
+    order (zero for fewer than three vertices)."""
+    ua = polys[:, 1:-1] - polys[:, :1]
+    ub = polys[:, 2:] - polys[:, :1]
+    tri = 0.5 * np.abs(ua[..., 0] * ub[..., 1] - ua[..., 1] * ub[..., 0])
+    tri[np.arange(2, polys.shape[1]) >= counts[:, None]] = 0.0
+    return np.cumsum(tri, axis=1)[:, -1]
 
 
 def _polygon_arcs(poly: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1078,17 +1049,32 @@ def _angular_windows(dom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(full, 0.0, lo), np.where(full, 2 * math.pi, hi)
 
 
-def _edges_in_window(poly_ang: np.ndarray, arcs: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Indices of the polygon edges whose arcs meet ``[lo, hi]``, with
-    1e-9 rad of slack.
+def _arcs_meet(poly_ang: np.ndarray, arcs: np.ndarray, lo, hi) -> np.ndarray:
+    """Whether each arc (start ``poly_ang``, counterclockwise length
+    ``arcs``) meets the angular interval ``[lo, hi]``, with 1e-9 rad of
+    slack; broadcasts over the arcs and the intervals.
 
     For a convex polygon star-shaped about the origin, a point lies inside
     exactly when it lies in the half-plane of the edge whose arc holds its
-    direction; clipping by these edges alone is therefore exact."""
+    direction; clipping a domain by the edges whose arcs meet its angular
+    window alone is therefore exact."""
     slack = 1e-9
     starts_in = np.mod(poly_ang - lo, 2 * math.pi) <= (hi - lo) + slack
     covers_lo = np.mod(lo - poly_ang, 2 * math.pi) <= arcs + slack
-    return np.flatnonzero(starts_in | covers_lo)
+    return starts_in | covers_lo
+
+
+def _padded_columns(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The true columns of each row of ``mask`` (R, L) in order,
+    left-aligned: ``(idx, valid)`` (R, C), the padding being column 0 with
+    ``valid`` False."""
+    rows, cols = np.nonzero(mask)
+    at = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    idx = np.zeros((len(mask), int(at.max(initial=-1)) + 1), dtype=np.int64)
+    valid = np.zeros(idx.shape, dtype=bool)
+    idx[rows, at] = cols
+    valid[rows, at] = True
+    return idx, valid
 
 
 def _residual_defect_mass(chain: PolyChain, tol: float = 1e-9) -> float:

@@ -331,44 +331,66 @@ def _pair_area(d1: np.ndarray, d2: np.ndarray, center: np.ndarray, radius: float
         c = float(center[0])
         return max(0.0, min(hi1, hi2, c + radius) - max(lo1, lo2, c - radius))
     poly = _convex_clip(d1, d2)
-    if poly is None or len(poly) < 3:
+    if poly is None:
         return 0.0
-    return abs(disk_polygon_area(np.array(poly), center, radius))
+    return abs(disk_polygon_area(poly, center, radius))
 
 
-def _clip_halfplane(poly: list[np.ndarray], a: np.ndarray, normal: np.ndarray) -> list[np.ndarray]:
-    """One Sutherland-Hodgman step: the part of a convex polygon where
-    ``(p - a) . normal >= 0``, with a -1e-14 tolerance; ``normal`` points
-    inward."""
-    out: list[np.ndarray] = []
-    for j in range(len(poly)):
-        p, q = poly[j], poly[(j + 1) % len(poly)]
-        dp = (p - a) @ normal
-        dq = (q - a) @ normal
-        if dp >= -1e-14:
-            out.append(p)
-            if dq < -1e-14:
-                out.append(p + (q - p) * (dp / (dp - dq)))
-        elif dq >= -1e-14:
-            out.append(p + (q - p) * (dp / (dp - dq)))
-    return out
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the last axes, broadcast: the floats of ``x @ y`` on
+    each pair of 1-D rows (an elementwise sum may round differently)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _convex_clip(subject: np.ndarray, clipper: np.ndarray) -> list[np.ndarray] | None:
-    """Sutherland-Hodgman clip of one convex polygon by another."""
-    poly = [np.array(p, dtype=float) for p in subject]
-    k = clipper.shape[0]
-    cc = clipper.mean(axis=0)
-    for i in range(k):
-        a, b = clipper[i], clipper[(i + 1) % k]
-        e = b - a
-        normal = np.array([-e[1], e[0]])
-        if (cc - a) @ normal < 0:
-            normal = -normal
-        poly = _clip_halfplane(poly, a, normal)
-        if len(poly) < 3:
+def _inward_normals(polys: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Normals (..., k, 2) of the edges from vertex i to i + 1 of convex
+    polygons (..., k, 2), each turned towards the point ``inside`` (..., 2)
+    of its polygon."""
+    t = np.roll(polys, -1, axis=-2) - polys
+    nrm = np.stack([-t[..., 1], t[..., 0]], axis=-1)
+    nrm[_rowdot(inside[..., None, :] - polys, nrm) < 0] *= -1.0
+    return nrm
+
+
+def _clip_polygons(
+    polys: np.ndarray, counts: np.ndarray, anchors: np.ndarray, normals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One Sutherland-Hodgman step on a stack of convex polygons.
+
+    Polygon i is the first ``counts[i]`` rows of ``polys[i]`` (K, V, 2); it
+    keeps the part where ``(p - anchors[i]) . normals[i] >= 0``, with a
+    -1e-14 tolerance, ``normals[i]`` pointing inward.  Returns the
+    zero-padded stack and the new counts.  Each kept vertex is followed by
+    the crossing on its outgoing edge, as in a one-polygon step."""
+    col = np.arange(polys.shape[1])
+    live = col < counts[:, None]
+    nxt = np.where(col + 1 < counts[:, None], col + 1, 0)
+    dp = _rowdot(polys - anchors[:, None], normals[:, None])
+    dq = np.take_along_axis(dp, nxt, axis=1)
+    keep = live & (dp >= -1e-14)
+    cross = live & ((dp >= -1e-14) != (dq >= -1e-14))
+    q = np.take_along_axis(polys, nxt[..., None], axis=1)
+    hits = polys + (q - polys) * (dp / np.where(cross, dp - dq, 1.0))[..., None]
+    emits = keep + cross.astype(np.int64)
+    at = np.cumsum(emits, axis=1) - emits
+    out = np.zeros((len(polys), max(int(emits.sum(axis=1).max(initial=0)), 1), 2))
+    r, c = np.nonzero(keep)
+    out[r, at[r, c]] = polys[r, c]
+    r, c = np.nonzero(cross)
+    out[r, at[r, c] + keep[r, c]] = hits[r, c]
+    return out, emits.sum(axis=1)
+
+
+def _convex_clip(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray | None:
+    """Sutherland-Hodgman clip of one convex polygon by another: the
+    vertices (V, 2) of the intersection, or None when fewer than three
+    remain."""
+    poly, counts = np.asarray(subject, dtype=float)[None], np.array([len(subject)])
+    for a, normal in zip(clipper, _inward_normals(clipper, clipper.mean(axis=0))):
+        poly, counts = _clip_polygons(poly, counts, a[None], normal[None])
+        if counts[0] < 3:
             return None
-    return poly
+    return poly[0, : counts[0]]
 
 
 def multiplicity_stats(
@@ -403,11 +425,9 @@ def multiplicity_stats(
             pair_per[i] += a
             pair_per[j] += a
             if m == 2:
+                clipped = _convex_clip(layers[i].domain, layers[j].domain)
                 for l in range(j + 1, k):
-                    clipped = _convex_clip(layers[i].domain, layers[j].domain)
-                    if clipped is None:
-                        continue
-                    t = _pair_area(np.array(clipped), layers[l].domain, c, radius, m)
+                    t = _pair_area(clipped, layers[l].domain, c, radius, m)
                     if t > 0:
                         triple_total += t
                         triple_per[i] += t
@@ -415,12 +435,9 @@ def multiplicity_stats(
                         triple_per[l] += t
     e2 = max(0.0, pair_total - 2.0 * triple_total)
     int_count = max(0.0, 2.0 * pair_total - 3.0 * triple_total)
-    int_coeff = 0.0
-    for i in range(k):
-        w = group_norm(layers[i].coeff)
-        int_coeff += w * max(0.0, pair_per[i] - triple_per[i])
+    int_coeff = sum((decomp.weights * np.maximum(pair_per - triple_per, 0.0)).tolist())
     g0n = decomp.g0_norm
-    density_ok = all(group_norm(ly.coeff) >= 0.75 * g0n - 1e-12 for ly in layers)
+    density_ok = bool(np.all(decomp.weights >= 0.75 * g0n - 1e-12))
     mass_ok = mu <= g0n * eps_mass + 1e-12
     report = MultiplicityReport(
         e2_measure=e2,
@@ -484,27 +501,22 @@ def height_sup(
 
 
 def _cone_height_sup(chain: PolyChain, base: OrientedPlane, radius: float) -> float:
+    """Exact for a codimension-one cone: along the far edge ``A + s (B - A)``
+    of each simplex the height-to-base ratio ``|g(s)| / sqrt(q(s))`` peaks
+    at an end or where its derivative vanishes."""
     perp = base.perp_frame()[0]
-    best = 0.0
-    for v in chain.verts:
-        order = np.argsort(np.linalg.norm(v, axis=1))
-        A, B = v[order[1]], v[order[2]]
-        pA = base.project_coords(A)
-        pB = base.project_coords(B)
-        gA, gB = float(A @ perp), float(B @ perp)
-        q0 = float(pA @ pA)
-        q1 = 2.0 * float(pA @ (pB - pA))
-        q2 = float((pB - pA) @ (pB - pA))
-        g0, g1 = gA, gB - gA
-        cands = [0.0, 1.0]
-        den = g1 * q1 - 2.0 * g0 * q2
-        if abs(den) > 1e-30:
-            sc = (g0 * q1 - 2.0 * g1 * q0) / den
-            if 0.0 < sc < 1.0:
-                cands.append(sc)
-        for sc in cands:
-            g = g0 + g1 * sc
-            q = q0 + q1 * sc + q2 * sc * sc
-            if q > 1e-30:
-                best = max(best, abs(g) / math.sqrt(q))
-    return best * radius
+    v = chain.verts
+    order = np.argsort(np.linalg.norm(v, axis=2), axis=1)
+    A, B = (np.take_along_axis(v, order[:, i, None, None], axis=1)[:, 0] for i in (1, 2))
+    pA, pB = (A[:, None, :] @ base.frame.T)[:, 0], (B[:, None, :] @ base.frame.T)[:, 0]
+    g0 = _rowdot(A, perp)
+    g1 = _rowdot(B, perp) - g0
+    q0, q1, q2 = _rowdot(pA, pA), 2.0 * _rowdot(pA, pB - pA), _rowdot(pB - pA, pB - pA)
+    den = g1 * q1 - 2.0 * g0 * q2
+    firm = np.abs(den) > 1e-30
+    sc = (g0 * q1 - 2.0 * g1 * q0) / np.where(firm, den, 1.0)
+    s = np.stack([np.zeros(len(v)), np.ones(len(v)), np.where(firm & (0.0 < sc) & (sc < 1.0), sc, 0.0)])
+    g = g0 + g1 * s
+    q = q0 + q1 * s + q2 * s * s
+    ratio = np.abs(g) / np.sqrt(np.where(q > 1e-30, q, 1.0))
+    return float(np.max(np.where(q > 1e-30, ratio, 0.0), initial=0.0)) * radius

@@ -2,8 +2,10 @@
 integrals, the beta_inf sup scan, the point-to-support distance, the
 support sample and the per-bin fiber check of the scanner, the
 layer-constancy check, the polygon-cylinder clipping and the full-clip
-zone excess of the comparison pipeline, the averaged graph, and the chain
-construction filter, ``boundary``, ``merge_terms`` and ``size``.
+zone excess of the comparison pipeline, the one-polygon convex clipper,
+the bisection boundary trace, the cone height sup, the strip zip, the
+averaged graph and its all-layer ball means, and the chain construction
+filter, ``boundary``, ``merge_terms`` and ``size``.
 
 These are the loop-based routines the batched kernels in
 ``gmtepi.chains``, ``gmtepi.quadrature``, ``gmtepi.moments``,
@@ -705,13 +707,13 @@ def cylindrical_excess_polygon(decomp, poly: np.ndarray) -> float:
     a decomposition clipped against every polygon edge.  Additive over
     half-plane cuts; the reference for the windowed zone excess."""
     from gmtepi.groups import group_norm
-    from gmtepi.layers import ConstancyError, _convex_clip
+    from gmtepi.layers import ConstancyError
 
     if decomp.g0.is_zero:
         raise ConstancyError("stalk coefficient g0 is zero; excess undefined")
     total = 0.0
     for ly in decomp.layers:
-        clipped = _convex_clip(ly.domain, poly)
+        clipped = convex_clip(ly.domain, poly)
         if clipped is None or len(clipped) < 3:
             continue
         arr = np.array(clipped)
@@ -725,6 +727,174 @@ def cylindrical_excess_polygon(decomp, poly: np.ndarray) -> float:
         ua, ub = poly[i] - poly[0], poly[i + 1] - poly[0]
         poly_area += 0.5 * abs(float(ua[0] * ub[1] - ua[1] * ub[0]))
     return total - decomp.g0_norm * poly_area
+
+
+def clip_halfplane(poly: list, a: np.ndarray, normal: np.ndarray) -> list:
+    """One Sutherland-Hodgman step: the part of a convex polygon where
+    ``(p - a) . normal >= 0``, with a -1e-14 tolerance; ``normal`` points
+    inward."""
+    out = []
+    for j in range(len(poly)):
+        p, q = poly[j], poly[(j + 1) % len(poly)]
+        dp = (p - a) @ normal
+        dq = (q - a) @ normal
+        if dp >= -1e-14:
+            out.append(p)
+            if dq < -1e-14:
+                out.append(p + (q - p) * (dp / (dp - dq)))
+        elif dq >= -1e-14:
+            out.append(p + (q - p) * (dp / (dp - dq)))
+    return out
+
+
+def convex_clip(subject: np.ndarray, clipper: np.ndarray):
+    """Sutherland-Hodgman clip of one convex polygon by another, one
+    vertex list per step; None when fewer than three vertices remain."""
+    poly = [np.array(p, dtype=float) for p in subject]
+    k = clipper.shape[0]
+    cc = clipper.mean(axis=0)
+    for i in range(k):
+        a, b = clipper[i], clipper[(i + 1) % k]
+        e = b - a
+        normal = np.array([-e[1], e[0]])
+        if (cc - a) @ normal < 0:
+            normal = -normal
+        poly = clip_halfplane(poly, a, normal)
+        if len(poly) < 3:
+            return None
+    return poly
+
+
+def trace_cone_over(curve: np.ndarray, plane, perp: np.ndarray, n_samples: int, iters: int = 80):
+    """Trace of the cone over a closed PL curve as a graph over ``plane``:
+    for each target direction the crossing segment is bracketed by the
+    angles of the projected curve and the fiber point is found by
+    bisection; non-injective projections (non-monotone angles) abort."""
+    from gmtepi.epi import StageError
+    from gmtepi.planes import OrientedPlane
+
+    proj = curve @ plane.frame.T  # (N, 2)
+    nxt = np.roll(proj, -1, axis=0)
+    signed = np.arctan2(
+        proj[:, 0] * nxt[:, 1] - proj[:, 1] * nxt[:, 0],
+        np.einsum("ij,ij->i", proj, nxt),
+    )
+    if np.all(signed < 0) and abs(signed.sum() + 2 * math.pi) < 1e-9:
+        # uniformly negative winding: the frame handedness is flipped
+        f = plane.frame.copy()
+        f[-1] = -f[-1]
+        return trace_cone_over(curve, OrientedPlane(f, plane.orientation), perp, n_samples, iters)
+    ang = np.mod(np.arctan2(proj[:, 1], proj[:, 0]), 2 * math.pi)
+    d = np.mod(np.diff(np.concatenate([ang, ang[:1]])), 2 * math.pi)
+    if np.any(d <= 0) or abs(d.sum() - 2 * math.pi) > 1e-9:
+        raise StageError("trace", "projected curve winds non-monotonically; re-graphing not injective")
+    N = len(curve)
+    out = np.zeros((n_samples, perp.shape[0]))
+    targets = 2 * math.pi * np.arange(n_samples) / n_samples
+    start = ang[0]
+    cum = np.concatenate([[0.0], np.cumsum(d)])  # unwrapped angle along curve
+
+    def angle_at(j: int, t: float) -> float:
+        p = proj[j] + t * (proj[(j + 1) % N] - proj[j])
+        raw = math.atan2(p[1], p[0]) - start
+        raw = raw % (2 * math.pi)
+        # lift near the expected unwrapped value
+        k = round((cum[j] + t * d[j] - raw) / (2 * math.pi))
+        return raw + 2 * math.pi * k
+
+    for s, target in enumerate(targets):
+        rel = (target - start) % (2 * math.pi)
+        j = int(np.searchsorted(cum, rel, side="right") - 1)
+        j = min(max(j, 0), N - 1)
+        lo, hi = 0.0, 1.0
+        flo = cum[j] - rel
+        for _ in range(iters):
+            mid = 0.5 * (lo + hi)
+            fmid = angle_at(j, mid) - rel
+            if (fmid > 0) == (flo > 0):
+                lo, flo = mid, fmid
+            else:
+                hi = mid
+        t = 0.5 * (lo + hi)
+        p = curve[j] + t * (curve[(j + 1) % N] - curve[j])
+        scale = 1.0 / float(np.linalg.norm(plane.frame @ p))
+        out[s] = perp @ (scale * p)
+    return out
+
+
+def cone_height_sup(chain, base, radius: float) -> float:
+    """The exact codimension-one cone height sup, one simplex at a time:
+    the height-to-base ratio along each far edge at its ends and at the
+    root of its derivative."""
+    perp = base.perp_frame()[0]
+    best = 0.0
+    for v in chain.verts:
+        order = np.argsort(np.linalg.norm(v, axis=1))
+        A, B = v[order[1]], v[order[2]]
+        pA = base.project_coords(A)
+        pB = base.project_coords(B)
+        gA, gB = float(A @ perp), float(B @ perp)
+        q0 = float(pA @ pA)
+        q1 = 2.0 * float(pA @ (pB - pA))
+        q2 = float((pB - pA) @ (pB - pA))
+        g0, g1 = gA, gB - gA
+        cands = [0.0, 1.0]
+        den = g1 * q1 - 2.0 * g0 * q2
+        if abs(den) > 1e-30:
+            sc = (g0 * q1 - 2.0 * g1 * q0) / den
+            if 0.0 < sc < 1.0:
+                cands.append(sc)
+        for sc in cands:
+            g = g0 + g1 * sc
+            q = q0 + q1 * sc + q2 * sc * sc
+            if q > 1e-30:
+                best = max(best, abs(g) / math.sqrt(q))
+    return best * radius
+
+
+def zip_strip(inner, inner_angles, outer, outer_angles):
+    """Strip triangulation between two closed polylines, advancing by
+    angle one step at a time (no tie rule)."""
+    ia = np.mod(np.asarray(inner_angles, dtype=float), 2 * math.pi)
+    oa = np.mod(np.asarray(outer_angles, dtype=float), 2 * math.pi)
+    io = np.argsort(ia)
+    oo = np.argsort(oa)
+    inner = inner[io]
+    outer = outer[oo]
+    Ia = np.concatenate([ia[io], [ia[io][0] + 2 * math.pi]])
+    Oa = np.concatenate([oa[oo], [oa[oo][0] + 2 * math.pi]])
+    Ni, No = len(inner), len(outer)
+    pts = np.concatenate([inner, outer])
+    idx = []
+    i = o = 0
+    while i < Ni or o < No:
+        if i < Ni and (o >= No or Ia[i + 1] <= Oa[o + 1]):
+            idx.append((i % Ni, Ni + o % No, (i + 1) % Ni))
+            i += 1
+        else:
+            idx.append((i % Ni, Ni + o % No, Ni + (o + 1) % No))
+            o += 1
+    return pts[np.array(idx)]
+
+
+def mollified_values(avg, rho: float, angles: np.ndarray, count: int = 64) -> np.ndarray:
+    """Ball means (m = 2) of the averaged graph at the unit points of
+    ``angles``, one angle at a time, every node tested against every
+    layer."""
+    from gmtepi.quadrature import gauss_segment
+
+    n_rad = max(2, int(round(math.sqrt(count / 8))) * 2)
+    n_ang = max(4, count // n_rad)
+    s_nodes, s_w = gauss_segment()
+    rads = rho * np.sqrt(s_nodes)
+    angs = 2 * math.pi * (np.arange(n_ang) + 0.5) / n_ang
+    dirs = np.array([[math.cos(a), math.sin(a)] for a in angs])
+    w = np.repeat(s_w, n_ang) / n_ang
+    vals = []
+    for a in np.asarray(angles, dtype=float):
+        c = np.array([math.cos(a), math.sin(a)])
+        vals.append(w @ avg.eval_many((c + rads[:, None, None] * dirs).reshape(-1, 2)))
+    return np.array(vals)
 
 
 def decompose_terms(chain, base):

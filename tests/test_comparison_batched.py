@@ -11,7 +11,7 @@ from gmtepi.chains import PolyChain, Simplex
 from gmtepi.epi import (
     _angular_windows,
     _decompose,
-    _edges_in_window,
+    _arcs_meet,
     _excess_over_polygon,
     _layer_ray_angles,
     _polygon_arcs,
@@ -122,9 +122,14 @@ def test_angular_windows():
     # two whole arcs touches their neighbours, and the full window meets all
     ang = 2 * math.pi * np.arange(16) / 16
     poly_ang, arcs = _polygon_arcs(np.stack([np.cos(ang), np.sin(ang)], axis=1))
-    assert _edges_in_window(poly_ang, arcs, lo[0], hi[0]).tolist() == [2]
-    assert _edges_in_window(poly_ang, arcs, 2 * math.pi / 16, 3 * 2 * math.pi / 16).tolist() == [0, 1, 2, 3]
-    assert len(_edges_in_window(poly_ang, arcs, lo[1], hi[1])) == 16
+    assert np.flatnonzero(_arcs_meet(poly_ang, arcs, lo[0], hi[0])).tolist() == [2]
+    assert np.flatnonzero(_arcs_meet(poly_ang, arcs, 2 * math.pi / 16, 3 * 2 * math.pi / 16)).tolist() == [0, 1, 2, 3]
+    assert _arcs_meet(poly_ang, arcs, lo[1], hi[1]).all()
+    # broadcast over a stack of windows, row by row
+    stacked = _arcs_meet(poly_ang, arcs, lo[:, None], hi[:, None])
+    assert [np.flatnonzero(r).tolist() for r in stacked] == [
+        np.flatnonzero(_arcs_meet(poly_ang, arcs, a, b)).tolist() for a, b in zip(lo, hi)
+    ]
 
 
 def _pieces_mass(pieces) -> float:
