@@ -273,12 +273,14 @@ def mollified_graph(
     if not 0 < rho < 0.5:
         raise ValueError("mollifying radius must lie in (0, 1/2)")
     base = avg.decomp.base
+    L = len(avg._w)
     if base.m == 1:
         angles = np.array([-1.0, 1.0])  # the sides
         centers = angles[:, None]
         s_nodes, s_w = gauss_segment()
         offsets, w = (rho * (2 * s_nodes - 1.0))[:, None], s_w / s_w.sum()
-        near = np.ones((2, len(avg._w)), dtype=bool)
+        # every layer may hold a node: full-circle windows
+        lo, hi, reach = np.zeros(L), np.full(L, 2 * math.pi), 0.0
     else:
         if angles is None:
             angles = 2 * math.pi * np.arange(256) / 256
@@ -287,13 +289,13 @@ def mollified_graph(
         offsets, w = _disk_mean_rule(rho, nodes)
         lo, hi = _angular_windows(avg.decomp.domains)
         reach = math.asin(rho) + 1e-6  # beyond the windows' own 1e-9 rad of slack
-        near = _arcs_meet(lo, hi - lo, angles[:, None] - reach, angles[:, None] + reach)
-    idx, valid = _padded_columns(near)
     vals = np.zeros((len(angles), avg.decomp.perp.shape[0]))
-    step = max(1, _CHUNK // (len(w) * idx.shape[1]))
+    # chunks of angles bound the (angles, layers) window table and the stacked means
+    step = max(1, _CHUNK // L)
     for c in range(0, len(angles), step):
-        part = slice(c, c + step)
-        vals[part] = w @ avg._means(centers[part, None] + offsets, idx[part], valid[part])
+        a = angles[c : c + step, None]
+        idx, valid = _padded_columns(_arcs_meet(lo, hi - lo, a - reach, a + reach))
+        vals[c : c + step] = w @ avg._means(centers[c : c + step, None] + offsets, idx, valid)
     out = MollifiedGraph(base, angles, vals, rho)
     if out.sup_unit() > 2.0 * rho + 1e-12:
         raise StageError("mollify", f"|v| = {out.sup_unit():.3g} exceeds 2 rho = {2 * rho:.3g}",
