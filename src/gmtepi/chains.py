@@ -3,9 +3,10 @@
 A chain is a finite formal sum of oriented m-simplices with coefficients
 from a normed abelian group (:mod:`gmtepi.groups`).  Orientation is the
 order of the vertex list.  The module provides the boundary operator,
-mass and size, affine push-forwards, restriction to half-spaces (exact)
-and balls (bisection with an audited error bound), the cone construction,
-scaling and simple support queries, plus hyperplane slicing.
+mass and size, affine push-forwards, restriction to half-spaces (exact,
+one stacked Sutherland-Hodgman step, for m <= 2) and balls (bisection
+with an audited error bound), the cone construction, scaling and simple
+support queries, plus hyperplane slicing.
 
 Chains are immutable values; all operations return new chains.
 """
@@ -477,45 +478,74 @@ def pushforward_linear(
     return PolyChain(matrix.shape[0], chain.m, chain.group, verts=v, payload=chain.payload)
 
 
-def _clip_simplex_halfspace(
-    vertices: np.ndarray, normal: np.ndarray, offset: float, tol: float = 1e-12
-) -> list[np.ndarray]:
-    """Exact decomposition of ``simplex ∩ {normal.x >= offset}`` into
-    simplices, preserving orientation.
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the last axes, broadcast: the floats of ``x @ y`` on
+    each pair of 1-D rows (an elementwise sum may round differently)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
-    Splits a crossing edge at the hyperplane and recurses; each split
-    replaces one endpoint by an interior point of the edge, which scales
-    the volume by a positive factor and therefore keeps orientation.
-    """
-    d = vertices @ normal - offset
-    if np.all(d >= -tol):
-        return [vertices]
-    if np.all(d <= tol):
-        return []
-    k = len(d)
-    for i in range(k):
-        if d[i] >= -tol:
-            continue
-        for j in range(k):
-            if d[j] <= tol:
-                continue
-            t = d[i] / (d[i] - d[j])
-            p = vertices[i] + t * (vertices[j] - vertices[i])
-            child_a = vertices.copy()
-            child_a[j] = p
-            child_b = vertices.copy()
-            child_b[i] = p
-            return _clip_simplex_halfspace(child_a, normal, offset, tol) + _clip_simplex_halfspace(
-                child_b, normal, offset, tol
-            )
-    return []  # pragma: no cover
+
+def _clip_polygons(
+    polys: np.ndarray, counts: np.ndarray, anchors: np.ndarray, normals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One Sutherland-Hodgman step on a stack of convex polygons.
+
+    Polygon i, planar in R^D (an m-simplex, m <= 2, has m + 1 vertices),
+    is the first ``counts[i]`` rows of ``polys[i]`` (K, V, D); it keeps the
+    part where ``(p - anchors[i]) . normals[i] >= 0``, with a -1e-14
+    tolerance.  Returns the zero-padded stack and the new counts.  Each
+    kept vertex is followed by the crossing on its outgoing edge, so the
+    cyclic order, and with it the orientation, is kept."""
+    col = np.arange(polys.shape[1])
+    live = col < counts[:, None]
+    nxt = np.where(col + 1 < counts[:, None], col + 1, 0)
+    dp = _rowdot(polys - anchors[:, None], normals[:, None])
+    dq = np.take_along_axis(dp, nxt, axis=1)
+    keep = live & (dp >= -1e-14)
+    cross = live & ((dp >= -1e-14) != (dq >= -1e-14))
+    q = np.take_along_axis(polys, nxt[..., None], axis=1)
+    hits = polys + (q - polys) * (dp / np.where(cross, dp - dq, 1.0))[..., None]
+    emits = keep + cross.astype(np.int64)
+    at = np.cumsum(emits, axis=1) - emits
+    out = np.zeros((len(polys), max(int(emits.sum(axis=1).max(initial=0)), 1), polys.shape[2]))
+    r, c = np.nonzero(keep)
+    out[r, at[r, c]] = polys[r, c]
+    r, c = np.nonzero(cross)
+    out[r, at[r, c] + keep[r, c]] = hits[r, c]
+    return out, emits.sum(axis=1)
+
+
+def _fan_split(polys: np.ndarray, counts: np.ndarray, src: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-simplices (K, m+1, D) of clipped m-polygons, m <= 2, in order,
+    and the entry of ``src`` each comes from.
+
+    Two clip edges through one point emit it twice, ulps apart, and the
+    sliver between the copies can pass ``DEGENERATE_GRAM``, so a vertex
+    within ``SNAP`` (each coordinate) of its predecessor goes, as does the
+    last one that close to the first; the earlier copy, which neighbouring
+    pieces share, stays.  A polygon then splits into the fan from its
+    first vertex (m = 2) or keeps its first m + 1 vertices, in order."""
+    V, D = polys.shape[1:]
+    col = np.arange(V)
+    near = np.all(np.abs(np.diff(polys, axis=1)) <= SNAP, axis=2)  # vertex i + 1 against vertex i
+    near |= (col[1:] == counts[:, None] - 1) & np.all(np.abs(polys[:, 1:] - polys[:, :1]) <= SNAP, axis=2)
+    keep = (col < counts[:, None]) & ~np.pad(near, ((0, 0), (1, 0)))
+    packed = np.take_along_axis(polys, np.argsort(~keep, axis=1, kind="stable")[..., None], axis=1)
+    counts = keep.sum(axis=1)
+    if m == 2:
+        r, j = np.nonzero(col[1:-1] < counts[:, None] - 1)
+        verts = np.stack([packed[r, 0], packed[r, j + 1], packed[r, j + 2]], axis=1)
+    else:
+        r = np.flatnonzero(counts > m)
+        verts = packed[r, : m + 1].reshape(len(r), m + 1, D)
+    return verts, src[r]
 
 
 @dataclass
 class RestrictResult:
     """Restriction output: the clipped chain and a bound on the mass error.
 
-    Half-space clipping is exact (``mass_error == 0``).  Ball clipping by
+    Half-space clipping is exact (``mass_error == 0``) and supports chains
+    of dimension m <= 2, like the other exact routines.  Ball clipping by
     bisection keeps sub-simplices whose barycenter lies in the ball, so the
     mass differs from the true ``||T||(B)`` by at most the total mass of
     sub-simplices straddling the sphere, which is what ``mass_error``
@@ -542,11 +572,14 @@ def restrict(
         return chain.with_arrays(verts, chain.payload[np.array(src, dtype=np.int64)])
 
     if isinstance(region, HalfSpaceRegion):
-        for t, v in enumerate(chain.verts):
-            for piece in _clip_simplex_halfspace(v, region.normal, region.offset):
-                pieces.append(piece)
-                src.append(t)
-        return RestrictResult(kept_chain(), 0.0)
+        if chain.m > 2:
+            raise NotImplementedError("half-space restriction supports m <= 2")
+        T, k, n = chain.verts.shape
+        nrm = region.normal
+        anchor = region.offset / float(nrm @ nrm) * nrm  # nrm . anchor = offset
+        polys, counts = _clip_polygons(chain.verts, np.full(T, k), np.tile(anchor, (T, 1)), np.tile(nrm, (T, 1)))
+        verts, kept = _fan_split(polys, counts, np.arange(T), chain.m)
+        return RestrictResult(chain.with_arrays(verts, chain.payload[kept]), 0.0)
     if not isinstance(region, BallRegion):
         raise TypeError(f"unsupported region {type(region)!r}")
 

@@ -46,6 +46,8 @@ import numpy as np
 
 from .chains import (
     PolyChain,
+    _fan_split,
+    _rowdot,
     boundary,
     coeff_payload,
     is_cone,
@@ -55,12 +57,16 @@ from .chains import (
 )
 from .groups import NormedCoefficient, group_norm
 from .layers import (
+    _CHUNK,
     ConstancyError,
     GeneralPositionError,
     LayerDecomposition,
-    _clip_polygons,
+    _angular_windows,
+    _arcs_meet,
+    _clip_to_cylinder,
+    _cylinder_facets,
     _inward_normals,
-    _rowdot,
+    _padded_columns,
     align_base_to_chain,
     boundary_clearance,
     cylindrical_excess,
@@ -88,10 +94,6 @@ __all__ = [
     "build_comparison",
     "circle_gradient_energy_ratio",
 ]
-
-
-#: Rows times columns of one stacked temporary: larger inputs go in chunks.
-_CHUNK = 1 << 13
 
 
 class StageError(RuntimeError):
@@ -364,21 +366,10 @@ def _trace_cone_over(
     wedge, so over the unit direction u it passes through ``alpha a +
     beta b`` with ``[x_a x_b] (alpha, beta)^T = u`` (x the projections
     onto ``plane``).  The segment of each direction is bracketed by the
-    unwrapped angles of the projected curve; a non-monotone winding (a
-    non-injective projection) aborts.
+    unwrapped angles of the projected curve; a winding that is not
+    counterclockwise and monotone (a non-injective projection) aborts.
     """
-    frame = plane.frame
-    proj = curve @ frame.T  # (N, 2)
-    nxt = np.roll(proj, -1, axis=0)
-    signed = np.arctan2(
-        proj[:, 0] * nxt[:, 1] - proj[:, 1] * nxt[:, 0],
-        np.einsum("ij,ij->i", proj, nxt),
-    )
-    if np.all(signed < 0) and abs(signed.sum() + 2 * math.pi) < 1e-9:
-        # uniformly negative winding: the frame handedness is flipped
-        frame = frame.copy()
-        frame[-1] = -frame[-1]
-        proj = curve @ frame.T
+    proj = curve @ plane.frame.T  # (N, 2)
     ang = np.mod(np.arctan2(proj[:, 1], proj[:, 0]), 2 * math.pi)
     d = np.mod(np.diff(np.concatenate([ang, ang[:1]])), 2 * math.pi)
     if np.any(d <= 0) or abs(d.sum() - 2 * math.pi) > 1e-9:
@@ -408,8 +399,16 @@ def trace_and_split(
 
     ``curve`` holds the cone's generating points at unit base radius (for
     m = 1 its two points).  Asserts that the tail energy beyond the
-    cutoff stays below ``tail_tol`` of the total.
+    cutoff stays below ``tail_tol`` of the total.  An m = 2 curve winding
+    clockwise in ``plane`` is traced over, and recorded with, the plane
+    whose last frame row is negated.
     """
+    if plane.m == 2:
+        proj = curve @ plane.frame.T
+        nxt = np.roll(proj, -1, axis=0)
+        signed = np.arctan2(proj[:, 0] * nxt[:, 1] - proj[:, 1] * nxt[:, 0], np.einsum("ij,ij->i", proj, nxt))
+        if np.all(signed < 0) and abs(signed.sum() + 2 * math.pi) < 1e-9:
+            plane = OrientedPlane(plane.frame * np.array([[1.0], [-1.0]]), plane.orientation)
     perp = plane.perp_frame()
     if plane.m == 1:
         proj = curve @ plane.frame.T  # (2, 1)
@@ -822,45 +821,17 @@ def _split_by_polygon_cylinder(
     """Split terms into (inside, outside) pieces of the cylinder over a
     convex base region with vertices ``poly`` (k, m): a polygon for m = 2,
     the two ends of an interval for m = 1; exact.  Each side is
-    ``(verts (K, m+1, n), src (K,))``: the pieces and the index of the term
-    each comes from."""
-    from .chains import _clip_simplex_halfspace  # internal, orientation-safe
-
-    k = len(poly)
-    if base.m == 1:
-        nrm = np.sign(poly.mean(axis=0) - poly)  # an interval's facets are its ends
-    else:
-        nrm = _inward_normals(poly, poly.mean(axis=0))
-        nrm = nrm / np.sqrt(_rowdot(nrm, nrm))[:, None]
-    normals = [base.embed(row) for row in nrm]
-    offsets = _rowdot(nrm, poly).tolist()
-    if base.m == 1:
-        cuts = [np.arange(k)] * len(chain)
-    else:
-        poly_ang, arcs = _polygon_arcs(poly)
-        lo, hi = _angular_windows(chain.vertex_array() @ base.frame.T)
-        step = max(1, _CHUNK // k)
-        cuts = [np.flatnonzero(row) for c in range(0, len(lo), step)
-                for row in _arcs_meet(poly_ang, arcs, lo[c : c + step, None], hi[c : c + step, None])]
-    inside, in_src = [], []
-    outside, out_src = [], []
-    for j, (simplex, edges) in enumerate(zip(chain.verts, cuts)):
-        stack = [simplex]
-        for e in edges:
-            nxt = []
-            for verts in stack:
-                nxt.extend(_clip_simplex_halfspace(verts, normals[e], offsets[e]))
-                pieces = _clip_simplex_halfspace(verts, -normals[e], -offsets[e])
-                outside.extend(pieces)
-                out_src.extend([j] * len(pieces))
-            stack = nxt
-        inside.extend(stack)
-        in_src.extend([j] * len(stack))
-    shape = (-1,) + chain.verts.shape[1:]
-    return (
-        (np.array(inside).reshape(shape), np.array(in_src, dtype=np.int64)),
-        (np.array(outside).reshape(shape), np.array(out_src, dtype=np.int64)),
-    )
+    ``(verts (K, m+1, n), src (K,))``: the pieces, in the order of the
+    terms they come from, and the index of that term."""
+    m = base.m
+    dom = chain.verts @ base.frame.T
+    (polys, counts), cut = _clip_to_cylinder(chain.verts, dom, poly, *_cylinder_facets(base, poly), outside=True)
+    inside = _fan_split(polys, counts, np.arange(len(chain)), m)
+    pieces = [_fan_split(*piece, m) for piece in cut]
+    out_verts = np.concatenate([v for v, _ in pieces] + [np.zeros((0, m + 1, chain.n))])
+    out_src = np.concatenate([j for _, j in pieces] + [np.zeros(0, dtype=np.int64)])
+    order = np.argsort(out_src, kind="stable")
+    return inside, (out_verts[order], out_src[order])
 
 
 def _assemble(
@@ -972,13 +943,12 @@ def _zone_excess(decomp: LayerDecomposition, trace: BoundaryTrace) -> float:
 def _excess_over_polygon(decomp: LayerDecomposition, poly: np.ndarray) -> float:
     """Excess over the cylinder of a convex polygon region in base coords.
 
-    Domains that straddle the polygon's ring are clipped as one stack, each
-    only against the polygon edges whose arcs meet its angular window (see
-    :func:`_arcs_meet`), in edge order.
+    Domains that straddle the polygon's ring are clipped by
+    :func:`_clip_to_cylinder`, each only against the polygon edges whose
+    arcs meet its angular window.
     """
     dom, jac, w = decomp.domains, decomp.jac, decomp.weights
     k = len(poly)
-    inward = _inward_normals(poly, np.zeros(2))
     rad_out = float(np.max(np.linalg.norm(poly, axis=1)))
     rad_in = rad_out * math.cos(math.pi / k)
     rmin = np.min(np.linalg.norm(dom, axis=2), axis=1)
@@ -987,20 +957,8 @@ def _excess_over_polygon(decomp: LayerDecomposition, poly: np.ndarray) -> float:
     far = rmin >= rad_out - 1e-15
     area[far] = 0.0
     cut = np.flatnonzero(~far & (rmax > rad_in + 1e-15))
-    poly_ang, arcs = _polygon_arcs(poly)
-    # chunks of terms keep the (terms, edges) window table small
-    step = max(1, _CHUNK // k)
-    for c in range(0, len(cut), step):
-        rows = cut[c : c + step]
-        lo, hi = _angular_windows(dom[rows])
-        edges, on = _padded_columns(_arcs_meet(poly_ang, arcs, lo[:, None], hi[:, None]))
-        polys, counts = dom[rows], np.full(len(rows), 3)
-        for e, e_on in zip(edges.T, on.T):
-            act = np.flatnonzero(e_on & (counts >= 3))
-            clipped, counts[act] = _clip_polygons(polys[act], counts[act], poly[e[act]], inward[e[act]])
-            polys = np.pad(polys, ((0, 0), (0, max(clipped.shape[1] - polys.shape[1], 0)), (0, 0)))
-            polys[act, : clipped.shape[1]] = clipped
-        area[rows] = _fan_areas(polys, counts)
+    polys, counts = _clip_to_cylinder(dom[cut], dom[cut], poly, poly, _inward_normals(poly, np.zeros(2)))[0]
+    area[cut] = _fan_areas(polys, counts)
     # summed term by term, in order
     total = sum((w * jac * area).tolist())
     return float(total - decomp.g0_norm * _fan_areas(poly[None], np.array([k]))[0])
@@ -1015,68 +973,6 @@ def _fan_areas(polys: np.ndarray, counts: np.ndarray) -> np.ndarray:
     tri = 0.5 * np.abs(ua[..., 0] * ub[..., 1] - ua[..., 1] * ub[..., 0])
     tri[np.arange(2, polys.shape[1]) >= counts[:, None]] = 0.0
     return np.cumsum(tri, axis=1)[:, -1]
-
-
-def _polygon_arcs(poly: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start angles in [0, 2 pi) and counterclockwise angular lengths of
-    the arcs that a polygon's edges subtend at the origin."""
-    ang = np.mod(np.arctan2(poly[:, 1], poly[:, 0]), 2 * math.pi)
-    return ang, np.mod(np.roll(ang, -1) - ang, 2 * math.pi)
-
-
-def _angular_windows(dom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Angular intervals ``[lo, hi]`` holding the directions of every point
-    of each projected triangle ``dom`` (T, 3, 2).
-
-    Vertices within ``1e-12 max|dom|`` of the origin have no direction and
-    are dropped (the points near them deviate from the window by about
-    1e-12 rad at the radii where a polygon edge can cut).  A triangle
-    whose projection contains the origin gets the full circle."""
-    x, y = dom[..., 0], dom[..., 1]
-    r = np.sqrt(x * x + y * y)
-    keep = r > 1e-12 * r.max(axis=1, keepdims=True)
-    cross = x * np.roll(y, -1, axis=1) - y * np.roll(x, -1, axis=1)
-    full = ~keep.any(axis=1) | (
-        keep.all(axis=1) & (np.all(cross >= 0, axis=1) | np.all(cross <= 0, axis=1))
-    )
-    rows = np.arange(len(dom))
-    ang = np.mod(np.arctan2(y, x), 2 * math.pi)
-    # a dropped vertex repeats the farthest vertex's angle: a zero gap
-    ang = np.where(keep, ang, ang[rows, np.argmax(r, axis=1)][:, None])
-    a = np.sort(ang, axis=1)
-    gaps = np.diff(np.concatenate([a, a[:, :1] + 2 * math.pi], axis=1), axis=1)
-    j = np.argmax(gaps, axis=1)
-    lo = a[rows, (j + 1) % 3]
-    hi = lo + (2 * math.pi - gaps[rows, j])
-    return np.where(full, 0.0, lo), np.where(full, 2 * math.pi, hi)
-
-
-def _arcs_meet(poly_ang: np.ndarray, arcs: np.ndarray, lo, hi) -> np.ndarray:
-    """Whether each arc (start ``poly_ang``, counterclockwise length
-    ``arcs``) meets the angular interval ``[lo, hi]``, with 1e-9 rad of
-    slack; broadcasts over the arcs and the intervals.
-
-    For a convex polygon star-shaped about the origin, a point lies inside
-    exactly when it lies in the half-plane of the edge whose arc holds its
-    direction; clipping a domain by the edges whose arcs meet its angular
-    window alone is therefore exact."""
-    slack = 1e-9
-    starts_in = np.mod(poly_ang - lo, 2 * math.pi) <= (hi - lo) + slack
-    covers_lo = np.mod(lo - poly_ang, 2 * math.pi) <= arcs + slack
-    return starts_in | covers_lo
-
-
-def _padded_columns(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The true columns of each row of ``mask`` (R, L) in order,
-    left-aligned: ``(idx, valid)`` (R, C), the padding being column 0 with
-    ``valid`` False."""
-    rows, cols = np.nonzero(mask)
-    at = np.arange(len(rows)) - np.searchsorted(rows, rows)
-    idx = np.zeros((len(mask), int(at.max(initial=-1)) + 1), dtype=np.int64)
-    valid = np.zeros(idx.shape, dtype=bool)
-    idx[rows, at] = cols
-    valid[rows, at] = True
-    return idx, valid
 
 
 def _residual_defect_mass(chain: PolyChain, tol: float = 1e-9) -> float:

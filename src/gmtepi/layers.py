@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chains import PolyChain, boundary, merge_terms
+from .chains import PolyChain, _clip_polygons, _rowdot, boundary, is_cone, merge_terms
 from .groups import NormedCoefficient, group_add, group_norm, zero
 from .planes import OrientedPlane
 from .quadrature import disk_polygon_area, disk_polygon_areas
@@ -123,6 +123,12 @@ _PROBES = 0.5 * np.stack([np.cos(1.0 + 2.4 * np.arange(8)), np.sin(1.0 + 2.4 * n
 
 #: A probe point this close to a domain edge is skipped.
 EDGE_TOL = 1e-9
+
+#: Rows times columns of one stacked temporary: larger inputs go in chunks.
+_CHUNK = 1 << 13
+
+#: Facets of the polygon circumscribed about the disk in ``height_sup``.
+HEIGHT_FACETS = 128
 
 
 def boundary_clearance(chain: PolyChain, base: OrientedPlane) -> float:
@@ -336,12 +342,6 @@ def _pair_area(d1: np.ndarray, d2: np.ndarray, center: np.ndarray, radius: float
     return abs(disk_polygon_area(poly, center, radius))
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products of the last axes, broadcast: the floats of ``x @ y`` on
-    each pair of 1-D rows (an elementwise sum may round differently)."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 def _inward_normals(polys: np.ndarray, inside: np.ndarray) -> np.ndarray:
     """Normals (..., k, 2) of the edges from vertex i to i + 1 of convex
     polygons (..., k, 2), each turned towards the point ``inside`` (..., 2)
@@ -350,35 +350,6 @@ def _inward_normals(polys: np.ndarray, inside: np.ndarray) -> np.ndarray:
     nrm = np.stack([-t[..., 1], t[..., 0]], axis=-1)
     nrm[_rowdot(inside[..., None, :] - polys, nrm) < 0] *= -1.0
     return nrm
-
-
-def _clip_polygons(
-    polys: np.ndarray, counts: np.ndarray, anchors: np.ndarray, normals: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One Sutherland-Hodgman step on a stack of convex polygons.
-
-    Polygon i is the first ``counts[i]`` rows of ``polys[i]`` (K, V, 2); it
-    keeps the part where ``(p - anchors[i]) . normals[i] >= 0``, with a
-    -1e-14 tolerance, ``normals[i]`` pointing inward.  Returns the
-    zero-padded stack and the new counts.  Each kept vertex is followed by
-    the crossing on its outgoing edge, as in a one-polygon step."""
-    col = np.arange(polys.shape[1])
-    live = col < counts[:, None]
-    nxt = np.where(col + 1 < counts[:, None], col + 1, 0)
-    dp = _rowdot(polys - anchors[:, None], normals[:, None])
-    dq = np.take_along_axis(dp, nxt, axis=1)
-    keep = live & (dp >= -1e-14)
-    cross = live & ((dp >= -1e-14) != (dq >= -1e-14))
-    q = np.take_along_axis(polys, nxt[..., None], axis=1)
-    hits = polys + (q - polys) * (dp / np.where(cross, dp - dq, 1.0))[..., None]
-    emits = keep + cross.astype(np.int64)
-    at = np.cumsum(emits, axis=1) - emits
-    out = np.zeros((len(polys), max(int(emits.sum(axis=1).max(initial=0)), 1), 2))
-    r, c = np.nonzero(keep)
-    out[r, at[r, c]] = polys[r, c]
-    r, c = np.nonzero(cross)
-    out[r, at[r, c] + keep[r, c]] = hits[r, c]
-    return out, emits.sum(axis=1)
 
 
 def _convex_clip(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray | None:
@@ -391,6 +362,116 @@ def _convex_clip(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray | None:
         if counts[0] < 3:
             return None
     return poly[0, : counts[0]]
+
+
+def _polygon_arcs(poly: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start angles in [0, 2 pi) and counterclockwise angular lengths of
+    the arcs that a polygon's edges subtend at the origin."""
+    ang = np.mod(np.arctan2(poly[:, 1], poly[:, 0]), 2 * math.pi)
+    return ang, np.mod(np.roll(ang, -1) - ang, 2 * math.pi)
+
+
+def _angular_windows(dom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Angular intervals ``[lo, hi]`` holding the directions of every point
+    of each projected triangle ``dom`` (T, 3, 2).
+
+    Vertices within ``1e-12 max|dom|`` of the origin have no direction and
+    are dropped (the points near them deviate from the window by about
+    1e-12 rad at the radii where a polygon edge can cut).  A triangle
+    whose projection contains the origin gets the full circle."""
+    x, y = dom[..., 0], dom[..., 1]
+    r = np.sqrt(x * x + y * y)
+    keep = r > 1e-12 * r.max(axis=1, keepdims=True)
+    cross = x * np.roll(y, -1, axis=1) - y * np.roll(x, -1, axis=1)
+    full = ~keep.any(axis=1) | (
+        keep.all(axis=1) & (np.all(cross >= 0, axis=1) | np.all(cross <= 0, axis=1))
+    )
+    rows = np.arange(len(dom))
+    ang = np.mod(np.arctan2(y, x), 2 * math.pi)
+    # a dropped vertex repeats the farthest vertex's angle: a zero gap
+    ang = np.where(keep, ang, ang[rows, np.argmax(r, axis=1)][:, None])
+    a = np.sort(ang, axis=1)
+    gaps = np.diff(np.concatenate([a, a[:, :1] + 2 * math.pi], axis=1), axis=1)
+    j = np.argmax(gaps, axis=1)
+    lo = a[rows, (j + 1) % 3]
+    hi = lo + (2 * math.pi - gaps[rows, j])
+    return np.where(full, 0.0, lo), np.where(full, 2 * math.pi, hi)
+
+
+def _arcs_meet(poly_ang: np.ndarray, arcs: np.ndarray, lo, hi) -> np.ndarray:
+    """Whether each arc (start ``poly_ang``, counterclockwise length
+    ``arcs``) meets the angular interval ``[lo, hi]``, with 1e-9 rad of
+    slack; broadcasts over the arcs and the intervals.
+
+    For a convex polygon star-shaped about the origin, a point lies inside
+    exactly when it lies in the half-plane of the edge whose arc holds its
+    direction; clipping a domain by the edges whose arcs meet its angular
+    window alone is therefore exact."""
+    slack = 1e-9
+    starts_in = np.mod(poly_ang - lo, 2 * math.pi) <= (hi - lo) + slack
+    covers_lo = np.mod(lo - poly_ang, 2 * math.pi) <= arcs + slack
+    return starts_in | covers_lo
+
+
+def _padded_columns(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The true columns of each row of ``mask`` (R, L) in order,
+    left-aligned: ``(idx, valid)`` (R, C), the padding being column 0 with
+    ``valid`` False."""
+    rows, cols = np.nonzero(mask)
+    at = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    idx = np.zeros((len(mask), int(at.max(initial=-1)) + 1), dtype=np.int64)
+    valid = np.zeros(idx.shape, dtype=bool)
+    idx[rows, at] = cols
+    valid[rows, at] = True
+    return idx, valid
+
+
+def _cylinder_facets(base: OrientedPlane, poly: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ambient anchors and unit inward normals (k, n) of the facets of the
+    cylinder over ``poly`` (k, m) in ``base``: the polygon's edges for
+    m = 2, the interval's ends for m = 1."""
+    if base.m == 1:
+        nrm = np.sign(poly.mean(axis=0) - poly)
+    else:
+        nrm = _inward_normals(poly, poly.mean(axis=0))
+        nrm = nrm / np.sqrt(_rowdot(nrm, nrm))[:, None]
+    return base.embed(poly), base.embed(nrm)
+
+
+def _clip_to_cylinder(rows: np.ndarray, dom: np.ndarray, poly: np.ndarray, anchors: np.ndarray,
+                      normals: np.ndarray, outside: bool = False):
+    """Clip m-simplices ``rows`` (T, m+1, D) with base coordinates ``dom``
+    to the cylinder over a convex region about the origin with corners
+    ``poly`` (k, m), a polygon or an interval; facet e keeps ``(p -
+    anchors[e]) . normals[e] >= 0``.  For m = 2 a row meets only the edges
+    whose arcs meet its angular window (:func:`_arcs_meet`), in edge
+    order, in chunks of ``_CHUNK // k`` rows; a polygon left with at most
+    m vertices is not clipped on.  Returns the inside ``(polys, counts)``
+    and, if ``outside``, the ``(polys, counts, rows)`` cut off per facet."""
+    T, m, k = len(rows), rows.shape[1] - 1, len(poly)
+    if m == 2:
+        poly_ang, arcs = _polygon_arcs(poly)
+    step = max(1, _CHUNK // k)
+    inside, cut = [], []
+    for c in range(0, max(T, 1), step):
+        idx = np.arange(c, min(c + step, T))
+        if m == 2:
+            lo, hi = _angular_windows(dom[idx])
+            edges, on = _padded_columns(_arcs_meet(poly_ang, arcs, lo[:, None], hi[:, None]))
+        else:
+            edges, on = np.tile(np.arange(k), (len(idx), 1)), np.ones((len(idx), k), dtype=bool)
+        polys, counts = rows[idx], np.full(len(idx), m + 1)
+        for e, e_on in zip(edges.T, on.T):
+            act = np.flatnonzero(e_on & (counts > m))
+            if outside:
+                cut.append((*_clip_polygons(polys[act], counts[act], anchors[e[act]], -normals[e[act]]), idx[act]))
+            clipped, counts[act] = _clip_polygons(polys[act], counts[act], anchors[e[act]], normals[e[act]])
+            polys = np.pad(polys, ((0, 0), (0, max(clipped.shape[1] - polys.shape[1], 0)), (0, 0)))
+            polys[act, : clipped.shape[1]] = clipped
+        inside.append((polys, counts))
+    width = max(p.shape[1] for p, _ in inside)
+    polys = np.concatenate([np.pad(p, ((0, 0), (0, width - p.shape[1]), (0, 0))) for p, _ in inside])
+    return (polys, np.concatenate([n for _, n in inside])), cut
 
 
 def multiplicity_stats(
@@ -464,40 +545,29 @@ def multiplicity_stats(
     return report
 
 
-def height_sup(
-    chain: PolyChain,
-    base: OrientedPlane,
-    radius: float = 1.0,
-    facets: int = 128,
-) -> float:
+def height_sup(chain: PolyChain, base: OrientedPlane, radius: float = 1.0) -> float:
     """Sup of ``|pi_{V^perp}(x)|`` over the support inside the cylinder.
 
     For a cone through the origin with codimension one the sup is exact:
     the height-to-base ratio along each far edge is maximized in closed
-    form and scaled to the cylinder radius.  Otherwise the cylinder is
-    replaced by a circumscribed ``facets``-gon, clipped exactly, and the
+    form and scaled to the cylinder radius.  Otherwise the chain is
+    clipped exactly to the cylinder over the circumscribed
+    ``HEIGHT_FACETS``-gon (over ``[-radius, radius]`` for m = 1), and the
     vertex scan bounds the sup from above (convexity puts the max at a
-    vertex of each clipped simplex).
+    vertex of each clipped piece).
     """
-    from .chains import HalfSpaceRegion, is_cone, restrict
-
+    if base.n != chain.n or base.m != chain.m:
+        raise ValueError("base plane shape mismatch")
     if base.n - base.m == 1 and base.m == 2 and is_cone(chain, tol=1e-12):
         return _cone_height_sup(chain, base, radius)
-
     if base.m == 1:
-        dirs = [np.array([1.0]), np.array([-1.0])]
+        poly = np.array([[-radius], [radius]])
     else:
-        ang = 2 * math.pi * np.arange(facets) / facets
-        dirs = [np.array([math.cos(a), math.sin(a)]) for a in ang]
-    clipped = chain
-    for d in dirs:
-        normal = base.embed(d)
-        normal = normal / np.linalg.norm(normal)
-        clipped = restrict(clipped, HalfSpaceRegion(-normal, -radius)).chain
-        if clipped.is_zero:
-            return 0.0
-    verts = clipped.vertex_array().reshape(-1, chain.n)
-    return float(np.max(base.perp_norms(verts))) if len(verts) else 0.0
+        corner = 2 * math.pi * (np.arange(HEIGHT_FACETS) + 0.5) / HEIGHT_FACETS
+        poly = radius / math.cos(math.pi / HEIGHT_FACETS) * np.stack([np.cos(corner), np.sin(corner)], axis=1)
+    polys, counts = _clip_to_cylinder(chain.verts, chain.verts @ base.frame.T, poly, *_cylinder_facets(base, poly))[0]
+    inside = polys[np.arange(polys.shape[1]) < counts[:, None]]
+    return float(np.max(base.perp_norms(inside), initial=0.0))
 
 
 def _cone_height_sup(chain: PolyChain, base: OrientedPlane, radius: float) -> float:

@@ -39,3 +39,17 @@ def random_chain(rng, m=2, n=3, terms=6, scale=1.0):
         v = rng.normal(size=(m + 1, n)) * scale
         out.append((Simplex(v), NormedCoefficient(G, int(rng.integers(1, 4)))))
     return PolyChain(n, m, G, out)
+
+
+def minor_volumes(verts: np.ndarray) -> np.ndarray:
+    """Volumes of a (T, m+1, n) stack of simplices, m <= 2, from the m x m
+    minors of the edge matrix: unlike the Gram determinant of the edges at
+    vertex 0 they keep their accuracy on a simplex with a tiny angle at
+    vertex 0, as thin clip pieces have."""
+    e = verts[:, 1:] - verts[:, :1]
+    if e.shape[1] == 0:
+        return np.ones(len(verts))
+    if e.shape[1] == 1:
+        return np.linalg.norm(e[:, 0], axis=1)
+    minors = e[:, 0, :, None] * e[:, 1, None, :] - e[:, 1, :, None] * e[:, 0, None, :]
+    return 0.5 * np.sqrt(0.5 * np.sum(minors * minors, axis=(1, 2)))

@@ -1,8 +1,9 @@
 """Per-simplex, per-point reference implementations of the exact ball
 integrals, the beta_inf sup scan, the point-to-support distance, the
 support sample and the per-bin fiber check of the scanner, the
-layer-constancy check, the polygon-cylinder clipping and the full-clip
-zone excess of the comparison pipeline, the one-polygon convex clipper,
+layer-constancy check, the recursive half-space clipper of a simplex,
+the polygon-cylinder clipping and the full-clip zone excess of the
+comparison pipeline, the one-polygon convex clipper,
 the bisection boundary trace, the cone height sup, the strip zip, the
 averaged graph and its all-layer ball means, and the chain construction
 filter, ``boundary``, ``merge_terms`` and ``size``.
@@ -598,29 +599,69 @@ def clip_poly_halfplane(poly_pts, a: np.ndarray, b: np.ndarray):
     return out
 
 
-def split_by_polygon_cylinder(chain, base, poly: np.ndarray):
-    """(inside, outside) pieces of every term against the polygon cylinder."""
-    from gmtepi.chains import _clip_simplex_halfspace
+def _clip_simplex_halfspace(
+    vertices: np.ndarray, normal: np.ndarray, offset: float, tol: float = 1e-12
+) -> list[np.ndarray]:
+    """Exact decomposition of ``simplex ∩ {normal.x >= offset}`` into
+    simplices, preserving orientation.
 
+    Splits a crossing edge at the hyperplane and recurses; each split
+    replaces one endpoint by an interior point of the edge, which scales
+    the volume by a positive factor and therefore keeps orientation.
+    """
+    d = vertices @ normal - offset
+    if np.all(d >= -tol):
+        return [vertices]
+    if np.all(d <= tol):
+        return []
+    k = len(d)
+    for i in range(k):
+        if d[i] >= -tol:
+            continue
+        for j in range(k):
+            if d[j] <= tol:
+                continue
+            t = d[i] / (d[i] - d[j])
+            p = vertices[i] + t * (vertices[j] - vertices[i])
+            child_a = vertices.copy()
+            child_a[j] = p
+            child_b = vertices.copy()
+            child_b[i] = p
+            return _clip_simplex_halfspace(child_a, normal, offset, tol) + _clip_simplex_halfspace(
+                child_b, normal, offset, tol
+            )
+    return []  # pragma: no cover
+
+
+def split_by_polygon_cylinder(chain, base, poly: np.ndarray):
+    """(inside, outside) pieces of every term against the cylinder over a
+    polygon (m = 2) or an interval with ends ``poly`` (m = 1)."""
     k = len(poly)
     centroid = poly.mean(axis=0)
     normals, offsets = [], []
     for i in range(k):
         p, q = poly[i], poly[(i + 1) % k]
-        t = q - p
-        nrm2 = np.array([-t[1], t[0]])
-        if (centroid - p) @ nrm2 < 0:
-            nrm2 = -nrm2
-        nrm2 = nrm2 / np.linalg.norm(nrm2)
+        if base.m == 1:
+            nrm2 = np.sign(centroid - p)
+        else:
+            t = q - p
+            nrm2 = np.array([-t[1], t[0]])
+            if (centroid - p) @ nrm2 < 0:
+                nrm2 = -nrm2
+            nrm2 = nrm2 / np.linalg.norm(nrm2)
         normals.append(base.embed(nrm2))
         offsets.append(float(nrm2 @ p))
-    poly_ang = np.mod(np.arctan2(poly[:, 1], poly[:, 0]), 2 * math.pi)
+    if base.m == 2:
+        poly_ang = np.mod(np.arctan2(poly[:, 1], poly[:, 0]), 2 * math.pi)
     inside, outside = [], []
     for s_, c in chain.terms:
-        dom = s_.vertices @ base.frame.T
-        lo, hi = angular_window(np.arctan2(dom[:, 1], dom[:, 0]))
+        edges = range(k)
+        if base.m == 2:
+            dom = s_.vertices @ base.frame.T
+            lo, hi = angular_window(np.arctan2(dom[:, 1], dom[:, 0]))
+            edges = edges_in_window(poly_ang, lo, hi)
         stack = [s_.vertices]
-        for e in edges_in_window(poly_ang, lo, hi):
+        for e in edges:
             nxt = []
             for verts in stack:
                 nxt.extend(_clip_simplex_halfspace(verts, normals[e], offsets[e]))

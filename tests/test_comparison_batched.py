@@ -7,14 +7,11 @@ import numpy as np
 import pytest
 
 import scalar_oracle as oracle
-from gmtepi.chains import PolyChain, Simplex
+from gmtepi.chains import PolyChain, Simplex, pushforward_linear
 from gmtepi.epi import (
-    _angular_windows,
     _decompose,
-    _arcs_meet,
     _excess_over_polygon,
     _layer_ray_angles,
-    _polygon_arcs,
     _split_by_polygon_cylinder,
     averaged_graph,
     build_comparison,
@@ -23,13 +20,16 @@ from gmtepi.generators import cone_harmonic, tilted_cone
 from gmtepi.groups import NormedCoefficient, group_norm, integers
 from gmtepi.layers import (
     ConstancyError,
+    _angular_windows,
+    _arcs_meet,
+    _polygon_arcs,
     align_base_to_chain,
     decompose_layers,
 )
+from gmtepi.moments import quad_form, select_plane
 from gmtepi.planes import OrientedPlane
-from gmtepi.quadrature import simplex_volume
 
-from conftest import make_graph_disk
+from conftest import make_graph_disk, minor_volumes
 
 G = integers()
 V = OrientedPlane(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
@@ -133,7 +133,7 @@ def test_angular_windows():
 
 
 def _pieces_mass(pieces) -> float:
-    return sum(group_norm(c) * simplex_volume(v) for v, c in pieces)
+    return sum(group_norm(c) * float(minor_volumes(v[None])[0]) for v, c in pieces)
 
 
 def _as_pieces(P: PolyChain, side) -> list:
@@ -151,15 +151,58 @@ def _polygons(P: PolyChain, base: OrientedPlane):
     ]
 
 
-def test_split_by_polygon_cylinder_partitions_mass():
+def _random_graphs():
+    """Two-layer graph chains over turned fans with random heights, each
+    with a random convex polygon about the origin."""
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        a, b = rng.normal(scale=0.2, size=(2, 3))
+        turn = rng.uniform(0.0, 1.0)
+        rot = np.array([[math.cos(turn), -math.sin(turn), 0.0], [math.sin(turn), math.cos(turn), 0.0], [0, 0, 1]])
+        top = make_graph_disk(int(rng.integers(8, 20)), lambda p: a[0] * p[0] + a[1] * p[1] ** 2 + a[2], R=1.3)
+        low = make_graph_disk(int(rng.integers(8, 20)), lambda p: b[0] * p[0] * p[1] + b[2], R=1.2)
+        # jittered corners on a circle: arcs below the oracle's 0.6 rad margin
+        ang = 2 * math.pi * (np.arange(24) + rng.uniform(-0.3, 0.3, 24)) / 24
+        poly = rng.uniform(0.4, 1.0) * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        yield top + pushforward_linear(low, rot, np.zeros(3)), V, poly
+
+
+def _split_inputs():
     P = cone_harmonic(2, 0.05, 48)[0]
-    whole = _pieces_mass([(s.vertices, c) for s, c in P.terms])
-    for poly in _polygons(P, V):
-        inside, outside = (_as_pieces(P, side) for side in _split_by_polygon_cylinder(P, V, poly))
+    P4, V4 = cone_harmonic(2, 0.04, 32, n=4)[0], OrientedPlane(np.eye(4)[:2])
+    yield from ((P, V, poly) for poly in _polygons(P, V))
+    yield from ((P4, V4, poly) for poly in _polygons(P4, V4))
+    yield kinked_line(), LINE, np.array([[-0.75], [0.75]])
+    yield from _random_graphs()
+
+
+def test_split_by_polygon_cylinder_partitions_mass():
+    for P, base, poly in _split_inputs():
+        whole = _pieces_mass([(s.vertices, c) for s, c in P.terms])
+        inside, outside = (_as_pieces(P, side) for side in _split_by_polygon_cylinder(P, base, poly))
         assert _pieces_mass(inside) + _pieces_mass(outside) == pytest.approx(whole, rel=1e-14)
-        old_inside, old_outside = oracle.split_by_polygon_cylinder(P, V, poly)
+        old_inside, old_outside = oracle.split_by_polygon_cylinder(P, base, poly)
         assert _pieces_mass(inside) == pytest.approx(_pieces_mass(old_inside), rel=1e-14)
-        assert len(outside) < len(old_outside)
+        # the oracle clips by every edge within 0.6 rad of a term, the
+        # windows by the edges whose arcs meet it; an interval's two ends
+        # cut every term
+        if base.m == 2:
+            assert len(outside) < len(old_outside)
+        else:
+            assert len(outside) == len(old_outside)
+
+
+def test_split_pieces_project_positively():
+    # the polygon's corners sit on the cone's rays, where two clip edges
+    # emit one crossing twice: the pieces keep no sliver between the copies
+    P = cone_harmonic(2, 0.04, 32, n=4)[0]
+    base = align_base_to_chain(select_plane(quad_form(P, np.zeros(4), 1.0), 2)[0], P)
+    rays = _layer_ray_angles(decompose_layers(P, base))
+    poly = 0.75 * np.stack([np.cos(rays), np.sin(rays)], axis=1)
+    for verts, _src in _split_by_polygon_cylinder(P, base, poly):
+        dom = verts @ base.frame.T
+        e = dom[:, 1:] - dom[:, :1]
+        assert np.all((e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]) * base.orientation > 0)
 
 
 @pytest.fixture(scope="module")
@@ -193,8 +236,8 @@ def test_excess_over_polygon_matches_the_full_clip(n):
 
 
 def test_comparison_surface_term_count(cone48):
-    # the margin window cut each term against the polygon edges within
-    # 0.6 rad: 2,552 terms
+    # each term is cut only by the polygon edges whose arcs meet its
+    # angular window (a 0.6 rad margin window gave 2,552 terms)
     assert len(cone48[1].terms) == 2112
 
 

@@ -10,23 +10,25 @@ import pytest
 
 import scalar_oracle as oracle
 from gmtepi import layers
-from gmtepi.chains import pushforward_linear
+from gmtepi.chains import _clip_polygons, pushforward_linear
 from gmtepi.epi import (
     EpiConfig,
     StageError,
+    _directions,
     _layer_ray_angles,
+    _lift,
     _trace_cone_over,
     _zip_strip,
     averaged_graph,
     build_comparison,
     mollified_graph,
     mollified_unit_curve,
+    trace_and_split,
 )
 from gmtepi.generators import cone_harmonic, tilted_cone
 from gmtepi.groups import NormedCoefficient, integers
 from gmtepi.layers import (
     ConstancyError,
-    _clip_polygons,
     align_base_to_chain,
     decompose_layers,
     height_sup,
@@ -65,16 +67,22 @@ def test_closed_form_trace_matches_the_bisection(k, N, n):
 
 
 def test_clockwise_curve_takes_the_handedness_flip():
-    curve, _decomp, _v = mollified_unit_curve(cone_harmonic(3, 0.05, 64)[0], V)
-    perp = V.perp_frame()
-    # reversed, the curve winds clockwise in V's frame: without the flip
-    # the winding check would reject it
-    reverse = curve[::-1].copy()
-    got = _trace_cone_over(reverse, V, perp, 64)
-    want = oracle.trace_cone_over(reverse, V, perp, 64)
-    assert np.max(np.abs(got - want)) <= 1e-15
-    flipped = OrientedPlane(V.frame * np.array([[1.0], [-1.0]]))
-    assert np.max(np.abs(got - _trace_cone_over(curve, flipped, perp, 64))) <= 1e-15
+    # reversed, the curve winds clockwise in V's frame: it is traced over
+    # the plane with the other handedness, and that plane is recorded, so
+    # every sample lifts to the point the forward trace lifts at the
+    # mirrored index
+    turn = np.array([[math.cos(0.3), -math.sin(0.3), 0.0], [math.sin(0.3), math.cos(0.3), 0.0], [0, 0, 1]])
+    P = pushforward_linear(cone_harmonic(3, 0.05, 64)[0], turn, np.zeros(3))
+    curve, _decomp, _v = mollified_unit_curve(P, V)
+    forward = trace_and_split(curve, V, n_samples=64)
+    reverse = trace_and_split(curve[::-1].copy(), V, n_samples=64)
+    assert np.array_equal(reverse.plane.frame, V.frame * np.array([[1.0], [-1.0]]))
+
+    def lifted(trace):
+        return _lift(_directions(trace.angles, 2), trace.plane.frame) + _lift(trace.samples, trace.perp)
+
+    mirror = -np.arange(64) % 64
+    assert np.max(np.abs(lifted(reverse) - lifted(forward)[mirror])) <= 1e-15
 
 
 def test_non_monotone_curve_raises_at_the_trace():

@@ -209,6 +209,9 @@ def test_height_sup_examples():
     g = make_graph_disk(64, lambda p: eps * p[0], R=1.3)
     h = height_sup(g, V, radius=1.0)
     assert eps - 1e-9 <= h <= eps * 1.01
+    # the cylinder is over an m-plane: an m-chain of another m is rejected
+    with pytest.raises(ValueError, match="shape mismatch"):
+        height_sup(boundary(g), V)
 
 
 def test_height_sup_harmonic_cone():
