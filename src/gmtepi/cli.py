@@ -13,7 +13,7 @@ verify    the full inequality suite, one row per check
 
 Reports land in ``--out`` as a CSV table plus a JSON summary echoing the
 command, configuration and seed.  Exit code 0 on success, 2 when a
-hypothesis gate fails, 1 on errors.
+hypothesis gate fails, 1 on errors, usage errors included.
 """
 
 from __future__ import annotations
@@ -203,6 +203,8 @@ def cmd_probe(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _config(args)
+    if args.quick:
+        cfg["quick"] = True
     rows = run_verify(seed=args.seed, quick=cfg.get("quick", False))
     table = [r.as_dict() for r in rows]
     passed = sum(r.passed for r in rows)
@@ -216,9 +218,17 @@ def cmd_verify(args) -> int:
     return 0 if passed == len(rows) else GATE_EXIT
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, so that exit code 2 means a failed gate."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="gmt-epi", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="gmt-epi", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"gmt-epi {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     handlers = {}
@@ -233,6 +243,8 @@ def main(argv=None) -> int:
         if name == "generate":
             p.add_argument("--kind", required=True, choices=KINDS)
             p.add_argument("--params", default=None, help="generator parameters as JSON")
+        if name == "verify":
+            p.add_argument("--quick", action="store_true", help="the quick suite; same as config quick: true")
         handlers[name] = fn
     args = parser.parse_args(argv)
     try:

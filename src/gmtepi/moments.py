@@ -113,6 +113,12 @@ def select_plane(
     :class:`AmbiguousPlaneError` rather than silently picking a plane.
     """
     w, vecs = form.eigensystem()
+    return _plane_from_eigensystem(w, vecs, m, gap_tol), w
+
+
+def _plane_from_eigensystem(w: np.ndarray, vecs: np.ndarray, m: int, gap_tol: float = 1e-10) -> OrientedPlane:
+    """:func:`select_plane` from eigenvalues descending and matching
+    eigenvectors (rows)."""
     if len(w) <= m:
         raise ValueError("form has no complementary directions")
     if w[m - 1] - w[m] <= gap_tol:
@@ -126,7 +132,7 @@ def select_plane(
         if len(nz) and v[nz[0]] < 0:
             v = -v
         rows.append(v)
-    return OrientedPlane(np.array(rows)), w
+    return OrientedPlane(np.array(rows))
 
 
 @dataclass
@@ -256,18 +262,35 @@ def beta_numbers(chain: PolyChain, x, r: float, plane: OrientedPlane) -> BetaRec
     the angular floor is reported.
     """
     x = np.asarray(x, dtype=float)
-    return _beta_from_moments(chain, chain_ball_moments(chain, x, r), x, r, plane)
+    near = chain.near_ball(x, r)
+    bm = chain_ball_moments(chain, x, r)
+    cells = np.zeros(len(near), dtype=np.int64)
+    return _cell_betas(chain.vertex_array()[near], cells, x[None], np.array([r]), [bm], [plane], chain.m)[0]
 
 
-def _beta_from_moments(
-    chain: PolyChain, bm: BallMoments, x: np.ndarray, r: float, plane: OrientedPlane
-) -> BetaRecord:
-    perpf = plane.perp_frame()
-    # perp-block contraction avoids the trace-difference cancellation
-    beta2_sq = float(np.einsum("ki,ij,kj->", perpf, bm.s2, perpf)) / r ** (chain.m + 2)
-    beta2 = math.sqrt(max(beta2_sq, 0.0))
-    sup, floor = _sup_perp_in_ball(chain, x, r, plane)
-    return BetaRecord(beta2, sup / r, plane, floor / r)
+def _cell_betas(
+    va: np.ndarray,
+    cells: np.ndarray,
+    xs: np.ndarray,
+    rs: np.ndarray,
+    moments: list[BallMoments],
+    planes: list[OrientedPlane],
+    m: int,
+) -> list[BetaRecord]:
+    """:class:`BetaRecord` of each ball ``B(xs[c], rs[c])`` against
+    ``planes[c]``, from its exact moments and the simplices ``va`` near
+    it (row ``t`` near ball ``cells[t]``, nondecreasing)."""
+    perps = np.linalg.svd(np.stack([p.frame for p in planes]))[2][:, planes[0].m :]
+    sups, floors = _sup_perps(va, cells, xs, rs, perps, m)
+    out = []
+    for bm, perpf, r, sup, floor, plane in zip(moments, perps, rs.tolist(), sups, floors, planes):
+        # perp-block contraction avoids the trace-difference cancellation
+        beta2_sq = float(np.einsum("ki,ij,kj->", perpf, bm.s2, perpf)) / r ** (m + 2)
+        # where a triangle's plane holds the ball's centre the floor is r times
+        # the bound, and dividing it by r rounds above the bound for ~1 % of r
+        floor_r = min(float(floor) / r, _CIRCLE_FLOOR)
+        out.append(BetaRecord(math.sqrt(max(beta2_sq, 0.0)), float(sup) / r, plane, floor_r))
+    return out
 
 
 # unit directions of the sampled in-plane circle for codimension >= 2
@@ -275,34 +298,67 @@ _CIRCLE_SAMPLES = 64
 _CIRCLE = np.array(
     [[math.cos(a), math.sin(a)] for a in 2 * math.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES]
 )
+#: Largest ``sup_floor``: the sampled circle's sagitta over its radius.
+_CIRCLE_FLOOR = (math.pi / _CIRCLE_SAMPLES) ** 2
 
 
 def _sup_perp_in_ball(
     chain: PolyChain, x: np.ndarray, r: float, plane: OrientedPlane
 ) -> tuple[float, float]:
     """Largest distance from the plane through ``x`` over ``spt(T) ∩ B(x, r)``
-    and the sampling floor of that sup.
+    and the sampling floor of that sup."""
+    near = chain.near_ball(x, r)
+    cells = np.zeros(len(near), dtype=np.int64)
+    va = chain.vertex_array()[near]
+    sups, floors = _sup_perps(va, cells, x[None], np.array([r]), plane.perp_frame()[None], chain.m)
+    return float(sups[0]), float(floors[0])
 
-    The candidates of all simplices near the ball are evaluated at once:
-    vertices inside the ball, edge-sphere crossings, and for triangles the
-    extreme points of the height on the circle where the ball cuts the
-    triangle's plane (exact in codimension one, 64 samples otherwise).
+
+def _per_cell(op, a: np.ndarray, cells: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """``op(a[rows of c], mats[c])`` for each ball ``c``, stacked in order.
+
+    BLAS rounds a product by its shape (a one-row product or a one-column
+    one takes another kernel), so each ball's rows go through ``op`` exactly
+    as a one-ball call sends them.
     """
-    perp = plane.perp_frame()  # (n-m, n)
-    codim = perp.shape[0]
-    va = chain.vertex_array()[chain.near_ball(x, r)]
+    bounds = np.searchsorted(cells, np.arange(len(mats) + 1))
+    parts = [op(a[bounds[c] : bounds[c + 1]], mats[c]) for c in np.flatnonzero(np.diff(bounds))]
+    return np.concatenate(parts) if parts else op(a, mats[0])
+
+
+def _sup_perps(
+    va: np.ndarray, cells: np.ndarray, xs: np.ndarray, rs: np.ndarray, perps: np.ndarray, m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Largest distance from the plane through ``xs[c]`` with orthonormal
+    complement ``perps[c]`` over ``spt ∩ B(xs[c], rs[c])``, and the sampling
+    floor of that sup, for every ball ``c``.
+
+    Row ``t`` of the vertex stack ``va`` is a simplex near ball
+    ``cells[t]`` (nondecreasing).  The candidates of all balls are
+    evaluated at once: vertices inside the ball, edge-sphere crossings,
+    and for triangles the extreme points of the height on the circle where
+    the ball cuts the triangle's plane (exact in codimension one, 64
+    samples otherwise).
+    """
+    count = len(xs)
+    sup, floor = np.zeros(count), np.zeros(count)
     if not len(va):
-        return 0.0, 0.0
-    v = va - x
+        return sup, floor
+    perp_t = np.swapaxes(perps, 1, 2)
+    codim = perps.shape[1]
+    x = xs[cells]
+    v = va - x[:, None, :]
     dist = np.linalg.norm(v, axis=2)
-    heights = [np.linalg.norm(v[dist <= r + 1e-12] @ perp.T, axis=1)]
+    inside = dist <= (rs + 1e-12)[cells, None]
+    owners = [cells[np.nonzero(inside)[0]]]
+    heights = [_per_cell(np.matmul, v[inside], owners[0], perp_t)]
     # edge / sphere crossings
     i, j = np.triu_indices(va.shape[1], 1)
     p = v[:, i]
     dd = v[:, j] - p
     aa = np.einsum("ten,ten->te", dd, dd)
     bb = 2.0 * np.einsum("ten,ten->te", p, dd)
-    cc = np.einsum("ten,ten->te", p, p) - r * r
+    cc = np.einsum("ten,ten->te", p, p) - (rs * rs)[cells, None]
     disc = bb * bb - 4 * aa * cc
     cut = (aa >= 1e-30) & (disc > 0)
     sq = np.sqrt(np.where(cut, disc, 0.0))
@@ -310,29 +366,29 @@ def _sup_perp_in_ball(
     t = np.stack([(-bb - sq) / den, (-bb + sq) / den], axis=-1)
     hit = cut[..., None] & (t >= -1e-12) & (t <= 1 + 1e-12)
     crossings = p[:, :, None] + t[..., None] * dd[:, :, None]
-    heights.append(np.linalg.norm(crossings[hit] @ perp.T, axis=1))
-    floor = 0.0
-    if chain.m == 2:
+    owners.append(cells[np.nonzero(hit)[0]])
+    heights.append(_per_cell(np.matmul, crossings[hit], owners[1], perp_t))
+    if m == 2:
         # extreme points on the in-plane circle
         E = np.swapaxes(np.linalg.qr(np.swapaxes(va[:, 1:] - va[:, :1], 1, 2))[0], 1, 2)
         rel = x - va[:, 0]
         a_in = np.einsum("tin,tn->ti", E, rel)
         h2 = np.einsum("tn,tn->t", rel, rel) - np.einsum("ti,ti->t", a_in, a_in)
-        r2 = r * r - np.maximum(h2, 0.0)
+        r2 = (rs * rs)[cells] - np.maximum(h2, 0.0)
         met = r2 > 0
-        E, a_in, tri = E[met], a_in[met], va[met]
+        E, a_in, tri, own = E[met], a_in[met], va[met], cells[met]
         rho = np.sqrt(r2[met])
         if codim == 1:
-            g = E @ perp[0]  # in-plane gradient of the height functional
+            g = _per_cell(np.matmul, E, own, perp_t)[..., 0]  # in-plane gradient of the height functional
             gn = np.linalg.norm(g, axis=1)
             keep = gn > 1e-14
             step = rho[keep, None] * g[keep] / gn[keep, None]
-            E, a_in, tri = E[keep], a_in[keep], tri[keep]
+            E, a_in, tri, own = E[keep], a_in[keep], tri[keep], own[keep]
             cands = np.stack([a_in + step, a_in - step], axis=1)
         else:
             cands = a_in[:, None, :] + rho[:, None, None] * _CIRCLE
-            if len(rho):
-                floor = float(np.max(rho)) * (math.pi / _CIRCLE_SAMPLES) ** 2
+            np.maximum.at(floor, own, rho)
+            floor *= _CIRCLE_FLOOR
         dom = np.einsum("tkn,tin->tki", tri - tri[:, :1], E)
         T = np.stack([dom[:, 1] - dom[:, 0], dom[:, 2] - dom[:, 0]], axis=-1)
         ok = np.abs(np.linalg.det(T)) >= 1e-30
@@ -340,11 +396,14 @@ def _sup_perp_in_ball(
             lam = np.linalg.solve(T[ok], np.swapaxes(cands[ok] - dom[ok, :1], 1, 2))
             tol = 1e-12
             inside = (lam[:, 0] >= -tol) & (lam[:, 1] >= -tol) & (1 - (lam[:, 0] + lam[:, 1]) >= -tol)
-            base_perp = (tri[ok, 0] - x) @ perp.T
-            perp_e = np.einsum("cn,tin->tci", perp, E[ok])
+            own = own[ok]
+            base_perp = _per_cell(np.matmul, tri[ok, 0] - xs[own], own, perp_t)
+            perp_e = _per_cell(lambda e, p: np.einsum("cn,tin->tci", p, e), E[ok], own, perps)
             y_rel = base_perp[:, None, :] + np.einsum("tci,tki->tkc", perp_e, cands[ok])
-            heights.append(np.linalg.norm(y_rel[inside], axis=1))
-    return max((float(np.max(h)) for h in heights if h.size), default=0.0), floor
+            owners.append(np.broadcast_to(own[:, None], inside.shape)[inside])
+            heights.append(y_rel[inside])
+    np.maximum.at(sup, np.concatenate(owners), np.linalg.norm(np.concatenate(heights), axis=1))
+    return sup, floor
 
 
 @dataclass

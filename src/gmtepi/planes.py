@@ -34,8 +34,8 @@ class OrientedPlane:
 
     def __init__(self, frame: np.ndarray, orientation: int = 1):
         f = np.array(frame, dtype=float)
-        gram = f @ f.T
-        if not np.allclose(gram, np.eye(f.shape[0]), atol=1e-12):
+        defect = np.abs(f @ f.T - np.eye(f.shape[0]))
+        if not defect.max(initial=0.0) <= 1e-12:
             raise ValueError("frame rows must be orthonormal (within 1e-12)")
         if orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")

@@ -38,6 +38,7 @@ __all__ = [
     "BallMoments",
     "batch_ball_moments",
     "batch_ball_masses",
+    "cell_ball_moments",
     "simplex_ball_moments",
     "simplex_ball_mass",
 ]
@@ -384,17 +385,16 @@ def batch_ball_masses(vertices: np.ndarray, center, radius: float) -> np.ndarray
     return out
 
 
-def batch_ball_moments(
-    vertices: np.ndarray, center, radius: float, weights: np.ndarray
-) -> BallMoments:
-    """``sum_t weights[t]`` times the exact :class:`BallMoments` of simplex
-    ``t`` of the stack ``(T, m+1, n)``, m in (1, 2), in array passes."""
-    vertices = np.asarray(vertices, dtype=float)
-    center = np.asarray(center, dtype=float)
-    n = vertices.shape[2]
-    weights = np.asarray(weights, dtype=float)
-    if not len(vertices):
-        return BallMoments.zero(n)
+def _moment_rows(vertices: np.ndarray, center, radius):
+    """Exact :class:`BallMoments` fields of each simplex of the stack
+    ``(T, m+1, n)`` against its ball, m in (1, 2).
+
+    ``center`` is one point (n,) or one per simplex (T, n), ``radius`` a
+    scalar or one per simplex.  Returns the mask of the simplices that meet
+    their ball and, for those rows, the per-simplex ``s0, s1, s2, t2, u3,
+    t4``.  Every row is computed on its own, so a simplex's moments do not
+    depend on which other simplices share the stack.
+    """
     if _check_m(vertices) == 1:
         p, d, t1, t2, length, hit = _segment_windows(vertices, center, radius)
         ts = t1[:, None] + (t2 - t1)[:, None] * _GAUSS3_NODES  # (S, 3)
@@ -429,12 +429,52 @@ def batch_ball_moments(
         t2_ = h2 * s0 + tr2
         u3 = hvec * t2_[:, None] + np.einsum("tin,ti->tn", frame, h2[:, None] * m1 + m3)
         t4 = h2 * h2 * s0 + 2.0 * h2 * tr2 + tr4
-    w = weights[hit]
+    return hit, (s0, s1, s2, t2_, u3, t4)
+
+
+def _weighted_moments(w: np.ndarray, rows, n: int) -> BallMoments:
+    """``sum_t w[t]`` times the per-simplex moment ``rows``."""
     if not len(w):
         return BallMoments.zero(n)
-    return BallMoments(
-        float(w @ s0), w @ s1, np.einsum("t,tij->ij", w, s2), float(w @ t2_), w @ u3, float(w @ t4)
-    )
+    s0, s1, s2, t2, u3, t4 = rows
+    return BallMoments(float(w @ s0), w @ s1, np.einsum("t,tij->ij", w, s2), float(w @ t2), w @ u3, float(w @ t4))
+
+
+def batch_ball_moments(
+    vertices: np.ndarray, center, radius: float, weights: np.ndarray
+) -> BallMoments:
+    """``sum_t weights[t]`` times the exact :class:`BallMoments` of simplex
+    ``t`` of the stack ``(T, m+1, n)``, m in (1, 2), in array passes."""
+    vertices = np.asarray(vertices, dtype=float)
+    n = vertices.shape[2]
+    if not len(vertices):
+        return BallMoments.zero(n)
+    hit, rows = _moment_rows(vertices, np.asarray(center, dtype=float), radius)
+    return _weighted_moments(np.asarray(weights, dtype=float)[hit], rows, n)
+
+
+def cell_ball_moments(
+    vertices: np.ndarray, centers: np.ndarray, radii: np.ndarray, weights: np.ndarray, cells: np.ndarray, count: int
+) -> list[BallMoments]:
+    """:func:`batch_ball_moments` of ``count`` balls in one array pass.
+
+    Row ``t`` of the stack belongs to ball ``cells[t]`` (nondecreasing),
+    whose centre and radius are ``centers[cells[t]]`` and
+    ``radii[cells[t]]``.  Each ball's weighted sum runs over its own rows
+    alone, so every entry is the float that the one-ball call returns.
+    """
+    vertices = np.asarray(vertices, dtype=float)
+    n = vertices.shape[2]
+    out = [BallMoments.zero(n) for _ in range(count)]
+    if not len(vertices):
+        return out
+    hit, rows = _moment_rows(vertices, centers[cells], radii[cells])
+    w, cells = np.asarray(weights, dtype=float)[hit], cells[hit]
+    bounds = np.searchsorted(cells, np.arange(count + 1))
+    for c in np.flatnonzero(np.diff(bounds)):
+        part = slice(bounds[c], bounds[c + 1])
+        out[c] = _weighted_moments(w[part], [a[part] for a in rows], n)
+    return out
 
 
 def simplex_ball_moments(

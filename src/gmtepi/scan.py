@@ -20,15 +20,9 @@ import numpy as np
 
 from .chains import PolyChain
 from .mono import alpha_m, alpha0_exponent, lambda_epi
-from .moments import (
-    AmbiguousPlaneError,
-    _beta_from_moments,
-    _form_from_moments,
-    chain_ball_moments,
-    select_plane,
-)
+from .moments import AmbiguousPlaneError, _cell_betas, _plane_from_eigensystem
 from .planes import OrientedPlane, plane_distance
-from .quadrature import BallMoments
+from .quadrature import BallMoments, cell_ball_moments
 
 __all__ = [
     "Frame",
@@ -60,6 +54,12 @@ _DIST_CHUNK = 1 << 14
 _PRUNE_POINTS = 32
 #: Candidate nodes ``support_sample`` builds at once (plus one grid row's).
 _SAMPLE_CHUNK = 1 << 14
+#: Most near simplices that one stacked moment or sup pass of a scan takes
+#: (a cell's own always go together).  Their temporaries grow with it, up
+#: to 64 x codim floats a triangle for the sampled cut circles, and once
+#: freed, a temporary far above a one-cell pass's makes the allocator keep
+#: later large arrays on its heap, which raised the scan_disk peak RSS.
+_STACK_ROWS = 256
 
 
 def _point_chunks(points: np.ndarray) -> list[np.ndarray]:
@@ -79,7 +79,7 @@ def _point_chunks(points: np.ndarray) -> list[np.ndarray]:
     return chunks
 
 
-def _dist_to_support(chain: PolyChain, points: np.ndarray) -> np.ndarray:
+def _dist_to_support(chain: PolyChain, points: np.ndarray, terms: np.ndarray | None = None) -> np.ndarray:
     """Exact distances from points (P, n) to the support, for m in (1, 2).
 
     Each compact chunk of points (centre c, radius rho) measures only the
@@ -87,9 +87,17 @@ def _dist_to_support(chain: PolyChain, points: np.ndarray) -> np.ndarray:
     slack; this is exact, since for q in the chunk a dropped t has
     d(q, t) >= d(c, t) - rho > d_min + rho >= d(q, t*), so the minimum
     over the kept simplices is the float the unpruned pass returns.
+
+    ``terms`` restricts the pass to those term indices; it must hold the
+    nearest simplex of every point.  The scan passes the terms within
+    ``2 r + d(x, spt)`` of its point x, plus a rounding slack, for query
+    points q in ``B(x, r)``: the nearest simplex t* of q has
+    ``d(x, t*) <= |q - x| + d(q, spt) <= |q - x| + |q - x| + d(x, spt)``.
+    Each point-simplex distance is computed on its own, so the minimum
+    over any set that holds t* is the same float.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    va = chain.vertex_array()
+    va = chain.vertex_array() if terms is None else chain.vertex_array()[terms]
     if len(va) == 0:
         return np.full(len(points), np.inf)
     chunks = _point_chunks(points)
@@ -152,58 +160,95 @@ def _pair_dists(va: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 def _support_points_on_fiber(
     simplices: np.ndarray, x: np.ndarray, direction: np.ndarray, constraints: np.ndarray, s: float
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Support points ``p`` with ``|p - x| = s``, the in-plane projection
-    along ``direction`` positive, and zero components along ``constraints``;
-    ``simplices`` is a (T, m+1, n) vertex stack."""
-    out = []
-    for verts in simplices:
-        v = verts - x
-        pieces = [v]
-        for c in constraints:
-            nxt = []
-            for piece in pieces:
-                d = piece @ c
-                if np.all(d > 1e-13) or np.all(d < -1e-13):
-                    continue
-                if piece.shape[0] == 2:
-                    t = d[0] / (d[0] - d[1]) if abs(d[0] - d[1]) > 1e-30 else 0.0
-                    nxt.append((piece[0] + t * (piece[1] - piece[0]))[None, :])
-                else:
-                    pts = []
-                    for i in range(len(d)):
-                        for j in range(i + 1, len(d)):
-                            if (d[i] < -1e-13 < 1e-13 < d[j]) or (d[j] < -1e-13 < 1e-13 < d[i]):
-                                t = d[i] / (d[i] - d[j])
-                                pts.append(piece[i] + t * (piece[j] - piece[i]))
-                        if abs(d[i]) <= 1e-13:
-                            pts.append(piece[i])
-                    if len(pts) >= 2:
-                        nxt.append(np.array([pts[0], pts[1]]))
-            pieces = nxt
-        for piece in pieces:
-            if piece.shape[0] == 1:
-                p = piece[0]
-                if abs(np.linalg.norm(p) - s) <= 1e-9 * max(s, 1.0) and p @ direction > 0:
-                    out.append(p + x)
-                continue
-            a, b = piece[0], piece[1]
-            dd = b - a
-            aa = float(dd @ dd)
-            if aa < 1e-30:
-                continue
-            bb = 2.0 * float(a @ dd)
-            cc = float(a @ a) - s * s
-            disc = bb * bb - 4 * aa * cc
-            if disc < 0:
-                continue
-            for sgn in (-1.0, 1.0):
-                t = (-bb + sgn * math.sqrt(disc)) / (2 * aa)
-                if -1e-12 <= t <= 1 + 1e-12:
-                    p = a + t * dd
-                    if p @ direction > 1e-12:
-                        out.append(p + x)
-    return out
+    along ``direction`` positive, and zero components along ``constraints``.
+
+    ``simplices`` is a (T, m+1, n) vertex stack: segments with no
+    constraint, or triangles with one, which cut each triangle to the
+    segment between its first two crossings (edges (0, 1), (0, 2), vertex
+    0, edge (1, 2), vertex 1, vertex 2).  Each segment meets the sphere at
+    its two roots in turn; the points come simplex by simplex, shape (K, n).
+    """
+    v = simplices - x
+    if len(constraints):
+        (c,) = constraints
+        a, b = _cut_triangles(v, v @ c)
+    else:
+        a, b = v[:, 0], v[:, 1]
+    dd = b - a
+    aa = _rowdot(dd, dd)
+    bb = 2.0 * _rowdot(a, dd)
+    cc = _rowdot(a, a) - s * s
+    disc = bb * bb - 4 * aa * cc
+    ok = (aa >= 1e-30) & (disc >= 0)
+    a, dd, aa, bb, sq = a[ok], dd[ok], aa[ok], bb[ok], np.sqrt(disc[ok])
+    t = np.stack([(-bb - sq) / (2 * aa), (-bb + sq) / (2 * aa)], axis=1)
+    p = a[:, None] + t[..., None] * dd[:, None]
+    on = (t >= -1e-12) & (t <= 1 + 1e-12)
+    p = p[on]
+    p = p[_rowdot(p, np.broadcast_to(direction, p.shape)) > 1e-12]
+    return p + x
+
+
+def _cut_triangles(v: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ends of the segments where triangles ``v`` (T, 3, n) with signed
+    heights ``d`` (T, 3) over a hyperplane cross it; triangles that do not
+    cross it in two points are dropped."""
+    neg, pos = d < -1e-13, d > 1e-13
+    cands, valid = [], []
+    for i, j in ((0, 1), (0, 2), (0, None), (1, 2), (1, None), (2, None)):
+        if j is None:
+            cands.append(v[:, i])
+            valid.append(np.abs(d[:, i]) <= 1e-13)
+            continue
+        cross = (neg[:, i] & pos[:, j]) | (neg[:, j] & pos[:, i])
+        t = d[:, i] / np.where(cross, d[:, i] - d[:, j], 1.0)
+        cands.append(v[:, i] + t[:, None] * (v[:, j] - v[:, i]))
+        valid.append(cross)
+    cands, valid = np.stack(cands, axis=1), np.stack(valid, axis=1)
+    rank = np.cumsum(valid, axis=1)
+    two = np.flatnonzero(rank[:, -1] >= 2)
+    first = np.argmax(valid[two], axis=1)
+    second = np.argmax(valid[two] & (rank[two] == 2), axis=1)
+    return cands[two, first], cands[two, second]
+
+
+def _frame_gate(beta_inf: float, rho: float) -> None:
+    """The flatness condition of :func:`find_frame`; raises ``ValueError``."""
+    if beta_inf >= rho:
+        raise ValueError(f"beta_inf {beta_inf:.3g} at the working scale is not below rho {rho:.3g}")
+
+
+def _frame_directions(near: np.ndarray, x: np.ndarray, s: float, plane: OrientedPlane) -> np.ndarray:
+    """The directions (m, n) of :func:`find_frame` from the simplices
+    ``near`` that meet its ball; raises ``ValueError`` on an empty fiber."""
+    m = plane.m
+    found: list[np.ndarray] = []
+    basis = [plane.frame[i].copy() for i in range(m)]  # current V_k spanning set
+    for k in range(m):
+        w_dir = basis[0]
+        constraints = np.array(basis[1:] + found) if (len(basis) > 1 or found) else np.zeros((0, plane.n))
+        cands = _support_points_on_fiber(near, x, w_dir, constraints, s)
+        if not len(cands):
+            raise ValueError("no support point on the fiber; projection not surjective")
+        rels = (cands - x) / s
+        best = rels[np.argmax(_rowdot(rels, np.broadcast_to(w_dir, rels.shape)))]
+        found.append(best)
+        # drop the used direction, re-orthogonalize the rest against found
+        basis = basis[1:]
+        new_basis = []
+        for b in basis:
+            r = b.copy()
+            for f in found:
+                r -= (r @ f) * f
+            for nb in new_basis:
+                r -= (r @ nb) * nb
+            ln = np.linalg.norm(r)
+            if ln > 1e-9:
+                new_basis.append(r / ln)
+        basis = new_basis
+    return np.array(found)
 
 
 def find_frame(
@@ -234,33 +279,8 @@ def find_frame(
     if beta_inf is None:
         sup = support_sample(chain, x, scale, spacing=scale / 64)
         beta_inf = float(np.max(plane.perp_norms(sup - x))) / scale if len(sup) else 0.0
-    if beta_inf >= rho:
-        raise ValueError(f"beta_inf {beta_inf:.3g} at the working scale is not below rho {rho:.3g}")
-    found: list[np.ndarray] = []
-    basis = [plane.frame[i].copy() for i in range(m)]  # current V_k spanning set
-    for k in range(m):
-        w_dir = basis[0]
-        constraints = np.array(basis[1:] + found) if (len(basis) > 1 or found) else np.zeros((0, chain.n))
-        cands = _support_points_on_fiber(near, x, w_dir, constraints, s)
-        if not cands:
-            raise ValueError("no support point on the fiber; projection not surjective")
-        rels = [(p - x) / s for p in cands]
-        best = max(rels, key=lambda r: float(r @ w_dir))
-        found.append(best)
-        # drop the used direction, re-orthogonalize the rest against found
-        basis = basis[1:]
-        new_basis = []
-        for b in basis:
-            r = b.copy()
-            for f in found:
-                r -= (r @ f) * f
-            for nb in new_basis:
-                r -= (r @ nb) * nb
-            ln = np.linalg.norm(r)
-            if ln > 1e-9:
-                new_basis.append(r / ln)
-        basis = new_basis
-    dirs = np.array(found)
+    _frame_gate(beta_inf, rho)
+    dirs = _frame_directions(near, x, s, plane)
     gram = dirs @ dirs.T
     defect = float(np.max(np.abs(gram - np.eye(m))))
     sup_d = float(np.max(_dist_to_support(chain, x + s * dirs)))
@@ -280,8 +300,24 @@ def support_sample(chain: PolyChain, x, r: float, spacing: float) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     near = chain.near_ball(x, r)
+    cells = np.zeros(len(near), dtype=np.int64)
+    return _support_nodes(chain, near, cells, x[None], np.array([r]), np.array([spacing]))[0]
+
+
+def _support_nodes(
+    chain: PolyChain, near: np.ndarray, cells: np.ndarray, xs: np.ndarray, rs: np.ndarray, spacings: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`support_sample` of every ball ``B(xs[c], rs[c])`` at
+    ``spacings[c]`` in one pass: term ``near[t]`` may meet ball
+    ``cells[t]`` (nondecreasing).  Returns the nodes, ball by ball, and the
+    node count of each ball.  Every node is computed from its own row, so each
+    ball's nodes are the floats its one-ball call returns."""
+    counts = np.zeros(len(xs), dtype=np.int64)
     if not len(near):
-        return np.zeros((0, chain.n))
+        return np.zeros((0, chain.n)), counts
+    # the centre's norm as the one-ball call rounds it, one dot per ball
+    x_norm = np.array([np.linalg.norm(x) for x in xs])[cells]
+    x, r, spacing = xs[cells], rs[cells], spacings[cells]
     v = chain.verts[near]
     diam = chain.diameters()[near]
     v0 = v[:, 0]
@@ -289,7 +325,7 @@ def support_sample(chain: PolyChain, x, r: float, spacing: float) -> np.ndarray:
     e1_sq = _rowdot(e1, e1)
     # the coordinate size that the rounding of a node and its distance
     # scales with
-    scale = r + np.linalg.norm(v0, axis=1) + np.linalg.norm(x) + np.sqrt(e1_sq)
+    scale = r + np.linalg.norm(v0, axis=1) + x_norm + np.sqrt(e1_sq)
     if chain.m == 1:
         den = np.maximum(e1_sq, 1e-300)
         t0 = _rowdot(x - v0, e1) / den
@@ -298,7 +334,7 @@ def support_sample(chain: PolyChain, x, r: float, spacing: float) -> np.ndarray:
         ka = np.maximum(2, np.ceil((a_hi - a_lo) * diam / spacing).astype(np.int64) + 1)
         # one row per segment
         row = np.flatnonzero(a_hi > a_lo)
-        base = v0[row] - x
+        base = (v0 - x)[row]
     else:
         e2 = v[:, 2] - v0
         area2 = np.maximum(2.0 * chain.volumes()[near], 1e-30)
@@ -326,12 +362,12 @@ def support_sample(chain: PolyChain, x, r: float, spacing: float) -> np.ndarray:
         row = np.repeat(np.arange(len(near)), kb)
         i = np.arange(len(row)) - np.repeat(np.cumsum(kb) - kb, kb)
         b_row = b_lo[row] + (b_hi - b_lo)[row] * _unit_nodes(i, kb[row])
-        base = v0[row] - x + b_row[:, None] * e2[row]
+        base = (v0 - x)[row] + b_row[:, None] * e2[row]
     # the row's nodes a_j = a_lo + (a_hi - a_lo) j / (ka - 1) that can lie in
     # the ball: its chord, widened far beyond the rounding of the nodes
     ee = e1_sq[row]
     foot = -_rowdot(base, e1[row]) / ee
-    chord2 = r * r - (_rowdot(base, base) - foot * foot * ee) + 1e-9 * scale[row] ** 2
+    chord2 = (r * r)[row] - (_rowdot(base, base) - foot * foot * ee) + 1e-9 * scale[row] ** 2
     chord = np.sqrt(np.maximum(chord2, 0.0) / ee)
     hi_a = foot + chord
     if chain.m == 2:
@@ -354,11 +390,17 @@ def support_sample(chain: PolyChain, x, r: float, spacing: float) -> np.ndarray:
         if chain.m == 2:
             b = b_row[node_row]
             keep = a + b <= 1.0 + 1e-12
-            p = p[keep] + b[keep, None] * e2[t[keep]]
-        pts.append(p[np.linalg.norm(p - x, axis=1) <= r])
+            t = t[keep]
+            p = p[keep] + b[keep, None] * e2[t]
+        # ball by ball, with no per-node copy of the centres
+        bounds = np.searchsorted(cells[t], np.arange(len(xs) + 1))
+        for c in np.flatnonzero(np.diff(bounds)):
+            part = p[bounds[c] : bounds[c + 1]]
+            pts.append(part[np.linalg.norm(part - xs[c], axis=1) <= rs[c]])
+            counts[c] += len(pts[-1])
     if not pts:
-        return np.zeros((0, chain.n))
-    return np.vstack(pts)
+        return np.zeros((0, chain.n)), counts
+    return np.vstack(pts), counts
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -389,23 +431,31 @@ def _hausdorff_chain_plane(
     exact point-to-chain distances on a deterministic grid."""
     if len(sup) == 0:
         return r
+    d2 = float(np.max(_dist_to_support(chain, x + plane.embed(_plane_grid(r, plane.m, grid)))))
+    return max(_sample_to_plane(sup, x, r, plane), d2)
+
+
+def _sample_to_plane(sup: np.ndarray, x: np.ndarray, r: float, plane: OrientedPlane) -> float:
+    """Largest distance from the sample points to the plane ball."""
     rel = sup - x
     inplane = plane.project_coords(rel)
     norms = np.linalg.norm(inplane, axis=1, keepdims=True)
     clamped = inplane / np.maximum(norms / r, 1.0)
-    d1 = float(np.max(np.linalg.norm(rel - plane.embed(clamped), axis=1)))
-    if plane.m == 1:
-        coords = np.linspace(-r, r, 2 * grid + 1)[:, None]
-    else:
-        rows = [np.zeros((1, 2))]
-        for k in range(1, grid + 1):
-            rad = r * k / grid
-            cnt = max(6, int(round(2 * math.pi * k)))
-            ang = 2 * math.pi * np.arange(cnt) / cnt
-            rows.append(rad * np.stack([np.cos(ang), np.sin(ang)], axis=1))
-        coords = np.vstack(rows)
-    d2 = float(np.max(_dist_to_support(chain, x + plane.embed(coords))))
-    return max(d1, d2)
+    return float(np.max(np.linalg.norm(rel - plane.embed(clamped), axis=1)))
+
+
+def _plane_grid(r: float, m: int, grid: int) -> np.ndarray:
+    """In-plane coordinates of the deterministic grid on the radius-r ball:
+    2 grid + 1 points on a line, or the centre and ``grid`` rings."""
+    if m == 1:
+        return np.linspace(-r, r, 2 * grid + 1)[:, None]
+    rows = [np.zeros((1, 2))]
+    for k in range(1, grid + 1):
+        rad = r * k / grid
+        cnt = max(6, int(round(2 * math.pi * k)))
+        ang = 2 * math.pi * np.arange(cnt) / cnt
+        rows.append(rad * np.stack([np.cos(ang), np.sin(ang)], axis=1))
+    return np.vstack(rows)
 
 
 @dataclass
@@ -427,6 +477,7 @@ class ScanCell:
     coherence_bound: float | None = None
     coherence_measured: float | None = None
     sup_floor: float = 0.0  # beta_inf's sampling floor over r, 0 when exact
+    frame_reason: str = ""  # why no frame was found: the failed gate or search
 
 
 @dataclass
@@ -454,15 +505,6 @@ class ScanReport:
         return math.log(2.0) * float(sum(c.eta for c in cells))
 
 
-def _centered_form(bm: BallMoments, x: np.ndarray):
-    """Centroid and centred second-moment form of the ball's measure."""
-    if bm.s0 <= 0:
-        return None, None
-    centroid = x + bm.s1 / bm.s0
-    cov = bm.s2 - np.outer(bm.s1, bm.s1) / bm.s0
-    return centroid, 0.5 * (cov + cov.T)
-
-
 def multiscale_scan(
     chain: PolyChain,
     points,
@@ -475,58 +517,23 @@ def multiscale_scan(
 
     Records the spectral plane, both flatness numbers (anchored at the
     query point and at the local centroid), the two-sided Hausdorff
-    distance, the density ratio, the frame-found flag, and cross-scale
-    plane coherence against the two-scale bound with the measured eta.
-    Each cell takes its density, plane, ``beta_2`` and centred form from
-    one exact moment pass over its ball.  An empty chain raises
-    ``ValueError``.
+    distance, the density ratio, the frame-found flag with the reason when
+    it is false, and cross-scale plane coherence against the two-scale
+    bound with the measured eta.  Each cell takes its density, plane,
+    ``beta_2`` and centred form from one exact moment pass over its ball.
+    An empty chain raises ``ValueError``.
+
+    All (point, scale) cells of a call go through each stage in stacked
+    passes, and each point culls the chain once to the terms within
+    ``2 r0 + d(x, spt)``, which hold every term any stage of its cells can
+    reach.
     """
     if chain.is_zero:
         raise ValueError("empty chain")
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    m = chain.m
-    am = alpha_m(m)
     report = ScanReport(points, r0, depth)
-
-    def do_cell(pi: int, k: int) -> ScanCell:
-        x = points[pi]
-        r = r0 * 2.0**-k
-        spacing = sample_spacing if sample_spacing is not None else r / 48
-        sup = support_sample(chain, x, r, spacing)
-        # mass-weighted moments give s0 = ||T||(B); density ratio from it
-        bm = chain_ball_moments(chain, x, r)
-        dens = bm.s0 / (am * r**m)
-        try:
-            plane, _ = select_plane(_form_from_moments(bm, m, x, r), m)
-        except AmbiguousPlaneError:
-            return ScanCell(pi, k, r, None, 0.0, 0.0, 0.0, 0.0, dens, 1.0, False, True)
-        br = _beta_from_moments(chain, bm, x, r, plane)
-        centroid, cov = _centered_form(bm, x)
-        binf_c = br.beta_inf
-        if centroid is not None:
-            w, vecs = np.linalg.eigh(cov)
-            order = np.argsort(w)[::-1]
-            cplane = OrientedPlane.from_span(vecs[:, order[:m]].T)
-            if len(sup):
-                rel = sup - centroid
-                binf_c = float(np.max(cplane.perp_norms(rel))) / r
-        dh = _hausdorff_chain_plane(chain, sup, x, r, plane, grid=24)
-        frame_ok = False
-        try:
-            rho_gate = min(br.beta_inf * 1.5 + 1e-6, 1.0 / (25 * math.sqrt(m)))
-            if br.beta_inf < rho_gate:
-                find_frame(chain, x, 0.9 * r, plane, rho_gate, scale=r, beta_inf=br.beta_inf)
-                frame_ok = True
-        except ValueError:
-            frame_ok = False
-        return ScanCell(
-            pi, k, r, plane, br.beta2, br.beta_inf, binf_c, dh, dens, dh / r, frame_ok,
-            sup_floor=br.sup_floor,
-        )
-
-    for pi in range(len(points)):
-        for k in range(depth + 1):
-            report.cells[(pi, k)] = do_cell(pi, k)
+    for cell in _scan_cells(chain, points, r0, depth, sample_spacing):
+        report.cells[(cell.point_index, cell.scale_index)] = cell
 
     # cross-scale coherence with the measured eta
     for pi in range(len(points)):
@@ -539,6 +546,167 @@ def multiscale_scan(
             b.coherence_bound = eps * (2.0 + a.radius / b.radius)
             b.coherence_measured = plane_distance(a.plane, b.plane)
     return report
+
+
+def _scan_cells(
+    chain: PolyChain, points: np.ndarray, r0: float, depth: int, sample_spacing: float | None
+) -> list[ScanCell]:
+    """The cells of every point, point by point and scale by scale.  Each
+    stage runs over all of them in stacked passes: the moment and sup passes
+    in runs of at most ``_STACK_ROWS`` near simplices, the samples in runs of
+    about ``_SAMPLE_CHUNK`` expected nodes."""
+    m = chain.m
+    va = chain.vertex_array()
+    radii = [r0 * 2.0**-k for k in range(depth + 1)]
+    # cells are point-major: cell c is point c // (depth + 1) at scale c % (depth + 1)
+    cells = [(pi, k) for pi in range(len(points)) for k in range(depth + 1)]
+    xs = np.repeat(points, depth + 1, axis=0)
+    rs = np.array(radii * len(points))
+    near, cull = _cull(chain, points, radii)
+    moments = []
+    for part in _runs([len(t) for t in near], _STACK_ROWS):
+        rows, owner = _stacked(near[part])
+        weights = chain.coeff_norms()[rows]
+        moments += cell_ball_moments(va[rows], xs[part], rs[part], weights, owner, len(xs[part]))
+    am = alpha_m(m)
+    dens = [bm.s0 / (am * r**m) for bm, r in zip(moments, rs.tolist())]
+
+    # the spectral plane of each cell: one eigh over all forms
+    s2 = np.stack([bm.s2 for bm in moments])
+    half_norm = np.array([(m + 2) / (am * r ** (m + 2)) * 0.5 for r in rs.tolist()])
+    forms = half_norm[:, None, None] * (s2 + np.swapaxes(s2, 1, 2))
+    w, vecs = np.linalg.eigh(0.5 * (forms + np.swapaxes(forms, 1, 2)))
+    order = np.argsort(w, axis=1)[:, ::-1]
+    planes, out = [], {}
+    for c, (pi, k) in enumerate(cells):
+        try:
+            planes.append(_plane_from_eigensystem(w[c, order[c]], vecs[c][:, order[c]].T, m))
+        except AmbiguousPlaneError as err:
+            why = str(err)
+            out[c] = ScanCell(pi, k, float(rs[c]), None, 0.0, 0.0, 0.0, 0.0, dens[c], 1.0, False, True, frame_reason=why)
+    good = [c for c in range(len(cells)) if c not in out]
+    if not good:
+        return [out[c] for c in range(len(cells))]
+    xs, rs, moments, near = xs[good], rs[good], [moments[c] for c in good], [near[c] for c in good]
+    betas = []
+    for part in _runs([len(t) for t in near], _STACK_ROWS):
+        rows, owner = _stacked(near[part])
+        betas += _cell_betas(va[rows], owner, xs[part], rs[part], moments[part], planes[part], m)
+    spacings = np.array([sample_spacing if sample_spacing is not None else r / 48 for r in rs.tolist()])
+    d2 = _grid_distances(chain, cull, xs, rs, planes)
+    d1, centred = _sample_stats(chain, near, xs, rs, spacings, planes, moments)
+    for g, c in enumerate(good):
+        r, br, x = float(rs[g]), betas[g], xs[g]
+        dh = r if d1[g] is None else max(d1[g], d2[g])
+        # find_frame at s = 0.9 r: its scale conditions hold for every
+        # rho <= 1/(25 sqrt(m)), so only the gate and the fiber search can fail
+        reason = ""
+        rho_gate = min(br.beta_inf * 1.5 + 1e-6, 1.0 / (25 * math.sqrt(m)))
+        try:
+            _frame_gate(br.beta_inf, rho_gate)
+            _frame_directions(va[near[g]], x, 0.9 * r, planes[g])
+        except ValueError as err:
+            reason = str(err)
+        binf_c = br.beta_inf if centred[g] is None else centred[g]
+        out[c] = ScanCell(
+            *cells[c], r, planes[g], br.beta2, br.beta_inf, binf_c, dh, dens[c], dh / r, not reason,
+            sup_floor=br.sup_floor, frame_reason=reason,
+        )
+    return [out[c] for c in range(len(cells))]
+
+
+def _cull(chain: PolyChain, points: np.ndarray, radii: list[float]) -> tuple[list[np.ndarray], np.ndarray]:
+    """``chain.near_ball(x, r)`` for every point x and radius r, point by
+    point, and the terms within ``2 max(radii) + d(x, spt)`` of some
+    point, which hold the nearest simplex of every query point in any of
+    the balls (see :func:`_dist_to_support`)."""
+    va = chain.vertex_array()
+    diam = chain.diameters()
+    d0 = _dist_to_support(chain, points)
+    slack = 1e-9 * max(float(np.max(np.abs(va))), float(np.max(np.abs(points))))
+    near, keep = [], np.zeros(len(va), dtype=bool)
+    for x, d in zip(points, d0):
+        # near_ball's bound on d(x, t), from one pass for all radii
+        reach = np.min(np.linalg.norm(va - x, axis=2), axis=1) - diam
+        near += [np.flatnonzero(reach <= r) for r in radii]
+        keep |= reach <= 2 * max(radii) + d + slack
+    return near, np.flatnonzero(keep)
+
+
+def _runs(sizes: list, limit: float) -> list[slice]:
+    """Runs of consecutive cells whose sizes add up to at most ``limit``;
+    a cell larger than that runs alone."""
+    ends = np.cumsum([0.0, *sizes])
+    runs, lo = [], 0
+    while lo < len(sizes):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] + limit, side="right")) - 1)
+        runs.append(slice(lo, hi))
+        lo = hi
+    return runs
+
+
+def _stacked(near: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The cells' term indices end to end, and the cell of each."""
+    return np.concatenate(near), np.repeat(np.arange(len(near)), [len(t) for t in near])
+
+
+def _grid_distances(
+    chain: PolyChain, cull: np.ndarray, xs: np.ndarray, rs: np.ndarray, planes: list[OrientedPlane]
+) -> list[float]:
+    """Plane-to-support half of :func:`_hausdorff_chain_plane` for every
+    cell at the default grid, in one distance pass over all the grids."""
+    grids = [x + plane.embed(_plane_grid(r, plane.m, 24)) for x, r, plane in zip(xs, rs.tolist(), planes)]
+    starts = np.cumsum([0] + [len(g) for g in grids[:-1]])
+    return np.maximum.reduceat(_dist_to_support(chain, np.vstack(grids), cull), starts).tolist()
+
+
+def _sample_stats(
+    chain: PolyChain,
+    near: list[np.ndarray],
+    xs: np.ndarray,
+    rs: np.ndarray,
+    spacings: np.ndarray,
+    planes: list[OrientedPlane],
+    moments: list[BallMoments],
+) -> tuple[list[float | None], list[float | None]]:
+    """From each cell's support sample: the distance from the sample to the
+    plane ball, and ``beta_inf`` about the centroid against the top-m plane
+    of the centred form; None for an empty sample and for a cell of zero
+    mass.
+
+    The cells are sampled in groups of an expected ``_SAMPLE_CHUNK`` nodes
+    (about 4 per spacing^m of mass), and each group's sample dies once it
+    is measured.
+    """
+    m = chain.m
+    count = len(xs)
+    d1: list[float | None] = [None] * count
+    centred: list[float | None] = [None] * count
+    live = [c for c, bm in enumerate(moments) if bm.s0 > 0]
+    spans = {}
+    if live:
+        covs = []
+        for c in live:
+            bm = moments[c]
+            cov = bm.s2 - np.outer(bm.s1, bm.s1) / bm.s0
+            covs.append(0.5 * (cov + cov.T))
+        w, vecs = np.linalg.eigh(np.stack(covs))
+        order = np.argsort(w, axis=1)[:, ::-1]
+        spans = {c: vecs[i][:, order[i, :m]].T for i, c in enumerate(live)}
+    expected = [4.0 * bm.s0 / sp**m for bm, sp in zip(moments, spacings.tolist())]
+    for part in _runs(expected, _SAMPLE_CHUNK):
+        rows, owner = _stacked(near[part])
+        sample, sizes = _support_nodes(chain, rows, owner, xs[part], rs[part], spacings[part])
+        for c, sup in zip(range(part.start, part.stop), np.split(sample, np.cumsum(sizes)[:-1])):
+            if not len(sup):
+                continue
+            r = float(rs[c])
+            d1[c] = _sample_to_plane(sup, xs[c], r, planes[c])
+            if c in spans:
+                centroid = xs[c] + moments[c].s1 / moments[c].s0
+                cplane = OrientedPlane.from_span(spans[c])
+                centred[c] = float(np.max(cplane.perp_norms(sup - centroid))) / r
+    return d1, centred
 
 
 @dataclass

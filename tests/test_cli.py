@@ -145,6 +145,23 @@ def test_verify_quick(tmp_path):
     assert summary["summary"]["passed"] == summary["summary"]["total"]
 
 
+def test_verify_quick_flag(tmp_path):
+    out = str(tmp_path / "rpt")
+    assert run(["verify", "--quick", "--out", out]) == 0
+    summary = json.load(open(os.path.join(out, "verify.json")))
+    assert summary["summary"]["passed"] == summary["summary"]["total"]
+    assert summary["config"]["quick"] is True
+
+
+@pytest.mark.parametrize("args", [[], ["verify", "--bogus"], ["scan", "--seed", "x"], ["generate", "--kind", "none"]])
+def test_usage_errors_exit_with_one_not_the_gate_code(args, capsys):
+    # exit code 2 is kept for failed gates
+    with pytest.raises(SystemExit) as exit_:
+        run(args)
+    assert exit_.value.code == 1
+    assert "usage: gmt-epi" in capsys.readouterr().err
+
+
 def test_epi_of_an_empty_chain_exits_with_one_line_reason(tmp_path, capsys):
     # an empty chain is bad input (exit 1), not a failed stage gate (exit 2)
     path = tmp_path / "empty.json"

@@ -149,3 +149,10 @@ def test_perp_frame_completes_a_random_frame(n, m):
     perp = frame.perp_frame()
     full = np.vstack([frame.frame, perp])
     assert_allclose(full @ full.T, np.eye(n), rtol=0, atol=1e-14)
+
+
+def test_a_frame_off_orthonormal_by_more_than_1e_12_is_rejected():
+    # the tolerance is absolute: a relative one let rows of norm 1 + 4e-6 in
+    with pytest.raises(ValueError, match="orthonormal"):
+        OrientedPlane(np.array([[1.0 + 1e-9, 0.0, 0.0]]))
+    OrientedPlane(np.array([[1.0 + 1e-13, 0.0, 0.0]]))
