@@ -6,7 +6,9 @@ order of the vertex list.  The module provides the boundary operator,
 mass and size, affine push-forwards, restriction to half-spaces (exact,
 one stacked Sutherland-Hodgman step, for m <= 2) and balls (bisection
 with an audited error bound), the cone construction, scaling and simple
-support queries, plus hyperplane slicing.
+support queries, plus hyperplane slicing.  Two stacked kernels serve the
+other modules: the exact sup of a height over simplices cut by a ball or
+a cylinder, and the pruned exact point-to-simplex distance pass.
 
 Chains are immutable values; all operations return new chains.
 """
@@ -512,6 +514,199 @@ def _clip_polygons(
     r, c = np.nonzero(cross)
     out[r, at[r, c] + keep[r, c]] = hits[r, c]
     return out, emits.sum(axis=1)
+
+
+#: Relative slack of the sup kernel's vertex and edge-root tests.
+_SUP_TOL = 1e-12
+
+
+def _region_sups(q: np.ndarray, h: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The largest ``|h|`` over the points of each simplex with ``|q| <= r``.
+
+    Row t is an m-simplex, m <= 2, given by the affine region coordinates
+    ``q[t]`` (m+1, d) and heights ``h[t]`` (m+1, c) of its vertices, and
+    ``r[t]`` is the radius of its round region (a ball: ``q = v - x``; a
+    cylinder: ``q`` the base coordinates).  ``|h|`` is convex, so the max
+    lies at a vertex inside the region, at a root of ``|q|^2 = r^2`` on an
+    edge, or on a triangle at a critical point of ``|h|^2`` on the ellipse
+    ``|q| = r`` inside it (:func:`_arc_sups`).  A row the region misses
+    reads 0."""
+    T, k = q.shape[:2]
+    if not T:
+        return np.zeros(0)
+    r2 = r * r
+    qq = _rowdot(q, q)
+    near = qq <= r2[:, None] * (1.0 + 2.0 * _SUP_TOL)
+    best = np.max(np.where(near, np.linalg.norm(h, axis=2), 0.0), axis=1)
+    i, j = np.triu_indices(k, 1)
+    p, dd = q[:, i], q[:, j] - q[:, i]
+    aa = _rowdot(dd, dd)
+    bb = 2.0 * _rowdot(p, dd)
+    disc = bb * bb - 4.0 * aa * (qq[:, i] - r2[:, None])
+    cut = (aa > 0) & (disc >= 0)
+    sq = np.sqrt(np.where(cut, disc, 0.0))
+    den = 2.0 * np.where(cut, aa, 1.0)
+    t = np.stack([(-bb - sq) / den, (-bb + sq) / den], axis=-1)
+    on = cut[..., None] & (t >= -_SUP_TOL) & (t <= 1.0 + _SUP_TOL)
+    hv = h[:, i, None] + np.clip(t, 0.0, 1.0)[..., None] * (h[:, j] - h[:, i])[:, :, None]
+    best = np.maximum(best, np.max(np.where(on, np.linalg.norm(hv, axis=3), 0.0), axis=(1, 2)))
+    if k == 3:
+        arc = np.flatnonzero(~np.all(near, axis=1))
+        best[arc] = np.maximum(best[arc], _arc_sups(q[arc], h[arc], r2[arc]))
+    return best
+
+
+def _arc_sups(q: np.ndarray, h: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """The largest ``|h|`` over the arc of ``|q|^2 = r2`` inside each
+    triangle of :func:`_region_sups`; 0 where the arc is empty or the
+    q-edges ``D = [q1 - q0, q2 - q0]`` have rank below 2.
+
+    With ``D = QR`` and ``a = Q^T q0``, the points ``z = a + R mu`` of the
+    arc are ``rho (cos t, sin t)``, ``rho^2 = r2 - |q0 - Q a|^2``, and there
+    ``h = b + P (cos t, sin t)`` with ``P = rho H R^-1``, ``H = [h1 - h0,
+    h2 - h0]``.  So ``|h|^2`` is a trig polynomial of degree 2 in t, and
+    ``2 z^2`` times its derivative, ``z = e^{it}``, is the quartic
+    ``(B + iA) z^4 + (g1 + i g0) z^3 + (g1 - i g0) z + (B - iA)``, where
+    ``g = P^T b``, ``S = P^T P``, ``A = (S00 - S11) / 2`` and ``B = S01``.
+    The candidates are the angles of its roots (stacked companion
+    eigenvalues) and the degree-1 critical points ``atan2(g1, g0)`` and
+    that plus pi, which stand alone where the leading coefficient is below
+    1e-8 of the next (it then moves the roots by about that much; such a
+    row's companion is ``z^4 + 1``).  Each candidate is a point of the arc
+    and counts only with barycentric coordinates ``>= 0``, so no angle
+    error can raise the sup, and a constant ``|h|`` takes any point."""
+    out = np.zeros(len(q))
+    D = np.stack([q[:, 1] - q[:, 0], q[:, 2] - q[:, 0]], axis=-1)
+    Q, R = np.linalg.qr(D)
+    a = (np.swapaxes(Q, 1, 2) @ q[:, 0, :, None])[..., 0]
+    w = q[:, 0] - (Q @ a[..., None])[..., 0]
+    rho2 = r2 - _rowdot(w, w)
+    r00, r01, r11 = R[:, 0, 0], R[:, 0, 1], R[:, 1, 1]
+    firm = np.abs(r00 * r11) > 1e-14 * (r00 * r00 + r01 * r01 + r11 * r11)
+    rows = np.flatnonzero(firm & (rho2 >= 0))
+    if not len(rows):
+        return out
+    r00, r01, r11, a = r00[rows, None], r01[rows, None], r11[rows, None], a[rows]
+    h0, H1, H2 = h[rows, 0], h[rows, 1] - h[rows, 0], h[rows, 2] - h[rows, 0]
+    rho = np.sqrt(rho2[rows])[:, None]
+    G0 = H1 / r00
+    G1 = (H2 - G0 * r01) / r11
+    b = h0 - G0 * a[:, :1] - G1 * a[:, 1:]
+    P0, P1 = rho * G0, rho * G1
+    g0, g1 = _rowdot(P0, b), _rowdot(P1, b)
+    c4 = _rowdot(P0, P1) + 0.5j * (_rowdot(P0, P0) - _rowdot(P1, P1))
+    c3 = g1 + 1j * g0
+    quartic = np.abs(c4) > 1e-8 * np.abs(c3)
+    lead, c3 = np.where(quartic, c4, 1.0), np.where(quartic, c3, 0.0)
+    comp = np.zeros((len(rows), 4, 4), dtype=complex)
+    comp[:, 0, 0] = -c3 / lead
+    comp[:, 0, 2] = -np.conj(c3) / lead
+    comp[:, 0, 3] = -np.conj(lead) / lead
+    comp[:, [1, 2, 3], [0, 1, 2]] = 1.0
+    t0 = np.arctan2(g1, g0)[:, None]
+    t = np.concatenate([t0, t0 + math.pi, np.angle(np.linalg.eigvals(comp))], axis=1)
+    mu1 = (rho * np.sin(t) - a[:, 1:]) / r11
+    mu0 = (rho * np.cos(t) - a[:, :1] - r01 * mu1) / r00
+    inside = (mu0 >= 0) & (mu1 >= 0) & (mu0 + mu1 <= 1)
+    hv = h0[:, None] + mu0[..., None] * H1[:, None] + mu1[..., None] * H2[:, None]
+    out[rows] = np.max(np.where(inside, np.linalg.norm(hv, axis=2), 0.0), axis=1)
+    return out
+
+
+#: Largest (points x simplices x n) temporary of the batched distance pass.
+_DIST_CHUNK = 1 << 14
+#: Most query points in one spatial chunk of the pruned distance pass.
+_PRUNE_POINTS = 32
+
+
+def _point_chunks(points: np.ndarray) -> list[np.ndarray]:
+    """Index sets of at most :data:`_PRUNE_POINTS` points each, made by
+    recursive median splits on the widest axis."""
+    chunks, todo = [], [np.arange(len(points))]
+    while todo:
+        idx = todo.pop()
+        if len(idx) <= _PRUNE_POINTS:
+            chunks.append(idx)
+            continue
+        coords = points[idx]
+        axis = int(np.argmax(np.ptp(coords, axis=0)))
+        half = len(idx) // 2
+        order = np.argpartition(coords[:, axis], half)
+        todo += [idx[order[half:]], idx[order[:half]]]
+    return chunks
+
+
+def _dist_to_simplices(va: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Exact distances from points (P, n) to the union of the simplices
+    ``va`` (T, m+1, n), m <= 2; a point cloud is a stack of 0-simplices.
+
+    Each compact chunk of points (centre c, radius rho) measures only the
+    simplices with d(c, t) <= min_t d(c, t) + 2 rho, plus a rounding
+    slack; this is exact, since for q in the chunk a dropped t has
+    d(q, t) >= d(c, t) - rho > d_min + rho >= d(q, t*), so the minimum
+    over the kept simplices is the float the unpruned pass returns.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if len(va) == 0:
+        return np.full(len(points), np.inf)
+    chunks = _point_chunks(points)
+    centres = np.array([0.5 * (points[i].min(axis=0) + points[i].max(axis=0)) for i in chunks])
+    rho = np.array([np.max(np.linalg.norm(points[i] - c, axis=1)) for i, c in zip(chunks, centres)])
+    # far above the rounding of a computed distance, which scales with the
+    # coordinates
+    slack = 1e-9 * max(float(np.max(np.abs(va))), float(np.max(np.abs(points))))
+    out = np.empty(len(points))
+    step = max(1, _DIST_CHUNK // va[:, 0].size)
+    for lo in range(0, len(chunks), step):
+        dc = _pair_dists(va, centres[lo : lo + step])
+        for idx, row, rh in zip(chunks[lo : lo + step], dc, rho[lo : lo + step]):
+            out[idx] = _min_dists(va[row <= row.min() + 2 * rh + slack], points[idx])
+    return out
+
+
+def _min_dists(va: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Distances from points to the union of the simplices ``va``, with the
+    temporaries below :data:`_DIST_CHUNK` elements."""
+    step = max(1, _DIST_CHUNK // va[:, 0].size)
+    return np.concatenate(
+        [np.min(_pair_dists(va, points[lo : lo + step]), axis=1) for lo in range(0, len(points), step)]
+    )
+
+
+def _segment_dists(q0: np.ndarray, q1: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Distances (P, T) from points p (P, 1, n) to the segments [q0, q1] (T, n)."""
+    dd = q1 - q0
+    den = np.maximum(np.einsum("ij,ij->i", dd, dd), 1e-300)
+    u = np.clip(np.einsum("ptj,tj->pt", p - q0, dd) / den, 0.0, 1.0)
+    return np.linalg.norm(q0 + u[..., None] * dd - p, axis=2)
+
+
+def _pair_dists(va: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Distances (P, T) from points (P, n) to the simplices ``va`` (T, m+1, n)."""
+    p = points[:, None, :]
+    if va.shape[1] == 1:
+        return np.linalg.norm(p - va[:, 0], axis=2)
+    if va.shape[1] == 2:
+        return _segment_dists(va[:, 0], va[:, 1], p)
+    # point-triangle distance: the interior foot where the barycentric
+    # solve lands inside, else the nearest of the three edges
+    e1 = va[:, 1] - va[:, 0]
+    e2 = va[:, 2] - va[:, 0]
+    w = p - va[:, 0]
+    a = np.einsum("ij,ij->i", e1, e1)
+    b = np.einsum("ij,ij->i", e1, e2)
+    c = np.einsum("ij,ij->i", e2, e2)
+    d1 = np.einsum("ptj,tj->pt", w, e1)
+    d2 = np.einsum("ptj,tj->pt", w, e2)
+    det = np.maximum(a * c - b * b, 1e-300)
+    sbar = (c * d1 - b * d2) / det
+    tbar = (a * d2 - b * d1) / det
+    inside = (sbar >= 0) & (tbar >= 0) & (sbar + tbar <= 1)
+    foot = va[:, 0] + sbar[..., None] * e1 + tbar[..., None] * e2
+    best = np.where(inside, np.linalg.norm(foot - p, axis=2), np.inf)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        best = np.minimum(best, _segment_dists(va[:, i], va[:, j], p))
+    return best
 
 
 def _fan_split(polys: np.ndarray, counts: np.ndarray, src: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:

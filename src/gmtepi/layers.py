@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chains import PolyChain, _clip_polygons, _rowdot, boundary, is_cone, merge_terms
+from .chains import PolyChain, _clip_polygons, _region_sups, _rowdot, boundary, merge_terms
 from .groups import NormedCoefficient, group_add, group_norm, zero
 from .planes import OrientedPlane
 from .quadrature import disk_polygon_area, disk_polygon_areas
@@ -126,9 +126,6 @@ EDGE_TOL = 1e-9
 
 #: Rows times columns of one stacked temporary: larger inputs go in chunks.
 _CHUNK = 1 << 13
-
-#: Facets of the polygon circumscribed about the disk in ``height_sup``.
-HEIGHT_FACETS = 128
 
 
 def boundary_clearance(chain: PolyChain, base: OrientedPlane) -> float:
@@ -546,47 +543,16 @@ def multiplicity_stats(
 
 
 def height_sup(chain: PolyChain, base: OrientedPlane, radius: float = 1.0) -> float:
-    """Sup of ``|pi_{V^perp}(x)|`` over the support inside the cylinder.
+    """Sup of ``|pi_{V^perp}(x)|`` over the support inside the cylinder
+    over the base ball of the given radius.
 
-    For a cone through the origin with codimension one the sup is exact:
-    the height-to-base ratio along each far edge is maximized in closed
-    form and scaled to the cylinder radius.  Otherwise the chain is
-    clipped exactly to the cylinder over the circumscribed
-    ``HEIGHT_FACETS``-gon (over ``[-radius, radius]`` for m = 1), and the
-    vertex scan bounds the sup from above (convexity puts the max at a
-    vertex of each clipped piece).
+    Exact for every m <= 2 chain in every codimension: the max of the
+    convex height over each simplex cut by the cylinder, from the base
+    coordinates and heights of its vertices
+    (:func:`gmtepi.chains._region_sups`).
     """
     if base.n != chain.n or base.m != chain.m:
         raise ValueError("base plane shape mismatch")
-    if base.n - base.m == 1 and base.m == 2 and is_cone(chain, tol=1e-12):
-        return _cone_height_sup(chain, base, radius)
-    if base.m == 1:
-        poly = np.array([[-radius], [radius]])
-    else:
-        corner = 2 * math.pi * (np.arange(HEIGHT_FACETS) + 0.5) / HEIGHT_FACETS
-        poly = radius / math.cos(math.pi / HEIGHT_FACETS) * np.stack([np.cos(corner), np.sin(corner)], axis=1)
-    polys, counts = _clip_to_cylinder(chain.verts, chain.verts @ base.frame.T, poly, *_cylinder_facets(base, poly))[0]
-    inside = polys[np.arange(polys.shape[1]) < counts[:, None]]
-    return float(np.max(base.perp_norms(inside), initial=0.0))
-
-
-def _cone_height_sup(chain: PolyChain, base: OrientedPlane, radius: float) -> float:
-    """Exact for a codimension-one cone: along the far edge ``A + s (B - A)``
-    of each simplex the height-to-base ratio ``|g(s)| / sqrt(q(s))`` peaks
-    at an end or where its derivative vanishes."""
-    perp = base.perp_frame()[0]
     v = chain.verts
-    order = np.argsort(np.linalg.norm(v, axis=2), axis=1)
-    A, B = (np.take_along_axis(v, order[:, i, None, None], axis=1)[:, 0] for i in (1, 2))
-    pA, pB = (A[:, None, :] @ base.frame.T)[:, 0], (B[:, None, :] @ base.frame.T)[:, 0]
-    g0 = _rowdot(A, perp)
-    g1 = _rowdot(B, perp) - g0
-    q0, q1, q2 = _rowdot(pA, pA), 2.0 * _rowdot(pA, pB - pA), _rowdot(pB - pA, pB - pA)
-    den = g1 * q1 - 2.0 * g0 * q2
-    firm = np.abs(den) > 1e-30
-    sc = (g0 * q1 - 2.0 * g1 * q0) / np.where(firm, den, 1.0)
-    s = np.stack([np.zeros(len(v)), np.ones(len(v)), np.where(firm & (0.0 < sc) & (sc < 1.0), sc, 0.0)])
-    g = g0 + g1 * s
-    q = q0 + q1 * s + q2 * s * s
-    ratio = np.abs(g) / np.sqrt(np.where(q > 1e-30, q, 1.0))
-    return float(np.max(np.where(q > 1e-30, ratio, 0.0), initial=0.0)) * radius
+    sups = _region_sups(v @ base.frame.T, v @ base.perp_frame().T, np.full(len(v), float(radius)))
+    return float(np.max(sups, initial=0.0))

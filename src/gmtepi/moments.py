@@ -8,8 +8,8 @@ is normalized so that a flat unit-weight m-plane through ``x`` gives
 ``Q(y) = |pi_V(y)|^2``; its top-m eigenspace is the selected plane.  The
 degree-four moment polynomials ``V = P_0 + ... + P_4``, the first moment
 ``b``, and the flatness numbers ``beta_2`` / ``beta_inf`` are computed
-from exact per-simplex ball moments (m <= 2), so the only reported error
-bars are the sup-scan floors of ``beta_inf``.
+from exact per-simplex ball moments (m <= 2), and ``beta_inf`` is an
+exact sup in every codimension.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import PolyChain
+from .chains import PolyChain, _region_sups
 from .mono import DensityProfile, Gauge, alpha_m, spherical_excess
 from .planes import OrientedPlane
 from .quadrature import BallMoments, batch_ball_moments
@@ -250,17 +250,12 @@ class BetaRecord:
     beta2: float
     beta_inf: float
     plane: OrientedPlane
-    sup_floor: float = 0.0  # sampling floor of the sup scan, 0 when exact
 
 
 def beta_numbers(chain: PolyChain, x, r: float, plane: OrientedPlane) -> BetaRecord:
-    """``beta_2`` by exact quadrature and ``beta_inf`` by a support scan.
-
-    The sup is exact for codimension one (the vertical deviation is a
-    linear functional, maximized at polytope vertices / circle extreme
-    points); for higher codimension the curved boundary is sampled and
-    the angular floor is reported.
-    """
+    """``beta_2`` by exact quadrature and ``beta_inf`` by the exact sup of
+    the distance to the plane through ``x`` over the support in the ball,
+    in every codimension (:func:`gmtepi.chains._region_sups`)."""
     x = np.asarray(x, dtype=float)
     near = chain.near_ball(x, r)
     bm = chain_ball_moments(chain, x, r)
@@ -281,37 +276,17 @@ def _cell_betas(
     ``planes[c]``, from its exact moments and the simplices ``va`` near
     it (row ``t`` near ball ``cells[t]``, nondecreasing)."""
     perps = np.linalg.svd(np.stack([p.frame for p in planes]))[2][:, planes[0].m :]
-    sups, floors = _sup_perps(va, cells, xs, rs, perps, m)
+    q = va - xs[cells][:, None, :]
+    sups = np.zeros(len(xs))
+    if len(va):
+        h = _per_cell(np.matmul, q, cells, np.swapaxes(perps, 1, 2))
+        np.maximum.at(sups, cells, _region_sups(q, h, rs[cells]))
     out = []
-    for bm, perpf, r, sup, floor, plane in zip(moments, perps, rs.tolist(), sups, floors, planes):
+    for bm, perpf, r, sup, plane in zip(moments, perps, rs.tolist(), sups.tolist(), planes):
         # perp-block contraction avoids the trace-difference cancellation
         beta2_sq = float(np.einsum("ki,ij,kj->", perpf, bm.s2, perpf)) / r ** (m + 2)
-        # where a triangle's plane holds the ball's centre the floor is r times
-        # the bound, and dividing it by r rounds above the bound for ~1 % of r
-        floor_r = min(float(floor) / r, _CIRCLE_FLOOR)
-        out.append(BetaRecord(math.sqrt(max(beta2_sq, 0.0)), float(sup) / r, plane, floor_r))
+        out.append(BetaRecord(math.sqrt(max(beta2_sq, 0.0)), sup / r, plane))
     return out
-
-
-# unit directions of the sampled in-plane circle for codimension >= 2
-_CIRCLE_SAMPLES = 64
-_CIRCLE = np.array(
-    [[math.cos(a), math.sin(a)] for a in 2 * math.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES]
-)
-#: Largest ``sup_floor``: the sampled circle's sagitta over its radius.
-_CIRCLE_FLOOR = (math.pi / _CIRCLE_SAMPLES) ** 2
-
-
-def _sup_perp_in_ball(
-    chain: PolyChain, x: np.ndarray, r: float, plane: OrientedPlane
-) -> tuple[float, float]:
-    """Largest distance from the plane through ``x`` over ``spt(T) ∩ B(x, r)``
-    and the sampling floor of that sup."""
-    near = chain.near_ball(x, r)
-    cells = np.zeros(len(near), dtype=np.int64)
-    va = chain.vertex_array()[near]
-    sups, floors = _sup_perps(va, cells, x[None], np.array([r]), plane.perp_frame()[None], chain.m)
-    return float(sups[0]), float(floors[0])
 
 
 def _per_cell(op, a: np.ndarray, cells: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -324,86 +299,6 @@ def _per_cell(op, a: np.ndarray, cells: np.ndarray, mats: np.ndarray) -> np.ndar
     bounds = np.searchsorted(cells, np.arange(len(mats) + 1))
     parts = [op(a[bounds[c] : bounds[c + 1]], mats[c]) for c in np.flatnonzero(np.diff(bounds))]
     return np.concatenate(parts) if parts else op(a, mats[0])
-
-
-def _sup_perps(
-    va: np.ndarray, cells: np.ndarray, xs: np.ndarray, rs: np.ndarray, perps: np.ndarray, m: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Largest distance from the plane through ``xs[c]`` with orthonormal
-    complement ``perps[c]`` over ``spt ∩ B(xs[c], rs[c])``, and the sampling
-    floor of that sup, for every ball ``c``.
-
-    Row ``t`` of the vertex stack ``va`` is a simplex near ball
-    ``cells[t]`` (nondecreasing).  The candidates of all balls are
-    evaluated at once: vertices inside the ball, edge-sphere crossings,
-    and for triangles the extreme points of the height on the circle where
-    the ball cuts the triangle's plane (exact in codimension one, 64
-    samples otherwise).
-    """
-    count = len(xs)
-    sup, floor = np.zeros(count), np.zeros(count)
-    if not len(va):
-        return sup, floor
-    perp_t = np.swapaxes(perps, 1, 2)
-    codim = perps.shape[1]
-    x = xs[cells]
-    v = va - x[:, None, :]
-    dist = np.linalg.norm(v, axis=2)
-    inside = dist <= (rs + 1e-12)[cells, None]
-    owners = [cells[np.nonzero(inside)[0]]]
-    heights = [_per_cell(np.matmul, v[inside], owners[0], perp_t)]
-    # edge / sphere crossings
-    i, j = np.triu_indices(va.shape[1], 1)
-    p = v[:, i]
-    dd = v[:, j] - p
-    aa = np.einsum("ten,ten->te", dd, dd)
-    bb = 2.0 * np.einsum("ten,ten->te", p, dd)
-    cc = np.einsum("ten,ten->te", p, p) - (rs * rs)[cells, None]
-    disc = bb * bb - 4 * aa * cc
-    cut = (aa >= 1e-30) & (disc > 0)
-    sq = np.sqrt(np.where(cut, disc, 0.0))
-    den = 2 * np.where(cut, aa, 1.0)
-    t = np.stack([(-bb - sq) / den, (-bb + sq) / den], axis=-1)
-    hit = cut[..., None] & (t >= -1e-12) & (t <= 1 + 1e-12)
-    crossings = p[:, :, None] + t[..., None] * dd[:, :, None]
-    owners.append(cells[np.nonzero(hit)[0]])
-    heights.append(_per_cell(np.matmul, crossings[hit], owners[1], perp_t))
-    if m == 2:
-        # extreme points on the in-plane circle
-        E = np.swapaxes(np.linalg.qr(np.swapaxes(va[:, 1:] - va[:, :1], 1, 2))[0], 1, 2)
-        rel = x - va[:, 0]
-        a_in = np.einsum("tin,tn->ti", E, rel)
-        h2 = np.einsum("tn,tn->t", rel, rel) - np.einsum("ti,ti->t", a_in, a_in)
-        r2 = (rs * rs)[cells] - np.maximum(h2, 0.0)
-        met = r2 > 0
-        E, a_in, tri, own = E[met], a_in[met], va[met], cells[met]
-        rho = np.sqrt(r2[met])
-        if codim == 1:
-            g = _per_cell(np.matmul, E, own, perp_t)[..., 0]  # in-plane gradient of the height functional
-            gn = np.linalg.norm(g, axis=1)
-            keep = gn > 1e-14
-            step = rho[keep, None] * g[keep] / gn[keep, None]
-            E, a_in, tri, own = E[keep], a_in[keep], tri[keep], own[keep]
-            cands = np.stack([a_in + step, a_in - step], axis=1)
-        else:
-            cands = a_in[:, None, :] + rho[:, None, None] * _CIRCLE
-            np.maximum.at(floor, own, rho)
-            floor *= _CIRCLE_FLOOR
-        dom = np.einsum("tkn,tin->tki", tri - tri[:, :1], E)
-        T = np.stack([dom[:, 1] - dom[:, 0], dom[:, 2] - dom[:, 0]], axis=-1)
-        ok = np.abs(np.linalg.det(T)) >= 1e-30
-        if np.any(ok):
-            lam = np.linalg.solve(T[ok], np.swapaxes(cands[ok] - dom[ok, :1], 1, 2))
-            tol = 1e-12
-            inside = (lam[:, 0] >= -tol) & (lam[:, 1] >= -tol) & (1 - (lam[:, 0] + lam[:, 1]) >= -tol)
-            own = own[ok]
-            base_perp = _per_cell(np.matmul, tri[ok, 0] - xs[own], own, perp_t)
-            perp_e = _per_cell(lambda e, p: np.einsum("cn,tin->tci", p, e), E[ok], own, perps)
-            y_rel = base_perp[:, None, :] + np.einsum("tci,tki->tkc", perp_e, cands[ok])
-            owners.append(np.broadcast_to(own[:, None], inside.shape)[inside])
-            heights.append(y_rel[inside])
-    np.maximum.at(sup, np.concatenate(owners), np.linalg.norm(np.concatenate(heights), axis=1))
-    return sup, floor
 
 
 @dataclass

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chains import _dist_to_simplices
+
 __all__ = [
     "OrientedPlane",
     "plane_distance",
@@ -148,6 +150,29 @@ def fit_plane(points: np.ndarray, m: int, through: np.ndarray | None = None) -> 
     return OrientedPlane(vt[:m])
 
 
+def _sample_to_plane(sup: np.ndarray, x: np.ndarray, r: float, plane: OrientedPlane) -> float:
+    """Largest distance from the sample points to the plane ball."""
+    rel = sup - x
+    inplane = plane.project_coords(rel)
+    norms = np.linalg.norm(inplane, axis=1, keepdims=True)
+    clamped = inplane / np.maximum(norms / r, 1.0)
+    return float(np.max(np.linalg.norm(rel - plane.embed(clamped), axis=1)))
+
+
+def _plane_grid(r: float, m: int, grid: int) -> np.ndarray:
+    """In-plane coordinates of the deterministic grid on the radius-r ball:
+    2 grid + 1 points on a line, or the centre and ``grid`` rings."""
+    if m == 1:
+        return np.linspace(-r, r, 2 * grid + 1)[:, None]
+    rows = [np.zeros((1, 2))]
+    for k in range(1, grid + 1):
+        rad = r * k / grid
+        cnt = max(6, int(round(2 * math.pi * k)))
+        ang = 2 * math.pi * np.arange(cnt) / cnt
+        rows.append(rad * np.stack([np.cos(ang), np.sin(ang)], axis=1))
+    return np.vstack(rows)
+
+
 def hausdorff_to_plane_ball(
     points: np.ndarray,
     x: np.ndarray,
@@ -159,35 +184,17 @@ def hausdorff_to_plane_ball(
     ``(x + plane) ∩ B(x,r)``.
 
     Point-to-plane-ball distances are exact; the reverse direction uses a
-    deterministic polar grid on the plane ball (spacing ~ r/grid).
+    deterministic polar grid on the plane ball (spacing ~ r/grid), each
+    grid point measured exactly against the points, taken as 0-simplices
+    of the pruned distance pass.
     """
     x = np.asarray(x, dtype=float)
     pts = np.asarray(points, dtype=float)
-    keep = np.linalg.norm(pts - x, axis=1) <= r
-    pts = pts[keep]
+    pts = pts[np.linalg.norm(pts - x, axis=1) <= r]
     if len(pts) == 0:
         return r  # empty support in the window counts as maximally far
-    rel = pts - x
-    inplane = plane.project_coords(rel)
-    norms = np.linalg.norm(inplane, axis=1, keepdims=True)
-    clamped = inplane / np.maximum(norms / r, 1.0)
-    d1 = float(np.max(np.linalg.norm(rel - plane.embed(clamped), axis=1)))
-    # plane ball -> support
-    if plane.m == 1:
-        coords = np.linspace(-r, r, 2 * grid + 1)[:, None]
-    else:
-        rows = [np.zeros((1, plane.m))]
-        for k in range(1, grid + 1):
-            rad = r * k / grid
-            count = max(6, int(round(2 * math.pi * k)))
-            ang = 2 * math.pi * np.arange(count) / count
-            rows.append(rad * np.stack([np.cos(ang), np.sin(ang)], axis=1))
-        coords = np.vstack(rows)
-    ball_pts = x + plane.embed(coords)
-    d2 = 0.0
-    for bp in ball_pts:
-        d2 = max(d2, float(np.min(np.linalg.norm(pts - bp, axis=1))))
-    return max(d1, d2)
+    d2 = float(np.max(_dist_to_simplices(pts[:, None, :], x + plane.embed(_plane_grid(r, plane.m, grid)))))
+    return max(_sample_to_plane(pts, x, r, plane), d2)
 
 
 def plane_membership_eps(

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import PolyChain
+from .chains import PolyChain, _dist_to_simplices
 from .mono import alpha_m, alpha0_exponent, lambda_epi
 from .moments import AmbiguousPlaneError, _cell_betas, _plane_from_eigensystem
-from .planes import OrientedPlane, plane_distance
+from .planes import OrientedPlane, _plane_grid, _sample_to_plane, plane_distance
 from .quadrature import BallMoments, cell_ball_moments
 
 __all__ = [
@@ -48,45 +48,18 @@ class Frame:
     support_distance: float
 
 
-#: Largest (points x simplices x n) temporary of the batched distance pass.
-_DIST_CHUNK = 1 << 14
-#: Most query points in one spatial chunk of the pruned distance pass.
-_PRUNE_POINTS = 32
 #: Candidate nodes ``support_sample`` builds at once (plus one grid row's).
 _SAMPLE_CHUNK = 1 << 14
 #: Most near simplices that one stacked moment or sup pass of a scan takes
-#: (a cell's own always go together).  Their temporaries grow with it, up
-#: to 64 x codim floats a triangle for the sampled cut circles, and once
-#: freed, a temporary far above a one-cell pass's makes the allocator keep
-#: later large arrays on its heap, which raised the scan_disk peak RSS.
+#: (a cell's own always go together).  Their temporaries grow with it, and
+#: once freed, a temporary far above a one-cell pass's makes the allocator
+#: keep later large arrays on its heap, which raised the scan_disk peak RSS.
 _STACK_ROWS = 256
 
 
-def _point_chunks(points: np.ndarray) -> list[np.ndarray]:
-    """Index sets of at most :data:`_PRUNE_POINTS` points each, made by
-    recursive median splits on the widest axis."""
-    chunks, todo = [], [np.arange(len(points))]
-    while todo:
-        idx = todo.pop()
-        if len(idx) <= _PRUNE_POINTS:
-            chunks.append(idx)
-            continue
-        coords = points[idx]
-        axis = int(np.argmax(np.ptp(coords, axis=0)))
-        half = len(idx) // 2
-        order = np.argpartition(coords[:, axis], half)
-        todo += [idx[order[half:]], idx[order[:half]]]
-    return chunks
-
-
 def _dist_to_support(chain: PolyChain, points: np.ndarray, terms: np.ndarray | None = None) -> np.ndarray:
-    """Exact distances from points (P, n) to the support, for m in (1, 2).
-
-    Each compact chunk of points (centre c, radius rho) measures only the
-    simplices with d(c, t) <= min_t d(c, t) + 2 rho, plus a rounding
-    slack; this is exact, since for q in the chunk a dropped t has
-    d(q, t) >= d(c, t) - rho > d_min + rho >= d(q, t*), so the minimum
-    over the kept simplices is the float the unpruned pass returns.
+    """Exact distances from points (P, n) to the support, for m in (1, 2),
+    by the pruned pass :func:`gmtepi.chains._dist_to_simplices`.
 
     ``terms`` restricts the pass to those term indices; it must hold the
     nearest simplex of every point.  The scan passes the terms within
@@ -96,66 +69,7 @@ def _dist_to_support(chain: PolyChain, points: np.ndarray, terms: np.ndarray | N
     Each point-simplex distance is computed on its own, so the minimum
     over any set that holds t* is the same float.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    va = chain.vertex_array() if terms is None else chain.vertex_array()[terms]
-    if len(va) == 0:
-        return np.full(len(points), np.inf)
-    chunks = _point_chunks(points)
-    centres = np.array([0.5 * (points[i].min(axis=0) + points[i].max(axis=0)) for i in chunks])
-    rho = np.array([np.max(np.linalg.norm(points[i] - c, axis=1)) for i, c in zip(chunks, centres)])
-    # far above the rounding of a computed distance, which scales with the
-    # coordinates
-    slack = 1e-9 * max(float(np.max(np.abs(va))), float(np.max(np.abs(points))))
-    out = np.empty(len(points))
-    step = max(1, _DIST_CHUNK // va[:, 0].size)
-    for lo in range(0, len(chunks), step):
-        dc = _pair_dists(va, centres[lo : lo + step])
-        for idx, row, rh in zip(chunks[lo : lo + step], dc, rho[lo : lo + step]):
-            out[idx] = _min_dists(va[row <= row.min() + 2 * rh + slack], points[idx])
-    return out
-
-
-def _min_dists(va: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Distances from points to the union of the simplices ``va``, with the
-    temporaries below :data:`_DIST_CHUNK` elements."""
-    step = max(1, _DIST_CHUNK // va[:, 0].size)
-    return np.concatenate(
-        [np.min(_pair_dists(va, points[lo : lo + step]), axis=1) for lo in range(0, len(points), step)]
-    )
-
-
-def _segment_dists(q0: np.ndarray, q1: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Distances (P, T) from points p (P, 1, n) to the segments [q0, q1] (T, n)."""
-    dd = q1 - q0
-    den = np.maximum(np.einsum("ij,ij->i", dd, dd), 1e-300)
-    u = np.clip(np.einsum("ptj,tj->pt", p - q0, dd) / den, 0.0, 1.0)
-    return np.linalg.norm(q0 + u[..., None] * dd - p, axis=2)
-
-
-def _pair_dists(va: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Distances (P, T) from points (P, n) to the simplices ``va`` (T, m+1, n)."""
-    p = points[:, None, :]
-    if va.shape[1] == 2:
-        return _segment_dists(va[:, 0], va[:, 1], p)
-    # point-triangle distance: the interior foot where the barycentric
-    # solve lands inside, else the nearest of the three edges
-    e1 = va[:, 1] - va[:, 0]
-    e2 = va[:, 2] - va[:, 0]
-    w = p - va[:, 0]
-    a = np.einsum("ij,ij->i", e1, e1)
-    b = np.einsum("ij,ij->i", e1, e2)
-    c = np.einsum("ij,ij->i", e2, e2)
-    d1 = np.einsum("ptj,tj->pt", w, e1)
-    d2 = np.einsum("ptj,tj->pt", w, e2)
-    det = np.maximum(a * c - b * b, 1e-300)
-    sbar = (c * d1 - b * d2) / det
-    tbar = (a * d2 - b * d1) / det
-    inside = (sbar >= 0) & (tbar >= 0) & (sbar + tbar <= 1)
-    foot = va[:, 0] + sbar[..., None] * e1 + tbar[..., None] * e2
-    best = np.where(inside, np.linalg.norm(foot - p, axis=2), np.inf)
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        best = np.minimum(best, _segment_dists(va[:, i], va[:, j], p))
-    return best
+    return _dist_to_simplices(chain.vertex_array() if terms is None else chain.vertex_array()[terms], points)
 
 
 def _support_points_on_fiber(
@@ -423,41 +337,6 @@ def _unit_nodes(i: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.where(i == k - 1, 1.0, i * (1.0 / (k - 1)))
 
 
-def _hausdorff_chain_plane(
-    chain: PolyChain, sup: np.ndarray, x: np.ndarray, r: float, plane: OrientedPlane, grid: int = 24
-) -> float:
-    """Two-sided Hausdorff distance between the support window and the
-    plane ball; support-to-plane from the sample, plane-to-support by
-    exact point-to-chain distances on a deterministic grid."""
-    if len(sup) == 0:
-        return r
-    d2 = float(np.max(_dist_to_support(chain, x + plane.embed(_plane_grid(r, plane.m, grid)))))
-    return max(_sample_to_plane(sup, x, r, plane), d2)
-
-
-def _sample_to_plane(sup: np.ndarray, x: np.ndarray, r: float, plane: OrientedPlane) -> float:
-    """Largest distance from the sample points to the plane ball."""
-    rel = sup - x
-    inplane = plane.project_coords(rel)
-    norms = np.linalg.norm(inplane, axis=1, keepdims=True)
-    clamped = inplane / np.maximum(norms / r, 1.0)
-    return float(np.max(np.linalg.norm(rel - plane.embed(clamped), axis=1)))
-
-
-def _plane_grid(r: float, m: int, grid: int) -> np.ndarray:
-    """In-plane coordinates of the deterministic grid on the radius-r ball:
-    2 grid + 1 points on a line, or the centre and ``grid`` rings."""
-    if m == 1:
-        return np.linspace(-r, r, 2 * grid + 1)[:, None]
-    rows = [np.zeros((1, 2))]
-    for k in range(1, grid + 1):
-        rad = r * k / grid
-        cnt = max(6, int(round(2 * math.pi * k)))
-        ang = 2 * math.pi * np.arange(cnt) / cnt
-        rows.append(rad * np.stack([np.cos(ang), np.sin(ang)], axis=1))
-    return np.vstack(rows)
-
-
 @dataclass
 class ScanCell:
     """Measurements of one (point, scale) cell."""
@@ -476,7 +355,6 @@ class ScanCell:
     ambiguous_plane: bool = False
     coherence_bound: float | None = None
     coherence_measured: float | None = None
-    sup_floor: float = 0.0  # beta_inf's sampling floor over r, 0 when exact
     frame_reason: str = ""  # why no frame was found: the failed gate or search
 
 
@@ -510,7 +388,6 @@ def multiscale_scan(
     points,
     r0: float,
     depth: int,
-    refine_h: float = 1e-2,
     sample_spacing: float | None = None,
 ) -> ScanReport:
     """Scan each point over the dyadic scales ``r_k = 2^-k r0``.
@@ -610,7 +487,7 @@ def _scan_cells(
         binf_c = br.beta_inf if centred[g] is None else centred[g]
         out[c] = ScanCell(
             *cells[c], r, planes[g], br.beta2, br.beta_inf, binf_c, dh, dens[c], dh / r, not reason,
-            sup_floor=br.sup_floor, frame_reason=reason,
+            frame_reason=reason,
         )
     return [out[c] for c in range(len(cells))]
 
@@ -653,8 +530,9 @@ def _stacked(near: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 def _grid_distances(
     chain: PolyChain, cull: np.ndarray, xs: np.ndarray, rs: np.ndarray, planes: list[OrientedPlane]
 ) -> list[float]:
-    """Plane-to-support half of :func:`_hausdorff_chain_plane` for every
-    cell at the default grid, in one distance pass over all the grids."""
+    """The largest distance from each cell's plane-ball grid
+    (:func:`gmtepi.planes._plane_grid` at 24 rings) to the support, in one
+    distance pass over all the grids."""
     grids = [x + plane.embed(_plane_grid(r, plane.m, 24)) for x, r, plane in zip(xs, rs.tolist(), planes)]
     starts = np.cumsum([0] + [len(g) for g in grids[:-1]])
     return np.maximum.reduceat(_dist_to_support(chain, np.vstack(grids), cull), starts).tolist()

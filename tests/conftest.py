@@ -53,3 +53,16 @@ def minor_volumes(verts: np.ndarray) -> np.ndarray:
         return np.linalg.norm(e[:, 0], axis=1)
     minors = e[:, 0, :, None] * e[:, 1, None, :] - e[:, 1, :, None] * e[:, 0, None, :]
     return 0.5 * np.sqrt(0.5 * np.sum(minors * minors, axis=(1, 2)))
+
+
+def two_height_graph() -> PolyChain:
+    """The fan over a 24-gon of x -> (0.2 x_1, 0.3 x_2) in R^4: its
+    gradient has a nonzero 2 x 2 minor."""
+    ang = 2 * np.pi * np.arange(25) / 24
+    ring = 1.3 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    g = NormedCoefficient(integers(), 1)
+    terms = []
+    for i in range(24):
+        base2 = np.array([[0.0, 0.0], ring[i], ring[i + 1]])
+        terms.append((Simplex(np.column_stack([base2, 0.2 * base2[:, 0], 0.3 * base2[:, 1]])), g))
+    return PolyChain(4, 2, integers(), terms)

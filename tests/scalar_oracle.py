@@ -4,7 +4,8 @@ support sample and the per-bin fiber check of the scanner, the
 layer-constancy check, the recursive half-space clipper of a simplex,
 the polygon-cylinder clipping and the full-clip zone excess of the
 comparison pipeline, the one-polygon convex clipper,
-the bisection boundary trace, the cone height sup, the strip zip, the
+the bisection boundary trace, the cone height sup, the 2^16-sample
+height sups over balls and cylinders, the strip zip, the
 averaged graph and its all-layer ball means, and the chain construction
 filter, ``boundary``, ``merge_terms`` and ``size``.
 
@@ -365,6 +366,109 @@ def sup_perp_in_ball(chain, x, r, plane) -> tuple[float, float]:
             if not exact and rho > 0:
                 floor = max(floor, rho * (math.pi / 64) ** 2)
     return best, floor
+
+
+#: Points of each cut circle in the sampled sups.
+SUP_SAMPLES = 2**16
+_SUP_ANGLES = 2 * math.pi * np.arange(SUP_SAMPLES) / SUP_SAMPLES
+_SUP_CIRCLE = np.stack([np.cos(_SUP_ANGLES), np.sin(_SUP_ANGLES)], axis=1)
+
+
+def _segment_sup(p: np.ndarray, hp: np.ndarray, q: np.ndarray, hq: np.ndarray, r: float) -> float | None:
+    """Largest |height| at the roots of |p + t (q - p)| = r, t in [0, 1],
+    of a segment with end heights hp, hq; None when there is no such root."""
+    dd = q - p
+    aa = float(dd @ dd)
+    if aa < 1e-30:
+        return None
+    bb = 2.0 * float(p @ dd)
+    disc = bb * bb - 4 * aa * (float(p @ p) - r * r)
+    best = None
+    if disc >= 0:
+        for sgn in (-1.0, 1.0):
+            t = (-bb + sgn * math.sqrt(disc)) / (2 * aa)
+            if 0.0 <= t <= 1.0:
+                best = max(best or 0.0, float(np.linalg.norm(hp + t * (hq - hp))))
+    return best
+
+
+def _ends_and_roots(q: np.ndarray, h: np.ndarray, r: float) -> tuple[float, bool]:
+    """Largest |h| at the vertices with |q| <= r and at the edge roots of
+    |q| = r of one simplex, and whether any edge has such a root: a
+    triangle with none holds an arc of the circle only if the whole
+    circle lies in it."""
+    best, crossed = 0.0, False
+    for i in range(len(q)):
+        if np.linalg.norm(q[i]) <= r:
+            best = max(best, float(np.linalg.norm(h[i])))
+        for j in range(i + 1, len(q)):
+            root = _segment_sup(q[i], h[i], q[j], h[j], r)
+            if root is not None:
+                best, crossed = max(best, root), True
+    return best, crossed
+
+
+def sampled_ball_sup(chain, x, r, plane) -> tuple[float, float]:
+    """``sup |pi_{V^perp}(y - x)|`` over ``spt ∩ B(x, r)``, simplex by
+    simplex, from the vertices inside, the edge-sphere roots and
+    ``SUP_SAMPLES`` points of each circle where the sphere cuts a
+    triangle's plane, and the Lipschitz gap of that sample: the height
+    is 1-Lipschitz and every circle point lies within rho pi / SUP_SAMPLES
+    of a sample, or of a root where the arc leaves its triangle."""
+    perp = plane.perp_frame()
+    best, gap = 0.0, 0.0
+    for simplex, _ in chain.terms:
+        v = simplex.vertices
+        rel = v - x
+        value, crossed = _ends_and_roots(rel, rel @ perp.T, r)
+        best = max(best, value)
+        if len(v) == 3:
+            E = np.linalg.qr((v[1:] - v[0]).T)[0].T
+            a_in = -E @ rel[0]
+            rho2 = r * r - float(np.linalg.norm(rel[0] + E.T @ a_in) ** 2)
+            T = np.column_stack([(v[1] - v[0]) @ E.T, (v[2] - v[0]) @ E.T])
+            foot = np.linalg.solve(T, a_in)
+            if rho2 < 0 or not (crossed or (min(foot) >= 0 and sum(foot) <= 1)):
+                continue
+            rho = math.sqrt(rho2)
+            lam = np.linalg.solve(T, (a_in + rho * _SUP_CIRCLE).T)
+            inside = (lam[0] >= 0) & (lam[1] >= 0) & (lam[0] + lam[1] <= 1)
+            if np.any(inside):
+                pts = rel[0] + lam[0, inside, None] * (v[1] - v[0]) + lam[1, inside, None] * (v[2] - v[0])
+                best = max(best, float(np.max(np.linalg.norm(pts @ perp.T, axis=1))))
+                gap = max(gap, rho * math.pi / SUP_SAMPLES)
+    return best, gap
+
+
+def sampled_height_sup(chain, base, radius: float) -> tuple[float, float]:
+    """``sup |pi_{V^perp}|`` over the support in the cylinder over the
+    base ball, simplex by simplex, from the vertices inside, the edge-
+    cylinder roots and the ``SUP_SAMPLES`` points of the base circle lifted
+    into each triangle over them, and the Lipschitz gap of that sample:
+    the height gradient's norm times radius pi / SUP_SAMPLES."""
+    perp = base.perp_frame()
+    best, gap = 0.0, 0.0
+    for simplex, _ in chain.terms:
+        v = simplex.vertices
+        b, hh = v @ base.frame.T, v @ perp.T
+        value, crossed = _ends_and_roots(b, hh, radius)
+        best = max(best, value)
+        if len(v) == 3:
+            T = np.column_stack([b[1] - b[0], b[2] - b[0]])
+            if abs(np.linalg.det(T)) < 1e-14:
+                continue
+            foot = np.linalg.solve(T, -b[0])
+            if not (crossed or (min(foot) >= 0 and sum(foot) <= 1)):
+                continue
+            lam = np.linalg.solve(T, (radius * _SUP_CIRCLE - b[0]).T)
+            inside = (lam[0] >= 0) & (lam[1] >= 0) & (lam[0] + lam[1] <= 1)
+            if np.any(inside):
+                H = np.column_stack([hh[1] - hh[0], hh[2] - hh[0]])
+                h = hh[0] + (H @ lam[:, inside]).T
+                best = max(best, float(np.max(np.linalg.norm(h, axis=1))))
+                grad = np.linalg.norm(H @ np.linalg.inv(T), 2)
+                gap = max(gap, grad * radius * math.pi / SUP_SAMPLES)
+    return best, gap
 
 
 def dist_to_support(chain, p: np.ndarray) -> float:

@@ -9,7 +9,7 @@ import pytest
 import scalar_oracle as oracle
 from gmtepi.chains import ball_mass, pushforward_linear
 from gmtepi.generators import cone_harmonic, flat_disk, two_sheet_cantor
-from gmtepi.moments import _sup_perp_in_ball, chain_ball_moments
+from gmtepi.moments import chain_ball_moments
 from gmtepi.mono import DensityProfile, alpha_m
 from gmtepi.quadrature import (
     disk_polygon_area,
@@ -18,7 +18,7 @@ from gmtepi.quadrature import (
     simplex_ball_moments,
     trig_monomial_integral,
 )
-from gmtepi.scan import _dist_to_support, _hausdorff_chain_plane, multiscale_scan, support_sample
+from gmtepi.scan import _dist_to_support, multiscale_scan, support_sample
 
 REL = 1e-12
 # The Green's-theorem split sums signed pieces of size ~ r^m, so both
@@ -150,13 +150,13 @@ def test_sup_and_hausdorff_match_the_oracle_on_scan_cells(index):
         if cell.plane is None:
             continue
         x, r = rep.points[pi], cell.radius
-        sup, floor = _sup_perp_in_ball(chain, x, r, cell.plane)
-        want_sup, want_floor = oracle.sup_perp_in_ball(chain, x, r, cell.plane)
-        assert abs(sup - want_sup) <= REL * r and floor == want_floor
+        # the 64-point circle scan is a lower bound within its floor, exact
+        # in codimension one
+        want_sup, floor = oracle.sup_perp_in_ball(chain, x, r, cell.plane)
+        assert want_sup - REL * r <= cell.beta_inf * r <= want_sup + floor + REL * r
         sample = support_sample(chain, x, r, r / 48)
-        dh = _hausdorff_chain_plane(chain, sample, x, r, cell.plane, grid=12)
-        want_dh = oracle.hausdorff_chain_plane(chain, sample, x, r, cell.plane, grid=12)
-        assert abs(dh - want_dh) <= REL * r
+        want_dh = oracle.hausdorff_chain_plane(chain, sample, x, r, cell.plane, grid=24)
+        assert abs(cell.hausdorff - want_dh) <= REL * r
         grid = x + rng.normal(size=(50, chain.n)) * r
         want = [oracle.dist_to_support(chain, p) for p in grid]
         assert np.max(np.abs(_dist_to_support(chain, grid) - want)) <= REL * r

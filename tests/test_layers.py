@@ -21,7 +21,7 @@ from gmtepi.layers import (
 from gmtepi.planes import OrientedPlane
 
 import scalar_oracle as oracle
-from conftest import make_graph_disk
+from conftest import make_graph_disk, two_height_graph
 
 G = integers()
 V = OrientedPlane(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
@@ -241,24 +241,11 @@ def _embedded_cone(n: int, seed: int):
     return P, OrientedPlane.from_span(V.frame @ Q.T)
 
 
-def _two_height_graph() -> PolyChain:
-    """The fan over a 24-gon of x -> (0.2 x_1, 0.3 x_2) in R^4: its
-    gradient has a nonzero 2 x 2 minor."""
-    ang = 2 * np.pi * np.arange(25) / 24
-    ring = 1.3 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    terms = []
-    for i in range(24):
-        base2 = np.array([[0.0, 0.0], ring[i], ring[i + 1]])
-        terms.append((Simplex(np.column_stack([base2, 0.2 * base2[:, 0], 0.3 * base2[:, 1]])),
-                      NormedCoefficient(G, 1)))
-    return PolyChain(4, 2, G, terms)
-
-
 DECOMPOSITIONS = {
     "harmonic cone": lambda: (cone_harmonic(3, 0.05, 64)[0], V),
     "cone in R^4": lambda: (cone_harmonic(2, 0.04, 32, n=4)[0], OrientedPlane(np.eye(4)[:2])),
     "cone in R^5": lambda: _embedded_cone(5, 7),
-    "two heights in R^4": lambda: (_two_height_graph(), OrientedPlane(np.eye(4)[:2])),
+    "two heights in R^4": lambda: (two_height_graph(), OrientedPlane(np.eye(4)[:2])),
     "two-layer stack": lambda: (
         make_graph_disk(24, lambda p: 0.1 * p[0], R=1.3) + make_graph_disk(24, lambda p: 0.4, R=1.3),
         V,

@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 
 import scalar_oracle as oracle
-from gmtepi.chains import PolyChain
+from gmtepi.chains import PolyChain, _pair_dists
 from gmtepi.generators import cantor_graph, cone_harmonic, flat_disk, two_sheet_cantor
 from gmtepi.groups import integers
 from gmtepi.scan import (
     _dist_to_support,
     _fiber_split,
-    _pair_dists,
     extract_graph,
     multiscale_scan,
     support_sample,
