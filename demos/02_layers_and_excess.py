@@ -45,7 +45,7 @@ for slope in (0.0, 0.05, 0.1, 0.2):
 print("\ntwo stacked flat sheets (coefficients 1 and 1):")
 T2 = graph_disk(48, lambda p: 0.0) + graph_disk(48, lambda p: 0.3)
 d2 = decompose_layers(T2, V)
-print(f"  stalk coefficient g0 = {d2.g0.value}, layers = {len(d2.layers)}")
+print(f"  stalk coefficient g0 = {d2.g0.value}, layers = {len(d2.domains)}")
 rep = multiplicity_stats(d2, eps_mass=2.0)
 print(f"  overlap measure {rep.e2_measure:.4f} (= pi: the sheets overlap everywhere)")
 print(f"  integral of the stalk count over the overlap: {rep.int_count:.4f} (= 2 pi)")

@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .groups import GroupSpec, NormedCoefficient
-from .quadrature import batch_ball_masses, gram_volumes, simplex_volume
+from .quadrature import _rowdot, batch_ball_masses, gram_volumes, simplex_volume
 
 __all__ = [
     "Simplex",
@@ -478,12 +478,6 @@ def pushforward_linear(
     if shift is not None:
         v = v + shift
     return PolyChain(matrix.shape[0], chain.m, chain.group, verts=v, payload=chain.payload)
-
-
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products of the last axes, broadcast: the floats of ``x @ y`` on
-    each pair of 1-D rows (an elementwise sum may round differently)."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _clip_polygons(

@@ -104,10 +104,10 @@ def cmd_excess(args) -> int:
         print(f"excess gate failure: {err}", file=sys.stderr)
         return GATE_EXIT
     rows = [{"quantity": "cylindrical_excess", "value": exc},
-            {"quantity": "layers", "value": len(decomp.layers)},
+            {"quantity": "layers", "value": len(decomp.domains)},
             {"quantity": "g0_norm", "value": decomp.g0_norm}]
     write_report(args.out, "excess", "excess", cfg, rows, {r["quantity"]: r["value"] for r in rows})
-    print(f"excess: {exc:.6g} over {len(decomp.layers)} layers (||g0|| = {decomp.g0_norm:.6g})")
+    print(f"excess: {exc:.6g} over {len(decomp.domains)} layers (||g0|| = {decomp.g0_norm:.6g})")
     return 0
 
 

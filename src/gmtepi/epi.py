@@ -47,7 +47,6 @@ import numpy as np
 from .chains import (
     PolyChain,
     _fan_split,
-    _rowdot,
     boundary,
     coeff_payload,
     is_cone,
@@ -76,7 +75,7 @@ from .layers import (
 from .mono import lambda_epi
 from .moments import quad_form, select_plane
 from .planes import OrientedPlane, plane_distance
-from .quadrature import gauss_segment
+from .quadrature import _rowdot, gauss_segment
 
 __all__ = [
     "EpiConfig",
@@ -577,14 +576,9 @@ class AnnulusBlend:
     mass_original: float
 
     def z(self, layer_index: int, x: np.ndarray) -> np.ndarray:
-        ly = self.decomp.layers[layer_index]
-        r = float(np.linalg.norm(x))
-        return (4.0 * r - 2.0) * ly.height(np.asarray(x, dtype=float)) + (
-            3.0 - 4.0 * r
-        ) * self.v.eval(x)
-
-    def chain(self, n: int, group) -> PolyChain:
-        return PolyChain(n, self.decomp.m, group, verts=self.verts, payload=self.payload)
+        d, r = self.decomp, float(np.linalg.norm(x))
+        y = d.A[layer_index] @ np.asarray(x, dtype=float) + d.b[layer_index]
+        return (4.0 * r - 2.0) * y + (3.0 - 4.0 * r) * self.v.eval(x)
 
 
 def annulus_interpolate(

@@ -13,28 +13,27 @@ constant ``g0`` there, and measures the cylindrical excess
 exactly: each term is a constant Jacobian times an exact polygon-disk
 intersection area.  Multiplicity statistics on the overlap set ``E2``
 are computed from pairwise domain intersections with an inclusion-
-exclusion truncation at triples (the truncation residual is reported).
+exclusion truncation at triples (the truncation residual is reported),
+every pair and every triple clipped in stacked array passes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .chains import PolyChain, _clip_polygons, _region_sups, _rowdot, boundary, merge_terms
+from .chains import PolyChain, _clip_polygons, _region_sups, boundary, merge_terms
 from .groups import NormedCoefficient, group_add, group_norm, zero
 from .planes import OrientedPlane
-from .quadrature import disk_polygon_area, disk_polygon_areas
+from .quadrature import _rowdot, disk_polygon_areas
 
 __all__ = [
     "GeneralPositionError",
     "align_base_to_chain",
     "ConstancyError",
     "boundary_clearance",
-    "Layer",
     "LayerDecomposition",
     "decompose_layers",
     "cylindrical_excess",
@@ -71,27 +70,9 @@ class ConstancyError(ValueError):
 
 
 @dataclass
-class Layer:
-    """One affine graph layer: ``y(x) = A x + b`` over a projected domain."""
-
-    domain: np.ndarray  # (m+1, m) projected simplex, base coordinates
-    A: np.ndarray  # (n-m, m)
-    b: np.ndarray  # (n-m,)
-    coeff: NormedCoefficient
-
-    def height(self, x: np.ndarray) -> np.ndarray:
-        return self.A @ x + self.b
-
-    def jacobian_sq(self) -> float:
-        """``(J y)^2 = det(I + A^T A) - 1`` of the constant differential."""
-        m = self.A.shape[1]
-        return float(np.linalg.det(np.eye(m) + self.A.T @ self.A) - 1.0)
-
-
-@dataclass
 class LayerDecomposition:
-    """Stack of affine graph layers over a base plane, one per term of
-    ``chain``, held as stacked arrays; ``layers`` lists them one by one."""
+    """Stack of affine graph layers ``y(x) = A[t] x + b[t]`` over a base
+    plane, one per term ``t`` of ``chain``, held as stacked arrays."""
 
     base: OrientedPlane
     perp: np.ndarray  # (n-m, n) orthonormal complement frame
@@ -107,13 +88,6 @@ class LayerDecomposition:
     @property
     def m(self) -> int:
         return self.base.m
-
-    @cached_property
-    def layers(self) -> list[Layer]:
-        return [
-            Layer(self.domains[t], self.A[t], self.b[t], self.chain.coefficient(t))
-            for t in range(len(self.domains))
-        ]
 
 
 # probe points for the stalk sum, in units of the disk radius: radius 1/2
@@ -327,18 +301,6 @@ class MultiplicityReport:
     notes: list[str] = field(default_factory=list)
 
 
-def _pair_area(d1: np.ndarray, d2: np.ndarray, center: np.ndarray, radius: float, m: int) -> float:
-    if m == 1:
-        lo1, hi1 = sorted((float(d1[0, 0]), float(d1[1, 0])))
-        lo2, hi2 = sorted((float(d2[0, 0]), float(d2[1, 0])))
-        c = float(center[0])
-        return max(0.0, min(hi1, hi2, c + radius) - max(lo1, lo2, c - radius))
-    poly = _convex_clip(d1, d2)
-    if poly is None:
-        return 0.0
-    return abs(disk_polygon_area(poly, center, radius))
-
-
 def _inward_normals(polys: np.ndarray, inside: np.ndarray) -> np.ndarray:
     """Normals (..., k, 2) of the edges from vertex i to i + 1 of convex
     polygons (..., k, 2), each turned towards the point ``inside`` (..., 2)
@@ -347,18 +309,6 @@ def _inward_normals(polys: np.ndarray, inside: np.ndarray) -> np.ndarray:
     nrm = np.stack([-t[..., 1], t[..., 0]], axis=-1)
     nrm[_rowdot(inside[..., None, :] - polys, nrm) < 0] *= -1.0
     return nrm
-
-
-def _convex_clip(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray | None:
-    """Sutherland-Hodgman clip of one convex polygon by another: the
-    vertices (V, 2) of the intersection, or None when fewer than three
-    remain."""
-    poly, counts = np.asarray(subject, dtype=float)[None], np.array([len(subject)])
-    for a, normal in zip(clipper, _inward_normals(clipper, clipper.mean(axis=0))):
-        poly, counts = _clip_polygons(poly, counts, a[None], normal[None])
-        if counts[0] < 3:
-            return None
-    return poly[0, : counts[0]]
 
 
 def _polygon_arcs(poly: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -471,6 +421,65 @@ def _clip_to_cylinder(rows: np.ndarray, dom: np.ndarray, poly: np.ndarray, ancho
     return (polys, np.concatenate([n for _, n in inside])), cut
 
 
+def _clipped_areas(polys: np.ndarray, counts: np.ndarray, clippers: np.ndarray, center: np.ndarray,
+                   radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Areas (R,) inside the disk of convex polygons, the first ``counts``
+    rows of ``polys`` (R, V, 2), clipped by the triangles ``clippers``
+    (R, 3, 2), one stacked :func:`_clip_polygons` step per edge.
+
+    A row left with fewer than three vertices after a step is dropped and
+    reads 0.  Also returns the indices, polygons and counts of the rows
+    that are left."""
+    normals = _inward_normals(clippers, clippers.mean(axis=1))
+    rows = np.arange(len(polys))
+    for e in range(clippers.shape[1]):
+        polys, counts = _clip_polygons(polys, counts, clippers[rows, e], normals[rows, e])
+        live = counts >= 3
+        rows, polys, counts = rows[live], polys[live], counts[live]
+    areas = np.zeros(len(clippers))
+    # one call per vertex count: padded rows would regroup numpy's sums
+    for v in np.unique(counts).tolist():
+        at = counts == v
+        areas[rows[at]] = np.abs(disk_polygon_areas(polys[at, :v], center, radius))
+    return areas, rows, polys, counts
+
+
+def _overlaps(dom: np.ndarray, center: np.ndarray, radius: float):
+    """Areas inside the base ball of the pairwise domain intersections
+    ``D_i ∩ D_j``, i < j, in (i, j) order, and for m = 2 of the triple
+    intersections ``D_i ∩ D_j ∩ D_l``, l > j, of the pairs of positive
+    area, in (i, j, l) order.  Returns ``(pairs (P, 2), pair areas (P,),
+    triples (Q, 3), triple areas (Q,))``; the pairs go in chunks of
+    ``_CHUNK // 3`` rows, and so do the triples of each chunk."""
+    k = len(dom)
+    I, J = np.triu_indices(k, 1)
+    pairs = np.stack([I, J], axis=1)
+    if dom.shape[2] == 1:
+        lo, hi = dom[:, :, 0].min(axis=1), dom[:, :, 0].max(axis=1)
+        c = float(center[0])
+        area = np.maximum(
+            0.0, np.minimum(np.minimum(hi[I], hi[J]), c + radius) - np.maximum(np.maximum(lo[I], lo[J]), c - radius)
+        )
+        return pairs, area, np.zeros((0, 3), dtype=np.int64), np.zeros(0)
+    step = _CHUNK // 3
+    pair_area, triples, triple_area = [np.zeros(0)], [np.zeros((0, 3), dtype=np.int64)], [np.zeros(0)]
+    for s in range(0, len(I), step):
+        i, j = I[s : s + step], J[s : s + step]
+        area, rows, polys, counts = _clipped_areas(dom[i], np.full(len(i), 3), dom[j], center, radius)
+        pair_area.append(area)
+        pos = area[rows] > 0
+        rows, polys, counts = rows[pos], polys[pos], counts[pos]
+        # each positive pair meets every later layer l = j + 1, ..., k - 1
+        n = k - 1 - j[rows]
+        owner = np.repeat(np.arange(len(rows)), n)
+        third = j[rows][owner] + 1 + np.arange(len(owner)) - np.repeat(np.cumsum(n) - n, n)
+        for t in range(0, len(owner), step):
+            o, l3 = owner[t : t + step], third[t : t + step]
+            triples.append(np.stack([i[rows][o], j[rows][o], l3], axis=1))
+            triple_area.append(_clipped_areas(polys[o], counts[o], dom[l3], center, radius)[0])
+    return pairs, np.concatenate(pair_area), np.concatenate(triples), np.concatenate(triple_area)
+
+
 def multiplicity_stats(
     decomp: LayerDecomposition,
     eps_mass: float,
@@ -488,29 +497,17 @@ def multiplicity_stats(
     c = np.zeros(m) if center is None else np.asarray(center, dtype=float)
     mu = cylindrical_excess(decomp, c, radius)
     sig = size_excess(decomp, c, radius)
-    layers = decomp.layers
-    k = len(layers)
-    pair_total = 0.0
+    k = len(decomp.domains)
+    pairs, pair_area, triples, triple_area = _overlaps(decomp.domains, c, radius)
+    # each positive area is added in the order (i, j) or (i, j, l)
+    hit = pair_area > 0
+    pair_total = sum(pair_area[hit].tolist(), 0.0)
     pair_per = np.zeros(k)
-    triple_total = 0.0
+    np.add.at(pair_per, pairs[hit].ravel(), np.repeat(pair_area[hit], 2))
+    hit = triple_area > 0
+    triple_total = sum(triple_area[hit].tolist(), 0.0)
     triple_per = np.zeros(k)
-    for i in range(k):
-        for j in range(i + 1, k):
-            a = _pair_area(layers[i].domain, layers[j].domain, c, radius, m)
-            if a <= 0:
-                continue
-            pair_total += a
-            pair_per[i] += a
-            pair_per[j] += a
-            if m == 2:
-                clipped = _convex_clip(layers[i].domain, layers[j].domain)
-                for l in range(j + 1, k):
-                    t = _pair_area(clipped, layers[l].domain, c, radius, m)
-                    if t > 0:
-                        triple_total += t
-                        triple_per[i] += t
-                        triple_per[j] += t
-                        triple_per[l] += t
+    np.add.at(triple_per, triples[hit].ravel(), np.repeat(triple_area[hit], 3))
     e2 = max(0.0, pair_total - 2.0 * triple_total)
     int_count = max(0.0, 2.0 * pair_total - 3.0 * triple_total)
     int_coeff = sum((decomp.weights * np.maximum(pair_per - triple_per, 0.0)).tolist())

@@ -311,12 +311,13 @@ class BallMoments:
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products, summed in the order of ``a[i] @ b[i]``.
+    """Dot products of the last axes, broadcast: the floats of ``x @ y`` on
+    each pair of 1-D rows (an elementwise sum may round differently).
 
     The discriminant of a nearly tangent segment is ill-conditioned; this
     keeps it bit-identical to the per-simplex reference the tests use.
     """
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _check_m(vertices: np.ndarray) -> int:

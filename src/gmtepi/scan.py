@@ -22,7 +22,7 @@ from .chains import PolyChain, _dist_to_simplices
 from .mono import alpha_m, alpha0_exponent, lambda_epi
 from .moments import AmbiguousPlaneError, _cell_betas, _plane_from_eigensystem
 from .planes import OrientedPlane, _plane_grid, _sample_to_plane, plane_distance
-from .quadrature import BallMoments, cell_ball_moments
+from .quadrature import BallMoments, _rowdot, cell_ball_moments
 
 __all__ = [
     "Frame",
@@ -317,11 +317,6 @@ def _support_nodes(
     return np.vstack(pts), counts
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products that round as ``a[i] @ b[i]`` does."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
 def _window_centre(e: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Barycentric coordinates of the ball centre's foot on a triangle's
     plane (least squares on its edge matrix), NaN where the solve fails."""
@@ -388,7 +383,6 @@ def multiscale_scan(
     points,
     r0: float,
     depth: int,
-    sample_spacing: float | None = None,
 ) -> ScanReport:
     """Scan each point over the dyadic scales ``r_k = 2^-k r0``.
 
@@ -409,7 +403,7 @@ def multiscale_scan(
         raise ValueError("empty chain")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     report = ScanReport(points, r0, depth)
-    for cell in _scan_cells(chain, points, r0, depth, sample_spacing):
+    for cell in _scan_cells(chain, points, r0, depth):
         report.cells[(cell.point_index, cell.scale_index)] = cell
 
     # cross-scale coherence with the measured eta
@@ -425,9 +419,7 @@ def multiscale_scan(
     return report
 
 
-def _scan_cells(
-    chain: PolyChain, points: np.ndarray, r0: float, depth: int, sample_spacing: float | None
-) -> list[ScanCell]:
+def _scan_cells(chain: PolyChain, points: np.ndarray, r0: float, depth: int) -> list[ScanCell]:
     """The cells of every point, point by point and scale by scale.  Each
     stage runs over all of them in stacked passes: the moment and sup passes
     in runs of at most ``_STACK_ROWS`` near simplices, the samples in runs of
@@ -469,7 +461,7 @@ def _scan_cells(
     for part in _runs([len(t) for t in near], _STACK_ROWS):
         rows, owner = _stacked(near[part])
         betas += _cell_betas(va[rows], owner, xs[part], rs[part], moments[part], planes[part], m)
-    spacings = np.array([sample_spacing if sample_spacing is not None else r / 48 for r in rs.tolist()])
+    spacings = rs / 48
     d2 = _grid_distances(chain, cull, xs, rs, planes)
     d1, centred = _sample_stats(chain, near, xs, rs, spacings, planes, moments)
     for g, c in enumerate(good):

@@ -5,7 +5,8 @@ layer-constancy check, the recursive half-space clipper of a simplex,
 the polygon-cylinder clipping and the full-clip zone excess of the
 comparison pipeline, the one-polygon convex clipper,
 the bisection boundary trace, the cone height sup, the 2^16-sample
-height sups over balls and cylinders, the strip zip, the
+height sups over balls and cylinders, the strip zip, the pair and
+triple overlap loop of the multiplicity statistics, the
 averaged graph and its all-layer ball means, and the chain construction
 filter, ``boundary``, ``merge_terms`` and ``size``.
 
@@ -19,6 +20,7 @@ equivalence tests compare the batched code against.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -640,11 +642,40 @@ def near_any_boundary(domains, x: np.ndarray, tol: float) -> bool:
     return False
 
 
-def constancy_g0(layers, nodes, group, boundary_tol: float = 1e-9):
+@dataclass
+class LayerRecord:
+    """One affine graph layer ``y(x) = A x + b`` over a projected domain,
+    term ``t`` of a decomposition taken apart."""
+
+    domain: np.ndarray  # (m+1, m)
+    A: np.ndarray  # (n-m, m)
+    b: np.ndarray  # (n-m,)
+    coeff: object
+
+    def height(self, x: np.ndarray) -> np.ndarray:
+        return self.A @ x + self.b
+
+    def jacobian_sq(self) -> float:
+        """``(J y)^2 = det(I + A^T A) - 1`` of the constant differential."""
+        m = self.A.shape[1]
+        return float(np.linalg.det(np.eye(m) + self.A.T @ self.A) - 1.0)
+
+
+def layer_records(decomp) -> list[LayerRecord]:
+    """The layers of a decomposition, one record per term."""
+    return [
+        LayerRecord(decomp.domains[t], decomp.A[t], decomp.b[t], decomp.chain.coefficient(t))
+        for t in range(len(decomp.domains))
+    ]
+
+
+def constancy_g0(decomp, nodes, boundary_tol: float = 1e-9):
     """The stalk sum ``g0`` by the node-by-node, layer-by-layer loop."""
     from gmtepi.groups import group_add, zero
     from gmtepi.layers import ConstancyError
 
+    group = decomp.chain.group
+    layers = layer_records(decomp)
     domains = [ly.domain for ly in layers]
     g0_seen = None
     for node in nodes:
@@ -857,7 +888,7 @@ def cylindrical_excess_polygon(decomp, poly: np.ndarray) -> float:
     if decomp.g0.is_zero:
         raise ConstancyError("stalk coefficient g0 is zero; excess undefined")
     total = 0.0
-    for ly in decomp.layers:
+    for ly in layer_records(decomp):
         clipped = convex_clip(ly.domain, poly)
         if clipped is None or len(clipped) < 3:
             continue
@@ -908,6 +939,55 @@ def convex_clip(subject: np.ndarray, clipper: np.ndarray):
         if len(poly) < 3:
             return None
     return poly
+
+
+def _overlap_area(d1: np.ndarray, d2: np.ndarray, center: np.ndarray, radius: float, m: int) -> float:
+    from gmtepi.quadrature import disk_polygon_area
+
+    if m == 1:
+        lo1, hi1 = sorted((float(d1[0, 0]), float(d1[1, 0])))
+        lo2, hi2 = sorted((float(d2[0, 0]), float(d2[1, 0])))
+        c = float(center[0])
+        return max(0.0, min(hi1, hi2, c + radius) - max(lo1, lo2, c - radius))
+    poly = convex_clip(d1, d2)
+    if poly is None:
+        return 0.0
+    return abs(disk_polygon_area(np.array(poly), center, radius))
+
+
+def multiplicity_loop(decomp, center: np.ndarray, radius: float) -> dict:
+    """The overlap fields of ``multiplicity_stats`` by the pair-by-pair and
+    triple-by-triple loop: one clip per pair and per triple of domains."""
+    m = decomp.m
+    layers = layer_records(decomp)
+    k = len(layers)
+    pair_total = 0.0
+    pair_per = np.zeros(k)
+    triple_total = 0.0
+    triple_per = np.zeros(k)
+    for i in range(k):
+        for j in range(i + 1, k):
+            a = _overlap_area(layers[i].domain, layers[j].domain, center, radius, m)
+            if a <= 0:
+                continue
+            pair_total += a
+            pair_per[i] += a
+            pair_per[j] += a
+            if m == 2:
+                clipped = np.array(convex_clip(layers[i].domain, layers[j].domain))
+                for l in range(j + 1, k):
+                    t = _overlap_area(clipped, layers[l].domain, center, radius, m)
+                    if t > 0:
+                        triple_total += t
+                        triple_per[i] += t
+                        triple_per[j] += t
+                        triple_per[l] += t
+    return {
+        "e2_measure": max(0.0, pair_total - 2.0 * triple_total),
+        "int_count": max(0.0, 2.0 * pair_total - 3.0 * triple_total),
+        "int_coeff_norm": sum((decomp.weights * np.maximum(pair_per - triple_per, 0.0)).tolist()),
+        "truncation_residual": triple_total,
+    }
 
 
 def trace_cone_over(curve: np.ndarray, plane, perp: np.ndarray, n_samples: int, iters: int = 80):
@@ -1062,7 +1142,7 @@ def cylindrical_excess_loop(decomp, radius: float = 1.0) -> float:
     from gmtepi.quadrature import disk_polygon_area
 
     total = 0.0
-    for ly in decomp.layers:
+    for ly in layer_records(decomp):
         if decomp.m == 1:
             lo, hi = sorted(float(x) for x in ly.domain[:, 0])
             area = max(0.0, min(hi, radius) - max(lo, -radius))

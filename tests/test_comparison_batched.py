@@ -61,10 +61,10 @@ CHAINS = {
 }
 
 
-def _probe_nodes(layers, m: int, radius: float = 1.0) -> np.ndarray:
+def _probe_nodes(domains: np.ndarray, radius: float = 1.0) -> np.ndarray:
     """Loop-oracle query points: a polar grid of the disk (an even grid of
     the interval for m = 1) and the domain barycentres inside it."""
-    if m == 1:
+    if domains.shape[2] == 1:
         grid = np.linspace(-radius, radius, 41)[:, None]
     else:
         grid = np.array([
@@ -72,7 +72,7 @@ def _probe_nodes(layers, m: int, radius: float = 1.0) -> np.ndarray:
             for k in range(1, 7)
             for a in 2 * math.pi * (np.arange(6 * k) + 0.5) / (6 * k)
         ])
-    nodes = np.vstack([grid, np.stack([ly.domain.mean(axis=0) for ly in layers])])
+    nodes = np.vstack([grid, domains.mean(axis=1)])
     return nodes[np.linalg.norm(nodes, axis=1) <= radius]
 
 
@@ -81,9 +81,9 @@ def test_constancy_masks_match_the_loop(name):
     # g0 read off one probe point equals the stalk sum the loop finds,
     # the same at every node, on a polar grid and the domain barycentres
     chain, base = CHAINS[name]()
-    layers = decompose_layers(chain, base, check_constancy=False).layers
+    decomp = decompose_layers(chain, base, check_constancy=False)
     g0 = decompose_layers(chain, base).g0
-    assert g0 == oracle.constancy_g0(layers, _probe_nodes(layers, chain.m), chain.group)
+    assert g0 == oracle.constancy_g0(decomp, _probe_nodes(decomp.domains))
     assert not g0.is_zero
 
 
@@ -96,12 +96,12 @@ def test_hole_and_constancy_errors_match_the_loop():
     # the inradius of each disk's polygon is where its boundary comes closest
     cases = ((hole, "hole", 0.4 * math.cos(math.pi / 16)), (patch, "differs", 0.3 * math.cos(math.pi / 8)))
     for chain, word, near in cases:
-        layers = decompose_layers(chain, V, check_constancy=False).layers
+        decomp = decompose_layers(chain, V, check_constancy=False)
         with pytest.raises(ConstancyError, match="^projected boundary comes within ") as info:
             decompose_layers(chain, V)
         assert f"within {near:.6g} of the origin, inside the disk of radius 1" in str(info.value)
         with pytest.raises(ConstancyError, match=word):
-            oracle.constancy_g0(layers, _probe_nodes(layers, 2), chain.group)
+            oracle.constancy_g0(decomp, _probe_nodes(decomp.domains))
 
 
 def test_angular_windows():
@@ -250,7 +250,7 @@ def test_averaged_graph_eval_many_matches_per_point(name):
     m = chain.m
     xs = rng.uniform(-0.7, 0.7, size=(200, m))
     # points on shared domain edges, where two layers are averaged
-    xs = np.vstack([xs, np.stack([0.5 * ly.domain[1] for ly in avg.decomp.layers])])
+    xs = np.vstack([xs, 0.5 * avg.decomp.domains[:, 1]])
     got = avg.eval_many(xs)
     want = np.array([oracle.averaged_eval(avg, x) for x in xs])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)

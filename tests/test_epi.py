@@ -114,12 +114,11 @@ def test_annulus_blend_endpoints():
     P, _ = cone_harmonic(2, 0.05, 64)
     curve, decomp, v = mollified_unit_curve(P, V)
     blend = annulus_interpolate(decomp, v)
-    ly = decomp.layers[0]
-    dom_dir = ly.domain[1] / np.linalg.norm(ly.domain[1])
+    dom_dir = decomp.domains[0, 1] / np.linalg.norm(decomp.domains[0, 1])
     x_in = 0.5 * dom_dir
     x_out = 0.75 * dom_dir
     assert_allclose(blend.z(0, x_in), v.eval(x_in), atol=1e-12)
-    assert_allclose(blend.z(0, x_out), ly.height(x_out), atol=1e-12)
+    assert_allclose(blend.z(0, x_out), decomp.A[0] @ x_out + decomp.b[0], atol=1e-12)
 
 
 def test_annulus_blend_mass_slack():

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import scalar_oracle as oracle
-from gmtepi import layers
 from gmtepi.chains import _clip_polygons, pushforward_linear
 from gmtepi.epi import (
     EpiConfig,
@@ -162,29 +161,36 @@ def test_stacked_clip_matches_the_one_polygon_step():
         assert np.array_equal(out[i, : new_counts[i]], np.array(want).reshape(-1, 2))
 
 
+def _turn(chain, angle: float):
+    rot = np.array([[math.cos(angle), -math.sin(angle), 0.0], [math.sin(angle), math.cos(angle), 0.0], [0, 0, 1]])
+    return pushforward_linear(chain, rot, np.zeros(3))
+
+
 def _two_fans():
     # fans of 12 and 10 wedges overlap in partial wedges: clips cross edges
-    inner = make_graph_disk(10, lambda p: 0.3, R=0.9)
-    turn = np.array([[math.cos(0.2), -math.sin(0.2), 0.0], [math.sin(0.2), math.cos(0.2), 0.0], [0, 0, 1]])
-    return make_graph_disk(12, lambda p: 0.0, R=1.3) + pushforward_linear(inner, turn, np.zeros(3))
+    return make_graph_disk(12, lambda p: 0.0, R=1.3) + _turn(make_graph_disk(10, lambda p: 0.3, R=0.9), 0.2)
+
+
+def _three_fans():
+    # a 12-fan and two 9-fans turned by 0.2 and 0.5 rad: partial triple overlaps
+    return (make_graph_disk(12, lambda p: 0.0, R=1.3) + _turn(make_graph_disk(9, lambda p: 0.2, R=1.3), 0.2)
+            + _turn(make_graph_disk(9, lambda p: 0.4, R=1.3), 0.5))
 
 
 @pytest.mark.parametrize("build", [
     _two_fans,
     lambda: make_graph_disk(32, lambda p: 0.0, R=1.3) + make_graph_disk(8, lambda p: 0.2, R=0.3),
     lambda: make_graph_disk(24, lambda p: 0.0, R=1.3) + make_graph_disk(24, lambda p: 0.4, R=1.3),
+    _three_fans,
 ])
-def test_multiplicity_stats_unchanged_by_the_stacked_clip(build, monkeypatch):
+def test_multiplicity_stats_unchanged_by_the_stacked_clip(build):
+    # the stacked pair and triple passes give the floats of the loop that
+    # clips one pair, then one triple, at a time
     decomp = decompose_layers(build(), V, check_constancy=False)
     decomp.g0, decomp.g0_norm = NormedCoefficient(G, 1), 1.0
     got = dataclasses.asdict(multiplicity_stats(decomp, eps_mass=10.0))
-
-    def list_clip(subject, clipper):
-        poly = oracle.convex_clip(subject, clipper)
-        return None if poly is None else np.array(poly)
-
-    monkeypatch.setattr(layers, "_convex_clip", list_clip)
-    assert got == dataclasses.asdict(multiplicity_stats(decomp, eps_mass=10.0))
+    want = oracle.multiplicity_loop(decomp, np.zeros(2), 1.0)
+    assert {key: got[key] for key in want} == want
     assert got["e2_measure"] > 0.0
 
 

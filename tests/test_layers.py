@@ -25,6 +25,7 @@ from conftest import make_graph_disk, two_height_graph
 
 G = integers()
 V = OrientedPlane(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+LINE = OrientedPlane(np.array([[1.0, 0.0]]))
 
 
 def test_single_tilted_layer_recovered():
@@ -32,25 +33,24 @@ def test_single_tilted_layer_recovered():
     T = make_graph_disk(32, lambda p: L * p[0], R=1.3)
     d = decompose_layers(T, V)
     assert d.g0.value == 1
-    for ly in d.layers:
-        assert_allclose(ly.A, [[L, 0.0]], atol=1e-12)
-        assert_allclose(ly.b, [0.0], atol=1e-12)
+    assert_allclose(d.A, np.broadcast_to([[L, 0.0]], d.A.shape), atol=1e-12)
+    assert_allclose(d.b, np.zeros(d.b.shape), atol=1e-12)
 
 
 def test_two_stacked_disks_sum_coefficient():
     T = make_graph_disk(24, lambda p: 0.0, R=1.3) + make_graph_disk(24, lambda p: 0.4, R=1.3)
     d = decompose_layers(T, V)
     assert d.g0.value == 2
-    assert len(d.layers) == 48
+    assert len(d.domains) == 48
 
 
 def test_rebuild_round_trip():
     # graph vertices reconstructed from the recovered affine maps
     T = make_graph_disk(16, lambda p: 0.1 * p[0] - 0.05 * p[1] + 0.02, R=1.3)
     d = decompose_layers(T, V)
-    for (simplex, _), ly in zip(T.terms, d.layers):
-        for vert, dom in zip(simplex.vertices, ly.domain):
-            rebuilt = V.embed(dom) + ly.height(dom) @ d.perp
+    for (simplex, _), domain, A, b in zip(T.terms, d.domains, d.A, d.b):
+        for vert, dom in zip(simplex.vertices, domain):
+            rebuilt = V.embed(dom) + (A @ dom + b) @ d.perp
             assert np.linalg.norm(rebuilt - vert) <= 1e-10
 
 
@@ -202,6 +202,30 @@ def test_multiplicity_two_layer_patch():
     assert not rep.hypotheses_ok or rep.int_count <= rep.bound_count
 
 
+def test_multiplicity_three_coincident_fans():
+    # three sheets over the whole disk: every pair and every triple covers
+    # it, so the truncation residual is the full triple term pi
+    T = sum((make_graph_disk(16, lambda p, h=h: h, R=1.3) for h in (0.2, 0.4)),
+            make_graph_disk(16, lambda p: 0.0, R=1.3))
+    d = decompose_layers(T, V)
+    assert d.g0.value == 3
+    rep = multiplicity_stats(d, eps_mass=10.0)
+    assert rep.e2_measure == pytest.approx(math.pi, rel=1e-12)
+    assert rep.int_count == pytest.approx(3 * math.pi, rel=1e-12)
+    assert rep.int_coeff_norm == pytest.approx(3 * math.pi, rel=1e-12)
+    assert rep.truncation_residual == pytest.approx(math.pi, rel=1e-12)
+
+
+def test_multiplicity_two_lines():
+    # m = 1: two segments over [-1.3, 1.3] overlap on the whole interval
+    one = NormedCoefficient(G, 1)
+    T = PolyChain(2, 1, G, [(Simplex(np.array([[-1.3, h], [1.3, h]])), one) for h in (0.0, 0.2)])
+    d = decompose_layers(T, LINE)
+    assert d.g0.value == 2
+    rep = multiplicity_stats(d, eps_mass=10.0)
+    assert (rep.e2_measure, rep.int_count, rep.int_coeff_norm, rep.truncation_residual) == (2.0, 4.0, 4.0, 0.0)
+
+
 def test_height_sup_examples():
     flat = decompose_layers(make_graph_disk(32, lambda p: 0.0, R=1.3), V)
     assert height_sup(make_graph_disk(32, lambda p: 0.0, R=1.3), V, 1.0) <= 1e-12
@@ -221,8 +245,6 @@ def test_height_sup_harmonic_cone():
     h = height_sup(P, V, radius=1.0)
     assert 0.095 <= h <= 0.105
 
-
-LINE = OrientedPlane(np.array([[1.0, 0.0]]))
 
 
 def kinked_line() -> PolyChain:
