@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import PolyChain, _clip_polygons, _region_sups, boundary, merge_terms
+from .chains import PolyChain, _clip_polygons, _dist_to_simplices, _region_sups, boundary, merge_terms
 from .groups import NormedCoefficient, group_add, group_norm, zero
 from .planes import OrientedPlane
 from .quadrature import _rowdot, disk_polygon_areas
@@ -108,19 +108,13 @@ def boundary_clearance(chain: PolyChain, base: OrientedPlane) -> float:
 
     The faces of ``boundary(chain)`` (already merged on the snap grid) are
     projected into base coordinates and merged again, so faces whose
-    projections cancel drop out.  The distance is exact: point to segment
-    for m = 2, ``|x|`` for m = 1, and ``inf`` when no boundary is left."""
+    projections cancel drop out.  The distance to what is left is exact
+    (:func:`gmtepi.chains._dist_to_simplices`: segments for m = 2, points
+    for m = 1), and ``inf`` when no boundary is left."""
     bd = boundary(chain)
     m = chain.m
     faces = merge_terms(PolyChain(m, m - 1, chain.group, verts=bd.verts @ base.frame.T, payload=bd.payload))
-    if faces.is_zero:
-        return math.inf
-    if m == 1:
-        return float(np.min(np.abs(faces.verts[:, 0, 0])))
-    p = faces.verts[:, 0]
-    e = faces.verts[:, 1] - p
-    t = np.clip(-np.sum(p * e, axis=1) / np.sum(e * e, axis=1), 0.0, 1.0)
-    return float(np.min(np.linalg.norm(p + t[:, None] * e, axis=1)))
+    return float(_dist_to_simplices(faces.verts, np.zeros(m))[0])
 
 
 def _stalk_coefficient(decomp: LayerDecomposition, radius: float) -> NormedCoefficient:

@@ -276,17 +276,55 @@ def _cell_betas(
     ``planes[c]``, from its exact moments and the simplices ``va`` near
     it (row ``t`` near ball ``cells[t]``, nondecreasing)."""
     perps = np.linalg.svd(np.stack([p.frame for p in planes]))[2][:, planes[0].m :]
-    q = va - xs[cells][:, None, :]
-    sups = np.zeros(len(xs))
-    if len(va):
-        h = _per_cell(np.matmul, q, cells, np.swapaxes(perps, 1, 2))
-        np.maximum.at(sups, cells, _region_sups(q, h, rs[cells]))
+    sups = _ball_sups(va, cells, xs, rs, xs, perps)
     out = []
     for bm, perpf, r, sup, plane in zip(moments, perps, rs.tolist(), sups.tolist(), planes):
         # perp-block contraction avoids the trace-difference cancellation
         beta2_sq = float(np.einsum("ki,ij,kj->", perpf, bm.s2, perpf)) / r ** (m + 2)
         out.append(BetaRecord(math.sqrt(max(beta2_sq, 0.0)), sup / r, plane))
     return out
+
+
+def _centred_betas(
+    va: np.ndarray, cells: np.ndarray, xs: np.ndarray, rs: np.ndarray, moments: list[BallMoments], m: int
+) -> list[float | None]:
+    """``beta_inf`` of each ball of :func:`_cell_betas` about the centroid of
+    its measure, against the top-m plane of its centred second-moment form:
+    the exact sup of the distance to that plane over the support in the
+    ball, over the radius.  None for a ball of zero mass."""
+    live = [c for c, bm in enumerate(moments) if bm.s0 > 0]
+    out: list[float | None] = [None] * len(xs)
+    if not live:
+        return out
+    bms = [moments[c] for c in live]
+    centroids = np.array([xs[c] + bm.s1 / bm.s0 for c, bm in zip(live, bms)])
+    covs = np.stack([bm.s2 - np.outer(bm.s1, bm.s1) / bm.s0 for bm in bms])
+    # eigh sorts ascending: the first n - m eigenvectors span the complement
+    # of the top-m plane
+    vecs = np.linalg.eigh(0.5 * (covs + np.swapaxes(covs, 1, 2)))[1]
+    perps = np.swapaxes(vecs[:, :, : xs.shape[1] - m], 1, 2)
+    at = np.full(len(xs), -1)
+    at[live] = np.arange(len(live))
+    rows = at[cells] >= 0
+    sups = _ball_sups(va[rows], at[cells[rows]], xs[live], rs[live], centroids, perps)
+    for c, sup in zip(live, sups.tolist()):
+        out[c] = sup / float(rs[c])
+    return out
+
+
+def _ball_sups(
+    va: np.ndarray, cells: np.ndarray, xs: np.ndarray, rs: np.ndarray, anchors: np.ndarray, perps: np.ndarray
+) -> np.ndarray:
+    """The exact sup of ``|(v - anchors[c]) @ perps[c].T|`` over the support
+    of the simplices ``va`` in each ball ``B(xs[c], rs[c])`` (row ``t`` near
+    ball ``cells[t]``, nondecreasing), by
+    :func:`gmtepi.chains._region_sups`; 0 for a ball no row reaches."""
+    sups = np.zeros(len(xs))
+    if len(va):
+        q = va - xs[cells][:, None, :]
+        h = _per_cell(np.matmul, va - anchors[cells][:, None, :], cells, np.swapaxes(perps, 1, 2))
+        np.maximum.at(sups, cells, _region_sups(q, h, rs[cells]))
+    return sups
 
 
 def _per_cell(op, a: np.ndarray, cells: np.ndarray, mats: np.ndarray) -> np.ndarray:

@@ -441,23 +441,12 @@ def _weighted_moments(w: np.ndarray, rows, n: int) -> BallMoments:
     return BallMoments(float(w @ s0), w @ s1, np.einsum("t,tij->ij", w, s2), float(w @ t2), w @ u3, float(w @ t4))
 
 
-def batch_ball_moments(
-    vertices: np.ndarray, center, radius: float, weights: np.ndarray
-) -> BallMoments:
-    """``sum_t weights[t]`` times the exact :class:`BallMoments` of simplex
-    ``t`` of the stack ``(T, m+1, n)``, m in (1, 2), in array passes."""
-    vertices = np.asarray(vertices, dtype=float)
-    n = vertices.shape[2]
-    if not len(vertices):
-        return BallMoments.zero(n)
-    hit, rows = _moment_rows(vertices, np.asarray(center, dtype=float), radius)
-    return _weighted_moments(np.asarray(weights, dtype=float)[hit], rows, n)
-
-
 def cell_ball_moments(
     vertices: np.ndarray, centers: np.ndarray, radii: np.ndarray, weights: np.ndarray, cells: np.ndarray, count: int
 ) -> list[BallMoments]:
-    """:func:`batch_ball_moments` of ``count`` balls in one array pass.
+    """``sum_t weights[t]`` times the exact :class:`BallMoments` of simplex
+    ``t`` of the stack ``(T, m+1, n)``, m in (1, 2), for each of ``count``
+    balls in one array pass.
 
     Row ``t`` of the stack belongs to ball ``cells[t]`` (nondecreasing),
     whose centre and radius are ``centers[cells[t]]`` and
@@ -476,6 +465,15 @@ def cell_ball_moments(
         part = slice(bounds[c], bounds[c + 1])
         out[c] = _weighted_moments(w[part], [a[part] for a in rows], n)
     return out
+
+
+def batch_ball_moments(
+    vertices: np.ndarray, center, radius: float, weights: np.ndarray
+) -> BallMoments:
+    """:func:`cell_ball_moments` of the one ball ``B(center, radius)``."""
+    vertices = np.asarray(vertices, dtype=float)
+    centers, radii = np.asarray(center, dtype=float)[None], np.array([radius], dtype=float)
+    return cell_ball_moments(vertices, centers, radii, weights, np.zeros(len(vertices), dtype=np.int64), 1)[0]
 
 
 def simplex_ball_moments(

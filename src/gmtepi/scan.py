@@ -20,9 +20,9 @@ import numpy as np
 
 from .chains import PolyChain, _dist_to_simplices
 from .mono import alpha_m, alpha0_exponent, lambda_epi
-from .moments import AmbiguousPlaneError, _cell_betas, _plane_from_eigensystem
-from .planes import OrientedPlane, _plane_grid, _sample_to_plane, plane_distance
-from .quadrature import BallMoments, _rowdot, cell_ball_moments
+from .moments import AmbiguousPlaneError, _cell_betas, _centred_betas, _plane_from_eigensystem, beta_numbers
+from .planes import OrientedPlane, _plane_grid, plane_distance
+from .quadrature import _rowdot, cell_ball_moments
 
 __all__ = [
     "Frame",
@@ -180,7 +180,8 @@ def find_frame(
     the current reference plane, invert the radial projection along the
     support (the nearest fiber point at distance ``s``), replace one plane
     direction by the found one, orthogonalize, repeat m times.  Requires
-    ``beta_inf`` at the working scale below ``rho <= 1/(25 sqrt(m))``.
+    ``beta_inf`` at the working scale below ``rho <= 1/(25 sqrt(m))``;
+    without one, the exact ``beta_numbers(chain, x, scale, plane)`` value.
     """
     m = plane.m
     x = np.asarray(x, dtype=float)
@@ -191,8 +192,7 @@ def find_frame(
         raise ValueError(f"need s in (2 rho' scale, scale] = ({2 * rho_p * scale:.3g}, {scale:.3g}]")
     near = chain.verts[chain.near_ball(x, scale)]
     if beta_inf is None:
-        sup = support_sample(chain, x, scale, spacing=scale / 64)
-        beta_inf = float(np.max(plane.perp_norms(sup - x))) / scale if len(sup) else 0.0
+        beta_inf = beta_numbers(chain, x, scale, plane).beta_inf
     _frame_gate(beta_inf, rho)
     dirs = _frame_directions(near, x, s, plane)
     gram = dirs @ dirs.T
@@ -210,28 +210,12 @@ def support_sample(chain: PolyChain, x, r: float, spacing: float) -> np.ndarray:
     window's area at the target spacing so that thin triangles do not
     oversample.  Nodes come simplex by simplex in term order, grid rows
     in order.  Only the nodes of each row near its chord through the ball
-    are built and measured.
+    are built and measured, about ``_SAMPLE_CHUNK`` at a time.
     """
     x = np.asarray(x, dtype=float)
     near = chain.near_ball(x, r)
-    cells = np.zeros(len(near), dtype=np.int64)
-    return _support_nodes(chain, near, cells, x[None], np.array([r]), np.array([spacing]))[0]
-
-
-def _support_nodes(
-    chain: PolyChain, near: np.ndarray, cells: np.ndarray, xs: np.ndarray, rs: np.ndarray, spacings: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`support_sample` of every ball ``B(xs[c], rs[c])`` at
-    ``spacings[c]`` in one pass: term ``near[t]`` may meet ball
-    ``cells[t]`` (nondecreasing).  Returns the nodes, ball by ball, and the
-    node count of each ball.  Every node is computed from its own row, so each
-    ball's nodes are the floats its one-ball call returns."""
-    counts = np.zeros(len(xs), dtype=np.int64)
     if not len(near):
-        return np.zeros((0, chain.n)), counts
-    # the centre's norm as the one-ball call rounds it, one dot per ball
-    x_norm = np.array([np.linalg.norm(x) for x in xs])[cells]
-    x, r, spacing = xs[cells], rs[cells], spacings[cells]
+        return np.zeros((0, chain.n))
     v = chain.verts[near]
     diam = chain.diameters()[near]
     v0 = v[:, 0]
@@ -239,7 +223,7 @@ def _support_nodes(
     e1_sq = _rowdot(e1, e1)
     # the coordinate size that the rounding of a node and its distance
     # scales with
-    scale = r + np.linalg.norm(v0, axis=1) + x_norm + np.sqrt(e1_sq)
+    scale = r + np.linalg.norm(v0, axis=1) + np.linalg.norm(x) + np.sqrt(e1_sq)
     if chain.m == 1:
         den = np.maximum(e1_sq, 1e-300)
         t0 = _rowdot(x - v0, e1) / den
@@ -281,7 +265,7 @@ def _support_nodes(
     # the ball: its chord, widened far beyond the rounding of the nodes
     ee = e1_sq[row]
     foot = -_rowdot(base, e1[row]) / ee
-    chord2 = (r * r)[row] - (_rowdot(base, base) - foot * foot * ee) + 1e-9 * scale[row] ** 2
+    chord2 = r * r - (_rowdot(base, base) - foot * foot * ee) + 1e-9 * scale[row] ** 2
     chord = np.sqrt(np.maximum(chord2, 0.0) / ee)
     hi_a = foot + chord
     if chain.m == 2:
@@ -291,7 +275,7 @@ def _support_nodes(
     j_hi = np.clip(np.ceil((hi_a - a_lo[row]) / span * steps) + 1, -1, steps).astype(np.int64)
     count = np.where(chord2 >= 0, np.maximum(j_hi - j_lo + 1, 0), 0)
     start = np.cumsum(count) - count
-    pts = []
+    pts = [np.zeros((0, chain.n))]
     for rows in np.split(np.arange(len(row)), np.flatnonzero(np.diff(start // _SAMPLE_CHUNK)) + 1):
         rows = rows[count[rows] > 0]
         if not len(rows):
@@ -306,15 +290,8 @@ def _support_nodes(
             keep = a + b <= 1.0 + 1e-12
             t = t[keep]
             p = p[keep] + b[keep, None] * e2[t]
-        # ball by ball, with no per-node copy of the centres
-        bounds = np.searchsorted(cells[t], np.arange(len(xs) + 1))
-        for c in np.flatnonzero(np.diff(bounds)):
-            part = p[bounds[c] : bounds[c + 1]]
-            pts.append(part[np.linalg.norm(part - xs[c], axis=1) <= rs[c]])
-            counts[c] += len(pts[-1])
-    if not pts:
-        return np.zeros((0, chain.n)), counts
-    return np.vstack(pts), counts
+        pts.append(p[np.linalg.norm(p - x, axis=1) <= r])
+    return np.vstack(pts)
 
 
 def _window_centre(e: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -391,8 +368,10 @@ def multiscale_scan(
     distance, the density ratio, the frame-found flag with the reason when
     it is false, and cross-scale plane coherence against the two-scale
     bound with the measured eta.  Each cell takes its density, plane,
-    ``beta_2`` and centred form from one exact moment pass over its ball.
-    An empty chain raises ``ValueError``.
+    ``beta_2`` and centred form from one exact moment pass over its ball,
+    and both ``beta_inf`` values and the support-to-plane half of the
+    Hausdorff distance from the exact sup kernel; the plane-to-support half
+    is measured on a polar grid.  An empty chain raises ``ValueError``.
 
     All (point, scale) cells of a call go through each stage in stacked
     passes, and each point culls the chain once to the terms within
@@ -421,9 +400,8 @@ def multiscale_scan(
 
 def _scan_cells(chain: PolyChain, points: np.ndarray, r0: float, depth: int) -> list[ScanCell]:
     """The cells of every point, point by point and scale by scale.  Each
-    stage runs over all of them in stacked passes: the moment and sup passes
-    in runs of at most ``_STACK_ROWS`` near simplices, the samples in runs of
-    about ``_SAMPLE_CHUNK`` expected nodes."""
+    stage runs over all of them in stacked passes, the moment and sup passes
+    in runs of at most ``_STACK_ROWS`` near simplices."""
     m = chain.m
     va = chain.vertex_array()
     radii = [r0 * 2.0**-k for k in range(depth + 1)]
@@ -457,16 +435,18 @@ def _scan_cells(chain: PolyChain, points: np.ndarray, r0: float, depth: int) -> 
     if not good:
         return [out[c] for c in range(len(cells))]
     xs, rs, moments, near = xs[good], rs[good], [moments[c] for c in good], [near[c] for c in good]
-    betas = []
+    betas, centred = [], []
     for part in _runs([len(t) for t in near], _STACK_ROWS):
         rows, owner = _stacked(near[part])
         betas += _cell_betas(va[rows], owner, xs[part], rs[part], moments[part], planes[part], m)
-    spacings = rs / 48
+        centred += _centred_betas(va[rows], owner, xs[part], rs[part], moments[part], m)
     d2 = _grid_distances(chain, cull, xs, rs, planes)
-    d1, centred = _sample_stats(chain, near, xs, rs, spacings, planes, moments)
     for g, c in enumerate(good):
         r, br, x = float(rs[g]), betas[g], xs[g]
-        dh = r if d1[g] is None else max(d1[g], d2[g])
+        # the plane ball's point nearest a support point y in B(x, r) is
+        # x + pi(y - x), so the support-to-plane half is the sup beta_inf r;
+        # a cell of zero mass counts as maximally far
+        dh = max(br.beta_inf * r, d2[g]) if moments[g].s0 > 0 else r
         # find_frame at s = 0.9 r: its scale conditions hold for every
         # rho <= 1/(25 sqrt(m)), so only the gate and the fiber search can fail
         reason = ""
@@ -528,55 +508,6 @@ def _grid_distances(
     grids = [x + plane.embed(_plane_grid(r, plane.m, 24)) for x, r, plane in zip(xs, rs.tolist(), planes)]
     starts = np.cumsum([0] + [len(g) for g in grids[:-1]])
     return np.maximum.reduceat(_dist_to_support(chain, np.vstack(grids), cull), starts).tolist()
-
-
-def _sample_stats(
-    chain: PolyChain,
-    near: list[np.ndarray],
-    xs: np.ndarray,
-    rs: np.ndarray,
-    spacings: np.ndarray,
-    planes: list[OrientedPlane],
-    moments: list[BallMoments],
-) -> tuple[list[float | None], list[float | None]]:
-    """From each cell's support sample: the distance from the sample to the
-    plane ball, and ``beta_inf`` about the centroid against the top-m plane
-    of the centred form; None for an empty sample and for a cell of zero
-    mass.
-
-    The cells are sampled in groups of an expected ``_SAMPLE_CHUNK`` nodes
-    (about 4 per spacing^m of mass), and each group's sample dies once it
-    is measured.
-    """
-    m = chain.m
-    count = len(xs)
-    d1: list[float | None] = [None] * count
-    centred: list[float | None] = [None] * count
-    live = [c for c, bm in enumerate(moments) if bm.s0 > 0]
-    spans = {}
-    if live:
-        covs = []
-        for c in live:
-            bm = moments[c]
-            cov = bm.s2 - np.outer(bm.s1, bm.s1) / bm.s0
-            covs.append(0.5 * (cov + cov.T))
-        w, vecs = np.linalg.eigh(np.stack(covs))
-        order = np.argsort(w, axis=1)[:, ::-1]
-        spans = {c: vecs[i][:, order[i, :m]].T for i, c in enumerate(live)}
-    expected = [4.0 * bm.s0 / sp**m for bm, sp in zip(moments, spacings.tolist())]
-    for part in _runs(expected, _SAMPLE_CHUNK):
-        rows, owner = _stacked(near[part])
-        sample, sizes = _support_nodes(chain, rows, owner, xs[part], rs[part], spacings[part])
-        for c, sup in zip(range(part.start, part.stop), np.split(sample, np.cumsum(sizes)[:-1])):
-            if not len(sup):
-                continue
-            r = float(rs[c])
-            d1[c] = _sample_to_plane(sup, xs[c], r, planes[c])
-            if c in spans:
-                centroid = xs[c] + moments[c].s1 / moments[c].s0
-                cplane = OrientedPlane.from_span(spans[c])
-                centred[c] = float(np.max(cplane.perp_norms(sup - centroid))) / r
-    return d1, centred
 
 
 @dataclass

@@ -1,7 +1,8 @@
 """Per-simplex, per-point reference implementations of the exact ball
-integrals, the beta_inf sup scan, the point-to-support distance, the
-support sample and the per-bin fiber check of the scanner, the
-layer-constancy check, the recursive half-space clipper of a simplex,
+integrals, the beta_inf sup scan (also about the centroid), the
+point-to-support distance, the plane-ball grid distance, the support
+sample and the per-bin fiber check of the scanner, the layer-constancy
+check, the recursive half-space clipper of a simplex,
 the polygon-cylinder clipping and the full-clip zone excess of the
 comparison pipeline, the one-polygon convex clipper,
 the bisection boundary trace, the cone height sup, the 2^16-sample
@@ -26,6 +27,7 @@ import numpy as np
 
 from gmtepi.chains import DEGENERATE_GRAM, SNAP, Simplex
 from gmtepi.groups import group_add, group_neg
+from gmtepi.planes import OrientedPlane
 from gmtepi.quadrature import BallMoments
 
 _GAUSS3_NODES = np.array(
@@ -304,10 +306,14 @@ def _inside_triangle(dom: np.ndarray, p: np.ndarray, tol: float = 1e-12) -> bool
     return bool(lam[0] >= -tol and lam[1] >= -tol and 1 - lam.sum() >= -tol)
 
 
-def sup_perp_in_ball(chain, x, r, plane) -> tuple[float, float]:
-    """The beta_inf sup scan and its angular floor, simplex by simplex."""
+def sup_perp_in_ball(chain, x, r, plane, anchor=None) -> tuple[float, float]:
+    """The beta_inf sup scan and its angular floor, simplex by simplex: the
+    largest distance from the support in B(x, r) to the plane through
+    ``anchor`` (default x)."""
     perp = plane.perp_frame()
     codim = perp.shape[0]
+    anchor = x if anchor is None else anchor
+    shift = perp @ (x - anchor)
     best = 0.0
     floor = 0.0
     for simplex, _ in chain.terms:
@@ -321,7 +327,7 @@ def sup_perp_in_ball(chain, x, r, plane) -> tuple[float, float]:
             continue
         for i in range(len(v)):
             if d[i] <= r + 1e-12:
-                best = max(best, float(np.linalg.norm(perp @ (v[i] - x))))
+                best = max(best, float(np.linalg.norm(perp @ (v[i] - anchor))))
         for i in range(len(v)):
             for j in range(i + 1, len(v)):
                 p, q = v[i] - x, v[j] - x
@@ -337,7 +343,7 @@ def sup_perp_in_ball(chain, x, r, plane) -> tuple[float, float]:
                 for sgn in (-1.0, 1.0):
                     t = (-bb + sgn * math.sqrt(disc)) / (2 * aa)
                     if -1e-12 <= t <= 1 + 1e-12:
-                        best = max(best, float(np.linalg.norm(perp @ (p + t * dd))))
+                        best = max(best, float(np.linalg.norm(perp @ (p + t * dd) + shift)))
         if m == 2:
             edges = (v[1:] - v[0]).T
             q_, _ = np.linalg.qr(edges)
@@ -360,7 +366,7 @@ def sup_perp_in_ball(chain, x, r, plane) -> tuple[float, float]:
                 ang = 2 * math.pi * np.arange(64) / 64
                 cands = [foot2 + rho * np.array([math.cos(a), math.sin(a)]) for a in ang]
                 exact = False
-            base_perp = perp @ (v[0] - x)
+            base_perp = perp @ (v[0] - anchor)
             for c2 in cands:
                 if _inside_triangle(dom, c2):
                     y_rel = base_perp + (perp @ E.T) @ c2
@@ -368,6 +374,17 @@ def sup_perp_in_ball(chain, x, r, plane) -> tuple[float, float]:
             if not exact and rho > 0:
                 floor = max(floor, rho * (math.pi / 64) ** 2)
     return best, floor
+
+
+def centred_sup_in_ball(chain, x, r) -> tuple[float, float]:
+    """:func:`sup_perp_in_ball` anchored at the centroid of the measure in
+    B(x, r), against the top-m plane of its centred second-moment form."""
+    bm = chain_ball_moments(chain, x, r)
+    centroid = x + bm.s1 / bm.s0
+    cov = bm.s2 - np.outer(bm.s1, bm.s1) / bm.s0
+    w, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
+    top = vecs[:, np.argsort(w)[::-1][: chain.m]].T
+    return sup_perp_in_ball(chain, x, r, OrientedPlane.from_span(top), anchor=centroid)
 
 
 #: Points of each cut circle in the sampled sups.
@@ -580,15 +597,9 @@ def fiber_split(bins: np.ndarray, heights: np.ndarray, gap: float) -> bool:
     return False
 
 
-def hausdorff_chain_plane(chain, sup, x, r, plane, grid: int = 24) -> float:
-    """Two-sided Hausdorff distance, one grid point at a time."""
-    if len(sup) == 0:
-        return r
-    rel = sup - x
-    inplane = plane.project_coords(rel)
-    norms = np.linalg.norm(inplane, axis=1, keepdims=True)
-    clamped = inplane / np.maximum(norms / r, 1.0)
-    d1 = float(np.max(np.linalg.norm(rel - plane.embed(clamped), axis=1)))
+def plane_ball_to_support(chain, x, r, plane, grid: int = 24) -> float:
+    """The largest distance from the polar grid on the plane ball to the
+    support, one grid point at a time."""
     if plane.m == 1:
         coords = np.linspace(-r, r, 2 * grid + 1)[:, None]
     else:
@@ -602,7 +613,7 @@ def hausdorff_chain_plane(chain, sup, x, r, plane, grid: int = 24) -> float:
     d2 = 0.0
     for c in coords:
         d2 = max(d2, dist_to_support(chain, x + plane.embed(c)))
-    return max(d1, d2)
+    return d2
 
 
 # -- comparison-surface pipeline: the loop constancy check and the clipping

@@ -11,6 +11,7 @@ from gmtepi.chains import ball_mass, pushforward_linear
 from gmtepi.generators import cone_harmonic, flat_disk, two_sheet_cantor
 from gmtepi.moments import chain_ball_moments
 from gmtepi.mono import DensityProfile, alpha_m
+from gmtepi.planes import _plane_grid
 from gmtepi.quadrature import (
     disk_polygon_area,
     disk_polygon_monomials,
@@ -18,7 +19,7 @@ from gmtepi.quadrature import (
     simplex_ball_moments,
     trig_monomial_integral,
 )
-from gmtepi.scan import _dist_to_support, multiscale_scan, support_sample
+from gmtepi.scan import _dist_to_support, multiscale_scan
 
 REL = 1e-12
 # The Green's-theorem split sums signed pieces of size ~ r^m, so both
@@ -154,9 +155,13 @@ def test_sup_and_hausdorff_match_the_oracle_on_scan_cells(index):
         # in codimension one
         want_sup, floor = oracle.sup_perp_in_ball(chain, x, r, cell.plane)
         assert want_sup - REL * r <= cell.beta_inf * r <= want_sup + floor + REL * r
-        sample = support_sample(chain, x, r, r / 48)
-        want_dh = oracle.hausdorff_chain_plane(chain, sample, x, r, cell.plane, grid=24)
-        assert abs(cell.hausdorff - want_dh) <= REL * r
+        want_sup, floor = oracle.centred_sup_in_ball(chain, x, r)
+        assert want_sup - REL * r <= cell.beta_inf_centered * r <= want_sup + floor + REL * r
+        # the support half of the Hausdorff distance is the exact sup, the
+        # plane half the largest distance from the plane ball's polar grid
+        grid_half = float(np.max(_dist_to_support(chain, x + cell.plane.embed(_plane_grid(r, chain.m, 24)))))
+        assert cell.hausdorff == max(cell.beta_inf * r, grid_half)
+        assert abs(grid_half - oracle.plane_ball_to_support(chain, x, r, cell.plane, grid=24)) <= REL * r
         grid = x + rng.normal(size=(50, chain.n)) * r
         want = [oracle.dist_to_support(chain, p) for p in grid]
         assert np.max(np.abs(_dist_to_support(chain, grid) - want)) <= REL * r

@@ -13,6 +13,7 @@ from gmtepi.generators import (
     two_sheet_cantor,
 )
 from gmtepi.groups import integers
+from gmtepi.moments import beta_numbers
 from gmtepi.mono import alpha0_exponent, lambda_epi
 from gmtepi.planes import OrientedPlane, plane_distance
 from gmtepi.scan import (
@@ -41,6 +42,16 @@ def test_find_frame_wavy_cone():
     fr = find_frame(P, np.zeros(3), 0.5, V, rho=1 / (25 * math.sqrt(2)), scale=0.95)
     assert fr.orthogonality_defect <= 0.05
     assert fr.support_distance <= 1e-8  # fiber points are found exactly
+
+
+def test_find_frame_gate_reads_the_exact_beta_inf():
+    # the exact beta_inf at scale 0.95 is 0.019996, just below the
+    # amplitude 0.02; a support sample at scale/64 reads 0.019421, so
+    # rho = 0.0198 tells the two apart
+    P, _ = cone_harmonic(2, 0.02, 128)
+    assert beta_numbers(P, np.zeros(3), 0.95, V).beta_inf == pytest.approx(0.019996, abs=1e-6)
+    with pytest.raises(ValueError, match="not below rho"):
+        find_frame(P, np.zeros(3), 0.5, V, rho=0.0198, scale=0.95)
 
 
 def test_find_frame_rho_gate():
@@ -81,8 +92,8 @@ def test_scan_beta_inf_vs_hausdorff():
     rep = multiscale_scan(P, [x], r0=0.15, depth=2)
     for k in range(3):
         c = rep.cell(0, k)
-        sampling = c.radius / 48  # support sample spacing of the scan
-        assert c.beta_inf <= c.hausdorff / c.radius + sampling / c.radius
+        # the support-to-plane half of the Hausdorff distance is beta_inf r
+        assert c.beta_inf <= c.hausdorff / c.radius
 
 
 def test_scan_rigid_motion_equivariance():

@@ -35,6 +35,7 @@ def _measured(cell):
         "density_ratio": cell.density_ratio,
         "beta2_sq": cell.beta2**2,
         "beta_inf": cell.beta_inf,
+        "beta_inf_centered": cell.beta_inf_centered,
         "eta": cell.eta,
     }
 
@@ -68,8 +69,9 @@ def test_scan_cell_survives_an_isometric_embedding(where, seed):
     base, moved = _measured(cell3), _measured(cell5)
     for name in ("density_ratio", "beta2_sq"):
         assert abs(moved[name] - base[name]) <= TOL, name
-    # beta_inf is an exact sup in both codimensions
-    assert abs(moved["beta_inf"] - base["beta_inf"]) <= TOL
+    # both beta_inf values are exact sups in both codimensions
+    for name in ("beta_inf", "beta_inf_centered"):
+        assert abs(moved[name] - base[name]) <= TOL, name
     # eta is not compared: its plane-to-support half is sampled on a polar
     # grid laid out in the selected frame, whose orientation follows a
     # coordinate sign rule rather than the geometry, so a general isometry
