@@ -607,7 +607,7 @@ def _arc_sups(q: np.ndarray, h: np.ndarray, r2: np.ndarray) -> np.ndarray:
     return out
 
 
-#: Largest (points x simplices x n) temporary of the batched distance pass.
+#: Most (point, simplex) pairs that one pass of the distance kernel measures.
 _DIST_CHUNK = 1 << 14
 #: Most query points in one spatial chunk of the pruned distance pass.
 _PRUNE_POINTS = 32
@@ -634,72 +634,118 @@ def _dist_to_simplices(va: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Exact distances from points (P, n) to the union of the simplices
     ``va`` (T, m+1, n), m <= 2; a point cloud is a stack of 0-simplices.
 
-    Each compact chunk of points (centre c, radius rho) measures only the
+    Each compact chunk of points (centre c, radius rho) keeps the
     simplices with d(c, t) <= min_t d(c, t) + 2 rho, plus a rounding
-    slack; this is exact, since for q in the chunk a dropped t has
-    d(q, t) >= d(c, t) - rho > d_min + rho >= d(q, t*), so the minimum
-    over the kept simplices is the float the unpruned pass returns.
+    slack.  A point q of the chunk is first measured against the seed s_c,
+    the simplex nearest c, which gives u(q) = d(q, s_c) >= d(q), and then
+    only against the kept t with d(c, t) - |q - c| <= u(q) + slack.  Its
+    nearest simplex t* passes both rules, since d(c, t*) <= d(q) + |q - c|
+    and d(q) <= d(c, s_c) + |q - c|.  Each point-simplex distance is
+    computed on its own, so the minimum over the measured simplices is the
+    float the unpruned pass returns.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if len(va) == 0:
         return np.full(len(points), np.inf)
+    if len(points) <= 1:
+        # a lone point is its chunk's centre, and the centre pass measures it
+        return np.min(_pair_dists(va, points), axis=1, initial=np.inf)
     chunks = _point_chunks(points)
     centres = np.array([0.5 * (points[i].min(axis=0) + points[i].max(axis=0)) for i in chunks])
-    rho = np.array([np.max(np.linalg.norm(points[i] - c, axis=1)) for i, c in zip(chunks, centres)])
+    order = np.concatenate(chunks)  # the points chunk by chunk
+    sizes = np.array([len(i) for i in chunks])
+    owner = np.repeat(np.arange(len(chunks)), sizes)
+    off = np.linalg.norm(points[order] - centres[owner], axis=1)
+    rho = np.maximum.reduceat(off, np.cumsum(sizes) - sizes)
     # far above the rounding of a computed distance, which scales with the
     # coordinates
     slack = 1e-9 * max(float(np.max(np.abs(va))), float(np.max(np.abs(points))))
-    out = np.empty(len(points))
-    step = max(1, _DIST_CHUNK // va[:, 0].size)
+    # the centre pass: each chunk's seed and its kept simplices (chunk by
+    # chunk, in term order) with their distances to the centre
+    seed = np.empty(len(chunks), dtype=np.int64)
+    kept = []
+    step = max(1, _DIST_CHUNK // len(va))
     for lo in range(0, len(chunks), step):
         dc = _pair_dists(va, centres[lo : lo + step])
-        for idx, row, rh in zip(chunks[lo : lo + step], dc, rho[lo : lo + step]):
-            out[idx] = _min_dists(va[row <= row.min() + 2 * rh + slack], points[idx])
+        seed[lo : lo + step] = np.argmin(dc, axis=1)
+        k, t = np.nonzero(dc <= np.min(dc, axis=1, keepdims=True) + 2 * rho[lo : lo + step, None] + slack)
+        kept.append((k + lo, t, dc[k, t]))
+    kc, kt, kd = (np.concatenate(a) for a in zip(*kept))
+    nkept = np.bincount(kc, minlength=len(chunks))
+    u = _flat_dists(va, points, order, seed[owner])
+    out = np.empty(len(points))
+    out[order] = u
+    # each point against its chunk's kept simplices, in runs of whole
+    # chunks of at most _DIST_CHUNK (point, simplex) tests
+    cut = (np.flatnonzero(np.diff(np.cumsum(sizes * nkept) // _DIST_CHUNK)) + 1).tolist()
+    first = np.r_[0, np.cumsum(sizes)]
+    kfirst = np.r_[0, np.cumsum(nkept)]
+    for lo, hi in zip([0, *cut], [*cut, len(chunks)]):
+        q = np.arange(first[lo], first[hi])  # positions in ``order``
+        per = nkept[owner[q]]
+        qi = np.repeat(q, per)
+        e = kfirst[owner[qi]] + np.arange(len(qi)) - np.repeat(np.cumsum(per) - per, per)
+        # the seed is in u already
+        meet = (kd[e] - off[qi] <= u[qi] + slack) & (kt[e] != seed[owner[qi]])
+        qi, e = qi[meet], e[meet]
+        if not len(qi):
+            continue
+        runs = np.flatnonzero(np.r_[True, qi[1:] != qi[:-1]])
+        best = np.minimum.reduceat(_flat_dists(va, points, order[qi], kt[e]), runs)
+        at = order[qi[runs]]
+        out[at] = np.minimum(out[at], best)
     return out
 
 
-def _min_dists(va: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Distances from points to the union of the simplices ``va``, with the
-    temporaries below :data:`_DIST_CHUNK` elements."""
-    step = max(1, _DIST_CHUNK // va[:, 0].size)
-    return np.concatenate(
-        [np.min(_pair_dists(va, points[lo : lo + step]), axis=1) for lo in range(0, len(points), step)]
-    )
-
-
-def _segment_dists(q0: np.ndarray, q1: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Distances (P, T) from points p (P, 1, n) to the segments [q0, q1] (T, n)."""
-    dd = q1 - q0
-    den = np.maximum(np.einsum("ij,ij->i", dd, dd), 1e-300)
-    u = np.clip(np.einsum("ptj,tj->pt", p - q0, dd) / den, 0.0, 1.0)
-    return np.linalg.norm(q0 + u[..., None] * dd - p, axis=2)
+def _flat_dists(va: np.ndarray, points: np.ndarray, pi: np.ndarray, ti: np.ndarray) -> np.ndarray:
+    """Distances (K,) from ``points[pi]`` to the simplices ``va[ti]``, in
+    passes of :data:`_DIST_CHUNK` pairs; the same floats as
+    :func:`_pair_dists` gives for each pair."""
+    parts = [slice(lo, lo + _DIST_CHUNK) for lo in range(0, len(pi), _DIST_CHUNK)]
+    return np.concatenate([_dists(va[ti[s]], points[pi[s]]) for s in parts])
 
 
 def _pair_dists(va: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Distances (P, T) from points (P, n) to the simplices ``va`` (T, m+1, n)."""
-    p = points[:, None, :]
-    if va.shape[1] == 1:
-        return np.linalg.norm(p - va[:, 0], axis=2)
-    if va.shape[1] == 2:
-        return _segment_dists(va[:, 0], va[:, 1], p)
+    return _dists(va, points[:, None, :])
+
+
+def _segment_dists(q0: np.ndarray, q1: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Distances from points p (..., n) to the segments [q0, q1] (..., n)."""
+    dd = q1 - q0
+    den = np.maximum(np.einsum("...j,...j->...", dd, dd), 1e-300)
+    u = np.clip(np.einsum("...j,...j->...", p - q0, dd) / den, 0.0, 1.0)
+    return np.linalg.norm(q0 + u[..., None] * dd - p, axis=-1)
+
+
+def _dists(va: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Distances from points p (..., n) to the simplices ``va`` (..., m+1,
+    n), broadcast against each other.  Each pair's float depends on that
+    pair alone: a block (P, 1, n) against (T, m+1, n) and a flat stack of
+    pairs give the same values."""
+    v0 = va[..., 0, :]
+    if va.shape[-2] == 1:
+        return np.linalg.norm(p - v0, axis=-1)
+    if va.shape[-2] == 2:
+        return _segment_dists(v0, va[..., 1, :], p)
     # point-triangle distance: the interior foot where the barycentric
     # solve lands inside, else the nearest of the three edges
-    e1 = va[:, 1] - va[:, 0]
-    e2 = va[:, 2] - va[:, 0]
-    w = p - va[:, 0]
-    a = np.einsum("ij,ij->i", e1, e1)
-    b = np.einsum("ij,ij->i", e1, e2)
-    c = np.einsum("ij,ij->i", e2, e2)
-    d1 = np.einsum("ptj,tj->pt", w, e1)
-    d2 = np.einsum("ptj,tj->pt", w, e2)
+    e1 = va[..., 1, :] - v0
+    e2 = va[..., 2, :] - v0
+    w = p - v0
+    a = np.einsum("...j,...j->...", e1, e1)
+    b = np.einsum("...j,...j->...", e1, e2)
+    c = np.einsum("...j,...j->...", e2, e2)
+    d1 = np.einsum("...j,...j->...", w, e1)
+    d2 = np.einsum("...j,...j->...", w, e2)
     det = np.maximum(a * c - b * b, 1e-300)
     sbar = (c * d1 - b * d2) / det
     tbar = (a * d2 - b * d1) / det
     inside = (sbar >= 0) & (tbar >= 0) & (sbar + tbar <= 1)
-    foot = va[:, 0] + sbar[..., None] * e1 + tbar[..., None] * e2
-    best = np.where(inside, np.linalg.norm(foot - p, axis=2), np.inf)
+    foot = v0 + sbar[..., None] * e1 + tbar[..., None] * e2
+    best = np.where(inside, np.linalg.norm(foot - p, axis=-1), np.inf)
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        best = np.minimum(best, _segment_dists(va[:, i], va[:, j], p))
+        best = np.minimum(best, _segment_dists(va[..., i, :], va[..., j, :], p))
     return best
 
 

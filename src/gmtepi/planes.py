@@ -112,9 +112,18 @@ def align_in_plane_orientation(plane: OrientedPlane, reference: OrientedPlane) -
 
 def plane_distance(a: OrientedPlane, b: OrientedPlane) -> float:
     """Operator norm of the projector difference (largest singular value)."""
-    if (a.m, a.n) != (b.m, b.n):
+    return float(_plane_distances([a], [b])[0])
+
+
+def _plane_distances(a: list[OrientedPlane], b: list[OrientedPlane]) -> np.ndarray:
+    """:func:`plane_distance` of each pair ``(a[i], b[i])``, from one
+    stacked SVD; every plane shares one (m, n)."""
+    if any((p.m, p.n) != (q.m, q.n) for p, q in zip(a, b)):
         raise ValueError("planes must share m and n")
-    return float(np.linalg.norm(a.projector() - b.projector(), 2))
+    if not a:
+        return np.zeros(0)
+    diffs = np.stack([p.projector() - q.projector() for p, q in zip(a, b)])
+    return np.linalg.svd(diffs, compute_uv=False).max(axis=1)
 
 
 def hausdorff_unit_ball_distance(

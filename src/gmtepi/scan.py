@@ -21,7 +21,7 @@ import numpy as np
 from .chains import PolyChain, _dist_to_simplices
 from .mono import alpha_m, alpha0_exponent, lambda_epi
 from .moments import AmbiguousPlaneError, _cell_betas, _centred_betas, _plane_from_eigensystem, beta_numbers
-from .planes import OrientedPlane, _plane_grid, plane_distance
+from .planes import OrientedPlane, _plane_distances, _plane_grid
 from .quadrature import _rowdot, cell_ball_moments
 
 __all__ = [
@@ -212,7 +212,17 @@ def support_sample(chain: PolyChain, x, r: float, spacing: float) -> np.ndarray:
     in order.  Only the nodes of each row near its chord through the ball
     are built and measured, about ``_SAMPLE_CHUNK`` at a time.
     """
-    x = np.asarray(x, dtype=float)
+    return _support_nodes(chain, np.asarray(x, dtype=float), r, spacing)
+
+
+def _support_nodes(
+    chain: PolyChain, x: np.ndarray, r: float, spacing: float, box: np.ndarray | None = None
+) -> np.ndarray:
+    """The nodes of :func:`support_sample`.  With ``box``, a frame (k, n),
+    each row builds only the nodes near its part of the slab
+    ``|box (p - x)|_inf <= r/2`` as well: the lattice and the ball filter
+    stay, so these are the sample's nodes with ``|box (p - x)|_inf`` up to
+    about ``r/2``, the same floats in the same order."""
     near = chain.near_ball(x, r)
     if not len(near):
         return np.zeros((0, chain.n))
@@ -267,11 +277,22 @@ def support_sample(chain: PolyChain, x, r: float, spacing: float) -> np.ndarray:
     foot = -_rowdot(base, e1[row]) / ee
     chord2 = r * r - (_rowdot(base, base) - foot * foot * ee) + 1e-9 * scale[row] ** 2
     chord = np.sqrt(np.maximum(chord2, 0.0) / ee)
-    hi_a = foot + chord
+    lo_a, hi_a = foot - chord, foot + chord
     if chain.m == 2:
         hi_a = np.minimum(hi_a, 1.0 + 1e-12 - b_row)
+    if box is not None:
+        # where F (base + a e1) lies in [-r/2, r/2] for each frame row F,
+        # widened like the chord
+        half = (r / 2 + 1e-9 * scale[row])[:, None]
+        c, g = base @ box.T, e1[row] @ box.T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ends = np.stack([(-half - c) / g, (half - c) / g])
+        # a row along the slab (F e1 = 0) lies all in it or all out
+        along = np.where(np.abs(c) <= half, np.inf, -np.inf)
+        lo_a = np.maximum(lo_a, np.max(np.where(g == 0, -along, np.min(ends, axis=0)), axis=1))
+        hi_a = np.minimum(hi_a, np.min(np.where(g == 0, along, np.max(ends, axis=0)), axis=1))
     span, steps = (a_hi - a_lo)[row], (ka - 1)[row]
-    j_lo = np.clip(np.floor((foot - chord - a_lo[row]) / span * steps) - 1, 0, steps).astype(np.int64)
+    j_lo = np.clip(np.floor((lo_a - a_lo[row]) / span * steps) - 1, 0, steps).astype(np.int64)
     j_hi = np.clip(np.ceil((hi_a - a_lo[row]) / span * steps) + 1, -1, steps).astype(np.int64)
     count = np.where(chord2 >= 0, np.maximum(j_hi - j_lo + 1, 0), 0)
     start = np.cumsum(count) - count
@@ -386,15 +407,12 @@ def multiscale_scan(
         report.cells[(cell.point_index, cell.scale_index)] = cell
 
     # cross-scale coherence with the measured eta
-    for pi in range(len(points)):
-        for k in range(depth):
-            a = report.cells.get((pi, k))
-            b = report.cells.get((pi, k + 1))
-            if a is None or b is None or a.plane is None or b.plane is None:
-                continue
-            eps = max(a.eta, b.eta)
-            b.coherence_bound = eps * (2.0 + a.radius / b.radius)
-            b.coherence_measured = plane_distance(a.plane, b.plane)
+    pairs = [(report.cell(pi, k), report.cell(pi, k + 1)) for pi in range(len(points)) for k in range(depth)]
+    pairs = [(a, b) for a, b in pairs if a.plane is not None and b.plane is not None]
+    measured = _plane_distances([a.plane for a, _ in pairs], [b.plane for _, b in pairs]).tolist()
+    for (a, b), dist in zip(pairs, measured):
+        b.coherence_bound = max(a.eta, b.eta) * (2.0 + a.radius / b.radius)
+        b.coherence_measured = dist
     return report
 
 
@@ -554,20 +572,15 @@ def extract_graph(
     eta_hat = report.dini_sum(point_index)
     etas = np.array([c.eta for c in cells])
     radii = np.array([c.radius for c in cells])
-    drifts = []
-    dscales = []
-    for a, b in zip(cells[:-1], cells[1:]):
-        drifts.append(plane_distance(a.plane, b.plane))
-        dscales.append(a.radius)
-    drifts = np.array(drifts)
-    dscales = np.array(dscales)
+    drifts = _plane_distances([c.plane for c in cells[:-1]], [c.plane for c in cells[1:]])
+    dscales = np.array([c.radius for c in cells[:-1]])
     # modulus fit: drift of each scale's plane to the finest plane (the
     # available stand-in for the limit tangent), which accumulates the
     # per-scale table and is far less noisy than consecutive drifts
     exponent = None
     if len(cells) >= 4:
         ref = cells[-1].plane
-        to_limit = np.array([plane_distance(c.plane, ref) for c in cells[:-2]])
+        to_limit = _plane_distances([c.plane for c in cells[:-2]], [ref] * (len(cells) - 2))
         sc = np.array([c.radius for c in cells[:-2]])
         good = to_limit > 10 * drift_floor
         if good.sum() >= 2:
@@ -623,8 +636,12 @@ def extract_graph(
 def _graph_window(chain: PolyChain, x: np.ndarray, r: float, W: OrientedPlane):
     """Base coordinates over ``W`` and heights off it of the support sample
     points at spacing ``r/128`` whose base lies in the box ``|.|_inf <= r/2``;
-    None for an empty sample.  The full sample dies on return."""
-    rel = support_sample(chain, x, r, spacing=r / 128) - x
+    None for an empty sample.  Only the nodes over the box are built, unless
+    fewer than two are: then the whole sample is, since matmul rounds a
+    lone row its own way and an empty box is no empty sample."""
+    rel = _support_nodes(chain, x, r, r / 128, box=W.frame) - x
+    if len(rel) < 2:
+        rel = support_sample(chain, x, r, r / 128) - x
     if len(rel) == 0:
         return None
     base_coords = W.project_coords(rel)

@@ -1,9 +1,9 @@
 """Per-simplex, per-point reference implementations of the exact ball
 integrals, the beta_inf sup scan (also about the centroid), the
 point-to-support distance, the plane-ball grid distance, the support
-sample and the per-bin fiber check of the scanner, the layer-constancy
-check, the recursive half-space clipper of a simplex,
-the polygon-cylinder clipping and the full-clip zone excess of the
+sample, the whole-ball graph window and the per-bin fiber check of the
+scanner, the layer-constancy check, the recursive half-space clipper of
+a simplex, the polygon-cylinder clipping and the full-clip zone excess of the
 comparison pipeline, the one-polygon convex clipper,
 the bisection boundary trace, the cone height sup, the 2^16-sample
 height sups over balls and cylinders, the strip zip, the pair and
@@ -583,6 +583,23 @@ def support_sample(chain, x, r: float, spacing: float) -> np.ndarray:
     if not pts:
         return np.zeros((0, chain.n))
     return np.vstack(pts)
+
+
+def graph_window(chain, x, r: float, W):
+    """``extract_graph``'s window from the whole-ball sample: every node of
+    ``support_sample`` at spacing r/128, projected onto W, then the box
+    ``|base|_inf <= r/2`` (the scanner now builds only the nodes over it)."""
+    from gmtepi.scan import support_sample
+
+    rel = support_sample(chain, x, r, spacing=r / 128) - x
+    if len(rel) == 0:
+        return None
+    base_coords = W.project_coords(rel)
+    hcoords = rel @ W.perp_frame().T
+    keep = np.max(np.abs(base_coords), axis=1) <= r / 2
+    if hcoords.shape[1] == 1:
+        return base_coords[keep], hcoords[keep, 0]
+    return base_coords[keep], np.linalg.norm(hcoords[keep], axis=1)
 
 
 def fiber_split(bins: np.ndarray, heights: np.ndarray, gap: float) -> bool:
