@@ -277,7 +277,9 @@ class PolyChain:
             raise ValueError("simplex dimension mismatch")
         payload = _checked_payload(group, payload, len(verts))
         _check_vertices(verts)
-        gram = _gram_dets(verts)
+        self._fill(n, m, group, verts, payload, _gram_dets(verts))
+
+    def _fill(self, n: int, m: int, group: GroupSpec, verts: np.ndarray, payload: np.ndarray, gram: np.ndarray):
         keep = (gram >= DEGENERATE_GRAM) & np.any(payload != 0, axis=1)
         self.n = n
         self.m = m
@@ -287,6 +289,14 @@ class PolyChain:
         self.verts.flags.writeable = False
         self.payload.flags.writeable = False
         self._cache: dict = {"gram": gram[keep]}
+
+    def _from_rows(self, verts: np.ndarray, payload: np.ndarray, gram: np.ndarray) -> "PolyChain":
+        """A chain of the same shape and group over rows of built chains,
+        with their Gram determinants ``gram``: ``_gram_dets`` computes each
+        row on its own, so they are the floats it would give again."""
+        chain = object.__new__(PolyChain)
+        chain._fill(self.n, self.m, self.group, verts, payload, gram)
+        return chain
 
     @property
     def terms(self) -> ChainTerms:
@@ -347,16 +357,13 @@ class PolyChain:
     def __add__(self, other: "PolyChain") -> "PolyChain":
         if (self.n, self.m, self.group) != (other.n, other.m, other.group):
             raise ValueError("chain shape mismatch")
-        return merge_terms(
-            self.with_arrays(
-                np.concatenate([self.verts, other.verts]),
-                np.concatenate([self.payload, other.payload]),
-            )
-        )
+        rows = zip((self.verts, self.payload, self._cache["gram"]),
+                   (other.verts, other.payload, other._cache["gram"]))
+        return merge_terms(self._from_rows(*(np.concatenate(pair) for pair in rows)))
 
     def __neg__(self) -> "PolyChain":
         neg = self.payload if self.group.tag == "cantor" else -self.payload
-        return self.with_arrays(self.verts, neg)
+        return self._from_rows(self.verts, neg, self._cache["gram"])
 
     def __sub__(self, other: "PolyChain") -> "PolyChain":
         return self + (-other)
@@ -424,7 +431,7 @@ def merge_terms(chain: PolyChain) -> PolyChain:
     cls, first = _classes(keys)
     sign = parity * parity[first][cls]
     acc = _accumulate(chain.group, chain.payload, sign, cls, len(first))
-    return chain.with_arrays(chain.verts[first], acc)
+    return chain._from_rows(chain.verts[first], acc, chain._cache["gram"][first])
 
 
 def boundary(chain: PolyChain) -> PolyChain:

@@ -61,10 +61,10 @@ from .layers import (
     GeneralPositionError,
     LayerDecomposition,
     _angular_windows,
-    _arcs_meet,
     _clip_to_cylinder,
     _cylinder_facets,
     _inward_normals,
+    _meeting_arcs,
     _padded_columns,
     align_base_to_chain,
     boundary_clearance,
@@ -291,11 +291,11 @@ def mollified_graph(
         lo, hi = _angular_windows(avg.decomp.domains)
         reach = math.asin(rho) + 1e-6  # beyond the windows' own 1e-9 rad of slack
     vals = np.zeros((len(angles), avg.decomp.perp.shape[0]))
-    # chunks of angles bound the (angles, layers) window table and the stacked means
+    # chunks of angles bound the stacked means
     step = max(1, _CHUNK // L)
     for c in range(0, len(angles), step):
-        a = angles[c : c + step, None]
-        idx, valid = _padded_columns(_arcs_meet(lo, hi - lo, a - reach, a + reach))
+        a = angles[c : c + step]
+        idx, valid = _padded_columns(*_meeting_arcs(lo, hi - lo, a - reach, a + reach), len(a))
         vals[c : c + step] = w @ avg._means(centers[c : c + step, None] + offsets, idx, valid)
     out = MollifiedGraph(base, angles, vals, rho)
     if out.sup_unit() > 2.0 * rho + 1e-12:

@@ -354,13 +354,38 @@ def _arcs_meet(poly_ang: np.ndarray, arcs: np.ndarray, lo, hi) -> np.ndarray:
     return starts_in | covers_lo
 
 
-def _padded_columns(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The true columns of each row of ``mask`` (R, L) in order,
-    left-aligned: ``(idx, valid)`` (R, C), the padding being column 0 with
-    ``valid`` False."""
-    rows, cols = np.nonzero(mask)
+def _meeting_arcs(starts: np.ndarray, lengths: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs ``(rows, cols)`` of interval ``[lo[i], hi[i]]`` and arc
+    (``starts``, ``lengths``) that meet by :func:`_arcs_meet`, by row and
+    then in arc order: the nonzero entries of the dense ``(R, arcs)`` mask.
+
+    The predicate runs on candidates only: the arcs whose start a sorted
+    search finds in ``[lo - longest - pad, hi + pad]`` cyclically, with
+    ``longest`` the longest arc (a full circle takes them all) and ``pad``
+    above the predicate's slack plus the rounding of its angles."""
+    tau, pad, R = 2 * math.pi, 1e-8, len(lo)
+    order = np.argsort(np.mod(starts, tau), kind="stable")
+    ring = np.mod(starts[order], tau)
+    ring = np.concatenate([ring, ring + tau])
+    a = lo - lengths.max(initial=0.0) - pad
+    width, a = hi + pad - a, np.mod(a, tau)
+    # a range this wide holds every start; a narrower one holds each at most once
+    whole = width >= tau - pad
+    i0 = np.where(whole, 0, np.searchsorted(ring, a))
+    n = np.where(whole, len(starts), np.searchsorted(ring, a + width, side="right") - i0)
+    rows = np.repeat(np.arange(R), n)
+    cols = order[(i0[rows] + np.arange(len(rows)) - np.repeat(np.cumsum(n) - n, n)) % max(len(starts), 1)]
+    hit = _arcs_meet(starts[cols], lengths[cols], lo[rows], hi[rows])
+    return np.divmod(np.sort(rows[hit] * len(starts) + cols[hit]), max(len(starts), 1))
+
+
+def _padded_columns(rows: np.ndarray, cols: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The entries ``cols`` of each of ``count`` rows, given by row in
+    order, left-aligned: ``(idx, valid)`` (count, C), the padding being
+    column 0 with ``valid`` False."""
     at = np.arange(len(rows)) - np.searchsorted(rows, rows)
-    idx = np.zeros((len(mask), int(at.max(initial=-1)) + 1), dtype=np.int64)
+    idx = np.zeros((count, int(at.max(initial=-1)) + 1), dtype=np.int64)
     valid = np.zeros(idx.shape, dtype=bool)
     idx[rows, at] = cols
     valid[rows, at] = True
@@ -385,34 +410,32 @@ def _clip_to_cylinder(rows: np.ndarray, dom: np.ndarray, poly: np.ndarray, ancho
     to the cylinder over a convex region about the origin with corners
     ``poly`` (k, m), a polygon or an interval; facet e keeps ``(p -
     anchors[e]) . normals[e] >= 0``.  For m = 2 a row meets only the edges
-    whose arcs meet its angular window (:func:`_arcs_meet`), in edge
-    order, in chunks of ``_CHUNK // k`` rows; a polygon left with at most
-    m vertices is not clipped on.  Returns the inside ``(polys, counts)``
-    and, if ``outside``, the ``(polys, counts, rows)`` cut off per facet."""
+    whose arcs meet its angular window (:func:`_meeting_arcs`), in edge
+    order.  Each column of these edge lists is one :func:`_clip_polygons`
+    step over all rows, and the stack widens only when its largest polygon
+    grows; a polygon left with at most m vertices is not clipped on.
+    Returns the inside ``(polys, counts)`` and, if ``outside``, the
+    ``(polys, counts, rows)`` cut off per column, rows ascending."""
     T, m, k = len(rows), rows.shape[1] - 1, len(poly)
     if m == 2:
-        poly_ang, arcs = _polygon_arcs(poly)
-    step = max(1, _CHUNK // k)
-    inside, cut = [], []
-    for c in range(0, max(T, 1), step):
-        idx = np.arange(c, min(c + step, T))
-        if m == 2:
-            lo, hi = _angular_windows(dom[idx])
-            edges, on = _padded_columns(_arcs_meet(poly_ang, arcs, lo[:, None], hi[:, None]))
-        else:
-            edges, on = np.tile(np.arange(k), (len(idx), 1)), np.ones((len(idx), k), dtype=bool)
-        polys, counts = rows[idx], np.full(len(idx), m + 1)
-        for e, e_on in zip(edges.T, on.T):
-            act = np.flatnonzero(e_on & (counts > m))
-            if outside:
-                cut.append((*_clip_polygons(polys[act], counts[act], anchors[e[act]], -normals[e[act]]), idx[act]))
-            clipped, counts[act] = _clip_polygons(polys[act], counts[act], anchors[e[act]], normals[e[act]])
-            polys = np.pad(polys, ((0, 0), (0, max(clipped.shape[1] - polys.shape[1], 0)), (0, 0)))
-            polys[act, : clipped.shape[1]] = clipped
-        inside.append((polys, counts))
-    width = max(p.shape[1] for p, _ in inside)
-    polys = np.concatenate([np.pad(p, ((0, 0), (0, width - p.shape[1]), (0, 0))) for p, _ in inside])
-    return (polys, np.concatenate([n for _, n in inside])), cut
+        row, edge = _meeting_arcs(*_polygon_arcs(poly), *_angular_windows(dom))
+    else:
+        row, edge = np.repeat(np.arange(T), k), np.tile(np.arange(k), T)
+    # column j holds the j-th edge of every row's list, rows ascending
+    j = np.arange(len(row)) - np.searchsorted(row, row)
+    polys, counts, cut = np.array(rows), np.full(T, m + 1), []
+    for col in np.split(np.argsort(j, kind="stable"), np.cumsum(np.bincount(j))[:-1]):
+        live = counts[row[col]] > m
+        act, e = row[col][live], edge[col][live]
+        part = polys[act, : counts[act].max(initial=1)]
+        if outside:
+            cut.append((*_clip_polygons(part, counts[act], anchors[e], -normals[e]), act))
+        clipped, counts[act] = _clip_polygons(part, counts[act], anchors[e], normals[e])
+        # the stack is as wide as its largest polygon, not one column per edge
+        if clipped.shape[1] > polys.shape[1]:
+            polys = np.pad(polys, ((0, 0), (0, clipped.shape[1] - polys.shape[1]), (0, 0)))
+        polys[act, : clipped.shape[1]] = clipped
+    return (polys, counts), cut
 
 
 def _clipped_areas(polys: np.ndarray, counts: np.ndarray, clippers: np.ndarray, center: np.ndarray,

@@ -602,7 +602,7 @@ def extract_graph(
     W = top.plane
     r = top.radius
     window = _graph_window(chain, x, r, W)
-    if window is None:
+    if window is None or len(window[0]) == 0:  # no node over the box
         return GraphCertificate(False, "empty support window", eta_hat, dini_budget, 0.0, dscales, drifts, exponent)
     bc, hh = window
     # fiber injectivity: bucket the base coordinates, look for split heights

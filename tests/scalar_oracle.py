@@ -3,8 +3,9 @@ integrals, the beta_inf sup scan (also about the centroid), the
 point-to-support distance, the plane-ball grid distance, the support
 sample, the whole-ball graph window and the per-bin fiber check of the
 scanner, the layer-constancy check, the recursive half-space clipper of
-a simplex, the polygon-cylinder clipping and the full-clip zone excess of the
-comparison pipeline, the one-polygon convex clipper,
+a simplex, the polygon-cylinder clipping, the chunked cylinder clip with its
+dense edge masks and the full-clip zone excess of the comparison
+pipeline, the one-polygon convex clipper,
 the bisection boundary trace, the cone height sup, the 2^16-sample
 height sups over balls and cylinders, the strip zip, the pair and
 triple overlap loop of the multiplicity statistics, the
@@ -833,6 +834,56 @@ def split_by_polygon_cylinder(chain, base, poly: np.ndarray):
             stack = nxt
         inside.extend((verts, c) for verts in stack)
     return inside, outside
+
+
+def padded_columns(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The true columns of each row of ``mask`` (R, L) in order,
+    left-aligned: ``(idx, valid)`` (R, C), the padding being column 0 with
+    ``valid`` False."""
+    rows, cols = np.nonzero(mask)
+    at = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    idx = np.zeros((len(mask), int(at.max(initial=-1)) + 1), dtype=np.int64)
+    valid = np.zeros(idx.shape, dtype=bool)
+    idx[rows, at] = cols
+    valid[rows, at] = True
+    return idx, valid
+
+
+def chunked_clip_to_cylinder(rows: np.ndarray, dom: np.ndarray, poly: np.ndarray, anchors: np.ndarray,
+                             normals: np.ndarray, outside: bool = False, chunk: int = 1 << 13):
+    """The cylinder clip in chunks of ``chunk // k`` rows, each chunk with
+    its dense (rows, edges) :func:`_arcs_meet` mask, one
+    :func:`_clip_polygons` step per chunk and column, and the polygon
+    stack widened by ``np.pad`` as the clips grow.  Returns the inside
+    ``(polys, counts)`` and the outside ``(polys, counts, rows)`` per chunk
+    and column, in that order."""
+    from gmtepi.chains import _clip_polygons
+    from gmtepi.layers import _angular_windows, _arcs_meet, _polygon_arcs
+
+    T, m, k = len(rows), rows.shape[1] - 1, len(poly)
+    if m == 2:
+        poly_ang, arcs = _polygon_arcs(poly)
+    step = max(1, chunk // k)
+    inside, cut = [], []
+    for c in range(0, max(T, 1), step):
+        idx = np.arange(c, min(c + step, T))
+        if m == 2:
+            lo, hi = _angular_windows(dom[idx])
+            edges, on = padded_columns(_arcs_meet(poly_ang, arcs, lo[:, None], hi[:, None]))
+        else:
+            edges, on = np.tile(np.arange(k), (len(idx), 1)), np.ones((len(idx), k), dtype=bool)
+        polys, counts = rows[idx], np.full(len(idx), m + 1)
+        for e, e_on in zip(edges.T, on.T):
+            act = np.flatnonzero(e_on & (counts > m))
+            if outside:
+                cut.append((*_clip_polygons(polys[act], counts[act], anchors[e[act]], -normals[e[act]]), idx[act]))
+            clipped, counts[act] = _clip_polygons(polys[act], counts[act], anchors[e[act]], normals[e[act]])
+            polys = np.pad(polys, ((0, 0), (0, max(clipped.shape[1] - polys.shape[1], 0)), (0, 0)))
+            polys[act, : clipped.shape[1]] = clipped
+        inside.append((polys, counts))
+    width = max(p.shape[1] for p, _ in inside)
+    polys = np.concatenate([np.pad(p, ((0, 0), (0, width - p.shape[1]), (0, 0))) for p, _ in inside])
+    return (polys, np.concatenate([n for _, n in inside])), cut
 
 
 def graph_domains(chain, base):

@@ -8,7 +8,7 @@ import pytest
 
 import scalar_oracle as oracle
 from gmtepi import epi
-from gmtepi.chains import PolyChain, Simplex, boundary, mass, merge_terms, size
+from gmtepi.chains import DEGENERATE_GRAM, PolyChain, Simplex, _gram_dets, boundary, mass, merge_terms, size
 from gmtepi.generators import cone_harmonic, generate
 from gmtepi.groups import NormedCoefficient, cantor, group_norm, integers, unit_discrete
 from gmtepi.quadrature import simplex_volume
@@ -94,6 +94,41 @@ def test_random_chains_match_the_oracle(group, m, n):
         chain = PolyChain(n, m, group, terms)
         assert_same_terms(chain, oracle.chain_filter(terms))
         check_against_oracle(chain)
+
+
+def _assert_carries_its_gram(chain: PolyChain) -> None:
+    """The Gram determinants a chain holds are those ``_gram_dets`` gives
+    its rows, bit for bit, and none is below ``DEGENERATE_GRAM``."""
+    gram = chain._cache["gram"]
+    assert gram.tobytes() == _gram_dets(chain.verts).tobytes()
+    assert np.all(gram >= DEGENERATE_GRAM)
+
+
+@pytest.mark.parametrize("group", [integers(), unit_discrete(), cantor(4)], ids=lambda g: g.tag)
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 3), (2, 5), (3, 4)])
+def test_merged_and_summed_chains_carry_their_gram_determinants(group, m, n):
+    rng = np.random.default_rng(11 * m + n)
+    for _ in range(4):
+        terms = _random_terms(rng, group, m, n, 40)
+        other = _random_terms(rng, group, m, n, 30)
+        assert any(oracle._is_degenerate(s) for s, _ in terms + other)
+        a, b = PolyChain(n, m, group, terms), PolyChain(n, m, group, other)
+        for chain in (a, merge_terms(a), a + b, a - b, -a, a - a, merge_terms(a + a), -(a - b)):
+            _assert_carries_its_gram(chain)
+            assert not any(oracle._is_degenerate(s) for s, _ in chain.terms)
+    # the carried path keeps the construction filter: a row below
+    # DEGENERATE_GRAM and a zero payload go, as in the constructor
+    one = NormedCoefficient(integers(), 1)
+    tri = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    flat = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 1e-11, 0.0]])
+    verts, payload = np.stack([tri, flat, tri + 1.0]), np.array([[1], [1], [0]])
+    assert _gram_dets(verts)[1] < DEGENERATE_GRAM
+    chain = PolyChain(3, 2, integers(), [(Simplex(tri), one)])
+    carried = chain._from_rows(verts, payload, _gram_dets(verts))
+    built = chain.with_arrays(verts, payload)
+    assert_same_terms(carried, [(Simplex(tri), one)])
+    assert carried.verts.tobytes() == built.verts.tobytes()
+    _assert_carries_its_gram(carried)
 
 
 def test_vertices_sharing_a_snap_cell_keep_their_order():

@@ -194,3 +194,14 @@ def test_scan_rejects_an_empty_chain():
     empty = PolyChain(3, 2, integers(), [])
     with pytest.raises(ValueError, match="empty chain"):
         multiscale_scan(empty, [np.zeros(3)], r0=0.5, depth=1)
+
+
+def test_extract_graph_refuses_an_empty_window():
+    # the top box |p_1 - x_1| <= r/2 at x = (1.11, 0, 0) ends past the rim
+    # of the disk, so no support node lies over it: with no Dini gate the
+    # fiber and Lipschitz checks would pass on nothing
+    D, _ = flat_disk(16)
+    rep = multiscale_scan(D, [np.array([1.11, 0.0, 0.0])], r0=0.2, depth=2)
+    cert = extract_graph(rep, D, 0, dini_budget=math.inf)
+    assert not cert.ok and cert.reason == "empty support window"
+    assert extract_graph(rep, D, 0).reason.startswith("Dini sum")
