@@ -147,12 +147,6 @@ def _gram_dets(verts: np.ndarray) -> np.ndarray:
     return np.linalg.det(e @ e.transpose(0, 2, 1))
 
 
-def simplex_volumes(verts: np.ndarray) -> np.ndarray:
-    """Unsigned volumes of a (T, m+1, n) stack, as ``simplex_volume``
-    gives them one by one."""
-    return gram_volumes(_gram_dets(verts), verts.shape[1] - 1)
-
-
 def _vertex_ids(verts: np.ndarray) -> np.ndarray:
     """(T, k) ids of the snapped vertex rows, numbered in lexicographic
     order of the rows, so comparing ids compares the snapped points."""
@@ -180,9 +174,17 @@ def _canonical(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _classes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group equal key rows: the class of each row, classes numbered by
-    first occurrence, and the row where each class first occurs."""
-    order = np.lexsort(keys.T[::-1])
-    rows = keys[order]
+    first occurrence, and the row where each class first occurs.
+
+    Adjacent id columns are packed into one int64 ``a * top + b``, which
+    sorts as the pair does, so the stable sort over the packed columns
+    orders rows as a lexsort over all columns would."""
+    top = int(keys.max(initial=-1)) + 1
+    assert top * top < 2**63, "too many vertex ids to pack two into an int64"
+    k = keys.shape[1]
+    packed = np.concatenate([keys[:, 0 : k - 1 : 2] * top + keys[:, 1::2], keys[:, k - k % 2 :]], axis=1)
+    order = np.lexsort(packed.T[::-1])
+    rows = packed[order]
     start = np.ones(len(rows), dtype=bool)
     start[1:] = np.any(rows[1:] != rows[:-1], axis=1)
     first = order[start]  # the sort is stable: the earliest row of each class
@@ -279,7 +281,7 @@ class PolyChain:
         _check_vertices(verts)
         self._fill(n, m, group, verts, payload, _gram_dets(verts))
 
-    def _fill(self, n: int, m: int, group: GroupSpec, verts: np.ndarray, payload: np.ndarray, gram: np.ndarray):
+    def _fill(self, n: int, m: int, group: GroupSpec, verts: np.ndarray, payload: np.ndarray, gram: np.ndarray, ids=None):
         keep = (gram >= DEGENERATE_GRAM) & np.any(payload != 0, axis=1)
         self.n = n
         self.m = m
@@ -289,13 +291,16 @@ class PolyChain:
         self.verts.flags.writeable = False
         self.payload.flags.writeable = False
         self._cache: dict = {"gram": gram[keep]}
+        if ids is not None:
+            self._cache["ids"] = ids[keep]
 
-    def _from_rows(self, verts: np.ndarray, payload: np.ndarray, gram: np.ndarray) -> "PolyChain":
+    def _from_rows(self, verts: np.ndarray, payload: np.ndarray, gram: np.ndarray, ids=None) -> "PolyChain":
         """A chain of the same shape and group over rows of built chains,
         with their Gram determinants ``gram``: ``_gram_dets`` computes each
-        row on its own, so they are the floats it would give again."""
+        row on its own, so they are the floats it would give again.  Vertex
+        ids ``ids`` from one weld of the rows are kept for ``boundary``."""
         chain = object.__new__(PolyChain)
-        chain._fill(self.n, self.m, self.group, verts, payload, gram)
+        chain._fill(self.n, self.m, self.group, verts, payload, gram, ids)
         return chain
 
     @property
@@ -425,36 +430,44 @@ def merge_terms(chain: PolyChain) -> PolyChain:
     The first-seen simplex of each coincidence class keeps its orientation
     and its place in the term order, and later coefficients are
     accumulated relative to it, so a chain of positively-projecting
-    simplices stays positively projecting.
+    simplices stays positively projecting.  The result keeps the weld's
+    vertex ids of its rows: they are numbered in the lexicographic order of
+    the snapped points, so any subset of them compares as a fresh weld of
+    that subset would.
     """
-    keys, parity = _canonical(_vertex_ids(chain.verts))
+    ids = _vertex_ids(chain.verts)
+    keys, parity = _canonical(ids)
     cls, first = _classes(keys)
     sign = parity * parity[first][cls]
     acc = _accumulate(chain.group, chain.payload, sign, cls, len(first))
-    return chain._from_rows(chain.verts[first], acc, chain._cache["gram"][first])
+    return chain._from_rows(chain.verts[first], acc, chain._cache["gram"][first], ids[first])
 
 
 def boundary(chain: PolyChain) -> PolyChain:
     """Alternating-sign face sum; coincident faces cancel by group addition.
 
     Each face class keeps its first-seen face, in first-seen order,
-    reoriented (first two vertices swapped) to the sorted vertex order.
+    reoriented (first two vertices swapped) to the sorted vertex order, and
+    classes that sum to zero are dropped before their faces are gathered.
+    A merged chain's vertex ids are reused, so the rows are welded once.
     Satisfies ``boundary(boundary(T))`` having zero mass.
     """
     if chain.m < 1:
         raise ValueError("boundary needs m >= 1")
     T, k, n = chain.verts.shape
     drop = np.array([[c for c in range(k) if c != j] for j in range(k)])  # (k, k-1)
-    faces = chain.verts[:, drop].reshape(T * k, k - 1, n)
-    keys, parity = _canonical(_vertex_ids(chain.verts)[:, drop].reshape(T * k, k - 1))
+    ids = chain._cache["ids"] if "ids" in chain._cache else _vertex_ids(chain.verts)
+    keys, parity = _canonical(ids[:, drop].reshape(T * k, k - 1))
     sign = np.tile(1 - 2 * (np.arange(k) % 2), T) * parity
     cls, first = _classes(keys)
     acc = _accumulate(chain.group, np.repeat(chain.payload, k, axis=0), sign, cls, len(first))
-    canon = faces[first]
+    live = np.any(acc != 0, axis=1)
+    first = first[live]
+    canon = chain.verts[(first // k)[:, None], drop[first % k]]
     if k - 1 >= 2:
         flip = parity[first] < 0
         canon[flip] = canon[flip][:, [1, 0] + list(range(2, k - 1))]
-    return PolyChain(n, chain.m - 1, chain.group, verts=canon, payload=acc)
+    return PolyChain(n, chain.m - 1, chain.group, verts=canon, payload=acc[live])
 
 
 def mass(chain: PolyChain) -> float:

@@ -46,13 +46,14 @@ import numpy as np
 
 from .chains import (
     PolyChain,
+    _check_vertices,
+    _dists,
     _fan_split,
+    _gram_dets,
     boundary,
     coeff_payload,
     is_cone,
     mass,
-    merge_terms,
-    simplex_volumes,
 )
 from .groups import NormedCoefficient, group_norm
 from .layers import (
@@ -67,7 +68,6 @@ from .layers import (
     _meeting_arcs,
     _padded_columns,
     align_base_to_chain,
-    boundary_clearance,
     cylindrical_excess,
     decompose_layers,
     height_sup,
@@ -75,7 +75,7 @@ from .layers import (
 from .mono import lambda_epi
 from .moments import quad_form, select_plane
 from .planes import OrientedPlane, plane_distance
-from .quadrature import _rowdot, gauss_segment
+from .quadrature import _rowdot, gauss_segment, gram_volumes
 
 __all__ = [
     "EpiConfig",
@@ -572,6 +572,7 @@ class AnnulusBlend:
     v: MollifiedGraph
     verts: np.ndarray  # (T, m+1, n) oriented simplices
     payload: np.ndarray  # (T, width) coefficient payloads
+    gram: np.ndarray  # (T,) Gram determinants of the simplices
     mass_blend: float
     mass_original: float
 
@@ -603,11 +604,12 @@ def annulus_interpolate(
     per_layer = m * divisions
     payload = np.repeat(decomp.chain.payload, per_layer, axis=0)
     # summed term by term, in order
-    mass_blend = sum((np.repeat(decomp.weights, per_layer) * simplex_volumes(verts)).tolist())
+    gram = _gram_dets(verts)
+    mass_blend = sum((np.repeat(decomp.weights, per_layer) * gram_volumes(gram, m)).tolist())
     # each layer's chord wedge between the radii has volume |det u| (r_out^m - r_in^m) / m!
     wedges = np.abs(np.linalg.det(u)) * (r_out**m - r_in**m) / math.factorial(m)
     mass_orig = float(np.sum(decomp.weights * decomp.jac * wedges))
-    return AnnulusBlend(decomp, v, verts, payload, mass_blend, mass_orig)
+    return AnnulusBlend(decomp, v, verts, payload, gram, mass_blend, mass_orig)
 
 
 def build_comparison(P: PolyChain, cfg: EpiConfig | None = None):
@@ -643,7 +645,7 @@ def build_comparison(P: PolyChain, cfg: EpiConfig | None = None):
     if decomp.g0.is_zero:
         raise StageError("assumptions", "projected coefficient g0 vanishes")
     g0n = decomp.g0_norm
-    clearance = boundary_clearance(P, V)
+    clearance = decomp.clearance
     if clearance <= 2.0:
         raise StageError("assumptions", f"boundary clearance {clearance:.3g} <= bound 2 (doubled cylinder)",
                          clearance, 2.0)
@@ -690,8 +692,8 @@ def build_comparison(P: PolyChain, cfg: EpiConfig | None = None):
 
     # -- stage: assemble S
     S_chain, P_inside, s_parts = _assemble(P, decomp, v, trace, cfg)
-    defect_chain = merge_terms(boundary(s_parts - P_inside))
-    defect = _residual_defect_mass(defect_chain)
+    # boundary gives one face per class: the defect needs no second merge
+    defect = _residual_defect_mass(boundary(s_parts - P_inside))
     mP = mass(P)
     if defect > cfg.boundary_defect_tol * mP:
         raise StageError("assemble", f"boundary defect {defect:.3g} exceeds {cfg.boundary_defect_tol} * mass(P)",
@@ -878,14 +880,16 @@ def _assemble(
     # (d) P outside the 3/4 cylinder
     (in_verts, in_src), (out_verts, out_src) = _split_by_polygon_cylinder(P, base, 0.75 * uV)
 
+    # one Gram pass per row: S and its leading rows s_parts share them
     g0_rows = np.tile(coeff_payload(decomp.g0), (len(g0_parts), 1))
-    parts_verts = np.concatenate([g0_parts, blend.verts])
-    parts_payload = np.concatenate([g0_rows, blend.payload])
-    S_chain = P.with_arrays(
-        np.concatenate([parts_verts, out_verts]), np.concatenate([parts_payload, P.payload[out_src]])
-    )
+    verts = np.concatenate([g0_parts, blend.verts, out_verts])
+    payload = np.concatenate([g0_rows, blend.payload, P.payload[out_src]])
+    gram = np.concatenate([_gram_dets(g0_parts), blend.gram, _gram_dets(out_verts)])
+    _check_vertices(verts)
+    S_chain = P._from_rows(verts, payload, gram)
+    parts = len(g0_parts) + len(blend.verts)
+    s_parts = P._from_rows(verts[:parts], payload[:parts], gram[:parts])
     P_inside = P.with_arrays(in_verts, P.payload[in_src])
-    s_parts = P.with_arrays(parts_verts, parts_payload)
     return S_chain, P_inside, s_parts
 
 
@@ -948,7 +952,10 @@ def _excess_over_polygon(decomp: LayerDecomposition, poly: np.ndarray) -> float:
     rmin = np.min(np.linalg.norm(dom, axis=2), axis=1)
     rmax = np.max(np.linalg.norm(dom, axis=2), axis=1)
     area = _fan_areas(dom, np.full(len(dom), 3))
+    # every vertex beyond the circumradius is not enough: an edge may still
+    # cross the zone, so the flagged domains are measured exactly
     far = rmin >= rad_out - 1e-15
+    far[far] = _dists(dom[far], np.zeros(2)) >= rad_out - 1e-15
     area[far] = 0.0
     cut = np.flatnonzero(~far & (rmax > rad_in + 1e-15))
     polys, counts = _clip_to_cylinder(dom[cut], dom[cut], poly, poly, _inward_normals(poly, np.zeros(2)))[0]

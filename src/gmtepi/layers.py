@@ -19,6 +19,7 @@ every pair and every triple clipped in stacked array passes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -72,22 +73,33 @@ class ConstancyError(ValueError):
 @dataclass
 class LayerDecomposition:
     """Stack of affine graph layers ``y(x) = A[t] x + b[t]`` over a base
-    plane, one per term ``t`` of ``chain``, held as stacked arrays."""
+    plane, one per term ``t`` of ``chain``, held as stacked arrays.  The
+    affine maps are solved on first access."""
 
     base: OrientedPlane
     perp: np.ndarray  # (n-m, n) orthonormal complement frame
     chain: PolyChain
     domains: np.ndarray  # (T, m+1, m) projected simplices, base coordinates
-    A: np.ndarray  # (T, n-m, m)
-    b: np.ndarray  # (T, n-m)
+    heights: np.ndarray  # (T, m+1, n-m) vertex heights over the domains
     jac: np.ndarray  # (T,) area factors sqrt(det(I + A^T A))
     weights: np.ndarray  # (T,) coefficient norms
     g0: NormedCoefficient
     g0_norm: float
+    clearance: float | None = None  # the boundary clearance, when the constancy check measured it
 
     @property
     def m(self) -> int:
         return self.base.m
+
+    @functools.cached_property
+    def _affine(self) -> tuple[np.ndarray, np.ndarray]:
+        # affine solve from the m+1 vertex correspondences
+        X = np.concatenate([self.domains, np.ones(self.domains.shape[:2] + (1,))], axis=2)
+        sol = np.linalg.solve(X, self.heights)  # (T, m+1, n-m)
+        return np.swapaxes(sol[:, : self.m], 1, 2), sol[:, self.m]
+
+    A = property(lambda self: self._affine[0], doc="(T, n-m, m) linear parts")
+    b = property(lambda self: self._affine[1], doc="(T, n-m) offsets")
 
 
 # probe points for the stalk sum, in units of the disk radius: radius 1/2
@@ -193,15 +205,11 @@ def decompose_layers(
         minors = gx[:, :, None] * gy[:, None, :] - gx[:, None, :] * gy[:, :, None]
         wedge = 0.5 * np.sum(minors * minors, axis=(1, 2))
         jac_sq = 1.0 + np.sum(gx * gx, axis=1) + np.sum(gy * gy, axis=1) + wedge
-    # affine solve from the m+1 vertex correspondences
-    X = np.concatenate([dom, np.ones(dom.shape[:2] + (1,))], axis=2)
-    sol = np.linalg.solve(X, heights)  # (T, m+1, n-m)
     decomp = LayerDecomposition(
-        base, perp, chain, dom, np.swapaxes(sol[:, :m], 1, 2), sol[:, m], np.sqrt(jac_sq),
-        chain.coeff_norms(), zero(chain.group), 0.0,
+        base, perp, chain, dom, heights, np.sqrt(jac_sq), chain.coeff_norms(), zero(chain.group), 0.0,
     )
     if check_constancy and len(chain):
-        clearance = boundary_clearance(chain, base)
+        clearance = decomp.clearance = boundary_clearance(chain, base)
         if clearance <= radius:
             raise ConstancyError(
                 f"projected boundary comes within {clearance:.6g} of the origin, "

@@ -9,8 +9,10 @@ pipeline, the one-polygon convex clipper,
 the bisection boundary trace, the cone height sup, the 2^16-sample
 height sups over balls and cylinders, the strip zip, the pair and
 triple overlap loop of the multiplicity statistics, the
-averaged graph and its all-layer ball means, and the chain construction
-filter, ``boundary``, ``merge_terms`` and ``size``.
+averaged graph and its all-layer ball means, the chain construction
+filter, ``boundary``, ``merge_terms`` and ``size``, and the array
+``merge_terms`` and ``boundary`` that weld their rows on every call and
+group them by one lexsort over every key column.
 
 These are the loop-based routines the batched kernels in
 ``gmtepi.chains``, ``gmtepi.quadrature``, ``gmtepi.moments``,
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gmtepi.chains import DEGENERATE_GRAM, SNAP, Simplex
+from gmtepi.chains import DEGENERATE_GRAM, SNAP, PolyChain, Simplex, _accumulate, _canonical, _vertex_ids
 from gmtepi.groups import group_add, group_neg
 from gmtepi.planes import OrientedPlane
 from gmtepi.quadrature import BallMoments
@@ -1338,3 +1340,46 @@ def size(terms) -> float:
         key, _p = _sorted_key_and_parity(simplex.vertices)
         seen[key] = simplex.volume
     return float(sum(seen.values()))
+
+
+def lexsort_classes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal key rows by one lexsort over every column: the class of
+    each row, classes numbered by first occurrence, and the row where each
+    class first occurs."""
+    order = np.lexsort(keys.T[::-1])
+    rows = keys[order]
+    start = np.ones(len(rows), dtype=bool)
+    start[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    first = order[start]  # the sort is stable: the earliest row of each class
+    by_first = np.argsort(first)
+    relabel = np.empty_like(by_first)
+    relabel[by_first] = np.arange(len(by_first))
+    cls = np.empty(len(keys), dtype=np.int64)
+    cls[order] = relabel[np.cumsum(start) - 1]
+    return cls, first[by_first]
+
+
+def welded_merge_terms(chain):
+    """Array ``merge_terms`` that welds the chain's rows itself."""
+    keys, parity = _canonical(_vertex_ids(chain.verts))
+    cls, first = lexsort_classes(keys)
+    sign = parity * parity[first][cls]
+    acc = _accumulate(chain.group, chain.payload, sign, cls, len(first))
+    return chain._from_rows(chain.verts[first], acc, chain._cache["gram"][first])
+
+
+def welded_boundary(chain):
+    """Array ``boundary`` that welds the chain's rows itself and builds a
+    face chain over every class, the zero-sum ones included."""
+    T, k, n = chain.verts.shape
+    drop = np.array([[c for c in range(k) if c != j] for j in range(k)])  # (k, k-1)
+    faces = chain.verts[:, drop].reshape(T * k, k - 1, n)
+    keys, parity = _canonical(_vertex_ids(chain.verts)[:, drop].reshape(T * k, k - 1))
+    sign = np.tile(1 - 2 * (np.arange(k) % 2), T) * parity
+    cls, first = lexsort_classes(keys)
+    acc = _accumulate(chain.group, np.repeat(chain.payload, k, axis=0), sign, cls, len(first))
+    canon = faces[first]
+    if k - 1 >= 2:
+        flip = parity[first] < 0
+        canon[flip] = canon[flip][:, [1, 0] + list(range(2, k - 1))]
+    return PolyChain(n, chain.m - 1, chain.group, verts=canon, payload=acc)

@@ -5,6 +5,7 @@ and bad input fails at the boundary."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import scalar_oracle as oracle
 from gmtepi import epi
@@ -221,3 +222,50 @@ def test_cantor_norms_match_group_norm_at_every_depth(depth):
     v = np.array([[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]] * 8) + np.arange(16.0)[:, None, None]
     chain = PolyChain(2, 1, cantor(depth), verts=v, payload=bits)
     assert chain.coeff_norms().tolist() == [group_norm(c) for _, c in chain.terms]
+
+
+def _assert_same_rows(got: PolyChain, want: PolyChain) -> None:
+    """Same vertex stack, payloads and Gram cache, bit for bit."""
+    assert (got.n, got.m, got.group) == (want.n, want.m, want.group)
+    assert got.verts.shape == want.verts.shape and got.verts.tobytes() == want.verts.tobytes()
+    assert got.payload.tobytes() == want.payload.tobytes()
+    assert got._cache["gram"].tobytes() == want._cache["gram"].tobytes()
+
+
+def _coincident_chain(rng: np.random.Generator, m: int, group) -> PolyChain:
+    """Rows over a few lattice simplices, jittered well inside a snap cell:
+    repeats in shuffled vertex orders (both orientations), classes that sum
+    to zero, and collinear rows the construction filter drops."""
+    width = group.depth if group.tag == "cantor" else 1
+    pool = 0.5 * rng.integers(0, 4, size=(8, 3))
+    base = [rng.choice(8, size=m + 1, replace=bool(rng.random() < 0.2)) for _ in range(rng.integers(1, 7))]
+    if m == 2 and rng.random() < 0.5:
+        pool[7] = pool[5] + 0.5 * (pool[6] - pool[5])  # collinear with 5 and 6
+        base.append(np.array([5, 6, 7]))
+    rows, payload = [], []
+    for _ in range(rng.integers(1, 24)):
+        ids = rng.permutation(base[rng.integers(len(base))])
+        rows.append(pool[ids] + rng.uniform(-1e-14, 1e-14, size=(m + 1, 3)))
+        if group.tag == "cantor":
+            payload.append(rng.integers(0, 2, size=width))
+        else:
+            payload.append([rng.integers(-2, 3)])
+        if rng.random() < 0.3:  # the same simplex with the opposite payload
+            rows.append(pool[ids])
+            payload.append(payload[-1] if group.tag == "cantor" else [-payload[-1][0]])
+    return PolyChain(3, m, group, verts=np.array(rows), payload=np.array(payload))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1, 2]), st.booleans(), st.integers(0, 2**32 - 1))
+def test_merge_and_boundary_match_the_welding_oracle(m, is_cantor, seed):
+    # merged chains carry their weld's vertex ids into boundary, and
+    # classes are grouped by packed keys: the rows must be those of a fresh
+    # weld and a lexsort over every key column
+    chain = _coincident_chain(np.random.default_rng(seed), m, cantor(3) if is_cantor else integers())
+    merged = merge_terms(chain)
+    _assert_same_rows(merged, oracle.welded_merge_terms(chain))
+    _assert_same_rows(boundary(chain), oracle.welded_boundary(chain))
+    _assert_same_rows(boundary(merged), oracle.welded_boundary(oracle.welded_merge_terms(chain)))
+    diff = merged - chain  # merged over the rows of two chains
+    _assert_same_rows(boundary(diff), oracle.welded_boundary(diff))

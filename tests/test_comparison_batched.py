@@ -235,6 +235,23 @@ def test_excess_over_polygon_matches_the_full_clip(n):
     assert got == pytest.approx(oracle.cylindrical_excess_polygon(decomp, zone), rel=0, abs=1e-14)
 
 
+@pytest.mark.parametrize("tri", [
+    # covers the zone
+    [[3.0, 0.0, 0.0], [-1.5, 2.7, 0.0], [-1.5, -2.7, 0.0]],
+    # its edge x = 0.1 crosses the zone
+    [[0.1, -3.0, 0.0], [5.0, 0.0, 0.0], [0.1, 3.0, 0.0]],
+])
+def test_excess_over_polygon_counts_domains_with_every_vertex_beyond_the_zone(tri):
+    g0 = NormedCoefficient(G, 1)
+    T = PolyChain(3, 2, G, [(Simplex(np.array(tri)), g0)])
+    ang = 2 * math.pi * np.arange(16) / 16
+    zone = 0.25 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    decomp = _decompose(T, OrientedPlane(np.eye(3)[:2]), g0)
+    got = _excess_over_polygon(decomp, zone)
+    assert got == pytest.approx(oracle.cylindrical_excess_polygon(decomp, zone), rel=0, abs=1e-14)
+    assert got > -0.19
+
+
 def test_comparison_surface_term_count(cone48):
     # each term is cut only by the polygon edges whose arcs meet its
     # angular window (a 0.6 rad margin window gave 2,552 terms)
