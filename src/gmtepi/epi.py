@@ -64,9 +64,11 @@ from .layers import (
     _angular_windows,
     _clip_to_cylinder,
     _cylinder_facets,
+    _fan_areas,
     _inward_normals,
     _meeting_arcs,
     _padded_columns,
+    _polygon_arcs,
     align_base_to_chain,
     cylindrical_excess,
     decompose_layers,
@@ -953,27 +955,25 @@ def _excess_over_polygon(decomp: LayerDecomposition, poly: np.ndarray) -> float:
     rmax = np.max(np.linalg.norm(dom, axis=2), axis=1)
     area = _fan_areas(dom, np.full(len(dom), 3))
     # every vertex beyond the circumradius is not enough: an edge may still
-    # cross the zone, so the flagged domains are measured exactly
-    far = rmin >= rad_out - 1e-15
-    far[far] = _dists(dom[far], np.zeros(2)) >= rad_out - 1e-15
+    # cross the zone, so the flagged domains are measured exactly; one that
+    # comes nearer still misses the zone when no vertex lies inside one
+    # edge's line by more than rounding (a domain that touches the zone)
+    nrm = _inward_normals(poly, np.zeros(2))
+    flagged = rmin >= rad_out - 1e-15
+    far = flagged.copy()
+    far[flagged] = _dists(dom[flagged], np.zeros(2)) >= rad_out - 1e-15
+    # only an edge whose arc meets a domain's angular window can cut it
+    near = np.flatnonzero(flagged & ~far)
+    row, e = _meeting_arcs(*_polygon_arcs(poly), *_angular_windows(dom[near]))
+    inside = _rowdot(dom[near][row] - poly[e, None], nrm[e, None]) > 1e-15 * rad_out * np.sqrt(_rowdot(nrm, nrm))[e, None]
+    far[near[row[~np.any(inside, axis=1)]]] = True
     area[far] = 0.0
     cut = np.flatnonzero(~far & (rmax > rad_in + 1e-15))
-    polys, counts = _clip_to_cylinder(dom[cut], dom[cut], poly, poly, _inward_normals(poly, np.zeros(2)))[0]
+    polys, counts = _clip_to_cylinder(dom[cut], dom[cut], poly, poly, nrm)[0]
     area[cut] = _fan_areas(polys, counts)
     # summed term by term, in order
     total = sum((w * jac * area).tolist())
     return float(total - decomp.g0_norm * _fan_areas(poly[None], np.array([k]))[0])
-
-
-def _fan_areas(polys: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Areas of a stack of convex polygons (K, V, 2), polygon i being the
-    first ``counts[i]`` rows: the fan triangles from vertex 0 summed in
-    order (zero for fewer than three vertices)."""
-    ua = polys[:, 1:-1] - polys[:, :1]
-    ub = polys[:, 2:] - polys[:, :1]
-    tri = 0.5 * np.abs(ua[..., 0] * ub[..., 1] - ua[..., 1] * ub[..., 0])
-    tri[np.arange(2, polys.shape[1]) >= counts[:, None]] = 0.0
-    return np.cumsum(tri, axis=1)[:, -1]
 
 
 def _residual_defect_mass(chain: PolyChain, tol: float = 1e-9) -> float:

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import PolyChain, _clip_polygons, _dist_to_simplices, _region_sups, boundary, merge_terms
-from .groups import NormedCoefficient, group_add, group_norm, zero
+from .chains import PolyChain, _clip_polygons, _dist_to_simplices, _dists, _region_sups, boundary, merge_terms
+from .groups import NormedCoefficient, group_add, group_norm, integers, zero
 from .planes import OrientedPlane
 from .quadrature import _rowdot, disk_polygon_areas
 
@@ -42,6 +42,7 @@ __all__ = [
     "MultiplicityReport",
     "multiplicity_stats",
     "height_sup",
+    "box_sheets",
 ]
 
 
@@ -562,6 +563,80 @@ def multiplicity_stats(
         report.bound_count = 2.0 * eps_size
         report.bound_coeff = 3.0 * max(mu, g0n * eps_size)
     return report
+
+
+def _fan_areas(polys: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Areas of a stack of convex polygons (K, V, 2), polygon i being the
+    first ``counts[i]`` rows: the fan triangles from vertex 0 summed in
+    order (zero for fewer than three vertices)."""
+    ua = polys[:, 1:-1] - polys[:, :1]
+    ub = polys[:, 2:] - polys[:, :1]
+    tri = 0.5 * np.abs(ua[..., 0] * ub[..., 1] - ua[..., 1] * ub[..., 0])
+    tri[np.arange(2, polys.shape[1]) >= counts[:, None]] = 0.0
+    return np.cumsum(tri, axis=1)[:, -1]
+
+
+def _box_clip(polys: np.ndarray, counts: np.ndarray, m: int, half: float) -> tuple[np.ndarray, np.ndarray]:
+    """Convex pieces ``polys`` (K, V, D) with ``counts`` vertices clipped
+    to the slab ``|p_k| <= half`` of their first m coordinates, one
+    :func:`gmtepi.chains._clip_polygons` step per side."""
+    K, _, D = polys.shape
+    for e in np.vstack([np.eye(m, D), -np.eye(m, D)]):
+        polys, counts = _clip_polygons(polys, counts, np.broadcast_to(half * e, (K, D)), np.broadcast_to(-e, (K, D)))
+    return polys, counts
+
+
+def box_sheets(chain: PolyChain, x: np.ndarray, base: OrientedPlane, r: float) -> tuple[float, float]:
+    """The number of sheets of the support over the box ``|.|_inf <= r/2``
+    of ``base`` about ``x``, cut at height ``|h| <= r`` (the Euclidean norm
+    of the part in ``base^perp``, so no frame of it enters), and their
+    exact Lipschitz constant.
+
+    Each term is clipped to the box's slab (:func:`_box_clip`).  It is *in*
+    when its largest ``|h|``, which the convex ``|h|`` takes at a vertex of
+    the clipped piece, is at most r; it is *out* when the exact distance
+    from 0 of the piece's heights (:func:`gmtepi.chains._dists` on its fan,
+    whose images cover their hull) exceeds r.  A degenerate or reversed
+    term that is not out raises :class:`GeneralPositionError`
+    (:func:`decompose_layers`), and a term across the cut ``ValueError``.
+    So every in term projects positively, and when the projected boundary
+    of their unit-coefficient carrier misses the open box (else
+    :class:`ConstancyError`), the number of sheets over each point of the
+    box is the constant ``sum_i |D_i ∩ box| / |box|`` (the constancy
+    theorem).  Returns it and ``max_i ||A_i||_2`` over the in terms; (0, 0)
+    when none meets the window.
+    """
+    m, n = base.m, base.n
+    near = chain.near_ball(x, r * math.sqrt(1.0 + 0.25 * m))
+    # base coordinates, then heights
+    coords = (chain.verts[near] - x) @ np.vstack([base.frame, base.perp_frame()]).T
+    polys, counts = _box_clip(coords, np.full(len(near), m + 1), m, 0.5 * r)
+    col = np.arange(polys.shape[1])
+    live = col < counts[:, None]
+    h = polys[..., m:]
+    top = np.max(np.where(live, np.linalg.norm(h, axis=2), 0.0), axis=1)
+    # the lowest |h| of a piece that rises above the cut
+    high = (counts > 0) & (top > r)
+    t, j = np.nonzero(live & (col >= 1) & high[:, None])
+    fan = np.stack([h[t, 0], h[t, j], h[t, np.where(j + 1 < counts[t], j + 1, 0)]], axis=1)
+    low = np.where(high | (counts == 0), np.inf, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a flat fan's interior foot overflows, unused
+        np.minimum.at(low, t, _dists(fan, np.zeros(n - m)))
+    hit = low <= r
+    if not np.any(hit):
+        return 0.0, 0.0
+    carrier = PolyChain(n, m, integers(), verts=chain.verts[near[hit]], payload=np.ones((int(hit.sum()), 1), dtype=np.int64))
+    A = decompose_layers(carrier, align_base_to_chain(base, carrier), check_constancy=False).A
+    if np.any(top[hit] > r):
+        raise ValueError("the support crosses the height cut |h| = r over the box")
+    # the faces whose bounding boxes meet the open box, clipped to it
+    faces = (boundary(carrier).verts - x) @ base.frame.T
+    half = 0.5 * r * (1.0 - 1e-9)
+    faces = faces[np.all((faces.max(axis=1) > -half) & (faces.min(axis=1) < half), axis=1)]
+    if len(faces) and np.any(_box_clip(faces, np.full(len(faces), m), m, half)[1]):
+        raise ConstancyError("projected boundary meets the box: it is partly covered")
+    size = np.ptp(np.where(live, polys[..., 0], polys[:, :1, 0]), axis=1) if m == 1 else _fan_areas(polys[..., :2], counts)
+    return float(np.sum(size[hit])) / r**m, float(np.max(np.linalg.norm(A, ord=2, axis=(1, 2))))
 
 
 def height_sup(chain: PolyChain, base: OrientedPlane, radius: float = 1.0) -> float:

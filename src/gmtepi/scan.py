@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import PolyChain, _dist_to_simplices
+from .layers import box_sheets
 from .mono import alpha_m, alpha0_exponent, lambda_epi
 from .moments import AmbiguousPlaneError, _cell_betas, _centred_betas, _plane_from_eigensystem, beta_numbers
 from .planes import OrientedPlane, _plane_distances, _plane_grid
@@ -48,8 +49,6 @@ class Frame:
     support_distance: float
 
 
-#: Candidate nodes ``support_sample`` builds at once (plus one grid row's).
-_SAMPLE_CHUNK = 1 << 14
 #: Most near simplices that one stacked moment or sup pass of a scan takes
 #: (a cell's own always go together).  Their temporaries grow with it, and
 #: once freed, a temporary far above a one-cell pass's makes the allocator
@@ -206,128 +205,52 @@ def support_sample(chain: PolyChain, x, r: float, spacing: float) -> np.ndarray:
 
     Segments get evenly spaced nodes over their window around the ball;
     triangles get a barycentric grid over a box around the ball window
-    (half-widths from the altitudes), its node count capped by the
-    window's area at the target spacing so that thin triangles do not
-    oversample.  Nodes come simplex by simplex in term order, grid rows
-    in order.  Only the nodes of each row near its chord through the ball
-    are built and measured, about ``_SAMPLE_CHUNK`` at a time.
+    (half-widths from the altitudes, centred at the barycentric least
+    squares foot of ``x``), its node count capped by the window's area at
+    the target spacing so that thin triangles do not oversample.  Nodes
+    come simplex by simplex in term order, grid rows in order.
     """
-    return _support_nodes(chain, np.asarray(x, dtype=float), r, spacing)
-
-
-def _support_nodes(
-    chain: PolyChain, x: np.ndarray, r: float, spacing: float, box: np.ndarray | None = None
-) -> np.ndarray:
-    """The nodes of :func:`support_sample`.  With ``box``, a frame (k, n),
-    each row builds only the nodes near its part of the slab
-    ``|box (p - x)|_inf <= r/2`` as well: the lattice and the ball filter
-    stay, so these are the sample's nodes with ``|box (p - x)|_inf`` up to
-    about ``r/2``, the same floats in the same order."""
-    near = chain.near_ball(x, r)
-    if not len(near):
-        return np.zeros((0, chain.n))
-    v = chain.verts[near]
-    diam = chain.diameters()[near]
-    v0 = v[:, 0]
-    e1 = v[:, 1] - v0
-    e1_sq = _rowdot(e1, e1)
-    # the coordinate size that the rounding of a node and its distance
-    # scales with
-    scale = r + np.linalg.norm(v0, axis=1) + np.linalg.norm(x) + np.sqrt(e1_sq)
-    if chain.m == 1:
-        den = np.maximum(e1_sq, 1e-300)
-        t0 = _rowdot(x - v0, e1) / den
-        half = (r + spacing) / np.sqrt(den)
-        a_lo, a_hi = np.maximum(0.0, t0 - half), np.minimum(1.0, t0 + half)
-        ka = np.maximum(2, np.ceil((a_hi - a_lo) * diam / spacing).astype(np.int64) + 1)
-        # one row per segment
-        row = np.flatnonzero(a_hi > a_lo)
-        base = (v0 - x)[row]
-    else:
-        e2 = v[:, 2] - v0
-        area2 = np.maximum(2.0 * chain.volumes()[near], 1e-30)
-        # LAPACK's least-squares solve, one triangle at a time: its rounding
-        # places the window, and with it every node
-        lam = np.array([_window_centre(np.stack([a, b], axis=1), w) for a, b, w in zip(e1, e2, x - v0)])
-        e2_len = np.sqrt(_rowdot(e2, e2))
-        scale = scale + e2_len
-        pad = r + 2 * spacing
-        wa = pad * e2_len / area2
-        wb = pad * np.sqrt(e1_sq) / area2
-        a_lo, a_hi = np.maximum(0.0, lam[:, 0] - wa), np.minimum(1.0, lam[:, 0] + wa)
-        b_lo, b_hi = np.maximum(0.0, lam[:, 1] - wb), np.minimum(1.0, lam[:, 1] + wb)
-        ok = (a_hi > a_lo) & (b_hi > b_lo)
-        ka = np.maximum(2, np.ceil((a_hi - a_lo) * diam / spacing).astype(np.int64) + 1)
-        kb = np.maximum(2, np.ceil((b_hi - b_lo) * diam / spacing).astype(np.int64) + 1)
-        # thin triangles oversample under skew barycentric axes: cap the
-        # node count by the window's actual area at the target spacing
-        window_area = (a_hi - a_lo) * (b_hi - b_lo) * area2
-        target = np.maximum(16.0, 4.0 * window_area / (spacing * spacing))
-        blow = np.sqrt(np.maximum(1.0, ka * kb / target))
-        ka = np.minimum(np.maximum(2, (ka / blow).astype(np.int64)), 160)
-        kb = np.where(ok, np.minimum(np.maximum(2, (kb / blow).astype(np.int64)), 160), 0)
-        # one row per node of the b axis: meshgrid's row-major order
-        row = np.repeat(np.arange(len(near)), kb)
-        i = np.arange(len(row)) - np.repeat(np.cumsum(kb) - kb, kb)
-        b_row = b_lo[row] + (b_hi - b_lo)[row] * _unit_nodes(i, kb[row])
-        base = (v0 - x)[row] + b_row[:, None] * e2[row]
-    # the row's nodes a_j = a_lo + (a_hi - a_lo) j / (ka - 1) that can lie in
-    # the ball: its chord, widened far beyond the rounding of the nodes
-    ee = e1_sq[row]
-    foot = -_rowdot(base, e1[row]) / ee
-    chord2 = r * r - (_rowdot(base, base) - foot * foot * ee) + 1e-9 * scale[row] ** 2
-    chord = np.sqrt(np.maximum(chord2, 0.0) / ee)
-    lo_a, hi_a = foot - chord, foot + chord
-    if chain.m == 2:
-        hi_a = np.minimum(hi_a, 1.0 + 1e-12 - b_row)
-    if box is not None:
-        # where F (base + a e1) lies in [-r/2, r/2] for each frame row F,
-        # widened like the chord
-        half = (r / 2 + 1e-9 * scale[row])[:, None]
-        c, g = base @ box.T, e1[row] @ box.T
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ends = np.stack([(-half - c) / g, (half - c) / g])
-        # a row along the slab (F e1 = 0) lies all in it or all out
-        along = np.where(np.abs(c) <= half, np.inf, -np.inf)
-        lo_a = np.maximum(lo_a, np.max(np.where(g == 0, -along, np.min(ends, axis=0)), axis=1))
-        hi_a = np.minimum(hi_a, np.min(np.where(g == 0, along, np.max(ends, axis=0)), axis=1))
-    span, steps = (a_hi - a_lo)[row], (ka - 1)[row]
-    j_lo = np.clip(np.floor((lo_a - a_lo[row]) / span * steps) - 1, 0, steps).astype(np.int64)
-    j_hi = np.clip(np.ceil((hi_a - a_lo[row]) / span * steps) + 1, -1, steps).astype(np.int64)
-    count = np.where(chord2 >= 0, np.maximum(j_hi - j_lo + 1, 0), 0)
-    start = np.cumsum(count) - count
+    x = np.asarray(x, dtype=float)
     pts = [np.zeros((0, chain.n))]
-    for rows in np.split(np.arange(len(row)), np.flatnonzero(np.diff(start // _SAMPLE_CHUNK)) + 1):
-        rows = rows[count[rows] > 0]
-        if not len(rows):
-            continue
-        node_row = np.repeat(rows, count[rows])
-        j = j_lo[node_row] + np.arange(len(node_row)) - np.repeat(start[rows] - start[rows[0]], count[rows])
-        t = row[node_row]
-        a = a_lo[t] + (a_hi - a_lo)[t] * _unit_nodes(j, ka[t])
-        p = v0[t] + a[:, None] * e1[t]
-        if chain.m == 2:
-            b = b_row[node_row]
-            keep = a + b <= 1.0 + 1e-12
-            t = t[keep]
-            p = p[keep] + b[keep, None] * e2[t]
+    diams, volumes = chain.diameters(), chain.volumes()
+    for idx in chain.near_ball(x, r):
+        v, diam = chain.verts[idx], diams[idx]
+        if chain.m == 1:
+            d = v[1] - v[0]
+            den = max(float(d @ d), 1e-300)
+            t0 = float((x - v[0]) @ d) / den
+            half = (r + spacing) / math.sqrt(den)
+            lo, hi = max(0.0, t0 - half), min(1.0, t0 + half)
+            if hi <= lo:
+                continue
+            k = max(2, int(math.ceil((hi - lo) * diam / spacing)) + 1)
+            ts = lo + (hi - lo) * np.linspace(0.0, 1.0, k)
+            p = v[0][None, :] + ts[:, None] * d[None, :]
+        else:
+            e1, e2 = v[1] - v[0], v[2] - v[0]
+            area2 = max(2.0 * float(volumes[idx]), 1e-30)
+            try:
+                lam = np.linalg.lstsq(np.stack([e1, e2], axis=1), x - v[0], rcond=None)[0]
+            except np.linalg.LinAlgError:
+                continue
+            pad = r + 2 * spacing
+            wa, wb = pad * np.linalg.norm(e2) / area2, pad * np.linalg.norm(e1) / area2
+            a_lo, a_hi = max(0.0, lam[0] - wa), min(1.0, lam[0] + wa)
+            b_lo, b_hi = max(0.0, lam[1] - wb), min(1.0, lam[1] + wb)
+            if a_hi <= a_lo or b_hi <= b_lo:
+                continue
+            ka = max(2, int(math.ceil((a_hi - a_lo) * diam / spacing)) + 1)
+            kb = max(2, int(math.ceil((b_hi - b_lo) * diam / spacing)) + 1)
+            target = max(16.0, 4.0 * ((a_hi - a_lo) * (b_hi - b_lo) * area2) / (spacing * spacing))
+            blow = math.sqrt(max(1.0, ka * kb / target))
+            aa, bb = np.meshgrid(
+                a_lo + (a_hi - a_lo) * np.linspace(0, 1, min(max(2, int(ka / blow)), 160)),
+                b_lo + (b_hi - b_lo) * np.linspace(0, 1, min(max(2, int(kb / blow)), 160)),
+            )
+            keep = aa + bb <= 1.0 + 1e-12
+            p = v[0][None, :] + aa[keep][:, None] * e1[None, :] + bb[keep][:, None] * e2[None, :]
         pts.append(p[np.linalg.norm(p - x, axis=1) <= r])
     return np.vstack(pts)
-
-
-def _window_centre(e: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates of the ball centre's foot on a triangle's
-    plane (least squares on its edge matrix), NaN where the solve fails."""
-    try:
-        return np.linalg.lstsq(e, w, rcond=None)[0]
-    except np.linalg.LinAlgError:
-        return np.full(2, np.nan)
-
-
-def _unit_nodes(i: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """``np.linspace(0, 1, k)[i]`` elementwise: ``i * (1 / (k - 1))``, and 1
-    at the last node."""
-    return np.where(i == k - 1, 1.0, i * (1.0 / (k - 1)))
 
 
 @dataclass
@@ -551,8 +474,6 @@ def extract_graph(
     report: ScanReport,
     chain: PolyChain,
     point_index: int,
-    fiber_grid: int = 64,
-    fiber_tol: float = 1e-7,
     dini_budget: float = 1.0 / 120.0,
     drift_floor: float = 1e-9,
 ) -> GraphCertificate:
@@ -560,16 +481,15 @@ def extract_graph(
 
     Gates: per-scale plane fits define a gauge ``eta`` whose Dini sum must
     stay within the budget, ``eta(s)/s`` must be nonincreasing on the
-    scale grid, and every fiber over the top plane must meet the support
-    in at most one cluster (injectivity); the Lipschitz bound and the
-    tangent-drift table with its fitted exponent come with the
-    certificate.
+    scale grid, and over the box ``|.|_inf <= r/2`` of the top plane, cut
+    at height r, the support must be exactly one sheet
+    (:func:`gmtepi.layers.box_sheets`) of Lipschitz constant at most 1.
+    That constant is exact; it and the tangent-drift table with its fitted
+    exponent come with the certificate.
     """
     cells = [c for c in report.point_cells(point_index) if c.plane is not None]
     if not cells:
         return GraphCertificate(False, "no usable scales", 0.0, dini_budget, 0.0, np.array([]), np.array([]), None)
-    x = report.points[point_index]
-    eta_hat = report.dini_sum(point_index)
     etas = np.array([c.eta for c in cells])
     radii = np.array([c.radius for c in cells])
     drifts = _plane_distances([c.plane for c in cells[:-1]], [c.plane for c in cells[1:]])
@@ -599,64 +519,18 @@ def extract_graph(
         return GraphCertificate(False, f"Dini sum {eta_hat:.3g} exceeds budget", eta_hat, dini_budget, 0.0, dscales, drifts, exponent)
 
     top = cells[0]
-    W = top.plane
-    r = top.radius
-    window = _graph_window(chain, x, r, W)
-    if window is None or len(window[0]) == 0:  # no node over the box
-        return GraphCertificate(False, "empty support window", eta_hat, dini_budget, 0.0, dscales, drifts, exponent)
-    bc, hh = window
-    # fiber injectivity: bucket the base coordinates, look for split heights
-    lim = r / 2
-    if W.m == 1:
-        bins = np.clip(((bc[:, 0] + lim) / (2 * lim) * fiber_grid).astype(int), 0, fiber_grid - 1)
-    else:
-        bx = np.clip(((bc[:, 0] + lim) / (2 * lim) * fiber_grid).astype(int), 0, fiber_grid - 1)
-        by = np.clip(((bc[:, 1] + lim) / (2 * lim) * fiber_grid).astype(int), 0, fiber_grid - 1)
-        bins = bx * fiber_grid + by
-    fiber_width = 2 * lim / fiber_grid
-    if _fiber_split(bins, hh, max(fiber_tol, 4 * fiber_width)):
-        return GraphCertificate(
-            False, "fiber meets the support in two clusters", eta_hat, dini_budget, 0.0, dscales, drifts, exponent
-        )
-    # Lipschitz bound of the graph from about 400 sampled points, over the
-    # pairs farther apart than a fiber
-    lips = 0.0
-    if len(bc) >= 2:
-        sel = np.arange(0, len(bc), max(1, len(bc) // 400))
-        P2, H2 = bc[sel], hh[sel]
-        dist = np.linalg.norm(P2[None, :, :] - P2[:, None, :], axis=2)
-        far = dist > fiber_width
-        if np.any(far):
-            lips = float(np.max(np.abs(H2[None, :] - H2[:, None])[far] / dist[far]))
-    if lips > 1.0 + 1e-9:
-        return GraphCertificate(False, f"Lipschitz bound {lips:.3g} exceeds 1", eta_hat, dini_budget, lips, dscales, drifts, exponent)
-    return GraphCertificate(True, "ok", eta_hat, dini_budget, lips, dscales, drifts, exponent)
-
-
-def _graph_window(chain: PolyChain, x: np.ndarray, r: float, W: OrientedPlane):
-    """Base coordinates over ``W`` and heights off it of the support sample
-    points at spacing ``r/128`` whose base lies in the box ``|.|_inf <= r/2``;
-    None for an empty sample.  Only the nodes over the box are built, unless
-    fewer than two are: then the whole sample is, since matmul rounds a
-    lone row its own way and an empty box is no empty sample."""
-    rel = _support_nodes(chain, x, r, r / 128, box=W.frame) - x
-    if len(rel) < 2:
-        rel = support_sample(chain, x, r, r / 128) - x
-    if len(rel) == 0:
-        return None
-    base_coords = W.project_coords(rel)
-    hcoords = rel @ W.perp_frame().T
-    keep = np.max(np.abs(base_coords), axis=1) <= r / 2
-    if hcoords.shape[1] == 1:
-        return base_coords[keep], hcoords[keep, 0]
-    return base_coords[keep], np.linalg.norm(hcoords[keep], axis=1)
-
-
-def _fiber_split(bins: np.ndarray, heights: np.ndarray, gap: float) -> bool:
-    """Whether some bin's sorted heights jump by more than ``gap``."""
-    order = np.lexsort((heights, bins))
-    same = bins[order][1:] == bins[order][:-1]
-    return bool(np.any(np.diff(heights[order])[same] > gap))
+    try:
+        sheets, lips = box_sheets(chain, report.points[point_index], top.plane, top.radius)
+    except ValueError as err:  # a degenerate term, one across the cut, or a boundary in the box
+        return GraphCertificate(False, str(err), eta_hat, dini_budget, 0.0, dscales, drifts, exponent)
+    reason = "ok"
+    if sheets == 0.0:
+        reason = "empty support window"
+    elif abs(sheets - 1.0) > 1e-9:
+        reason = f"{sheets:.6g} sheets over the box"
+    elif lips > 1.0 + 1e-9:
+        reason = f"Lipschitz bound {lips:.3g} exceeds 1"
+    return GraphCertificate(reason == "ok", reason, eta_hat, dini_budget, lips, dscales, drifts, exponent)
 
 
 def theoretical_exponent(m: int, alpha: float, lam: float | None = None) -> float:

@@ -530,68 +530,11 @@ def dist_to_support(chain, p: np.ndarray) -> float:
     return best
 
 
-def support_sample(chain, x, r: float, spacing: float) -> np.ndarray:
-    """The support sample, one simplex at a time."""
-    x = np.asarray(x, dtype=float)
-    pts = []
-    if chain.is_zero:
-        return np.zeros((0, chain.n))
-    diams = chain.diameters()
-    volumes = chain.volumes()
-    for idx in chain.near_ball(x, r):
-        v = chain.verts[idx]
-        diam = diams[idx]
-        if chain.m == 1:
-            d = v[1] - v[0]
-            den = max(float(d @ d), 1e-300)
-            t0 = float((x - v[0]) @ d) / den
-            half = (r + spacing) / math.sqrt(den)
-            lo, hi = max(0.0, t0 - half), min(1.0, t0 + half)
-            if hi <= lo:
-                continue
-            k = max(2, int(math.ceil((hi - lo) * diam / spacing)) + 1)
-            ts = lo + (hi - lo) * np.linspace(0.0, 1.0, k)
-            p = v[0][None, :] + ts[:, None] * (v[1] - v[0])[None, :]
-        else:
-            e1, e2 = v[1] - v[0], v[2] - v[0]
-            area2 = max(2.0 * float(volumes[idx]), 1e-30)
-            try:
-                lam = np.linalg.lstsq(np.stack([e1, e2], axis=1), x - v[0], rcond=None)[0]
-            except np.linalg.LinAlgError:
-                continue
-            pad = r + 2 * spacing
-            wa = pad * np.linalg.norm(e2) / area2
-            wb = pad * np.linalg.norm(e1) / area2
-            a_lo, a_hi = max(0.0, lam[0] - wa), min(1.0, lam[0] + wa)
-            b_lo, b_hi = max(0.0, lam[1] - wb), min(1.0, lam[1] + wb)
-            if a_hi <= a_lo or b_hi <= b_lo:
-                continue
-            ka = max(2, int(math.ceil((a_hi - a_lo) * diam / spacing)) + 1)
-            kb = max(2, int(math.ceil((b_hi - b_lo) * diam / spacing)) + 1)
-            window_area = (a_hi - a_lo) * (b_hi - b_lo) * area2
-            target = max(16.0, 4.0 * window_area / (spacing * spacing))
-            blow = math.sqrt(max(1.0, ka * kb / target))
-            ka = max(2, int(ka / blow))
-            kb = max(2, int(kb / blow))
-            aa, bb = np.meshgrid(
-                a_lo + (a_hi - a_lo) * np.linspace(0, 1, min(ka, 160)),
-                b_lo + (b_hi - b_lo) * np.linspace(0, 1, min(kb, 160)),
-            )
-            keep = aa + bb <= 1.0 + 1e-12
-            a, b = aa[keep], bb[keep]
-            p = v[0][None, :] + a[:, None] * e1[None, :] + b[:, None] * e2[None, :]
-        inside = np.linalg.norm(p - x, axis=1) <= r
-        if np.any(inside):
-            pts.append(p[inside])
-    if not pts:
-        return np.zeros((0, chain.n))
-    return np.vstack(pts)
-
-
 def graph_window(chain, x, r: float, W):
-    """``extract_graph``'s window from the whole-ball sample: every node of
+    """The sampled window of the former graph certificate: every node of
     ``support_sample`` at spacing r/128, projected onto W, then the box
-    ``|base|_inf <= r/2`` (the scanner now builds only the nodes over it)."""
+    ``|base|_inf <= r/2``; base coordinates and heights (their norm in
+    codimension above one), or None for an empty sample."""
     from gmtepi.scan import support_sample
 
     rel = support_sample(chain, x, r, spacing=r / 128) - x
@@ -615,6 +558,37 @@ def fiber_split(bins: np.ndarray, heights: np.ndarray, gap: float) -> bool:
         if np.max(np.diff(vals)) > gap:
             return True
     return False
+
+
+def sampled_certificate(chain, x, r: float, W, fiber_grid: int = 64, fiber_tol: float = 1e-7):
+    """The former sampled graph test of ``extract_graph`` after its Dini
+    gate, on the window of :func:`graph_window`: ``(reason, lipschitz)``.
+
+    Two heights in one of ``fiber_grid`` bins per axis count as two sheets
+    only if they differ by more than ``max(fiber_tol, r/16)``, and the
+    Lipschitz constant is the largest difference quotient over about 400
+    nodes farther apart than a bin: a lower estimate."""
+    window = graph_window(chain, x, r, W)
+    if window is None or len(window[0]) == 0:
+        return "empty support window", 0.0
+    bc, hh = window
+    lim = r / 2
+    cell = np.clip(((bc + lim) / (2 * lim) * fiber_grid).astype(int), 0, fiber_grid - 1)
+    bins = cell[:, 0] if W.m == 1 else cell[:, 0] * fiber_grid + cell[:, 1]
+    fiber_width = 2 * lim / fiber_grid
+    if fiber_split(bins, hh, max(fiber_tol, 4 * fiber_width)):
+        return "fiber meets the support in two clusters", 0.0
+    lips = 0.0
+    if len(bc) >= 2:
+        sel = np.arange(0, len(bc), max(1, len(bc) // 400))
+        P2, H2 = bc[sel], hh[sel]
+        dist = np.linalg.norm(P2[None, :, :] - P2[:, None, :], axis=2)
+        far = dist > fiber_width
+        if np.any(far):
+            lips = float(np.max(np.abs(H2[None, :] - H2[:, None])[far] / dist[far]))
+    if lips > 1.0 + 1e-9:
+        return f"Lipschitz bound {lips:.3g} exceeds 1", lips
+    return "ok", lips
 
 
 def plane_ball_to_support(chain, x, r, plane, grid: int = 24) -> float:

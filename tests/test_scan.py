@@ -205,3 +205,47 @@ def test_extract_graph_refuses_an_empty_window():
     cert = extract_graph(rep, D, 0, dini_budget=math.inf)
     assert not cert.ok and cert.reason == "empty support window"
     assert extract_graph(rep, D, 0).reason.startswith("Dini sum")
+
+
+def _branch_points():
+    """Criterion 9's branch-set points of two_sheet_cantor(3, 48, 0.12):
+    0.3, 0.5 and 0.7 of the way along each kept interval of level 3."""
+    intervals = [(0.0, 1.0)]
+    for _ in range(3):
+        intervals = [iv for a, b in intervals for iv in ((a, a + (b - a) / 3), (b - (b - a) / 3, b))]
+    return [np.array([a + (b - a) * frac, 0.0]) for a, b in intervals for frac in (0.3, 0.5, 0.7)]
+
+
+def test_branch_points_are_refused_without_a_dini_gate():
+    # the sheets part within each box by 0.0013 r to 0.0054 r, far below
+    # the r/16 that a sampled fiber test could tell apart
+    T, _ = two_sheet_cantor(3, 48, 0.12)
+    reasons = set()
+    for x in _branch_points():
+        rep = multiscale_scan(T, [x], r0=0.08, depth=3)
+        cert = extract_graph(rep, T, 0, dini_budget=math.inf)
+        assert not cert.ok, x
+        reasons.add(cert.reason)
+    assert reasons == {"2 sheets over the box", "projected boundary meets the box: it is partly covered"}
+
+
+@pytest.mark.parametrize("x1", [0.9, 1.0, 1.098])
+def test_extract_graph_refuses_a_partly_covered_box(x1):
+    # the top box |p_1 - x_1| <= 0.1 crosses the rim of the disk, which
+    # reaches x_1 = 1 on the axis
+    D, _ = flat_disk(16)
+    rep = multiscale_scan(D, [np.array([x1, 0.0, 0.0])], r0=0.2, depth=2)
+    cert = extract_graph(rep, D, 0, dini_budget=math.inf)
+    assert not cert.ok and cert.reason == "projected boundary meets the box: it is partly covered"
+    inside = multiscale_scan(D, [np.array([x1 - 0.3, 0.0, 0.0])], r0=0.2, depth=2)
+    assert extract_graph(inside, D, 0, dini_budget=math.inf).ok
+
+
+def test_extract_graph_refuses_a_vertical_triangle():
+    D, _ = flat_disk(16)
+    x = np.array([0.1, 0.05, 0.0])
+    rep = multiscale_scan(D, [x], r0=0.2, depth=2)  # the disk's own plane
+    wall = D.with_arrays(np.array([[[0.1, 0.0, 0.0], [0.15, 0.0, 0.0], [0.1, 0.0, 0.05]]]), np.ones((1, 1), dtype=np.int64))
+    cert = extract_graph(rep, D + wall, 0, dini_budget=math.inf)
+    assert not cert.ok and cert.reason == "projected simplex is degenerate"
+    assert extract_graph(rep, D, 0, dini_budget=math.inf).ok

@@ -1,8 +1,6 @@
-"""The scanner's batched kernels against their references, bit for bit:
-the pruned point-to-support distances against the unpruned pass, the
-support sample against the per-simplex loop, the graph window against
-the whole-ball sample, and the sorted fiber check against the per-bin
-loop."""
+"""The scanner's batched kernels against their references: the pruned
+point-to-support distances against the unpruned pass, bit for bit, and
+the exact graph certificate against the sampled window it replaced."""
 
 import math
 
@@ -14,15 +12,8 @@ from gmtepi.chains import PolyChain, _dist_to_simplices, _pair_dists
 from gmtepi.generators import cantor_graph, cone_harmonic, flat_disk, tilted_cone, two_sheet_cantor
 from gmtepi.groups import integers
 from gmtepi.planes import OrientedPlane
-from gmtepi.scan import (
-    _dist_to_support,
-    _fiber_split,
-    _graph_window,
-    _support_nodes,
-    extract_graph,
-    multiscale_scan,
-    support_sample,
-)
+from gmtepi.layers import box_sheets
+from gmtepi.scan import _dist_to_support, extract_graph, multiscale_scan, support_sample
 
 
 def _chain(verts):
@@ -139,52 +130,9 @@ def test_distance_pass_with_no_points_or_no_simplices():
     assert np.all(_dist_to_simplices(va[:0], np.ones((4, 3))) == np.inf)
 
 
-def _thin_triangle():
-    # a 1:1000 sliver next to a regular triangle: the area cap on the
-    # barycentric grid decides its node count
-    return _chain([
-        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 1e-3, 0.0]],
-        [[0.0, 0.0, 0.0], [0.5, 1e-3, 0.0], [0.0, 1.0, 0.1]],
-    ])
-
-
-SAMPLE_CHAINS = {
-    "flat_disk": lambda: flat_disk(64)[0],
-    "cone_harmonic": lambda: cone_harmonic(2, 0.05, 64)[0],
-    "two_sheet_cantor": lambda: two_sheet_cantor(3, 48, 0.12)[0],
-    "thin_triangle": _thin_triangle,
-}
-
-
-@pytest.mark.parametrize("name", list(SAMPLE_CHAINS))
-def test_support_sample_matches_the_per_simplex_loop(name):
-    chain = SAMPLE_CHAINS[name]()
-    va = chain.vertex_array()
-    rng = np.random.default_rng(len(name))
-    checked = 0
-    for _ in range(3):
-        x = va[int(rng.integers(len(va)))].mean(axis=0) + rng.normal(size=chain.n) * 0.02
-        for r in (0.4, 0.1, 0.02):
-            for spacing in (r / 48, r / 128):
-                got = support_sample(chain, x, r, spacing)
-                want = oracle.support_sample(chain, x, r, spacing)
-                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (x, r, spacing)
-                checked += len(got)
-    assert checked > 0
-
-
 def test_support_sample_of_an_empty_window():
     chain = flat_disk(16)[0]
     assert support_sample(chain, np.array([5.0, 0.0, 0.0]), 0.5, 0.01).shape == (0, 3)
-
-
-def _assert_window_matches_the_whole_ball(chain, x, r, W):
-    got, want = _graph_window(chain, x, r, W), oracle.graph_window(chain, x, r, W)
-    assert (got is None) == (want is None)
-    if got is not None:
-        for a, b in zip(got, want):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (x, r)
-    return 0 if got is None else len(got[0])
 
 
 def _scan_plane(chain, x, r, rng):
@@ -201,57 +149,41 @@ WINDOW_CHAINS = {
 }
 
 
+def _exact_certificate(chain, x, r, W):
+    """``extract_graph``'s verdict after its Dini gate, and the exact
+    Lipschitz constant."""
+    try:
+        sheets, lips = box_sheets(chain, x, W, r)
+    except ValueError as err:
+        return str(err), 0.0
+    return ("ok" if abs(sheets - 1.0) <= 1e-9 and lips <= 1.0 + 1e-9 else f"{sheets:.6g} sheets"), lips
+
+
 @pytest.mark.parametrize("name", list(WINDOW_CHAINS))
-def test_graph_window_matches_the_whole_ball_sample(name):
+def test_exact_certificate_against_the_sampled_window(name):
+    # the exact test certifies no window that the sample refused, and its
+    # Lipschitz constant bounds the sampled difference quotients (1e-13
+    # absolute: on a flat sheet both read rounding noise)
     chain = WINDOW_CHAINS[name]()
     va = chain.vertex_array()
     rng = np.random.default_rng(len(name) + 10)
-    kept = 0
+    certified = 0
     for i in range(4):
         x = va[int(rng.integers(len(va)))].mean(axis=0) + rng.normal(size=chain.n) * 0.02
         r = (0.3, 0.1, 0.04, 0.3)[i]
         plane = _scan_plane(chain, x, r, rng)
-        kept += _assert_window_matches_the_whole_ball(chain, x, r, plane)
-        # a plane turned off the support: slabs that cut the rows obliquely
+        # a plane turned off the support: boxes that cut the terms obliquely
         turned = OrientedPlane.from_span(plane.frame + 0.3 * rng.normal(size=plane.frame.shape))
-        kept += _assert_window_matches_the_whole_ball(chain, x, r, turned)
-    assert kept > 0
-
-
-def test_graph_window_of_a_few_nodes_and_of_an_empty_box():
-    # the box |p_1 - x_1| <= r/2 reaches eps past the rim of the disk at
-    # (1, 0, 0), so it holds a handful of nodes of the large ball sample;
-    # at eps < 0 it holds none, and the window is empty but not None
-    chain = flat_disk(16)[0]
-    W = OrientedPlane.coordinate(3, (0, 1))
-    r = 0.2
-    sizes = [
-        _assert_window_matches_the_whole_ball(chain, np.array([1.0 + r / 2 - eps, 0.0, 0.0]), r, W)
-        for eps in (2e-3, 1e-3, -1e-3, -1e-2)
-    ]
-    assert 2 < sizes[0] < 20 and sizes[2:] == [0, 0]
-    assert _graph_window(chain, np.array([5.0, 0.0, 0.0]), r, W) is None
-
-
-def test_graph_window_builds_only_the_nodes_over_its_box():
-    chain = flat_disk(256, n=5)[0]
-    x = np.array([0.3, 0.1, 0.0, 0.0, 0.0])
-    r = 0.3
-    W = OrientedPlane.coordinate(5, (0, 1))
-    whole = support_sample(chain, x, r, r / 128)
-    boxed = _support_nodes(chain, x, r, r / 128, box=W.frame)
-    window = _graph_window(chain, x, r, W)
-    # the box holds 1 / pi of the ball's disk; the slab margins add a few rows
-    assert len(window[0]) <= len(boxed) < 0.7 * len(whole)
-
-
-def _fiber_inputs(chain, x, r, fiber_grid=64):
-    """Base bins and heights of a window over the first coordinate axis,
-    as ``extract_graph`` forms them."""
-    sup = support_sample(chain, x, r, r / 128) - x
-    keep = np.abs(sup[:, 0]) <= r / 2
-    bins = np.clip(((sup[keep, 0] + r / 2) / r * fiber_grid).astype(int), 0, fiber_grid - 1)
-    return bins, sup[keep, 1], 4 * r / fiber_grid
+        for W in (plane, turned):
+            exact, lips = _exact_certificate(chain, x, r, W)
+            sampled, sampled_lips = oracle.sampled_certificate(chain, x, r, W)
+            if exact == "ok":
+                assert sampled == "ok", (x, r)
+                assert lips >= sampled_lips * (1.0 - 1e-12) - 1e-13, (x, r)
+                certified += 1
+    # every window of the Cantor chain holds both sheets, which the sample
+    # merges where they are closer than r/16
+    assert certified > 0 or name == "two_sheet_cantor"
 
 
 def _two_sheet_window():
@@ -263,29 +195,20 @@ def _two_sheet_window():
     return sheets, np.array([gap["center"], 0.5 * sep]), 3 * sep
 
 
-def test_fiber_check_matches_the_per_bin_loop():
+def test_sheets_far_apart_are_refused_by_both_tests():
+    # three sheet separations wide, so the sheets are r/3 apart, beyond the
+    # sample's r/16 fiber tolerance: the two tests agree
     sheets, x, r = _two_sheet_window()
-    bins, hh, gap_tol = _fiber_inputs(sheets, x, r)
-    assert oracle.fiber_split(bins, hh, gap_tol)
-    assert _fiber_split(bins, hh, gap_tol)
-    graph = cantor_graph(4, 56, 0.02)[0]
-    bins, hh, gap_tol = _fiber_inputs(graph, np.array([0.25, 0.0]), 0.2)
-    assert not oracle.fiber_split(bins, hh, gap_tol)
-    assert not _fiber_split(bins, hh, gap_tol)
-    rng = np.random.default_rng(4)
-    for _ in range(200):
-        size = int(rng.integers(1, 60))
-        bins = rng.integers(0, 8, size)
-        hh = rng.normal(size=size)
-        gap_tol = float(rng.uniform(0.0, 1.5))
-        assert _fiber_split(bins, hh, gap_tol) == oracle.fiber_split(bins, hh, gap_tol)
+    W = _scan_plane(sheets, x, r, np.random.default_rng(0))
+    assert oracle.sampled_certificate(sheets, x, r, W)[0] == "fiber meets the support in two clusters"
+    assert _exact_certificate(sheets, x, r, W)[0] != "ok"
 
 
 def test_graph_certificate_verdicts_on_two_sheets_and_a_graph():
     sheets, x, r = _two_sheet_window()
     rep = multiscale_scan(sheets, [x], r0=r, depth=0)
     cert = extract_graph(rep, sheets, 0, dini_budget=math.inf)
-    assert not cert.ok and cert.reason == "fiber meets the support in two clusters"
+    assert not cert.ok and cert.reason == "2 sheets over the box"
     graph = cantor_graph(4, 56, 0.02)[0]
     rep = multiscale_scan(graph, [np.array([0.25, 0.0])], r0=0.22, depth=3)
     assert extract_graph(rep, graph, 0).ok

@@ -1,11 +1,13 @@
-"""Work counters of one comparison run: each per-row bookkeeping step of
-the comparison pipeline runs once, so these counts are pinned as upper
+"""Work counters of one comparison run and of one graph certificate: each
+per-row bookkeeping step runs once, so these counts are pinned as upper
 bounds (a count that grows is repeated work, not a wrong answer)."""
+
+import math
 
 import numpy as np
 
-from gmtepi import chains, epi, layers
-from gmtepi.generators import cone_harmonic
+from gmtepi import chains, epi, layers, scan
+from gmtepi.generators import cone_harmonic, flat_disk
 
 # build_comparison(cone_harmonic(2, 0.05, 256)): an S of 11,264 terms
 S_TERMS = 11_264
@@ -15,16 +17,19 @@ GRAM_ROWS = 12_288
 WELD_ROWS = 33_536  # vertex rows: P's boundary once, and s_parts - P_inside once for the defect gate
 SOLVED_ROWS = 256  # affine maps: only P's layers over V are read
 CLEARANCE_CALLS = 1
+# rows clipped to a zone or cylinder: 256 in each of the two P calls and,
+# in S's zone call, the 512 flagged rows that the zone ring crosses
+CLIPPED_ROWS = 1_024
 
 
 def test_one_comparison_does_each_bookkeeping_step_once(monkeypatch):
     P = cone_harmonic(2, 0.05, 256)[0]
-    count = dict(gram=0, weld=0, solve=0, clearance=0)
+    count = dict(gram=0, weld=0, solve=0, clearance=0, clipped=0)
 
     def counted(key, real, rows):
-        def call(*args):
+        def call(*args, **kwargs):
             count[key] += rows(*args)
-            return real(*args)
+            return real(*args, **kwargs)
 
         return call
 
@@ -35,9 +40,34 @@ def test_one_comparison_does_each_bookkeeping_step_once(monkeypatch):
     # the affine maps of the layers are the pipeline's only linear solve
     monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve, lambda a, b: len(a)))
     monkeypatch.setattr(layers, "boundary_clearance", counted("clearance", layers.boundary_clearance, lambda *a: 1))
+    monkeypatch.setattr(epi, "_clip_to_cylinder", counted("clipped", epi._clip_to_cylinder, lambda rows, *a: len(rows)))
     S, rep = epi.build_comparison(P)
     assert len(S) == S_TERMS and rep.boundary_defect == 0.0
     assert count["gram"] <= GRAM_ROWS, count
     assert count["weld"] <= WELD_ROWS, count
     assert count["solve"] <= SOLVED_ROWS, count
     assert count["clearance"] <= CLEARANCE_CALLS, count
+    assert count["clipped"] <= CLIPPED_ROWS, count
+
+
+def test_one_graph_certificate_samples_nothing_and_welds_once(monkeypatch):
+    # a scan_disk point: flat_disk(256) in R^5 at radius 1/4, three scales from 1/2
+    chain = flat_disk(256, n=5)[0]
+    x = np.array([0.25 * math.cos(0.3), 0.25 * math.sin(0.3), 0.0, 0.0, 0.0])
+    rep = scan.multiscale_scan(chain, [x], r0=0.5, depth=2)
+    count = dict(lstsq=0, sample=0, weld=0, boundary=0)
+
+    def counted(key, real):
+        def call(*args, **kwargs):
+            count[key] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", np.linalg.lstsq))
+    monkeypatch.setattr(scan, "support_sample", counted("sample", scan.support_sample))
+    monkeypatch.setattr(chains, "_vertex_ids", counted("weld", chains._vertex_ids))
+    monkeypatch.setattr(layers, "boundary", counted("boundary", layers.boundary))
+    cert = scan.extract_graph(rep, chain, 0)
+    assert cert.ok and cert.lipschitz <= 1e-12
+    assert count == dict(lstsq=0, sample=0, weld=1, boundary=1)
