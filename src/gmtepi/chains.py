@@ -533,6 +533,9 @@ def _clip_polygons(
 #: Relative slack of the sup kernel's vertex and edge-root tests.
 _SUP_TOL = 1e-12
 
+#: The vertex pairs (i, j), i < j, of a simplex with k vertices.
+_EDGES = {k: np.triu_indices(k, 1) for k in (1, 2, 3)}
+
 
 def _region_sups(q: np.ndarray, h: np.ndarray, r: np.ndarray) -> np.ndarray:
     """The largest ``|h|`` over the points of each simplex with ``|q| <= r``.
@@ -552,7 +555,7 @@ def _region_sups(q: np.ndarray, h: np.ndarray, r: np.ndarray) -> np.ndarray:
     qq = _rowdot(q, q)
     near = qq <= r2[:, None] * (1.0 + 2.0 * _SUP_TOL)
     best = np.max(np.where(near, np.linalg.norm(h, axis=2), 0.0), axis=1)
-    i, j = np.triu_indices(k, 1)
+    i, j = _EDGES[k]
     p, dd = q[:, i], q[:, j] - q[:, i]
     aa = _rowdot(dd, dd)
     bb = 2.0 * _rowdot(p, dd)

@@ -28,7 +28,7 @@ import numpy as np
 from .chains import PolyChain, _clip_polygons, _dist_to_simplices, _dists, _region_sups, boundary, merge_terms
 from .groups import NormedCoefficient, group_add, group_norm, integers, zero
 from .planes import OrientedPlane
-from .quadrature import _rowdot, disk_polygon_areas
+from .quadrature import _disk_clip, _rowdot, disk_polygon_areas
 
 __all__ = [
     "GeneralPositionError",
@@ -175,8 +175,23 @@ def decompose_layers(
     """
     if base.n != chain.n or base.m != chain.m:
         raise ValueError("base plane shape mismatch")
+    decomp = _layer_stack(chain, base, base.perp_frame())
+    if check_constancy and len(chain):
+        clearance = decomp.clearance = boundary_clearance(chain, base)
+        if clearance <= radius:
+            raise ConstancyError(
+                f"projected boundary comes within {clearance:.6g} of the origin, "
+                f"inside the disk of radius {radius:.6g}"
+            )
+        decomp.g0 = _stalk_coefficient(decomp, radius)
+        decomp.g0_norm = group_norm(decomp.g0)
+    return decomp
+
+
+def _layer_stack(chain: PolyChain, base: OrientedPlane, perp: np.ndarray) -> LayerDecomposition:
+    """The layers of :func:`decompose_layers` with the complement frame
+    ``perp`` (rows) of ``base`` given, without the constancy check."""
     m = chain.m
-    perp = base.perp_frame()
     verts = chain.verts
     dom = verts @ base.frame.T  # (T, m+1, m)
     edges = dom[:, 1:] - dom[:, :1]  # (T, m, m), one edge per row
@@ -206,19 +221,9 @@ def decompose_layers(
         minors = gx[:, :, None] * gy[:, None, :] - gx[:, None, :] * gy[:, :, None]
         wedge = 0.5 * np.sum(minors * minors, axis=(1, 2))
         jac_sq = 1.0 + np.sum(gx * gx, axis=1) + np.sum(gy * gy, axis=1) + wedge
-    decomp = LayerDecomposition(
+    return LayerDecomposition(
         base, perp, chain, dom, heights, np.sqrt(jac_sq), chain.coeff_norms(), zero(chain.group), 0.0,
     )
-    if check_constancy and len(chain):
-        clearance = decomp.clearance = boundary_clearance(chain, base)
-        if clearance <= radius:
-            raise ConstancyError(
-                f"projected boundary comes within {clearance:.6g} of the origin, "
-                f"inside the disk of radius {radius:.6g}"
-            )
-        decomp.g0 = _stalk_coefficient(decomp, radius)
-        decomp.g0_norm = group_norm(decomp.g0)
-    return decomp
 
 
 def _covered_mass(
@@ -608,8 +613,10 @@ def box_sheets(chain: PolyChain, x: np.ndarray, base: OrientedPlane, r: float) -
     """
     m, n = base.m, base.n
     near = chain.near_ball(x, r * math.sqrt(1.0 + 0.25 * m))
-    # base coordinates, then heights
-    coords = (chain.verts[near] - x) @ np.vstack([base.frame, base.perp_frame()]).T
+    # base coordinates, then heights; aligning the base flips a frame row,
+    # which keeps its complement
+    perp = base.perp_frame()
+    coords = (chain.verts[near] - x) @ np.vstack([base.frame, perp]).T
     polys, counts = _box_clip(coords, np.full(len(near), m + 1), m, 0.5 * r)
     col = np.arange(polys.shape[1])
     live = col < counts[:, None]
@@ -626,7 +633,7 @@ def box_sheets(chain: PolyChain, x: np.ndarray, base: OrientedPlane, r: float) -
     if not np.any(hit):
         return 0.0, 0.0
     carrier = PolyChain(n, m, integers(), verts=chain.verts[near[hit]], payload=np.ones((int(hit.sum()), 1), dtype=np.int64))
-    A = decompose_layers(carrier, align_base_to_chain(base, carrier), check_constancy=False).A
+    A = _layer_stack(carrier, align_base_to_chain(base, carrier), perp).A
     if np.any(top[hit] > r):
         raise ValueError("the support crosses the height cut |h| = r over the box")
     # the faces whose bounding boxes meet the open box, clipped to it
@@ -636,7 +643,97 @@ def box_sheets(chain: PolyChain, x: np.ndarray, base: OrientedPlane, r: float) -
     if len(faces) and np.any(_box_clip(faces, np.full(len(faces), m), m, half)[1]):
         raise ConstancyError("projected boundary meets the box: it is partly covered")
     size = np.ptp(np.where(live, polys[..., 0], polys[:, :1, 0]), axis=1) if m == 1 else _fan_areas(polys[..., :2], counts)
-    return float(np.sum(size[hit])) / r**m, float(np.max(np.linalg.norm(A, ord=2, axis=(1, 2))))
+    return float(np.sum(size[hit])) / r**m, float(np.max(_spectral_norms(A)))
+
+
+def _spectral_norms(A: np.ndarray) -> np.ndarray:
+    """``||A_i||_2`` of a stack (T, c, m), m <= 2, in closed form: the
+    column's length for m = 1, and for m = 2 the root of the larger
+    eigenvalue of the Gram matrix ``[[a, b], [b, d]] = A_i^T A_i``."""
+    if A.shape[2] == 1:
+        return np.sqrt(np.sum(A[:, :, 0] ** 2, axis=1))
+    a, b, d = (np.sum(A[:, :, i] * A[:, :, j], axis=1) for i, j in ((0, 0), (0, 1), (1, 1)))
+    return np.sqrt(0.5 * (a + d) + np.hypot(0.5 * (a - d), b))
+
+
+def _unit_faces(chain: PolyChain) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices (F, m, n) and diameters (F,) of the faces of the boundary
+    of the chain's unit-coefficient carrier, welded once per chain and kept
+    in its cache."""
+    if "unit_faces" not in chain._cache:
+        carrier = PolyChain(chain.n, chain.m, integers(), verts=chain.verts, payload=np.ones((len(chain), 1), dtype=np.int64))
+        faces = boundary(carrier).verts
+        chain._cache["unit_faces"] = faces, np.max(np.linalg.norm(faces - faces[:, :1], axis=2), axis=1)
+    return chain._cache["unit_faces"]
+
+
+def _frame_coords(v: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """Coordinates (R, k, d) of points ``v`` (R, k, n) in the row frames
+    ``frames`` (R, d, n), one dot product per entry, so each row's floats
+    do not depend on the rows stacked with it."""
+    return _rowdot(v[:, :, None, :], frames[:, None])
+
+
+def disk_cover(
+    chain: PolyChain, rows: np.ndarray, cells: np.ndarray, xs: np.ndarray, rs: np.ndarray,
+    frames: np.ndarray, perps: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whether the support covers each plane disk ``D_c`` of radius
+    ``rs[c]`` about ``xs[c]`` in the plane of ``frames[c]`` (m, n) inside
+    the height cut ``|h| <= rs[c]``, and the largest ``|h|`` of the covering
+    terms over it.  ``h`` is the part in the complement spanned by
+    ``perps[c]``; only its Euclidean norm enters, and the disk is round, so
+    no frame of either space does.
+
+    ``rows`` are the term indices near each disk (row t near disk
+    ``cells[t]``, nondecreasing); they must hold every term within
+    ``sqrt(2) rs[c]`` of ``xs[c]``, which all points of the cut cylinder
+    are.  Each row is *in* when its largest ``|h|`` over the disk
+    (:func:`gmtepi.chains._region_sups`) is at most r, and *out* when its
+    least ``|h|`` (:func:`gmtepi.chains._dists` of its height simplex)
+    exceeds r.  A disk is covered when every row is in or out, no face of
+    the unit-coefficient boundary (:func:`_unit_faces`) has a projection
+    meeting the open disk and a least ``|h|`` at most r, and the signed
+    projected measure of the in rows is a nonzero multiple k of ``|D|``.
+    Then every boundary face of the in rows over the open disk would be
+    such a face, so by the constancy theorem their projection is k times
+    the disk, and each point p of it has a support point straight above
+    it: ``d(p, spt) <= H``, the returned height.  Every row's floats are
+    its own, so a disk's answer does not depend on the disks stacked with
+    it.  Returns ``(covered (C,), H (C,))``.
+    """
+    C, m = len(xs), chain.m
+    basis = np.concatenate([frames, perps], axis=1)
+    qh = _frame_coords(chain.verts[rows] - xs[cells][:, None, :], basis[cells])
+    q, h, r = qh[..., :m], qh[..., m:], rs[cells]
+    sup = _region_sups(q, h, r)
+    inn = sup <= r
+    covered = np.ones(C, dtype=bool)
+    if not np.all(inn):
+        with np.errstate(over="ignore", invalid="ignore"):  # a flat height simplex's interior foot, unused
+            low = _dists(h[~inn], np.zeros(h.shape[2]))
+        covered[cells[~inn][low <= r[~inn]]] = False
+    top = np.zeros(C)
+    np.maximum.at(top, cells[inn], sup[inn])
+    if m == 1:
+        ends = np.clip(q[inn, :, 0], -r[inn, None], r[inn, None])
+        size = ends[:, 1] - ends[:, 0]
+    else:
+        size = _disk_clip(q[inn], r[inn], moments=False)
+    k = np.bincount(cells[inn], weights=size, minlength=C) / (2.0 * rs if m == 1 else math.pi * rs * rs)
+    sheets = np.rint(k)
+    covered &= (sheets != 0) & (np.abs(k - sheets) <= 1e-9)
+    # the boundary faces that can reach the cut cylinder, all within sqrt(2) r
+    faces, diam = _unit_faces(chain)
+    reach = np.min(np.linalg.norm(faces[None] - xs[:, None, None], axis=3), axis=2) - diam
+    fc, f = np.nonzero(reach <= math.sqrt(2.0) * rs[:, None] * (1.0 + 1e-9))
+    if len(fc):
+        qh = _frame_coords(faces[f] - xs[fc][:, None, :], basis[fc])
+        with np.errstate(over="ignore", invalid="ignore"):
+            inside = _dists(qh[..., :m], np.zeros(m)) < rs[fc] * (1.0 + 1e-12)
+            low = _dists(qh[..., m:], np.zeros(h.shape[2]))
+        covered[fc[inside & (low <= rs[fc])]] = False
+    return covered, top
 
 
 def height_sup(chain: PolyChain, base: OrientedPlane, radius: float = 1.0) -> float:

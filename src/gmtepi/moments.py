@@ -260,7 +260,22 @@ def beta_numbers(chain: PolyChain, x, r: float, plane: OrientedPlane) -> BetaRec
     near = chain.near_ball(x, r)
     bm = chain_ball_moments(chain, x, r)
     cells = np.zeros(len(near), dtype=np.int64)
-    return _cell_betas(chain.vertex_array()[near], cells, x[None], np.array([r]), [bm], [plane], chain.m)[0]
+    perps = _perp_frames([plane])
+    return _cell_betas(chain.vertex_array()[near], cells, x[None], np.array([r]), [bm], [plane], perps, chain.m)[0]
+
+
+def _perp_frames(planes: list[OrientedPlane]) -> np.ndarray:
+    """The complement frames (C, n-m, n) of the planes, as
+    :meth:`OrientedPlane.perp_frame` gives each, from one stacked SVD."""
+    return np.linalg.svd(np.stack([p.frame for p in planes]))[2][:, planes[0].m :]
+
+
+#: ``beta_2``'s perp contraction reads 0 at most this many times ``(n - m)
+#: eps t2``, its rounding bound: each entry of the exact second moment
+#: ``s2`` carries a few ulps of its trace ``t2 = ∫|y - x|^2``, and n - m
+#: unit rows contract it.  Flat cells of ``flat_disk`` in R^5 and R^8 read
+#: at most ``0.23 (n - m) eps t2``.
+_BETA2_ROUNDING = 16
 
 
 def _cell_betas(
@@ -270,18 +285,21 @@ def _cell_betas(
     rs: np.ndarray,
     moments: list[BallMoments],
     planes: list[OrientedPlane],
+    perps: np.ndarray,
     m: int,
 ) -> list[BetaRecord]:
     """:class:`BetaRecord` of each ball ``B(xs[c], rs[c])`` against
-    ``planes[c]``, from its exact moments and the simplices ``va`` near
-    it (row ``t`` near ball ``cells[t]``, nondecreasing)."""
-    perps = np.linalg.svd(np.stack([p.frame for p in planes]))[2][:, planes[0].m :]
+    ``planes[c]``, with complement frame ``perps[c]`` (:func:`_perp_frames`),
+    from its exact moments and the simplices ``va`` near it (row ``t`` near
+    ball ``cells[t]``, nondecreasing)."""
     sups = _ball_sups(va, cells, xs, rs, xs, perps)
+    rounding = _BETA2_ROUNDING * len(perps[0]) * np.finfo(float).eps
     out = []
     for bm, perpf, r, sup, plane in zip(moments, perps, rs.tolist(), sups.tolist(), planes):
         # perp-block contraction avoids the trace-difference cancellation
-        beta2_sq = float(np.einsum("ki,ij,kj->", perpf, bm.s2, perpf)) / r ** (m + 2)
-        out.append(BetaRecord(math.sqrt(max(beta2_sq, 0.0)), sup / r, plane))
+        contraction = float(np.einsum("ki,ij,kj->", perpf, bm.s2, perpf))
+        beta2 = math.sqrt(contraction / r ** (m + 2)) if contraction > rounding * bm.t2 else 0.0
+        out.append(BetaRecord(beta2, sup / r, plane))
     return out
 
 

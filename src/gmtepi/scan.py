@@ -19,9 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import PolyChain, _dist_to_simplices
-from .layers import box_sheets
+from .layers import box_sheets, disk_cover
 from .mono import alpha_m, alpha0_exponent, lambda_epi
-from .moments import AmbiguousPlaneError, _cell_betas, _centred_betas, _plane_from_eigensystem, beta_numbers
+from .moments import (
+    AmbiguousPlaneError, _cell_betas, _centred_betas, _perp_frames, _plane_from_eigensystem, beta_numbers,
+)
 from .planes import OrientedPlane, _plane_distances, _plane_grid
 from .quadrature import _rowdot, cell_ball_moments
 
@@ -255,7 +257,19 @@ def support_sample(chain: PolyChain, x, r: float, spacing: float) -> np.ndarray:
 
 @dataclass
 class ScanCell:
-    """Measurements of one (point, scale) cell."""
+    """Measurements of one (point, scale) cell.
+
+    ``hausdorff`` is ``max(beta_inf r, plane half)``.  On a ``covered``
+    cell the support covers the plane disk inside the height cut ``|h| <=
+    r`` (:func:`gmtepi.layers.disk_cover`), and the plane half is the
+    exact height of the covering sheets over it, an upper bound of the
+    distance from any point of the disk to the support; so there
+    ``hausdorff`` and ``eta`` are upper bounds, and no frame enters them.
+    On the other cells the plane half is the largest distance from a polar
+    grid laid out in the plane's frame, a lower estimate.  ``beta2`` reads
+    0 when its perp contraction is within its rounding bound
+    (:data:`gmtepi.moments._BETA2_ROUNDING`).
+    """
 
     point_index: int
     scale_index: int
@@ -272,6 +286,7 @@ class ScanCell:
     coherence_bound: float | None = None
     coherence_measured: float | None = None
     frame_reason: str = ""  # why no frame was found: the failed gate or search
+    covered: bool = False  # the support covers the plane disk, so hausdorff is an upper bound
 
 
 @dataclass
@@ -314,13 +329,19 @@ def multiscale_scan(
     bound with the measured eta.  Each cell takes its density, plane,
     ``beta_2`` and centred form from one exact moment pass over its ball,
     and both ``beta_inf`` values and the support-to-plane half of the
-    Hausdorff distance from the exact sup kernel; the plane-to-support half
-    is measured on a polar grid.  An empty chain raises ``ValueError``.
+    Hausdorff distance from the exact sup kernel.  The plane-to-support half
+    is the height of the sheets over the plane disk when the support covers
+    it (:func:`gmtepi.layers.disk_cover`, which marks the cell ``covered``
+    and makes ``eta`` an upper bound there, as the Dini gate of
+    :func:`extract_graph` and ``coherence_bound`` need), and else the
+    largest exact distance from a polar grid on the plane ball.  An empty
+    chain raises ``ValueError``.
 
     All (point, scale) cells of a call go through each stage in stacked
     passes, and each point culls the chain once to the terms within
     ``2 r0 + d(x, spt)``, which hold every term any stage of its cells can
-    reach.
+    reach; only the cells that are not covered send a grid to the distance
+    pass.
     """
     if chain.is_zero:
         raise ValueError("empty chain")
@@ -350,7 +371,7 @@ def _scan_cells(chain: PolyChain, points: np.ndarray, r0: float, depth: int) -> 
     cells = [(pi, k) for pi in range(len(points)) for k in range(depth + 1)]
     xs = np.repeat(points, depth + 1, axis=0)
     rs = np.array(radii * len(points))
-    near, cull = _cull(chain, points, radii)
+    near, wide, cull = _cull(chain, points, radii)
     moments = []
     for part in _runs([len(t) for t in near], _STACK_ROWS):
         rows, owner = _stacked(near[part])
@@ -375,19 +396,29 @@ def _scan_cells(chain: PolyChain, points: np.ndarray, r0: float, depth: int) -> 
     good = [c for c in range(len(cells)) if c not in out]
     if not good:
         return [out[c] for c in range(len(cells))]
-    xs, rs, moments, near = xs[good], rs[good], [moments[c] for c in good], [near[c] for c in good]
+    xs, rs, moments = xs[good], rs[good], [moments[c] for c in good]
+    near, wide = [near[c] for c in good], [wide[c] for c in good]
+    frames, perps = np.stack([p.frame for p in planes]), _perp_frames(planes)
     betas, centred = [], []
     for part in _runs([len(t) for t in near], _STACK_ROWS):
         rows, owner = _stacked(near[part])
-        betas += _cell_betas(va[rows], owner, xs[part], rs[part], moments[part], planes[part], m)
+        betas += _cell_betas(va[rows], owner, xs[part], rs[part], moments[part], planes[part], perps[part], m)
         centred += _centred_betas(va[rows], owner, xs[part], rs[part], moments[part], m)
-    d2 = _grid_distances(chain, cull, xs, rs, planes)
+    # the plane-to-support half: the sheet height over a covered disk, else
+    # the largest distance from the polar grid
+    covered, half = np.zeros(len(good), dtype=bool), np.zeros(len(good))
+    for part in _runs([len(t) for t in wide], _STACK_ROWS):
+        rows, owner = _stacked(wide[part])
+        covered[part], half[part] = disk_cover(chain, rows, owner, xs[part], rs[part], frames[part], perps[part])
+    grid = np.flatnonzero(~covered)
+    if len(grid):
+        half[grid] = _grid_distances(chain, cull, xs[grid], rs[grid], [planes[g] for g in grid])
     for g, c in enumerate(good):
         r, br, x = float(rs[g]), betas[g], xs[g]
         # the plane ball's point nearest a support point y in B(x, r) is
         # x + pi(y - x), so the support-to-plane half is the sup beta_inf r;
         # a cell of zero mass counts as maximally far
-        dh = max(br.beta_inf * r, d2[g]) if moments[g].s0 > 0 else r
+        dh = max(br.beta_inf * r, float(half[g])) if moments[g].s0 > 0 else r
         # find_frame at s = 0.9 r: its scale conditions hold for every
         # rho <= 1/(25 sqrt(m)), so only the gate and the fiber search can fail
         reason = ""
@@ -400,27 +431,32 @@ def _scan_cells(chain: PolyChain, points: np.ndarray, r0: float, depth: int) -> 
         binf_c = br.beta_inf if centred[g] is None else centred[g]
         out[c] = ScanCell(
             *cells[c], r, planes[g], br.beta2, br.beta_inf, binf_c, dh, dens[c], dh / r, not reason,
-            frame_reason=reason,
+            frame_reason=reason, covered=bool(covered[g]),
         )
     return [out[c] for c in range(len(cells))]
 
 
-def _cull(chain: PolyChain, points: np.ndarray, radii: list[float]) -> tuple[list[np.ndarray], np.ndarray]:
+def _cull(
+    chain: PolyChain, points: np.ndarray, radii: list[float]
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
     """``chain.near_ball(x, r)`` for every point x and radius r, point by
-    point, and the terms within ``2 max(radii) + d(x, spt)`` of some
-    point, which hold the nearest simplex of every query point in any of
-    the balls (see :func:`_dist_to_support`)."""
+    point; the same at ``sqrt(2) r`` (with 1e-9 relative slack), which
+    holds every term that meets the cylinder of :func:`disk_cover`; and the
+    terms within ``2 max(radii) + d(x, spt)`` of some point, which hold the
+    nearest simplex of every query point in any of the balls (see
+    :func:`_dist_to_support`)."""
     va = chain.vertex_array()
     diam = chain.diameters()
     d0 = _dist_to_support(chain, points)
     slack = 1e-9 * max(float(np.max(np.abs(va))), float(np.max(np.abs(points))))
-    near, keep = [], np.zeros(len(va), dtype=bool)
+    near, wide, keep = [], [], np.zeros(len(va), dtype=bool)
     for x, d in zip(points, d0):
         # near_ball's bound on d(x, t), from one pass for all radii
         reach = np.min(np.linalg.norm(va - x, axis=2), axis=1) - diam
         near += [np.flatnonzero(reach <= r) for r in radii]
+        wide += [np.flatnonzero(reach <= math.sqrt(2.0) * r * (1.0 + 1e-9)) for r in radii]
         keep |= reach <= 2 * max(radii) + d + slack
-    return near, np.flatnonzero(keep)
+    return near, wide, np.flatnonzero(keep)
 
 
 def _runs(sizes: list, limit: float) -> list[slice]:

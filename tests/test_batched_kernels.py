@@ -9,6 +9,7 @@ import pytest
 import scalar_oracle as oracle
 from gmtepi.chains import ball_mass, pushforward_linear
 from gmtepi.generators import cone_harmonic, flat_disk, two_sheet_cantor
+from gmtepi.layers import disk_cover
 from gmtepi.moments import chain_ball_moments
 from gmtepi.mono import DensityProfile, alpha_m
 from gmtepi.planes import _plane_grid
@@ -157,11 +158,23 @@ def test_sup_and_hausdorff_match_the_oracle_on_scan_cells(index):
         assert want_sup - REL * r <= cell.beta_inf * r <= want_sup + floor + REL * r
         want_sup, floor = oracle.centred_sup_in_ball(chain, x, r)
         assert want_sup - REL * r <= cell.beta_inf_centered * r <= want_sup + floor + REL * r
-        # the support half of the Hausdorff distance is the exact sup, the
-        # plane half the largest distance from the plane ball's polar grid
-        grid_half = float(np.max(_dist_to_support(chain, x + cell.plane.embed(_plane_grid(r, chain.m, 24)))))
-        assert cell.hausdorff == max(cell.beta_inf * r, grid_half)
-        assert abs(grid_half - oracle.plane_ball_to_support(chain, x, r, cell.plane, grid=24)) <= REL * r
+        # the support half of the Hausdorff distance is the exact sup; the
+        # plane half is the sheet height over a covered disk, which bounds
+        # the grid's distances from above, and else the largest distance
+        # from the plane ball's polar grid
+        grid_oracle = oracle.plane_ball_to_support(chain, x, r, cell.plane, grid=24)
+        if cell.covered:
+            rows = np.arange(len(va))
+            covered, top = disk_cover(
+                chain, rows, np.zeros_like(rows), x[None], np.array([r]), cell.plane.frame[None],
+                cell.plane.perp_frame()[None],
+            )
+            assert covered[0] and cell.hausdorff == max(cell.beta_inf * r, top[0])
+            assert top[0] >= grid_oracle - REL * r
+        else:
+            grid_half = float(np.max(_dist_to_support(chain, x + cell.plane.embed(_plane_grid(r, chain.m, 24)))))
+            assert cell.hausdorff == max(cell.beta_inf * r, grid_half)
+            assert abs(grid_half - grid_oracle) <= REL * r
         grid = x + rng.normal(size=(50, chain.n)) * r
         want = [oracle.dist_to_support(chain, p) for p in grid]
         assert np.max(np.abs(_dist_to_support(chain, grid) - want)) <= REL * r

@@ -8,6 +8,7 @@ from gmtepi.chains import PolyChain, Simplex, boundary, mass, pushforward_linear
 from gmtepi.generators import cone_harmonic
 from gmtepi.groups import NormedCoefficient, cantor, group_norm, integers
 from gmtepi.layers import (
+    _spectral_norms,
     ConstancyError,
     GeneralPositionError,
     align_base_to_chain,
@@ -320,3 +321,14 @@ def test_align_base_to_chain_either_orientation():
     P = make_graph_disk(16, lambda p: 0.1 * p[0], R=1.3)
     swapped = OrientedPlane(V.frame[::-1])
     assert np.linalg.det(align_base_to_chain(swapped, P).frame[:, :2]) > 0
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_closed_form_spectral_norms_match_the_svd(m):
+    rng = np.random.default_rng(11 + m)
+    A = rng.normal(size=(200, 4, m)) * rng.uniform(1e-3, 10.0, size=(200, 1, 1))
+    A[0] = 0.0
+    A[1, :, -1] = A[1, :, 0]  # rank one
+    want = np.linalg.norm(A, ord=2, axis=(1, 2))
+    # both routes round: a few ulps apart, and no cancellation in the closed form
+    assert np.all(np.abs(_spectral_norms(A) - want) <= 8 * np.finfo(float).eps * want)

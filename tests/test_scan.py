@@ -15,8 +15,9 @@ from gmtepi.generators import (
 from gmtepi.groups import integers
 from gmtepi.moments import beta_numbers
 from gmtepi.mono import alpha0_exponent, lambda_epi
-from gmtepi.planes import OrientedPlane, plane_distance
+from gmtepi.planes import OrientedPlane, _plane_grid, plane_distance
 from gmtepi.scan import (
+    _dist_to_support,
     extract_graph,
     find_frame,
     multiscale_scan,
@@ -249,3 +250,65 @@ def test_extract_graph_refuses_a_vertical_triangle():
     cert = extract_graph(rep, D + wall, 0, dini_budget=math.inf)
     assert not cert.ok and cert.reason == "projected simplex is degenerate"
     assert extract_graph(rep, D, 0, dini_budget=math.inf).ok
+
+
+def _patched_hole():
+    # flat_disk(16) without wedge 0 and with a second copy of wedge 8: the
+    # signed measure over a disk about the centre is still the disk's, but
+    # the points over wedge 0 have no support above them
+    D, _ = flat_disk(16)
+    va = D.vertex_array()
+    return D.with_arrays(np.concatenate([va[1:], va[8:9]]), np.ones((16, 1), dtype=np.int64))
+
+
+def _lifted_copy(z, reverse=False):
+    D, _ = flat_disk(16)
+    va = D.vertex_array()
+    copy = va[:, [0, 2, 1]] if reverse else va
+    return D.with_arrays(np.concatenate([va, copy + np.array([0.0, 0.0, z])]), np.ones((32, 1), dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "chain, height",
+    [
+        (flat_disk(16)[0], 0.0),
+        (_lifted_copy(0.24), 0.24),  # both sheets in the cut: two sheets over the disk
+        (_lifted_copy(0.36), 0.0),  # the second sheet is near, but above the cut
+        (_lifted_copy(0.24, reverse=True), None),  # the sheets' signed measures cancel
+        (_patched_hole(), None),  # the hole's edges cross the disk
+    ],
+    ids=["flat", "two sheets", "one sheet and one above the cut", "opposite sheets", "patched hole"],
+)
+def test_a_covered_cell_bounds_the_plane_half_from_above(chain, height):
+    r = 0.3
+    cell = multiscale_scan(chain, [np.zeros(3)], r0=r, depth=0).cell(0, 0)
+    assert cell.covered == (height is not None)
+    grid = float(np.max(_dist_to_support(chain, cell.plane.embed(_plane_grid(r, 2, 24)))))
+    if cell.covered:
+        # the top sheet's height over the disk, which is also beta_inf r
+        assert abs(cell.hausdorff - height) <= 1e-12 * r
+        assert cell.hausdorff >= grid - 1e-12 * r
+    else:
+        assert cell.hausdorff == max(cell.beta_inf * r, grid)
+
+
+def test_a_patched_hole_reads_its_gap():
+    # points over the hole lie about 0.06 from the support; a signed
+    # measure test alone would call the disk covered at the sheet height
+    cell = multiscale_scan(_patched_hole(), [np.zeros(3)], r0=0.3, depth=0).cell(0, 0)
+    assert not cell.covered and cell.hausdorff > 0.05
+
+
+def test_flat_cells_read_beta2_zero():
+    # beta_2's perp contraction on a flat disk moved into R^5 is rounding
+    # noise, a fraction of an ulp of t2 = ∫|y - x|^2, and reads 0; on the
+    # 0.05 cone it is far above that bound and keeps its square root
+    rng = np.random.default_rng(7)
+    q = np.linalg.qr(rng.normal(size=(5, 5)))[0][:, :3]
+    disk = pushforward_linear(flat_disk(256)[0], q, rng.normal(size=5))
+    x = q @ np.array([0.25 * math.cos(0.3), 0.25 * math.sin(0.3), 0.0]) + disk.vertex_array()[0, 0]
+    rep = multiscale_scan(disk, [x], r0=0.5, depth=2)
+    assert [c.beta2 for c in rep.point_cells(0)] == [0.0, 0.0, 0.0]
+    cone = cone_harmonic(2, 0.05, 64)[0]
+    cell = multiscale_scan(cone, [np.array([0.5, 0.1, 0.0])], r0=0.3, depth=0).cell(0, 0)
+    assert cell.beta2 > 1e-3

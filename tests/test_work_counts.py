@@ -1,6 +1,6 @@
-"""Work counters of one comparison run and of one graph certificate: each
-per-row bookkeeping step runs once, so these counts are pinned as upper
-bounds (a count that grows is repeated work, not a wrong answer)."""
+"""Work counters of one comparison run, one graph certificate and scans:
+each per-row bookkeeping step runs once, so these counts are pinned as
+upper bounds (a count that grows is repeated work, not a wrong answer)."""
 
 import math
 
@@ -71,3 +71,36 @@ def test_one_graph_certificate_samples_nothing_and_welds_once(monkeypatch):
     cert = scan.extract_graph(rep, chain, 0)
     assert cert.ok and cert.lipschitz <= 1e-12
     assert count == dict(lstsq=0, sample=0, weld=1, boundary=1)
+
+
+def test_a_covered_disk_scan_measures_no_grid_point(monkeypatch):
+    # scan_disk's cells: every plane disk is covered by the one sheet, so
+    # the plane-to-support half sends no grid point to the distance pass
+    chain = flat_disk(256, n=5)[0]
+    x = np.array([0.25 * math.cos(0.3), 0.25 * math.sin(0.3), 0.0, 0.0, 0.0])
+    count = dict(grid_points=0)
+    real = scan._grid_distances
+
+    def grid_distances(chain, cull, xs, rs, planes):
+        count["grid_points"] += sum(len(scan._plane_grid(r, p.m, 24)) for r, p in zip(rs.tolist(), planes))
+        return real(chain, cull, xs, rs, planes)
+
+    monkeypatch.setattr(scan, "_grid_distances", grid_distances)
+    rep = scan.multiscale_scan(chain, [x], r0=0.5, depth=2)
+    assert all(c.covered for c in rep.cells.values())
+    assert count == dict(grid_points=0)
+
+
+def test_two_scans_of_one_chain_weld_its_unit_boundary_once(monkeypatch):
+    chain = flat_disk(256, n=5)[0]
+    count = dict(weld=0)
+    real = chains._vertex_ids
+
+    def weld(verts):
+        count["weld"] += 1
+        return real(verts)
+
+    monkeypatch.setattr(chains, "_vertex_ids", weld)
+    for x in (np.array([0.25, 0.0, 0.0, 0.0, 0.0]), np.array([0.0, -0.25, 0.0, 0.0, 0.0])):
+        scan.multiscale_scan(chain, [x], r0=0.5, depth=2)
+    assert count == dict(weld=1)
