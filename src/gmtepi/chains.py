@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .groups import GroupSpec, NormedCoefficient
-from .quadrature import _rowdot, batch_ball_masses, gram_volumes, simplex_volume
+from .quadrature import _rowdot, _triangle_frames, batch_ball_masses, gram_volumes, simplex_volume
 
 __all__ = [
     "Simplex",
@@ -336,14 +336,16 @@ class PolyChain:
 
     def diameters(self) -> np.ndarray:
         if "diam" not in self._cache:
-            va = self.verts
-            d = np.zeros(len(va))
-            k = va.shape[1]
-            for i in range(k):
-                for j in range(i + 1, k):
-                    d = np.maximum(d, np.linalg.norm(va[:, i] - va[:, j], axis=1))
-            self._cache["diam"] = d
+            i, j = np.triu_indices(self.verts.shape[1], 1)
+            edges = np.linalg.norm(self.verts[:, i] - self.verts[:, j], axis=2)
+            self._cache["diam"] = np.max(edges, axis=1, initial=0.0)
         return self._cache["diam"]
+
+    def frames(self, rows) -> np.ndarray | None:
+        """In-plane frames of the triangles ``rows``, factored once per chain; None for m = 1."""
+        if self.m == 2 and "frame" not in self._cache:
+            self._cache["frame"] = _triangle_frames(self.verts)
+        return self._cache["frame"][rows] if self.m == 2 else None
 
     def near_ball(self, center: np.ndarray, radius: float) -> np.ndarray:
         """Indices of the terms whose simplex may meet ``B(center, radius)``:
@@ -573,6 +575,35 @@ def _region_sups(q: np.ndarray, h: np.ndarray, r: np.ndarray) -> np.ndarray:
     return best
 
 
+def _arc_roots(lead: np.ndarray, c3: np.ndarray) -> np.ndarray:
+    """The roots (N, 4) of ``lead z^4 + c3 z^3 + conj(c3) z + conj(lead)``,
+    ``lead != 0``, by Ferrari's form for ``z^4 + a z^3 + b z + c`` (or for
+    ``|a| > 1e4``, where it cancels, by ``-a, +-sqrt(-b/a), -c/b``) and two Newton steps."""
+    a, b, c = (c3 / lead)[:, None], (np.conj(c3) / lead)[:, None], (np.conj(lead) / lead)[:, None]
+    # y^4 + p y^2 + q y + r at z = y - a/4, and by Cardano the largest root
+    # m of its resolvent m^3 + p m^2 + (p^2/4 - r) m - q^2/8
+    p, q, r = -0.375 * a * a, 0.125 * a**3 + b, c - 0.25 * a * b - a**4 * (3.0 / 256.0)
+    P, Q = -p * p / 12.0 - r, p * r / 3.0 - p**3 / 108.0 - 0.125 * q * q
+    d = np.sqrt(0.25 * Q * Q + P**3 / 27.0)
+    w = np.where(np.abs(d - 0.5 * Q) >= np.abs(d + 0.5 * Q), d - 0.5 * Q, -d - 0.5 * Q)
+    C = np.cbrt(np.abs(w)) * np.exp(1j * (np.angle(w) + 2.0 * math.pi * np.arange(3)) / 3.0)
+    m = C - np.divide(P, 3.0 * C, out=np.zeros_like(C), where=C != 0) - p / 3.0
+    m = np.take_along_axis(m, np.argmax(np.abs(m), axis=1)[:, None], axis=1)
+    # its quadratic factors y^2 + B y + p/2 + m - q/(2B), B = -+sqrt(2m)
+    B = np.sqrt(2.0 * m) * np.array([-1.0, 1.0])
+    K = 0.5 * p + m - np.divide(0.5 * q, B, out=np.zeros_like(B), where=B != 0)
+    e = np.sqrt(B * B - 4.0 * K)
+    y = -0.5 * (B + np.where((np.conj(B) * e).real >= 0, e, -e))
+    z = np.concatenate([y, np.divide(K, y, out=np.zeros_like(y), where=y != 0)], axis=1) - 0.25 * a
+    big = np.abs(a) > 1e4
+    s, bb = np.sqrt(-b / np.where(big, a, 1.0)), np.where(big, b, 1.0)
+    z = np.where(big, np.concatenate([-a, s, -s, -c / bb], axis=1), z)
+    for _ in range(2):
+        df = (4.0 * z + 3.0 * a) * z * z + b
+        z = z - np.divide(((z + a) * z * z + b) * z + c, df, out=np.zeros_like(z), where=df != 0)
+    return z
+
+
 def _arc_sups(q: np.ndarray, h: np.ndarray, r2: np.ndarray) -> np.ndarray:
     """The largest ``|h|`` over the arc of ``|q|^2 = r2`` inside each
     triangle of :func:`_region_sups`; 0 where the arc is empty or the
@@ -585,13 +616,14 @@ def _arc_sups(q: np.ndarray, h: np.ndarray, r2: np.ndarray) -> np.ndarray:
     ``2 z^2`` times its derivative, ``z = e^{it}``, is the quartic
     ``(B + iA) z^4 + (g1 + i g0) z^3 + (g1 - i g0) z + (B - iA)``, where
     ``g = P^T b``, ``S = P^T P``, ``A = (S00 - S11) / 2`` and ``B = S01``.
-    The candidates are the angles of its roots (stacked companion
-    eigenvalues) and the degree-1 critical points ``atan2(g1, g0)`` and
-    that plus pi, which stand alone where the leading coefficient is below
-    1e-8 of the next (it then moves the roots by about that much; such a
-    row's companion is ``z^4 + 1``).  Each candidate is a point of the arc
-    and counts only with barycentric coordinates ``>= 0``, so no angle
-    error can raise the sup, and a constant ``|h|`` takes any point."""
+    The candidates are the angles of its roots (:func:`_arc_roots`) and
+    the degree-1 critical points ``atan2(g1, g0)`` and that plus pi, which
+    stand alone where the leading coefficient is below 1e-8 of the next
+    (it then moves the roots by about that much; such a row's quartic is
+    ``z^4 + 1``).  Each candidate is a point of the arc and counts only
+    with barycentric coordinates ``>= 0``, so no root error can raise the
+    sup, and at a critical point an angle error d moves ``|h|`` by O(d^2)
+    only; a constant ``|h|`` takes any point."""
     out = np.zeros(len(q))
     D = np.stack([q[:, 1] - q[:, 0], q[:, 2] - q[:, 0]], axis=-1)
     Q, R = np.linalg.qr(D)
@@ -614,14 +646,9 @@ def _arc_sups(q: np.ndarray, h: np.ndarray, r2: np.ndarray) -> np.ndarray:
     c4 = _rowdot(P0, P1) + 0.5j * (_rowdot(P0, P0) - _rowdot(P1, P1))
     c3 = g1 + 1j * g0
     quartic = np.abs(c4) > 1e-8 * np.abs(c3)
-    lead, c3 = np.where(quartic, c4, 1.0), np.where(quartic, c3, 0.0)
-    comp = np.zeros((len(rows), 4, 4), dtype=complex)
-    comp[:, 0, 0] = -c3 / lead
-    comp[:, 0, 2] = -np.conj(c3) / lead
-    comp[:, 0, 3] = -np.conj(lead) / lead
-    comp[:, [1, 2, 3], [0, 1, 2]] = 1.0
+    roots = _arc_roots(np.where(quartic, c4, 1.0), np.where(quartic, c3, 0.0))
     t0 = np.arctan2(g1, g0)[:, None]
-    t = np.concatenate([t0, t0 + math.pi, np.angle(np.linalg.eigvals(comp))], axis=1)
+    t = np.concatenate([t0, t0 + math.pi, np.angle(roots)], axis=1)
     mu1 = (rho * np.sin(t) - a[:, 1:]) / r11
     mu0 = (rho * np.cos(t) - a[:, :1] - r01 * mu1) / r00
     inside = (mu0 >= 0) & (mu1 >= 0) & (mu0 + mu1 <= 1)
@@ -889,7 +916,7 @@ def ball_mass(chain: PolyChain, center: np.ndarray, radius: float) -> float:
     """Exact ``||T||(B(center, radius))`` for m <= 2 chains."""
     center = np.asarray(center, dtype=float)
     near = chain.near_ball(center, radius)
-    masses = batch_ball_masses(chain.vertex_array()[near], center, radius)
+    masses = batch_ball_masses(chain.vertex_array()[near], center, radius, chain.frames(near))
     return float(chain.coeff_norms()[near] @ masses)
 
 

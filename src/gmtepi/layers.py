@@ -114,6 +114,10 @@ EDGE_TOL = 1e-9
 #: Rows times columns of one stacked temporary: larger inputs go in chunks.
 _CHUNK = 1 << 13
 
+#: An overlap piece below this share of the ball's volume is rounding of
+#: the clip and area passes (about 45 ulps of r^2) and counts as empty.
+_SLIVER = 1e-14
+
 
 def boundary_clearance(chain: PolyChain, base: OrientedPlane) -> float:
     """Distance from the origin to the projected boundary ``pi_# bd chain``
@@ -459,8 +463,8 @@ def _clipped_areas(polys: np.ndarray, counts: np.ndarray, clippers: np.ndarray, 
     (R, 3, 2), one stacked :func:`_clip_polygons` step per edge.
 
     A row left with fewer than three vertices after a step is dropped and
-    reads 0.  Also returns the indices, polygons and counts of the rows
-    that are left."""
+    reads 0, and so does an area below :data:`_SLIVER` of the disk's.  Also
+    returns the indices, polygons and counts of the rows that are left."""
     normals = _inward_normals(clippers, clippers.mean(axis=1))
     rows = np.arange(len(polys))
     for e in range(clippers.shape[1]):
@@ -472,6 +476,7 @@ def _clipped_areas(polys: np.ndarray, counts: np.ndarray, clippers: np.ndarray, 
     for v in np.unique(counts).tolist():
         at = counts == v
         areas[rows[at]] = np.abs(disk_polygon_areas(polys[at, :v], center, radius))
+    areas[areas <= _SLIVER * _ball_volume(2, radius)] = 0.0
     return areas, rows, polys, counts
 
 
@@ -479,18 +484,18 @@ def _overlaps(dom: np.ndarray, center: np.ndarray, radius: float):
     """Areas inside the base ball of the pairwise domain intersections
     ``D_i ∩ D_j``, i < j, in (i, j) order, and for m = 2 of the triple
     intersections ``D_i ∩ D_j ∩ D_l``, l > j, of the pairs of positive
-    area, in (i, j, l) order.  Returns ``(pairs (P, 2), pair areas (P,),
-    triples (Q, 3), triple areas (Q,))``; the pairs go in chunks of
-    ``_CHUNK // 3`` rows, and so do the triples of each chunk."""
+    area, in (i, j, l) order; a piece below :data:`_SLIVER` of the ball's
+    volume reads 0 and starts no triples.  Returns ``(pairs (P, 2), pair
+    areas (P,), triples (Q, 3), triple areas (Q,))``; the pairs go in
+    chunks of ``_CHUNK // 3`` rows, and so do the triples of each chunk."""
     k = len(dom)
     I, J = np.triu_indices(k, 1)
     pairs = np.stack([I, J], axis=1)
     if dom.shape[2] == 1:
         lo, hi = dom[:, :, 0].min(axis=1), dom[:, :, 0].max(axis=1)
         c = float(center[0])
-        area = np.maximum(
-            0.0, np.minimum(np.minimum(hi[I], hi[J]), c + radius) - np.maximum(np.maximum(lo[I], lo[J]), c - radius)
-        )
+        area = np.minimum(np.minimum(hi[I], hi[J]), c + radius) - np.maximum(np.maximum(lo[I], lo[J]), c - radius)
+        area = np.where(area > _SLIVER * _ball_volume(1, radius), area, 0.0)
         return pairs, area, np.zeros((0, 3), dtype=np.int64), np.zeros(0)
     step = _CHUNK // 3
     pair_area, triples, triple_area = [np.zeros(0)], [np.zeros((0, 3), dtype=np.int64)], [np.zeros(0)]

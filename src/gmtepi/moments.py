@@ -51,7 +51,7 @@ def chain_ball_moments(chain: PolyChain, center, radius: float) -> BallMoments:
     """Coefficient-norm-weighted exact moments of ``||T||`` on a ball."""
     center = np.asarray(center, dtype=float)
     near = chain.near_ball(center, radius)
-    return batch_ball_moments(chain.vertex_array()[near], center, radius, chain.coeff_norms()[near])
+    return batch_ball_moments(chain.vertex_array()[near], center, radius, chain.coeff_norms()[near], chain.frames(near))
 
 
 @dataclass

@@ -345,19 +345,24 @@ def _segment_windows(v: np.ndarray, center: np.ndarray, radius: float):
     return p[hit], d[hit], t1[hit], t2[hit], np.sqrt(aa[hit]), hit
 
 
-def _triangle_disks(v: np.ndarray, center: np.ndarray, radius: float):
-    """Each triangle's plane against the ball, for the triangles it meets.
-
-    Returns the orthonormal in-plane frames (T', 2, n) with the sign rule
-    ``diag(R) > 0`` of the QR factorisation, the in-plane vertices relative
-    to the disk centre (T', 3, 2), the disk radii, the squared distances
-    from the centre to the planes, the offsets foot - centre (T', n), and
-    the mask of the triangles met.
-    """
+def _triangle_frames(v: np.ndarray) -> np.ndarray:
+    """In-plane frames (T, 2, n) of stacked triangles: the Q of their edges
+    at vertex 0 with ``diag(R) > 0``, each matrix factored on its own."""
     q, r = np.linalg.qr(np.swapaxes(v[:, 1:] - v[:, :1], 1, 2))
     signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
     signs[signs == 0] = 1.0
-    frame = np.swapaxes(q * signs[:, None, :], 1, 2)  # (T, 2, n)
+    return np.swapaxes(q * signs[:, None, :], 1, 2)
+
+
+def _triangle_disks(v: np.ndarray, center: np.ndarray, radius: float, frames: np.ndarray | None = None):
+    """Each triangle's plane against the ball, for the triangles it meets.
+
+    Returns the :func:`_triangle_frames` (T', 2, n) (those of ``frames`` if
+    given), the in-plane vertices relative to the disk centre (T', 3, 2),
+    the disk radii, the squared distances from the centre to the planes,
+    the offsets foot - centre (T', n), and the mask of the triangles met.
+    """
+    frame = _triangle_frames(v) if frames is None else frames
     rel = center - v[:, 0]
     a_in = np.matmul(frame, rel[:, :, None])[:, :, 0]
     h2 = np.maximum(_rowdot(rel, rel) - _rowdot(a_in, a_in), 0.0)
@@ -369,9 +374,9 @@ def _triangle_disks(v: np.ndarray, center: np.ndarray, radius: float):
     return frame, poly, np.sqrt(r2[hit]), h2, hvec, hit
 
 
-def batch_ball_masses(vertices: np.ndarray, center, radius: float) -> np.ndarray:
+def batch_ball_masses(vertices: np.ndarray, center, radius: float, frames: np.ndarray | None = None) -> np.ndarray:
     """Exact m-volumes of ``simplex ∩ B(center, radius)`` for stacked
-    simplices ``(T, m+1, n)`` with m in (1, 2), in array passes."""
+    simplices ``(T, m+1, n)``, m in (1, 2), and optional ``frames``."""
     vertices = np.asarray(vertices, dtype=float)
     center = np.asarray(center, dtype=float)
     out = np.zeros(len(vertices))
@@ -381,17 +386,18 @@ def batch_ball_masses(vertices: np.ndarray, center, radius: float) -> np.ndarray
         _p, _d, t1, t2, length, hit = _segment_windows(vertices, center, radius)
         out[hit] = (_GAUSS3_WEIGHTS * (length * (t2 - t1))[:, None]).sum(axis=1)
         return out
-    _frame, poly, rho, _h2, _hvec, hit = _triangle_disks(vertices, center, radius)
+    _frame, poly, rho, _h2, _hvec, hit = _triangle_disks(vertices, center, radius, frames)
     out[hit] = np.abs(_disk_clip(poly, rho, moments=False))
     return out
 
 
-def _moment_rows(vertices: np.ndarray, center, radius):
+def _moment_rows(vertices: np.ndarray, center, radius, frames=None):
     """Exact :class:`BallMoments` fields of each simplex of the stack
     ``(T, m+1, n)`` against its ball, m in (1, 2).
 
     ``center`` is one point (n,) or one per simplex (T, n), ``radius`` a
-    scalar or one per simplex.  Returns the mask of the simplices that meet
+    scalar or one per simplex, ``frames`` None or the triangles'
+    :func:`_triangle_frames`.  Returns the mask of the simplices that meet
     their ball and, for those rows, the per-simplex ``s0, s1, s2, t2, u3,
     t4``.  Every row is computed on its own, so a simplex's moments do not
     depend on which other simplices share the stack.
@@ -409,7 +415,7 @@ def _moment_rows(vertices: np.ndarray, center, radius):
         u3 = np.einsum("sq,sqi->si", w * norms2, pts)
         t4 = np.einsum("sq,sq->s", w, norms2 * norms2)
     else:
-        frame, poly, rho, h2, hvec, hit = _triangle_disks(vertices, center, radius)
+        frame, poly, rho, h2, hvec, hit = _triangle_disks(vertices, center, radius, frames)
         M = _disk_clip(poly, rho, moments=True)
         # unsigned moments: flip clockwise in-plane polygons
         M = M * np.where(M[:, 0, 0] < 0, -1.0, 1.0)[:, None, None]
@@ -442,7 +448,8 @@ def _weighted_moments(w: np.ndarray, rows, n: int) -> BallMoments:
 
 
 def cell_ball_moments(
-    vertices: np.ndarray, centers: np.ndarray, radii: np.ndarray, weights: np.ndarray, cells: np.ndarray, count: int
+    vertices: np.ndarray, centers: np.ndarray, radii: np.ndarray, weights: np.ndarray, cells: np.ndarray, count: int,
+    frames: np.ndarray | None = None,
 ) -> list[BallMoments]:
     """``sum_t weights[t]`` times the exact :class:`BallMoments` of simplex
     ``t`` of the stack ``(T, m+1, n)``, m in (1, 2), for each of ``count``
@@ -451,14 +458,15 @@ def cell_ball_moments(
     Row ``t`` of the stack belongs to ball ``cells[t]`` (nondecreasing),
     whose centre and radius are ``centers[cells[t]]`` and
     ``radii[cells[t]]``.  Each ball's weighted sum runs over its own rows
-    alone, so every entry is the float that the one-ball call returns.
+    alone, so every entry is the float that the one-ball call returns.  A
+    triangle stack may bring its :func:`_triangle_frames` as ``frames``.
     """
     vertices = np.asarray(vertices, dtype=float)
     n = vertices.shape[2]
     out = [BallMoments.zero(n) for _ in range(count)]
     if not len(vertices):
         return out
-    hit, rows = _moment_rows(vertices, centers[cells], radii[cells])
+    hit, rows = _moment_rows(vertices, centers[cells], radii[cells], frames)
     w, cells = np.asarray(weights, dtype=float)[hit], cells[hit]
     bounds = np.searchsorted(cells, np.arange(count + 1))
     for c in np.flatnonzero(np.diff(bounds)):
@@ -468,12 +476,12 @@ def cell_ball_moments(
 
 
 def batch_ball_moments(
-    vertices: np.ndarray, center, radius: float, weights: np.ndarray
+    vertices: np.ndarray, center, radius: float, weights: np.ndarray, frames: np.ndarray | None = None
 ) -> BallMoments:
     """:func:`cell_ball_moments` of the one ball ``B(center, radius)``."""
     vertices = np.asarray(vertices, dtype=float)
     centers, radii = np.asarray(center, dtype=float)[None], np.array([radius], dtype=float)
-    return cell_ball_moments(vertices, centers, radii, weights, np.zeros(len(vertices), dtype=np.int64), 1)[0]
+    return cell_ball_moments(vertices, centers, radii, weights, np.zeros(len(vertices), dtype=np.int64), 1, frames)[0]
 
 
 def simplex_ball_moments(

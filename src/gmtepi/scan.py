@@ -376,7 +376,7 @@ def _scan_cells(chain: PolyChain, points: np.ndarray, r0: float, depth: int) -> 
     for part in _runs([len(t) for t in near], _STACK_ROWS):
         rows, owner = _stacked(near[part])
         weights = chain.coeff_norms()[rows]
-        moments += cell_ball_moments(va[rows], xs[part], rs[part], weights, owner, len(xs[part]))
+        moments += cell_ball_moments(va[rows], xs[part], rs[part], weights, owner, len(xs[part]), chain.frames(rows))
     am = alpha_m(m)
     dens = [bm.s0 / (am * r**m) for bm, r in zip(moments, rs.tolist())]
 

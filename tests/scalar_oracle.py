@@ -7,7 +7,8 @@ a simplex, the polygon-cylinder clipping, the chunked cylinder clip with its
 dense edge masks and the full-clip zone excess of the comparison
 pipeline, the one-polygon convex clipper,
 the bisection boundary trace, the cone height sup, the 2^16-sample
-height sups over balls and cylinders, the strip zip, the pair and
+height sups over balls and cylinders, the stacked arc sup kernel with
+companion-matrix eigenvalues for its quartic roots, the strip zip, the pair and
 triple overlap loop of the multiplicity statistics, the
 averaged graph and its all-layer ball means, the chain construction
 filter, ``boundary``, ``merge_terms`` and ``size``, and the array
@@ -31,7 +32,7 @@ import numpy as np
 from gmtepi.chains import DEGENERATE_GRAM, SNAP, PolyChain, Simplex, _accumulate, _canonical, _vertex_ids
 from gmtepi.groups import group_add, group_neg
 from gmtepi.planes import OrientedPlane
-from gmtepi.quadrature import BallMoments
+from gmtepi.quadrature import BallMoments, _rowdot
 
 _GAUSS3_NODES = np.array(
     [0.5 - math.sqrt(3.0 / 5.0) / 2.0, 0.5, 0.5 + math.sqrt(3.0 / 5.0) / 2.0]
@@ -460,6 +461,54 @@ def sampled_ball_sup(chain, x, r, plane) -> tuple[float, float]:
                 best = max(best, float(np.max(np.linalg.norm(pts @ perp.T, axis=1))))
                 gap = max(gap, rho * math.pi / SUP_SAMPLES)
     return best, gap
+
+
+def arc_sups(q: np.ndarray, h: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """``gmtepi.chains._arc_sups`` with the quartic's roots taken as the
+    eigenvalues of its stacked 4 x 4 companion matrices
+    (``np.linalg.eigvals``) instead of the closed form."""
+    out = np.zeros(len(q))
+    D = np.stack([q[:, 1] - q[:, 0], q[:, 2] - q[:, 0]], axis=-1)
+    Q, R = np.linalg.qr(D)
+    a = (np.swapaxes(Q, 1, 2) @ q[:, 0, :, None])[..., 0]
+    w = q[:, 0] - (Q @ a[..., None])[..., 0]
+    rho2 = r2 - _rowdot(w, w)
+    r00, r01, r11 = R[:, 0, 0], R[:, 0, 1], R[:, 1, 1]
+    firm = np.abs(r00 * r11) > 1e-14 * (r00 * r00 + r01 * r01 + r11 * r11)
+    rows = np.flatnonzero(firm & (rho2 >= 0))
+    if not len(rows):
+        return out
+    r00, r01, r11, a = r00[rows, None], r01[rows, None], r11[rows, None], a[rows]
+    h0, H1, H2 = h[rows, 0], h[rows, 1] - h[rows, 0], h[rows, 2] - h[rows, 0]
+    rho = np.sqrt(rho2[rows])[:, None]
+    G0 = H1 / r00
+    G1 = (H2 - G0 * r01) / r11
+    b = h0 - G0 * a[:, :1] - G1 * a[:, 1:]
+    P0, P1 = rho * G0, rho * G1
+    g0, g1 = _rowdot(P0, b), _rowdot(P1, b)
+    c4 = _rowdot(P0, P1) + 0.5j * (_rowdot(P0, P0) - _rowdot(P1, P1))
+    c3 = g1 + 1j * g0
+    quartic = np.abs(c4) > 1e-8 * np.abs(c3)
+    lead, c3 = np.where(quartic, c4, 1.0), np.where(quartic, c3, 0.0)
+    t0 = np.arctan2(g1, g0)[:, None]
+    t = np.concatenate([t0, t0 + math.pi, np.angle(companion_roots(lead, c3))], axis=1)
+    mu1 = (rho * np.sin(t) - a[:, 1:]) / r11
+    mu0 = (rho * np.cos(t) - a[:, :1] - r01 * mu1) / r00
+    inside = (mu0 >= 0) & (mu1 >= 0) & (mu0 + mu1 <= 1)
+    hv = h0[:, None] + mu0[..., None] * H1[:, None] + mu1[..., None] * H2[:, None]
+    out[rows] = np.max(np.where(inside, np.linalg.norm(hv, axis=2), 0.0), axis=1)
+    return out
+
+
+def companion_roots(lead: np.ndarray, c3: np.ndarray) -> np.ndarray:
+    """The roots (N, 4) of ``lead z^4 + c3 z^3 + conj(c3) z + conj(lead)``
+    as the eigenvalues of the stacked companion matrices."""
+    comp = np.zeros((len(lead), 4, 4), dtype=complex)
+    comp[:, 0, 0] = -c3 / lead
+    comp[:, 0, 2] = -np.conj(c3) / lead
+    comp[:, 0, 3] = -np.conj(lead) / lead
+    comp[:, [1, 2, 3], [0, 1, 2]] = 1.0
+    return np.linalg.eigvals(comp)
 
 
 def sampled_height_sup(chain, base, radius: float) -> tuple[float, float]:
@@ -1012,10 +1061,12 @@ def _overlap_area(d1: np.ndarray, d2: np.ndarray, center: np.ndarray, radius: fl
 
 def multiplicity_loop(decomp, center: np.ndarray, radius: float) -> dict:
     """The overlap fields of ``multiplicity_stats`` by the pair-by-pair and
-    triple-by-triple loop: one clip per pair and per triple of domains."""
+    triple-by-triple loop: one clip per pair and per triple of domains.
+    A piece below 1e-14 of the ball's volume counts as empty."""
     m = decomp.m
     layers = layer_records(decomp)
     k = len(layers)
+    floor = 1e-14 * (2.0 * radius if m == 1 else math.pi * radius * radius)
     pair_total = 0.0
     pair_per = np.zeros(k)
     triple_total = 0.0
@@ -1023,7 +1074,7 @@ def multiplicity_loop(decomp, center: np.ndarray, radius: float) -> dict:
     for i in range(k):
         for j in range(i + 1, k):
             a = _overlap_area(layers[i].domain, layers[j].domain, center, radius, m)
-            if a <= 0:
+            if a <= floor:
                 continue
             pair_total += a
             pair_per[i] += a
@@ -1032,7 +1083,7 @@ def multiplicity_loop(decomp, center: np.ndarray, radius: float) -> dict:
                 clipped = np.array(convex_clip(layers[i].domain, layers[j].domain))
                 for l in range(j + 1, k):
                     t = _overlap_area(clipped, layers[l].domain, center, radius, m)
-                    if t > 0:
+                    if t > floor:
                         triple_total += t
                         triple_per[i] += t
                         triple_per[j] += t

@@ -5,9 +5,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gmtepi.chains import PolyChain, Simplex, boundary, mass, pushforward_linear
-from gmtepi.generators import cone_harmonic
+from gmtepi.generators import (
+    cantor_graph,
+    cantor_group_chain,
+    cone_harmonic,
+    flat_disk,
+    stacked_disks,
+    tilted_cone,
+    two_sheet_cantor,
+)
 from gmtepi.groups import NormedCoefficient, cantor, group_norm, integers
 from gmtepi.layers import (
+    _overlaps,
     _spectral_norms,
     ConstancyError,
     GeneralPositionError,
@@ -227,6 +236,41 @@ def test_multiplicity_two_lines():
     assert (rep.e2_measure, rep.int_count, rep.int_coeff_norm, rep.truncation_residual) == (2.0, 4.0, 4.0, 0.0)
 
 
+def test_a_single_sheet_cone_counts_no_apex_sliver():
+    # opposite wedges of the 256-ray cone meet only at the apex, where the
+    # clip's tolerance keeps degenerate pieces of area 4e-33 to 2e-31;
+    # each lay in every other wedge and started 1,121 triples
+    d = decompose_layers(cone_harmonic(2, 0.05, 256)[0], V)
+    _pairs, pair_area, _triples, triple_area = _overlaps(d.domains, np.zeros(2), 1.0)
+    assert np.sum(pair_area) == 0.0 and len(triple_area) == 0
+    rep = multiplicity_stats(d, eps_mass=0.1)
+    assert (rep.e2_measure, rep.int_count, rep.truncation_residual) == (0.0, 0.0, 0.0)
+
+
+GENERATOR_FAMILIES = {
+    "flat_disk(64)": (lambda: flat_disk(64)[0], 0.0, 0.9),
+    "tilted_cone(0.1, 64)": (lambda: tilted_cone(0.1, 64)[0], 0.0, 1.0),
+    "cone_harmonic(2, 0.05, 256)": (lambda: cone_harmonic(2, 0.05, 256)[0], 0.0, 1.0),
+    "cone_harmonic(3, 0.02, 64)": (lambda: cone_harmonic(3, 0.02, 64)[0], 0.0, 1.0),
+    "stacked_disks()": (lambda: stacked_disks()[0], 0.0, 0.9),
+    "stacked_disks, three sheets": (lambda: stacked_disks((0.0, 0.3, 0.6), (1, 1, 1))[0], 0.0, 0.9),
+    "cantor_graph(4, 56, 0.02)": (lambda: cantor_graph(4, 56, 0.02)[0], 0.5, 0.4),
+    "two_sheet_cantor(3, 48, 0.12)": (lambda: two_sheet_cantor(3, 48, 0.12)[0], 0.5, 0.4),
+    "cantor_group_chain(3)": (lambda: cantor_group_chain(3)[0], 0.5, 0.4),
+}
+
+
+@pytest.mark.parametrize("name", list(GENERATOR_FAMILIES))
+def test_the_truncation_residual_never_exceeds_the_pair_total(name):
+    build, c, radius = GENERATOR_FAMILIES[name]
+    chain = build()
+    base = OrientedPlane(np.eye(chain.n)[: chain.m])
+    d = decompose_layers(chain, base, check_constancy=False)
+    _pairs, pair_area, _triples, triple_area = _overlaps(d.domains, np.full(chain.m, c), radius)
+    assert np.all(pair_area >= 0.0) and np.all(triple_area >= 0.0)
+    assert np.sum(triple_area) <= np.sum(pair_area)
+
+
 def test_height_sup_examples():
     flat = decompose_layers(make_graph_disk(32, lambda p: 0.0, R=1.3), V)
     assert height_sup(make_graph_disk(32, lambda p: 0.0, R=1.3), V, 1.0) <= 1e-12
@@ -240,7 +284,15 @@ def test_height_sup_examples():
 
 
 def test_height_sup_harmonic_cone():
-    from gmtepi.generators import cone_harmonic
+    from gmtepi.generators import (
+    cantor_graph,
+    cantor_group_chain,
+    cone_harmonic,
+    flat_disk,
+    stacked_disks,
+    tilted_cone,
+    two_sheet_cantor,
+)
 
     P, _ = cone_harmonic(2, 0.1, 64)
     h = height_sup(P, V, radius=1.0)

@@ -1,13 +1,18 @@
 """Work counters of one comparison run, one graph certificate and scans:
 each per-row bookkeeping step runs once, so these counts are pinned as
-upper bounds (a count that grows is repeated work, not a wrong answer)."""
+upper bounds (a count that grows is repeated work, not a wrong answer).
+A chain's triangle frames are factored once and reused bit for bit."""
 
 import math
 
 import numpy as np
 
-from gmtepi import chains, epi, layers, scan
+import pytest
+
+from gmtepi import chains, epi, layers, quadrature, scan
+from gmtepi.chains import ball_mass, pushforward_linear
 from gmtepi.generators import cone_harmonic, flat_disk
+from gmtepi.mono import DensityProfile
 
 # build_comparison(cone_harmonic(2, 0.05, 256)): an S of 11,264 terms
 S_TERMS = 11_264
@@ -104,3 +109,58 @@ def test_two_scans_of_one_chain_weld_its_unit_boundary_once(monkeypatch):
     for x in (np.array([0.25, 0.0, 0.0, 0.0, 0.0]), np.array([0.0, -0.25, 0.0, 0.0, 0.0])):
         scan.multiscale_scan(chain, [x], r0=0.5, depth=2)
     assert count == dict(weld=1)
+
+
+def test_a_disk_scan_factors_each_triangle_once_and_solves_no_eigenproblem(monkeypatch):
+    # one scan_disk operation: the scan, its graph certificate and the
+    # 48-radius density profile; then a second profile of the same chain
+    chain = flat_disk(256, n=5)[0]
+    x = np.array([0.25 * math.cos(0.3), 0.25 * math.sin(0.3), 0.0, 0.0, 0.0])
+    radii = np.geomspace(0.02, 0.6, 48)
+    count = dict(eigvals=0, frames=0)
+    real_eigvals, real_frames = np.linalg.eigvals, quadrature._triangle_frames
+
+    def eigvals(a):
+        count["eigvals"] += 1
+        return real_eigvals(a)
+
+    def frames(v):
+        count["frames"] += len(v)
+        return real_frames(v)
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    monkeypatch.setattr(quadrature, "_triangle_frames", frames)
+    monkeypatch.setattr(chains, "_triangle_frames", frames)
+    rep = scan.multiscale_scan(chain, [x], r0=0.5, depth=2)
+    assert scan.extract_graph(rep, chain, 0).ok
+    DensityProfile.from_chain(chain, x, radii)
+    assert count["eigvals"] == 0
+    assert count["frames"] <= len(chain), count
+    once = count["frames"]
+    DensityProfile.from_chain(chain, x, radii)
+    assert count == dict(eigvals=0, frames=once)
+
+
+def _turned_cone():
+    # a cone in R^5 under a seeded isometry, so no triangle edge lies on an axis
+    Q = np.linalg.qr(np.random.default_rng(5).normal(size=(5, 5)))[0][:, :3]
+    return pushforward_linear(cone_harmonic(2, 0.05, 64)[0], Q, np.full(5, 0.1))
+
+
+@pytest.mark.parametrize("build", [lambda: flat_disk(256, n=5)[0], _turned_cone])
+def test_cached_frames_give_the_one_simplex_floats(build):
+    chain = build()
+    va = chain.vertex_array()
+    rng = np.random.default_rng(3)
+    for r in (0.07, 0.3, 0.9):
+        x = va[int(rng.integers(len(va))), 0] + 0.1 * r * rng.normal(size=chain.n)
+        near = chain.near_ball(x, r)
+        single = np.array([quadrature.simplex_ball_mass(v, x, r) for v in va[near]])
+        assert np.array_equal(quadrature.batch_ball_masses(va[near], x, r, chain.frames(near)), single)
+        assert ball_mass(chain, x, r) == float(chain.coeff_norms()[near] @ single)
+        # one cell per row: each cell's moments are its one simplex's
+        cells = quadrature.cell_ball_moments(va[near], np.repeat(x[None], len(near), axis=0), np.full(len(near), r),
+                                             np.ones(len(near)), np.arange(len(near)), len(near), chain.frames(near))
+        for v, got in zip(va[near], cells):
+            want = quadrature.simplex_ball_moments(v, x, r)
+            assert all(np.array_equal(getattr(got, f), getattr(want, f)) for f in ("s0", "s1", "s2", "t2", "u3", "t4"))
