@@ -8,7 +8,6 @@ flatness scanner, with exact low-degree integration throughout.
 __version__ = "0.1.0"
 
 from .chains import (
-    BallRegion,
     HalfSpaceRegion,
     PolyChain,
     Simplex,
@@ -53,7 +52,6 @@ from .scan import extract_graph, find_frame, multiscale_scan, theoretical_expone
 
 __all__ = [
     "__version__",
-    "BallRegion",
     "HalfSpaceRegion",
     "PolyChain",
     "Simplex",

@@ -4,9 +4,10 @@ A chain is a finite formal sum of oriented m-simplices with coefficients
 from a normed abelian group (:mod:`gmtepi.groups`).  Orientation is the
 order of the vertex list.  The module provides the boundary operator,
 mass and size, affine push-forwards, restriction to half-spaces (exact,
-one stacked Sutherland-Hodgman step, for m <= 2) and balls (bisection
-with an audited error bound), the cone construction, scaling and simple
-support queries, plus hyperplane slicing.  Two stacked kernels serve the
+one stacked Sutherland-Hodgman step, for m <= 2), the exact mass in a
+ball and a bound on the cone over the boundary of the part in a ball
+(m <= 2), the cone construction, scaling and simple support queries,
+plus hyperplane slicing.  Two stacked kernels serve the
 other modules: the exact sup of a height over simplices cut by a ball or
 a cylinder, and the pruned exact point-to-simplex distance pass.
 
@@ -23,14 +24,13 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .groups import GroupSpec, NormedCoefficient
-from .quadrature import _rowdot, _triangle_frames, batch_ball_masses, gram_volumes, simplex_volume
+from .quadrature import (_rowdot, _segment_windows, _triangle_frames, batch_ball_masses, batch_ball_slices,
+                         gram_volumes, simplex_volume)
 
 __all__ = [
     "Simplex",
     "PolyChain",
-    "BallRegion",
     "HalfSpaceRegion",
-    "RestrictResult",
     "boundary",
     "mass",
     "size",
@@ -38,6 +38,7 @@ __all__ = [
     "restrict",
     "cone",
     "cone_mass_formula",
+    "ball_cone_bound",
     "homogeneous_extend",
     "is_cone",
     "slice_mass_profile",
@@ -349,7 +350,10 @@ class PolyChain:
 
     def near_ball(self, center: np.ndarray, radius: float) -> np.ndarray:
         """Indices of the terms whose simplex may meet ``B(center, radius)``:
-        those with a vertex within ``radius`` plus the simplex diameter."""
+        those with a vertex within ``radius`` plus the simplex diameter.  A
+        radius that is not positive raises ``ValueError``."""
+        if not radius > 0:
+            raise ValueError(f"ball radius must be positive, got {radius}")
         va = self.verts
         dist = np.min(np.linalg.norm(va - center, axis=2), axis=1)
         return np.nonzero(dist - self.diameters() <= radius)[0]
@@ -398,17 +402,6 @@ def _term_arrays(n: int, m: int, group: GroupSpec, terms) -> tuple[np.ndarray, n
     verts = np.stack([s.vertices for s in simplices])
     payload = np.array([c.value for c in coeffs], dtype=np.int64).reshape(len(coeffs), -1)
     return verts, payload
-
-
-@dataclass(frozen=True)
-class BallRegion:
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -825,95 +818,23 @@ def _fan_split(polys: np.ndarray, counts: np.ndarray, src: np.ndarray, m: int) -
     return verts, src[r]
 
 
-@dataclass
-class RestrictResult:
-    """Restriction output: the clipped chain and a bound on the mass error.
-
-    Half-space clipping is exact (``mass_error == 0``) and supports chains
-    of dimension m <= 2, like the other exact routines.  Ball clipping by
-    bisection keeps sub-simplices whose barycenter lies in the ball, so the
-    mass differs from the true ``||T||(B)`` by at most the total mass of
-    sub-simplices straddling the sphere, which is what ``mass_error``
-    reports (it scales like ``refine_h`` times a surface term).
-    """
-
-    chain: PolyChain
-    mass_error: float
-
-
-def restrict(
-    chain: PolyChain,
-    region: BallRegion | HalfSpaceRegion,
-    refine_h: float = 1e-2,
-) -> RestrictResult:
-    """Restrict a chain to a region; see :class:`RestrictResult`."""
-    if refine_h <= 0:
-        raise ValueError("refine_h must be positive")
-    pieces: list[np.ndarray] = []
-    src: list[int] = []
-
-    def kept_chain() -> PolyChain:
-        verts = np.array(pieces).reshape(len(pieces), chain.m + 1, chain.n)
-        return chain.with_arrays(verts, chain.payload[np.array(src, dtype=np.int64)])
-
-    if isinstance(region, HalfSpaceRegion):
-        if chain.m > 2:
-            raise NotImplementedError("half-space restriction supports m <= 2")
-        T, k, n = chain.verts.shape
-        nrm = region.normal
-        anchor = region.offset / float(nrm @ nrm) * nrm  # nrm . anchor = offset
-        polys, counts = _clip_polygons(chain.verts, np.full(T, k), np.tile(anchor, (T, 1)), np.tile(nrm, (T, 1)))
-        verts, kept = _fan_split(polys, counts, np.arange(T), chain.m)
-        return RestrictResult(chain.with_arrays(verts, chain.payload[kept]), 0.0)
-    if not isinstance(region, BallRegion):
+def restrict(chain: PolyChain, region: HalfSpaceRegion) -> PolyChain:
+    """Restrict a chain of dimension m <= 2 to a half-space, exactly: one
+    stacked Sutherland-Hodgman step and a fan split of the kept pieces."""
+    if not isinstance(region, HalfSpaceRegion):
         raise TypeError(f"unsupported region {type(region)!r}")
-
-    center, radius = region.center, region.radius
-    error = 0.0
-
-    def visit(v: np.ndarray, t: int, norm_g: float):
-        nonlocal error
-        dist = np.linalg.norm(v - center, axis=1)
-        if np.all(dist <= radius + 1e-12):
-            pieces.append(v)
-            src.append(t)
-            return
-        diam = max(
-            float(np.linalg.norm(v[i] - v[j]))
-            for i in range(len(v))
-            for j in range(i + 1, len(v))
-        )
-        if np.min(dist) > radius + diam:
-            return
-        if diam <= refine_h:
-            vol = simplex_volume(v)
-            error += norm_g * vol
-            if np.linalg.norm(v.mean(axis=0) - center) <= radius:
-                pieces.append(v)
-                src.append(t)
-            return
-        # bisect the longest edge
-        besti, bestj, bestlen = 0, 1, -1.0
-        for i in range(len(v)):
-            for j in range(i + 1, len(v)):
-                ln = float(np.linalg.norm(v[i] - v[j]))
-                if ln > bestlen:
-                    besti, bestj, bestlen = i, j, ln
-        mid = 0.5 * (v[besti] + v[bestj])
-        child_a = v.copy()
-        child_a[bestj] = mid
-        child_b = v.copy()
-        child_b[besti] = mid
-        visit(child_a, t, norm_g)
-        visit(child_b, t, norm_g)
-
-    for t, (v, norm_g) in enumerate(zip(chain.verts, chain.coeff_norms())):
-        visit(np.array(v), t, float(norm_g))
-    return RestrictResult(kept_chain(), error)
+    if chain.m > 2:
+        raise NotImplementedError("half-space restriction supports m <= 2")
+    T, k, n = chain.verts.shape
+    nrm = region.normal
+    anchor = region.offset / float(nrm @ nrm) * nrm  # nrm . anchor = offset
+    polys, counts = _clip_polygons(chain.verts, np.full(T, k), np.tile(anchor, (T, 1)), np.tile(nrm, (T, 1)))
+    verts, kept = _fan_split(polys, counts, np.arange(T), chain.m)
+    return chain.with_arrays(verts, chain.payload[kept])
 
 
 def ball_mass(chain: PolyChain, center: np.ndarray, radius: float) -> float:
-    """Exact ``||T||(B(center, radius))`` for m <= 2 chains."""
+    """Exact ``||T||(B(center, radius))`` for chains with m in (1, 2)."""
     center = np.asarray(center, dtype=float)
     near = chain.near_ball(center, radius)
     masses = batch_ball_masses(chain.vertex_array()[near], center, radius, chain.frames(near))
@@ -938,20 +859,45 @@ def cone_mass_formula(vertex: np.ndarray, chain: PolyChain) -> float:
 
     Agrees with ``mass(cone(vertex, chain))`` to rounding; the two routes
     (Gram determinant versus distance times base volume) are independent.
+    The distances come from one stacked QR of the faces' edges.
     """
-    vertex = np.asarray(vertex, dtype=float)
-    m = chain.m + 1
-    total = 0.0
-    for v, w, vol in zip(chain.verts, chain.coeff_norms(), chain.volumes()):
-        rel = vertex - v[0]
-        if chain.m == 0:
-            dist = float(np.linalg.norm(rel))
-        else:
-            edges = (v[1:] - v[0]).T  # (n, m-1)
-            q, _ = np.linalg.qr(edges)
-            dist = float(np.linalg.norm(rel - q @ (q.T @ rel)))
-        total += float(w) * dist * float(vol) / m
-    return total
+    if chain.is_zero:
+        return 0.0
+    rel = np.asarray(vertex, dtype=float) - chain.verts[:, 0]
+    if chain.m:
+        q = np.linalg.qr(np.swapaxes(chain.verts[:, 1:] - chain.verts[:, :1], 1, 2))[0]  # (T, n, m)
+        rel = rel - (q @ (np.swapaxes(q, 1, 2) @ rel[..., None]))[..., 0]
+    return float(chain.coeff_norms() @ (np.linalg.norm(rel, axis=1) * chain.volumes())) / (chain.m + 1)
+
+
+def ball_cone_bound(chain: PolyChain, center: np.ndarray, radius: float) -> float:
+    """An upper bound on the mass of the cone from ``center`` over
+    ``∂(T⌞B)``, B = B(center, radius), for m <= 2 chains.
+
+    ``∂(T⌞B)`` is the sphere slice of T plus ``(∂T)⌞B``.  The cone over a
+    piece of the sphere has mass radius/m times the piece's, and the slice
+    has mass at most ``sum_i ||g_i|| H^{m-1}(S_i ∩ ∂B)``
+    (:func:`~gmtepi.quadrature.batch_ball_slices`).  The cone over
+    ``(∂T)⌞B`` is :func:`cone_mass_formula` of the boundary faces clipped
+    to the closed ball; the terms ``near_ball`` culls lie outside the ball,
+    so the boundary of the near terms has the same part in it.  The mass
+    of a sum is at most the sum of the masses.
+    """
+    center = np.asarray(center, dtype=float)
+    near = chain.near_ball(center, radius)
+    arcs = batch_ball_slices(chain.verts[near], center, radius, chain.frames(near))
+    bound = radius / chain.m * float(chain.coeff_norms()[near] @ arcs)
+    faces = boundary(chain._from_rows(chain.verts[near], chain.payload[near], chain._cache["gram"][near]))
+    if chain.m == 1:
+        rel = faces.verts[:, 0] - center
+        inside = _rowdot(rel, rel) <= radius * radius
+        clipped = faces.with_arrays(faces.verts[inside], faces.payload[inside])
+    else:
+        _p, d, t1, t2, _length, hit = _segment_windows(faces.verts, center, radius)
+        v0 = faces.verts[hit, 0]
+        ends = np.stack([v0 + t1[:, None] * d, v0 + t2[:, None] * d], axis=1)
+        clipped = faces.with_arrays(ends, faces.payload[hit])
+    return bound + cone_mass_formula(center, clipped)
 
 
 def homogeneous_extend(chain: PolyChain, scale: float) -> PolyChain:

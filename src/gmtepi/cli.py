@@ -192,11 +192,10 @@ def cmd_probe(args) -> int:
     x = np.array(cfg.get("x", [0.0] * chain.n), dtype=float)
     r = cfg.get("radius", 0.5)
     xi = Gauge.power(cfg.get("gauge_c", 0.1), cfg.get("gauge_alpha", 1.0))
-    rep = almost_minimal_probe(chain, x, r, [], xi, refine_h=cfg.get("refine_h", 1e-2))
+    rep = almost_minimal_probe(chain, x, r, [], xi)
     rows = [{"competitor": i, "mass_ratio": v} for i, v in enumerate(rep.ratios)]
     write_report(args.out, "probe", "probe", cfg, rows,
-                 {"verdict": rep.verdict, "worst_ratio": rep.worst_ratio,
-                  "restrict_error": rep.restrict_error})
+                 {"verdict": rep.verdict, "worst_ratio": rep.worst_ratio})
     print(f"probe: {rep.verdict} (worst mass ratio {rep.worst_ratio:.6f})")
     return 0 if rep.verdict == "not refuted" else GATE_EXIT
 

@@ -7,18 +7,20 @@ almost monotonicity (``exp(Xi(r)) ratio(r)`` nondecreasing), and the
 decay verifier checks, radius by radius, the differential-inequality
 bound that converts an epiperimetric mass comparison into excess decay.
 
-Almost minimality is probed against finite competitor lists; a probe can
-refute but never certify, so passing results are labelled "not refuted".
+Almost minimality is probed against finite competitor lists and the cone
+over the boundary of the chain in the ball, with exact ball masses and an
+upper bound for the cone; a probe can refute but never certify, so
+passing results are labelled "not refuted".
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import BallRegion, PolyChain, boundary, cone, mass, restrict
+from .chains import PolyChain, ball_cone_bound, boundary, mass
 from .chains import ball_mass as chain_ball_mass
 
 __all__ = [
@@ -301,13 +303,13 @@ class ProbeReport:
 
     A finite probe can only refute: ``verdict`` is ``"refuted"`` when a
     competitor beats the chain by more than the modulus allows, otherwise
-    ``"not refuted"``.
+    ``"not refuted"``.  ``ratios`` holds ``M(T⌞B)`` over each competitor's
+    mass, the cone competitor last.
     """
 
     verdict: str
     worst_ratio: float
-    ratios: list[float] = field(default_factory=list)
-    restrict_error: float = 0.0
+    ratios: list[float]
 
 
 def almost_minimal_probe(
@@ -316,40 +318,30 @@ def almost_minimal_probe(
     r: float,
     competitors: list[PolyChain],
     xi: Gauge,
-    refine_h: float = 1e-2,
-    include_cone_competitor: bool = True,
 ) -> ProbeReport:
-    """Check ``M(T|B) <= (1 + xi(r)) M(T|B + S)`` for each competitor.
+    """Check ``M(T⌞B) <= (1 + xi(r)) M(T⌞B + S)`` for each competitor S,
+    B = B(x, r), for chains with m in (1, 2).
 
-    Competitors must be cycles supported in the closed ball; the cone
-    over the restricted chain's boundary slice is auto-generated as an
-    additional competitor (the comparison driving excess decay).
+    Competitors must be cycles supported in the closed ball (up to a
+    rounding slack of 1e-12 (r + |x|_inf)); for those ``T⌞B + S =
+    (T + S)⌞B``, so every mass is an exact ball mass.  The cone from x
+    over ``∂(T⌞B)`` is the last competitor (the comparison driving excess
+    decay); it is measured by the upper bound :func:`~gmtepi.chains.ball_cone_bound`,
+    so a refutation by it is sound.
     """
     x = np.asarray(x, dtype=float)
-    res = restrict(chain, BallRegion(x, r), refine_h)
-    tb = res.chain
-    mb = mass(tb)
-    checked = []
+    mb = chain_ball_mass(chain, x, r)
+    reach = r + 1e-12 * (r + float(np.max(np.abs(x), initial=0.0)))
+    alts = []
     for s in competitors:
         verts = s.vertex_array().reshape(-1, chain.n)
-        if len(verts) and float(np.max(np.linalg.norm(verts - x, axis=1))) > r + refine_h + 1e-9:
+        if len(verts) and float(np.max(np.linalg.norm(verts - x, axis=1))) > reach:
             raise ValueError("competitor support leaves the ball")
-        bd = mass(boundary(s))
-        if bd > 1e-9 * max(mass(s), 1.0):
+        if mass(boundary(s)) > 1e-9 * max(mass(s), 1.0):
             raise ValueError("competitor is not a cycle")
-        checked.append(s)
-    if include_cone_competitor:
-        # a cycle by construction; coning drops exactly-radial boundary
-        # pieces as degenerate, so the strict cycle check does not apply
-        checked.append(cone(x, boundary(tb)) - tb)
+        alts.append(chain_ball_mass(chain + s, x, r))
+    alts.append(ball_cone_bound(chain, x, r))
     factor = 1.0 + xi(r)
-    slack = 2.0 * res.mass_error
-    ratios = []
-    refuted = False
-    for s in checked:
-        alt = mass(tb + s)
-        ratios.append(mb / max(alt, 1e-300))
-        if mb > factor * alt + slack:
-            refuted = True
-    worst = max(ratios) if ratios else 0.0
-    return ProbeReport("refuted" if refuted else "not refuted", worst, ratios, res.mass_error)
+    ratios = [mb / max(alt, 1e-300) for alt in alts]
+    refuted = any(mb > factor * alt for alt in alts)
+    return ProbeReport("refuted" if refuted else "not refuted", max(ratios), ratios)

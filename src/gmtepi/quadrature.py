@@ -14,9 +14,10 @@ so no explicit region assembly is needed), and monomials are integrated
 exactly on both kinds of pieces.  No sampling noise enters anywhere.
 
 The ball integrals run on stacks of simplices (and of polygons) in array
-passes: one kernel, ``_disk_clip``, clips every edge of every polygon at
-once, and sector integrals come from a fixed table of Fourier
-coefficients.  The per-simplex functions are one-element calls into it.
+passes: one kernel, ``_edge_runs``, clips every edge of every polygon at
+once for the areas, the moments and the arcs on the sphere, and sector
+integrals come from a fixed table of Fourier coefficients.  The
+per-simplex functions are one-element calls into it.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "BallMoments",
     "batch_ball_moments",
     "batch_ball_masses",
+    "batch_ball_slices",
     "cell_ball_moments",
     "simplex_ball_moments",
     "simplex_ball_mass",
@@ -187,20 +189,17 @@ def _turn(angle: np.ndarray) -> np.ndarray:
     return angle - (2.0 * math.pi) * np.rint(angle / (2.0 * math.pi))
 
 
-def _disk_clip(rel: np.ndarray, rho: np.ndarray, moments: bool) -> np.ndarray:
-    """Signed integrals over ``polygon ∩ disk(0, rho)`` for stacked polygons.
+def _edge_runs(rel: np.ndarray, rho: np.ndarray):
+    """Each directed edge ``p -> q`` of stacked polygons against its disk.
 
     ``rel`` is (B, k, 2): polygon vertices relative to each disk's centre;
-    ``rho`` is (B,).  Green's theorem splits each directed edge ``p -> q``
-    at the circle, at the clamped roots ``lo <= hi`` of ``|p + t d| = rho``:
-    the chord from ``a = p + lo d`` to ``b = p + hi d`` spans a signed
-    triangle with the centre, and the runs ``p -> a`` and ``b -> q`` outside
-    the circle span signed circular sectors.  An edge the circle misses has
-    ``lo = hi`` and sweeps one sector.  All edges are evaluated at once.
-
-    Returns the areas (B,), or with ``moments`` the monomial integrals
-    (B, 5, 5), ``M[:, a, b] = ∫ x^a y^b`` for ``a + b <= 4`` and zero above.
-    Positive for counter-clockwise polygons.
+    ``rho`` is (B,).  An edge splits at the clamped roots ``lo <= hi`` of
+    ``|p + t d| = rho``: the chord from ``a = p + lo d`` to ``b = p + hi d``
+    lies in the disk, and the runs ``p -> a`` and ``b -> q`` outside it
+    sweep the angles ``dphi`` (B, k, 2) seen from the centre.  An edge the
+    circle misses has ``lo = hi`` and sweeps one angle.  Returns ``a``,
+    ``b``, twice the signed chord triangles ``a x b``, the angles of ``p``
+    and ``b`` and ``dphi``.
     """
     d = np.concatenate([rel[:, 1:], rel[:, :1]], axis=1) - rel
     px, py, dx, dy = rel[:, :, 0], rel[:, :, 1], d[:, :, 0], d[:, :, 1]
@@ -214,7 +213,7 @@ def _disk_clip(rel: np.ndarray, rho: np.ndarray, moments: bool) -> np.ndarray:
     hi = np.minimum(np.maximum(mid + half, 0.0), 1.0)
     ax, ay = px + lo * dx, py + lo * dy
     bx, by = px + hi * dx, py + hi * dy
-    chord = np.where(edge, ax * by - ay * bx, 0.0)  # a x b: twice the chord triangle
+    chord = np.where(edge, ax * by - ay * bx, 0.0)
     tp = np.arctan2(py, px)
     tb = np.arctan2(by, bx)
     tq = np.concatenate([tp[:, 1:], tp[:, :1]], axis=1)
@@ -225,8 +224,21 @@ def _disk_clip(rel: np.ndarray, rho: np.ndarray, moments: bool) -> np.ndarray:
     dphi = np.stack([_turn(np.arctan2(ay, ax) - tp), _turn(tq - tb)], axis=-1)
     run = np.stack([lo > 1e-15, 1.0 - hi > 1e-15], axis=-1)
     dphi = np.where(run & edge[..., None] & (np.abs(dphi) > 1e-15), dphi, 0.0)
+    return ax, ay, bx, by, chord, tp, tb, dphi
+
+
+def _disk_clip(rel: np.ndarray, rho: np.ndarray, moments: bool) -> np.ndarray:
+    """Signed integrals over ``polygon ∩ disk(0, rho)`` for stacked polygons.
+
+    By Green's theorem each edge of :func:`_edge_runs` adds its signed
+    chord triangle with the centre and the circular sectors of its runs.
+    Returns the areas (B,), or with ``moments`` the monomial integrals
+    (B, 5, 5), ``M[:, a, b] = ∫ x^a y^b`` for ``a + b <= 4`` and zero above.
+    Positive for counter-clockwise polygons.
+    """
+    ax, ay, bx, by, chord, tp, tb, dphi = _edge_runs(rel, rho)
     if not moments:
-        return 0.5 * (chord + r2 * dphi.sum(axis=-1)).sum(axis=1)
+        return 0.5 * (chord + (rho * rho)[:, None] * dphi.sum(axis=-1)).sum(axis=1)
     # chord triangles: degree-5 rule at b1 a + b2 b (vertex 0 is the centre)
     qx7 = ax[..., None] * _TRI_BARY[:, 1] + bx[..., None] * _TRI_BARY[:, 2]  # (B, k, 7)
     qy7 = ay[..., None] * _TRI_BARY[:, 1] + by[..., None] * _TRI_BARY[:, 2]
@@ -380,14 +392,46 @@ def batch_ball_masses(vertices: np.ndarray, center, radius: float, frames: np.nd
     vertices = np.asarray(vertices, dtype=float)
     center = np.asarray(center, dtype=float)
     out = np.zeros(len(vertices))
+    m = _check_m(vertices)
     if not len(vertices):
         return out
-    if _check_m(vertices) == 1:
+    if m == 1:
         _p, _d, t1, t2, length, hit = _segment_windows(vertices, center, radius)
         out[hit] = (_GAUSS3_WEIGHTS * (length * (t2 - t1))[:, None]).sum(axis=1)
         return out
     _frame, poly, rho, _h2, _hvec, hit = _triangle_disks(vertices, center, radius, frames)
     out[hit] = np.abs(_disk_clip(poly, rho, moments=False))
+    return out
+
+
+def batch_ball_slices(vertices: np.ndarray, center, radius: float, frames: np.ndarray | None = None) -> np.ndarray:
+    """(m-1)-measures of ``simplex ∩ ∂B(center, radius)`` for stacked
+    simplices ``(T, m+1, n)``, m in (1, 2), that meet the ball in positive
+    measure, with optional ``frames``.
+
+    A triangle's is the exact length of the arc of its plane's circle
+    inside it: the circle's part of the boundary of the clipped disk, whose
+    angle is the sum of the run angles of :func:`_edge_runs`.  A segment's
+    is the number of ends of its window in the ball that lie on the sphere:
+    an end inside the segment, or an endpoint within 1e-12 r^2 of the
+    sphere in ``|y - x|^2``, so it is never too small.
+    """
+    vertices = np.asarray(vertices, dtype=float)
+    center = np.asarray(center, dtype=float)
+    out = np.zeros(len(vertices))
+    m = _check_m(vertices)
+    if not len(vertices):
+        return out
+    if m == 1:
+        p, d, t1, t2, _length, hit = _segment_windows(vertices, center, radius)
+        r2 = radius * radius
+        q = p + d
+        on0 = np.abs(_rowdot(p, p) - r2) <= 1e-12 * r2
+        on1 = np.abs(_rowdot(q, q) - r2) <= 1e-12 * r2
+        out[hit] = ((t1 > 0.0) | on0).astype(float) + ((t2 < 1.0) | on1)
+        return out
+    _frame, poly, rho, _h2, _hvec, hit = _triangle_disks(vertices, center, radius, frames)
+    out[hit] = rho * np.abs(_edge_runs(poly, rho)[-1].sum(axis=(1, 2)))
     return out
 
 
@@ -464,6 +508,7 @@ def cell_ball_moments(
     vertices = np.asarray(vertices, dtype=float)
     n = vertices.shape[2]
     out = [BallMoments.zero(n) for _ in range(count)]
+    _check_m(vertices)
     if not len(vertices):
         return out
     hit, rows = _moment_rows(vertices, centers[cells], radii[cells], frames)

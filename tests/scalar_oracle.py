@@ -5,7 +5,9 @@ sample, the whole-ball graph window and the per-bin fiber check of the
 scanner, the layer-constancy check, the recursive half-space clipper of
 a simplex, the polygon-cylinder clipping, the chunked cylinder clip with its
 dense edge masks and the full-clip zone excess of the comparison
-pipeline, the one-polygon convex clipper,
+pipeline, the one-polygon convex clipper, the ball restriction of a
+chain by bisection, sampled slice arcs of triangles and crossing
+counts of segments on a sphere,
 the bisection boundary trace, the cone height sup, the 2^16-sample
 height sups over balls and cylinders, the stacked arc sup kernel with
 companion-matrix eigenvalues for its quartic roots, the strip zip, the pair and
@@ -32,7 +34,7 @@ import numpy as np
 from gmtepi.chains import DEGENERATE_GRAM, SNAP, PolyChain, Simplex, _accumulate, _canonical, _vertex_ids
 from gmtepi.groups import group_add, group_neg
 from gmtepi.planes import OrientedPlane
-from gmtepi.quadrature import BallMoments, _rowdot
+from gmtepi.quadrature import BallMoments, _rowdot, simplex_volume
 
 _GAUSS3_NODES = np.array(
     [0.5 - math.sqrt(3.0 / 5.0) / 2.0, 0.5, 0.5 + math.sqrt(3.0 / 5.0) / 2.0]
@@ -299,6 +301,110 @@ def chain_ball_mass(chain, center, radius) -> float:
     va = chain.vertex_array()
     w = chain.coeff_norms()
     return sum(w[t] * simplex_ball_mass(va[t], center, radius) for t in range(len(va)))
+
+
+def sampled_arc_lengths(verts: np.ndarray, center, radius: float, samples: int) -> np.ndarray:
+    """Lengths of the arcs of ``triangle ∩ ∂B(center, radius)`` for each
+    triangle of ``verts`` (T, 3, n), from ``samples`` equally spaced points
+    of its plane's circle: ``2 pi rho`` times the share inside.  A convex
+    triangle holds at most three arcs, so the error is below ``6 (2 pi /
+    samples) rho``."""
+    center = np.asarray(center, dtype=float)
+    ang = 2 * math.pi * np.arange(samples) / samples
+    out = np.zeros(len(verts))
+    for t, v in enumerate(verts):
+        frame, base = _plane_frame(v)
+        foot = frame @ (center - base)
+        rho2 = radius * radius - (float((center - base) @ (center - base)) - float(foot @ foot))
+        if rho2 <= 0.0:
+            continue
+        rho = math.sqrt(rho2)
+        pts = foot + rho * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        tri = (v - base) @ frame.T
+        inside = np.ones(samples, dtype=bool)
+        for i in range(3):
+            a, b, c = tri[i], tri[(i + 1) % 3], tri[(i + 2) % 3]
+            edge = b - a
+            side = lambda p: edge[0] * (p[..., 1] - a[1]) - edge[1] * (p[..., 0] - a[0])  # noqa: E731
+            inside &= side(pts) * side(c) >= 0.0
+        out[t] = 2 * math.pi * rho * float(np.mean(inside))
+    return out
+
+
+def segment_sphere_crossings(v: np.ndarray, center, radius: float) -> int:
+    """Ends of the window of a segment in ``B(center, radius)`` that lie on
+    the sphere: 0 when the window is shorter than 1e-12, and a root of
+    ``|p + t d| = radius`` counts when it is within 1e-9 of [0, 1]."""
+    p = v[0] - np.asarray(center, dtype=float)
+    d = v[1] - v[0]
+    a, b, c = float(d @ d), 2.0 * float(p @ d), float(p @ p) - radius * radius
+    disc = b * b - 4.0 * a * c
+    if disc <= 0.0:
+        return 0
+    lo, hi = (-b - math.sqrt(disc)) / (2.0 * a), (-b + math.sqrt(disc)) / (2.0 * a)
+    if min(hi, 1.0) - max(lo, 0.0) <= 1e-12:
+        return 0
+    return int(lo >= -1e-9) + int(hi <= 1.0 + 1e-9)
+
+
+def restrict_ball(chain, center, radius: float, refine_h: float = 1e-2):
+    """The chain's pieces in ``B(center, radius)`` by recursive bisection,
+    and a bound on their mass error: ``(chain, mass_error)``.
+
+    A piece with every vertex in the ball (up to 1e-12) is kept whole, one
+    that provably misses the ball is dropped, and the others are bisected
+    at their longest edge down to diameter ``refine_h``; such a final piece
+    is kept when its barycenter lies in the ball, and its mass enters
+    ``mass_error``, which bounds the kept chain's mass against the exact
+    ``||T||(B)``.
+    """
+    if refine_h <= 0:
+        raise ValueError("refine_h must be positive")
+    center = np.asarray(center, dtype=float)
+    pieces: list[np.ndarray] = []
+    src: list[int] = []
+    error = 0.0
+
+    def visit(v: np.ndarray, t: int, norm_g: float):
+        nonlocal error
+        dist = np.linalg.norm(v - center, axis=1)
+        if np.all(dist <= radius + 1e-12):
+            pieces.append(v)
+            src.append(t)
+            return
+        diam = max(
+            float(np.linalg.norm(v[i] - v[j]))
+            for i in range(len(v))
+            for j in range(i + 1, len(v))
+        )
+        if np.min(dist) > radius + diam:
+            return
+        if diam <= refine_h:
+            vol = simplex_volume(v)
+            error += norm_g * vol
+            if np.linalg.norm(v.mean(axis=0) - center) <= radius:
+                pieces.append(v)
+                src.append(t)
+            return
+        # bisect the longest edge
+        besti, bestj, bestlen = 0, 1, -1.0
+        for i in range(len(v)):
+            for j in range(i + 1, len(v)):
+                ln = float(np.linalg.norm(v[i] - v[j]))
+                if ln > bestlen:
+                    besti, bestj, bestlen = i, j, ln
+        mid = 0.5 * (v[besti] + v[bestj])
+        child_a = v.copy()
+        child_a[bestj] = mid
+        child_b = v.copy()
+        child_b[besti] = mid
+        visit(child_a, t, norm_g)
+        visit(child_b, t, norm_g)
+
+    for t, (v, norm_g) in enumerate(zip(chain.verts, chain.coeff_norms())):
+        visit(np.array(v), t, float(norm_g))
+    verts = np.array(pieces).reshape(len(pieces), chain.m + 1, chain.n)
+    return chain.with_arrays(verts, chain.payload[np.array(src, dtype=np.int64)]), error
 
 
 def _inside_triangle(dom: np.ndarray, p: np.ndarray, tol: float = 1e-12) -> bool:

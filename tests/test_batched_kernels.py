@@ -14,6 +14,7 @@ from gmtepi.moments import chain_ball_moments
 from gmtepi.mono import DensityProfile, alpha_m
 from gmtepi.planes import _plane_grid
 from gmtepi.quadrature import (
+    batch_ball_slices,
     disk_polygon_area,
     disk_polygon_monomials,
     simplex_ball_mass,
@@ -78,6 +79,25 @@ def test_simplex_ball_moments_and_masses_match_the_oracle():
                 assert _close(got_f, want_f, want.s0 * r**k, r ** (m + k)), (name, v, c, r)
             mass = simplex_ball_mass(v, c, r)
             assert _close(mass, oracle.simplex_ball_mass(v, c, r), want.s0, r**m)
+
+
+def test_sphere_slices_match_the_sampled_arcs_and_the_crossings():
+    rng = np.random.default_rng(34)
+    samples = 2**12
+    for v in _random_simplices(rng, 120):
+        m = v.shape[0] - 1
+        for case, (c, r) in enumerate(_ball_cases(rng, v)):
+            got = float(batch_ball_slices(v[None], c, r)[0])
+            if m == 2:
+                # at most three arcs, each end within one sample step
+                want = float(oracle.sampled_arc_lengths(v[None], c, r, samples)[0])
+                assert abs(got - want) <= 6 * (2 * math.pi / samples) * r, (v, c, r)
+            elif case == 3:
+                # a tangent segment meets the ball in a point or, by
+                # rounding, in a sliver with two ends on the sphere
+                assert got in (0.0, 2.0)
+            else:
+                assert got == oracle.segment_sphere_crossings(v, c, r), (v, c, r)
 
 
 def test_disk_clip_primitives_match_the_oracle():

@@ -8,10 +8,10 @@ from numpy.testing import assert_allclose
 import scalar_oracle as oracle
 
 from gmtepi.chains import (
-    BallRegion,
     HalfSpaceRegion,
     PolyChain,
     Simplex,
+    ball_cone_bound,
     ball_mass,
     boundary,
     cone,
@@ -25,6 +25,7 @@ from gmtepi.chains import (
     slice_mass_profile,
 )
 from gmtepi.groups import NormedCoefficient, cantor, integers, unit_discrete
+from gmtepi.moments import chain_ball_moments
 
 from conftest import make_flat_disk, minor_volumes, random_chain
 
@@ -116,27 +117,27 @@ def test_projection_never_increases_mass():
 def test_restrict_halfspace_exact():
     sq = PolyChain(2, 2, G, [(TRI, ONE), (TRI2, ONE)])
     res = restrict(sq, HalfSpaceRegion(np.array([1.0, 0.0]), 0.0))
-    assert res.mass_error == 0.0
-    assert_allclose(mass(res.chain), 1.0)
+    assert_allclose(mass(res), 1.0)
     half = restrict(sq, HalfSpaceRegion(np.array([1.0, 0.0]), 0.5))
-    assert_allclose(mass(half.chain), 0.5, atol=1e-14)
+    assert_allclose(mass(half), 0.5, atol=1e-14)
 
 
 def test_restrict_ball_disk():
+    # the oracle's bisection against the exact ball mass
     D = make_flat_disk(64, n=2)
-    res = restrict(D, BallRegion(np.zeros(2), 0.5), refine_h=1e-2)
-    assert abs(mass(res.chain) - math.pi / 4) <= 3e-2
-    assert abs(mass(res.chain) - ball_mass(D, np.zeros(2), 0.5)) <= res.mass_error
+    kept, err = oracle.restrict_ball(D, np.zeros(2), 0.5, refine_h=1e-2)
+    assert abs(mass(kept) - math.pi / 4) <= 3e-2
+    assert abs(mass(kept) - ball_mass(D, np.zeros(2), 0.5)) <= err
     # containing ball leaves the chain unchanged
-    whole = restrict(D, BallRegion(np.zeros(2), 2.0), refine_h=1e-2)
-    assert_allclose(mass(whole.chain), mass(D))
-    assert len(whole.chain) == len(D)
+    whole, _err = oracle.restrict_ball(D, np.zeros(2), 2.0, refine_h=1e-2)
+    assert_allclose(mass(whole), mass(D))
+    assert len(whole) == len(D)
 
 
 def test_restrict_additive_halfspace_partition():
     D = make_flat_disk(32, n=2)
-    left = restrict(D, HalfSpaceRegion(np.array([1.0, 0.0]), 0.2)).chain
-    right = restrict(D, HalfSpaceRegion(np.array([-1.0, 0.0]), -0.2)).chain
+    left = restrict(D, HalfSpaceRegion(np.array([1.0, 0.0]), 0.2))
+    right = restrict(D, HalfSpaceRegion(np.array([-1.0, 0.0]), -0.2))
     assert_allclose(mass(left) + mass(right), mass(D), rtol=1e-12)
 
 
@@ -153,8 +154,7 @@ def test_restrict_halfspace_matches_the_recursive_clip(m, n, seed):
     normal /= np.linalg.norm(normal)
     offset = float(rng.normal(scale=0.5))
     sides = [restrict(T, HalfSpaceRegion(s * normal, s * offset)) for s in (1.0, -1.0)]
-    assert all(side.mass_error == 0.0 for side in sides)
-    measure = [float(side.chain.coeff_norms() @ minor_volumes(side.chain.verts)) for side in sides]
+    measure = [float(side.coeff_norms() @ minor_volumes(side.verts)) for side in sides]
     whole = float(T.coeff_norms() @ minor_volumes(T.verts))
     assert sum(measure) == pytest.approx(whole, rel=1e-13)
     for got, s in zip(measure, (1.0, -1.0)):
@@ -174,13 +174,44 @@ def test_restrict_halfspace_rejects_m3():
 
 def test_restrict_disjoint_balls_additive():
     D = make_flat_disk(32, n=2)
-    b1 = BallRegion(np.array([0.5, 0.0]), 0.2)
-    b2 = BallRegion(np.array([-0.5, 0.0]), 0.2)
+    c1, c2 = np.array([0.5, 0.0]), np.array([-0.5, 0.0])
     h = 5e-3
-    r1 = restrict(D, b1, h)
-    r2 = restrict(D, b2, h)
-    exact = ball_mass(D, b1.center, 0.2) + ball_mass(D, b2.center, 0.2)
-    assert abs(mass(r1.chain) + mass(r2.chain) - exact) <= r1.mass_error + r2.mass_error
+    k1, e1 = oracle.restrict_ball(D, c1, 0.2, h)
+    k2, e2 = oracle.restrict_ball(D, c2, 0.2, h)
+    exact = ball_mass(D, c1, 0.2) + ball_mass(D, c2, 0.2)
+    assert abs(mass(k1) + mass(k2) - exact) <= e1 + e2
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 2), st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_ball_mass_matches_the_bisection(m, n, seed):
+    # the second route: the oracle's bisection brackets the exact mass
+    # within the mass of its pieces that straddle the sphere
+    rng = np.random.default_rng(seed)
+    T = random_chain(rng, m=m, n=n, terms=3)
+    c = T.verts[0].mean(axis=0) + rng.normal(size=n) * 0.3  # near the first term
+    r = float(rng.uniform(0.2, 1.5))
+    kept, err = oracle.restrict_ball(T, c, r, refine_h=0.1)
+    assert abs(ball_mass(T, c, r) - mass(kept)) <= err + 1e-9
+
+
+@pytest.mark.parametrize("radius", [-0.5, 0.0, float("nan")])
+def test_ball_integrals_reject_a_radius_that_is_not_positive(radius):
+    # a negative radius once read the mass of the ball of radius |r|
+    D = make_flat_disk(16)
+    for call in (ball_mass, chain_ball_moments, ball_cone_bound):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            call(D, np.zeros(3), radius)
+
+
+@pytest.mark.parametrize("m", [0, 3])
+def test_ball_integrals_reject_other_dimensions_whatever_the_ball(m):
+    T = random_chain(np.random.default_rng(1), m=m, n=4, terms=2)
+    for center in (np.zeros(4), np.full(4, 100.0)):  # near the chain and far from it
+        with pytest.raises(NotImplementedError, match="m in"):
+            ball_mass(T, center, 0.5)
+        with pytest.raises(NotImplementedError, match="m in"):
+            chain_ball_moments(T, center, 0.5)
 
 
 def test_cone_over_segment():
@@ -263,7 +294,5 @@ def test_slice_profile_degenerate_functional():
 
 
 def test_ball_region_validation():
-    with pytest.raises(ValueError):
-        BallRegion(np.zeros(2), -1.0)
     with pytest.raises(ValueError):
         HalfSpaceRegion(np.array([2.0, 0.0]), 0.0)

@@ -76,7 +76,22 @@ def test_scan_and_probe(disk_file, tmp_path):
                       "hausdorff", "density", "eta", "frame", "ambiguous"]
     summary = json.load(open(os.path.join(out, "scan.json")))
     assert summary["summary"]["certificates"]["0"]["ok"]
-    assert run(["probe", "--chain", disk_file, "--out", out]) == 0
+    # a key that names no probe option, such as the removed refine_h, is ignored
+    cfg.write_text(json.dumps({"refine_h": 0.01}))
+    assert run(["probe", "--chain", disk_file, "--config", str(cfg), "--out", out]) == 0
+    summary = json.load(open(os.path.join(out, "probe.json")))["summary"]
+    assert set(summary) == {"verdict", "worst_ratio"}
+    assert abs(summary["worst_ratio"] - 1.0) <= 1e-12
+
+
+def test_probe_of_a_three_chain_exits_with_one_line_reason(tmp_path, capsys):
+    path = tmp_path / "tet.json"
+    tet = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    path.write_text(json.dumps({"version": 1, "ambient": 3, "dim": 3, "group": {"tag": "integers"},
+                                "simplices": [{"vertices": tet, "coeff": 1}]}))
+    assert run(["probe", "--chain", str(path), "--out", str(tmp_path / "rpt")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "m in (1, 2)" in err
 
 
 def test_gate_exit_code(tmp_path):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gmtepi.chains import PolyChain, Simplex, mass
+import scalar_oracle as oracle
+
+from gmtepi.chains import PolyChain, Simplex, ball_mass, mass
 from gmtepi.generators import cone_harmonic, flat_disk, two_sheet_cantor
 from gmtepi.groups import NormedCoefficient, integers
 from gmtepi.mono import (
@@ -166,13 +168,14 @@ def test_decay_slack_monotone_in_beta():
 
 def test_probe_flat_disk_not_refuted():
     D, _ = flat_disk(128)
-    rep = almost_minimal_probe(D, np.zeros(3), 0.6, [], Gauge.power(0.1, 1.0), refine_h=5e-3)
+    rep = almost_minimal_probe(D, np.zeros(3), 0.6, [], Gauge.power(0.1, 1.0))
     assert rep.verdict == "not refuted"
-    assert rep.worst_ratio <= 1.0 + 1e-6
+    assert abs(rep.worst_ratio - 1.0) <= 1e-12
 
 
-def test_probe_detects_tent_with_flat_competitor():
-    # a raised-center disk pays extra mass against its flat replacement
+def _tent_and_flat():
+    """The 64-gon fan of radius 1.2 with its centre raised to height 0.4,
+    and the flat fan over the same rim."""
     ang = 2 * np.pi * np.arange(65) / 64
     pts = 1.2 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
     tent_terms, flat_terms = [], []
@@ -185,15 +188,87 @@ def test_probe_detects_tent_with_flat_competitor():
         w = v.copy()
         w[0, 2] = 0.0
         flat_terms.append((Simplex(w), NormedCoefficient(G, 1)))
-    tent = PolyChain(3, 2, G, tent_terms)
-    flat = PolyChain(3, 2, G, flat_terms)
+    return PolyChain(3, 2, G, tent_terms), PolyChain(3, 2, G, flat_terms)
+
+
+def test_probe_detects_tent_with_flat_competitor():
+    # a raised-center disk pays extra mass against its flat replacement
+    tent, flat = _tent_and_flat()
     competitor = flat - tent  # a cycle: both fill the same rim loop
-    rep = almost_minimal_probe(
-        tent, np.zeros(3), 1.4, [competitor], Gauge.power(0.01, 1.0),
-        refine_h=5e-3, include_cone_competitor=False,
-    )
+    rep = almost_minimal_probe(tent, np.zeros(3), 1.4, [competitor], Gauge.power(0.01, 1.0))
     assert rep.verdict == "refuted"
     assert rep.worst_ratio > 1.03
+    # the ball holds the whole tent, so the cone from the origin over its
+    # rim is the flat fan again
+    assert rep.ratios == pytest.approx([mass(tent) / mass(flat)] * 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [[0.0, 0.0, 0.0], [0.8, 0.0, 0.0]], ids=["centre", "lens"])
+def test_probe_reads_one_on_a_flat_disk(x):
+    # T in the ball is a convex plane region that holds x, which is the
+    # cone from x over its boundary: arcs of the sphere and, off centre,
+    # rim chords
+    D = flat_disk(256)[0]
+    rep = almost_minimal_probe(D, np.array(x), 0.6, [], Gauge.power(0.1, 1.0))
+    assert rep.verdict == "not refuted"
+    assert rep.ratios == pytest.approx([1.0], rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("r", [0.5, 0.9])
+def test_probe_reads_one_at_a_cone_apex(r):
+    # a cone in a ball about its apex is the cone over its slice
+    T = cone_harmonic(2, 0.05, 256)[0]
+    rep = almost_minimal_probe(T, np.zeros(3), r, [], Gauge.power(0.1, 1.0))
+    assert rep.verdict == "not refuted"
+    assert rep.ratios == pytest.approx([1.0], rel=0, abs=1e-12)
+
+
+def _polyline(points):
+    pts = np.asarray(points, dtype=float)
+    return PolyChain(2, 1, G, [(Simplex(pts[i : i + 2]), NormedCoefficient(G, 1)) for i in range(len(pts) - 1)])
+
+
+@pytest.mark.parametrize("points", [
+    [[-1.0, 0.0], [0.2, 0.0]],
+    [[-1.0, 0.0], [-0.5, 0.0], [0.2, 0.0]],  # a vertex on the sphere
+    [[-1.0, 0.0], [-0.3, 0.0], [0.1, 0.0], [0.2, 0.0]],
+    [[0.9, 0.7], [0.0, 0.0], [-0.8, 0.4]],  # a cone at x
+], ids=["segment", "vertex-on-sphere", "three-pieces", "corner"])
+def test_probe_reads_one_on_a_one_chain_star_shaped_from_x(points):
+    # T in B(0, 0.5) is the cone from 0 over its crossings with the sphere
+    # and its ends in the ball, each point counted once
+    rep = almost_minimal_probe(_polyline(points), np.zeros(2), 0.5, [], Gauge.power(0.1, 1.0))
+    assert rep.ratios == pytest.approx([1.0], rel=0, abs=1e-12)
+
+
+def test_probe_refutes_the_tent_off_its_apex():
+    # the ball about a point on a tent face holds the apex and no rim: the
+    # cone over the slice arcs beats the tent
+    tent, _flat = _tent_and_flat()
+    x, r = np.array([0.3, 0.0, 0.3]), 0.5
+    rep = almost_minimal_probe(tent, x, r, [], Gauge.power(0.01, 1.0))
+    assert rep.verdict == "refuted"
+    assert rep.ratios == pytest.approx([1.0220658640401992], rel=1e-12)
+    # the same ratio from arc lengths sampled at 2^14 angles per circle
+    arcs = oracle.sampled_arc_lengths(tent.verts, x, r, 2**14)
+    assert rep.ratios[0] == pytest.approx(ball_mass(tent, x, r) / (0.5 * r * arcs.sum()), rel=1e-3)
+
+
+def test_probe_rejects_a_competitor_beyond_the_ball():
+    D = flat_disk(64)[0]
+    x, r = np.array([0.1, 0.0, 0.0]), 0.5
+    xi = Gauge.power(0.1, 1.0)
+    tip = np.array([0.0, 0.0, 1.0])
+
+    def tetra(scale):
+        # the boundary of a tetrahedron: a 2-cycle with a vertex x + scale r tip
+        v = np.array([x + scale * r * tip, x + [0.2, 0.0, 0.0], x + [0.0, 0.2, 0.0], x + [-0.1, -0.1, 0.0]])
+        faces = [(v[[1, 2, 3]], 1), (v[[0, 2, 3]], -1), (v[[0, 1, 3]], 1), (v[[0, 1, 2]], -1)]
+        return PolyChain(3, 2, G, [(Simplex(f), NormedCoefficient(G, c)) for f, c in faces])
+
+    assert len(almost_minimal_probe(D, x, r, [tetra(1.0)], xi).ratios) == 2
+    with pytest.raises(ValueError, match="leaves the ball"):
+        almost_minimal_probe(D, x, r, [tetra(1.0 + 1e-6)], xi)
 
 
 def test_probe_two_sheet_generator_with_metadata_gauge():
@@ -203,7 +278,7 @@ def test_probe_two_sheet_generator_with_metadata_gauge():
     xi = Gauge.power(5.0, 1.0)
     g1 = [g for g in meta["gaps"] if g["level"] == 1][0]
     x = np.array([g1["center"], 0.0])
-    rep = almost_minimal_probe(T, x, 0.05, [], xi, refine_h=1e-3)
+    rep = almost_minimal_probe(T, x, 0.05, [], xi)
     assert rep.verdict == "not refuted"
 
 

@@ -1,4 +1,5 @@
-"""Work counters of one comparison run, one graph certificate and scans:
+"""Work counters of one comparison run, one graph certificate, scans and
+an almost-minimality probe:
 each per-row bookkeeping step runs once, so these counts are pinned as
 upper bounds (a count that grows is repeated work, not a wrong answer).
 A chain's triangle frames are factored once and reused bit for bit."""
@@ -10,9 +11,10 @@ import numpy as np
 import pytest
 
 from gmtepi import chains, epi, layers, quadrature, scan
-from gmtepi.chains import ball_mass, pushforward_linear
+from gmtepi.chains import PolyChain, Simplex, ball_mass, pushforward_linear
 from gmtepi.generators import cone_harmonic, flat_disk
-from gmtepi.mono import DensityProfile
+from gmtepi.groups import NormedCoefficient, integers
+from gmtepi.mono import DensityProfile, Gauge, almost_minimal_probe
 
 # build_comparison(cone_harmonic(2, 0.05, 256)): an S of 11,264 terms
 S_TERMS = 11_264
@@ -164,3 +166,43 @@ def test_cached_frames_give_the_one_simplex_floats(build):
         for v, got in zip(va[near], cells):
             want = quadrature.simplex_ball_moments(v, x, r)
             assert all(np.array_equal(getattr(got, f), getattr(want, f)) for f in ("s0", "s1", "s2", "t2", "u3", "t4"))
+
+
+def _tetra_surface(x):
+    # the boundary of a small tetrahedron at x: a 2-cycle in the ball
+    v = x + np.array([[0.0, 0.0, 0.2], [0.2, 0.0, 0.0], [0.0, 0.2, 0.0], [-0.1, -0.1, 0.0]])
+    g = integers()
+    faces = [(v[[1, 2, 3]], 1), (v[[0, 2, 3]], -1), (v[[0, 1, 3]], 1), (v[[0, 1, 2]], -1)]
+    return PolyChain(3, 2, g, [(Simplex(f), NormedCoefficient(g, c)) for f, c in faces])
+
+
+@pytest.mark.parametrize("competitors", [0, 1])
+def test_a_probe_makes_one_ball_pass_per_mass_and_refines_nothing(monkeypatch, competitors):
+    # one triangle-disk pass for M(T|B), one per competitor and one for the
+    # slice arcs; one segment clip of the boundary; no chain beyond T + S
+    chain = flat_disk(256)[0]
+    x = np.zeros(3)
+    comps = [_tetra_surface(x)] * competitors
+    count = dict(disks=0, windows=0, rows=0)
+    real_disks, real_windows, real_fill = quadrature._triangle_disks, chains._segment_windows, PolyChain._fill
+
+    def disks(*args, **kwargs):
+        count["disks"] += 1
+        return real_disks(*args, **kwargs)
+
+    def windows(*args, **kwargs):
+        count["windows"] += 1
+        return real_windows(*args, **kwargs)
+
+    def fill(self, n, m, group, verts, *args, **kwargs):
+        count["rows"] = max(count["rows"], len(verts))
+        return real_fill(self, n, m, group, verts, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_triangle_disks", disks)
+    monkeypatch.setattr(chains, "_segment_windows", windows)
+    monkeypatch.setattr(PolyChain, "_fill", fill)
+    rep = almost_minimal_probe(chain, x, 0.6, comps, Gauge.power(0.1, 1.0))
+    assert len(rep.ratios) == competitors + 1
+    assert count["disks"] <= 2 + competitors, count
+    assert count["windows"] <= 1, count
+    assert count["rows"] <= len(chain) + 4 * competitors, count
