@@ -63,18 +63,39 @@ def chain_to_dict(chain: PolyChain, metadata: dict | None = None) -> dict:
 
 
 def dict_to_chain(data: dict) -> tuple[PolyChain, dict]:
-    if data.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported chain file version {data.get('version')!r}")
-    spec = _group_from_dict(data["group"])
-    items = data["simplices"]
-    chain = PolyChain(
-        data["ambient"],
-        data["dim"],
-        spec,
-        verts=np.array([item["vertices"] for item in items], dtype=float),
-        payload=np.array([item["coeff"] for item in items]),
-    )
+    """The chain and metadata of a parsed chain file.  A missing field
+    raises ``ValueError`` naming it, and the simplex it is missing from."""
+    try:
+        if data.get("version") != FORMAT_VERSION:
+            raise ValueError(f"unsupported chain file version {data.get('version')!r}")
+        spec = _group_from_dict(data["group"])
+        items = data["simplices"]
+        chain = PolyChain(
+            data["ambient"],
+            data["dim"],
+            spec,
+            verts=np.array([item["vertices"] for item in items], dtype=float),
+            payload=np.array([item["coeff"] for item in items]),
+        )
+    except (AttributeError, KeyError, TypeError) as err:
+        raise ValueError(_missing_field(data) or f"malformed chain file: {err!r}") from err
     return chain, data.get("metadata", {})
+
+
+def _missing_field(data) -> str | None:
+    """Which field of a chain file is missing, or held by a part that is
+    not a JSON object."""
+    if not isinstance(data, dict):
+        kinds = {list: "an array", str: "a string", int: "a number", float: "a number", bool: "a boolean"}
+        return f"a chain file holds a JSON object, not {kinds.get(type(data), 'null')}"
+    parts = [("chain file", data, ("group", "simplices", "ambient", "dim")), ("chain file's 'group'", data.get("group"), ("tag",))]
+    items = data.get("simplices")
+    parts += [(f"simplex {i} of the chain file", item, ("vertices", "coeff")) for i, item in enumerate(items if isinstance(items, list) else [])]
+    for name, part, keys in parts:
+        for key in keys:
+            if not isinstance(part, dict) or key not in part:
+                return f"{name} has no {key!r} field"
+    return None
 
 
 def save_chain(path: str, chain: PolyChain, metadata: dict | None = None) -> None:

@@ -24,7 +24,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .groups import GroupSpec, NormedCoefficient
-from .quadrature import (_rowdot, _segment_windows, _triangle_frames, batch_ball_masses, batch_ball_slices,
+from .quadrature import (_norms, _rowdot, _segment_windows, _triangle_frames, batch_ball_masses, batch_ball_slices,
                          gram_volumes, simplex_volume)
 
 __all__ = [
@@ -354,9 +354,19 @@ class PolyChain:
         radius that is not positive raises ``ValueError``."""
         if not radius > 0:
             raise ValueError(f"ball radius must be positive, got {radius}")
-        va = self.verts
-        dist = np.min(np.linalg.norm(va - center, axis=2), axis=1)
-        return np.nonzero(dist - self.diameters() <= radius)[0]
+        return np.nonzero(self.reach(center) <= radius)[0]
+
+    def reach(self, center: np.ndarray) -> np.ndarray:
+        """Each term's nearest vertex distance from ``center`` minus its
+        diameter, a lower bound of its distance; the last centre's are
+        kept, since a scan, its certificate and a profile ask about one
+        point in turn."""
+        center = np.asarray(center, dtype=float)
+        key = center.tobytes()
+        if self._cache.get("reach", (None,))[0] != key:
+            dist = _norms(self.verts - center).min(axis=1)
+            self._cache["reach"] = key, dist - self.diameters()
+        return self._cache["reach"][1]
 
     def with_terms(self, terms) -> "PolyChain":
         return PolyChain(self.n, self.m, self.group, terms)
@@ -549,7 +559,7 @@ def _region_sups(q: np.ndarray, h: np.ndarray, r: np.ndarray) -> np.ndarray:
     r2 = r * r
     qq = _rowdot(q, q)
     near = qq <= r2[:, None] * (1.0 + 2.0 * _SUP_TOL)
-    best = np.max(np.where(near, np.linalg.norm(h, axis=2), 0.0), axis=1)
+    best = np.where(near, _norms(h), 0.0).max(axis=1)
     i, j = _EDGES[k]
     p, dd = q[:, i], q[:, j] - q[:, i]
     aa = _rowdot(dd, dd)
@@ -558,14 +568,38 @@ def _region_sups(q: np.ndarray, h: np.ndarray, r: np.ndarray) -> np.ndarray:
     cut = (aa > 0) & (disc >= 0)
     sq = np.sqrt(np.where(cut, disc, 0.0))
     den = 2.0 * np.where(cut, aa, 1.0)
-    t = np.stack([(-bb - sq) / den, (-bb + sq) / den], axis=-1)
+    t = np.array([(-bb - sq) / den, (-bb + sq) / den]).transpose(1, 2, 0)
     on = cut[..., None] & (t >= -_SUP_TOL) & (t <= 1.0 + _SUP_TOL)
-    hv = h[:, i, None] + np.clip(t, 0.0, 1.0)[..., None] * (h[:, j] - h[:, i])[:, :, None]
-    best = np.maximum(best, np.max(np.where(on, np.linalg.norm(hv, axis=3), 0.0), axis=(1, 2)))
+    hv = h[:, i, None] + t.clip(0.0, 1.0)[..., None] * (h[:, j] - h[:, i])[:, :, None]
+    best = np.maximum(best, np.where(on, _norms(hv), 0.0).max(axis=(1, 2)))
     if k == 3:
-        arc = np.flatnonzero(~np.all(near, axis=1))
+        arc = (~near.all(axis=1)).nonzero()[0]
         best[arc] = np.maximum(best[arc], _arc_sups(q[arc], h[arc], r2[arc]))
     return best
+
+
+def _sup_pass(*requests) -> list:
+    """Answer each request ``(q, h, r, finish)`` as ``finish(sups)`` with
+    its own rows' :func:`_region_sups`, from one kernel call over the rows
+    of all segment requests: region coordinates narrower than the widest
+    (a cylinder's base beside a ball's ambient ones) are padded with zeros,
+    and each sum of products then adds exact zeros to one product.
+    Triangle rows go in one call per coordinate width, since the projection
+    of a triangle's arc rounds by the width of its product.  So every
+    answer is the one a pass of its request alone gives."""
+    groups: dict[int, list[int]] = {}
+    for i, (q, *_) in enumerate(requests):
+        groups.setdefault(0 if q.shape[1] == 2 else q.shape[2], []).append(i)
+    sups = [None] * len(requests)
+    for group in groups.values():
+        ends = np.cumsum([0] + [len(requests[i][2]) for i in group]).tolist()
+        q = np.zeros((ends[-1], requests[group[0]][0].shape[1], max(requests[i][0].shape[2] for i in group)))
+        for i, lo, hi in zip(group, ends, ends[1:]):
+            q[lo:hi, :, : requests[i][0].shape[2]] = requests[i][0]
+        out = _region_sups(q, np.concatenate([requests[i][1] for i in group]), np.concatenate([requests[i][2] for i in group]))
+        for i, lo, hi in zip(group, ends, ends[1:]):
+            sups[i] = out[lo:hi]
+    return [request[3](sup) for request, sup in zip(requests, sups)]
 
 
 def _arc_roots(lead: np.ndarray, c3: np.ndarray) -> np.ndarray:
@@ -757,8 +791,8 @@ def _segment_dists(q0: np.ndarray, q1: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Distances from points p (..., n) to the segments [q0, q1] (..., n)."""
     dd = q1 - q0
     den = np.maximum(np.einsum("...j,...j->...", dd, dd), 1e-300)
-    u = np.clip(np.einsum("...j,...j->...", p - q0, dd) / den, 0.0, 1.0)
-    return np.linalg.norm(q0 + u[..., None] * dd - p, axis=-1)
+    u = (np.einsum("...j,...j->...", p - q0, dd) / den).clip(0.0, 1.0)
+    return _norms(q0 + u[..., None] * dd - p)
 
 
 def _dists(va: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -772,7 +806,8 @@ def _dists(va: np.ndarray, p: np.ndarray) -> np.ndarray:
     if va.shape[-2] == 2:
         return _segment_dists(v0, va[..., 1, :], p)
     # point-triangle distance: the interior foot where the barycentric
-    # solve lands inside, else the nearest of the three edges
+    # solve lands inside, else the nearest of the three edges; a flat
+    # triangle's foot overflows, and is not used
     e1 = va[..., 1, :] - v0
     e2 = va[..., 2, :] - v0
     w = p - v0
@@ -782,11 +817,12 @@ def _dists(va: np.ndarray, p: np.ndarray) -> np.ndarray:
     d1 = np.einsum("...j,...j->...", w, e1)
     d2 = np.einsum("...j,...j->...", w, e2)
     det = np.maximum(a * c - b * b, 1e-300)
-    sbar = (c * d1 - b * d2) / det
-    tbar = (a * d2 - b * d1) / det
-    inside = (sbar >= 0) & (tbar >= 0) & (sbar + tbar <= 1)
-    foot = v0 + sbar[..., None] * e1 + tbar[..., None] * e2
-    best = np.where(inside, np.linalg.norm(foot - p, axis=-1), np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sbar = (c * d1 - b * d2) / det
+        tbar = (a * d2 - b * d1) / det
+        inside = (sbar >= 0) & (tbar >= 0) & (sbar + tbar <= 1)
+        foot = v0 + sbar[..., None] * e1 + tbar[..., None] * e2
+        best = np.where(inside, np.linalg.norm(foot - p, axis=-1), np.inf)
     for i, j in ((0, 1), (0, 2), (1, 2)):
         best = np.minimum(best, _segment_dists(va[..., i, :], va[..., j, :], p))
     return best

@@ -28,7 +28,7 @@ import numpy as np
 from .chains import PolyChain, _clip_polygons, _dist_to_simplices, _dists, _region_sups, boundary, merge_terms
 from .groups import NormedCoefficient, group_add, group_norm, integers, zero
 from .planes import OrientedPlane
-from .quadrature import _disk_clip, _rowdot, disk_polygon_areas
+from .quadrature import _disk_clip, _norms, _rowdot, disk_polygon_areas
 
 __all__ = [
     "GeneralPositionError",
@@ -57,7 +57,12 @@ def align_base_to_chain(base: OrientedPlane, chain: PolyChain) -> OrientedPlane:
     graph decompositions align the base to the chain first.  The sign is
     the first non-degenerate term's projected edge determinant, in every
     dimension m."""
-    dom = chain.verts @ base.frame.T
+    return _aligned(base, chain.verts)
+
+
+def _aligned(base: OrientedPlane, verts: np.ndarray) -> OrientedPlane:
+    """:func:`align_base_to_chain` for the simplices ``verts``."""
+    dom = verts @ base.frame.T
     det = np.linalg.det(dom[:, 1:] - dom[:, :1])
     firm = np.flatnonzero(np.abs(det) >= 1e-14)
     if len(firm) and det[firm[0]] * base.orientation < 0:
@@ -94,10 +99,7 @@ class LayerDecomposition:
 
     @functools.cached_property
     def _affine(self) -> tuple[np.ndarray, np.ndarray]:
-        # affine solve from the m+1 vertex correspondences
-        X = np.concatenate([self.domains, np.ones(self.domains.shape[:2] + (1,))], axis=2)
-        sol = np.linalg.solve(X, self.heights)  # (T, m+1, n-m)
-        return np.swapaxes(sol[:, : self.m], 1, 2), sol[:, self.m]
+        return _affine_maps(self.domains, self.heights)
 
     A = property(lambda self: self._affine[0], doc="(T, n-m, m) linear parts")
     b = property(lambda self: self._affine[1], doc="(T, n-m) offsets")
@@ -117,6 +119,16 @@ _CHUNK = 1 << 13
 #: An overlap piece below this share of the ball's volume is rounding of
 #: the clip and area passes (about 45 ulps of r^2) and counts as empty.
 _SLIVER = 1e-14
+
+
+def _affine_maps(domains: np.ndarray, heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The linear parts (T, n-m, m) and offsets (T, n-m) of the affine maps
+    that take each simplex's base coordinates ``domains`` (T, m+1, m) to its
+    ``heights`` (T, m+1, n-m), solved from the m+1 vertex correspondences."""
+    m = domains.shape[2]
+    X = np.concatenate([domains, np.ones(domains.shape[:2] + (1,))], axis=2)
+    sol = np.linalg.solve(X, heights)  # (T, m+1, n-m)
+    return np.swapaxes(sol[:, :m], 1, 2), sol[:, m]
 
 
 def boundary_clearance(chain: PolyChain, base: OrientedPlane) -> float:
@@ -179,7 +191,11 @@ def decompose_layers(
     """
     if base.n != chain.n or base.m != chain.m:
         raise ValueError("base plane shape mismatch")
-    decomp = _layer_stack(chain, base, base.perp_frame())
+    perp = base.perp_frame()
+    decomp = LayerDecomposition(
+        base, perp, chain, *_layer_stack(chain.verts, chain.volumes(), base, perp), chain.coeff_norms(),
+        zero(chain.group), 0.0,
+    )
     if check_constancy and len(chain):
         clearance = decomp.clearance = boundary_clearance(chain, base)
         if clearance <= radius:
@@ -192,11 +208,14 @@ def decompose_layers(
     return decomp
 
 
-def _layer_stack(chain: PolyChain, base: OrientedPlane, perp: np.ndarray) -> LayerDecomposition:
-    """The layers of :func:`decompose_layers` with the complement frame
+def _layer_stack(
+    verts: np.ndarray, volumes: np.ndarray, base: OrientedPlane, perp: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The base coordinates (T, m+1, m), heights (T, m+1, n-m) and area
+    factors (T,) of the layers of :func:`decompose_layers` over the
+    simplices ``verts`` of m-volumes ``volumes``, with the complement frame
     ``perp`` (rows) of ``base`` given, without the constancy check."""
-    m = chain.m
-    verts = chain.verts
+    m = base.m
     dom = verts @ base.frame.T  # (T, m+1, m)
     edges = dom[:, 1:] - dom[:, :1]  # (T, m, m), one edge per row
     if m == 1:
@@ -204,7 +223,7 @@ def _layer_stack(chain: PolyChain, base: OrientedPlane, perp: np.ndarray) -> Lay
     else:
         e1, e2 = edges[:, 0], edges[:, 1]
         det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    degenerate = np.abs(det) / math.factorial(m) < 1e-14 * np.maximum(chain.volumes(), 1e-30)
+    degenerate = np.abs(det) / math.factorial(m) < 1e-14 * np.maximum(volumes, 1e-30)
     bad = np.flatnonzero(degenerate | (det * base.orientation <= 0))
     if len(bad):
         if degenerate[bad[0]]:
@@ -225,9 +244,7 @@ def _layer_stack(chain: PolyChain, base: OrientedPlane, perp: np.ndarray) -> Lay
         minors = gx[:, :, None] * gy[:, None, :] - gx[:, None, :] * gy[:, :, None]
         wedge = 0.5 * np.sum(minors * minors, axis=(1, 2))
         jac_sq = 1.0 + np.sum(gx * gx, axis=1) + np.sum(gy * gy, axis=1) + wedge
-    return LayerDecomposition(
-        base, perp, chain, dom, heights, np.sqrt(jac_sq), chain.coeff_norms(), zero(chain.group), 0.0,
-    )
+    return dom, heights, np.sqrt(jac_sq)
 
 
 def _covered_mass(
@@ -583,7 +600,7 @@ def _fan_areas(polys: np.ndarray, counts: np.ndarray) -> np.ndarray:
     ub = polys[:, 2:] - polys[:, :1]
     tri = 0.5 * np.abs(ua[..., 0] * ub[..., 1] - ua[..., 1] * ub[..., 0])
     tri[np.arange(2, polys.shape[1]) >= counts[:, None]] = 0.0
-    return np.cumsum(tri, axis=1)[:, -1]
+    return np.cumsum(tri, axis=1)[:, -1] if tri.shape[1] else np.zeros(len(polys))
 
 
 def _box_clip(polys: np.ndarray, counts: np.ndarray, m: int, half: float) -> tuple[np.ndarray, np.ndarray]:
@@ -602,53 +619,84 @@ def box_sheets(chain: PolyChain, x: np.ndarray, base: OrientedPlane, r: float) -
     of the part in ``base^perp``, so no frame of it enters), and their
     exact Lipschitz constant.
 
-    Each term is clipped to the box's slab (:func:`_box_clip`).  It is *in*
-    when its largest ``|h|``, which the convex ``|h|`` takes at a vertex of
-    the clipped piece, is at most r; it is *out* when the exact distance
-    from 0 of the piece's heights (:func:`gmtepi.chains._dists` on its fan,
-    whose images cover their hull) exceeds r.  A degenerate or reversed
-    term that is not out raises :class:`GeneralPositionError`
-    (:func:`decompose_layers`), and a term across the cut ``ValueError``.
-    So every in term projects positively, and when the projected boundary
-    of their unit-coefficient carrier misses the open box (else
-    :class:`ConstancyError`), the number of sheets over each point of the
-    box is the constant ``sum_i |D_i ∩ box| / |box|`` (the constancy
-    theorem).  Returns it and ``max_i ||A_i||_2`` over the in terms; (0, 0)
-    when none meets the window.
+    Each term is cut to the box (:func:`_box_pieces`).  It is *in* when its
+    largest ``|h|`` over the piece is at most r, and *out* when the least
+    one exceeds r.  A degenerate or reversed term that is not out raises
+    :class:`GeneralPositionError` (:func:`decompose_layers`), and a term
+    across the cut ``ValueError``.  So every in term projects positively,
+    and when no face of the chain's unit-coefficient boundary
+    (:func:`_unit_faces`) has a part over the open box with a least ``|h|``
+    at most r (else :class:`ConstancyError`), no boundary face of the in
+    terms lies over it either, and the number of sheets over each point of
+    the box is the constant ``sum_i |D_i ∩ box| / |box|`` (the constancy
+    theorem).  Returns it and ``max_i ||A_i||_2`` over the in terms, from
+    their affine maps solved on the chain's arrays; (0, 0) when none meets
+    the window.  No chain is built, and the unit boundary is welded once
+    per chain.
     """
-    m, n = base.m, base.n
+    m = base.m
     near = chain.near_ball(x, r * math.sqrt(1.0 + 0.25 * m))
     # base coordinates, then heights; aligning the base flips a frame row,
     # which keeps its complement
     perp = base.perp_frame()
-    coords = (chain.verts[near] - x) @ np.vstack([base.frame, perp]).T
-    polys, counts = _box_clip(coords, np.full(len(near), m + 1), m, 0.5 * r)
+    basis = np.vstack([base.frame, perp])
+    size, top, low = _box_pieces((chain.verts[near] - x) @ basis.T, m, 0.5 * r, r)
+    hit = low <= r
+    if not hit.any():
+        return 0.0, 0.0
+    verts = chain.verts[near[hit]]
+    A = _affine_maps(*_layer_stack(verts, chain.volumes()[near[hit]], _aligned(base, verts), perp)[:2])[0]
+    if (top[hit] > r).any():
+        raise ValueError("the support crosses the height cut |h| = r over the box")
+    # the boundary faces within reach of the cut box, by their parts over
+    # the open box
+    faces, diam = _unit_faces(chain)
+    reach = _norms(faces - x).min(axis=1) - diam
+    qh = (faces[reach <= r * math.sqrt(1.0 + 0.25 * m)] - x) @ basis.T
+    if m == 1:
+        qh = np.concatenate([qh, qh], axis=1)  # a point face is an interval of length 0
+    if (_box_pieces(qh, m, 0.5 * r * (1.0 - 1e-9), r)[2] <= r).any():
+        raise ConstancyError("projected boundary meets the box: it is partly covered")
+    return float(size[hit].sum()) / r**m, float(_spectral_norms(A).max())
+
+
+def _box_pieces(coords: np.ndarray, m: int, half: float, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The base measure, largest ``|h|`` and least ``|h|`` (inf where it
+    misses, and 0 where the largest is at most r) of the part over the box
+    ``|.|_inf <= half`` of each simplex, m-simplex or face, with base
+    coordinates and heights ``coords`` (T, k, n).
+
+    For m = 1 each is an interval, cut to the box in closed form.  For
+    m = 2 each is clipped by one Sutherland-Hodgman step per side
+    (:func:`_box_clip`); the convex ``|h|`` takes its largest value at a
+    vertex of the piece, and the least is the exact distance from 0 of the
+    heights of the piece's fan (:func:`gmtepi.chains._dists`), whose images
+    cover their hull."""
+    if m == 1:
+        q, h = coords[..., 0], coords[..., 1:]
+        lo, hi = np.maximum(q.min(axis=1), -half), np.minimum(q.max(axis=1), half)
+        # the parameters of the ends of the part in the box; a segment
+        # across the box direction keeps all of itself or nothing
+        d = q[:, 1] - q[:, 0]
+        t = np.where(d == 0, [[0.0], [1.0]], (np.array([lo, hi]) - q[:, 0]) / np.where(d == 0, 1.0, d))
+        meets = lo <= hi
+        ends = h[:, :1] + np.where(meets, t, 0.0).T[..., None] * (h[:, 1:] - h[:, :1])
+        top = np.where(meets, _norms(ends).max(axis=1), 0.0)
+        low = np.where(meets, 0.0, np.inf)
+        low[meets & (top > r)] = _dists(ends[meets & (top > r)], np.zeros(h.shape[2]))
+        return np.maximum(hi - lo, 0.0), top, low
+    polys, counts = _box_clip(coords, np.full(len(coords), coords.shape[1]), m, half)
     col = np.arange(polys.shape[1])
     live = col < counts[:, None]
     h = polys[..., m:]
-    top = np.max(np.where(live, np.linalg.norm(h, axis=2), 0.0), axis=1)
+    top = np.where(live, _norms(h), 0.0).max(axis=1)
     # the lowest |h| of a piece that rises above the cut
     high = (counts > 0) & (top > r)
     t, j = np.nonzero(live & (col >= 1) & high[:, None])
     fan = np.stack([h[t, 0], h[t, j], h[t, np.where(j + 1 < counts[t], j + 1, 0)]], axis=1)
     low = np.where(high | (counts == 0), np.inf, 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):  # a flat fan's interior foot overflows, unused
-        np.minimum.at(low, t, _dists(fan, np.zeros(n - m)))
-    hit = low <= r
-    if not np.any(hit):
-        return 0.0, 0.0
-    carrier = PolyChain(n, m, integers(), verts=chain.verts[near[hit]], payload=np.ones((int(hit.sum()), 1), dtype=np.int64))
-    A = _layer_stack(carrier, align_base_to_chain(base, carrier), perp).A
-    if np.any(top[hit] > r):
-        raise ValueError("the support crosses the height cut |h| = r over the box")
-    # the faces whose bounding boxes meet the open box, clipped to it
-    faces = (boundary(carrier).verts - x) @ base.frame.T
-    half = 0.5 * r * (1.0 - 1e-9)
-    faces = faces[np.all((faces.max(axis=1) > -half) & (faces.min(axis=1) < half), axis=1)]
-    if len(faces) and np.any(_box_clip(faces, np.full(len(faces), m), m, half)[1]):
-        raise ConstancyError("projected boundary meets the box: it is partly covered")
-    size = np.ptp(np.where(live, polys[..., 0], polys[:, :1, 0]), axis=1) if m == 1 else _fan_areas(polys[..., :2], counts)
-    return float(np.sum(size[hit])) / r**m, float(np.max(_spectral_norms(A)))
+    np.minimum.at(low, t, _dists(fan, np.zeros(h.shape[2])))
+    return _fan_areas(polys[..., :2], counts), top, low
 
 
 def _spectral_norms(A: np.ndarray) -> np.ndarray:
@@ -682,13 +730,14 @@ def _frame_coords(v: np.ndarray, frames: np.ndarray) -> np.ndarray:
 def disk_cover(
     chain: PolyChain, rows: np.ndarray, cells: np.ndarray, xs: np.ndarray, rs: np.ndarray,
     frames: np.ndarray, perps: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Whether the support covers each plane disk ``D_c`` of radius
-    ``rs[c]`` about ``xs[c]`` in the plane of ``frames[c]`` (m, n) inside
-    the height cut ``|h| <= rs[c]``, and the largest ``|h|`` of the covering
-    terms over it.  ``h`` is the part in the complement spanned by
-    ``perps[c]``; only its Euclidean norm enters, and the disk is round, so
-    no frame of either space does.
+):
+    """The :func:`gmtepi.chains._sup_pass` request for whether the support
+    covers each plane disk ``D_c`` of radius ``rs[c]`` about ``xs[c]`` in
+    the plane of ``frames[c]`` (m, n) inside the height cut ``|h| <=
+    rs[c]``, and the largest ``|h|`` of the covering terms over it.  ``h``
+    is the part in the complement spanned by ``perps[c]``; only its
+    Euclidean norm enters, and the disk is round, so no frame of either
+    space does.
 
     ``rows`` are the term indices near each disk (row t near disk
     ``cells[t]``, nondecreasing); they must hold every term within
@@ -705,40 +754,41 @@ def disk_cover(
     the disk, and each point p of it has a support point straight above
     it: ``d(p, spt) <= H``, the returned height.  Every row's floats are
     its own, so a disk's answer does not depend on the disks stacked with
-    it.  Returns ``(covered (C,), H (C,))``.
+    it.  The answer is ``(covered (C,), H (C,))``.
     """
     C, m = len(xs), chain.m
     basis = np.concatenate([frames, perps], axis=1)
     qh = _frame_coords(chain.verts[rows] - xs[cells][:, None, :], basis[cells])
     q, h, r = qh[..., :m], qh[..., m:], rs[cells]
-    sup = _region_sups(q, h, r)
-    inn = sup <= r
-    covered = np.ones(C, dtype=bool)
-    if not np.all(inn):
-        with np.errstate(over="ignore", invalid="ignore"):  # a flat height simplex's interior foot, unused
-            low = _dists(h[~inn], np.zeros(h.shape[2]))
-        covered[cells[~inn][low <= r[~inn]]] = False
-    top = np.zeros(C)
-    np.maximum.at(top, cells[inn], sup[inn])
-    if m == 1:
-        ends = np.clip(q[inn, :, 0], -r[inn, None], r[inn, None])
-        size = ends[:, 1] - ends[:, 0]
-    else:
-        size = _disk_clip(q[inn], r[inn], moments=False)
-    k = np.bincount(cells[inn], weights=size, minlength=C) / (2.0 * rs if m == 1 else math.pi * rs * rs)
-    sheets = np.rint(k)
-    covered &= (sheets != 0) & (np.abs(k - sheets) <= 1e-9)
-    # the boundary faces that can reach the cut cylinder, all within sqrt(2) r
-    faces, diam = _unit_faces(chain)
-    reach = np.min(np.linalg.norm(faces[None] - xs[:, None, None], axis=3), axis=2) - diam
-    fc, f = np.nonzero(reach <= math.sqrt(2.0) * rs[:, None] * (1.0 + 1e-9))
-    if len(fc):
-        qh = _frame_coords(faces[f] - xs[fc][:, None, :], basis[fc])
-        with np.errstate(over="ignore", invalid="ignore"):
-            inside = _dists(qh[..., :m], np.zeros(m)) < rs[fc] * (1.0 + 1e-12)
-            low = _dists(qh[..., m:], np.zeros(h.shape[2]))
-        covered[fc[inside & (low <= rs[fc])]] = False
-    return covered, top
+
+    def finish(sup: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        inn = sup <= r
+        covered = np.ones(C, dtype=bool)
+        if not inn.all():
+            out = ~inn
+            covered[cells[out][_dists(h[out], np.zeros(h.shape[2])) <= r[out]]] = False
+        top = np.zeros(C)
+        np.maximum.at(top, cells[inn], sup[inn])
+        if m == 1:
+            ends = q[inn, :, 0].clip(-r[inn, None], r[inn, None])
+            size = ends[:, 1] - ends[:, 0]
+        else:
+            size = _disk_clip(q[inn], r[inn], moments=False)
+        k = np.bincount(cells[inn], weights=size, minlength=C) / (2.0 * rs if m == 1 else math.pi * rs * rs)
+        sheets = np.rint(k)
+        covered &= (sheets != 0) & (np.abs(k - sheets) <= 1e-9)
+        # the boundary faces that can reach the cut cylinder, all within sqrt(2) r
+        faces, diam = _unit_faces(chain)
+        reach = _norms(faces[None] - xs[:, None, None]).min(axis=2) - diam
+        fc, f = np.nonzero(reach <= math.sqrt(2.0) * rs[:, None] * (1.0 + 1e-9))
+        if len(fc):
+            fqh = _frame_coords(faces[f] - xs[fc][:, None, :], basis[fc])
+            inside = _dists(fqh[..., :m], np.zeros(m)) < rs[fc] * (1.0 + 1e-12)
+            low = _dists(fqh[..., m:], np.zeros(h.shape[2]))
+            covered[fc[inside & (low <= rs[fc])]] = False
+        return covered, top
+
+    return q, h, r, finish
 
 
 def height_sup(chain: PolyChain, base: OrientedPlane, radius: float = 1.0) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import PolyChain, _region_sups
+from .chains import PolyChain, _sup_pass
 from .mono import DensityProfile, Gauge, alpha_m, spherical_excess
 from .planes import OrientedPlane
 from .quadrature import BallMoments, batch_ball_moments
@@ -113,26 +113,28 @@ def select_plane(
     :class:`AmbiguousPlaneError` rather than silently picking a plane.
     """
     w, vecs = form.eigensystem()
-    return _plane_from_eigensystem(w, vecs, m, gap_tol), w
-
-
-def _plane_from_eigensystem(w: np.ndarray, vecs: np.ndarray, m: int, gap_tol: float = 1e-10) -> OrientedPlane:
-    """:func:`select_plane` from eigenvalues descending and matching
-    eigenvectors (rows)."""
     if len(w) <= m:
         raise ValueError("form has no complementary directions")
-    if w[m - 1] - w[m] <= gap_tol:
-        raise AmbiguousPlaneError(
-            f"eigen-gap {w[m - 1] - w[m]:.3e} below {gap_tol:.1e}"
-        )
-    rows = []
-    for k in range(m):
-        v = vecs[k]
-        nz = np.nonzero(np.abs(v) > 1e-9)[0]
-        if len(nz) and v[nz[0]] < 0:
-            v = -v
-        rows.append(v)
-    return OrientedPlane(np.array(rows))
+    frames, gaps = _signed_frames(w[None], vecs[None], m)
+    if gaps[0] <= gap_tol:
+        raise AmbiguousPlaneError(_gap_reason(gaps[0], gap_tol))
+    return OrientedPlane(frames[0]), w
+
+
+def _signed_frames(w: np.ndarray, vecs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The top-m eigenvector rows (C, m, n) of a stack of eigenvalues
+    descending ``w`` (C, n) and matching eigenvector rows ``vecs`` (C, n, n),
+    each row turned so that its first component larger than 1e-9 in
+    magnitude is positive, and the eigen-gaps ``w[:, m-1] - w[:, m]``."""
+    top = vecs[:, :m]
+    big = np.abs(top) > 1e-9
+    c, k = np.indices(big.shape[:2])
+    flip = big.any(axis=2) & (top[c, k, big.argmax(axis=2)] < 0)
+    return np.where(flip[..., None], -top, top), w[:, m - 1] - w[:, m]
+
+
+def _gap_reason(gap: float, gap_tol: float = 1e-10) -> str:
+    return f"eigen-gap {gap:.3e} below {gap_tol:.1e}"
 
 
 @dataclass
@@ -260,14 +262,15 @@ def beta_numbers(chain: PolyChain, x, r: float, plane: OrientedPlane) -> BetaRec
     near = chain.near_ball(x, r)
     bm = chain_ball_moments(chain, x, r)
     cells = np.zeros(len(near), dtype=np.int64)
-    perps = _perp_frames([plane])
-    return _cell_betas(chain.vertex_array()[near], cells, x[None], np.array([r]), [bm], [plane], perps, chain.m)[0]
+    perps = _perp_frames(plane.frame[None])
+    request = _cell_betas(chain.vertex_array()[near], cells, x[None], np.array([r]), [bm], [plane], perps, chain.m)
+    return _sup_pass(request)[0][0]
 
 
-def _perp_frames(planes: list[OrientedPlane]) -> np.ndarray:
-    """The complement frames (C, n-m, n) of the planes, as
+def _perp_frames(frames: np.ndarray) -> np.ndarray:
+    """The complement frames (C, n-m, n) of the plane frames (C, m, n), as
     :meth:`OrientedPlane.perp_frame` gives each, from one stacked SVD."""
-    return np.linalg.svd(np.stack([p.frame for p in planes]))[2][:, planes[0].m :]
+    return np.linalg.svd(frames)[2][:, frames.shape[1] :]
 
 
 #: ``beta_2``'s perp contraction reads 0 at most this many times ``(n - m)
@@ -287,74 +290,74 @@ def _cell_betas(
     planes: list[OrientedPlane],
     perps: np.ndarray,
     m: int,
-) -> list[BetaRecord]:
-    """:class:`BetaRecord` of each ball ``B(xs[c], rs[c])`` against
+):
+    """The :func:`gmtepi.chains._sup_pass` request for the
+    :class:`BetaRecord` of each ball ``B(xs[c], rs[c])`` against
     ``planes[c]``, with complement frame ``perps[c]`` (:func:`_perp_frames`),
     from its exact moments and the simplices ``va`` near it (row ``t`` near
     ball ``cells[t]``, nondecreasing)."""
-    sups = _ball_sups(va, cells, xs, rs, xs, perps)
     rounding = _BETA2_ROUNDING * len(perps[0]) * np.finfo(float).eps
-    out = []
-    for bm, perpf, r, sup, plane in zip(moments, perps, rs.tolist(), sups.tolist(), planes):
-        # perp-block contraction avoids the trace-difference cancellation
-        contraction = float(np.einsum("ki,ij,kj->", perpf, bm.s2, perpf))
-        beta2 = math.sqrt(contraction / r ** (m + 2)) if contraction > rounding * bm.t2 else 0.0
-        out.append(BetaRecord(beta2, sup / r, plane))
-    return out
+
+    def finish(sups: np.ndarray) -> list[BetaRecord]:
+        out = []
+        for bm, perpf, r, sup, plane in zip(moments, perps, rs.tolist(), _cell_max(sups, cells, len(xs)), planes):
+            # perp-block contraction avoids the trace-difference cancellation
+            contraction = float(np.einsum("ki,ij,kj->", perpf, bm.s2, perpf))
+            beta2 = math.sqrt(contraction / r ** (m + 2)) if contraction > rounding * bm.t2 else 0.0
+            out.append(BetaRecord(beta2, sup / r, plane))
+        return out
+
+    return (*_ball_rows(va, cells, xs, xs, perps), rs[cells], finish)
 
 
 def _centred_betas(
     va: np.ndarray, cells: np.ndarray, xs: np.ndarray, rs: np.ndarray, moments: list[BallMoments], m: int
-) -> list[float | None]:
-    """``beta_inf`` of each ball of :func:`_cell_betas` about the centroid of
-    its measure, against the top-m plane of its centred second-moment form:
-    the exact sup of the distance to that plane over the support in the
-    ball, over the radius.  None for a ball of zero mass."""
-    live = [c for c, bm in enumerate(moments) if bm.s0 > 0]
-    out: list[float | None] = [None] * len(xs)
-    if not live:
-        return out
-    bms = [moments[c] for c in live]
-    centroids = np.array([xs[c] + bm.s1 / bm.s0 for c, bm in zip(live, bms)])
-    covs = np.stack([bm.s2 - np.outer(bm.s1, bm.s1) / bm.s0 for bm in bms])
+):
+    """The :func:`gmtepi.chains._sup_pass` request for ``beta_inf`` of each
+    ball of :func:`_cell_betas` about the centroid of its measure, against
+    the top-m plane of its centred second-moment form: the exact sup of the
+    distance to that plane over the support in the ball, over the radius.
+    None for a ball of zero mass."""
+    n = xs.shape[1]
+    s0 = np.array([bm.s0 for bm in moments])
+    live = (s0 > 0).nonzero()[0]
+    s1 = np.array([moments[c].s1 for c in live]).reshape(len(live), n)
+    s2 = np.array([moments[c].s2 for c in live]).reshape(len(live), n, n)
+    centroids = xs[live] + s1 / s0[live, None]
+    covs = s2 - s1[:, :, None] * s1[:, None, :] / s0[live, None, None]
     # eigh sorts ascending: the first n - m eigenvectors span the complement
     # of the top-m plane
-    vecs = np.linalg.eigh(0.5 * (covs + np.swapaxes(covs, 1, 2)))[1]
-    perps = np.swapaxes(vecs[:, :, : xs.shape[1] - m], 1, 2)
+    vecs = np.linalg.eigh(0.5 * (covs + covs.transpose(0, 2, 1)))[1]
+    perps = vecs[:, :, : n - m].transpose(0, 2, 1)
     at = np.full(len(xs), -1)
     at[live] = np.arange(len(live))
     rows = at[cells] >= 0
-    sups = _ball_sups(va[rows], at[cells[rows]], xs[live], rs[live], centroids, perps)
-    for c, sup in zip(live, sups.tolist()):
-        out[c] = sup / float(rs[c])
-    return out
+
+    def finish(sups: np.ndarray) -> list[float | None]:
+        out: list[float | None] = [None] * len(xs)
+        for c, sup in zip(live.tolist(), _cell_max(sups, at[cells[rows]], len(live))):
+            out[c] = sup / float(rs[c])
+        return out
+
+    return (*_ball_rows(va[rows], at[cells[rows]], xs[live], centroids, perps), rs[cells[rows]], finish)
 
 
-def _ball_sups(
-    va: np.ndarray, cells: np.ndarray, xs: np.ndarray, rs: np.ndarray, anchors: np.ndarray, perps: np.ndarray
-) -> np.ndarray:
-    """The exact sup of ``|(v - anchors[c]) @ perps[c].T|`` over the support
-    of the simplices ``va`` in each ball ``B(xs[c], rs[c])`` (row ``t`` near
-    ball ``cells[t]``, nondecreasing), by
-    :func:`gmtepi.chains._region_sups`; 0 for a ball no row reaches."""
-    sups = np.zeros(len(xs))
-    if len(va):
-        q = va - xs[cells][:, None, :]
-        h = _per_cell(np.matmul, va - anchors[cells][:, None, :], cells, np.swapaxes(perps, 1, 2))
-        np.maximum.at(sups, cells, _region_sups(q, h, rs[cells]))
-    return sups
+def _ball_rows(
+    va: np.ndarray, cells: np.ndarray, xs: np.ndarray, anchors: np.ndarray, perps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ball coordinates ``va - xs[c]`` and heights ``(va - anchors[c]) @
+    perps[c].T`` of the simplices ``va`` (row ``t`` near ball ``cells[t]``)
+    for :func:`gmtepi.chains._region_sups`: the sup of ``|h|`` over each
+    row's part in its ball."""
+    h = np.matmul(va - anchors[cells][:, None, :], perps.transpose(0, 2, 1)[cells])
+    return va - xs[cells][:, None, :], h
 
 
-def _per_cell(op, a: np.ndarray, cells: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """``op(a[rows of c], mats[c])`` for each ball ``c``, stacked in order.
-
-    BLAS rounds a product by its shape (a one-row product or a one-column
-    one takes another kernel), so each ball's rows go through ``op`` exactly
-    as a one-ball call sends them.
-    """
-    bounds = np.searchsorted(cells, np.arange(len(mats) + 1))
-    parts = [op(a[bounds[c] : bounds[c + 1]], mats[c]) for c in np.flatnonzero(np.diff(bounds))]
-    return np.concatenate(parts) if parts else op(a, mats[0])
+def _cell_max(sups: np.ndarray, cells: np.ndarray, count: int) -> list[float]:
+    """The largest of each cell's row ``sups``; 0 for a cell with none."""
+    out = np.zeros(count)
+    np.maximum.at(out, cells, sups)
+    return out.tolist()
 
 
 @dataclass

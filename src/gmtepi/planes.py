@@ -46,6 +46,19 @@ class OrientedPlane:
         self.orientation = orientation
 
     @classmethod
+    def _stack(cls, frames: np.ndarray) -> list["OrientedPlane"]:
+        """The planes of orientation +1 over a stack of frames (C, m, n),
+        checked as the constructor checks each, in one pass."""
+        f = np.array(frames, dtype=float)
+        if not np.abs(f @ f.transpose(0, 2, 1) - np.eye(f.shape[1])).max(initial=0.0) <= 1e-12:
+            raise ValueError("frame rows must be orthonormal (within 1e-12)")
+        f.flags.writeable = False
+        planes = [object.__new__(cls) for _ in f]
+        for plane, frame in zip(planes, f):
+            plane.frame, plane.orientation = frame, 1
+        return planes
+
+    @classmethod
     def from_span(cls, vectors: np.ndarray, orientation: int = 1) -> "OrientedPlane":
         """Orthonormalize a spanning set (rows) into a plane."""
         q, r = np.linalg.qr(np.asarray(vectors, dtype=float).T)
@@ -85,14 +98,6 @@ class OrientedPlane:
         span its null space to rounding."""
         return np.linalg.svd(self.frame)[2][self.m :]
 
-    def perp_component(self, points: np.ndarray) -> np.ndarray:
-        """``pi_{V^perp}(points)`` in ambient coordinates."""
-        pts = np.asarray(points)
-        return pts - pts @ self.projector()
-
-    def perp_norms(self, points: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(self.perp_component(points), axis=-1)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"OrientedPlane(m={self.m}, n={self.n}, orient={self.orientation:+d})"
 
@@ -118,11 +123,12 @@ def plane_distance(a: OrientedPlane, b: OrientedPlane) -> float:
 def _plane_distances(a: list[OrientedPlane], b: list[OrientedPlane]) -> np.ndarray:
     """:func:`plane_distance` of each pair ``(a[i], b[i])``, from one
     stacked SVD; every plane shares one (m, n)."""
-    if any((p.m, p.n) != (q.m, q.n) for p, q in zip(a, b)):
-        raise ValueError("planes must share m and n")
     if not a:
         return np.zeros(0)
-    diffs = np.stack([p.projector() - q.projector() for p, q in zip(a, b)])
+    fa, fb = np.array([p.frame for p in a]), np.array([q.frame for q in b])
+    if fa.shape != fb.shape:
+        raise ValueError("planes must share m and n")
+    diffs = fa.transpose(0, 2, 1) @ fa - fb.transpose(0, 2, 1) @ fb
     return np.linalg.svd(diffs, compute_uv=False).max(axis=1)
 
 

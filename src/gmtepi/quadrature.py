@@ -322,6 +322,12 @@ class BallMoments:
         return BallMoments(0.0, np.zeros(n), np.zeros((n, n)), 0.0, np.zeros(n), 0.0)
 
 
+def _norms(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``np.linalg.norm(a, axis=axis)``: the same floats, without its
+    dispatch, which costs more than the arithmetic on a scan's few rows."""
+    return np.sqrt((a * a).sum(axis=axis))
+
+
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products of the last axes, broadcast: the floats of ``x @ y`` on
     each pair of 1-D rows (an elementwise sum may round differently).
@@ -507,17 +513,16 @@ def cell_ball_moments(
     """
     vertices = np.asarray(vertices, dtype=float)
     n = vertices.shape[2]
-    out = [BallMoments.zero(n) for _ in range(count)]
     _check_m(vertices)
     if not len(vertices):
-        return out
+        return [BallMoments.zero(n) for _ in range(count)]
     hit, rows = _moment_rows(vertices, centers[cells], radii[cells], frames)
     w, cells = np.asarray(weights, dtype=float)[hit], cells[hit]
-    bounds = np.searchsorted(cells, np.arange(count + 1))
-    for c in np.flatnonzero(np.diff(bounds)):
-        part = slice(bounds[c], bounds[c + 1])
-        out[c] = _weighted_moments(w[part], [a[part] for a in rows], n)
-    return out
+    bounds = cells.searchsorted(np.arange(count + 1)).tolist()
+    return [
+        _weighted_moments(w[lo:hi], [a[lo:hi] for a in rows], n) if hi > lo else BallMoments.zero(n)
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
 
 
 def batch_ball_moments(

@@ -13,17 +13,16 @@ measured quantities those conclusions consume, cell by cell.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import PolyChain, _dist_to_simplices
+from .chains import PolyChain, _dist_to_simplices, _sup_pass
 from .layers import box_sheets, disk_cover
 from .mono import alpha_m, alpha0_exponent, lambda_epi
-from .moments import (
-    AmbiguousPlaneError, _cell_betas, _centred_betas, _perp_frames, _plane_from_eigensystem, beta_numbers,
-)
+from .moments import _cell_betas, _centred_betas, _gap_reason, _perp_frames, _signed_frames, beta_numbers
 from .planes import OrientedPlane, _plane_distances, _plane_grid
 from .quadrature import _rowdot, cell_ball_moments
 
@@ -73,43 +72,68 @@ def _dist_to_support(chain: PolyChain, points: np.ndarray, terms: np.ndarray | N
     return _dist_to_simplices(chain.vertex_array() if terms is None else chain.vertex_array()[terms], points)
 
 
-def _support_points_on_fiber(
-    simplices: np.ndarray, x: np.ndarray, direction: np.ndarray, constraints: np.ndarray, s: float
-) -> np.ndarray:
-    """Support points ``p`` with ``|p - x| = s``, the in-plane projection
-    along ``direction`` positive, and zero components along ``constraints``.
+def _frame_search(
+    va: np.ndarray, cells: np.ndarray, xs: np.ndarray, s: np.ndarray, frames: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The radial-projection construction of :func:`find_frame` for every
+    cell at once, one fiber pass per round: the directions (C, m, n) found
+    about ``xs[c]`` at distance ``s[c]`` from the plane frames ``frames[c]``,
+    and whether each cell found all m.  ``va`` are the simplices near the
+    cells (row t near cell ``cells[t]``, nondecreasing).
 
-    ``simplices`` is a (T, m+1, n) vertex stack: segments with no
-    constraint, or triangles with one, which cut each triangle to the
-    segment between its first two crossings (edges (0, 1), (0, 2), vertex
-    0, edge (1, 2), vertex 1, vertex 2).  Each segment meets the sphere at
-    its two roots in turn; the points come simplex by simplex, shape (K, n).
+    Round k targets a direction w: the fiber is the sphere ``|p - x| = s``,
+    cut for m = 2 by the hyperplane through x normal to the second frame
+    row, then to the first found direction (:func:`_cut_triangles`); its
+    point of largest positive projection on w is found.  w is first the
+    first frame row, then the second one orthogonalized against the found
+    direction.  Every row's floats are its own, so a cell's directions are
+    those a search of that cell alone finds.
     """
-    v = simplices - x
-    if len(constraints):
-        (c,) = constraints
-        a, b = _cut_triangles(v, v @ c)
-    else:
-        a, b = v[:, 0], v[:, 1]
-    dd = b - a
-    aa = _rowdot(dd, dd)
-    bb = 2.0 * _rowdot(a, dd)
-    cc = _rowdot(a, a) - s * s
-    disc = bb * bb - 4 * aa * cc
-    ok = (aa >= 1e-30) & (disc >= 0)
-    a, dd, aa, bb, sq = a[ok], dd[ok], aa[ok], bb[ok], np.sqrt(disc[ok])
-    t = np.stack([(-bb - sq) / (2 * aa), (-bb + sq) / (2 * aa)], axis=1)
-    p = a[:, None] + t[..., None] * dd[:, None]
-    on = (t >= -1e-12) & (t <= 1 + 1e-12)
-    p = p[on]
-    p = p[_rowdot(p, np.broadcast_to(direction, p.shape)) > 1e-12]
-    return p + x
+    C, m, n = frames.shape
+    dirs, found = np.zeros((C, m, n)), np.ones(C, dtype=bool)
+    v = va - xs[cells][:, None, :]
+    target, normal = frames[:, 0], frames[:, -1]
+    for k in range(m):
+        live = found[cells]
+        own = cells[live]
+        if m == 1:
+            a, b = v[live, 0], v[live, 1]
+        else:
+            a, b, two = _cut_triangles(v[live], np.matmul(v[live], normal[own][..., None])[..., 0])
+            own = own[two]
+        dd, so = b - a, s[own]
+        aa = _rowdot(dd, dd)
+        bb = 2.0 * _rowdot(a, dd)
+        disc = bb * bb - 4 * aa * (_rowdot(a, a) - so * so)
+        ok = (aa >= 1e-30) & (disc >= 0)
+        a, dd, bb, sq, den, own = a[ok], dd[ok], bb[ok], np.sqrt(disc[ok]), 2 * aa[ok], own[ok]
+        t = np.array([(-bb - sq) / den, (-bb + sq) / den]).T
+        on = (t >= -1e-12) & (t <= 1 + 1e-12)
+        p, own = (a[:, None] + t[..., None] * dd[:, None])[on], own.repeat(2)[on.ravel()]
+        ahead = _rowdot(p, target[own]) > 1e-12
+        p, own = p[ahead], own[ahead]
+        # the offset of the support point x + p as rounded where it lies
+        xo, to = xs[own], target[own]
+        rels = (p + xo - xo) / s[own][:, None]
+        # each cell's first point of largest projection
+        order = np.lexsort((-_rowdot(rels, to), own))
+        lead = np.ones(len(order), dtype=bool)
+        lead[1:] = own[order][1:] != own[order][:-1]
+        has = np.zeros(C, dtype=bool)
+        has[own] = True
+        found &= has
+        dirs[own[order[lead]], k] = rels[order[lead]]
+        if k + 1 < m:
+            f = dirs[:, k]
+            rest = frames[:, 1] - _rowdot(frames[:, 1], f)[:, None] * f
+            target, normal = rest / np.sqrt(_rowdot(rest, rest))[:, None], f
+    return dirs, found
 
 
-def _cut_triangles(v: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cut_triangles(v: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ends of the segments where triangles ``v`` (T, 3, n) with signed
-    heights ``d`` (T, 3) over a hyperplane cross it; triangles that do not
-    cross it in two points are dropped."""
+    heights ``d`` (T, 3) over a hyperplane cross it, and the triangles that
+    cross it in two points, which alone are kept."""
     neg, pos = d < -1e-13, d > 1e-13
     cands, valid = [], []
     for i, j in ((0, 1), (0, 2), (0, None), (1, 2), (1, None), (2, None)):
@@ -126,44 +150,15 @@ def _cut_triangles(v: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray
     two = np.flatnonzero(rank[:, -1] >= 2)
     first = np.argmax(valid[two], axis=1)
     second = np.argmax(valid[two] & (rank[two] == 2), axis=1)
-    return cands[two, first], cands[two, second]
+    return cands[two, first], cands[two, second], two
 
 
-def _frame_gate(beta_inf: float, rho: float) -> None:
-    """The flatness condition of :func:`find_frame`; raises ``ValueError``."""
-    if beta_inf >= rho:
-        raise ValueError(f"beta_inf {beta_inf:.3g} at the working scale is not below rho {rho:.3g}")
+def _gate_reason(beta_inf: float, rho: float) -> str:
+    return f"beta_inf {beta_inf:.3g} at the working scale is not below rho {rho:.3g}"
 
 
-def _frame_directions(near: np.ndarray, x: np.ndarray, s: float, plane: OrientedPlane) -> np.ndarray:
-    """The directions (m, n) of :func:`find_frame` from the simplices
-    ``near`` that meet its ball; raises ``ValueError`` on an empty fiber."""
-    m = plane.m
-    found: list[np.ndarray] = []
-    basis = [plane.frame[i].copy() for i in range(m)]  # current V_k spanning set
-    for k in range(m):
-        w_dir = basis[0]
-        constraints = np.array(basis[1:] + found) if (len(basis) > 1 or found) else np.zeros((0, plane.n))
-        cands = _support_points_on_fiber(near, x, w_dir, constraints, s)
-        if not len(cands):
-            raise ValueError("no support point on the fiber; projection not surjective")
-        rels = (cands - x) / s
-        best = rels[np.argmax(_rowdot(rels, np.broadcast_to(w_dir, rels.shape)))]
-        found.append(best)
-        # drop the used direction, re-orthogonalize the rest against found
-        basis = basis[1:]
-        new_basis = []
-        for b in basis:
-            r = b.copy()
-            for f in found:
-                r -= (r @ f) * f
-            for nb in new_basis:
-                r -= (r @ nb) * nb
-            ln = np.linalg.norm(r)
-            if ln > 1e-9:
-                new_basis.append(r / ln)
-        basis = new_basis
-    return np.array(found)
+#: Why a frame search fails.
+_NO_FIBER_POINT = "no support point on the fiber; projection not surjective"
 
 
 def find_frame(
@@ -194,8 +189,13 @@ def find_frame(
     near = chain.verts[chain.near_ball(x, scale)]
     if beta_inf is None:
         beta_inf = beta_numbers(chain, x, scale, plane).beta_inf
-    _frame_gate(beta_inf, rho)
-    dirs = _frame_directions(near, x, s, plane)
+    if beta_inf >= rho:
+        raise ValueError(_gate_reason(beta_inf, rho))
+    one = np.zeros(len(near), dtype=np.int64)
+    dirs, found = _frame_search(near, one, x[None], np.array([s], dtype=float), plane.frame[None])
+    if not found[0]:
+        raise ValueError(_NO_FIBER_POINT)
+    dirs = dirs[0]
     gram = dirs @ dirs.T
     defect = float(np.max(np.abs(gram - np.eye(m))))
     sup_d = float(np.max(_dist_to_support(chain, x + s * dirs)))
@@ -308,11 +308,6 @@ class ScanReport:
             if (point_index, k) in self.cells
         ]
 
-    def dini_sum(self, point_index: int) -> float:
-        """``int eta(s)/s ds`` approximated over the dyadic scales."""
-        cells = self.point_cells(point_index)
-        return math.log(2.0) * float(sum(c.eta for c in cells))
-
 
 def multiscale_scan(
     chain: PolyChain,
@@ -338,10 +333,14 @@ def multiscale_scan(
     chain raises ``ValueError``.
 
     All (point, scale) cells of a call go through each stage in stacked
-    passes, and each point culls the chain once to the terms within
-    ``2 r0 + d(x, spt)``, which hold every term any stage of its cells can
-    reach; only the cells that are not covered send a grid to the distance
-    pass.
+    passes.  Each point culls the chain once, in one threshold pass for
+    the balls and the cover test's wider windows of all its scales.  The
+    moment pass, and one sup pass that answers the two ``beta_inf`` values
+    and the cover test together, run over runs of cells of at most
+    ``_STACK_ROWS`` near terms; the frame search makes one pass per round
+    over every cell that passes its flatness gate; only the cells that are
+    not covered send a grid to the distance pass, over the terms within
+    ``2 r + d(x, spt)`` of their points.
     """
     if chain.is_zero:
         raise ValueError("empty chain")
@@ -362,72 +361,86 @@ def multiscale_scan(
 
 def _scan_cells(chain: PolyChain, points: np.ndarray, r0: float, depth: int) -> list[ScanCell]:
     """The cells of every point, point by point and scale by scale.  Each
-    stage runs over all of them in stacked passes, the moment and sup passes
-    in runs of at most ``_STACK_ROWS`` near simplices."""
+    stage runs over all of them in stacked passes: the moment pass and the
+    one sup pass of its three requests in runs of at most ``_STACK_ROWS``
+    near simplices, and the frame search in one pass per round."""
     m = chain.m
     va = chain.vertex_array()
     radii = [r0 * 2.0**-k for k in range(depth + 1)]
     # cells are point-major: cell c is point c // (depth + 1) at scale c % (depth + 1)
     cells = [(pi, k) for pi in range(len(points)) for k in range(depth + 1)]
-    xs = np.repeat(points, depth + 1, axis=0)
+    xs = points.repeat(depth + 1, axis=0)
     rs = np.array(radii * len(points))
-    near, wide, cull = _cull(chain, points, radii)
+    (rows, owner), (wide, wide_owner) = _cull(chain, points, radii)
+    runs = _runs(np.bincount(owner, minlength=len(cells)), _STACK_ROWS)
     moments = []
-    for part in _runs([len(t) for t in near], _STACK_ROWS):
-        rows, owner = _stacked(near[part])
-        weights = chain.coeff_norms()[rows]
-        moments += cell_ball_moments(va[rows], xs[part], rs[part], weights, owner, len(xs[part]), chain.frames(rows))
+    for part, span in runs:
+        moments += cell_ball_moments(va[rows[span]], xs[part], rs[part], chain.coeff_norms()[rows[span]],
+                                     owner[span] - part.start, part.stop - part.start, chain.frames(rows[span]))
     am = alpha_m(m)
     dens = [bm.s0 / (am * r**m) for bm, r in zip(moments, rs.tolist())]
 
     # the spectral plane of each cell: one eigh over all forms
-    s2 = np.stack([bm.s2 for bm in moments])
+    s2 = np.array([bm.s2 for bm in moments])
     half_norm = np.array([(m + 2) / (am * r ** (m + 2)) * 0.5 for r in rs.tolist()])
-    forms = half_norm[:, None, None] * (s2 + np.swapaxes(s2, 1, 2))
-    w, vecs = np.linalg.eigh(0.5 * (forms + np.swapaxes(forms, 1, 2)))
-    order = np.argsort(w, axis=1)[:, ::-1]
-    planes, out = [], {}
-    for c, (pi, k) in enumerate(cells):
-        try:
-            planes.append(_plane_from_eigensystem(w[c, order[c]], vecs[c][:, order[c]].T, m))
-        except AmbiguousPlaneError as err:
-            why = str(err)
-            out[c] = ScanCell(pi, k, float(rs[c]), None, 0.0, 0.0, 0.0, 0.0, dens[c], 1.0, False, True, frame_reason=why)
-    good = [c for c in range(len(cells)) if c not in out]
-    if not good:
+    forms = half_norm[:, None, None] * (s2 + s2.transpose(0, 2, 1))
+    w, vecs = np.linalg.eigh(0.5 * (forms + forms.transpose(0, 2, 1)))
+    if w.shape[1] <= m:
+        raise ValueError("form has no complementary directions")
+    # eigenvalues descending, eigenvectors as rows in that order
+    order = (np.arange(len(w))[:, None], w.argsort(axis=1)[:, ::-1])
+    frames, gaps = _signed_frames(w[order], vecs.transpose(0, 2, 1)[order], m)
+    ambiguous = gaps <= 1e-10
+    good = (~ambiguous).nonzero()[0]
+    out = {
+        c: ScanCell(*cells[c], float(rs[c]), None, 0.0, 0.0, 0.0, 0.0, dens[c], 1.0, False, True, frame_reason=_gap_reason(gaps[c]))
+        for c in ambiguous.nonzero()[0].tolist()
+    }
+    if not len(good):
         return [out[c] for c in range(len(cells))]
+    planes, frames, perps = OrientedPlane._stack(frames[good]), frames[good], _perp_frames(frames[good])
+    # the cells' rows, renumbered to the good cells
+    at = np.full(len(cells), -1)
+    at[good] = np.arange(len(good))
+    keep, wide_keep = at[owner] >= 0, at[wide_owner] >= 0
+    rows, owner, wide, wide_owner = rows[keep], at[owner[keep]], wide[wide_keep], at[wide_owner[wide_keep]]
     xs, rs, moments = xs[good], rs[good], [moments[c] for c in good]
-    near, wide = [near[c] for c in good], [wide[c] for c in good]
-    frames, perps = np.stack([p.frame for p in planes]), _perp_frames(planes)
-    betas, centred = [], []
-    for part in _runs([len(t) for t in near], _STACK_ROWS):
-        rows, owner = _stacked(near[part])
-        betas += _cell_betas(va[rows], owner, xs[part], rs[part], moments[part], planes[part], perps[part], m)
-        centred += _centred_betas(va[rows], owner, xs[part], rs[part], moments[part], m)
+    wide_ends = np.searchsorted(wide_owner, np.arange(len(good) + 1))
+    betas, centred, covered, half = [], [], np.zeros(len(good), dtype=bool), np.zeros(len(good))
+    for part, span in _runs(np.bincount(owner, minlength=len(good)), _STACK_ROWS):
+        near, own = va[rows[span]], owner[span] - part.start
+        spread = slice(wide_ends[part.start], wide_ends[part.stop])
+        # the support-to-plane sups, the centred ones and the cover test's
+        # in rows: one sup pass
+        b, c, (covered[part], half[part]) = _sup_pass(
+            _cell_betas(near, own, xs[part], rs[part], moments[part], planes[part], perps[part], m),
+            _centred_betas(near, own, xs[part], rs[part], moments[part], m),
+            disk_cover(chain, wide[spread], wide_owner[spread] - part.start, xs[part], rs[part], frames[part], perps[part]),
+        )
+        betas += b
+        centred += c
     # the plane-to-support half: the sheet height over a covered disk, else
     # the largest distance from the polar grid
-    covered, half = np.zeros(len(good), dtype=bool), np.zeros(len(good))
-    for part in _runs([len(t) for t in wide], _STACK_ROWS):
-        rows, owner = _stacked(wide[part])
-        covered[part], half[part] = disk_cover(chain, rows, owner, xs[part], rs[part], frames[part], perps[part])
-    grid = np.flatnonzero(~covered)
+    grid = (~covered).nonzero()[0]
     if len(grid):
-        half[grid] = _grid_distances(chain, cull, xs[grid], rs[grid], [planes[g] for g in grid])
-    for g, c in enumerate(good):
-        r, br, x = float(rs[g]), betas[g], xs[g]
+        half[grid] = _grid_distances(chain, xs[grid], rs[grid], [planes[g] for g in grid])
+    # find_frame at s = 0.9 r: its scale conditions hold for every
+    # rho <= 1/(25 sqrt(m)), so only the gate and the fiber search can fail
+    binf = np.array([br.beta_inf for br in betas])
+    rho = np.minimum(binf * 1.5 + 1e-6, 1.0 / (25 * math.sqrt(m)))
+    search = ~(binf >= rho)
+    found = np.zeros(len(good), dtype=bool)
+    if search.any():
+        at = search.cumsum() - 1
+        hit = search[owner]
+        found[search] = _frame_search(va[rows[hit]], at[owner[hit]], xs[search], 0.9 * rs[search], frames[search])[1]
+    for g, c in enumerate(good.tolist()):
+        r, br = float(rs[g]), betas[g]
         # the plane ball's point nearest a support point y in B(x, r) is
         # x + pi(y - x), so the support-to-plane half is the sup beta_inf r;
         # a cell of zero mass counts as maximally far
         dh = max(br.beta_inf * r, float(half[g])) if moments[g].s0 > 0 else r
-        # find_frame at s = 0.9 r: its scale conditions hold for every
-        # rho <= 1/(25 sqrt(m)), so only the gate and the fiber search can fail
-        reason = ""
-        rho_gate = min(br.beta_inf * 1.5 + 1e-6, 1.0 / (25 * math.sqrt(m)))
-        try:
-            _frame_gate(br.beta_inf, rho_gate)
-            _frame_directions(va[near[g]], x, 0.9 * r, planes[g])
-        except ValueError as err:
-            reason = str(err)
+        reason = "" if found[g] else _NO_FIBER_POINT if search[g] else _gate_reason(br.beta_inf, float(rho[g]))
         binf_c = br.beta_inf if centred[g] is None else centred[g]
         out[c] = ScanCell(
             *cells[c], r, planes[g], br.beta2, br.beta_inf, binf_c, dh, dens[c], dh / r, not reason,
@@ -438,53 +451,50 @@ def _scan_cells(chain: PolyChain, points: np.ndarray, r0: float, depth: int) -> 
 
 def _cull(
     chain: PolyChain, points: np.ndarray, radii: list[float]
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """``chain.near_ball(x, r)`` for every point x and radius r, point by
-    point; the same at ``sqrt(2) r`` (with 1e-9 relative slack), which
-    holds every term that meets the cylinder of :func:`disk_cover`; and the
-    terms within ``2 max(radii) + d(x, spt)`` of some point, which hold the
-    nearest simplex of every query point in any of the balls (see
-    :func:`_dist_to_support`)."""
-    va = chain.vertex_array()
-    diam = chain.diameters()
-    d0 = _dist_to_support(chain, points)
-    slack = 1e-9 * max(float(np.max(np.abs(va))), float(np.max(np.abs(points))))
-    near, wide, keep = [], [], np.zeros(len(va), dtype=bool)
-    for x, d in zip(points, d0):
-        # near_ball's bound on d(x, t), from one pass for all radii
-        reach = np.min(np.linalg.norm(va - x, axis=2), axis=1) - diam
-        near += [np.flatnonzero(reach <= r) for r in radii]
-        wide += [np.flatnonzero(reach <= math.sqrt(2.0) * r * (1.0 + 1e-9)) for r in radii]
-        keep |= reach <= 2 * max(radii) + d + slack
-    return near, wide, np.flatnonzero(keep)
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """``chain.near_ball(x, r)`` for every point x and radius r, and the
+    same at ``sqrt(2) r`` (with 1e-9 relative slack), which holds every
+    term that meets the cylinder of :func:`gmtepi.layers.disk_cover`: each
+    as the stacked term indices and the cell of each, cells numbered
+    point-major (both ordered by cell), from one threshold pass per
+    point."""
+    bounds = np.array(radii + [math.sqrt(2.0) * r * (1.0 + 1e-9) for r in radii])[:, None]
+    K = len(radii)
+    parts = [np.nonzero(chain.reach(x) <= bounds) for x in points]
+    k = np.concatenate([p[0] for p in parts])
+    terms = np.concatenate([p[1] for p in parts])
+    cell = np.repeat(K * np.arange(len(points)), [len(p[0]) for p in parts]) + k % K
+    wide = k >= K
+    return (terms[~wide], cell[~wide]), (terms[wide], cell[wide])
 
 
-def _runs(sizes: list, limit: float) -> list[slice]:
-    """Runs of consecutive cells whose sizes add up to at most ``limit``;
-    a cell larger than that runs alone."""
-    ends = np.cumsum([0.0, *sizes])
-    runs, lo = [], 0
-    while lo < len(sizes):
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] + limit, side="right")) - 1)
-        runs.append(slice(lo, hi))
-        lo = hi
+def _runs(sizes: np.ndarray, limit: float) -> list[tuple[slice, slice]]:
+    """Runs of consecutive cells whose sizes add up to at most ``limit``
+    (a cell larger than that runs alone), each with the slice of its rows
+    in the stack of all cells' rows."""
+    ends = np.cumsum(sizes).tolist()
+    runs, lo, start = [], 0, 0
+    while lo < len(ends):
+        hi = max(lo + 1, bisect.bisect_right(ends, start + limit, lo))
+        runs.append((slice(lo, hi), slice(start, ends[hi - 1])))
+        lo, start = hi, ends[hi - 1]
     return runs
 
 
-def _stacked(near: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The cells' term indices end to end, and the cell of each."""
-    return np.concatenate(near), np.repeat(np.arange(len(near)), [len(t) for t in near])
-
-
-def _grid_distances(
-    chain: PolyChain, cull: np.ndarray, xs: np.ndarray, rs: np.ndarray, planes: list[OrientedPlane]
-) -> list[float]:
+def _grid_distances(chain: PolyChain, xs: np.ndarray, rs: np.ndarray, planes: list[OrientedPlane]) -> list[float]:
     """The largest distance from each cell's plane-ball grid
     (:func:`gmtepi.planes._plane_grid` at 24 rings) to the support, in one
-    distance pass over all the grids."""
+    distance pass over all the grids.  The pass takes the terms within
+    ``2 r + d(x, spt)`` of some cell's point x, plus a rounding slack,
+    which hold the nearest simplex of each of its grid points (see
+    :func:`_dist_to_support`)."""
+    slack = 1e-9 * max(float(np.max(np.abs(chain.verts))), float(np.max(np.abs(xs))))
+    keep = np.zeros(len(chain), dtype=bool)
+    for x, r, d in zip(xs, rs.tolist(), _dist_to_support(chain, xs).tolist()):
+        keep |= chain.reach(x) <= 2 * r + d + slack
     grids = [x + plane.embed(_plane_grid(r, plane.m, 24)) for x, r, plane in zip(xs, rs.tolist(), planes)]
     starts = np.cumsum([0] + [len(g) for g in grids[:-1]])
-    return np.maximum.reduceat(_dist_to_support(chain, np.vstack(grids), cull), starts).tolist()
+    return np.maximum.reduceat(_dist_to_support(chain, np.vstack(grids), np.flatnonzero(keep)), starts).tolist()
 
 
 @dataclass
@@ -519,24 +529,33 @@ def extract_graph(
     stay within the budget, ``eta(s)/s`` must be nonincreasing on the
     scale grid, and over the box ``|.|_inf <= r/2`` of the top plane, cut
     at height r, the support must be exactly one sheet
-    (:func:`gmtepi.layers.box_sheets`) of Lipschitz constant at most 1.
-    That constant is exact; it and the tangent-drift table with its fitted
-    exponent come with the certificate.
+    (:func:`gmtepi.layers.box_sheets`, which builds no chain) of
+    Lipschitz constant at most 1.  That constant is exact; it and the
+    tangent-drift table with its fitted exponent come with the
+    certificate.  A consecutive drift is the ``coherence_measured`` that
+    the scan recorded for the same two planes, where it did; the other
+    drifts take one stacked distance pass.
     """
     cells = [c for c in report.point_cells(point_index) if c.plane is not None]
     if not cells:
         return GraphCertificate(False, "no usable scales", 0.0, dini_budget, 0.0, np.array([]), np.array([]), None)
     etas = np.array([c.eta for c in cells])
     radii = np.array([c.radius for c in cells])
-    drifts = _plane_distances([c.plane for c in cells[:-1]], [c.plane for c in cells[1:]])
+    # the consecutive drifts that the scan measured as coherence, and one
+    # distance pass for the others and for the drifts of each scale's
+    # plane to the finest plane (the available stand-in for the limit
+    # tangent), which accumulate the per-scale table and are far less
+    # noisy than consecutive drifts: the modulus fit
+    fresh = [b.coherence_measured is None or b.scale_index != a.scale_index + 1 for a, b in zip(cells, cells[1:])]
+    pairs = [(a.plane, b.plane) for a, b, new in zip(cells, cells[1:], fresh) if new]
+    if len(cells) >= 4:
+        pairs += [(c.plane, cells[-1].plane) for c in cells[:-2]]
+    measured = iter(_plane_distances([a for a, _ in pairs], [b for _, b in pairs]).tolist())
+    drifts = np.array([next(measured) if new else b.coherence_measured for b, new in zip(cells[1:], fresh)])
     dscales = np.array([c.radius for c in cells[:-1]])
-    # modulus fit: drift of each scale's plane to the finest plane (the
-    # available stand-in for the limit tangent), which accumulates the
-    # per-scale table and is far less noisy than consecutive drifts
     exponent = None
     if len(cells) >= 4:
-        ref = cells[-1].plane
-        to_limit = _plane_distances([c.plane for c in cells[:-2]], [ref] * (len(cells) - 2))
+        to_limit = np.array(list(measured))
         sc = np.array([c.radius for c in cells[:-2]])
         good = to_limit > 10 * drift_floor
         if good.sum() >= 2:

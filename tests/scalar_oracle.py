@@ -1514,3 +1514,180 @@ def welded_boundary(chain):
         flip = parity[first] < 0
         canon[flip] = canon[flip][:, [1, 0] + list(range(2, k - 1))]
     return PolyChain(n, chain.m - 1, chain.group, verts=canon, payload=acc)
+
+
+# -- the per-cell frame search of the scan and the carrier-and-weld box count
+# of its graph certificate, as they ran before both became stacked passes
+
+
+def support_points_on_fiber(simplices, x, direction, constraints, s) -> np.ndarray:
+    """Support points ``p`` with ``|p - x| = s``, the in-plane projection
+    along ``direction`` positive, and zero components along ``constraints``
+    (segments with none, triangles with one), simplex by simplex."""
+    v = simplices - x
+    if len(constraints):
+        (c,) = constraints
+        a, b = cut_triangles(v, v @ c)
+    else:
+        a, b = v[:, 0], v[:, 1]
+    dd = b - a
+    aa = _rowdot(dd, dd)
+    bb = 2.0 * _rowdot(a, dd)
+    cc = _rowdot(a, a) - s * s
+    disc = bb * bb - 4 * aa * cc
+    ok = (aa >= 1e-30) & (disc >= 0)
+    a, dd, aa, bb, sq = a[ok], dd[ok], aa[ok], bb[ok], np.sqrt(disc[ok])
+    t = np.stack([(-bb - sq) / (2 * aa), (-bb + sq) / (2 * aa)], axis=1)
+    p = a[:, None] + t[..., None] * dd[:, None]
+    on = (t >= -1e-12) & (t <= 1 + 1e-12)
+    p = p[on]
+    p = p[_rowdot(p, np.broadcast_to(direction, p.shape)) > 1e-12]
+    return p + x
+
+
+def cut_triangles(v: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ends of the segments where triangles ``v`` with signed heights ``d``
+    cross a hyperplane; triangles that do not cross it in two points are
+    dropped."""
+    neg, pos = d < -1e-13, d > 1e-13
+    cands, valid = [], []
+    for i, j in ((0, 1), (0, 2), (0, None), (1, 2), (1, None), (2, None)):
+        if j is None:
+            cands.append(v[:, i])
+            valid.append(np.abs(d[:, i]) <= 1e-13)
+            continue
+        cross = (neg[:, i] & pos[:, j]) | (neg[:, j] & pos[:, i])
+        t = d[:, i] / np.where(cross, d[:, i] - d[:, j], 1.0)
+        cands.append(v[:, i] + t[:, None] * (v[:, j] - v[:, i]))
+        valid.append(cross)
+    cands, valid = np.stack(cands, axis=1), np.stack(valid, axis=1)
+    rank = np.cumsum(valid, axis=1)
+    two = np.flatnonzero(rank[:, -1] >= 2)
+    first = np.argmax(valid[two], axis=1)
+    second = np.argmax(valid[two] & (rank[two] == 2), axis=1)
+    return cands[two, first], cands[two, second]
+
+
+def frame_directions(near: np.ndarray, x: np.ndarray, s: float, plane) -> np.ndarray:
+    """The directions (m, n) of ``find_frame`` from the simplices ``near``
+    of one cell, round by round; raises ``ValueError`` on an empty fiber."""
+    m = plane.m
+    found: list[np.ndarray] = []
+    basis = [plane.frame[i].copy() for i in range(m)]
+    for _ in range(m):
+        w_dir = basis[0]
+        constraints = np.array(basis[1:] + found) if (len(basis) > 1 or found) else np.zeros((0, plane.n))
+        cands = support_points_on_fiber(near, x, w_dir, constraints, s)
+        if not len(cands):
+            raise ValueError("no support point on the fiber; projection not surjective")
+        rels = (cands - x) / s
+        found.append(rels[np.argmax(_rowdot(rels, np.broadcast_to(w_dir, rels.shape)))])
+        new_basis = []
+        for b in basis[1:]:
+            r = b.copy()
+            for f in found:
+                r -= (r @ f) * f
+            for nb in new_basis:
+                r -= (r @ nb) * nb
+            ln = np.linalg.norm(r)
+            if ln > 1e-9:
+                new_basis.append(r / ln)
+        basis = new_basis
+    return np.array(found)
+
+
+def cell_frame_reason(chain, x: np.ndarray, cell) -> str:
+    """A scan cell's ``frame_reason`` from its own flatness gate and fiber
+    search at s = 0.9 r: "" when a frame is found."""
+    m = chain.m
+    rho = min(cell.beta_inf * 1.5 + 1e-6, 1.0 / (25 * math.sqrt(m)))
+    if cell.beta_inf >= rho:
+        return f"beta_inf {cell.beta_inf:.3g} at the working scale is not below rho {rho:.3g}"
+    try:
+        frame_directions(chain.verts[chain.near_ball(x, cell.radius)], x, 0.9 * cell.radius, cell.plane)
+    except ValueError as err:
+        return str(err)
+    return ""
+
+
+def box_sheets(chain, x: np.ndarray, base, r: float) -> tuple[float, float]:
+    """The sheet count over the box ``|.|_inf <= r/2`` of ``base`` cut at
+    height r, and the Lipschitz constant, from the unit-coefficient carrier
+    of the in terms: a chain built and welded on every call, whose
+    boundary faces clipped to the open box must be empty."""
+    from gmtepi.chains import _dists, boundary
+    from gmtepi.groups import integers
+    from gmtepi.layers import (ConstancyError, _affine_maps, _box_clip, _fan_areas, _layer_stack, _spectral_norms,
+                               align_base_to_chain)
+
+    m, n = base.m, base.n
+    near = chain.near_ball(x, r * math.sqrt(1.0 + 0.25 * m))
+    perp = base.perp_frame()
+    coords = (chain.verts[near] - x) @ np.vstack([base.frame, perp]).T
+    polys, counts = _box_clip(coords, np.full(len(near), m + 1), m, 0.5 * r)
+    col = np.arange(polys.shape[1])
+    live = col < counts[:, None]
+    h = polys[..., m:]
+    top = np.max(np.where(live, np.linalg.norm(h, axis=2), 0.0), axis=1)
+    high = (counts > 0) & (top > r)
+    t, j = np.nonzero(live & (col >= 1) & high[:, None])
+    fan = np.stack([h[t, 0], h[t, j], h[t, np.where(j + 1 < counts[t], j + 1, 0)]], axis=1)
+    low = np.where(high | (counts == 0), np.inf, 0.0)
+    np.minimum.at(low, t, _dists(fan, np.zeros(n - m)))
+    hit = low <= r
+    if not np.any(hit):
+        return 0.0, 0.0
+    carrier = PolyChain(n, m, integers(), verts=chain.verts[near[hit]], payload=np.ones((int(hit.sum()), 1), dtype=np.int64))
+    A = _affine_maps(*_layer_stack(carrier.verts, carrier.volumes(), align_base_to_chain(base, carrier), perp)[:2])[0]
+    if np.any(top[hit] > r):
+        raise ValueError("the support crosses the height cut |h| = r over the box")
+    faces = (boundary(carrier).verts - x) @ base.frame.T
+    half = 0.5 * r * (1.0 - 1e-9)
+    faces = faces[np.all((faces.max(axis=1) > -half) & (faces.min(axis=1) < half), axis=1)]
+    if len(faces) and np.any(_box_clip(faces, np.full(len(faces), m), m, half)[1]):
+        raise ConstancyError("projected boundary meets the box: it is partly covered")
+    size = np.ptp(np.where(live, polys[..., 0], polys[:, :1, 0]), axis=1) if m == 1 else _fan_areas(polys[..., :2], counts)
+    return float(np.sum(size[hit])) / r**m, float(np.max(_spectral_norms(A)))
+
+
+def graph_certificate(report, chain, point_index: int, dini_budget: float = 1.0 / 120.0, drift_floor: float = 1e-9):
+    """``extract_graph`` with every drift measured afresh and the sheets of
+    :func:`box_sheets`."""
+    from gmtepi.planes import _plane_distances
+    from gmtepi.scan import GraphCertificate
+
+    cells = [c for c in report.point_cells(point_index) if c.plane is not None]
+    if not cells:
+        return GraphCertificate(False, "no usable scales", 0.0, dini_budget, 0.0, np.array([]), np.array([]), None)
+    etas = np.array([c.eta for c in cells])
+    radii = np.array([c.radius for c in cells])
+    drifts = _plane_distances([c.plane for c in cells[:-1]], [c.plane for c in cells[1:]])
+    dscales = np.array([c.radius for c in cells[:-1]])
+    exponent = None
+    if len(cells) >= 4:
+        to_limit = _plane_distances([c.plane for c in cells[:-2]], [cells[-1].plane] * (len(cells) - 2))
+        sc = np.array([c.radius for c in cells[:-2]])
+        good = to_limit > 10 * drift_floor
+        if good.sum() >= 2:
+            exponent = float(np.polyfit(np.log(sc[good]), np.log(to_limit[good]), 1)[0])
+    env = etas.copy()
+    for i in range(len(env) - 2, -1, -1):
+        env[i] = max(env[i], env[i + 1])
+    for i in range(1, len(env)):
+        env[i] = max(env[i], env[i - 1] * radii[i] / radii[i - 1])
+    eta_hat = math.log(2.0) * float(np.sum(env))
+    if eta_hat > dini_budget:
+        return GraphCertificate(False, f"Dini sum {eta_hat:.3g} exceeds budget", eta_hat, dini_budget, 0.0, dscales, drifts, exponent)
+    top = cells[0]
+    try:
+        sheets, lips = box_sheets(chain, report.points[point_index], top.plane, top.radius)
+    except ValueError as err:
+        return GraphCertificate(False, str(err), eta_hat, dini_budget, 0.0, dscales, drifts, exponent)
+    reason = "ok"
+    if sheets == 0.0:
+        reason = "empty support window"
+    elif abs(sheets - 1.0) > 1e-9:
+        reason = f"{sheets:.6g} sheets over the box"
+    elif lips > 1.0 + 1e-9:
+        reason = f"Lipschitz bound {lips:.3g} exceeds 1"
+    return GraphCertificate(reason == "ok", reason, eta_hat, dini_budget, lips, dscales, drifts, exponent)

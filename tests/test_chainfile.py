@@ -56,3 +56,29 @@ def test_report_determinism(tmp_path):
     # floats round-trip through the CSV text exactly
     line = open(c1).read().splitlines()[1]
     assert float(line.split(",")[1]) == 0.1 + 0.2
+
+
+def _disk_dict():
+    chain, meta = generate("flat_disk", {"N": 8})
+    return chain_to_dict(chain, meta)
+
+
+def _without_group(d):
+    del d["group"]
+    return d
+
+
+def _without_coeff(d):
+    del d["simplices"][3]["coeff"]
+    return d
+
+
+@pytest.mark.parametrize("damage,reason", [
+    (_without_group, "chain file has no 'group' field"),
+    (_without_coeff, "simplex 3 of the chain file has no 'coeff' field"),
+    (lambda d: [d], "a chain file holds a JSON object, not an array"),
+])
+def test_a_malformed_file_names_the_missing_field(damage, reason):
+    with pytest.raises(ValueError) as err:
+        dict_to_chain(damage(_disk_dict()))
+    assert str(err.value) == reason

@@ -120,6 +120,21 @@ def test_bad_chain_file_exits_with_one_line_reason(tmp_path, capsys, vertex, coe
     assert err.count("\n") == 1 and err.startswith("error: ") and reason in err
 
 
+@pytest.mark.parametrize("damage,field", [
+    (lambda d: {k: v for k, v in d.items() if k != "group"}, "chain file has no 'group' field"),
+    (lambda d: {**d, "simplices": [{"vertices": s["vertices"]} for s in d["simplices"]]}, "simplex 0 of the chain file has no 'coeff'"),
+    (lambda d: [d], "not an array"),
+])
+def test_a_chain_file_without_a_field_exits_naming_it(tmp_path, capsys, damage, field):
+    path = tmp_path / "bad.json"
+    data = {"version": 1, "ambient": 2, "dim": 1, "group": {"tag": "integers"},
+            "simplices": [{"vertices": [[0.0, 0.0], [1.0, 0.0]], "coeff": 1}]}
+    path.write_text(json.dumps(damage(data)))
+    assert run(["scan", "--chain", str(path), "--out", str(tmp_path / "rpt")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and field in err
+
+
 def test_scan_of_an_empty_chain_exits_with_one_line_reason(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"version": 1, "ambient": 3, "dim": 2, "group": {"tag": "integers"},

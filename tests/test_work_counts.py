@@ -1,5 +1,5 @@
-"""Work counters of one comparison run, one graph certificate, scans and
-an almost-minimality probe:
+"""Work counters of one comparison run, graph certificates, scans and an
+almost-minimality probe:
 each per-row bookkeeping step runs once, so these counts are pinned as
 upper bounds (a count that grows is repeated work, not a wrong answer).
 A chain's triangle frames are factored once and reused bit for bit."""
@@ -12,7 +12,7 @@ import pytest
 
 from gmtepi import chains, epi, layers, quadrature, scan
 from gmtepi.chains import PolyChain, Simplex, ball_mass, pushforward_linear
-from gmtepi.generators import cone_harmonic, flat_disk
+from gmtepi.generators import cantor_bump_profile, cone_harmonic, flat_disk, two_sheet_cantor
 from gmtepi.groups import NormedCoefficient, integers
 from gmtepi.mono import DensityProfile, Gauge, almost_minimal_probe
 
@@ -57,8 +57,9 @@ def test_one_comparison_does_each_bookkeeping_step_once(monkeypatch):
     assert count["clipped"] <= CLIPPED_ROWS, count
 
 
-def test_one_graph_certificate_samples_nothing_and_welds_once(monkeypatch):
-    # a scan_disk point: flat_disk(256) in R^5 at radius 1/4, three scales from 1/2
+def test_one_graph_certificate_samples_nothing_and_welds_nothing(monkeypatch):
+    # a scan_disk point: flat_disk(256) in R^5 at radius 1/4, three scales
+    # from 1/2; the box count reads the unit boundary that the scan welded
     chain = flat_disk(256, n=5)[0]
     x = np.array([0.25 * math.cos(0.3), 0.25 * math.sin(0.3), 0.0, 0.0, 0.0])
     rep = scan.multiscale_scan(chain, [x], r0=0.5, depth=2)
@@ -77,7 +78,101 @@ def test_one_graph_certificate_samples_nothing_and_welds_once(monkeypatch):
     monkeypatch.setattr(layers, "boundary", counted("boundary", layers.boundary))
     cert = scan.extract_graph(rep, chain, 0)
     assert cert.ok and cert.lipschitz <= 1e-12
-    assert count == dict(lstsq=0, sample=0, weld=1, boundary=1)
+    assert count == dict(lstsq=0, sample=0, weld=0, boundary=0)
+
+
+def _cantor_gap_points(count):
+    # criterion 9's gap points on the upper sheet, the nodes a tenth of
+    # each gap's width past its centre
+    chain, meta = two_sheet_cantor(3, 48, 0.12)
+    f = cantor_bump_profile(meta)
+    ts = []
+    for g in meta["gaps"][:count]:
+        nodes = np.linspace(g["center"] - g["half_width"], g["center"] + g["half_width"], 50)[1:-1]
+        ts.append(nodes[np.argmin(np.abs(nodes - g["center"] - 0.22 * g["half_width"]))])
+    return chain, [np.array([t, float(f(np.array([t]))[0])]) for t in ts]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_a_graph_certificate_builds_no_chain(monkeypatch, m):
+    if m == 1:
+        chain, (x,) = _cantor_gap_points(1)
+        rep = scan.multiscale_scan(chain, [x], r0=0.3 * x[1], depth=4)
+    else:
+        chain = flat_disk(256, n=5)[0]
+        rep = scan.multiscale_scan(chain, [np.array([0.25, 0.1, 0.0, 0.0, 0.0])], r0=0.5, depth=2)
+    count = dict(chains=0)
+    real = PolyChain._fill
+
+    def fill(self, *args, **kwargs):
+        count["chains"] += 1
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(PolyChain, "_fill", fill)
+    assert scan.extract_graph(rep, chain, 0).ok
+    assert count == dict(chains=0)
+
+
+def test_a_scan_searches_the_fiber_once_per_round(monkeypatch):
+    # nine cells of three points, each with a frame: one search, whose
+    # triangle rounds (m = 2) cut every cell's triangles in one pass each
+    count = dict(search=0, cuts=0)
+    real_search, real_cut = scan._frame_search, scan._cut_triangles
+
+    def search(*args):
+        count["search"] += 1
+        return real_search(*args)
+
+    def cut(*args):
+        count["cuts"] += 1
+        return real_cut(*args)
+
+    monkeypatch.setattr(scan, "_frame_search", search)
+    monkeypatch.setattr(scan, "_cut_triangles", cut)
+    chain = flat_disk(256, n=5)[0]
+    points = [np.array([0.25 * math.cos(a), 0.25 * math.sin(a), 0.0, 0.0, 0.0]) for a in (0.3, 1.9, 4.0)]
+    rep = scan.multiscale_scan(chain, points, r0=0.5, depth=2)
+    assert len(rep.cells) == 9 and all(c.frame_found for c in rep.cells.values())
+    assert count == dict(search=1, cuts=2)
+    chain, points = _cantor_gap_points(5)
+    count.update(search=0, cuts=0)
+    rep = scan.multiscale_scan(chain, points, r0=0.002, depth=4)
+    assert sum(c.frame_found for c in rep.cells.values()) > 5
+    assert count == dict(search=1, cuts=0)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_a_scan_makes_one_sup_pass_per_stack_run(monkeypatch, m):
+    # every cell's beta_inf, centred beta_inf and cover rows go through one
+    # sup pass per run of at most _STACK_ROWS near rows: one kernel call for
+    # segments, and for triangles one per width (ball and cylinder rows)
+    count = dict(runs=0, passes=0, kernel=0)
+    real_runs, real_pass, real_kernel = scan._runs, scan._sup_pass, chains._region_sups
+
+    def runs(*args):
+        out = real_runs(*args)
+        count["runs"] = len(out)  # the sup loop's runs come last
+        return out
+
+    def sup_pass(*args):
+        count["passes"] += 1
+        return real_pass(*args)
+
+    def kernel(*args):
+        count["kernel"] += 1
+        return real_kernel(*args)
+
+    monkeypatch.setattr(scan, "_runs", runs)
+    monkeypatch.setattr(scan, "_sup_pass", sup_pass)
+    monkeypatch.setattr(chains, "_region_sups", kernel)
+    if m == 1:
+        chain, points = _cantor_gap_points(7)
+        scan.multiscale_scan(chain, points, r0=0.02, depth=4)
+    else:
+        chain = flat_disk(256, n=5)[0]
+        scan.multiscale_scan(chain, [np.array([0.25, 0.1, 0.0, 0.0, 0.0])], r0=0.5, depth=2)
+    assert count["runs"] > 1
+    assert count == dict(runs=count["runs"], passes=count["runs"], kernel=m * count["runs"])
 
 
 def test_a_covered_disk_scan_measures_no_grid_point(monkeypatch):
