@@ -47,7 +47,7 @@ from .mono import (
     spherical_excess,
 )
 from .moments import beta_numbers, moments_all, quad_form, select_plane
-from .planes import OrientedPlane, plane_coherence_same_center, plane_distance
+from .planes import OrientedPlane, plane_distance
 from .scan import extract_graph, find_frame, multiscale_scan, theoretical_exponent
 
 __all__ = [
@@ -98,7 +98,6 @@ __all__ = [
     "quad_form",
     "select_plane",
     "OrientedPlane",
-    "plane_coherence_same_center",
     "plane_distance",
     "extract_graph",
     "find_frame",

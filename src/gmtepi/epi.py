@@ -559,6 +559,11 @@ def _strip(inner: np.ndarray, outer: np.ndarray, m: int) -> np.ndarray:
     return _prisms(_faces(inner, m), _faces(outer, m))
 
 
+#: The annulus ``_BLEND_IN <= |x| <= _BLEND_OUT`` of the blend; its
+#: coefficients 4|x| - 2 and 3 - 4|x| run from 0 to 1 across exactly it.
+_BLEND_IN, _BLEND_OUT = 0.5, 0.75
+
+
 @dataclass
 class AnnulusBlend:
     """The per-layer blend across the annulus and its triangulated chain.
@@ -588,14 +593,12 @@ def annulus_interpolate(
     decomp: LayerDecomposition,
     v: MollifiedGraph,
     divisions: int = 8,
-    r_in: float = 0.5,
-    r_out: float = 0.75,
 ) -> AnnulusBlend:
     """Blend every layer into the mollified graph across the annulus, over
     the wedge (m = 2) or the ray (m = 1) its domain spans from the apex."""
     base, perp, m = decomp.base, decomp.perp, decomp.m
     u = _directions(_layer_rays(decomp), m)  # (L, m, m): each layer's ray directions
-    radii = np.linspace(r_in, r_out, divisions + 1)[:, None, None]
+    radii = np.linspace(_BLEND_IN, _BLEND_OUT, divisions + 1)[:, None, None]
     x = radii * u[:, None]  # (L, divisions + 1, m, m)
     y = (decomp.A[:, None, None] @ x[..., None])[..., 0] + decomp.b[:, None, None]
     vv = v.eval_many(x.reshape(-1, m)).reshape(y.shape)
@@ -608,8 +611,8 @@ def annulus_interpolate(
     # summed term by term, in order
     gram = _gram_dets(verts)
     mass_blend = sum((np.repeat(decomp.weights, per_layer) * gram_volumes(gram, m)).tolist())
-    # each layer's chord wedge between the radii has volume |det u| (r_out^m - r_in^m) / m!
-    wedges = np.abs(np.linalg.det(u)) * (r_out**m - r_in**m) / math.factorial(m)
+    # each layer's chord wedge between the radii has volume |det u| (out^m - in^m) / m!
+    wedges = np.abs(np.linalg.det(u)) * (_BLEND_OUT**m - _BLEND_IN**m) / math.factorial(m)
     mass_orig = float(np.sum(decomp.weights * decomp.jac * wedges))
     return AnnulusBlend(decomp, v, verts, payload, gram, mass_blend, mass_orig)
 

@@ -1,31 +1,23 @@
-"""Oriented m-planes, the Grassmannian metric, and plane-coherence checks.
+"""Oriented m-planes and the Grassmannian metric.
 
 The distance between planes is the operator norm of the difference of
 their orthogonal projectors, which coincides with the Hausdorff distance
-of their unit balls.  Coherence checks quantify how two planes that both
-approximate the same point set at nested scales must be close: at a
-common center the bound is ``eps (2 + R/r)``, at a common scale and
-nearby centers it is ``6 eps nu``.
+of their unit balls.  The plane-coherence bounds are measured on chains:
+:func:`gmtepi.scan.multiscale_scan` records the distance of the planes of
+consecutive scales at one centre against ``eps (2 + R/r)``, and lays out
+its plane-ball grid with :func:`_plane_grid`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from .chains import _dist_to_simplices
 
 __all__ = [
     "OrientedPlane",
     "plane_distance",
     "hausdorff_unit_ball_distance",
-    "fit_plane",
-    "hausdorff_to_plane_ball",
-    "plane_membership_eps",
-    "CoherenceReport",
-    "plane_coherence_same_center",
 ]
 
 
@@ -153,27 +145,6 @@ def hausdorff_unit_ball_distance(
     return best
 
 
-def fit_plane(points: np.ndarray, m: int, through: np.ndarray | None = None) -> OrientedPlane:
-    """Least-squares m-plane through ``through`` (default: the centroid).
-
-    Returns the span of the top-m right singular vectors of the centered
-    point cloud, oriented positively.
-    """
-    pts = np.asarray(points, dtype=float)
-    anchor = pts.mean(axis=0) if through is None else np.asarray(through, dtype=float)
-    _, _, vt = np.linalg.svd(pts - anchor, full_matrices=False)
-    return OrientedPlane(vt[:m])
-
-
-def _sample_to_plane(sup: np.ndarray, x: np.ndarray, r: float, plane: OrientedPlane) -> float:
-    """Largest distance from the sample points to the plane ball."""
-    rel = sup - x
-    inplane = plane.project_coords(rel)
-    norms = np.linalg.norm(inplane, axis=1, keepdims=True)
-    clamped = inplane / np.maximum(norms / r, 1.0)
-    return float(np.max(np.linalg.norm(rel - plane.embed(clamped), axis=1)))
-
-
 def _plane_grid(r: float, m: int, grid: int) -> np.ndarray:
     """In-plane coordinates of the deterministic grid on the radius-r ball:
     2 grid + 1 points on a line, or the centre and ``grid`` rings."""
@@ -186,93 +157,3 @@ def _plane_grid(r: float, m: int, grid: int) -> np.ndarray:
         ang = 2 * math.pi * np.arange(cnt) / cnt
         rows.append(rad * np.stack([np.cos(ang), np.sin(ang)], axis=1))
     return np.vstack(rows)
-
-
-def hausdorff_to_plane_ball(
-    points: np.ndarray,
-    x: np.ndarray,
-    r: float,
-    plane: OrientedPlane,
-    grid: int = 24,
-) -> float:
-    """Two-sided Hausdorff distance between ``points ∩ B(x,r)`` and
-    ``(x + plane) ∩ B(x,r)``.
-
-    Point-to-plane-ball distances are exact; the reverse direction uses a
-    deterministic polar grid on the plane ball (spacing ~ r/grid), each
-    grid point measured exactly against the points, taken as 0-simplices
-    of the pruned distance pass.
-    """
-    x = np.asarray(x, dtype=float)
-    pts = np.asarray(points, dtype=float)
-    pts = pts[np.linalg.norm(pts - x, axis=1) <= r]
-    if len(pts) == 0:
-        return r  # empty support in the window counts as maximally far
-    d2 = float(np.max(_dist_to_simplices(pts[:, None, :], x + plane.embed(_plane_grid(r, plane.m, grid)))))
-    return max(_sample_to_plane(pts, x, r, plane), d2)
-
-
-def plane_membership_eps(
-    points: np.ndarray, x: np.ndarray, r: float, plane: OrientedPlane, grid: int = 24
-) -> float:
-    """The smallest eps with ``d_H(S ∩ B(x,r), (x+V) ∩ B(x,r)) <= eps r``."""
-    return hausdorff_to_plane_ball(points, x, r, plane, grid) / r
-
-
-@dataclass
-class CoherenceReport:
-    """Result of a nested-scale plane-coherence check."""
-
-    measured: float
-    bound: float
-    eps_r: float
-    eps_R: float
-    ok: bool
-
-
-def plane_coherence_same_center(
-    points: np.ndarray,
-    x: np.ndarray,
-    r: float,
-    R: float,
-    eps: float,
-    plane_r: OrientedPlane | None = None,
-    plane_R: OrientedPlane | None = None,
-    grid: int = 24,
-) -> CoherenceReport:
-    """Check the same-center two-scale coherence bound ``eps (2 + R/r)``.
-
-    Fits planes at the two scales when not supplied, verifies that both
-    are eps-admissible for the point set, and compares their distance to
-    the bound.  Raises when no admissible plane exists at a scale.
-    """
-    if not 0 < r < R:
-        raise ValueError("need 0 < r < R")
-    x = np.asarray(x, dtype=float)
-    pts = np.asarray(points, dtype=float)
-    planes = []
-    eps_found = []
-    for radius, given in ((r, plane_r), (R, plane_R)):
-        keep = np.linalg.norm(pts - x, axis=1) <= radius
-        if given is None:
-            if keep.sum() < 1:
-                raise ValueError(f"no points of S inside B(x, {radius})")
-            given = fit_plane(pts[keep], m=_infer_m(plane_r, plane_R, pts), through=x)
-        e = plane_membership_eps(pts, x, radius, given, grid)
-        if e > eps:
-            raise ValueError(
-                f"no admissible plane at scale {radius}: measured eps {e:.3g} > {eps:.3g}"
-            )
-        planes.append(given)
-        eps_found.append(e)
-    measured = plane_distance(planes[0], planes[1])
-    bound = eps * (2.0 + R / r)
-    return CoherenceReport(measured, bound, eps_found[0], eps_found[1], measured <= bound)
-
-
-def _infer_m(a: OrientedPlane | None, b: OrientedPlane | None, pts: np.ndarray) -> int:
-    if a is not None:
-        return a.m
-    if b is not None:
-        return b.m
-    return 1 if pts.shape[1] <= 2 else 2

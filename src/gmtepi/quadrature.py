@@ -33,7 +33,6 @@ __all__ = [
     "gram_volumes",
     "simplex_volume",
     "trig_monomial_integral",
-    "disk_polygon_monomials",
     "disk_polygon_area",
     "disk_polygon_areas",
     "BallMoments",
@@ -255,13 +254,6 @@ def _disk_clip(rel: np.ndarray, rho: np.ndarray, moments: bool) -> np.ndarray:
     return M
 
 
-def _binomial_shift(c: float) -> np.ndarray:
-    """``S[a, i] = C(a, i) c^(a-i)``: ``x^a = sum_i S[a, i] (x - c)^i``."""
-    return np.array(
-        [[math.comb(a, i) * c ** (a - i) if i <= a else 0.0 for i in range(5)] for a in range(5)]
-    )
-
-
 def disk_polygon_areas(polys: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
     """Exact (signed) areas of stacked polygons (B, k, 2) ∩ one disk."""
     rel = np.asarray(polys, dtype=float) - np.asarray(center, dtype=float)
@@ -271,25 +263,6 @@ def disk_polygon_areas(polys: np.ndarray, center: np.ndarray, radius: float) -> 
 def disk_polygon_area(poly: np.ndarray, center: np.ndarray, radius: float) -> float:
     """Exact (signed) area of polygon ∩ disk; positive for a CCW polygon."""
     return float(disk_polygon_areas(np.asarray(poly, dtype=float)[None], center, radius)[0])
-
-
-def disk_polygon_monomials(
-    poly: np.ndarray, center: np.ndarray, radius: float, degree: int = 4
-) -> np.ndarray:
-    """Exact integrals ``M[a, b] = ∫_{poly∩disk} x^a y^b`` for a+b <= degree <= 4.
-
-    Coordinates are the global 2D coordinates that ``poly`` and ``center``
-    are expressed in.  Signed like :func:`disk_polygon_area`.
-    """
-    if not 0 <= degree <= 4:
-        raise ValueError("disk monomials need 0 <= degree <= 4")
-    center = np.asarray(center, dtype=float)
-    rel = np.asarray(poly, dtype=float)[None] - center
-    M = _disk_clip(rel, np.array([float(radius)]), moments=True)[0]
-    if np.any(center != 0.0):
-        M = (_binomial_shift(float(center[0])) @ M @ _binomial_shift(float(center[1])).T) * _LOW4
-    M = M[: degree + 1, : degree + 1]
-    return np.where(np.add.outer(_POW4[: degree + 1], _POW4[: degree + 1]) <= degree, M, 0.0)
 
 
 # -- simplex-ball moments -----------------------------------------------------

@@ -63,8 +63,8 @@ def _dist_to_support(chain: PolyChain, points: np.ndarray, terms: np.ndarray | N
 
     ``terms`` restricts the pass to those term indices; it must hold the
     nearest simplex of every point.  The scan passes the terms within
-    ``2 r + d(x, spt)`` of its point x, plus a rounding slack, for query
-    points q in ``B(x, r)``: the nearest simplex t* of q has
+    ``3 r`` of its point x, plus a rounding slack, for query points q in
+    ``B(x, r)`` where ``d(x, spt) <= r``: the nearest simplex t* of q has
     ``d(x, t*) <= |q - x| + d(q, spt) <= |q - x| + |q - x| + d(x, spt)``.
     Each point-simplex distance is computed on its own, so the minimum
     over any set that holds t* is the same float.
@@ -340,7 +340,7 @@ def multiscale_scan(
     ``_STACK_ROWS`` near terms; the frame search makes one pass per round
     over every cell that passes its flatness gate; only the cells that are
     not covered send a grid to the distance pass, over the terms within
-    ``2 r + d(x, spt)`` of their points.
+    ``3 r`` of their points.
     """
     if chain.is_zero:
         raise ValueError("empty chain")
@@ -484,14 +484,15 @@ def _runs(sizes: np.ndarray, limit: float) -> list[tuple[slice, slice]]:
 def _grid_distances(chain: PolyChain, xs: np.ndarray, rs: np.ndarray, planes: list[OrientedPlane]) -> list[float]:
     """The largest distance from each cell's plane-ball grid
     (:func:`gmtepi.planes._plane_grid` at 24 rings) to the support, in one
-    distance pass over all the grids.  The pass takes the terms within
-    ``2 r + d(x, spt)`` of some cell's point x, plus a rounding slack,
-    which hold the nearest simplex of each of its grid points (see
+    distance pass over all the grids.  A cell that reaches the grid has a
+    plane, so its ball has positive mass and ``d(x, spt) <= r``; the pass
+    takes the terms within ``3 r`` of some cell's point x, plus a rounding
+    slack, which hold the nearest simplex of each of its grid points (see
     :func:`_dist_to_support`)."""
     slack = 1e-9 * max(float(np.max(np.abs(chain.verts))), float(np.max(np.abs(xs))))
     keep = np.zeros(len(chain), dtype=bool)
-    for x, r, d in zip(xs, rs.tolist(), _dist_to_support(chain, xs).tolist()):
-        keep |= chain.reach(x) <= 2 * r + d + slack
+    for x, r in zip(xs, rs.tolist()):
+        keep |= chain.reach(x) <= 3 * r + slack
     grids = [x + plane.embed(_plane_grid(r, plane.m, 24)) for x, r, plane in zip(xs, rs.tolist(), planes)]
     starts = np.cumsum([0] + [len(g) for g in grids[:-1]])
     return np.maximum.reduceat(_dist_to_support(chain, np.vstack(grids), np.flatnonzero(keep)), starts).tolist()
@@ -532,30 +533,25 @@ def extract_graph(
     (:func:`gmtepi.layers.box_sheets`, which builds no chain) of
     Lipschitz constant at most 1.  That constant is exact; it and the
     tangent-drift table with its fitted exponent come with the
-    certificate.  A consecutive drift is the ``coherence_measured`` that
-    the scan recorded for the same two planes, where it did; the other
-    drifts take one stacked distance pass.
+    certificate.  All drifts take one stacked distance pass.
     """
     cells = [c for c in report.point_cells(point_index) if c.plane is not None]
     if not cells:
         return GraphCertificate(False, "no usable scales", 0.0, dini_budget, 0.0, np.array([]), np.array([]), None)
     etas = np.array([c.eta for c in cells])
     radii = np.array([c.radius for c in cells])
-    # the consecutive drifts that the scan measured as coherence, and one
-    # distance pass for the others and for the drifts of each scale's
-    # plane to the finest plane (the available stand-in for the limit
-    # tangent), which accumulate the per-scale table and are far less
-    # noisy than consecutive drifts: the modulus fit
-    fresh = [b.coherence_measured is None or b.scale_index != a.scale_index + 1 for a, b in zip(cells, cells[1:])]
-    pairs = [(a.plane, b.plane) for a, b, new in zip(cells, cells[1:], fresh) if new]
+    # one distance pass for the consecutive drifts and for the drifts of
+    # each scale's plane to the finest plane (the available stand-in for
+    # the limit tangent), which accumulate the per-scale table and are far
+    # less noisy than consecutive drifts: the modulus fit
+    pairs = [(a.plane, b.plane) for a, b in zip(cells, cells[1:])]
     if len(cells) >= 4:
         pairs += [(c.plane, cells[-1].plane) for c in cells[:-2]]
-    measured = iter(_plane_distances([a for a, _ in pairs], [b for _, b in pairs]).tolist())
-    drifts = np.array([next(measured) if new else b.coherence_measured for b, new in zip(cells[1:], fresh)])
+    measured = _plane_distances([a for a, _ in pairs], [b for _, b in pairs])
+    drifts, to_limit = measured[: len(cells) - 1], measured[len(cells) - 1 :]
     dscales = np.array([c.radius for c in cells[:-1]])
     exponent = None
     if len(cells) >= 4:
-        to_limit = np.array(list(measured))
         sc = np.array([c.radius for c in cells[:-2]])
         good = to_limit > 10 * drift_floor
         if good.sum() >= 2:

@@ -14,9 +14,9 @@ from gmtepi.moments import chain_ball_moments
 from gmtepi.mono import DensityProfile, alpha_m
 from gmtepi.planes import _plane_grid
 from gmtepi.quadrature import (
+    _disk_clip,
     batch_ball_slices,
     disk_polygon_area,
-    disk_polygon_monomials,
     simplex_ball_mass,
     simplex_ball_moments,
     trig_monomial_integral,
@@ -111,10 +111,10 @@ def test_disk_clip_primitives_match_the_oracle():
             poly[0] = c  # a vertex at the centre, as in every fan
         area = oracle.disk_polygon_area(poly, c, r)
         assert _close(disk_polygon_area(poly, c, r), area, abs(area), r * r)
-        M = disk_polygon_monomials(poly, c, r)
-        want = oracle.disk_polygon_monomials(poly, c, r)
-        # monomials of degree <= 4 in global coordinates reach |c| + r
-        reach = max(r + float(np.linalg.norm(c)), 1.0) ** 4
+        # monomials of degree <= 4 about the centre, which reach r
+        M = _disk_clip((poly - c)[None], np.array([r]), moments=True)[0]
+        want = oracle.disk_polygon_monomials(poly - c, np.zeros(2), r)
+        reach = max(r, 1.0) ** 4
         assert _close(M, want, abs(want[0, 0]) * reach, r * r * reach)
     for _ in range(200):
         a, b = (int(t) for t in rng.integers(0, 5, 2))

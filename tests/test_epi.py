@@ -224,9 +224,20 @@ def test_m1_trace_even_odd_split():
 def test_build_comparison_flat_disk_degenerate():
     # extend the flat fan beyond the doubled cylinder so the boundary gate holds
     disk = make_graph_disk(64, lambda p: 0.0, R=2.05)
-    _s, rep = build_comparison(disk, EpiConfig())
-    assert rep.degenerate
-    assert rep.ratio_zone is None and rep.ratio_full is None
+    # the strict gate passes too: eps is at most rho^(6m) = 0
+    for strict in (False, True):
+        _s, rep = build_comparison(disk, EpiConfig(strict_flatness=strict))
+        assert rep.degenerate and rep.strict_flatness == strict
+        assert rep.ratio_zone is None and rep.ratio_full is None
+
+
+def test_strict_flatness_refuses_a_cone_above_rho_to_the_6m():
+    # eps ~ 9.8e-3 against rho^12 = 0.05^12 ~ 2.4e-16
+    with pytest.raises(StageError, match="strict flatness") as info:
+        build_comparison(cone_harmonic(2, 0.05, 64)[0], EpiConfig(strict_flatness=True))
+    assert info.value.stage == "assumptions"
+    assert info.value.measured == pytest.approx(9.766e-3, rel=1e-3)
+    assert info.value.bound == pytest.approx(0.05**12, rel=1e-12)
 
 
 def test_build_comparison_harmonic_cone_small():

@@ -4,32 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gmtepi.planes import (
-    OrientedPlane,
-    fit_plane,
-    hausdorff_unit_ball_distance,
-    plane_coherence_same_center,
-    plane_distance,
-    plane_membership_eps,
-)
+from gmtepi.generators import _cone_over_heights, cantor_graph, cone_harmonic, flat_disk, two_sheet_cantor
+from gmtepi.planes import OrientedPlane, hausdorff_unit_ball_distance, plane_distance
+from gmtepi.scan import multiscale_scan
 
 
 def line(phi):
     return OrientedPlane(np.array([[math.cos(phi), math.sin(phi)]]))
-
-
-def disk_samples(fn, n=3, spacing=0.01):
-    rows = [np.zeros((1, 2))]
-    for k in range(1, int(1 / spacing) + 1):
-        rad = k * spacing
-        cnt = max(8, int(2 * math.pi * k))
-        ang = 2 * math.pi * np.arange(cnt) / cnt
-        rows.append(rad * np.stack([np.cos(ang), np.sin(ang)], axis=1))
-    c2 = np.vstack(rows)
-    out = np.zeros((len(c2), n))
-    out[:, :2] = c2
-    out[:, 2] = fn(c2)
-    return out
 
 
 def test_plane_distance_rotated_line():
@@ -71,65 +52,71 @@ def test_perp_composition_bound():
         assert comp <= plane_distance(a, b) + 1e-12
 
 
-def test_coherence_fixed_plane():
-    pts = disk_samples(lambda c2: np.zeros(len(c2)))
-    V = OrientedPlane(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-    rep = plane_coherence_same_center(pts, np.zeros(3), 0.3, 0.9, eps=0.05, plane_r=V, plane_R=V)
-    assert rep.measured == 0.0
-    assert rep.ok
-
-
 def test_coherence_cone_fit_half_scale():
-    # graph of eps |x|: fitted planes at r = R/2 stay within the 4 eps bound
+    # graph of eps0 |x|: the planes of the scan at r = R/2 about the apex
+    # stay within the 4 eps bound, eps the larger eta of the two cells
     eps0 = 0.08
-    pts = disk_samples(lambda c2: eps0 * np.linalg.norm(c2, axis=1))
-    rep = plane_coherence_same_center(pts, np.zeros(3), 0.45, 0.9, eps=2.0 * eps0)
-    assert rep.bound == pytest.approx(2.0 * eps0 * 4.0)
-    assert rep.measured <= rep.bound
-    assert rep.ok
+    P = _cone_over_heights(64, np.full(64, eps0), 2.05, 3)
+    rep = multiscale_scan(P, [np.zeros(3)], r0=0.9, depth=1)
+    top, half = rep.cell(0, 0), rep.cell(0, 1)
+    assert half.radius == pytest.approx(top.radius / 2)
+    eps = max(top.eta, half.eta)
+    assert eps <= 2.0 * eps0
+    assert half.coherence_bound == pytest.approx(eps * 4.0)
+    assert half.coherence_measured == plane_distance(top.plane, half.plane)
+    assert half.coherence_measured <= half.coherence_bound
 
 
 def test_coherence_bound_formula():
-    # eps = 0.1 and R/r = 3 give the bound 0.5
-    pts = disk_samples(lambda c2: np.zeros(len(c2)))
-    V = OrientedPlane(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-    rep = plane_coherence_same_center(pts, np.zeros(3), 0.3, 0.9, eps=0.1, plane_r=V, plane_R=V)
-    assert_allclose(rep.bound, 0.5)
+    # the harmonic cone of amplitude 0.05 has eta 0.05 at its apex, and
+    # R/r = 2 gives the bound 0.05 (2 + 2) = 0.2
+    P, _ = cone_harmonic(2, 0.05, 64)
+    rep = multiscale_scan(P, [np.zeros(3)], r0=0.9, depth=1)
+    assert_allclose(rep.cell(0, 1).coherence_bound, 0.2, rtol=1e-12)
 
 
-def test_coherence_rejects_inadmissible_plane():
-    pts = disk_samples(lambda c2: np.zeros(len(c2)))
-    W = OrientedPlane(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))  # vertical plane
-    with pytest.raises(ValueError):
-        plane_coherence_same_center(pts, np.zeros(3), 0.3, 0.9, eps=0.05, plane_r=W, plane_R=W)
+def _on_fan(P, j, w, s):
+    """The point s ((1 - w) p + w q) of the fan triangle (0, p, q) of term j."""
+    return s * ((1 - w) * P.verts[j, 1] + w * P.verts[j, 2])
+
+
+def _on_gap_sheet(P, meta, k):
+    """The midpoint of the k-th bump-sheet segment over the level-1 gap."""
+    gap = [g for g in meta["gaps"] if g["level"] == 1][0]
+    mid = P.verts.mean(axis=1)
+    on = np.flatnonzero((np.abs(mid[:, 0] - gap["center"]) < 0.3 * gap["half_width"]) & (mid[:, 1] > 1e-6))
+    return mid[on[k]]
 
 
 def test_two_centers_same_scale_bound():
-    # the different-centers coherence bound 6 eps nu on a fitted pair
-    pts = disk_samples(lambda c2: 0.02 * c2[:, 0] ** 2)
-    R = 0.5
-    nu = 4.0
-    lam = 0.5
-    x1 = np.array([0.1, 0.0, 0.02 * 0.01])
-    x2 = np.array([-0.1, 0.0, 0.02 * 0.01])
-    assert np.linalg.norm(x1 - x2) <= (1 - lam) * R
-    planes = []
-    epss = []
-    for x in (x1, x2):
-        keep = np.linalg.norm(pts - x, axis=1) <= R
-        pl = fit_plane(pts[keep], m=2, through=x)
-        planes.append(pl)
-        epss.append(plane_membership_eps(pts, x, R, pl))
-    eps = max(epss)
-    assert 1 - lam + eps + 1 / nu <= 1  # lemma hypothesis
-    assert plane_distance(planes[0], planes[1]) <= 6 * eps * nu
+    # the different-centres coherence bound 6 eps nu on chains: two support
+    # points scanned at one scale R, eps the larger eta of their cells
+    cone, _ = cone_harmonic(2, 0.05, 64)
+    disk, _ = flat_disk(64, n=5)
+    graph, gmeta = cantor_graph(3, 48, 0.12)
+    sheets, smeta = two_sheet_cantor(3, 48, 0.12)
+    cases = [
+        (cone, _on_fan(cone, 3, 0.4, 0.3), _on_fan(cone, 4, 0.2, 0.3), 0.2),
+        (cone, _on_fan(cone, 10, 0.5, 0.5), _on_fan(cone, 11, 0.5, 0.45), 0.3),
+        (disk, _on_fan(disk, 5, 0.3, 0.4), _on_fan(disk, 7, 0.6, 0.3), 0.3),
+        (graph, _on_gap_sheet(graph, gmeta, 0), _on_gap_sheet(graph, gmeta, 2), 0.05),
+        (sheets, _on_gap_sheet(sheets, smeta, 0), _on_gap_sheet(sheets, smeta, 1), 0.05),
+    ]
+    for P, x1, x2, R in cases:
+        rep = multiscale_scan(P, [x1, x2], r0=R, depth=0)
+        a, b = rep.cell(0, 0), rep.cell(1, 0)
+        eps = max(a.eta, b.eta)
+        lam = 1.0 - np.linalg.norm(x1 - x2) / R  # the largest lambda with |x1 - x2| <= (1 - lambda) R
+        assert eps < lam
+        nu = 1.0 / (lam - eps)  # the smallest nu of the lemma's hypothesis
+        assert 1 - lam + eps + 1 / nu <= 1 + 1e-12
+        assert plane_distance(a.plane, b.plane) <= 6 * eps * nu + 1e-12
 
 
 def test_perp_frame_of_a_plane_next_to_a_coordinate_plane():
     # the spectral plane of this cone differs from the horizontal plane by
     # one frame entry of about 4.4e-19: its normal keeps that entry and
     # the exact height sup 0.05 keeps all but its last bits
-    from gmtepi.generators import cone_harmonic
     from gmtepi.layers import height_sup
     from gmtepi.moments import quad_form, select_plane
 

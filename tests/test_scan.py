@@ -85,6 +85,10 @@ def test_scan_coherence_bound_recorded():
     c = rep.cell(0, 1)
     assert c.coherence_bound is not None
     assert c.coherence_measured <= c.coherence_bound + 1e-9
+    # the same-centre bound eps (2 + R/r) with eps the larger eta of the pair
+    top = rep.cell(0, 0)
+    assert c.coherence_bound == max(top.eta, c.eta) * (2.0 + top.radius / c.radius)
+    assert c.coherence_measured == plane_distance(top.plane, c.plane)
 
 
 def test_scan_beta_inf_vs_hausdorff():
