@@ -24,8 +24,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .groups import GroupSpec, NormedCoefficient
-from .quadrature import (_norms, _rowdot, _segment_windows, _triangle_frames, batch_ball_masses, batch_ball_slices,
-                         gram_volumes, simplex_volume)
+from .quadrature import (_disk_masses, _disk_slices, _norms, _rowdot, _segment_windows, _triangle_frames,
+                         _triangle_planes, batch_ball_masses, batch_ball_slices, gram_volumes, simplex_volume)
 
 __all__ = [
     "Simplex",
@@ -367,6 +367,20 @@ class PolyChain:
             dist = _norms(self.verts - center).min(axis=1)
             self._cache["reach"] = key, dist - self.diameters()
         return self._cache["reach"][1]
+
+    def planes(self, center: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+        """The triangles ``rows`` seen from ``center``: their in-plane
+        vertices relative to the feet of the perpendiculars and the squared
+        distances of their planes (:func:`~gmtepi.quadrature._triangle_planes`),
+        for m = 2.  Every triangle is projected once per centre and the last
+        centre's are kept, as for :meth:`reach`: a density profile asks
+        about one point at many radii."""
+        center = np.asarray(center, dtype=float)
+        key = center.tobytes()
+        if self._cache.get("planes", (None,))[0] != key:
+            self._cache["planes"] = key, _triangle_planes(self.verts, center, self.frames(slice(None)))[:2]
+        poly, h2 = self._cache["planes"][1]
+        return poly[rows], h2[rows]
 
     def with_terms(self, terms) -> "PolyChain":
         return PolyChain(self.n, self.m, self.group, terms)
@@ -870,10 +884,14 @@ def restrict(chain: PolyChain, region: HalfSpaceRegion) -> PolyChain:
 
 
 def ball_mass(chain: PolyChain, center: np.ndarray, radius: float) -> float:
-    """Exact ``||T||(B(center, radius))`` for chains with m in (1, 2)."""
+    """Exact ``||T||(B(center, radius))`` for chains with m in (1, 2); a
+    triangle chain clips its cached :meth:`PolyChain.planes` at ``radius``."""
     center = np.asarray(center, dtype=float)
     near = chain.near_ball(center, radius)
-    masses = batch_ball_masses(chain.vertex_array()[near], center, radius, chain.frames(near))
+    if chain.m == 2:
+        masses = _disk_masses(*chain.planes(center, near), radius)
+    else:
+        masses = batch_ball_masses(chain.verts[near], center, radius)
     return float(chain.coeff_norms()[near] @ masses)
 
 
@@ -921,7 +939,10 @@ def ball_cone_bound(chain: PolyChain, center: np.ndarray, radius: float) -> floa
     """
     center = np.asarray(center, dtype=float)
     near = chain.near_ball(center, radius)
-    arcs = batch_ball_slices(chain.verts[near], center, radius, chain.frames(near))
+    if chain.m == 2:
+        arcs = _disk_slices(*chain.planes(center, near), radius)
+    else:
+        arcs = batch_ball_slices(chain.verts[near], center, radius)
     bound = radius / chain.m * float(chain.coeff_norms()[near] @ arcs)
     faces = boundary(chain._from_rows(chain.verts[near], chain.payload[near], chain._cache["gram"][near]))
     if chain.m == 1:

@@ -19,6 +19,7 @@ hypothesis gate fails, 1 on errors, usage errors included.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -42,11 +43,33 @@ from .verify import run_verify
 GATE_EXIT = 2
 
 
+#: The scalar config keys and the Python type of their values; an int
+#: also serves where a float is asked for.
+_CONFIG_TYPES = {
+    "seed": int, "radius": float, "r0": float, "depth": int, "max_points": int,
+    "gauge_c": float, "gauge_alpha": float, "quick": bool,
+    **{f.name: type(f.default) for f in dataclasses.fields(EpiConfig)},
+}
+
+_JSON_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string", list: "an array",
+               dict: "an object", type(None): "null"}
+
+
 def _config(args) -> dict:
+    """The ``--config`` file's object with the seed added.  A top level
+    that is not an object, or a scalar key of the wrong type, raises
+    ``ValueError`` naming the file and the key."""
     cfg = {}
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError(f"config file {args.config}: the top level is {_JSON_KINDS[type(cfg)]}, not an object")
+        for key, want in _CONFIG_TYPES.items():
+            value = cfg.get(key, want())
+            if type(value) is not want and not (want is float and type(value) is int):
+                raise ValueError(f"config file {args.config}: {key!r} must be {_JSON_KINDS[want]}, "
+                                 f"not {_JSON_KINDS[type(value)]}")
     cfg.setdefault("seed", args.seed)
     return cfg
 

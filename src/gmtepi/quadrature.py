@@ -155,8 +155,7 @@ _TRIG4 = _TRIG_TABLE[:_DEG4][:, [0, 1, 2, 3, 4, 9, 10, 11, 12]]
 _DEG4_A = np.array([a for a, _ in _TRIG_PAIRS[:_DEG4]])
 _DEG4_B = np.array([b for _, b in _TRIG_PAIRS[:_DEG4]])
 _DEG4_ORDER = _DEG4_A + _DEG4_B + 2.0
-_POW4 = np.arange(5)
-_LOW4 = np.add.outer(_POW4, _POW4) <= 4
+_LOW4 = np.add.outer(np.arange(5), np.arange(5)) <= 4
 
 
 def _sector_features(phi0: np.ndarray, dphi: np.ndarray, fmax: int) -> np.ndarray:
@@ -226,6 +225,22 @@ def _edge_runs(rel: np.ndarray, rho: np.ndarray):
     return ax, ay, bx, by, chord, tp, tb, dphi
 
 
+def _powers4(q: np.ndarray) -> np.ndarray:
+    """``q^0 .. q^4`` (..., 5) as 1, q, q q, q^2 q and q^2 q^2.
+
+    Products round alike for ``q`` and ``-q``, and cost a fraction of
+    numpy's float ``power``, which takes a slower path for negative bases
+    and rounds it differently in the last bit.
+    """
+    out = np.empty(q.shape + (5,))
+    out[..., 0] = 1.0
+    out[..., 1] = q
+    np.multiply(q, q, out=out[..., 2])
+    np.multiply(out[..., 2], q, out=out[..., 3])
+    np.multiply(out[..., 2], out[..., 2], out=out[..., 4])
+    return out
+
+
 def _disk_clip(rel: np.ndarray, rho: np.ndarray, moments: bool) -> np.ndarray:
     """Signed integrals over ``polygon ∩ disk(0, rho)`` for stacked polygons.
 
@@ -243,8 +258,8 @@ def _disk_clip(rel: np.ndarray, rho: np.ndarray, moments: bool) -> np.ndarray:
     qy7 = ay[..., None] * _TRI_BARY[:, 1] + by[..., None] * _TRI_BARY[:, 2]
     wq = (0.5 * chord)[..., None] * _TRI_WEIGHTS
     flat = (rel.shape[0], rel.shape[1] * len(_TRI_WEIGHTS), 5)
-    powx = (wq[..., None] * qx7[..., None] ** _POW4).reshape(flat)
-    powy = (qy7[..., None] ** _POW4).reshape(flat)
+    powx = (wq[..., None] * _powers4(qx7)).reshape(flat)
+    powy = _powers4(qy7).reshape(flat)
     M = np.matmul(np.swapaxes(powx, 1, 2), powy) * _LOW4
     # sectors start at p and at b: summed frequency features against the
     # Fourier table
@@ -345,29 +360,54 @@ def _triangle_frames(v: np.ndarray) -> np.ndarray:
     return np.swapaxes(q * signs[:, None, :], 1, 2)
 
 
-def _triangle_disks(v: np.ndarray, center: np.ndarray, radius: float, frames: np.ndarray | None = None):
-    """Each triangle's plane against the ball, for the triangles it meets.
+def _triangle_planes(v: np.ndarray, center, frames: np.ndarray | None = None):
+    """Each triangle's plane seen from ``center``, for every radius at once.
 
-    Returns the :func:`_triangle_frames` (T', 2, n) (those of ``frames`` if
-    given), the in-plane vertices relative to the disk centre (T', 3, 2),
-    the disk radii, the squared distances from the centre to the planes,
-    the offsets foot - centre (T', n), and the mask of the triangles met.
+    ``center`` is one point (n,) or one per triangle (T, n).  Returns the
+    in-plane vertices relative to the foot of the perpendicular from the
+    centre (T, 3, 2), the squared distances from the centre to the planes
+    (T,), the :func:`_triangle_frames` (T, 2, n) (those of ``frames`` if
+    given) and the offsets foot - centre (T, n).  Each row is computed on
+    its own, so any subset of the rows is the float a call on that subset
+    gives.
     """
     frame = _triangle_frames(v) if frames is None else frames
     rel = center - v[:, 0]
     a_in = np.matmul(frame, rel[:, :, None])[:, :, 0]
     h2 = np.maximum(_rowdot(rel, rel) - _rowdot(a_in, a_in), 0.0)
+    poly = np.matmul(v - v[:, :1], np.swapaxes(frame, 1, 2)) - a_in[:, None, :]
+    return poly, h2, frame, -(rel - np.matmul(a_in[:, None, :], frame)[:, 0])
+
+
+def _disk_cut(h2: np.ndarray, radius):
+    """The planes at squared distances ``h2`` that the ball of ``radius``
+    (a scalar or one per plane) meets, as a mask, and its disks' radii."""
     r2 = radius * radius - h2
     hit = r2 > 0.0
-    frame, rel, a_in, h2 = frame[hit], rel[hit], a_in[hit], h2[hit]
-    poly = np.matmul(v[hit] - v[hit, :1], np.swapaxes(frame, 1, 2)) - a_in[:, None, :]
-    hvec = -(rel - np.matmul(a_in[:, None, :], frame)[:, 0])
-    return frame, poly, np.sqrt(r2[hit]), h2, hvec, hit
+    return hit, np.sqrt(r2[hit])
 
 
-def batch_ball_masses(vertices: np.ndarray, center, radius: float, frames: np.ndarray | None = None) -> np.ndarray:
+def _disk_masses(poly: np.ndarray, h2: np.ndarray, radius: float) -> np.ndarray:
+    """Exact areas of the triangles of :func:`_triangle_planes` in the ball."""
+    out = np.zeros(len(poly))
+    hit, rho = _disk_cut(h2, radius)
+    out[hit] = np.abs(_disk_clip(poly[hit], rho, moments=False))
+    return out
+
+
+def _disk_slices(poly: np.ndarray, h2: np.ndarray, radius: float) -> np.ndarray:
+    """Lengths of the arcs of the ball's circles inside the triangles of
+    :func:`_triangle_planes`: each is the circle's part of the boundary of
+    the clipped disk, whose angle sums the run angles of :func:`_edge_runs`."""
+    out = np.zeros(len(poly))
+    hit, rho = _disk_cut(h2, radius)
+    out[hit] = rho * np.abs(_edge_runs(poly[hit], rho)[-1].sum(axis=(1, 2)))
+    return out
+
+
+def batch_ball_masses(vertices: np.ndarray, center, radius: float) -> np.ndarray:
     """Exact m-volumes of ``simplex ∩ B(center, radius)`` for stacked
-    simplices ``(T, m+1, n)``, m in (1, 2), and optional ``frames``."""
+    simplices ``(T, m+1, n)``, m in (1, 2)."""
     vertices = np.asarray(vertices, dtype=float)
     center = np.asarray(center, dtype=float)
     out = np.zeros(len(vertices))
@@ -378,19 +418,16 @@ def batch_ball_masses(vertices: np.ndarray, center, radius: float, frames: np.nd
         _p, _d, t1, t2, length, hit = _segment_windows(vertices, center, radius)
         out[hit] = (_GAUSS3_WEIGHTS * (length * (t2 - t1))[:, None]).sum(axis=1)
         return out
-    _frame, poly, rho, _h2, _hvec, hit = _triangle_disks(vertices, center, radius, frames)
-    out[hit] = np.abs(_disk_clip(poly, rho, moments=False))
-    return out
+    return _disk_masses(*_triangle_planes(vertices, center)[:2], radius)
 
 
-def batch_ball_slices(vertices: np.ndarray, center, radius: float, frames: np.ndarray | None = None) -> np.ndarray:
+def batch_ball_slices(vertices: np.ndarray, center, radius: float) -> np.ndarray:
     """(m-1)-measures of ``simplex ∩ ∂B(center, radius)`` for stacked
     simplices ``(T, m+1, n)``, m in (1, 2), that meet the ball in positive
-    measure, with optional ``frames``.
+    measure.
 
     A triangle's is the exact length of the arc of its plane's circle
-    inside it: the circle's part of the boundary of the clipped disk, whose
-    angle is the sum of the run angles of :func:`_edge_runs`.  A segment's
+    inside it (:func:`_disk_slices`).  A segment's
     is the number of ends of its window in the ball that lie on the sphere:
     an end inside the segment, or an endpoint within 1e-12 r^2 of the
     sphere in ``|y - x|^2``, so it is never too small.
@@ -409,9 +446,7 @@ def batch_ball_slices(vertices: np.ndarray, center, radius: float, frames: np.nd
         on1 = np.abs(_rowdot(q, q) - r2) <= 1e-12 * r2
         out[hit] = ((t1 > 0.0) | on0).astype(float) + ((t2 < 1.0) | on1)
         return out
-    _frame, poly, rho, _h2, _hvec, hit = _triangle_disks(vertices, center, radius, frames)
-    out[hit] = rho * np.abs(_edge_runs(poly, rho)[-1].sum(axis=(1, 2)))
-    return out
+    return _disk_slices(*_triangle_planes(vertices, center)[:2], radius)
 
 
 def _moment_rows(vertices: np.ndarray, center, radius, frames=None):
@@ -438,7 +473,9 @@ def _moment_rows(vertices: np.ndarray, center, radius, frames=None):
         u3 = np.einsum("sq,sqi->si", w * norms2, pts)
         t4 = np.einsum("sq,sq->s", w, norms2 * norms2)
     else:
-        frame, poly, rho, h2, hvec, hit = _triangle_disks(vertices, center, radius, frames)
+        poly, h2, frame, hvec = _triangle_planes(vertices, center, frames)
+        hit, rho = _disk_cut(h2, radius)
+        poly, h2, frame, hvec = poly[hit], h2[hit], frame[hit], hvec[hit]
         M = _disk_clip(poly, rho, moments=True)
         # unsigned moments: flip clockwise in-plane polygons
         M = M * np.where(M[:, 0, 0] < 0, -1.0, 1.0)[:, None, None]
@@ -462,14 +499,6 @@ def _moment_rows(vertices: np.ndarray, center, radius, frames=None):
     return hit, (s0, s1, s2, t2_, u3, t4)
 
 
-def _weighted_moments(w: np.ndarray, rows, n: int) -> BallMoments:
-    """``sum_t w[t]`` times the per-simplex moment ``rows``."""
-    if not len(w):
-        return BallMoments.zero(n)
-    s0, s1, s2, t2, u3, t4 = rows
-    return BallMoments(float(w @ s0), w @ s1, np.einsum("t,tij->ij", w, s2), float(w @ t2), w @ u3, float(w @ t4))
-
-
 def cell_ball_moments(
     vertices: np.ndarray, centers: np.ndarray, radii: np.ndarray, weights: np.ndarray, cells: np.ndarray, count: int,
     frames: np.ndarray | None = None,
@@ -480,9 +509,10 @@ def cell_ball_moments(
 
     Row ``t`` of the stack belongs to ball ``cells[t]`` (nondecreasing),
     whose centre and radius are ``centers[cells[t]]`` and
-    ``radii[cells[t]]``.  Each ball's weighted sum runs over its own rows
-    alone, so every entry is the float that the one-ball call returns.  A
-    triangle stack may bring its :func:`_triangle_frames` as ``frames``.
+    ``radii[cells[t]]``.  All fields of all balls are summed in one
+    ``bincount`` over the weighted rows, which adds each sum's terms in
+    row order, so every entry is the float that the one-ball call returns.
+    A triangle stack may bring its :func:`_triangle_frames` as ``frames``.
     """
     vertices = np.asarray(vertices, dtype=float)
     n = vertices.shape[2]
@@ -491,11 +521,16 @@ def cell_ball_moments(
         return [BallMoments.zero(n) for _ in range(count)]
     hit, rows = _moment_rows(vertices, centers[cells], radii[cells], frames)
     w, cells = np.asarray(weights, dtype=float)[hit], cells[hit]
-    bounds = cells.searchsorted(np.arange(count + 1)).tolist()
-    return [
-        _weighted_moments(w[lo:hi], [a[lo:hi] for a in rows], n) if hi > lo else BallMoments.zero(n)
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
+    # the fields side by side, one column per entry; ball c's sums are
+    # bins c K .. c K + K - 1
+    widths = [1, n, n * n, 1, n, 1]
+    ends = np.cumsum(widths).tolist()
+    K = ends[-1]
+    terms = np.concatenate([a.reshape(len(w), k) for a, k in zip(rows, widths)], axis=1) * w[:, None]
+    sums = np.bincount((cells[:, None] * K + np.arange(K)).ravel(), terms.ravel(), count * K).reshape(count, K)
+    s0, s1, s2, t2, u3, t4 = (sums[:, lo:hi] for lo, hi in zip([0] + ends, ends))
+    return [BallMoments(*f) for f in zip(s0[:, 0].tolist(), s1, s2.reshape(count, n, n), t2[:, 0].tolist(), u3,
+                                         t4[:, 0].tolist())]
 
 
 def batch_ball_moments(

@@ -15,7 +15,9 @@ from gmtepi.mono import DensityProfile, alpha_m
 from gmtepi.planes import _plane_grid
 from gmtepi.quadrature import (
     _disk_clip,
+    batch_ball_moments,
     batch_ball_slices,
+    cell_ball_moments,
     disk_polygon_area,
     simplex_ball_mass,
     simplex_ball_moments,
@@ -158,6 +160,29 @@ def test_chain_moments_and_profiles_match_the_oracle(index):
         for rho, value in zip(radii, profile.values):
             want = oracle.chain_ball_mass(chain, x, rho) / (am * rho**chain.m)
             assert _close(value, want, abs(want), len(va))
+
+
+@pytest.mark.parametrize("index", [0, 1, 2], ids=["flat_disk_r5", "two_sheet_cantor", "cone_harmonic"])
+def test_each_ball_of_a_stack_is_its_one_ball_call(index):
+    # five balls, the second without rows and the fourth missed by its
+    # rows: each ball's sums are the one-ball call's floats, zero if empty
+    chain = _families()[index]
+    va, w = chain.vertex_array(), chain.coeff_norms()
+    rng = np.random.default_rng(50 + index)
+    centers = va[rng.integers(len(va), size=5)].mean(axis=1)
+    centers[3] += 10.0
+    radii = rng.uniform(0.1, 0.5, size=5)
+    rows = [chain.near_ball(c, r) if i != 1 else np.zeros(0, dtype=np.int64) for i, (c, r) in enumerate(zip(centers, radii))]
+    rows[3] = np.arange(4)
+    stack = np.concatenate(rows)
+    cells = np.repeat(np.arange(5), [len(r) for r in rows])
+    got = cell_ball_moments(va[stack], centers, radii, w[stack], cells, 5, chain.frames(stack))
+    for i, near in enumerate(rows):
+        want = batch_ball_moments(va[near], centers[i], radii[i], w[near], chain.frames(near))
+        for name, _k in FIELDS:
+            assert np.array_equal(getattr(got[i], name), getattr(want, name)), (i, name)
+    for name, _k in FIELDS:
+        assert not np.any(getattr(got[1], name)) and not np.any(getattr(got[3], name))
 
 
 @pytest.mark.parametrize("index", [0, 1, 2], ids=["flat_disk_r5", "two_sheet_cantor", "cone_harmonic"])

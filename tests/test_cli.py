@@ -135,6 +135,24 @@ def test_a_chain_file_without_a_field_exits_naming_it(tmp_path, capsys, damage, 
     assert err.count("\n") == 1 and err.startswith("error: ") and field in err
 
 
+@pytest.mark.parametrize("command,config,reason", [
+    ("epi", [{"harmonic_cutoff": 16}], "the top level is an array, not an object"),
+    ("analyze", "radius", "the top level is a string, not an object"),
+    ("epi", {"harmonic_cutoff": "16"}, "'harmonic_cutoff' must be an integer, not a string"),
+    ("epi", {"strict_flatness": 1}, "'strict_flatness' must be a boolean, not an integer"),
+    ("epi", {"tail_tol": None}, "'tail_tol' must be a number, not null"),
+    ("probe", {"radius": "0.5"}, "'radius' must be a number, not a string"),
+    ("moments", {"radius": [1.0]}, "'radius' must be a number, not an array"),
+    ("scan", {"depth": 2.0}, "'depth' must be an integer, not a number"),
+])
+def test_a_malformed_config_file_exits_naming_the_file_and_key(disk_file, tmp_path, capsys, command, config, reason):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run([command, "--chain", disk_file, "--config", str(cfg), "--out", str(tmp_path / "rpt")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: config file {cfg}: {reason}\n"
+
+
 def test_scan_of_an_empty_chain_exits_with_one_line_reason(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"version": 1, "ambient": 3, "dim": 2, "group": {"tag": "integers"},

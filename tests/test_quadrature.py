@@ -87,6 +87,18 @@ def test_disk_monomials_on_full_disk():
     assert abs(M[1, 0]) < 1e-14 and abs(M[3, 0]) < 1e-13
 
 
+def test_disk_moments_are_exactly_mirror_symmetric():
+    # y -> -y reverses the orientation and multiplies x^a y^b by (-1)^b;
+    # every step of the moment clip commutes with it exactly
+    rng = np.random.default_rng(11)
+    poly = rng.normal(size=(4000, 3, 2)) * 0.8
+    rho = 0.2 + rng.random(4000)
+    M = _disk_clip(poly, rho, moments=True)
+    mirrored = _disk_clip(poly * np.array([1.0, -1.0]), rho, moments=True)
+    sign = -((-1.0) ** np.arange(5))
+    assert np.array_equal(mirrored, sign * M)
+
+
 def test_disk_polygon_area_monte_carlo():
     rng = np.random.default_rng(7)
     for _ in range(8):

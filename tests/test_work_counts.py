@@ -12,7 +12,7 @@ import pytest
 
 from gmtepi import chains, epi, layers, quadrature, scan
 from gmtepi.chains import PolyChain, Simplex, ball_mass, pushforward_linear
-from gmtepi.generators import cantor_bump_profile, cone_harmonic, flat_disk, two_sheet_cantor
+from gmtepi.generators import cantor_bump_profile, cone_harmonic, flat_disk, tilted_cone, two_sheet_cantor
 from gmtepi.groups import NormedCoefficient, integers
 from gmtepi.mono import DensityProfile, Gauge, almost_minimal_probe
 
@@ -253,7 +253,7 @@ def test_cached_frames_give_the_one_simplex_floats(build):
         x = va[int(rng.integers(len(va))), 0] + 0.1 * r * rng.normal(size=chain.n)
         near = chain.near_ball(x, r)
         single = np.array([quadrature.simplex_ball_mass(v, x, r) for v in va[near]])
-        assert np.array_equal(quadrature.batch_ball_masses(va[near], x, r, chain.frames(near)), single)
+        assert np.array_equal(quadrature.batch_ball_masses(va[near], x, r), single)
         assert ball_mass(chain, x, r) == float(chain.coeff_norms()[near] @ single)
         # one cell per row: each cell's moments are its one simplex's
         cells = quadrature.cell_ball_moments(va[near], np.repeat(x[None], len(near), axis=0), np.full(len(near), r),
@@ -273,17 +273,18 @@ def _tetra_surface(x):
 
 @pytest.mark.parametrize("competitors", [0, 1])
 def test_a_probe_makes_one_ball_pass_per_mass_and_refines_nothing(monkeypatch, competitors):
-    # one triangle-disk pass for M(T|B), one per competitor and one for the
-    # slice arcs; one segment clip of the boundary; no chain beyond T + S
+    # one projection of T's triangles, which M(T|B) and the slice arcs
+    # share, and one per competitor T + S; one segment clip of the
+    # boundary; no chain beyond T + S
     chain = flat_disk(256)[0]
     x = np.zeros(3)
     comps = [_tetra_surface(x)] * competitors
-    count = dict(disks=0, windows=0, rows=0)
-    real_disks, real_windows, real_fill = quadrature._triangle_disks, chains._segment_windows, PolyChain._fill
+    count = dict(planes=0, windows=0, rows=0)
+    real_planes, real_windows, real_fill = quadrature._triangle_planes, chains._segment_windows, PolyChain._fill
 
-    def disks(*args, **kwargs):
-        count["disks"] += 1
-        return real_disks(*args, **kwargs)
+    def planes(*args, **kwargs):
+        count["planes"] += 1
+        return real_planes(*args, **kwargs)
 
     def windows(*args, **kwargs):
         count["windows"] += 1
@@ -293,11 +294,52 @@ def test_a_probe_makes_one_ball_pass_per_mass_and_refines_nothing(monkeypatch, c
         count["rows"] = max(count["rows"], len(verts))
         return real_fill(self, n, m, group, verts, *args, **kwargs)
 
-    monkeypatch.setattr(quadrature, "_triangle_disks", disks)
+    monkeypatch.setattr(quadrature, "_triangle_planes", planes)
+    monkeypatch.setattr(chains, "_triangle_planes", planes)
     monkeypatch.setattr(chains, "_segment_windows", windows)
     monkeypatch.setattr(PolyChain, "_fill", fill)
     rep = almost_minimal_probe(chain, x, 0.6, comps, Gauge.power(0.1, 1.0))
     assert len(rep.ratios) == competitors + 1
-    assert count["disks"] <= 2 + competitors, count
+    assert count["planes"] <= 1 + competitors, count
     assert count["windows"] <= 1, count
     assert count["rows"] <= len(chain) + 4 * competitors, count
+
+
+_PROFILE_CHAINS = [lambda: flat_disk(256, n=5)[0], lambda: cone_harmonic(2, 0.05, 64)[0],
+                   lambda: tilted_cone(0.1, 128)[0]]
+
+
+@pytest.mark.parametrize("build", _PROFILE_CHAINS)
+def test_a_density_profile_projects_the_chain_once_per_point(monkeypatch, build):
+    chain = build()
+    x = chain.vertex_array()[7, 1] * 0.6
+    radii = np.geomspace(0.02, 0.6, 48)
+    count = dict(planes=0, rows=0)
+    real = quadrature._triangle_planes
+
+    def planes(v, *args, **kwargs):
+        count["planes"] += 1
+        count["rows"] += len(v)
+        return real(v, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_triangle_planes", planes)
+    monkeypatch.setattr(chains, "_triangle_planes", planes)
+    first = DensityProfile.from_chain(chain, x, radii)
+    assert count == dict(planes=1, rows=len(chain))
+    DensityProfile.from_chain(chain, x + 0.01, radii)
+    assert count == dict(planes=2, rows=2 * len(chain))
+    again = DensityProfile.from_chain(chain, x, radii)
+    assert count["planes"] == 3
+    assert np.array_equal(again.values, first.values)
+
+
+@pytest.mark.parametrize("build", _PROFILE_CHAINS)
+def test_the_cached_projection_gives_the_freshly_culled_floats(build):
+    chain = build()
+    va = chain.vertex_array()
+    x0 = va[3, 1] * 0.5
+    for x in (x0, x0 + np.linspace(0.01, 0.05, chain.n), x0):
+        for r in (0.03, 0.2, 0.7):
+            near = chain.near_ball(x, r)
+            fresh = quadrature.batch_ball_masses(va[near], x, r)
+            assert ball_mass(chain, x, r) == float(chain.coeff_norms()[near] @ fresh)
