@@ -104,6 +104,13 @@ def coeff_payload(coeff: NormedCoefficient) -> np.ndarray:
     return np.atleast_1d(np.array(coeff.value, dtype=np.int64))
 
 
+def _payload_coefficient(group: GroupSpec, row: np.ndarray) -> NormedCoefficient:
+    """The coefficient of one payload row, shape (width,)."""
+    if group.tag == "cantor":
+        return NormedCoefficient(group, tuple(row.tolist()))
+    return NormedCoefficient(group, int(row[0]))
+
+
 def _checked_payload(group: GroupSpec, payload, count: int) -> np.ndarray:
     """``payload`` as a (count, width) int64 array; non-integral values and
     Cantor bits outside {0, 1} raise ``ValueError``."""
@@ -137,6 +144,20 @@ def _check_vertices(verts: np.ndarray) -> None:
         raise ValueError(
             f"vertex coordinate {top:.3g} is beyond the snap grid's range {SNAP_LIMIT:.3g}"
         )
+
+
+def _check_radius(r, what: str) -> None:
+    """Reject a radius that is not a finite positive number."""
+    if not (np.isfinite(r) and r > 0):
+        raise ValueError(f"{what} must be finite and positive, got {r}")
+
+
+def _check_points(points: np.ndarray, shape: tuple, what: str) -> None:
+    """Reject points that are not of ``shape`` or not finite."""
+    if points.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise ValueError(f"{what} must be finite")
 
 
 def _gram_dets(verts: np.ndarray) -> np.ndarray:
@@ -316,10 +337,7 @@ class PolyChain:
         return len(self.verts) == 0
 
     def coefficient(self, i: int) -> NormedCoefficient:
-        row = self.payload[i]
-        if self.group.tag == "cantor":
-            return NormedCoefficient(self.group, tuple(row.tolist()))
-        return NormedCoefficient(self.group, int(row[0]))
+        return _payload_coefficient(self.group, self.payload[i])
 
     def vertex_array(self) -> np.ndarray:
         """Stacked vertices, shape (terms, m+1, n)."""
@@ -454,12 +472,18 @@ def merge_terms(chain: PolyChain) -> PolyChain:
     the snapped points, so any subset of them compares as a fresh weld of
     that subset would.
     """
+    ids, first, acc = _welded_classes(chain)
+    return chain._from_rows(chain.verts[first], acc, chain._cache["gram"][first], ids[first])
+
+
+def _welded_classes(chain: PolyChain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vertex ids of the chain's rows from one weld, the first row of
+    each coincidence class, and each class's group sum relative to the
+    orientation of that row."""
     ids = _vertex_ids(chain.verts)
     keys, parity = _canonical(ids)
     cls, first = _classes(keys)
-    sign = parity * parity[first][cls]
-    acc = _accumulate(chain.group, chain.payload, sign, cls, len(first))
-    return chain._from_rows(chain.verts[first], acc, chain._cache["gram"][first], ids[first])
+    return ids, first, _accumulate(chain.group, chain.payload, parity * parity[first][cls], cls, len(first))
 
 
 def boundary(chain: PolyChain) -> PolyChain:
@@ -981,53 +1005,54 @@ def slice_mass_profile(
     ``functional`` is an affine functional given as ``(a, b)`` meaning
     ``f(x) = a . x + b``.  Slicing each simplex by a level set is exact
     polyhedral intersection; coefficients are inherited, so the profile
-    value is ``sum ||g_i|| vol_{m-1}(S_i ∩ {f = t})``.  A simplex lying in
-    a queried level set raises (degenerate slicing direction).
+    value is ``sum ||g_i|| vol_{m-1}(S_i ∩ {f = t})``, added in term order.
+    A simplex lying in a queried level set raises (degenerate slicing
+    direction).  Each level slices every simplex in one pass: a simplex is
+    cut when it has vertices more than ``tol`` below and above the level,
+    a cut segment meets it in one point, and a cut triangle in the segment
+    between two points, each an edge crossing or a vertex within ``tol``
+    (:func:`_cut_triangles`).
     """
     if callable(functional):
         raise TypeError("pass the affine functional as a pair (a, b)")
     a, b = functional
-    a = np.asarray(a, dtype=float)
+    v = chain.verts
+    scale = np.maximum(1.0, np.max(np.abs(v), axis=(1, 2)))[:, None]
     out = []
     for t in levels:
-        total = 0.0
-        for verts, w in zip(chain.verts, chain.coeff_norms()):
-            d = verts @ a + b - t
-            scale = max(1.0, float(np.max(np.abs(verts))))
-            if np.all(np.abs(d) <= tol * scale):
-                raise ValueError("functional is constant on a simplex at a queried level")
-            if np.all(d >= -tol) or np.all(d <= tol):
-                continue
-            crossings = []
-            k = len(d)
-            for i in range(k):
-                for j in range(i + 1, k):
-                    if (d[i] < -tol and d[j] > tol) or (d[j] < -tol and d[i] > tol):
-                        s = d[i] / (d[i] - d[j])
-                        crossings.append(verts[i] + s * (verts[j] - verts[i]))
-            for i in range(k):
-                if abs(d[i]) <= tol:
-                    crossings.append(np.array(verts[i]))
-            w = float(w)
-            if chain.m == 1:
-                total += w * (1.0 if crossings else 0.0)
-            elif chain.m == 2:
-                if len(crossings) >= 2:
-                    pts = np.array(crossings)
-                    i0, i1 = _farthest_pair(pts)
-                    total += w * float(np.linalg.norm(pts[i0] - pts[i1]))
-            else:
-                raise NotImplementedError("slice profiles support m <= 2")
-        out.append((float(t), total))
+        d = v @ np.asarray(a, dtype=float) + b - t
+        if np.any(np.all(np.abs(d) <= tol * scale, axis=1)):
+            raise ValueError("functional is constant on a simplex at a queried level")
+        cut = np.flatnonzero(np.any(d < -tol, axis=1) & np.any(d > tol, axis=1))
+        if len(cut) and chain.m > 2:
+            raise NotImplementedError("slice profiles support m <= 2")
+        size = np.ones(len(cut))
+        if chain.m == 2:
+            p, q, _ = _cut_triangles(v[cut], d[cut], tol)
+            size = np.sqrt(_rowdot(p - q, p - q))
+        out.append((float(t), sum((chain.coeff_norms()[cut] * size).tolist(), 0.0)))
     return out
 
 
-def _farthest_pair(pts: np.ndarray) -> tuple[int, int]:
-    best = (0, 0)
-    bestd = -1.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = float(np.linalg.norm(pts[i] - pts[j]))
-            if d > bestd:
-                best, bestd = (i, j), d
-    return best
+def _cut_triangles(v: np.ndarray, d: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ends of the segments where triangles ``v`` (T, 3, n) with signed
+    heights ``d`` (T, 3) over a hyperplane cross it, heights within ``tol``
+    counting as on it, and the triangles that cross it in two points, which
+    alone are kept."""
+    neg, pos = d < -tol, d > tol
+    cands, valid = [], []
+    for i, j in ((0, 1), (0, 2), (0, None), (1, 2), (1, None), (2, None)):
+        if j is None:
+            cands.append(v[:, i])
+            valid.append(np.abs(d[:, i]) <= tol)
+            continue
+        cross = (neg[:, i] & pos[:, j]) | (neg[:, j] & pos[:, i])
+        t = d[:, i] / np.where(cross, d[:, i] - d[:, j], 1.0)
+        cands.append(v[:, i] + t[:, None] * (v[:, j] - v[:, i]))
+        valid.append(cross)
+    cands, valid = np.stack(cands, axis=1), np.stack(valid, axis=1)
+    rank = np.cumsum(valid, axis=1)
+    two = np.flatnonzero(rank[:, -1] >= 2)
+    first = np.argmax(valid[two], axis=1)
+    second = np.argmax(valid[two] & (rank[two] == 2), axis=1)
+    return cands[two, first], cands[two, second], two

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -51,14 +52,18 @@ _CONFIG_TYPES = {
     **{f.name: type(f.default) for f in dataclasses.fields(EpiConfig)},
 }
 
+#: The least value of each numeric config key, and whether it is excluded.
+_CONFIG_LEAST = {"radius": (0, True), "r0": (0, True), "depth": (0, False), "max_points": (1, False)}
+
 _JSON_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string", list: "an array",
                dict: "an object", type(None): "null"}
 
 
-def _config(args) -> dict:
+def _config(args, chain=None) -> dict:
     """The ``--config`` file's object with the seed added.  A top level
-    that is not an object, or a scalar key of the wrong type, raises
-    ``ValueError`` naming the file and the key."""
+    that is not an object, a scalar key of the wrong type or out of its
+    range, or an array key that is not an array of finite numbers of its
+    shape for ``chain`` raises ``ValueError`` naming the file and the key."""
     cfg = {}
     if args.config:
         with open(args.config) as fh:
@@ -70,8 +75,29 @@ def _config(args) -> dict:
             if type(value) is not want and not (want is float and type(value) is int):
                 raise ValueError(f"config file {args.config}: {key!r} must be {_JSON_KINDS[want]}, "
                                  f"not {_JSON_KINDS[type(value)]}")
+        for key, (least, strict) in _CONFIG_LEAST.items():
+            value = cfg.get(key, least + 1)
+            if not (math.isfinite(value) and (value > least if strict else value >= least)):
+                raise ValueError(f"config file {args.config}: {key!r} must be "
+                                 f"{f'a finite number > {least}' if strict else f'at least {least}'}, not {value}")
+        # a point, points and the rows spanning the base plane; None is any
+        # positive length
+        m, n = (None, None) if chain is None else (chain.m, chain.n)
+        for key, shape in (("x", (n,)), ("points", (None, n)), ("plane", (m, n))):
+            if key in cfg and not _is_array(cfg[key], shape):
+                text = ", ".join("k" if w is None else str(w) for w in shape) + ("," if len(shape) == 1 else "")
+                raise ValueError(f"config file {args.config}: {key!r} must be an array of finite numbers "
+                                 f"of shape ({text})")
     cfg.setdefault("seed", args.seed)
     return cfg
+
+
+def _is_array(value, shape: tuple) -> bool:
+    """Whether a JSON value is a nested array of finite numbers of
+    ``shape``, where None allows any positive length."""
+    a = np.array(value, dtype=object)
+    fits = a.ndim == len(shape) and all(d == w or (w is None and d > 0) for d, w in zip(a.shape, shape))
+    return fits and all(type(v) in (int, float) and math.isfinite(v) for v in a.flat)
 
 
 def _need_chain(args):
@@ -92,7 +118,7 @@ def cmd_generate(args) -> int:
 
 def cmd_analyze(args) -> int:
     chain, meta = _need_chain(args)
-    cfg = _config(args)
+    cfg = _config(args, chain)
     bd = boundary(chain)
     rows = [
         {"quantity": "terms", "value": len(chain)},
@@ -118,7 +144,7 @@ def _base_plane(chain, cfg) -> OrientedPlane:
 
 def cmd_excess(args) -> int:
     chain, _meta = _need_chain(args)
-    cfg = _config(args)
+    cfg = _config(args, chain)
     plane = align_base_to_chain(_base_plane(chain, cfg), chain)
     try:
         decomp = decompose_layers(chain, plane, radius=cfg.get("radius", 1.0))
@@ -136,7 +162,7 @@ def cmd_excess(args) -> int:
 
 def cmd_epi(args) -> int:
     chain, _meta = _need_chain(args)
-    cfg = _config(args)
+    cfg = _config(args, chain)
     epi_cfg = EpiConfig(**{k: v for k, v in cfg.items() if k in EpiConfig.__dataclass_fields__})
     try:
         _s, rep = build_comparison(chain, epi_cfg)
@@ -161,7 +187,7 @@ def cmd_epi(args) -> int:
 
 def cmd_moments(args) -> int:
     chain, _meta = _need_chain(args)
-    cfg = _config(args)
+    cfg = _config(args, chain)
     x = np.array(cfg.get("x", [0.0] * chain.n), dtype=float)
     r = cfg.get("radius", 1.0)
     rec = moments_all(chain, x, r)
@@ -178,7 +204,7 @@ def cmd_moments(args) -> int:
 
 def cmd_scan(args) -> int:
     chain, meta = _need_chain(args)
-    cfg = _config(args)
+    cfg = _config(args, chain)
     pts = cfg.get("points")
     if pts is None:
         verts = chain.vertex_array().reshape(-1, chain.n)
@@ -211,7 +237,7 @@ def cmd_scan(args) -> int:
 
 def cmd_probe(args) -> int:
     chain, _meta = _need_chain(args)
-    cfg = _config(args)
+    cfg = _config(args, chain)
     x = np.array(cfg.get("x", [0.0] * chain.n), dtype=float)
     r = cfg.get("radius", 0.5)
     xi = Gauge.power(cfg.get("gauge_c", 0.1), cfg.get("gauge_alpha", 1.0))

@@ -46,10 +46,12 @@ import numpy as np
 
 from .chains import (
     PolyChain,
+    _accumulate,
     _check_vertices,
     _dists,
     _fan_split,
     _gram_dets,
+    _payload_norms,
     boundary,
     coeff_payload,
     is_cone,
@@ -983,30 +985,26 @@ def _residual_defect_mass(chain: PolyChain, tol: float = 1e-9) -> float:
     """Mass of a boundary-defect chain after tolerance-based cancellation.
 
     Snap-grid face merging can miss pairs that differ by rounding right at
-    a grid boundary; pair leftover segments within ``tol`` and cancel
-    their coefficients before measuring."""
-    from .groups import group_add, group_neg
+    a grid boundary.  So each face not yet taken, in term order, takes the
+    later faces not yet taken whose volume is within ``tol`` of its own and
+    whose vertices are within ``tol`` of its own in the same order (added)
+    or the reversed one (subtracted); each class is summed and measured
+    once, and the masses are added in term order."""
+    T, k, n = chain.verts.shape
+    vol = chain.volumes()
+    flat = chain.verts.reshape(T, k * n)
+    i, j = np.nonzero(np.triu(np.abs(vol[:, None] - vol) <= tol, 1))
 
-    items = [[s_.vertices.copy(), c, s_.volume] for s_, c in chain.terms]
-    total = 0.0
-    used = [False] * len(items)
-    for i in range(len(items)):
-        if used[i]:
-            continue
-        vi, ci, li = items[i]
-        for j in range(i + 1, len(items)):
-            if used[j]:
-                continue
-            vj, cj, lj = items[j]
-            if abs(li - lj) > tol:
-                continue
-            if np.linalg.norm(vi - vj) <= tol:
-                ci = group_add(ci, cj)
-                used[j] = True
-            elif np.linalg.norm(vi - vj[::-1]) <= tol:
-                ci = group_add(ci, group_neg(cj))
-                used[j] = True
-        used[i] = True
-        if not ci.is_zero:
-            total += group_norm(ci) * li
-    return total
+    def near(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.sqrt(_rowdot(a - b, a - b)) <= tol
+
+    same = near(flat[i], flat[j])
+    flip = ~same & near(flat[i], chain.verts[j, ::-1].reshape(len(j), k * n))
+    pair = same | flip
+    owner, sign = np.arange(T), np.ones(T, dtype=np.int64)
+    for a, b, s in zip(i[pair].tolist(), j[pair].tolist(), np.where(same, 1, -1)[pair].tolist()):
+        if owner[a] == a and owner[b] == b:
+            owner[b], sign[b] = a, s
+    heads, cls = np.unique(owner, return_inverse=True)
+    acc = _accumulate(chain.group, chain.payload, sign, cls, len(heads))
+    return sum((_payload_norms(chain.group, acc) * vol[heads]).tolist(), 0.0)

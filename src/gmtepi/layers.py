@@ -25,8 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import PolyChain, _clip_polygons, _dist_to_simplices, _dists, _region_sups, boundary, merge_terms
-from .groups import NormedCoefficient, group_add, group_norm, integers, zero
+from .chains import (PolyChain, _accumulate, _clip_polygons, _dist_to_simplices, _dists, _payload_coefficient,
+                     _region_sups, _welded_classes, boundary, merge_terms)
+from .groups import NormedCoefficient, group_norm, integers, zero
 from .planes import OrientedPlane
 from .quadrature import _disk_clip, _norms, _rowdot, disk_polygon_areas
 
@@ -148,7 +149,8 @@ def boundary_clearance(chain: PolyChain, base: OrientedPlane) -> float:
 
 def _stalk_coefficient(decomp: LayerDecomposition, radius: float) -> NormedCoefficient:
     """Sum of the coefficients of the domains covering the first probe
-    point of the disk that lies off every domain edge."""
+    point of the disk that lies off every domain edge, one group sum over
+    their payload rows."""
     dom = decomp.domains
     m = decomp.m
     for x in radius * _PROBES[:, :m]:
@@ -165,10 +167,9 @@ def _stalk_coefficient(decomp: LayerDecomposition, radius: float) -> NormedCoeff
                 continue
             cross = e[..., 0] * rel[..., 1] - e[..., 1] * rel[..., 0]
             hits = np.flatnonzero(np.all(cross > 0, axis=1) | np.all(cross < 0, axis=1))
-        acc = zero(decomp.chain.group)
-        for j in hits:
-            acc = group_add(acc, decomp.chain.coefficient(j))
-        return acc
+        group, ones = decomp.chain.group, np.ones(len(hits), dtype=np.int64)
+        acc = _accumulate(group, decomp.chain.payload[hits], ones, np.zeros_like(ones), 1)
+        return _payload_coefficient(group, acc[0])
     raise ConstancyError(f"every probe point lies within {EDGE_TOL} of a domain edge")
 
 
@@ -619,23 +620,27 @@ def box_sheets(chain: PolyChain, x: np.ndarray, base: OrientedPlane, r: float) -
     of the part in ``base^perp``, so no frame of it enters), and their
     exact Lipschitz constant.
 
-    Each term is cut to the box (:func:`_box_pieces`).  It is *in* when its
-    largest ``|h|`` over the piece is at most r, and *out* when the least
-    one exceeds r.  A degenerate or reversed term that is not out raises
-    :class:`GeneralPositionError` (:func:`decompose_layers`), and a term
-    across the cut ``ValueError``.  So every in term projects positively,
-    and when no face of the chain's unit-coefficient boundary
-    (:func:`_unit_faces`) has a part over the open box with a least ``|h|``
-    at most r (else :class:`ConstancyError`), no boundary face of the in
-    terms lies over it either, and the number of sheets over each point of
-    the box is the constant ``sum_i |D_i ∩ box| / |box|`` (the constancy
-    theorem).  Returns it and ``max_i ||A_i||_2`` over the in terms, from
-    their affine maps solved on the chain's arrays; (0, 0) when none meets
-    the window.  No chain is built, and the unit boundary is welded once
-    per chain.
+    The terms are those of the chain's merged carrier (:func:`_unit_faces`:
+    one per coincidence class that does not sum to zero), so a sheet stored
+    twice counts once.  Each is cut to the box (:func:`_box_pieces`).  It is
+    *in* when its largest ``|h|`` over the piece is at most r, and *out*
+    when the least one exceeds r.  A degenerate or reversed term that is
+    not out raises :class:`GeneralPositionError` (:func:`decompose_layers`),
+    and a term across the cut ``ValueError``.  So every in term projects
+    positively, and when no face of the carrier's unit-coefficient boundary
+    has a part over the open box with a least ``|h|`` at most r (else
+    :class:`ConstancyError`), no boundary face of the in terms lies over it
+    either, and the number of sheets over each point of the box is the
+    constant ``sum_i |D_i ∩ box| / |box|`` (the constancy theorem).  Returns
+    it and ``max_i ||A_i||_2`` over the in terms, from their affine maps
+    solved on the chain's arrays; (0, 0) when none meets the window.  No
+    chain is built, and the carrier is welded once per chain.
     """
     m = base.m
     near = chain.near_ball(x, r * math.sqrt(1.0 + 0.25 * m))
+    rows, faces, diam = _unit_faces(chain)[1]
+    if rows is not None:
+        near = np.intersect1d(near, rows, assume_unique=True)
     # base coordinates, then heights; aligning the base flips a frame row,
     # which keeps its complement
     perp = base.perp_frame()
@@ -650,7 +655,6 @@ def box_sheets(chain: PolyChain, x: np.ndarray, base: OrientedPlane, r: float) -
         raise ValueError("the support crosses the height cut |h| = r over the box")
     # the boundary faces within reach of the cut box, by their parts over
     # the open box
-    faces, diam = _unit_faces(chain)
     reach = _norms(faces - x).min(axis=1) - diam
     qh = (faces[reach <= r * math.sqrt(1.0 + 0.25 * m)] - x) @ basis.T
     if m == 1:
@@ -709,14 +713,30 @@ def _spectral_norms(A: np.ndarray) -> np.ndarray:
     return np.sqrt(0.5 * (a + d) + np.hypot(0.5 * (a - d), b))
 
 
-def _unit_faces(chain: PolyChain) -> tuple[np.ndarray, np.ndarray]:
-    """Vertices (F, m, n) and diameters (F,) of the faces of the boundary
-    of the chain's unit-coefficient carrier, welded once per chain and kept
-    in its cache."""
+def _unit_faces(chain: PolyChain) -> tuple[tuple, tuple]:
+    """The boundaries of the chain's two unit-coefficient carriers, from one
+    weld of its rows and kept in its cache: the vertices (F, m, n) and
+    diameters (F,) of the faces of the stored carrier, every term with
+    coefficient 1; and the rows of the merged carrier, one term per
+    coincidence class whose coefficients do not sum to zero (None where no
+    two terms coincide and it is the stored one), with its faces.
+
+    The graph certificate counts sheets on the merged carrier, so that its
+    verdict depends on the current and not on how it is stored.  The cover
+    test reads the stored one: at a branch point, where two stored copies
+    of one sheet part, its carrier has no boundary, and the merged one
+    does."""
     if "unit_faces" not in chain._cache:
-        carrier = PolyChain(chain.n, chain.m, integers(), verts=chain.verts, payload=np.ones((len(chain), 1), dtype=np.int64))
-        faces = boundary(carrier).verts
-        chain._cache["unit_faces"] = faces, np.max(np.linalg.norm(faces - faces[:, :1], axis=2), axis=1)
+        ids, first, acc = _welded_classes(chain)
+        unit = PolyChain(chain.n, chain.m, integers(), verts=chain.verts, payload=np.ones((len(chain), 1), dtype=np.int64))
+
+        def faces(rows) -> tuple[np.ndarray, np.ndarray]:
+            f = boundary(unit._from_rows(unit.verts[rows], unit.payload[rows], unit._cache["gram"][rows], ids[rows])).verts
+            return f, np.max(np.linalg.norm(f - f[:, :1], axis=2), axis=1)
+
+        stored = faces(slice(None))
+        rows = first[np.any(acc != 0, axis=1)]
+        chain._cache["unit_faces"] = stored, (None, *stored) if len(rows) == len(chain) else (rows, *faces(rows))
     return chain._cache["unit_faces"]
 
 
@@ -778,7 +798,7 @@ def disk_cover(
         sheets = np.rint(k)
         covered &= (sheets != 0) & (np.abs(k - sheets) <= 1e-9)
         # the boundary faces that can reach the cut cylinder, all within sqrt(2) r
-        faces, diam = _unit_faces(chain)
+        faces, diam = _unit_faces(chain)[0]
         reach = _norms(faces[None] - xs[:, None, None]).min(axis=2) - diam
         fc, f = np.nonzero(reach <= math.sqrt(2.0) * rs[:, None] * (1.0 + 1e-9))
         if len(fc):

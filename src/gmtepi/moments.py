@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import PolyChain, _sup_pass
+from .chains import PolyChain, _check_points, _check_radius, _sup_pass
 from .mono import DensityProfile, Gauge, alpha_m, spherical_excess
 from .planes import OrientedPlane
 from .quadrature import BallMoments, batch_ball_moments
@@ -164,11 +164,13 @@ def moments_all(chain: PolyChain, x, r: float) -> MomentsRecord:
     """Evaluate ``V``, ``P_0..P_4``, ``b``, ``V_hat`` and ``tr Q`` exactly.
 
     The identity ``V = sum_k P_k`` is assembled through two independent
-    expansions and its relative gap is recorded.
+    expansions and its relative gap is recorded.  A radius that is not
+    finite and positive, or an ``x`` that is not a finite point of R^n,
+    raises ``ValueError``.
     """
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    _check_radius(r, "radius")
     x = np.asarray(x, dtype=float)
+    _check_points(x, (chain.n,), "centre")
     bm = chain_ball_moments(chain, np.zeros(chain.n), r)
     s0, s1, S2, t2, u3, t4 = bm.s0, bm.s1, bm.s2, bm.t2, bm.u3, bm.t4
     x2 = float(x @ x)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import PolyChain, ball_cone_bound, boundary, mass
+from .chains import PolyChain, _check_points, _check_radius, ball_cone_bound, boundary, mass
 from .chains import ball_mass as chain_ball_mass
 
 __all__ = [
@@ -149,9 +149,11 @@ class DensityProfile:
     @classmethod
     def from_chain(cls, chain: PolyChain, center, radii) -> "DensityProfile":
         center = np.asarray(center, dtype=float)
+        _check_points(center, (chain.n,), "centre")
         radii = np.asarray(radii, dtype=float)
-        if np.any(np.diff(radii) <= 0) or radii[0] <= 0:
-            raise ValueError("radii must be positive and ascending")
+        if not (radii.ndim == 1 and len(radii) and np.all(np.isfinite(radii)) and radii[0] > 0
+                and np.all(np.diff(radii) > 0)):
+            raise ValueError("radii must be a list of finite, positive and ascending numbers")
         am = alpha_m(chain.m)
         vals = np.array(
             [chain_ball_mass(chain, center, r) / (am * r**chain.m) for r in radii]
@@ -327,9 +329,12 @@ def almost_minimal_probe(
     (T + S)⌞B``, so every mass is an exact ball mass.  The cone from x
     over ``∂(T⌞B)`` is the last competitor (the comparison driving excess
     decay); it is measured by the upper bound :func:`~gmtepi.chains.ball_cone_bound`,
-    so a refutation by it is sound.
+    so a refutation by it is sound.  An ``x`` that is not a finite point of
+    R^n, or an ``r`` that is not finite and positive, raises ``ValueError``.
     """
     x = np.asarray(x, dtype=float)
+    _check_points(x, (chain.n,), "centre")
+    _check_radius(r, "radius")
     mb = chain_ball_mass(chain, x, r)
     reach = r + 1e-12 * (r + float(np.max(np.abs(x), initial=0.0)))
     alts = []

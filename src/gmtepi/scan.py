@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import PolyChain, _dist_to_simplices, _sup_pass
+from .chains import PolyChain, _check_points, _check_radius, _cut_triangles, _dist_to_simplices, _sup_pass
 from .layers import box_sheets, disk_cover
 from .mono import alpha_m, alpha0_exponent, lambda_epi
 from .moments import _cell_betas, _centred_betas, _gap_reason, _perp_frames, _signed_frames, beta_numbers
@@ -99,7 +100,7 @@ def _frame_search(
         if m == 1:
             a, b = v[live, 0], v[live, 1]
         else:
-            a, b, two = _cut_triangles(v[live], np.matmul(v[live], normal[own][..., None])[..., 0])
+            a, b, two = _cut_triangles(v[live], np.matmul(v[live], normal[own][..., None])[..., 0], 1e-13)
             own = own[two]
         dd, so = b - a, s[own]
         aa = _rowdot(dd, dd)
@@ -128,29 +129,6 @@ def _frame_search(
             rest = frames[:, 1] - _rowdot(frames[:, 1], f)[:, None] * f
             target, normal = rest / np.sqrt(_rowdot(rest, rest))[:, None], f
     return dirs, found
-
-
-def _cut_triangles(v: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ends of the segments where triangles ``v`` (T, 3, n) with signed
-    heights ``d`` (T, 3) over a hyperplane cross it, and the triangles that
-    cross it in two points, which alone are kept."""
-    neg, pos = d < -1e-13, d > 1e-13
-    cands, valid = [], []
-    for i, j in ((0, 1), (0, 2), (0, None), (1, 2), (1, None), (2, None)):
-        if j is None:
-            cands.append(v[:, i])
-            valid.append(np.abs(d[:, i]) <= 1e-13)
-            continue
-        cross = (neg[:, i] & pos[:, j]) | (neg[:, j] & pos[:, i])
-        t = d[:, i] / np.where(cross, d[:, i] - d[:, j], 1.0)
-        cands.append(v[:, i] + t[:, None] * (v[:, j] - v[:, i]))
-        valid.append(cross)
-    cands, valid = np.stack(cands, axis=1), np.stack(valid, axis=1)
-    rank = np.cumsum(valid, axis=1)
-    two = np.flatnonzero(rank[:, -1] >= 2)
-    first = np.argmax(valid[two], axis=1)
-    second = np.argmax(valid[two] & (rank[two] == 2), axis=1)
-    return cands[two, first], cands[two, second], two
 
 
 def _gate_reason(beta_inf: float, rho: float) -> str:
@@ -330,7 +308,9 @@ def multiscale_scan(
     and makes ``eta`` an upper bound there, as the Dini gate of
     :func:`extract_graph` and ``coherence_bound`` need), and else the
     largest exact distance from a polar grid on the plane ball.  An empty
-    chain raises ``ValueError``.
+    chain, points that are not finite or not of width n, an ``r0`` that is
+    not finite and positive and a ``depth`` that is not a nonnegative
+    integer raise ``ValueError``.
 
     All (point, scale) cells of a call go through each stage in stacked
     passes.  Each point culls the chain once, in one threshold pass for
@@ -345,6 +325,10 @@ def multiscale_scan(
     if chain.is_zero:
         raise ValueError("empty chain")
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    _check_points(points, (len(points), chain.n), "scan points")
+    _check_radius(r0, "r0")
+    if not isinstance(depth, numbers.Integral) or depth < 0:
+        raise ValueError(f"depth must be a nonnegative integer, got {depth!r}")
     report = ScanReport(points, r0, depth)
     for cell in _scan_cells(chain, points, r0, depth):
         report.cells[(cell.point_index, cell.scale_index)] = cell

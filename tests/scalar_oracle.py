@@ -15,7 +15,8 @@ triple overlap loop of the multiplicity statistics, the
 averaged graph and its all-layer ball means, the chain construction
 filter, ``boundary``, ``merge_terms`` and ``size``, and the array
 ``merge_terms`` and ``boundary`` that weld their rows on every call and
-group them by one lexsort over every key column.
+group them by one lexsort over every key column, and the slice profile,
+the boundary-defect matcher and the stalk sum one term at a time.
 
 These are the loop-based routines the batched kernels in
 ``gmtepi.chains``, ``gmtepi.quadrature``, ``gmtepi.moments``,
@@ -1613,13 +1614,15 @@ def cell_frame_reason(chain, x: np.ndarray, cell) -> str:
 def box_sheets(chain, x: np.ndarray, base, r: float) -> tuple[float, float]:
     """The sheet count over the box ``|.|_inf <= r/2`` of ``base`` cut at
     height r, and the Lipschitz constant, from the unit-coefficient carrier
-    of the in terms: a chain built and welded on every call, whose
-    boundary faces clipped to the open box must be empty."""
+    of the in terms of the merged chain (one term per coincidence class
+    that does not sum to zero): a chain built and welded on every call,
+    whose boundary faces clipped to the open box must be empty."""
     from gmtepi.chains import _dists, boundary
     from gmtepi.groups import integers
     from gmtepi.layers import (ConstancyError, _affine_maps, _box_clip, _fan_areas, _layer_stack, _spectral_norms,
                                align_base_to_chain)
 
+    chain = welded_merge_terms(chain)
     m, n = base.m, base.n
     near = chain.near_ball(x, r * math.sqrt(1.0 + 0.25 * m))
     perp = base.perp_frame()
@@ -1691,3 +1694,117 @@ def graph_certificate(report, chain, point_index: int, dini_budget: float = 1.0 
     elif lips > 1.0 + 1e-9:
         reason = f"Lipschitz bound {lips:.3g} exceeds 1"
     return GraphCertificate(reason == "ok", reason, eta_hat, dini_budget, lips, dscales, drifts, exponent)
+
+
+# -- the slice profile, the boundary-defect matcher and the stalk sum, one
+# term at a time
+
+
+def slice_mass_profile(chain, functional, levels, tol: float = 1e-12) -> list[tuple[float, float]]:
+    """``chains.slice_mass_profile``: every simplex of every level sliced on
+    its own, and each slice segment the farthest pair of its crossings."""
+    a, b = functional
+    a = np.asarray(a, dtype=float)
+    out = []
+    for t in levels:
+        total = 0.0
+        for verts, w in zip(chain.verts, chain.coeff_norms()):
+            d = verts @ a + b - t
+            scale = max(1.0, float(np.max(np.abs(verts))))
+            if np.all(np.abs(d) <= tol * scale):
+                raise ValueError("functional is constant on a simplex at a queried level")
+            if np.all(d >= -tol) or np.all(d <= tol):
+                continue
+            crossings = []
+            k = len(d)
+            for i in range(k):
+                for j in range(i + 1, k):
+                    if (d[i] < -tol and d[j] > tol) or (d[j] < -tol and d[i] > tol):
+                        s = d[i] / (d[i] - d[j])
+                        crossings.append(verts[i] + s * (verts[j] - verts[i]))
+            for i in range(k):
+                if abs(d[i]) <= tol:
+                    crossings.append(np.array(verts[i]))
+            w = float(w)
+            if chain.m == 1:
+                total += w * (1.0 if crossings else 0.0)
+            elif chain.m == 2:
+                if len(crossings) >= 2:
+                    pts = np.array(crossings)
+                    i0, i1 = _farthest_pair(pts)
+                    total += w * float(np.linalg.norm(pts[i0] - pts[i1]))
+            else:
+                raise NotImplementedError("slice profiles support m <= 2")
+        out.append((float(t), total))
+    return out
+
+
+def _farthest_pair(pts: np.ndarray) -> tuple[int, int]:
+    best = (0, 0)
+    bestd = -1.0
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            d = float(np.linalg.norm(pts[i] - pts[j]))
+            if d > bestd:
+                best, bestd = (i, j), d
+    return best
+
+
+def residual_defect_mass(chain, tol: float = 1e-9) -> float:
+    """``epi._residual_defect_mass``: each unpaired face, in term order,
+    absorbs the later unpaired faces within ``tol`` of it in the same or
+    the reversed vertex order, by group addition of the coefficients."""
+    from gmtepi.groups import group_norm
+
+    items = [[s_.vertices.copy(), c, s_.volume] for s_, c in chain.terms]
+    total = 0.0
+    used = [False] * len(items)
+    for i in range(len(items)):
+        if used[i]:
+            continue
+        vi, ci, li = items[i]
+        for j in range(i + 1, len(items)):
+            if used[j]:
+                continue
+            vj, cj, lj = items[j]
+            if abs(li - lj) > tol:
+                continue
+            if np.linalg.norm(vi - vj) <= tol:
+                ci = group_add(ci, cj)
+                used[j] = True
+            elif np.linalg.norm(vi - vj[::-1]) <= tol:
+                ci = group_add(ci, group_neg(cj))
+                used[j] = True
+        used[i] = True
+        if not ci.is_zero:
+            total += group_norm(ci) * li
+    return total
+
+
+def stalk_coefficient(decomp, radius: float):
+    """``layers._stalk_coefficient``: the coefficients of the covering
+    domains added one at a time."""
+    from gmtepi.groups import zero
+    from gmtepi.layers import _PROBES, EDGE_TOL, ConstancyError
+
+    dom = decomp.domains
+    m = decomp.m
+    for x in radius * _PROBES[:, :m]:
+        if m == 1:
+            ends = dom[:, :, 0]
+            if np.min(np.abs(ends - x[0])) <= EDGE_TOL:
+                continue
+            hits = np.flatnonzero((ends.min(axis=1) < x[0]) & (x[0] < ends.max(axis=1)))
+        else:
+            e = np.roll(dom, -1, axis=1) - dom
+            rel = x - dom
+            t = np.clip(np.sum(rel * e, axis=2) / np.sum(e * e, axis=2), 0.0, 1.0)
+            if np.min(np.linalg.norm(rel - t[..., None] * e, axis=2)) <= EDGE_TOL:
+                continue
+            cross = e[..., 0] * rel[..., 1] - e[..., 1] * rel[..., 0]
+            hits = np.flatnonzero(np.all(cross > 0, axis=1) | np.all(cross < 0, axis=1))
+        acc = zero(decomp.chain.group)
+        for j in hits:
+            acc = group_add(acc, decomp.chain.coefficient(j))
+        return acc
+    raise ConstancyError(f"every probe point lies within {EDGE_TOL} of a domain edge")

@@ -144,6 +144,13 @@ def test_a_chain_file_without_a_field_exits_naming_it(tmp_path, capsys, damage, 
     ("probe", {"radius": "0.5"}, "'radius' must be a number, not a string"),
     ("moments", {"radius": [1.0]}, "'radius' must be a number, not an array"),
     ("scan", {"depth": 2.0}, "'depth' must be an integer, not a number"),
+    ("scan", {"r0": -0.1}, "'r0' must be a finite number > 0, not -0.1"),
+    ("scan", {"max_points": 0}, "'max_points' must be at least 1, not 0"),
+    ("scan", {"depth": -1}, "'depth' must be at least 0, not -1"),
+    ("probe", {"radius": 0}, "'radius' must be a finite number > 0, not 0"),
+    ("moments", {"x": [0.0, 0.0]}, "'x' must be an array of finite numbers of shape (3,)"),
+    ("scan", {"points": [[0.1, 0.0, "0"]]}, "'points' must be an array of finite numbers of shape (k, 3)"),
+    ("excess", {"plane": [[1.0, 0.0, 0.0]]}, "'plane' must be an array of finite numbers of shape (2, 3)"),
 ])
 def test_a_malformed_config_file_exits_naming_the_file_and_key(disk_file, tmp_path, capsys, command, config, reason):
     cfg = tmp_path / "cfg.json"

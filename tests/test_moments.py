@@ -217,3 +217,14 @@ def test_quadform_pinch_perturbed_disk():
 def test_quad_form_rejects_an_empty_chain():
     with pytest.raises(ValueError, match="empty chain"):
         quad_form(PolyChain(3, 2, integers(), []), np.zeros(3), 1.0)
+
+
+@pytest.mark.parametrize("x,r,reason", [
+    ([0.0, 0.0, 0.0], math.nan, "radius must be finite and positive"),
+    ([0.0, 0.0, 0.0], -1.0, "radius must be finite and positive"),
+    ([0.0, 0.0], 1.0, r"centre must have shape \(3,\)"),
+    ([0.0, math.inf, 0.0], 1.0, "centre must be finite"),
+])
+def test_moments_all_refuses_bad_input(x, r, reason):
+    with pytest.raises(ValueError, match=reason):
+        moments_all(flat_disk(16)[0], x, r)

@@ -299,3 +299,28 @@ def test_gauge_integral_tabulated_matches_power():
     Xi_pow = gauge_integral(Gauge.power(0.5, 0.5), m=2)
     for r in (0.01, 0.1, 0.9):
         assert abs(Xi_tab(r) - Xi_pow(r)) <= 0.01 * Xi_pow(r)
+
+
+@pytest.mark.parametrize("center,radii,reason", [
+    ([math.nan, 0.0, 0.0], [0.1, 0.2], "centre must be finite"),
+    ([0.0, 0.0], [0.1, 0.2], r"centre must have shape \(3,\)"),
+    ([0.0, 0.0, 0.0], [0.1, math.inf], "radii must be a list of finite"),
+    ([0.0, 0.0, 0.0], [], "radii must be a list of finite"),
+    ([0.0, 0.0, 0.0], [[0.1, 0.2]], "radii must be a list of finite"),
+])
+def test_a_profile_refuses_bad_input(center, radii, reason):
+    # a NaN centre used to give a profile of zeros
+    with pytest.raises(ValueError, match=reason):
+        DensityProfile.from_chain(flat_disk(16)[0], center, radii)
+
+
+@pytest.mark.parametrize("x,r,reason", [
+    ([math.nan, 0.0, 0.0], 0.5, "centre must be finite"),
+    ([0.0, 0.0, 0.0, 0.0], 0.5, r"centre must have shape \(3,\)"),
+    ([0.0, 0.0, 0.0], -0.5, "radius must be finite and positive"),
+    ([0.0, 0.0, 0.0], math.inf, "radius must be finite and positive"),
+])
+def test_a_probe_refuses_bad_input(x, r, reason):
+    # at a NaN centre the probe used to answer "not refuted"
+    with pytest.raises(ValueError, match=reason):
+        almost_minimal_probe(flat_disk(16)[0], x, r, [], Gauge.power(0.1, 1.0))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gmtepi.chains import PolyChain, pushforward_linear
+from gmtepi.chains import PolyChain, merge_terms, pushforward_linear
 from gmtepi.generators import (
     cantor_bump_profile,
     cantor_graph,
@@ -224,6 +224,8 @@ def _branch_points():
 def test_branch_points_are_refused_without_a_dini_gate():
     # the sheets part within each box by 0.0013 r to 0.0054 r, far below
     # the r/16 that a sampled fiber test could tell apart
+    # the box counts the merged carrier, which has a boundary where the
+    # two sheets part, so every branch point is refused for it
     T, _ = two_sheet_cantor(3, 48, 0.12)
     reasons = set()
     for x in _branch_points():
@@ -231,7 +233,21 @@ def test_branch_points_are_refused_without_a_dini_gate():
         cert = extract_graph(rep, T, 0, dini_budget=math.inf)
         assert not cert.ok, x
         reasons.add(cert.reason)
-    assert reasons == {"2 sheets over the box", "projected boundary meets the box: it is partly covered"}
+    assert reasons == {"projected boundary meets the box: it is partly covered"}
+
+
+def test_a_sheet_stored_twice_counts_once():
+    # two_sheet_cantor stores 8 of its 702 segments twice, among them the
+    # one through this point, the only segment over its box; the stored
+    # chain and its merged form are one current with one certificate
+    T, _ = two_sheet_cantor(3, 48, 0.12)
+    x = np.array([0.018, 0.0])
+    certs = []
+    for chain in (T, merge_terms(T)):
+        rep = multiscale_scan(chain, [x], r0=0.004, depth=1)
+        certs.append(extract_graph(rep, chain, 0, dini_budget=math.inf))
+    assert len(merge_terms(T)) == 694
+    assert [(c.ok, c.reason, c.lipschitz) for c in certs] == [(True, "ok", certs[1].lipschitz)] * 2
 
 
 @pytest.mark.parametrize("x1", [0.9, 1.0, 1.098])
@@ -316,3 +332,18 @@ def test_flat_cells_read_beta2_zero():
     cone = cone_harmonic(2, 0.05, 64)[0]
     cell = multiscale_scan(cone, [np.array([0.5, 0.1, 0.0])], r0=0.3, depth=0).cell(0, 0)
     assert cell.beta2 > 1e-3
+
+
+@pytest.mark.parametrize("points,r0,depth,reason", [
+    ([[0.1, 0.0, 0.0]], -0.1, 2, "r0 must be finite and positive"),
+    ([[0.1, 0.0, 0.0]], math.nan, 2, "r0 must be finite and positive"),
+    ([[0.1, 0.0, 0.0]], math.inf, 2, "r0 must be finite and positive"),
+    ([[0.1, 0.0, 0.0]], 0.1, -1, "depth must be a nonnegative integer"),
+    ([[0.1, 0.0, 0.0]], 0.1, 2.0, "depth must be a nonnegative integer"),
+    ([[math.nan, 0.0, 0.0]], 0.1, 2, "scan points must be finite"),
+    ([[0.1, 0.0]], 0.1, 2, r"scan points must have shape \(1, 3\)"),
+])
+def test_a_scan_refuses_bad_input(points, r0, depth, reason):
+    # at r0 = -0.1 the scan used to return cells of radius -0.1 and density 1
+    with pytest.raises(ValueError, match=reason):
+        multiscale_scan(flat_disk(16)[0], points, r0=r0, depth=depth)
