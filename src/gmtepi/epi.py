@@ -66,7 +66,6 @@ from .layers import (
     _angular_windows,
     _clip_to_cylinder,
     _cylinder_facets,
-    _fan_areas,
     _inward_normals,
     _meeting_arcs,
     _padded_columns,
@@ -943,6 +942,17 @@ def _zone_excess(decomp: LayerDecomposition, trace: BoundaryTrace) -> float:
     if decomp.m == 1:
         return cylindrical_excess(decomp, radius=0.25)
     return _excess_over_polygon(decomp, 0.25 * _directions(trace.angles, 2))
+
+
+def _fan_areas(polys: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Areas of a stack of convex polygons (K, V, 2), polygon i being the
+    first ``counts[i]`` rows: the fan triangles from vertex 0 summed in
+    order (zero for fewer than three vertices)."""
+    ua = polys[:, 1:-1] - polys[:, :1]
+    ub = polys[:, 2:] - polys[:, :1]
+    tri = 0.5 * np.abs(ua[..., 0] * ub[..., 1] - ua[..., 1] * ub[..., 0])
+    tri[np.arange(2, polys.shape[1]) >= counts[:, None]] = 0.0
+    return np.cumsum(tri, axis=1)[:, -1] if tri.shape[1] else np.zeros(len(polys))
 
 
 def _excess_over_polygon(decomp: LayerDecomposition, poly: np.ndarray) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import (PolyChain, _accumulate, _clip_polygons, _dist_to_simplices, _dists, _payload_coefficient,
-                     _region_sups, _welded_classes, boundary, merge_terms)
+                     _region_sups, _sup_pass, _welded_classes, boundary, merge_terms)
 from .groups import NormedCoefficient, group_norm, integers, zero
 from .planes import OrientedPlane
 from .quadrature import _disk_clip, _norms, _rowdot, disk_polygon_areas
@@ -43,7 +43,7 @@ __all__ = [
     "MultiplicityReport",
     "multiplicity_stats",
     "height_sup",
-    "box_sheets",
+    "disk_sheets",
 ]
 
 
@@ -593,116 +593,6 @@ def multiplicity_stats(
     return report
 
 
-def _fan_areas(polys: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Areas of a stack of convex polygons (K, V, 2), polygon i being the
-    first ``counts[i]`` rows: the fan triangles from vertex 0 summed in
-    order (zero for fewer than three vertices)."""
-    ua = polys[:, 1:-1] - polys[:, :1]
-    ub = polys[:, 2:] - polys[:, :1]
-    tri = 0.5 * np.abs(ua[..., 0] * ub[..., 1] - ua[..., 1] * ub[..., 0])
-    tri[np.arange(2, polys.shape[1]) >= counts[:, None]] = 0.0
-    return np.cumsum(tri, axis=1)[:, -1] if tri.shape[1] else np.zeros(len(polys))
-
-
-def _box_clip(polys: np.ndarray, counts: np.ndarray, m: int, half: float) -> tuple[np.ndarray, np.ndarray]:
-    """Convex pieces ``polys`` (K, V, D) with ``counts`` vertices clipped
-    to the slab ``|p_k| <= half`` of their first m coordinates, one
-    :func:`gmtepi.chains._clip_polygons` step per side."""
-    K, _, D = polys.shape
-    for e in np.vstack([np.eye(m, D), -np.eye(m, D)]):
-        polys, counts = _clip_polygons(polys, counts, np.broadcast_to(half * e, (K, D)), np.broadcast_to(-e, (K, D)))
-    return polys, counts
-
-
-def box_sheets(chain: PolyChain, x: np.ndarray, base: OrientedPlane, r: float) -> tuple[float, float]:
-    """The number of sheets of the support over the box ``|.|_inf <= r/2``
-    of ``base`` about ``x``, cut at height ``|h| <= r`` (the Euclidean norm
-    of the part in ``base^perp``, so no frame of it enters), and their
-    exact Lipschitz constant.
-
-    The terms are those of the chain's merged carrier (:func:`_unit_faces`:
-    one per coincidence class that does not sum to zero), so a sheet stored
-    twice counts once.  Each is cut to the box (:func:`_box_pieces`).  It is
-    *in* when its largest ``|h|`` over the piece is at most r, and *out*
-    when the least one exceeds r.  A degenerate or reversed term that is
-    not out raises :class:`GeneralPositionError` (:func:`decompose_layers`),
-    and a term across the cut ``ValueError``.  So every in term projects
-    positively, and when no face of the carrier's unit-coefficient boundary
-    has a part over the open box with a least ``|h|`` at most r (else
-    :class:`ConstancyError`), no boundary face of the in terms lies over it
-    either, and the number of sheets over each point of the box is the
-    constant ``sum_i |D_i ∩ box| / |box|`` (the constancy theorem).  Returns
-    it and ``max_i ||A_i||_2`` over the in terms, from their affine maps
-    solved on the chain's arrays; (0, 0) when none meets the window.  No
-    chain is built, and the carrier is welded once per chain.
-    """
-    m = base.m
-    near = chain.near_ball(x, r * math.sqrt(1.0 + 0.25 * m))
-    rows, faces, diam = _unit_faces(chain)[1]
-    if rows is not None:
-        near = np.intersect1d(near, rows, assume_unique=True)
-    # base coordinates, then heights; aligning the base flips a frame row,
-    # which keeps its complement
-    perp = base.perp_frame()
-    basis = np.vstack([base.frame, perp])
-    size, top, low = _box_pieces((chain.verts[near] - x) @ basis.T, m, 0.5 * r, r)
-    hit = low <= r
-    if not hit.any():
-        return 0.0, 0.0
-    verts = chain.verts[near[hit]]
-    A = _affine_maps(*_layer_stack(verts, chain.volumes()[near[hit]], _aligned(base, verts), perp)[:2])[0]
-    if (top[hit] > r).any():
-        raise ValueError("the support crosses the height cut |h| = r over the box")
-    # the boundary faces within reach of the cut box, by their parts over
-    # the open box
-    reach = _norms(faces - x).min(axis=1) - diam
-    qh = (faces[reach <= r * math.sqrt(1.0 + 0.25 * m)] - x) @ basis.T
-    if m == 1:
-        qh = np.concatenate([qh, qh], axis=1)  # a point face is an interval of length 0
-    if (_box_pieces(qh, m, 0.5 * r * (1.0 - 1e-9), r)[2] <= r).any():
-        raise ConstancyError("projected boundary meets the box: it is partly covered")
-    return float(size[hit].sum()) / r**m, float(_spectral_norms(A).max())
-
-
-def _box_pieces(coords: np.ndarray, m: int, half: float, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The base measure, largest ``|h|`` and least ``|h|`` (inf where it
-    misses, and 0 where the largest is at most r) of the part over the box
-    ``|.|_inf <= half`` of each simplex, m-simplex or face, with base
-    coordinates and heights ``coords`` (T, k, n).
-
-    For m = 1 each is an interval, cut to the box in closed form.  For
-    m = 2 each is clipped by one Sutherland-Hodgman step per side
-    (:func:`_box_clip`); the convex ``|h|`` takes its largest value at a
-    vertex of the piece, and the least is the exact distance from 0 of the
-    heights of the piece's fan (:func:`gmtepi.chains._dists`), whose images
-    cover their hull."""
-    if m == 1:
-        q, h = coords[..., 0], coords[..., 1:]
-        lo, hi = np.maximum(q.min(axis=1), -half), np.minimum(q.max(axis=1), half)
-        # the parameters of the ends of the part in the box; a segment
-        # across the box direction keeps all of itself or nothing
-        d = q[:, 1] - q[:, 0]
-        t = np.where(d == 0, [[0.0], [1.0]], (np.array([lo, hi]) - q[:, 0]) / np.where(d == 0, 1.0, d))
-        meets = lo <= hi
-        ends = h[:, :1] + np.where(meets, t, 0.0).T[..., None] * (h[:, 1:] - h[:, :1])
-        top = np.where(meets, _norms(ends).max(axis=1), 0.0)
-        low = np.where(meets, 0.0, np.inf)
-        low[meets & (top > r)] = _dists(ends[meets & (top > r)], np.zeros(h.shape[2]))
-        return np.maximum(hi - lo, 0.0), top, low
-    polys, counts = _box_clip(coords, np.full(len(coords), coords.shape[1]), m, half)
-    col = np.arange(polys.shape[1])
-    live = col < counts[:, None]
-    h = polys[..., m:]
-    top = np.where(live, _norms(h), 0.0).max(axis=1)
-    # the lowest |h| of a piece that rises above the cut
-    high = (counts > 0) & (top > r)
-    t, j = np.nonzero(live & (col >= 1) & high[:, None])
-    fan = np.stack([h[t, 0], h[t, j], h[t, np.where(j + 1 < counts[t], j + 1, 0)]], axis=1)
-    low = np.where(high | (counts == 0), np.inf, 0.0)
-    np.minimum.at(low, t, _dists(fan, np.zeros(h.shape[2])))
-    return _fan_areas(polys[..., :2], counts), top, low
-
-
 def _spectral_norms(A: np.ndarray) -> np.ndarray:
     """``||A_i||_2`` of a stack (T, c, m), m <= 2, in closed form: the
     column's length for m = 1, and for m = 2 the root of the larger
@@ -748,45 +638,43 @@ def _frame_coords(v: np.ndarray, frames: np.ndarray) -> np.ndarray:
 
 
 def disk_cover(
-    chain: PolyChain, rows: np.ndarray, cells: np.ndarray, xs: np.ndarray, rs: np.ndarray,
-    frames: np.ndarray, perps: np.ndarray,
+    chain: PolyChain, rows: np.ndarray, cells: np.ndarray, xs: np.ndarray, rs: np.ndarray, cuts: np.ndarray,
+    frames: np.ndarray, perps: np.ndarray, faces: tuple[np.ndarray, np.ndarray],
 ):
-    """The :func:`gmtepi.chains._sup_pass` request for whether the support
-    covers each plane disk ``D_c`` of radius ``rs[c]`` about ``xs[c]`` in
-    the plane of ``frames[c]`` (m, n) inside the height cut ``|h| <=
-    rs[c]``, and the largest ``|h|`` of the covering terms over it.  ``h``
-    is the part in the complement spanned by ``perps[c]``; only its
-    Euclidean norm enters, and the disk is round, so no frame of either
-    space does.
+    """The :func:`gmtepi.chains._sup_pass` request for how the support lies
+    over each plane disk ``D_c`` of radius ``rs[c]`` about ``xs[c]`` in the
+    plane of ``frames[c]`` (m, n), inside the height cut ``|h| <=
+    cuts[c]``, ``h`` the part in the complement spanned by ``perps[c]``.
+    Only the norm of ``h`` enters, and the disk is round, so no frame does.
 
-    ``rows`` are the term indices near each disk (row t near disk
-    ``cells[t]``, nondecreasing); they must hold every term within
-    ``sqrt(2) rs[c]`` of ``xs[c]``, which all points of the cut cylinder
-    are.  Each row is *in* when its largest ``|h|`` over the disk
-    (:func:`gmtepi.chains._region_sups`) is at most r, and *out* when its
-    least ``|h|`` (:func:`gmtepi.chains._dists` of its height simplex)
-    exceeds r.  A disk is covered when every row is in or out, no face of
-    the unit-coefficient boundary (:func:`_unit_faces`) has a projection
-    meeting the open disk and a least ``|h|`` at most r, and the signed
-    projected measure of the in rows is a nonzero multiple k of ``|D|``.
-    Then every boundary face of the in rows over the open disk would be
-    such a face, so by the constancy theorem their projection is k times
-    the disk, and each point p of it has a support point straight above
-    it: ``d(p, spt) <= H``, the returned height.  Every row's floats are
-    its own, so a disk's answer does not depend on the disks stacked with
-    it.  The answer is ``(covered (C,), H (C,))``.
+    ``rows`` are the terms near each disk (row t near disk ``cells[t]``,
+    nondecreasing), every term within ``hypot(rs[c], cuts[c])`` of
+    ``xs[c]`` among them; ``faces`` are the vertices (F, m, n) and
+    diameters (F,) of the boundary of the unit-coefficient carrier they are
+    counted on (:func:`_unit_faces`).  A row is *in* when its largest
+    ``|h|`` over the disk (:func:`gmtepi.chains._region_sups`) is at most
+    the cut, and *across* when it is not and its least ``|h|`` is.  A disk
+    is *walled* when a face has a projection meeting the open disk and a
+    least ``|h|`` at most the cut, and *covered* when no row is across, it
+    is not walled and the signed projected measure of the in rows is a
+    nonzero multiple k of ``|D|``.  Then by the constancy theorem their
+    projection is k times the disk, and each point of it has a support
+    point straight above it, at most H, the largest ``|h|`` of the in rows,
+    away.  Every row's floats are its own, so a disk's answer does not
+    depend on the disks stacked with it.  The answer is ``(covered (C,), H
+    (C,), k (C,), across (rows,), walled (C,), in (rows,))``.
     """
     C, m = len(xs), chain.m
     basis = np.concatenate([frames, perps], axis=1)
     qh = _frame_coords(chain.verts[rows] - xs[cells][:, None, :], basis[cells])
-    q, h, r = qh[..., :m], qh[..., m:], rs[cells]
+    q, h, r, cut = qh[..., :m], qh[..., m:], rs[cells], cuts[cells]
 
-    def finish(sup: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        inn = sup <= r
-        covered = np.ones(C, dtype=bool)
+    def finish(sup: np.ndarray) -> tuple[np.ndarray, ...]:
+        inn = sup <= cut
+        across = np.zeros(len(inn), dtype=bool)
         if not inn.all():
             out = ~inn
-            covered[cells[out][_dists(h[out], np.zeros(h.shape[2])) <= r[out]]] = False
+            across[out] = _dists(h[out], np.zeros(h.shape[2])) <= cut[out]
         top = np.zeros(C)
         np.maximum.at(top, cells[inn], sup[inn])
         if m == 1:
@@ -795,20 +683,58 @@ def disk_cover(
         else:
             size = _disk_clip(q[inn], r[inn], moments=False)
         k = np.bincount(cells[inn], weights=size, minlength=C) / (2.0 * rs if m == 1 else math.pi * rs * rs)
-        sheets = np.rint(k)
-        covered &= (sheets != 0) & (np.abs(k - sheets) <= 1e-9)
-        # the boundary faces that can reach the cut cylinder, all within sqrt(2) r
-        faces, diam = _unit_faces(chain)[0]
-        reach = _norms(faces[None] - xs[:, None, None]).min(axis=2) - diam
-        fc, f = np.nonzero(reach <= math.sqrt(2.0) * rs[:, None] * (1.0 + 1e-9))
+        # the boundary faces that can reach the cut cylinder
+        walled = np.zeros(C, dtype=bool)
+        verts, diam = faces
+        reach = _norms(verts[None] - xs[:, None, None]).min(axis=2) - diam
+        fc, f = np.nonzero(reach <= np.hypot(rs, cuts)[:, None] * (1.0 + 1e-9))
         if len(fc):
-            fqh = _frame_coords(faces[f] - xs[fc][:, None, :], basis[fc])
+            fqh = _frame_coords(verts[f] - xs[fc][:, None, :], basis[fc])
             inside = _dists(fqh[..., :m], np.zeros(m)) < rs[fc] * (1.0 + 1e-12)
             low = _dists(fqh[..., m:], np.zeros(h.shape[2]))
-            covered[fc[inside & (low <= rs[fc])]] = False
-        return covered, top
+            walled[fc[inside & (low <= cuts[fc])]] = True
+        sheets = np.rint(k)
+        covered = (sheets != 0) & (np.abs(k - sheets) <= 1e-9) & ~walled
+        covered[cells[across]] = False
+        return covered, top, k, across, walled, inn
 
     return q, h, r, finish
+
+
+def disk_sheets(chain: PolyChain, x: np.ndarray, base: OrientedPlane, r: float) -> tuple[float, float]:
+    """The number of sheets of the support over the disk of radius ``r
+    sqrt(m) / 2`` of ``base`` about ``x`` (it circumscribes the box
+    ``|.|_inf <= r/2``), cut at height ``|h| <= r``, and their exact
+    Lipschitz constant, from one :func:`disk_cover` request on the chain's
+    merged carrier (:func:`_unit_faces`), so a sheet stored twice counts
+    once.  The terms across the cut and the in terms that meet the closed
+    disk are checked first: a degenerate or reversed one raises
+    :class:`GeneralPositionError` (:func:`_layer_stack`).  Then a term
+    across raises ``ValueError`` and a walled disk :class:`ConstancyError`.
+    So every in term projects positively, and the sheet count is ``|k|``.
+    Returns it and ``max_i ||A_i||_2`` over the in terms that meet the
+    disk; (0, 0) when no term is checked.  No chain is built.
+    """
+    m = base.m
+    near = chain.near_ball(x, r * math.sqrt(1.0 + 0.25 * m))
+    rows, *faces = _unit_faces(chain)[1]
+    if rows is not None:
+        near = np.intersect1d(near, rows, assume_unique=True)
+    perp = base.perp_frame()
+    request = disk_cover(chain, near, np.zeros(len(near), dtype=np.int64), x[None], np.array([0.5 * math.sqrt(m) * r]),
+                         np.array([r]), base.frame[None], perp[None], faces)
+    _, _, k, across, walled, inn = _sup_pass(request)[0]
+    hit = across | inn & (_dists(request[0], np.zeros(m)) <= request[2])
+    if not hit.any():
+        return 0.0, 0.0
+    # aligning the base flips a frame row, which keeps its complement
+    verts = chain.verts[near[hit]]
+    A = _affine_maps(*_layer_stack(verts, chain.volumes()[near[hit]], _aligned(base, verts), perp)[:2])[0]
+    if across.any():
+        raise ValueError("the support crosses the height cut |h| = r over the disk")
+    if walled[0]:
+        raise ConstancyError("projected boundary meets the disk: it is partly covered")
+    return abs(float(k[0])), float(_spectral_norms(A).max())
 
 
 def height_sup(chain: PolyChain, base: OrientedPlane, radius: float = 1.0) -> float:

@@ -137,13 +137,12 @@ def ratio_floor(xi: Gauge, m: int) -> float:
 class DensityProfile:
     """Density ratios ``||T||(B(x,r)) / (alpha(m) r^m)`` on a radius grid.
 
-    Exact for chains of dimension m <= 2, hence zero error bars.
+    Exact for chains of dimension m <= 2.
     """
 
     center: np.ndarray
     radii: np.ndarray
     values: np.ndarray
-    errors: np.ndarray
     m: int
 
     @classmethod
@@ -158,7 +157,7 @@ class DensityProfile:
         vals = np.array(
             [chain_ball_mass(chain, center, r) / (am * r**chain.m) for r in radii]
         )
-        return cls(center, radii, vals, np.zeros_like(vals), chain.m)
+        return cls(center, radii, vals, chain.m)
 
 
 def spherical_excess(profile: DensityProfile, r: float) -> tuple[float, float, float]:
@@ -189,19 +188,16 @@ class MonotoneReport:
 def almost_monotone_check(
     profile: DensityProfile, Xi: Gauge, tol: float = 1e-12
 ) -> MonotoneReport:
-    """Check that ``exp(Xi(r)) ratio(r)`` is nondecreasing on the grid.
-
-    Error bars of the profile widen the tolerance; the worst violating
-    radius pair is reported either way.
+    """Check that ``exp(Xi(r)) ratio(r)`` is nondecreasing on the grid
+    within ``tol``; the worst violating radius pair is reported either way.
     """
     g = np.exp(Xi(profile.radii)) * profile.values
-    slack = tol + 2.0 * np.exp(Xi(profile.radii)) * profile.errors
     run = np.maximum.accumulate(g)
     viol = run - g
-    worst = int(np.argmax(viol - slack))
+    worst = int(np.argmax(viol - tol))
     s_idx = int(np.argmax(g[: worst + 1]))
     return MonotoneReport(
-        ok=bool(np.all(viol <= slack)),
+        ok=bool(np.all(viol <= tol)),
         worst_violation=float(viol[worst]),
         worst_pair=(float(profile.radii[s_idx]), float(profile.radii[worst])),
     )

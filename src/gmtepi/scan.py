@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import PolyChain, _check_points, _check_radius, _cut_triangles, _dist_to_simplices, _sup_pass
-from .layers import box_sheets, disk_cover
+from .layers import _unit_faces, disk_cover, disk_sheets
 from .mono import alpha_m, alpha0_exponent, lambda_epi
 from .moments import _cell_betas, _centred_betas, _gap_reason, _perp_frames, _signed_frames, beta_numbers
 from .planes import OrientedPlane, _plane_distances, _plane_grid
@@ -391,15 +391,17 @@ def _scan_cells(chain: PolyChain, points: np.ndarray, r0: float, depth: int) -> 
     xs, rs, moments = xs[good], rs[good], [moments[c] for c in good]
     wide_ends = np.searchsorted(wide_owner, np.arange(len(good) + 1))
     betas, centred, covered, half = [], [], np.zeros(len(good), dtype=bool), np.zeros(len(good))
+    faces = _unit_faces(chain)[0]  # the stored carrier's
     for part, span in _runs(np.bincount(owner, minlength=len(good)), _STACK_ROWS):
         near, own = va[rows[span]], owner[span] - part.start
         spread = slice(wide_ends[part.start], wide_ends[part.stop])
         # the support-to-plane sups, the centred ones and the cover test's
         # in rows: one sup pass
-        b, c, (covered[part], half[part]) = _sup_pass(
+        b, c, (covered[part], half[part], *_) = _sup_pass(
             _cell_betas(near, own, xs[part], rs[part], moments[part], planes[part], perps[part], m),
             _centred_betas(near, own, xs[part], rs[part], moments[part], m),
-            disk_cover(chain, wide[spread], wide_owner[spread] - part.start, xs[part], rs[part], frames[part], perps[part]),
+            disk_cover(chain, wide[spread], wide_owner[spread] - part.start, xs[part], rs[part], rs[part], frames[part],
+                       perps[part], faces),
         )
         betas += b
         centred += c
@@ -512,9 +514,9 @@ def extract_graph(
 
     Gates: per-scale plane fits define a gauge ``eta`` whose Dini sum must
     stay within the budget, ``eta(s)/s`` must be nonincreasing on the
-    scale grid, and over the box ``|.|_inf <= r/2`` of the top plane, cut
-    at height r, the support must be exactly one sheet
-    (:func:`gmtepi.layers.box_sheets`, which builds no chain) of
+    scale grid, and over the disk of radius ``r sqrt(m) / 2`` about the
+    point in the top plane, cut at height r, the support must be exactly
+    one sheet (:func:`gmtepi.layers.disk_sheets`, which builds no chain) of
     Lipschitz constant at most 1.  That constant is exact; it and the
     tangent-drift table with its fitted exponent come with the
     certificate.  All drifts take one stacked distance pass.
@@ -555,14 +557,14 @@ def extract_graph(
 
     top = cells[0]
     try:
-        sheets, lips = box_sheets(chain, report.points[point_index], top.plane, top.radius)
-    except ValueError as err:  # a degenerate term, one across the cut, or a boundary in the box
+        sheets, lips = disk_sheets(chain, report.points[point_index], top.plane, top.radius)
+    except ValueError as err:  # a degenerate term, one across the cut, or a boundary in the disk
         return GraphCertificate(False, str(err), eta_hat, dini_budget, 0.0, dscales, drifts, exponent)
     reason = "ok"
     if sheets == 0.0:
         reason = "empty support window"
     elif abs(sheets - 1.0) > 1e-9:
-        reason = f"{sheets:.6g} sheets over the box"
+        reason = f"{sheets:.6g} sheets over the disk"
     elif lips > 1.0 + 1e-9:
         reason = f"Lipschitz bound {lips:.3g} exceeds 1"
     return GraphCertificate(reason == "ok", reason, eta_hat, dini_budget, lips, dscales, drifts, exponent)

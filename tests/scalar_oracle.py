@@ -16,7 +16,8 @@ averaged graph and its all-layer ball means, the chain construction
 filter, ``boundary``, ``merge_terms`` and ``size``, and the array
 ``merge_terms`` and ``boundary`` that weld their rows on every call and
 group them by one lexsort over every key column, and the slice profile,
-the boundary-defect matcher and the stalk sum one term at a time.
+the boundary-defect matcher, the stalk sum and the graph certificate's
+disk sheet count one term at a time.
 
 These are the loop-based routines the batched kernels in
 ``gmtepi.chains``, ``gmtepi.quadrature``, ``gmtepi.moments``,
@@ -1517,8 +1518,9 @@ def welded_boundary(chain):
     return PolyChain(n, chain.m - 1, chain.group, verts=canon, payload=acc)
 
 
-# -- the per-cell frame search of the scan and the carrier-and-weld box count
-# of its graph certificate, as they ran before both became stacked passes
+# -- the per-cell frame search of the scan, as it ran before it became a
+# stacked pass, and the term-by-term carrier-and-weld disk count of its
+# graph certificate
 
 
 def support_points_on_fiber(simplices, x, direction, constraints, s) -> np.ndarray:
@@ -1611,51 +1613,102 @@ def cell_frame_reason(chain, x: np.ndarray, cell) -> str:
     return ""
 
 
-def box_sheets(chain, x: np.ndarray, base, r: float) -> tuple[float, float]:
-    """The sheet count over the box ``|.|_inf <= r/2`` of ``base`` cut at
-    height r, and the Lipschitz constant, from the unit-coefficient carrier
-    of the in terms of the merged chain (one term per coincidence class
-    that does not sum to zero): a chain built and welded on every call,
-    whose boundary faces clipped to the open box must be empty."""
-    from gmtepi.chains import _dists, boundary
+def _dist_to_origin(v: np.ndarray) -> float:
+    """Distance from the origin to the simplex with vertices ``v`` (k, d),
+    k <= 3: the foot of the least-squares barycentric solve where it lands
+    inside, else the nearest edge or vertex."""
+    if len(v) == 1:
+        return float(np.linalg.norm(v[0]))
+    if len(v) == 2:
+        d = v[1] - v[0]
+        dd = float(d @ d)
+        t = 0.0 if dd == 0.0 else min(max(-float(v[0] @ d) / dd, 0.0), 1.0)
+        return float(np.linalg.norm(v[0] + t * d))
+    E = np.column_stack([v[1] - v[0], v[2] - v[0]])
+    G = E.T @ E
+    best = min(_dist_to_origin(v[[i, j]]) for i, j in ((0, 1), (0, 2), (1, 2)))
+    if abs(np.linalg.det(G)) > 1e-300:
+        lam = np.linalg.solve(G, -E.T @ v[0])
+        if lam[0] >= 0 and lam[1] >= 0 and lam.sum() <= 1:
+            best = min(best, float(np.linalg.norm(v[0] + E @ lam)))
+    return best
+
+
+def _disk_height_sup(q: np.ndarray, h: np.ndarray, R: float) -> float:
+    """Largest ``|h|`` over the points of one simplex whose base
+    coordinates ``q`` lie in the disk ``|q| <= R``: the vertices inside,
+    the edge roots of ``|q| = R`` and, for a triangle, the best of the
+    ``SUP_SAMPLES`` circle points inside it, refined by a golden-section
+    search over the neighbouring samples; 0 where the disk misses it."""
+    best = _ends_and_roots(q, h, R)[0]
+    if len(q) < 3:
+        return best
+    T = np.column_stack([q[1] - q[0], q[2] - q[0]])
+    if abs(np.linalg.det(T)) < 1e-300:
+        return best  # a flat projection meets the circle at edge roots only
+    H = np.column_stack([h[1] - h[0], h[2] - h[0]])
+
+    def heights(angles: np.ndarray) -> np.ndarray:
+        lam = np.linalg.solve(T, (R * np.stack([np.cos(angles), np.sin(angles)], axis=1) - q[0]).T)
+        inside = (lam[0] >= 0) & (lam[1] >= 0) & (lam[0] + lam[1] <= 1)
+        return np.where(inside, np.linalg.norm(h[0] + (H @ lam).T, axis=1), -np.inf)
+
+    v = heights(_SUP_ANGLES)
+    i = int(np.argmax(v))
+    if v[i] == -np.inf:
+        return best
+    lo, hi = _SUP_ANGLES[i] - 2 * math.pi / SUP_SAMPLES, _SUP_ANGLES[i] + 2 * math.pi / SUP_SAMPLES
+    g = 0.5 * (math.sqrt(5.0) - 1.0)
+    for _ in range(60):
+        a, b = hi - g * (hi - lo), lo + g * (hi - lo)
+        fa, fb = heights(np.array([a, b]))
+        lo, hi = (lo, b) if fa >= fb else (a, hi)
+    return max(best, float(v[i]), float(heights(np.array([0.5 * (lo + hi)]))[0]))
+
+
+def disk_sheets(chain, x: np.ndarray, base, r: float) -> tuple[float, float]:
+    """The sheet count over the disk of radius ``r sqrt(m) / 2`` of ``base``
+    about x cut at height r, and the Lipschitz constant, term by term over
+    the merged chain (one term per coincidence class that does not sum to
+    zero), welded on every call.  A term is in when its largest ``|h|``
+    over the disk (:func:`_disk_height_sup`) is at most r, and across the
+    cut when not and its least ``|h|`` is.  The in terms meeting the disk
+    and the terms across are the carrier, a chain built on every call;
+    its boundary faces must miss the open disk."""
+    from gmtepi.chains import boundary
     from gmtepi.groups import integers
-    from gmtepi.layers import (ConstancyError, _affine_maps, _box_clip, _fan_areas, _layer_stack, _spectral_norms,
-                               align_base_to_chain)
+    from gmtepi.layers import ConstancyError, _affine_maps, _layer_stack, _spectral_norms, align_base_to_chain
 
     chain = welded_merge_terms(chain)
     m, n = base.m, base.n
+    R = 0.5 * math.sqrt(m) * r
     near = chain.near_ball(x, r * math.sqrt(1.0 + 0.25 * m))
     perp = base.perp_frame()
-    coords = (chain.verts[near] - x) @ np.vstack([base.frame, perp]).T
-    polys, counts = _box_clip(coords, np.full(len(near), m + 1), m, 0.5 * r)
-    col = np.arange(polys.shape[1])
-    live = col < counts[:, None]
-    h = polys[..., m:]
-    top = np.max(np.where(live, np.linalg.norm(h, axis=2), 0.0), axis=1)
-    high = (counts > 0) & (top > r)
-    t, j = np.nonzero(live & (col >= 1) & high[:, None])
-    fan = np.stack([h[t, 0], h[t, j], h[t, np.where(j + 1 < counts[t], j + 1, 0)]], axis=1)
-    low = np.where(high | (counts == 0), np.inf, 0.0)
-    np.minimum.at(low, t, _dists(fan, np.zeros(n - m)))
-    hit = low <= r
-    if not np.any(hit):
+    hit, across, sizes = [], False, []
+    for t in near.tolist():
+        rel = chain.verts[t] - x
+        q, h = rel @ base.frame.T, rel @ perp.T
+        if _disk_height_sup(q, h, R) <= r:
+            if _dist_to_origin(q) <= R:
+                hit.append(t)
+                sizes.append(np.ptp(np.clip(q[:, 0], -R, R)) if m == 1 else abs(disk_polygon_area(q, np.zeros(2), R)))
+        elif _dist_to_origin(h) <= r:
+            hit.append(t)
+            across = True
+    if not hit:
         return 0.0, 0.0
-    carrier = PolyChain(n, m, integers(), verts=chain.verts[near[hit]], payload=np.ones((int(hit.sum()), 1), dtype=np.int64))
+    carrier = PolyChain(n, m, integers(), verts=chain.verts[hit], payload=np.ones((len(hit), 1), dtype=np.int64))
     A = _affine_maps(*_layer_stack(carrier.verts, carrier.volumes(), align_base_to_chain(base, carrier), perp)[:2])[0]
-    if np.any(top[hit] > r):
-        raise ValueError("the support crosses the height cut |h| = r over the box")
-    faces = (boundary(carrier).verts - x) @ base.frame.T
-    half = 0.5 * r * (1.0 - 1e-9)
-    faces = faces[np.all((faces.max(axis=1) > -half) & (faces.min(axis=1) < half), axis=1)]
-    if len(faces) and np.any(_box_clip(faces, np.full(len(faces), m), m, half)[1]):
-        raise ConstancyError("projected boundary meets the box: it is partly covered")
-    size = np.ptp(np.where(live, polys[..., 0], polys[:, :1, 0]), axis=1) if m == 1 else _fan_areas(polys[..., :2], counts)
-    return float(np.sum(size[hit])) / r**m, float(np.max(_spectral_norms(A)))
+    if across:
+        raise ValueError("the support crosses the height cut |h| = r over the disk")
+    if any(_dist_to_origin(f) < R for f in (boundary(carrier).verts - x) @ base.frame.T):
+        raise ConstancyError("projected boundary meets the disk: it is partly covered")
+    return sum(sizes) / (2.0 * R if m == 1 else math.pi * R * R), float(np.max(_spectral_norms(A)))
 
 
 def graph_certificate(report, chain, point_index: int, dini_budget: float = 1.0 / 120.0, drift_floor: float = 1e-9):
     """``extract_graph`` with every drift measured afresh and the sheets of
-    :func:`box_sheets`."""
+    :func:`disk_sheets`."""
     from gmtepi.planes import _plane_distances
     from gmtepi.scan import GraphCertificate
 
@@ -1683,14 +1736,14 @@ def graph_certificate(report, chain, point_index: int, dini_budget: float = 1.0 
         return GraphCertificate(False, f"Dini sum {eta_hat:.3g} exceeds budget", eta_hat, dini_budget, 0.0, dscales, drifts, exponent)
     top = cells[0]
     try:
-        sheets, lips = box_sheets(chain, report.points[point_index], top.plane, top.radius)
+        sheets, lips = disk_sheets(chain, report.points[point_index], top.plane, top.radius)
     except ValueError as err:
         return GraphCertificate(False, str(err), eta_hat, dini_budget, 0.0, dscales, drifts, exponent)
     reason = "ok"
     if sheets == 0.0:
         reason = "empty support window"
     elif abs(sheets - 1.0) > 1e-9:
-        reason = f"{sheets:.6g} sheets over the box"
+        reason = f"{sheets:.6g} sheets over the disk"
     elif lips > 1.0 + 1e-9:
         reason = f"Lipschitz bound {lips:.3g} exceeds 1"
     return GraphCertificate(reason == "ok", reason, eta_hat, dini_budget, lips, dscales, drifts, exponent)

@@ -9,7 +9,7 @@ import pytest
 import scalar_oracle as oracle
 from gmtepi.chains import _sup_pass, ball_mass, pushforward_linear
 from gmtepi.generators import cone_harmonic, flat_disk, two_sheet_cantor
-from gmtepi.layers import disk_cover
+from gmtepi.layers import _unit_faces, disk_cover
 from gmtepi.moments import chain_ball_moments
 from gmtepi.mono import DensityProfile, alpha_m
 from gmtepi.planes import _plane_grid
@@ -210,9 +210,9 @@ def test_sup_and_hausdorff_match_the_oracle_on_scan_cells(index):
         grid_oracle = oracle.plane_ball_to_support(chain, x, r, cell.plane, grid=24)
         if cell.covered:
             rows = np.arange(len(va))
-            covered, top = _sup_pass(disk_cover(
-                chain, rows, np.zeros_like(rows), x[None], np.array([r]), cell.plane.frame[None],
-                cell.plane.perp_frame()[None],
+            covered, top, *_ = _sup_pass(disk_cover(
+                chain, rows, np.zeros_like(rows), x[None], np.array([r]), np.array([r]), cell.plane.frame[None],
+                cell.plane.perp_frame()[None], _unit_faces(chain)[0],
             ))[0]
             assert covered[0] and cell.hausdorff == max(cell.beta_inf * r, top[0])
             assert top[0] >= grid_oracle - REL * r

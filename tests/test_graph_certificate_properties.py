@@ -1,14 +1,16 @@
 """The exact graph certificate under isometric embeddings R^k -> R^n,
-n <= 8, and under turns in the plane of the chain."""
+n <= 8, under turns in the plane of the chain, and under turns of the
+top plane's frame within the plane."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gmtepi.chains import pushforward_linear
 from gmtepi.generators import cantor_graph, cone_harmonic, flat_disk
-from gmtepi.layers import box_sheets
+from gmtepi.layers import disk_sheets
 from gmtepi.planes import OrientedPlane
 from gmtepi.scan import extract_graph, multiscale_scan
 
@@ -34,7 +36,7 @@ def _point(chain, t, u, v):
 
 def _certificate(chain, x, r0):
     # no Dini gate: eta's plane-to-support half is sampled on a grid in the
-    # selected frame and moves with it; the box test is under scrutiny here
+    # selected frame and moves with it; the disk test is under scrutiny here
     rep = multiscale_scan(chain, [x], r0=r0, depth=2)
     return extract_graph(rep, chain, 0, dini_budget=math.inf).reason, rep.cell(0, 0).plane
 
@@ -49,9 +51,9 @@ def _turn(n, angle):
 
 
 def _sheets(chain, x, W, r):
-    """``box_sheets``, or the message of its refusal."""
+    """``disk_sheets``, or the message of its refusal."""
     try:
-        return box_sheets(chain, x, W, r)
+        return disk_sheets(chain, x, W, r)
     except ValueError as err:
         return str(err)
 
@@ -84,3 +86,33 @@ def test_graph_certificate_is_invariant_under_isometries(where, seed, n, angle):
         shortest = np.min(np.linalg.norm(np.roll(va, 1, axis=1) - va, axis=2))
         slack = 1e-15 * (1.0 + np.max(np.abs(moved.verts))) / shortest
         assert abs(got[1] - base[1]) <= 1e-12 * max(got[1], base[1]) + slack
+
+
+def _turned(chain, x, angle):
+    """The verdict, reason and Lipschitz constant of the certificate at x
+    with no Dini gate, the top cell's plane turned by ``angle`` within
+    itself."""
+    rep = multiscale_scan(chain, [x], r0=0.2, depth=2)
+    top = rep.point_cells(0)[0]
+    c, s = math.cos(angle), math.sin(angle)
+    top.plane = OrientedPlane(np.array([[c, s], [-s, c]]) @ top.plane.frame, top.plane.orientation)
+    cert = extract_graph(rep, chain, 0, dini_budget=math.inf)
+    return cert.ok, cert.reason, cert.lipschitz
+
+
+@pytest.mark.parametrize("family", ["flat_disk", "cone_harmonic"])
+def test_graph_certificate_does_not_depend_on_the_top_plane_frame(family):
+    # the window is a round disk about x in the top plane, so no frame of
+    # the plane enters; a square window laid out in the frame certified the
+    # rim point as selected and refused it turned by pi/8 or pi/4
+    chain = flat_disk(64)[0] if family == "flat_disk" else cone_harmonic(2, 0.05, 64)[0]
+    va = chain.vertex_array()
+    rng = np.random.default_rng(len(family))
+    cases = [(np.array([0.88 * math.cos(math.pi / 64), 0.0, 0.0]), [0.0, math.pi / 8, math.pi / 4])] * (family == "flat_disk")
+    for t in rng.integers(len(va), size=8).tolist():
+        cases.append((rng.dirichlet(np.ones(3)) @ va[t], [0.0, *rng.uniform(0.0, 2 * math.pi, size=2)]))
+    for x, angles in cases:
+        (ok, reason, lips), *turned = [_turned(chain, x, a) for a in angles]
+        for got in turned:
+            assert got[:2] == (ok, reason), (x, angles)
+            assert abs(got[2] - lips) <= 1e-12 * max(got[2], lips), (x, angles)

@@ -97,7 +97,7 @@ def test_almost_monotone_checks():
     radii = np.linspace(0.1, 1.0, 8)
     dip = np.ones(8)
     dip[4] *= 0.99
-    prof_dip = DensityProfile(np.zeros(3), radii, dip, np.zeros(8), 2)
+    prof_dip = DensityProfile(np.zeros(3), radii, dip, 2)
     rep_dip = almost_monotone_check(prof_dip, gauge_integral(Gauge.power(0.1, 0.5), 2))
     assert rep_dip.ok
     rep_dip_tight = almost_monotone_check(
@@ -105,7 +105,7 @@ def test_almost_monotone_checks():
     )
     assert not rep_dip_tight.ok
     radii = np.linspace(0.1, 1.0, 30)
-    falling = DensityProfile(np.zeros(3), radii, 1.0 - 0.2 * radii, np.zeros(30), 2)
+    falling = DensityProfile(np.zeros(3), radii, 1.0 - 0.2 * radii, 2)
     rep_bad = almost_monotone_check(falling, Gauge.table(np.array([1e-6, 1.0]), np.array([0.0, 0.0])))
     assert not rep_bad.ok
     assert rep_bad.worst_violation > 0.1

@@ -202,11 +202,11 @@ def test_scan_rejects_an_empty_chain():
 
 
 def test_extract_graph_refuses_an_empty_window():
-    # the top box |p_1 - x_1| <= r/2 at x = (1.11, 0, 0) ends past the rim
-    # of the disk, so no support node lies over it: with no Dini gate the
-    # fiber and Lipschitz checks would pass on nothing
+    # the top window, the disk of radius r sqrt(2)/2 about x = (1.16, 0, 0),
+    # ends past the rim of the chain, so no support lies over it: with no
+    # Dini gate the fiber and Lipschitz checks would pass on nothing
     D, _ = flat_disk(16)
-    rep = multiscale_scan(D, [np.array([1.11, 0.0, 0.0])], r0=0.2, depth=2)
+    rep = multiscale_scan(D, [np.array([1.16, 0.0, 0.0])], r0=0.2, depth=2)
     cert = extract_graph(rep, D, 0, dini_budget=math.inf)
     assert not cert.ok and cert.reason == "empty support window"
     assert extract_graph(rep, D, 0).reason.startswith("Dini sum")
@@ -222,9 +222,9 @@ def _branch_points():
 
 
 def test_branch_points_are_refused_without_a_dini_gate():
-    # the sheets part within each box by 0.0013 r to 0.0054 r, far below
+    # the sheets part within each window by 0.0013 r to 0.0054 r, far below
     # the r/16 that a sampled fiber test could tell apart
-    # the box counts the merged carrier, which has a boundary where the
+    # the disk counts the merged carrier, which has a boundary where the
     # two sheets part, so every branch point is refused for it
     T, _ = two_sheet_cantor(3, 48, 0.12)
     reasons = set()
@@ -233,12 +233,12 @@ def test_branch_points_are_refused_without_a_dini_gate():
         cert = extract_graph(rep, T, 0, dini_budget=math.inf)
         assert not cert.ok, x
         reasons.add(cert.reason)
-    assert reasons == {"projected boundary meets the box: it is partly covered"}
+    assert reasons == {"projected boundary meets the disk: it is partly covered"}
 
 
 def test_a_sheet_stored_twice_counts_once():
     # two_sheet_cantor stores 8 of its 702 segments twice, among them the
-    # one through this point, the only segment over its box; the stored
+    # one through this point, the only segment over its window; the stored
     # chain and its merged form are one current with one certificate
     T, _ = two_sheet_cantor(3, 48, 0.12)
     x = np.array([0.018, 0.0])
@@ -252,12 +252,12 @@ def test_a_sheet_stored_twice_counts_once():
 
 @pytest.mark.parametrize("x1", [0.9, 1.0, 1.098])
 def test_extract_graph_refuses_a_partly_covered_box(x1):
-    # the top box |p_1 - x_1| <= 0.1 crosses the rim of the disk, which
-    # reaches x_1 = 1 on the axis
+    # the top window, the disk of radius 0.1 sqrt(2) about x, crosses the
+    # rim of the chain, which reaches x_1 = 1 on the axis
     D, _ = flat_disk(16)
     rep = multiscale_scan(D, [np.array([x1, 0.0, 0.0])], r0=0.2, depth=2)
     cert = extract_graph(rep, D, 0, dini_budget=math.inf)
-    assert not cert.ok and cert.reason == "projected boundary meets the box: it is partly covered"
+    assert not cert.ok and cert.reason == "projected boundary meets the disk: it is partly covered"
     inside = multiscale_scan(D, [np.array([x1 - 0.3, 0.0, 0.0])], r0=0.2, depth=2)
     assert extract_graph(inside, D, 0, dini_budget=math.inf).ok
 

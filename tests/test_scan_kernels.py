@@ -12,7 +12,7 @@ from gmtepi.chains import PolyChain, _dist_to_simplices, _pair_dists
 from gmtepi.generators import cantor_graph, cone_harmonic, flat_disk, tilted_cone, two_sheet_cantor
 from gmtepi.groups import integers
 from gmtepi.planes import OrientedPlane
-from gmtepi.layers import box_sheets
+from gmtepi.layers import disk_sheets
 from gmtepi.scan import _dist_to_support, extract_graph, multiscale_scan, support_sample
 
 
@@ -153,7 +153,7 @@ def _exact_certificate(chain, x, r, W):
     """``extract_graph``'s verdict after its Dini gate, and the exact
     Lipschitz constant."""
     try:
-        sheets, lips = box_sheets(chain, x, W, r)
+        sheets, lips = disk_sheets(chain, x, W, r)
     except ValueError as err:
         return str(err), 0.0
     return ("ok" if abs(sheets - 1.0) <= 1e-9 and lips <= 1.0 + 1e-9 else f"{sheets:.6g} sheets"), lips
@@ -172,7 +172,7 @@ def test_exact_certificate_against_the_sampled_window(name):
         x = va[int(rng.integers(len(va)))].mean(axis=0) + rng.normal(size=chain.n) * 0.02
         r = (0.3, 0.1, 0.04, 0.3)[i]
         plane = _scan_plane(chain, x, r, rng)
-        # a plane turned off the support: boxes that cut the terms obliquely
+        # a plane turned off the support: windows that cut the terms obliquely
         turned = OrientedPlane.from_span(plane.frame + 0.3 * rng.normal(size=plane.frame.shape))
         for W in (plane, turned):
             exact, lips = _exact_certificate(chain, x, r, W)
@@ -208,7 +208,7 @@ def test_graph_certificate_verdicts_on_two_sheets_and_a_graph():
     sheets, x, r = _two_sheet_window()
     rep = multiscale_scan(sheets, [x], r0=r, depth=0)
     cert = extract_graph(rep, sheets, 0, dini_budget=math.inf)
-    assert not cert.ok and cert.reason == "2 sheets over the box"
+    assert not cert.ok and cert.reason == "2 sheets over the disk"
     graph = cantor_graph(4, 56, 0.02)[0]
     rep = multiscale_scan(graph, [np.array([0.25, 0.0])], r0=0.22, depth=3)
     assert extract_graph(rep, graph, 0).ok
