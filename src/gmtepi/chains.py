@@ -989,9 +989,9 @@ def homogeneous_extend(chain: PolyChain, scale: float) -> PolyChain:
     return chain.with_arrays(chain.verts * scale, chain.payload)
 
 
-def is_cone(chain: PolyChain, tol: float = 1e-9) -> bool:
-    """True if every simplex has a vertex within ``tol`` of the origin."""
-    return bool(np.all(np.min(np.linalg.norm(chain.verts, axis=2), axis=1) <= tol))
+def is_cone(chain: PolyChain) -> bool:
+    """True if every simplex has a vertex within 1e-9 of the origin."""
+    return bool(np.all(np.min(np.linalg.norm(chain.verts, axis=2), axis=1) <= 1e-9))
 
 
 def slice_mass_profile(

@@ -52,8 +52,10 @@ _CONFIG_TYPES = {
     **{f.name: type(f.default) for f in dataclasses.fields(EpiConfig)},
 }
 
-#: The least value of each numeric config key, and whether it is excluded.
-_CONFIG_LEAST = {"radius": (0, True), "r0": (0, True), "depth": (0, False), "max_points": (1, False)}
+#: The least value of each numeric config key, and whether it is excluded;
+#: :class:`EpiConfig` checks the ranges of its own keys.
+_CONFIG_LEAST = {"radius": (0, True), "r0": (0, True), "depth": (0, False), "max_points": (1, False),
+                 "gauge_c": (0, True)}
 
 _JSON_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string", list: "an array",
                dict: "an object", type(None): "null"}
@@ -62,8 +64,9 @@ _JSON_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a 
 def _config(args, chain=None) -> dict:
     """The ``--config`` file's object with the seed added.  A top level
     that is not an object, a scalar key of the wrong type or out of its
-    range, or an array key that is not an array of finite numbers of its
-    shape for ``chain`` raises ``ValueError`` naming the file and the key."""
+    range (:class:`EpiConfig`'s keys out of the ranges it checks), or an
+    array key that is not an array of finite numbers of its shape for
+    ``chain`` raises ``ValueError`` naming the file and the key."""
     cfg = {}
     if args.config:
         with open(args.config) as fh:
@@ -80,6 +83,10 @@ def _config(args, chain=None) -> dict:
             if not (math.isfinite(value) and (value > least if strict else value >= least)):
                 raise ValueError(f"config file {args.config}: {key!r} must be "
                                  f"{f'a finite number > {least}' if strict else f'at least {least}'}, not {value}")
+        try:
+            _epi_config(cfg)
+        except ValueError as err:
+            raise ValueError(f"config file {args.config}: {err}") from None
         # a point, points and the rows spanning the base plane; None is any
         # positive length
         m, n = (None, None) if chain is None else (chain.m, chain.n)
@@ -90,6 +97,11 @@ def _config(args, chain=None) -> dict:
                                  f"of shape ({text})")
     cfg.setdefault("seed", args.seed)
     return cfg
+
+
+def _epi_config(cfg: dict) -> EpiConfig:
+    """The pipeline gates of a config object; other keys are ignored."""
+    return EpiConfig(**{k: v for k, v in cfg.items() if k in EpiConfig.__dataclass_fields__})
 
 
 def _is_array(value, shape: tuple) -> bool:
@@ -163,9 +175,8 @@ def cmd_excess(args) -> int:
 def cmd_epi(args) -> int:
     chain, _meta = _need_chain(args)
     cfg = _config(args, chain)
-    epi_cfg = EpiConfig(**{k: v for k, v in cfg.items() if k in EpiConfig.__dataclass_fields__})
     try:
-        _s, rep = build_comparison(chain, epi_cfg)
+        _s, rep = build_comparison(chain, _epi_config(cfg))
     except StageError as err:
         print(f"pipeline gate failure: {err}", file=sys.stderr)
         return GATE_EXIT

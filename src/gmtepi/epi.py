@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,17 +115,40 @@ class StageError(RuntimeError):
 
 @dataclass
 class EpiConfig:
-    """Pipeline knobs; tolerances are pinned, not calibrated per run."""
+    """The pipeline's gates.  A value out of its range raises
+    ``ValueError`` naming the field."""
 
-    rho_max: float = 0.5  # admissible height bound (must stay below 1/2)
+    rho_max: float = 0.5  # admissible height bound (at most the paper's 1/2)
     eps_max: float = 0.5  # admissible excess bound
     strict_flatness: bool = False  # additionally require eps <= rho^(6m)
-    harmonic_cutoff: int = 16
+    harmonic_cutoff: int = 16  # last kept circle harmonic
     tail_tol: float = 0.01  # max tail share of trace energy beyond cutoff
-    moll_nodes: int = 64  # quadrature nodes of the mollifying ball mean
-    radial_divisions: int = 12  # rings of the degree-2 graph
-    blend_divisions: int = 8  # rings of the annulus blend
-    boundary_defect_tol: float = 1e-3  # relative to mass(P)
+
+    def __post_init__(self):
+        def real(v) -> bool:  # a finite number, not a boolean
+            return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+        cutoff = self.harmonic_cutoff
+        for name, ok, want in (
+            ("rho_max", real(self.rho_max) and 0 < self.rho_max <= 0.5, "a finite number in (0, 1/2]"),
+            ("eps_max", real(self.eps_max) and self.eps_max > 0, "a finite number > 0"),
+            ("strict_flatness", isinstance(self.strict_flatness, bool), "a boolean"),
+            ("harmonic_cutoff", real(cutoff) and isinstance(cutoff, numbers.Integral) and cutoff >= 1,
+             "an integer at least 1"),
+            ("tail_tol", real(self.tail_tol) and 0 < self.tail_tol < 1, "a finite number in (0, 1)"),
+        ):
+            if not ok:
+                raise ValueError(f"{name!r} must be {want}, not {getattr(self, name)!r}")
+
+
+#: Quadrature nodes of the mollifying ball mean (m = 2).
+_MOLL_NODES = 64
+#: Rings of the degree-2 graph over the quarter ball of ``W``.
+_RADIAL_DIVISIONS = 12
+#: Largest boundary defect of the assembly, relative to mass(P).
+_BOUNDARY_DEFECT_TOL = 1e-3
+#: Slack by which a base point may lie outside a layer domain that holds it.
+_COVER_TOL = 1e-12
 
 
 # -- averaged and mollified graphs -----------------------------------------
@@ -138,11 +162,10 @@ class AveragedGraph:
     projection).
     """
 
-    def __init__(self, decomp: LayerDecomposition, tol: float = 1e-12):
+    def __init__(self, decomp: LayerDecomposition):
         if decomp.g0.is_zero:
             raise ConstancyError("g0 = 0: averaged graph undefined")
         self.decomp = decomp
-        self.tol = tol
         domains = decomp.domains
         self._A = decomp.A  # (L, n-m, m)
         self._b = decomp.b  # (L, n-m)
@@ -158,16 +181,16 @@ class AveragedGraph:
 
     def _masks(self, xs: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
         """(..., k, C): which of the layers ``idx`` (..., C) (default: all)
-        hold each point of ``xs`` (..., k, m), within ``tol``."""
+        hold each point of ``xs`` (..., k, m), within ``_COVER_TOL``."""
         if idx is None:
             idx = np.arange(len(self._w))
         if self.decomp.m == 1:
             x = xs[..., None, 0]
             lo, hi = self._lo[idx][..., None, :], self._hi[idx][..., None, :]
-            return (lo - self.tol <= x) & (x <= hi + self.tol)
+            return (lo - _COVER_TOL <= x) & (x <= hi + _COVER_TOL)
         nrm = self._normals[idx][..., None, :, :, :]
         x, y = xs[..., None, None, 0], xs[..., None, None, 1]
-        ok = nrm[..., 0] * x + nrm[..., 1] * y - self._offsets[idx][..., None, :, :] >= -self.tol
+        ok = nrm[..., 0] * x + nrm[..., 1] * y - self._offsets[idx][..., None, :, :] >= -_COVER_TOL
         return ok[..., 0] & ok[..., 1] & ok[..., 2]
 
     def _means(self, xs: np.ndarray, idx: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -260,12 +283,7 @@ def _disk_mean_rule(radius: float, count: int) -> tuple[np.ndarray, np.ndarray]:
     return (rads[:, None, None] * dirs).reshape(-1, 2), np.repeat(s_w, n_ang) / n_ang
 
 
-def mollified_graph(
-    avg: AveragedGraph,
-    rho: float,
-    angles: np.ndarray | None = None,
-    nodes: int = 64,
-) -> MollifiedGraph:
+def mollified_graph(avg: AveragedGraph, rho: float, angles: np.ndarray | None = None) -> MollifiedGraph:
     """Ball-mean mollification ``v`` of ``ybar`` at mollifying radius rho.
 
     Exact for affine inputs (the mean of an affine map over a centered
@@ -290,7 +308,7 @@ def mollified_graph(
             angles = 2 * math.pi * np.arange(256) / 256
         angles = np.asarray(angles, dtype=float)
         centers = np.array([[math.cos(a), math.sin(a)] for a in angles.tolist()])
-        offsets, w = _disk_mean_rule(rho, nodes)
+        offsets, w = _disk_mean_rule(rho, _MOLL_NODES)
         lo, hi = _angular_windows(avg.decomp.domains)
         reach = math.asin(rho) + 1e-6  # beyond the windows' own 1e-9 rad of slack
     vals = np.zeros((len(angles), avg.decomp.perp.shape[0]))
@@ -410,7 +428,7 @@ def trace_and_split(
         nxt = np.roll(proj, -1, axis=0)
         signed = np.arctan2(proj[:, 0] * nxt[:, 1] - proj[:, 1] * nxt[:, 0], np.einsum("ij,ij->i", proj, nxt))
         if np.all(signed < 0) and abs(signed.sum() + 2 * math.pi) < 1e-9:
-            plane = OrientedPlane(plane.frame * np.array([[1.0], [-1.0]]), plane.orientation)
+            plane = OrientedPlane(plane.frame * np.array([[1.0], [-1.0]]))
     perp = plane.perp_frame()
     if plane.m == 1:
         proj = curve @ plane.frame.T  # (2, 1)
@@ -476,8 +494,7 @@ def circle_gradient_energy_ratio(samples: np.ndarray) -> float:
     return num / den
 
 
-def mollified_unit_curve(P: PolyChain, base: OrientedPlane, rho: float | None = None,
-                         nodes: int = 64):
+def mollified_unit_curve(P: PolyChain, base: OrientedPlane, rho: float | None = None):
     """Decompose, average and mollify a cone over ``base``; return the
     generating curve of the mollified cone at unit base radius together
     with the decomposition and the mollified graph."""
@@ -487,7 +504,7 @@ def mollified_unit_curve(P: PolyChain, base: OrientedPlane, rho: float | None = 
     avg = averaged_graph(decomp)
     if rho is None:
         rho = min(max(height_sup(P, base, radius=1.0), 1e-3), 0.45)
-    v = mollified_graph(avg, rho, angles=angles, nodes=nodes)
+    v = mollified_graph(avg, rho, angles=angles)
     return _unit_curve(decomp, v), decomp, v
 
 
@@ -525,7 +542,7 @@ def _oriented(simplices: np.ndarray, base: OrientedPlane) -> np.ndarray:
     simplex projects onto ``base`` against its orientation."""
     dom = simplices @ base.frame.T
     m = base.m
-    flip = np.linalg.det(np.swapaxes(dom[:, 1:] - dom[:, :1], 1, 2)) * base.orientation < 0
+    flip = np.linalg.det(np.swapaxes(dom[:, 1:] - dom[:, :1], 1, 2)) < 0
     out = simplices.copy()
     out[flip] = out[flip][:, list(range(m - 1)) + [m, m - 1]]
     return out
@@ -635,7 +652,7 @@ def build_comparison(P: PolyChain, cfg: EpiConfig | None = None):
     lam = lambda_epi(m)
 
     # -- stage: plane selection
-    if not is_cone(P, tol=1e-9):
+    if not is_cone(P):
         raise StageError("assumptions", "input chain is not a cone through the origin")
     try:
         V, _ = select_plane(quad_form(P, np.zeros(P.n), 1.0), m)
@@ -677,7 +694,7 @@ def build_comparison(P: PolyChain, cfg: EpiConfig | None = None):
     avg = averaged_graph(decomp)
     rho_moll = min(max(rho_meas, 1e-3), 0.45)
     angles = _layer_ray_angles(decomp)
-    v = mollified_graph(avg, rho_moll, angles=angles, nodes=cfg.moll_nodes)
+    v = mollified_graph(avg, rho_moll, angles=angles)
 
     # -- stage: spectral plane off the mollified cone
     curve = _unit_curve(decomp, v)
@@ -697,13 +714,13 @@ def build_comparison(P: PolyChain, cfg: EpiConfig | None = None):
     )
 
     # -- stage: assemble S
-    S_chain, P_inside, s_parts = _assemble(P, decomp, v, trace, cfg)
+    S_chain, P_inside, s_parts = _assemble(P, decomp, v, trace)
     # boundary gives one face per class: the defect needs no second merge
     defect = _residual_defect_mass(boundary(s_parts - P_inside))
     mP = mass(P)
-    if defect > cfg.boundary_defect_tol * mP:
-        raise StageError("assemble", f"boundary defect {defect:.3g} exceeds {cfg.boundary_defect_tol} * mass(P)",
-                         defect, cfg.boundary_defect_tol * mP)
+    if defect > _BOUNDARY_DEFECT_TOL * mP:
+        raise StageError("assemble", f"boundary defect {defect:.3g} exceeds {_BOUNDARY_DEFECT_TOL} * mass(P)",
+                         defect, _BOUNDARY_DEFECT_TOL * mP)
 
     # -- measurements: one layer decomposition per (chain, plane) pair
     W_P = align_base_to_chain(W, P)
@@ -836,13 +853,7 @@ def _split_by_polygon_cylinder(
     return inside, (out_verts[order], out_src[order])
 
 
-def _assemble(
-    P: PolyChain,
-    decomp: LayerDecomposition,
-    v: MollifiedGraph,
-    trace: BoundaryTrace,
-    cfg: EpiConfig,
-):
+def _assemble(P: PolyChain, decomp: LayerDecomposition, v: MollifiedGraph, trace: BoundaryTrace):
     """Assemble the comparison surface and the matching inner part of P."""
     base = decomp.base
     perp = decomp.perp
@@ -858,7 +869,7 @@ def _assemble(
     # ball of W, ring by ring; the outermost ring is the quarter-trace
     # interface itself (h4 = w/4 at |x| = 1/4), so the interface faces
     # cancel bit for bit
-    Q = cfg.radial_divisions
+    Q = _RADIAL_DIVISIONS
     rings = [
         _lift(t * uW, W.frame) + _lift(trace.w0 / 4.0 + 4.0 * t * t * (trace.samples - trace.w0), Wperp)
         for t in 0.25 * np.arange(1, Q) / Q
@@ -881,7 +892,7 @@ def _assemble(
     g0_parts = _oriented(np.concatenate(pieces), base)
 
     # (c) blended annulus per layer over its own wedge
-    blend = annulus_interpolate(decomp, v, divisions=cfg.blend_divisions)
+    blend = annulus_interpolate(decomp, v)
 
     # (d) P outside the 3/4 cylinder
     (in_verts, in_src), (out_verts, out_src) = _split_by_polygon_cylinder(P, base, 0.75 * uV)
@@ -991,22 +1002,26 @@ def _excess_over_polygon(decomp: LayerDecomposition, poly: np.ndarray) -> float:
     return float(total - decomp.g0_norm * _fan_areas(poly[None], np.array([k]))[0])
 
 
-def _residual_defect_mass(chain: PolyChain, tol: float = 1e-9) -> float:
+#: How far apart two boundary-defect faces may be and still cancel.
+_DEFECT_TOL = 1e-9
+
+
+def _residual_defect_mass(chain: PolyChain) -> float:
     """Mass of a boundary-defect chain after tolerance-based cancellation.
 
     Snap-grid face merging can miss pairs that differ by rounding right at
     a grid boundary.  So each face not yet taken, in term order, takes the
-    later faces not yet taken whose volume is within ``tol`` of its own and
-    whose vertices are within ``tol`` of its own in the same order (added)
-    or the reversed one (subtracted); each class is summed and measured
-    once, and the masses are added in term order."""
+    later faces not yet taken whose volume is within ``_DEFECT_TOL`` of its
+    own and whose vertices are within ``_DEFECT_TOL`` of its own in the
+    same order (added) or the reversed one (subtracted); each class is
+    summed and measured once, and the masses are added in term order."""
     T, k, n = chain.verts.shape
     vol = chain.volumes()
     flat = chain.verts.reshape(T, k * n)
-    i, j = np.nonzero(np.triu(np.abs(vol[:, None] - vol) <= tol, 1))
+    i, j = np.nonzero(np.triu(np.abs(vol[:, None] - vol) <= _DEFECT_TOL, 1))
 
     def near(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.sqrt(_rowdot(a - b, a - b)) <= tol
+        return np.sqrt(_rowdot(a - b, a - b)) <= _DEFECT_TOL
 
     same = near(flat[i], flat[j])
     flip = ~same & near(flat[i], chain.verts[j, ::-1].reshape(len(j), k * n))

@@ -66,10 +66,10 @@ def _aligned(base: OrientedPlane, verts: np.ndarray) -> OrientedPlane:
     dom = verts @ base.frame.T
     det = np.linalg.det(dom[:, 1:] - dom[:, :1])
     firm = np.flatnonzero(np.abs(det) >= 1e-14)
-    if len(firm) and det[firm[0]] * base.orientation < 0:
+    if len(firm) and det[firm[0]] < 0:
         f = base.frame.copy()
         f[-1] = -f[-1]
-        return OrientedPlane(f, base.orientation)
+        return OrientedPlane(f)
     return base
 
 
@@ -225,7 +225,7 @@ def _layer_stack(
         e1, e2 = edges[:, 0], edges[:, 1]
         det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
     degenerate = np.abs(det) / math.factorial(m) < 1e-14 * np.maximum(volumes, 1e-30)
-    bad = np.flatnonzero(degenerate | (det * base.orientation <= 0))
+    bad = np.flatnonzero(degenerate | (det <= 0))
     if len(bad):
         if degenerate[bad[0]]:
             raise GeneralPositionError("projected simplex is degenerate")

@@ -47,6 +47,14 @@ class AmbiguousPlaneError(ValueError):
     """Eigen-gap below tolerance: the selected plane is not well defined."""
 
 
+#: The least eigen-gap ``lambda_m - lambda_{m+1}`` of a well-defined plane.
+_GAP_TOL = 1e-10
+#: The constant c(m) of the first-moment and quadratic-form pinch bounds.
+_C_M = 8.0
+#: How far from 1 a density ratio the moment bounds take as unit may be.
+_DENSITY_TOL = 0.05
+
+
 def chain_ball_moments(chain: PolyChain, center, radius: float) -> BallMoments:
     """Coefficient-norm-weighted exact moments of ``||T||`` on a ball."""
     center = np.asarray(center, dtype=float)
@@ -101,23 +109,21 @@ def quad_form(chain: PolyChain, center, radius: float) -> SymForm:
     return _form_from_moments(chain_ball_moments(chain, center, radius), chain.m, center, radius)
 
 
-def select_plane(
-    form: SymForm, m: int, gap_tol: float = 1e-10
-) -> tuple[OrientedPlane, np.ndarray]:
+def select_plane(form: SymForm, m: int) -> tuple[OrientedPlane, np.ndarray]:
     """Top-m eigenplane of a second-moment form.
 
     Deterministic: eigenvalues ordered descending, each eigenvector's
     first component larger than 1e-9 in magnitude is made positive, and
-    the plane carries orientation +1.  An eigen-gap
-    ``lambda_m - lambda_{m+1}`` below ``gap_tol`` raises
+    the frame rows follow the eigenvalues.  An eigen-gap
+    ``lambda_m - lambda_{m+1}`` at most ``_GAP_TOL`` raises
     :class:`AmbiguousPlaneError` rather than silently picking a plane.
     """
     w, vecs = form.eigensystem()
     if len(w) <= m:
         raise ValueError("form has no complementary directions")
     frames, gaps = _signed_frames(w[None], vecs[None], m)
-    if gaps[0] <= gap_tol:
-        raise AmbiguousPlaneError(_gap_reason(gaps[0], gap_tol))
+    if gaps[0] <= _GAP_TOL:
+        raise AmbiguousPlaneError(_gap_reason(gaps[0]))
     return OrientedPlane(frames[0]), w
 
 
@@ -133,8 +139,8 @@ def _signed_frames(w: np.ndarray, vecs: np.ndarray, m: int) -> tuple[np.ndarray,
     return np.where(flip[..., None], -top, top), w[:, m - 1] - w[:, m]
 
 
-def _gap_reason(gap: float, gap_tol: float = 1e-10) -> str:
-    return f"eigen-gap {gap:.3e} below {gap_tol:.1e}"
+def _gap_reason(gap: float) -> str:
+    return f"eigen-gap {gap:.3e} below {_GAP_TOL:.1e}"
 
 
 @dataclass
@@ -226,19 +232,15 @@ class TraceBoundReport:
     ok: bool
 
 
-def trace_bound_check(
-    chain: PolyChain, r: float, eps: float, rho_grid: np.ndarray | None = None
-) -> TraceBoundReport:
+def trace_bound_check(chain: PolyChain, r: float, eps: float) -> TraceBoundReport:
     """Check ``|tr Q(T,0,r) - m| <= (m+4) eps`` under the density hypothesis.
 
-    The hypothesis ``|ratio(rho) - 1| <= eps`` is verified on a rho-grid
-    with exact ball masses.  The chain is expected to be normalized to
-    unit density (coefficient norms ~ 1).
+    The hypothesis ``|ratio(rho) - 1| <= eps`` is verified on 16 radii
+    from r/10 to r with exact ball masses.  The chain is expected to be
+    normalized to unit density (coefficient norms ~ 1).
     """
     m = chain.m
-    if rho_grid is None:
-        rho_grid = r * np.linspace(0.1, 1.0, 16)
-    prof = DensityProfile.from_chain(chain, np.zeros(chain.n), np.asarray(rho_grid))
+    prof = DensityProfile.from_chain(chain, np.zeros(chain.n), r * np.linspace(0.1, 1.0, 16))
     worst = float(np.max(np.abs(prof.values - 1.0)))
     hyp_ok = worst <= eps + 1e-15
     tr = quad_form(chain, np.zeros(chain.n), r).trace
@@ -372,21 +374,16 @@ class FirstMomentReport:
     details: dict = field(default_factory=dict)
 
 
-def first_moment_bound_check(
-    chain: PolyChain,
-    r: float,
-    xi: Gauge,
-    c_m: float = 8.0,
-    density_tol: float = 0.05,
-    support_samples: int = 8,
-) -> FirstMomentReport:
+def first_moment_bound_check(chain: PolyChain, r: float, xi: Gauge) -> FirstMomentReport:
     """Check ``|b_n(phi, r)| <= c(m) r max(r^{1/4}, sqrt(xi(2 sqrt r)))``.
 
-    Hypotheses -- unit density at the origin, drop-excess below the gauge
-    at scales up to ``sqrt(r)`` around support points in ``B(0,r)``, and
+    Hypotheses -- unit density at the origin (within ``_DENSITY_TOL``),
+    drop-excess below the gauge at scales up to ``sqrt(r)`` around every
+    ``max(1, N // 8)``-th of the N support vertices in ``B(0,r)``, and
     two-sided excess below the gauge at the origin up to ``2 sqrt(r)`` --
-    are verified on radius grids.  The trivial normalization bound
-    ``|b_n| <= 2 r (1 + exc)`` is always reported alongside.
+    are verified on radius grids.  ``c(m)`` is ``_C_M``.  The trivial
+    normalization bound ``|b_n| <= 2 r (1 + exc)`` is always reported
+    alongside.
     """
     m = chain.m
     if not 0 < 2 * math.sqrt(r) <= 1:
@@ -396,10 +393,10 @@ def first_moment_bound_check(
     prof0 = DensityProfile.from_chain(chain, origin, grid0)
     exc0 = spherical_excess(prof0, 2 * math.sqrt(r))[2]
     density0 = abs(prof0.values[0] - 1.0)
-    hyp = density0 <= density_tol and exc0 <= xi(2 * math.sqrt(r)) + 1e-12
+    hyp = density0 <= _DENSITY_TOL and exc0 <= xi(2 * math.sqrt(r)) + 1e-12
     verts = chain.vertex_array().reshape(-1, chain.n)
     verts = verts[np.linalg.norm(verts, axis=1) <= r]
-    step = max(1, len(verts) // support_samples)
+    step = max(1, len(verts) // 8)
     worst_drop = 0.0
     for p in verts[::step]:
         grid = np.geomspace(1e-3 * r, math.sqrt(r), 24)
@@ -410,13 +407,13 @@ def first_moment_bound_check(
     hyp = hyp and worst_drop <= xi(math.sqrt(r)) + 1e-12
     rec = moments_all(chain, origin, r)
     b_norm = float(np.linalg.norm(rec.b_n))
-    bound = c_m * r * max(r**0.25, math.sqrt(xi(2 * math.sqrt(r))))
+    bound = _C_M * r * max(r**0.25, math.sqrt(xi(2 * math.sqrt(r))))
     trivial = 2.0 * r * (1.0 + exc0)
     return FirstMomentReport(
         b_norm,
         bound,
         trivial,
-        c_m,
+        _C_M,
         hyp,
         {"density0_dev": density0, "exc0": exc0, "worst_drop": worst_drop},
     )
@@ -433,20 +430,14 @@ class PinchReport:
     notes: list[str] = field(default_factory=list)
 
 
-def quadform_pinch_check(
-    chain: PolyChain,
-    x,
-    r: float,
-    xi: Gauge,
-    c_m: float = 8.0,
-    tau_density: float = 0.05,
-) -> PinchReport:
-    """Check ``| Q_n(phi,r)(x) - |x|^2 | <= c(m) |x|^2 max(r^{1/8}, xi(2 sqrt r)^{1/4})``.
+def quadform_pinch_check(chain: PolyChain, x, r: float, xi: Gauge) -> PinchReport:
+    """Check ``| Q_n(phi,r)(x) - |x|^2 | <= c(m) |x|^2 max(r^{1/8}, xi(2 sqrt r)^{1/4})``,
+    with ``c(m)`` the ``_C_M`` of :func:`first_moment_bound_check`.
 
     The hypothesis set asks for unit densities at the origin and at ``x``
     and for ``|x|`` at the prescribed radius; exact unit densities are
     rarely attainable for polyhedral data, so densities are accepted
-    within ``tau_density`` and that tolerance is reported.  Hypothesis
+    within ``_DENSITY_TOL`` and that tolerance is reported.  Hypothesis
     failure is an expected outcome for most inputs, reported not raised.
     """
     x = np.asarray(x, dtype=float)
@@ -462,10 +453,10 @@ def quadform_pinch_check(
         grid = np.geomspace(1e-3 * r, r, 24)
         prof = DensityProfile.from_chain(chain, point, grid)
         dev = abs(prof.values[0] - 1.0)
-        if dev > tau_density:
+        if dev > _DENSITY_TOL:
             ok = False
-            notes.append(f"density at {label} deviates by {dev:.3g} > tau {tau_density}")
+            notes.append(f"density at {label} deviates by {dev:.3g} > tau {_DENSITY_TOL}")
     form = quad_form(chain, np.zeros(chain.n), r)
     lhs = abs(form(x) - float(x @ x))
-    bound = c_m * float(x @ x) * eta
-    return PinchReport(lhs, bound, bound - lhs, eta, tau_density, ok, notes)
+    bound = _C_M * float(x @ x) * eta
+    return PinchReport(lhs, bound, bound - lhs, eta, _DENSITY_TOL, ok, notes)

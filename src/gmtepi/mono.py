@@ -64,7 +64,7 @@ def alpha0_exponent(m: int, lam: float | None = None) -> float:
 
 @dataclass(frozen=True)
 class Gauge:
-    """An increasing modulus ``xi: (0, delta] -> R_+`` vanishing at 0.
+    """An increasing modulus ``xi: R_+ -> R_+`` vanishing at 0.
 
     Either a power law ``c r^alpha`` or a tabulated increasing function.
     """
@@ -72,15 +72,14 @@ class Gauge:
     kind: str  # "power" | "table"
     c: float = 0.0
     alpha: float = 1.0
-    delta: float = 1.0
     radii: np.ndarray | None = None
     values: np.ndarray | None = None
 
     @classmethod
-    def power(cls, c: float, alpha: float, delta: float = 1.0) -> "Gauge":
-        if c <= 0 or not (0 < alpha <= 1):
-            raise ValueError("power gauge needs c > 0 and 0 < alpha <= 1")
-        return cls("power", c=c, alpha=alpha, delta=delta)
+    def power(cls, c: float, alpha: float) -> "Gauge":
+        if not (math.isfinite(c) and c > 0 and 0 < alpha <= 1):
+            raise ValueError("power gauge needs a finite c > 0 and 0 < alpha <= 1")
+        return cls("power", c=c, alpha=alpha)
 
     @classmethod
     def table(cls, radii, values) -> "Gauge":
@@ -88,7 +87,7 @@ class Gauge:
         v = np.asarray(values, dtype=float)
         if np.any(np.diff(r) <= 0) or np.any(np.diff(v) < -1e-15) or np.any(v < 0):
             raise ValueError("tabulated gauge must be increasing and nonnegative")
-        return cls("table", delta=float(r[-1]), radii=r, values=v)
+        return cls("table", radii=r, values=v)
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -109,7 +108,7 @@ def gauge_integral(xi: Gauge, m: int) -> Gauge:
     positive fitted exponent).
     """
     if xi.kind == "power":
-        return Gauge.power(m * xi.c / xi.alpha, xi.alpha, xi.delta)
+        return Gauge.power(m * xi.c / xi.alpha, xi.alpha)
     r, v = xi.radii, xi.values
     if v[0] > 0:
         p = math.log(max(v[1], 1e-300) / max(v[0], 1e-300)) / math.log(r[1] / r[0])
@@ -185,12 +184,11 @@ class MonotoneReport:
     worst_pair: tuple[float, float]
 
 
-def almost_monotone_check(
-    profile: DensityProfile, Xi: Gauge, tol: float = 1e-12
-) -> MonotoneReport:
+def almost_monotone_check(profile: DensityProfile, Xi: Gauge) -> MonotoneReport:
     """Check that ``exp(Xi(r)) ratio(r)`` is nondecreasing on the grid
-    within ``tol``; the worst violating radius pair is reported either way.
+    within 1e-12; the worst violating radius pair is reported either way.
     """
+    tol = 1e-12
     g = np.exp(Xi(profile.radii)) * profile.values
     run = np.maximum.accumulate(g)
     viol = run - g
@@ -210,7 +208,7 @@ class DecayReport:
     ``hypotheses`` maps the four gated conditions to booleans:
     ``mass_floor`` (``theta r^m <= exp(Xi) f``), ``diff_ineq`` (the
     discrete differential inequality), ``lambda0_window``
-    (``(1+xi(r0)) sqrt(lam) <= lambda0 < 1``) and ``xi_small``
+    (``lambda0 = (1+xi(r0)) sqrt(lam) < 1``) and ``xi_small``
     (``exp(Xi(r0)) <= 2``).  Two further structural conditions are
     reported but not gated, since for the contraction factor of the
     comparison-surface theorem they force gauge exponents below
@@ -235,8 +233,6 @@ def decay_bound(
     xi: Gauge,
     lam: float,
     m: int,
-    lambda0: float | None = None,
-    tol_factor: float = 2.0,
 ) -> DecayReport:
     """Verify the decay bound for a sampled mass function ``f``.
 
@@ -247,8 +243,9 @@ def decay_bound(
             <= Xi(r) (Xi(r0)^{-1} (exp(Xi(r0)) f(r0)/r0^m - theta) + 8 theta).
 
     ``f'`` is estimated by one-sided forward differences on the grid and
-    the differential inequality is tested with a tolerance proportional
-    to grid spacing.  Hypothesis failures report the violating radius.
+    the differential inequality is tested with a tolerance of twice the
+    relative grid spacing times the bound.  Hypothesis failures report the
+    violating radius.
     """
     r = np.asarray(radii, dtype=float)
     f = np.asarray(f_values, dtype=float)
@@ -256,8 +253,7 @@ def decay_bound(
         raise ValueError("radii must be ascending")
     r0 = float(r[-1])
     Xi = gauge_integral(xi, m)
-    if lambda0 is None:
-        lambda0 = (1.0 + xi(r0)) * math.sqrt(lam)
+    lambda0 = (1.0 + xi(r0)) * math.sqrt(lam)
     expXi = np.exp(Xi(r))
 
     hyp: dict[str, bool] = {}
@@ -272,13 +268,13 @@ def decay_bound(
     rhs_d = (1.0 + xi(r[:-1])) * (r[:-1] / m) * (
         lam * fp + (1.0 - lam) * theta * m * r[:-1] ** (m - 1)
     )
-    tol = tol_factor * np.diff(r) / r[:-1] * np.abs(rhs_d)
+    tol = 2.0 * np.diff(r) / r[:-1] * np.abs(rhs_d)
     diff_ok = f[:-1] <= rhs_d + tol + 1e-14
     hyp["diff_ineq"] = bool(np.all(diff_ok))
     if not hyp["diff_ineq"] and failing is None:
         failing = float(r[:-1][int(np.argmin(diff_ok))])
 
-    hyp["lambda0_window"] = bool((1.0 + xi(r0)) * math.sqrt(lam) <= lambda0 < 1.0)
+    hyp["lambda0_window"] = bool(lambda0 < 1.0)
     hyp["xi_small"] = bool(math.exp(Xi(r0)) <= 2.0)
 
     ungated = {

@@ -22,41 +22,40 @@ __all__ = [
 
 
 class OrientedPlane:
-    """An m-plane through the origin: an orthonormal frame plus a sign."""
+    """An m-plane through the origin with an orthonormal frame (rows); the
+    row order of the frame is the plane's orientation."""
 
-    __slots__ = ("frame", "orientation")
+    __slots__ = ("frame",)
 
-    def __init__(self, frame: np.ndarray, orientation: int = 1):
+    def __init__(self, frame: np.ndarray):
         f = np.array(frame, dtype=float)
         defect = np.abs(f @ f.T - np.eye(f.shape[0]))
         if not defect.max(initial=0.0) <= 1e-12:
             raise ValueError("frame rows must be orthonormal (within 1e-12)")
-        if orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
         f.flags.writeable = False
         self.frame = f
-        self.orientation = orientation
 
     @classmethod
     def _stack(cls, frames: np.ndarray) -> list["OrientedPlane"]:
-        """The planes of orientation +1 over a stack of frames (C, m, n),
-        checked as the constructor checks each, in one pass."""
+        """The planes over a stack of frames (C, m, n), checked as the
+        constructor checks each, in one pass."""
         f = np.array(frames, dtype=float)
         if not np.abs(f @ f.transpose(0, 2, 1) - np.eye(f.shape[1])).max(initial=0.0) <= 1e-12:
             raise ValueError("frame rows must be orthonormal (within 1e-12)")
         f.flags.writeable = False
         planes = [object.__new__(cls) for _ in f]
         for plane, frame in zip(planes, f):
-            plane.frame, plane.orientation = frame, 1
+            plane.frame = frame
         return planes
 
     @classmethod
-    def from_span(cls, vectors: np.ndarray, orientation: int = 1) -> "OrientedPlane":
-        """Orthonormalize a spanning set (rows) into a plane."""
+    def from_span(cls, vectors: np.ndarray) -> "OrientedPlane":
+        """Orthonormalize a spanning set (rows) into a plane of the same
+        orientation."""
         q, r = np.linalg.qr(np.asarray(vectors, dtype=float).T)
         signs = np.sign(np.diag(r))
         signs[signs == 0] = 1.0
-        return cls((q * signs).T, orientation)
+        return cls((q * signs).T)
 
     @classmethod
     def coordinate(cls, n: int, dims: tuple[int, ...]) -> "OrientedPlane":
@@ -91,7 +90,7 @@ class OrientedPlane:
         return np.linalg.svd(self.frame)[2][self.m :]
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"OrientedPlane(m={self.m}, n={self.n}, orient={self.orientation:+d})"
+        return f"OrientedPlane(m={self.m}, n={self.n})"
 
 
 def align_in_plane_orientation(plane: OrientedPlane, reference: OrientedPlane) -> OrientedPlane:
@@ -103,7 +102,7 @@ def align_in_plane_orientation(plane: OrientedPlane, reference: OrientedPlane) -
     if np.linalg.det(overlap) < 0:
         f = plane.frame.copy()
         f[-1] = -f[-1]
-        return OrientedPlane(f, plane.orientation)
+        return OrientedPlane(f)
     return plane
 
 
@@ -124,14 +123,13 @@ def _plane_distances(a: list[OrientedPlane], b: list[OrientedPlane]) -> np.ndarr
     return np.linalg.svd(diffs, compute_uv=False).max(axis=1)
 
 
-def hausdorff_unit_ball_distance(
-    a: OrientedPlane, b: OrientedPlane, samples: int = 256, seed: int = 0
-) -> float:
-    """Sampled Hausdorff distance of the two unit balls (validation oracle).
+def hausdorff_unit_ball_distance(a: OrientedPlane, b: OrientedPlane, samples: int = 256) -> float:
+    """Sampled Hausdorff distance of the two unit balls (validation oracle),
+    from a fixed seed.
 
     Independent of :func:`plane_distance`; the two agree for planes.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     best = 0.0
     for p, q in ((a, b), (b, a)):
         coords = rng.normal(size=(samples, p.m))

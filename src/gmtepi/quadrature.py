@@ -29,7 +29,6 @@ import numpy as np
 
 __all__ = [
     "gauss_segment",
-    "integrate_over_simplex",
     "gram_volumes",
     "simplex_volume",
     "trig_monomial_integral",
@@ -89,33 +88,6 @@ def gram_volumes(gram, m: int):
     """Unsigned m-volumes ``sqrt(gram) / m!`` of simplices with the given
     Gram determinants of their edge vectors; 0 where ``gram <= 0``."""
     return np.sqrt(np.maximum(gram, 0.0)) / math.factorial(m)
-
-
-def integrate_over_simplex(f, vertices: np.ndarray, volume: float | None = None) -> float:
-    """Integrate ``f`` over a simplex, exactly for polynomials of degree <= 5.
-
-    Parameters
-    ----------
-    f : callable
-        Maps an array of points (k, n) to an array of k values.
-    vertices : (m+1, n) array
-        Simplex vertices; m in {1, 2}.
-    volume : float, optional
-        Precomputed (possibly signed) m-volume.  A negative value yields a
-        signed integral, which is what the disk-clip decomposition needs.
-    """
-    m = vertices.shape[0] - 1
-    if volume is None:
-        volume = simplex_volume(vertices)
-    if volume == 0.0:
-        return 0.0
-    if m == 1:
-        pts = np.outer(1.0 - _GAUSS3_NODES, vertices[0]) + np.outer(_GAUSS3_NODES, vertices[1])
-        return float(volume * np.dot(_GAUSS3_WEIGHTS, f(pts)))
-    if m == 2:
-        pts = _TRI_BARY @ vertices
-        return float(volume * np.dot(_TRI_WEIGHTS, f(pts)))
-    raise NotImplementedError(f"no quadrature rule for m={m}")
 
 
 # -- sector integrals ---------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 from .chains import PolyChain, _check_points, _check_radius, _cut_triangles, _dist_to_simplices, _sup_pass
 from .layers import _unit_faces, disk_cover, disk_sheets
 from .mono import alpha_m, alpha0_exponent, lambda_epi
-from .moments import _cell_betas, _centred_betas, _gap_reason, _perp_frames, _signed_frames, beta_numbers
+from .moments import _GAP_TOL, _cell_betas, _centred_betas, _gap_reason, _perp_frames, _signed_frames, beta_numbers
 from .planes import OrientedPlane, _plane_distances, _plane_grid
 from .quadrature import _rowdot, cell_ball_moments
 
@@ -56,21 +56,6 @@ class Frame:
 #: once freed, a temporary far above a one-cell pass's makes the allocator
 #: keep later large arrays on its heap, which raised the scan_disk peak RSS.
 _STACK_ROWS = 256
-
-
-def _dist_to_support(chain: PolyChain, points: np.ndarray, terms: np.ndarray | None = None) -> np.ndarray:
-    """Exact distances from points (P, n) to the support, for m in (1, 2),
-    by the pruned pass :func:`gmtepi.chains._dist_to_simplices`.
-
-    ``terms`` restricts the pass to those term indices; it must hold the
-    nearest simplex of every point.  The scan passes the terms within
-    ``3 r`` of its point x, plus a rounding slack, for query points q in
-    ``B(x, r)`` where ``d(x, spt) <= r``: the nearest simplex t* of q has
-    ``d(x, t*) <= |q - x| + d(q, spt) <= |q - x| + |q - x| + d(x, spt)``.
-    Each point-simplex distance is computed on its own, so the minimum
-    over any set that holds t* is the same float.
-    """
-    return _dist_to_simplices(chain.vertex_array() if terms is None else chain.vertex_array()[terms], points)
 
 
 def _frame_search(
@@ -176,7 +161,7 @@ def find_frame(
     dirs = dirs[0]
     gram = dirs @ dirs.T
     defect = float(np.max(np.abs(gram - np.eye(m))))
-    sup_d = float(np.max(_dist_to_support(chain, x + s * dirs)))
+    sup_d = float(np.max(_dist_to_simplices(chain.vertex_array(), x + s * dirs)))
     return Frame(dirs, s, x, defect, sup_d)
 
 
@@ -374,7 +359,7 @@ def _scan_cells(chain: PolyChain, points: np.ndarray, r0: float, depth: int) -> 
     # eigenvalues descending, eigenvectors as rows in that order
     order = (np.arange(len(w))[:, None], w.argsort(axis=1)[:, ::-1])
     frames, gaps = _signed_frames(w[order], vecs.transpose(0, 2, 1)[order], m)
-    ambiguous = gaps <= 1e-10
+    ambiguous = gaps <= _GAP_TOL
     good = (~ambiguous).nonzero()[0]
     out = {
         c: ScanCell(*cells[c], float(rs[c]), None, 0.0, 0.0, 0.0, 0.0, dens[c], 1.0, False, True, frame_reason=_gap_reason(gaps[c]))
@@ -470,18 +455,23 @@ def _runs(sizes: np.ndarray, limit: float) -> list[tuple[slice, slice]]:
 def _grid_distances(chain: PolyChain, xs: np.ndarray, rs: np.ndarray, planes: list[OrientedPlane]) -> list[float]:
     """The largest distance from each cell's plane-ball grid
     (:func:`gmtepi.planes._plane_grid` at 24 rings) to the support, in one
-    distance pass over all the grids.  A cell that reaches the grid has a
-    plane, so its ball has positive mass and ``d(x, spt) <= r``; the pass
-    takes the terms within ``3 r`` of some cell's point x, plus a rounding
-    slack, which hold the nearest simplex of each of its grid points (see
-    :func:`_dist_to_support`)."""
+    distance pass (:func:`gmtepi.chains._dist_to_simplices`) over all the
+    grids.
+
+    A cell that reaches the grid has a plane, so its ball has positive mass
+    and ``d(x, spt) <= r``.  The pass takes the terms within ``3 r`` of some
+    cell's point x, plus a rounding slack.  They hold the nearest simplex
+    t* of each grid point q in ``B(x, r)``: ``d(x, t*) <= |q - x| + d(q,
+    spt) <= |q - x| + |q - x| + d(x, spt) <= 3 r``.  Each point-simplex
+    distance is computed on its own, so the minimum over any set that holds
+    t* is the same float as over the whole support."""
     slack = 1e-9 * max(float(np.max(np.abs(chain.verts))), float(np.max(np.abs(xs))))
     keep = np.zeros(len(chain), dtype=bool)
     for x, r in zip(xs, rs.tolist()):
         keep |= chain.reach(x) <= 3 * r + slack
     grids = [x + plane.embed(_plane_grid(r, plane.m, 24)) for x, r, plane in zip(xs, rs.tolist(), planes)]
     starts = np.cumsum([0] + [len(g) for g in grids[:-1]])
-    return np.maximum.reduceat(_dist_to_support(chain, np.vstack(grids), np.flatnonzero(keep)), starts).tolist()
+    return np.maximum.reduceat(_dist_to_simplices(chain.vertex_array()[keep], np.vstack(grids)), starts).tolist()
 
 
 @dataclass
@@ -508,7 +498,6 @@ def extract_graph(
     chain: PolyChain,
     point_index: int,
     dini_budget: float = 1.0 / 120.0,
-    drift_floor: float = 1e-9,
 ) -> GraphCertificate:
     """Certify the support as a single graph near a scanned point.
 
@@ -539,7 +528,7 @@ def extract_graph(
     exponent = None
     if len(cells) >= 4:
         sc = np.array([c.radius for c in cells[:-2]])
-        good = to_limit > 10 * drift_floor
+        good = to_limit > 10 * 1e-9  # ten times the floor of a measured drift
         if good.sum() >= 2:
             coef = np.polyfit(np.log(sc[good]), np.log(to_limit[good]), 1)
             exponent = float(coef[0])

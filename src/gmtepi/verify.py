@@ -43,14 +43,18 @@ class CheckRow:
         }
 
 
-def squares_violations(n: int = 10_000, seed: int = 0, tol: float = 1e-12) -> int:
+#: Rounding slack of the scalar inequality checks.
+_TOL = 1e-12
+
+
+def squares_violations(n: int = 10_000, seed: int = 0) -> int:
     """Count violations of the four square-root comparison inequalities."""
     rng = np.random.default_rng(seed)
     a = rng.uniform(0, 4, n)
     b = rng.uniform(0, 4, n)
     delta = rng.uniform(1e-6, 1.0, n)
     bad = 0
-    bad += int(np.sum(np.sqrt(1 + a**2 + b**2) > np.sqrt(1 + a**2) + np.sqrt(1 + b**2) - 1 + tol))
+    bad += int(np.sum(np.sqrt(1 + a**2 + b**2) > np.sqrt(1 + a**2) + np.sqrt(1 + b**2) - 1 + _TOL))
     # convex combination with a random number of terms
     for _ in range(n // 10):
         k = int(rng.integers(2, 6))
@@ -58,17 +62,17 @@ def squares_violations(n: int = 10_000, seed: int = 0, tol: float = 1e-12) -> in
         avals = rng.uniform(0, 4, k)
         lhs = math.sqrt(1 + float(lam @ avals) ** 2)
         rhs = float(lam @ np.sqrt(1 + avals**2))
-        bad += lhs > rhs + tol
-    bad += int(np.sum(np.sqrt(1 + delta**2 * a**2) - 1 > delta * (np.sqrt(1 + a**2) - 1) + tol))
+        bad += lhs > rhs + _TOL
+    bad += int(np.sum(np.sqrt(1 + delta**2 * a**2) - 1 > delta * (np.sqrt(1 + a**2) - 1) + _TOL))
     bad += int(
         np.sum(
-            np.sqrt(1 + a * b) - 1 > 0.5 * delta**-2 * b**2 + delta * (np.sqrt(1 + a**2) - 1) + tol
+            np.sqrt(1 + a * b) - 1 > 0.5 * delta**-2 * b**2 + delta * (np.sqrt(1 + a**2) - 1) + _TOL
         )
     )
     return bad
 
 
-def two_terms_violations(n: int = 10_000, seed: int = 1, tol: float = 1e-12) -> int:
+def two_terms_violations(n: int = 10_000, seed: int = 1) -> int:
     """Count violations of
     ``min((int f)^2, mu(E)^2) <= 3 mu(E) int(sqrt(1+f^2)-1)``
     over random discrete measures."""
@@ -81,7 +85,7 @@ def two_terms_violations(n: int = 10_000, seed: int = 1, tol: float = 1e-12) -> 
         int_f = float(mu @ f)
         int_1 = float(mu.sum())
         rhs = 3.0 * int_1 * float(mu @ (np.sqrt(1 + f**2) - 1))
-        bad += min(int_f**2, int_1**2) > rhs + tol
+        bad += min(int_f**2, int_1**2) > rhs + _TOL
     return bad
 
 

@@ -1,5 +1,5 @@
-"""Per-simplex, per-point reference implementations of the exact ball
-integrals, the beta_inf sup scan (also about the centroid), the
+"""Per-simplex, per-point reference implementations of the whole-simplex
+quadrature rule, the exact ball integrals, the beta_inf sup scan (also about the centroid), the
 point-to-support distance, the plane-ball grid distance, the support
 sample, the whole-ball graph window and the per-bin fiber check of the
 scanner, the layer-constancy check, the recursive half-space clipper of
@@ -60,6 +60,25 @@ _TRI_BARY = np.array(
     ]
 )
 _TRI_WEIGHTS = np.array([9.0 / 40.0, _W1, _W1, _W1, _W2, _W2, _W2])
+
+
+def integrate_over_simplex(f, vertices: np.ndarray) -> float:
+    """Integrate ``f`` over a simplex, exactly for polynomials of degree <= 5.
+
+    ``f`` maps an array of points (k, n) to an array of k values; the
+    simplex has vertices (m+1, n), m in {1, 2}.
+    """
+    m = vertices.shape[0] - 1
+    volume = simplex_volume(vertices)
+    if volume == 0.0:
+        return 0.0
+    if m == 1:
+        pts = np.outer(1.0 - _GAUSS3_NODES, vertices[0]) + np.outer(_GAUSS3_NODES, vertices[1])
+        return float(volume * np.dot(_GAUSS3_WEIGHTS, f(pts)))
+    if m == 2:
+        pts = _TRI_BARY @ vertices
+        return float(volume * np.dot(_TRI_WEIGHTS, f(pts)))
+    raise NotImplementedError(f"no quadrature rule for m={m}")
 
 
 def trig_monomial_integral(a: int, b: int, phi0: float, dphi: float) -> float:
@@ -1030,14 +1049,14 @@ def graph_domains(chain, base):
         e = verts[1:] @ frame.T - verts[0] @ frame.T
         det = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
         if abs(det) >= 1e-14:
-            if det * base.orientation < 0:
+            if det < 0:
                 frame[-1] = -frame[-1]
             break
     doms, jacs = [], []
     for verts in chain.verts:
         dom = verts @ frame.T
         e = dom[1:] - dom[0]
-        if (e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]) * base.orientation <= 0:
+        if e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0] <= 0:
             raise ValueError("a simplex projects degenerately or reversed")
         sol = np.linalg.solve(np.column_stack([dom, np.ones(3)]), verts @ perp.T)
         A = sol[:2].T
@@ -1222,7 +1241,7 @@ def trace_cone_over(curve: np.ndarray, plane, perp: np.ndarray, n_samples: int, 
         # uniformly negative winding: the frame handedness is flipped
         f = plane.frame.copy()
         f[-1] = -f[-1]
-        return trace_cone_over(curve, OrientedPlane(f, plane.orientation), perp, n_samples, iters)
+        return trace_cone_over(curve, OrientedPlane(f), perp, n_samples, iters)
     ang = np.mod(np.arctan2(proj[:, 1], proj[:, 0]), 2 * math.pi)
     d = np.mod(np.diff(np.concatenate([ang, ang[:1]])), 2 * math.pi)
     if np.any(d <= 0) or abs(d.sum() - 2 * math.pi) > 1e-9:
@@ -1386,12 +1405,14 @@ def mollified_eval(v, x: np.ndarray) -> np.ndarray:
 
 
 def averaged_eval(avg, x: np.ndarray) -> np.ndarray:
-    """The averaged graph at one base point, layer mask by layer mask."""
+    """The averaged graph at one base point, layer mask by layer mask, each
+    domain widened by 1e-12."""
     x = np.asarray(x, dtype=float)
+    tol = 1e-12
     if avg.decomp.m == 1:
-        mask = (avg._lo - avg.tol <= x[0]) & (x[0] <= avg._hi + avg.tol)
+        mask = (avg._lo - tol <= x[0]) & (x[0] <= avg._hi + tol)
     else:
-        mask = np.all(avg._normals @ x - avg._offsets >= -avg.tol, axis=1)
+        mask = np.all(avg._normals @ x - avg._offsets >= -tol, axis=1)
     w = avg._w[mask]
     vals = avg._A[mask] @ x + avg._b[mask]
     return (w[:, None] * vals).sum(axis=0) / w.sum()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import scalar_oracle as oracle
-from gmtepi.chains import _sup_pass, ball_mass, pushforward_linear
+from gmtepi.chains import _dist_to_simplices, _sup_pass, ball_mass, pushforward_linear
 from gmtepi.generators import cone_harmonic, flat_disk, two_sheet_cantor
 from gmtepi.layers import _unit_faces, disk_cover
 from gmtepi.moments import chain_ball_moments
@@ -23,7 +23,7 @@ from gmtepi.quadrature import (
     simplex_ball_moments,
     trig_monomial_integral,
 )
-from gmtepi.scan import _dist_to_support, multiscale_scan
+from gmtepi.scan import multiscale_scan
 
 REL = 1e-12
 # The Green's-theorem split sums signed pieces of size ~ r^m, so both
@@ -217,11 +217,12 @@ def test_sup_and_hausdorff_match_the_oracle_on_scan_cells(index):
             assert covered[0] and cell.hausdorff == max(cell.beta_inf * r, top[0])
             assert top[0] >= grid_oracle - REL * r
         else:
-            grid_half = float(np.max(_dist_to_support(chain, x + cell.plane.embed(_plane_grid(r, chain.m, 24)))))
+            ball_grid = x + cell.plane.embed(_plane_grid(r, chain.m, 24))
+            grid_half = float(np.max(_dist_to_simplices(chain.vertex_array(), ball_grid)))
             assert cell.hausdorff == max(cell.beta_inf * r, grid_half)
             assert abs(grid_half - grid_oracle) <= REL * r
         grid = x + rng.normal(size=(50, chain.n)) * r
         want = [oracle.dist_to_support(chain, p) for p in grid]
-        assert np.max(np.abs(_dist_to_support(chain, grid) - want)) <= REL * r
+        assert np.max(np.abs(_dist_to_simplices(chain.vertex_array(), grid) - want)) <= REL * r
         checked += 1
     assert checked == len(rep.cells)

@@ -151,6 +151,12 @@ def test_a_chain_file_without_a_field_exits_naming_it(tmp_path, capsys, damage, 
     ("moments", {"x": [0.0, 0.0]}, "'x' must be an array of finite numbers of shape (3,)"),
     ("scan", {"points": [[0.1, 0.0, "0"]]}, "'points' must be an array of finite numbers of shape (k, 3)"),
     ("excess", {"plane": [[1.0, 0.0, 0.0]]}, "'plane' must be an array of finite numbers of shape (2, 3)"),
+    ("epi", {"eps_max": float("nan")}, "'eps_max' must be a finite number > 0, not nan"),
+    ("epi", {"tail_tol": 1.5}, "'tail_tol' must be a finite number in (0, 1), not 1.5"),
+    ("epi", {"rho_max": 0.9}, "'rho_max' must be a finite number in (0, 1/2], not 0.9"),
+    ("epi", {"rho_max": -1}, "'rho_max' must be a finite number in (0, 1/2], not -1"),
+    ("epi", {"harmonic_cutoff": -3}, "'harmonic_cutoff' must be an integer at least 1, not -3"),
+    ("probe", {"gauge_c": float("nan")}, "'gauge_c' must be a finite number > 0, not nan"),
 ])
 def test_a_malformed_config_file_exits_naming_the_file_and_key(disk_file, tmp_path, capsys, command, config, reason):
     cfg = tmp_path / "cfg.json"

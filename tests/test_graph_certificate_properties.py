@@ -75,7 +75,7 @@ def test_graph_certificate_is_invariant_under_isometries(where, seed, n, angle):
         # the sheets over W's image: the scan's own plane of the moved chain
         # turns by rounding (up to 2e-13 rad on Cantor cells), which moves a
         # slope by as much
-        got = _sheets(moved, M @ x + b, OrientedPlane(W.frame @ M.T, W.orientation), r0)
+        got = _sheets(moved, M @ x + b, OrientedPlane(W.frame @ M.T), r0)
         if isinstance(base, str):
             assert got == base
             continue
@@ -95,7 +95,7 @@ def _turned(chain, x, angle):
     rep = multiscale_scan(chain, [x], r0=0.2, depth=2)
     top = rep.point_cells(0)[0]
     c, s = math.cos(angle), math.sin(angle)
-    top.plane = OrientedPlane(np.array([[c, s], [-s, c]]) @ top.plane.frame, top.plane.orientation)
+    top.plane = OrientedPlane(np.array([[c, s], [-s, c]]) @ top.plane.frame)
     cert = extract_graph(rep, chain, 0, dini_budget=math.inf)
     return cert.ok, cert.reason, cert.lipschitz
 

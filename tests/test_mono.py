@@ -48,6 +48,12 @@ def test_gauge_ratio_floor_exact():
     assert_allclose(Xi(r) / (Xi(r) + xi(r)), 2 / 3, rtol=1e-12)
 
 
+@pytest.mark.parametrize("c,alpha", [(math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (0.1, math.nan)])
+def test_a_power_gauge_refuses_bad_constants(c, alpha):
+    with pytest.raises(ValueError, match="power gauge needs"):
+        Gauge.power(c, alpha)
+
+
 def test_tabulated_gauge_divergence_rejected():
     rs = np.geomspace(1e-4, 1.0, 32)
     with pytest.raises(ValueError):
@@ -150,6 +156,26 @@ def test_decay_bound_gate_on_bad_family():
     rep = decay_bound(radii, f, math.pi, xi, lam, m=2)
     assert not rep.hypotheses["diff_ineq"]
     assert rep.failing_radius is not None
+
+
+@pytest.mark.parametrize("gate", ["mass_floor", "lambda0_window", "xi_small"])
+def test_decay_bound_fails_each_gate_alone(gate):
+    lam = lambda_epi(2)
+    eta_star = 1.0 / math.sqrt(lam) - 1.0
+    theta, xi, r0 = math.pi, Gauge.power(0.1, 0.5), (0.8 * eta_star / 0.1) ** 2
+    if gate == "lambda0_window":  # xi(r0) = 2 eta_star
+        r0 = (2.0 * eta_star / 0.1) ** 2
+        assert (1.0 + xi(r0)) * math.sqrt(lam) >= 1.0
+    if gate == "xi_small":  # Xi = 2 xi / alpha is about 2 while xi(r0) < eta_star
+        xi, r0 = Gauge.power(1e-3, 1e-3), 0.01
+        assert math.exp(gauge_integral(xi, 2)(r0)) > 2.0 and xi(r0) < eta_star
+    radii = np.geomspace(r0 / 100.0, r0, 200)
+    f = theta * radii**2 * (1.0 + radii**0.5)
+    # a theta of twice f's density: theta r^m > exp(Xi) f from the first radius on
+    rep = decay_bound(radii, f, 2.0 * theta if gate == "mass_floor" else theta, xi, lam, m=2)
+    assert not rep.ok
+    assert [name for name, held in rep.hypotheses.items() if not held] == [gate]
+    assert rep.failing_radius == (radii[0] if gate == "mass_floor" else None)
 
 
 def test_decay_slack_monotone_in_beta():

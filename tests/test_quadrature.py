@@ -11,7 +11,6 @@ from gmtepi.groups import NormedCoefficient, integers
 from gmtepi.quadrature import (
     _disk_clip,
     disk_polygon_area,
-    integrate_over_simplex,
     simplex_ball_mass,
     simplex_ball_moments,
     simplex_volume,
@@ -48,7 +47,7 @@ def test_rules_exact_on_barycentric_monomials():
                     out = out * lam[:, i] ** exps[i + 1]
                 return out
 
-            got = integrate_over_simplex(f, verts)
+            got = oracle.integrate_over_simplex(f, verts)
             # bary_monomial_exact is normalized to a unit-volume simplex
             want = float(bary_monomial_exact(list(exps))) * vol
             assert_allclose(got, want, rtol=1e-12, atol=1e-15)
@@ -134,10 +133,10 @@ def test_ball_moments_dual_route():
         s1 = np.zeros(3)
         for simplex, _ in kept.terms:
             s0 += simplex.volume
-            s1 += integrate_over_simplex(lambda p: p[:, 0] - c[0], simplex.vertices) * np.array([1.0, 0, 0])
-            s1 += integrate_over_simplex(lambda p: p[:, 1] - c[1], simplex.vertices) * np.array([0, 1.0, 0])
-            s1 += integrate_over_simplex(lambda p: p[:, 2] - c[2], simplex.vertices) * np.array([0, 0, 1.0])
-            t2 += integrate_over_simplex(
+            s1 += oracle.integrate_over_simplex(lambda p: p[:, 0] - c[0], simplex.vertices) * np.array([1.0, 0, 0])
+            s1 += oracle.integrate_over_simplex(lambda p: p[:, 1] - c[1], simplex.vertices) * np.array([0, 1.0, 0])
+            s1 += oracle.integrate_over_simplex(lambda p: p[:, 2] - c[2], simplex.vertices) * np.array([0, 0, 1.0])
+            t2 += oracle.integrate_over_simplex(
                 lambda p: np.einsum("ij,ij->i", p - c, p - c), simplex.vertices
             )
         tol = 3 * err + 1e-9

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gmtepi.chains import PolyChain, merge_terms, pushforward_linear
+from gmtepi.chains import PolyChain, _dist_to_simplices, merge_terms, pushforward_linear
 from gmtepi.generators import (
     cantor_bump_profile,
     cantor_graph,
@@ -17,7 +17,6 @@ from gmtepi.moments import beta_numbers
 from gmtepi.mono import alpha0_exponent, lambda_epi
 from gmtepi.planes import OrientedPlane, _plane_grid, plane_distance
 from gmtepi.scan import (
-    _dist_to_support,
     extract_graph,
     find_frame,
     multiscale_scan,
@@ -303,7 +302,7 @@ def test_a_covered_cell_bounds_the_plane_half_from_above(chain, height):
     r = 0.3
     cell = multiscale_scan(chain, [np.zeros(3)], r0=r, depth=0).cell(0, 0)
     assert cell.covered == (height is not None)
-    grid = float(np.max(_dist_to_support(chain, cell.plane.embed(_plane_grid(r, 2, 24)))))
+    grid = float(np.max(_dist_to_simplices(chain.vertex_array(), cell.plane.embed(_plane_grid(r, 2, 24)))))
     if cell.covered:
         # the top sheet's height over the disk, which is also beta_inf r
         assert abs(cell.hausdorff - height) <= 1e-12 * r

@@ -13,7 +13,7 @@ from gmtepi.generators import cantor_graph, cone_harmonic, flat_disk, tilted_con
 from gmtepi.groups import integers
 from gmtepi.planes import OrientedPlane
 from gmtepi.layers import disk_sheets
-from gmtepi.scan import _dist_to_support, extract_graph, multiscale_scan, support_sample
+from gmtepi.scan import extract_graph, multiscale_scan, support_sample
 
 
 def _chain(verts):
@@ -24,7 +24,7 @@ def _chain(verts):
 
 def _assert_unpruned(chain, points):
     want = np.min(_pair_dists(chain.vertex_array(), points), axis=1)
-    got = _dist_to_support(chain, points)
+    got = _dist_to_simplices(chain.vertex_array(), points)
     assert got.tobytes() == want.tobytes()
 
 

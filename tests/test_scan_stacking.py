@@ -11,17 +11,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gmtepi.chains import pushforward_linear
+from gmtepi.chains import _dist_to_simplices, pushforward_linear
 from gmtepi.generators import cantor_bump_profile, cone_harmonic, flat_disk, two_sheet_cantor
 from gmtepi.planes import OrientedPlane
-from gmtepi.scan import ScanCell, _dist_to_support, find_frame, multiscale_scan
+from gmtepi.scan import ScanCell, find_frame, multiscale_scan
 
 CROSS_SCALE = {"point_index", "scale_index", "coherence_bound", "coherence_measured"}
 
 
 def _bits(value):
     if isinstance(value, OrientedPlane):
-        return value.frame.tobytes(), value.orientation
+        return value.frame.tobytes()
     if isinstance(value, float):
         return np.float64(value).tobytes()
     return value
@@ -114,5 +114,6 @@ def test_public_find_frame_still_measures_the_support_distance():
     cell = multiscale_scan(chain, [x], r0=0.2, depth=0).cell(0, 0)
     assert cell.frame_found
     fr = find_frame(chain, x, 0.18, cell.plane, rho=1 / (25 * 2**0.5), scale=0.2, beta_inf=cell.beta_inf)
-    assert fr.support_distance == float(np.max(_dist_to_support(chain, x + 0.18 * fr.directions)))
+    ends = x + 0.18 * fr.directions
+    assert fr.support_distance == float(np.max(_dist_to_simplices(chain.vertex_array(), ends)))
     assert fr.support_distance <= 1e-9
